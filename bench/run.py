@@ -13,8 +13,11 @@ and every output is checked (workloads.py).
   cpu_s        user+system CPU of one pass's child processes
   peak_rss_mb  largest child max-RSS of one pass
 Passes repeat while another one fits in --seconds (at least one runs);
-each metric is a median over passes.  failed_frac is printed with them; in
-the result line it is carried by "attempted" and "failed".
+each metric is a median over passes.  Times are in reference seconds: each
+child's times are divided by how much slower than a reference core its CPU
+ran meanwhile, as a probe on the same CPU measured it (speed.py).
+failed_frac is printed with them; in the result line it is carried by
+"attempted" and "failed".
 
 --trace 1 runs the command list once untraced and twice traced
 (traced_cli.py), checks that traced stdout is byte-identical to untraced
@@ -39,6 +42,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import speed
 import tracer
 import workloads
 
@@ -63,6 +67,8 @@ class Result:
     cpu_s: float
     maxrss_kb: int
     timed_out: bool
+    start: float = 0.0
+    end: float = 0.0
 
 
 def child_env():
@@ -95,11 +101,11 @@ def run_child(argv, workdir, deadline):
         finally:
             timer.cancel()
             timer.join()
-        wall = time.perf_counter() - start
+        end = time.perf_counter()
         proc.returncode = os.waitstatus_to_exitcode(wstatus)
-    return Result(proc.returncode, out_path.read_bytes(), wall,
+    return Result(proc.returncode, out_path.read_bytes(), end - start,
                   usage.ru_utime + usage.ru_stime, usage.ru_maxrss,
-                  timed_out.is_set())
+                  timed_out.is_set(), start, end)
 
 
 def cli_argv(cmd):
@@ -117,15 +123,15 @@ def failure(cmd, res):
 
 
 def setup_samples(count, workdir, deadline):
-    """Wall times of count fresh `import ellgenus.cli` interpreters."""
-    walls = []
+    """Results of count fresh `import ellgenus.cli` interpreters."""
+    results = []
     for _ in range(count):
         res = run_child([sys.executable, "-c", SETUP_CODE], workdir, deadline)
         if res.status != 0:
             raise RuntimeError("importing ellgenus.cli failed: "
                                + (workdir / "stderr").read_text()[-500:])
-        walls.append(res.wall_s)
-    return walls
+        results.append(res)
+    return results
 
 
 def run_e2e(cmds, seconds, workdir, deadline):
@@ -133,35 +139,42 @@ def run_e2e(cmds, seconds, workdir, deadline):
 
     Set-up samples are taken before every pass, so that they and the
     commands see the same machine load.  A metric is the median over
-    passes, per command where it sums over commands.
+    passes, per command where it sums over commands.  Times are in
+    reference seconds (speed.py).
     """
-    setup_samples(1, workdir, deadline)  # writes the bytecode cache
-    setup, passes, errors = [], [], []
-    start = time.monotonic()
-    while True:
-        setup += setup_samples(SETUP_PER_PASS, workdir, deadline)
-        results = []
-        for cmd in cmds:
-            res = run_child(cli_argv(cmd), workdir, deadline)
-            why = failure(cmd, res)
-            if why:
-                errors.append(f"{cmd.label}: {why}")
-            results.append(res)
-        passes.append(results)
-        elapsed = time.monotonic() - start
-        if elapsed * (len(passes) + 1) / len(passes) > seconds \
-                or time.monotonic() >= deadline:
-            break
+    with speed.SpeedProbe() as probe:
+        setup_samples(1, workdir, deadline)  # writes the bytecode cache
+        setup, passes, errors = [], [], []
+        start = time.monotonic()
+        while True:
+            setup += setup_samples(SETUP_PER_PASS, workdir, deadline)
+            results = []
+            for cmd in cmds:
+                res = run_child(cli_argv(cmd), workdir, deadline)
+                why = failure(cmd, res)
+                if why:
+                    errors.append(f"{cmd.label}: {why}")
+                results.append(res)
+            passes.append(results)
+            elapsed = time.monotonic() - start
+            if elapsed * (len(passes) + 1) / len(passes) > seconds \
+                    or time.monotonic() >= deadline:
+                break
+    for res in setup + [r for p in passes for r in p]:
+        slow = probe.slowdown(res.start, res.end)
+        res.wall_s /= slow
+        res.cpu_s /= slow
     by_cmd = list(zip(*passes))
     metrics = {
-        "setup_s": statistics.median(setup),
+        "setup_s": statistics.median(r.wall_s for r in setup),
         "wall_s": sum(statistics.median(r.wall_s for r in rs) for rs in by_cmd),
         "cpu_s": sum(statistics.median(r.cpu_s for r in rs) for rs in by_cmd),
         "peak_rss_mb": statistics.median(
             max(r.maxrss_kb for r in p) / 1024 for p in passes),
     }
     walls = [sum(r.wall_s for r in p) for p in passes]
-    return metrics, len(cmds) * len(passes), errors, walls
+    slowdown = statistics.median(probe.durations) / speed.REFERENCE_S
+    return metrics, len(cmds) * len(passes), errors, walls, slowdown
 
 
 def run_traced_pass(cmds, workdir, deadline, tag):
@@ -246,9 +259,11 @@ def run_workload(workload, seed, seconds, trace, spec, expected):
             note = "1 untraced pass, 2 traced passes"
         else:
             group = spec["end_to_end"]
-            metrics, attempted, errors, walls = run_e2e(
+            metrics, attempted, errors, walls, slowdown = run_e2e(
                 cmds, seconds, workdir, deadline)
-            note = f"{len(walls)} passes of " + ", ".join(f"{w:.3f}" for w in walls) + " s"
+            note = (f"{len(walls)} passes of "
+                    + ", ".join(f"{w:.3f}" for w in walls)
+                    + f" reference s; median probe slowdown {slowdown:.3f}")
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
     failed = len(errors)
@@ -281,6 +296,7 @@ def main(argv=None):
         return 2
     with open(ROOT / "BENCHMARK.json") as fh:
         spec = json.load(fh)
+    speed.pin_to_one_cpu()
     expected = workloads.load_expected()
     names = workloads.WORKLOADS if args.workload == "all" else [args.workload]
     for name in names:

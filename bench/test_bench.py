@@ -12,6 +12,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 import run  # noqa: E402
+import speed  # noqa: E402
 import tracer  # noqa: E402
 import workloads  # noqa: E402
 
@@ -95,6 +96,18 @@ def test_seeded_eval_is_checked_against_the_fraction_route():
     assert cmd.check(0, good) is None
     assert cmd.check(0, good.replace(b"6/5", b"7/5")) is not None
     assert cmd.check(2, good) is not None
+
+
+def test_slowdown_is_the_mean_probe_time_over_the_interval():
+    probe = speed.SpeedProbe(period=1.0)
+    ref = speed.REFERENCE_S
+    for end, factor in [(1, 1), (2, 2), (3, 4), (4, 1), (10, 3)]:
+        probe.add(end, factor * ref)
+    # probes ending in [1.5, 3.5 + period] are those at 2, 3 and 4
+    assert abs(probe.slowdown(1.5, 3.5) - 7 / 3) < 1e-12
+    # none in [6, 7 + period]: the nearest one, at 4, is used
+    assert abs(probe.slowdown(6.0, 6.5) - 1) < 1e-12
+    assert abs(probe.slowdown(8.5, 8.6) - 3) < 1e-12
 
 
 def test_every_per_layer_metric_names_a_traced_span():
