@@ -11,7 +11,6 @@ so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import permutations
 
 
 class NonUnitLeadingCoefficient(ArithmeticError):
@@ -63,6 +62,13 @@ class FractionRing:
 
 
 QQ = FractionRing()
+
+
+def coeff_is_zero(c):
+    """Is the coefficient zero?  c is rational or a ring element."""
+    if isinstance(c, (int, Fraction)):
+        return c == 0
+    return c.is_zero()
 
 
 def ring_invert(c):
@@ -200,9 +206,6 @@ class WeightedPoly:
 
     def constant_term(self):
         return self.terms.get((0,) * self.ring.nvars, Fraction(0))
-
-    def total_degree(self):
-        return max((sum(e) for e in self.terms), default=0)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -364,15 +367,6 @@ class WeightedPoly:
                     term = term * img
             result = result + term
         return result
-
-    def rename(self, ring, name_map=None):
-        """Transport into another PolyRing, optionally renaming variables."""
-        name_map = name_map or {}
-        mapping = {
-            n: ring.gen(name_map.get(n, n))
-            for n in self.ring.names
-        }
-        return self.substitute(mapping, ring)
 
     # -- univariate views ---------------------------------------------------
 
@@ -1290,28 +1284,6 @@ class MultiPoly:
             terms[tuple(ne)] = c
         return MultiPoly(self.ring, self.nvars, terms, self.cap)
 
-    def antisymmetrize(self):
-        """Sum of sign(sigma) * sigma(self) over all variable permutations."""
-        total = MultiPoly.zero(self.ring, self.nvars, self.cap)
-        for perm in permutations(range(self.nvars)):
-            # sign of permutation
-            sgn = 1
-            seen = [False] * self.nvars
-            for i in range(self.nvars):
-                if seen[i]:
-                    continue
-                j = i
-                clen = 0
-                while not seen[j]:
-                    seen[j] = True
-                    j = perm[j]
-                    clen += 1
-                if clen % 2 == 0:
-                    sgn = -sgn
-            p = self.permute(perm)
-            total = total + (p if sgn == 1 else -p)
-        return total
-
     def divide_linear(self, i, j):
         """Exact division by (x_i - x_j); raises if the remainder survives.
 
@@ -1356,23 +1328,6 @@ class MultiPoly:
             out = out + MultiPoly(self.ring, self.nvars, shift, cap)
         return out
 
-    def substitute_var(self, i, value):
-        """Replace x_i by another MultiPoly (same variable set)."""
-        by_deg = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            rest = e[:i] + (0,) + e[i + 1:]
-            by_deg.setdefault(k, {})[rest] = c
-        if not by_deg:
-            return self
-        d = max(by_deg)
-        result = MultiPoly.zero(self.ring, self.nvars, self._mincap(value))
-        # Horner
-        for k in range(d, -1, -1):
-            ck = MultiPoly(self.ring, self.nvars, by_deg.get(k, {}), self.cap)
-            result = result * value + ck
-        return result
-
     def __str__(self):
         if not self.terms:
             return "0"
@@ -1387,13 +1342,3 @@ class MultiPoly:
         return " + ".join(parts)
 
     __repr__ = __str__
-
-
-def series_inverse(s):
-    """Multiplicative inverse of a truncated series (module-level alias)."""
-    return s.inverse()
-
-
-def series_compose_inverse(f):
-    """Compositional inverse of a truncated series (module-level alias)."""
-    return f.compose_inverse()

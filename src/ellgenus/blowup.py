@@ -5,23 +5,24 @@ the genus is supported on Y: with Q the characteristic series, x_i the
 Chern roots of the normal bundle, and v = x_1,
 
     phi(X~) - phi(X)
-        = K_phi(TY) . g_* ( (Q(v)/v) prod_i Q(x_i - v)
-                            - (1/v) prod_i Q(x_i) ) [Y],
+        = K_phi(TY) . p_* ( (Q(v) prod_{i>=2} Q(x_i - v)
+                             - prod_i Q(x_i)) / v ) [Y],
 
-where g_* is the pushforward from the full flag bundle of the normal
-bundle, computed as antisymmetrization divided by the Vandermonde.  No
-model of the blown-up space is ever built.  The module also verifies the
-two residue identities behind level-N invariance: the rational identity
+where p_* is the pushforward from the projective bundle of the normal
+bundle, p_*(g(v)) = sum_i g(x_i) / prod_{j != i} (x_j - x_i), computed
+by q - 1 exact divided differences.  No model of the blown-up space is
+ever built.  The module also verifies the two residue identities behind
+level-N invariance: the rational identity
 sum_i prod_{j != i} x_j/(x_j - x_i) = 1, and its elliptic analogue for
-the level-N series when q = 1 mod N.
+the level-N series when q = 1 mod N, which says that the same
+pushforward vanishes identically in the roots.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 
-from .algebra_kernel import MultiPoly, QQ, TruncatedSeries
+from .algebra_kernel import MultiPoly, coeff_is_zero
 from .cohomology_models import cp_model, point_model
 from .genus_engine import multiplicative_class
 from .jacobi_q import _product_spec
@@ -59,33 +60,34 @@ class BlowupInput:
 
 
 # ---------------------------------------------------------------------------
-# flag-bundle pushforward
+# projective-bundle pushforward
 # ---------------------------------------------------------------------------
 
 
-def vandermonde(ring, q, lowest=0, cap=None):
-    """prod_{i > j >= lowest} (x_i - x_j) as a MultiPoly in q variables."""
-    out = MultiPoly.const(ring, q, ring.one, cap)
-    for i in range(lowest, q):
-        for j in range(lowest, i):
-            xi = MultiPoly.gen(ring, q, i, cap)
-            xj = MultiPoly.gen(ring, q, j, cap)
-            out = out * (xi - xj)
-    return out
+def projective_pushforward(t, q):
+    """Pushforward from the projective bundle of a rank-q bundle.
 
+    t is a MultiPoly in the roots x_1..x_q, symmetric in x_2..x_q, read
+    as a class on P(E) with v = x_1.  The result is the symmetric
 
-def flag_pushforward(t, q):
-    """Pushforward from the full flag bundle of a rank-q bundle.
+        sum_i t|_{x_1 <-> x_i} / prod_{j != i} (x_j - x_i)
+            = (-1)^(q-1) d_{q-1} ... d_1 t,
 
-    g_*(t) = [sum_sigma sign(sigma) sigma(t)] / prod_{i>j} (x_i - x_j);
-    the division is exact polynomial division (the quotient is the
-    symmetric pushforward), checked term by term.
+    d_k f = (f - s_k f) / (x_k - x_{k+1}), s_k swapping x_k and x_{k+1}.
+    Every division is exact and checked; a capped t loses one degree of
+    cap per step.
     """
-    out = t.antisymmetrize()
-    for i in range(q):
-        for j in range(i):
-            out = out.divide_linear(i, j)
-    return out
+    out = t
+    for k in range(q - 1):
+        swap = list(range(q))
+        swap[k], swap[k + 1] = k + 1, k
+        out = (out - out.permute(swap)).divide_linear(k, k + 1)
+    return -out if q % 2 == 0 else out
+
+
+# The benchmark's tracer (bench/tracer.py) times the pushforward under
+# this name.
+flag_pushforward = projective_pushforward
 
 
 def symmetric_to_elementary(sym):
@@ -151,12 +153,22 @@ def _divide_by_var(p, i):
     return MultiPoly(p.ring, p.nvars, terms, cap)
 
 
-def genus_defect(inp):
-    """phi(blow-up of X along the center) - phi(X), computed over the center."""
-    model = inp.center
-    q = inp.codim
-    spec = inp.spec
-    cap = model.dim + q * (q - 1) // 2 + 1
+def _defect_cap(q, dim):
+    """x-degree through which the pushforward numerator is needed.
+
+    Dividing by v and the q - 1 divided differences lower the degree by q
+    in total; the result is needed through degree dim.
+    """
+    return dim + q
+
+
+def pushed_defect(spec, q, dim):
+    """p_*((Q(v) prod_{i>=2} Q(x_i - v) - prod_i Q(x_i)) / v) through degree dim.
+
+    A symmetric MultiPoly in the q normal-bundle roots, with coefficients
+    in spec.ring.
+    """
+    cap = _defect_cap(q, dim)
     if spec.order < cap:
         raise TruncationTooLow(
             f"genus truncation {spec.order} < required {cap}"
@@ -175,13 +187,15 @@ def genus_defect(inp):
     second = MultiPoly.const(ring, q, ring.one, cap)
     for xi in xs:
         second = second * Q(xi)
-    t = _divide_by_var(first - second, 0)
-    # t lives on the exceptional projective bundle (v = x_1); lift to the
-    # flag bundle by multiplying with the sub-Vandermonde in x_2..x_q,
-    # whose fiberwise pushforward is (q-1)!
-    sub = vandermonde(ring, q, lowest=1, cap=t.cap)
-    pushed = flag_pushforward(t * sub, q) * Fraction(1, factorial(q - 1))
-    edict = symmetric_to_elementary(pushed)
+    return projective_pushforward(_divide_by_var(first - second, 0), q)
+
+
+def genus_defect(inp):
+    """phi(blow-up of X along the center) - phi(X), computed over the center."""
+    model = inp.center
+    spec = inp.spec
+    edict = symmetric_to_elementary(
+        pushed_defect(spec, inp.codim, model.dim))
 
     # elementary symmetric functions of the normal-bundle roots
     e_classes = [model.one_elt()]
@@ -203,7 +217,7 @@ def genus_defect(inp):
     kclass = multiplicative_class(spec, model)
     value = model.integrate(model.mul(kclass, total))
     if isinstance(value, (int, Fraction)):  # empty integrand
-        value = ring.from_fraction(Fraction(value))
+        value = spec.ring.from_fraction(Fraction(value))
     return value
 
 
@@ -238,62 +252,31 @@ def verify_elliptic_identity(N, q, qorder=2, xorder=4):
         sum_i (1/f(x_i)) prod_{j != i} 1/f(x_j - x_i)
             - prod_i 1/f(x_i) = 0.
 
-    Poles are cleared with 1/f(x) = Q(x)/x and the common denominator
-    prod_i x_i * prod_{i<j} (x_j - x_i), turning both sides into honest
-    polynomials.  Returns (holds, witness); witness is None or the first
-    nonzero term (exponents, q-power, value) — the identity genuinely
-    fails when q is not 1 mod N, so the hypothesis is reported, not
-    assumed.
+    With 1/f(x) = Q(x)/x and Q(0) = 1 the first sum is p_* of
+    (Q(v)/v) prod_j Q(x_j - v), whose pole part prod_i Q(x_i)/v pushes
+    forward to prod_i 1/f(x_i); so the identity says that pushed_defect
+    vanishes, and it is checked through degree xorder - 1.  Returns
+    (holds, witness); witness is None or the first nonzero term
+    (exponents, q-power, value) — the identity genuinely fails when q is
+    not 1 mod N, so the hypothesis is reported, not assumed.
     """
-    cap = q + q * (q - 1) // 2 + xorder - 1
-    spec = _product_spec(qorder, cap, N)
-    ring = spec.ring
-    qc = [spec.q.coeff(k) for k in range(cap + 1)]
-    xs = [MultiPoly.gen(ring, q, i, cap) for i in range(q)]
-
-    def Q(arg):
-        return _series_poly(qc, arg, ring, q, cap)
-
-    total = MultiPoly.zero(ring, q, cap)
-    for i in range(q):
-        term = Q(xs[i])
-        for j in range(q):
-            if j == i:
-                continue
-            term = term * Q(xs[j] - xs[i]) * xs[j]
-        # reassemble prod_{j != i}(x_j - x_i) into ordered pair factors
-        for k in range(q):
-            for l in range(k + 1, q):
-                if k != i and l != i:
-                    term = term * (xs[l] - xs[k])
-        if i % 2:
-            term = -term
-        total = total + term
-    last = MultiPoly.const(ring, q, ring.one, cap)
-    for xi in xs:
-        last = last * Q(xi)
-    for k in range(q):
-        for l in range(k + 1, q):
-            last = last * (xs[l] - xs[k])
-    total = total - last
-
-    witness = None
-    for e in sorted(total.terms, key=lambda t: (sum(t), t)):
-        c = total.terms[e]
-        for n in range(c.low, c.order + 1):
-            if not _coeff_is_zero(c.coeff(n)):
-                witness = (e, n, c.coeff(n))
-                break
-        if witness:
-            break
-    return witness is None, witness
+    dim = xorder - 1
+    spec = _product_spec(qorder, _defect_cap(q, dim), N)
+    pushed = pushed_defect(spec, q, dim)
+    for e in sorted(pushed.terms, key=lambda t: (sum(t), t)):
+        lowest = _first_nonzero(pushed.terms[e])
+        if lowest is not None:
+            return False, (e, *lowest)
+    return True, None
 
 
-def _coeff_is_zero(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    return z() if z is not None else c == 0
+def _first_nonzero(series):
+    """(q-power, coefficient) of the lowest nonzero term, or None."""
+    for n in range(series.low, series.order + 1):
+        c = series.coeff(n)
+        if not coeff_is_zero(c):
+            return n, c
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -346,19 +329,16 @@ def verify_blowup_invariance(N, examples=None, qorder=2):
     first nonzero q-coefficient as a witness when the defect does not
     vanish.
     """
+    if N < 2:
+        raise ValueError("N must be >= 2")
     cases = examples if examples is not None else default_cases(N)
     report = []
     for label, build, q, dim, expect_zero in cases:
-        cap = dim + q * (q - 1) // 2 + 1
-        spec = _product_spec(qorder, max(cap, 4), N)
+        spec = _product_spec(qorder, max(_defect_cap(q, dim), 4), N)
         defect = genus_defect(build(spec))
         is_zero = defect.is_zero()
-        witness = None
-        if not is_zero:
-            for n in range(defect.low, defect.order + 1):
-                if not _coeff_is_zero(defect.coeff(n)):
-                    witness = (n, repr(defect.coeff(n)))
-                    break
+        lowest = None if is_zero else _first_nonzero(defect)
+        witness = None if lowest is None else (lowest[0], repr(lowest[1]))
         report.append({
             "level": N,
             "case": label,

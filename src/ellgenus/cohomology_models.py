@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra_kernel import QQ, _fr
+from .algebra_kernel import QQ, _fr, coeff_is_zero
 
 
 class UnknownName(KeyError):
@@ -153,7 +153,7 @@ class CohomologyModel:
                 out[l] = out[l] + c
             else:
                 out[l] = c
-        return {l: c for l, c in out.items() if not _is_zeroish(c)}
+        return {l: c for l, c in out.items() if not coeff_is_zero(c)}
 
     def scale(self, u, c):
         return {l: v * c for l, v in u.items()}
@@ -169,7 +169,7 @@ class CohomologyModel:
                         out[l3] = out[l3] + add
                     else:
                         out[l3] = add
-        return {l: c for l, c in out.items() if not _is_zeroish(c)}
+        return {l: c for l, c in out.items() if not coeff_is_zero(c)}
 
     def power(self, u, n):
         r = self.one_elt()
@@ -206,15 +206,6 @@ class CohomologyModel:
 
     def __repr__(self):
         return f"<CohomologyModel {self.name}, dim {self.dim}>"
-
-
-def _is_zeroish(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    if z is not None:
-        return z()
-    return False
 
 
 def chern_vector(m):

@@ -118,24 +118,6 @@ class MultiplicativeSequence:
                 total = total + coeff * v
         return total
 
-    def apply_to_model(self, model, chern_elt=None):
-        """The total class K(c) = sum_m K_m as an element of the model."""
-        c = model.chern if chern_elt is None else chern_elt
-        total = model.one_elt() if self.ks[0] else model.zero_elt()
-        classes = {}
-
-        def cclass(i):
-            if i not in classes:
-                classes[i] = model.degree_part(c, i)
-            return classes[i]
-
-        for m in range(1, min(self.n, model.dim) + 1):
-            for part, coeff in self.ks[m].items():
-                elt = model.one_elt()
-                for p in part:
-                    elt = model.mul(elt, cclass(p))
-                total = model.add(total, model.scale(elt, coeff))
-        return total
 
 
 def multiplicative_sequence(spec, n):

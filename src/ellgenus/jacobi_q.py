@@ -26,6 +26,7 @@ from .algebra_kernel import (
     QuotientRing,
     RationalFunction,
     TruncatedSeries,
+    coeff_is_zero,
     cyclotomic_polynomial,
 )
 from .cohomology_models import chern_vector
@@ -164,7 +165,7 @@ class UXSeries:
         self.window = window
         self.rows = [
             {e: c for e, c in row.items()
-             if abs(e) <= window and not _zeroish(c)}
+             if abs(e) <= window and not coeff_is_zero(c)}
             for row in rows
         ]
 
@@ -260,13 +261,6 @@ class UXSeries:
 
     def __repr__(self):
         return f"<UXSeries qorder={self.qorder} window={self.window}>"
-
-
-def _zeroish(c):
-    if isinstance(c, (int, Fraction)):
-        return c == 0
-    z = getattr(c, "is_zero", None)
-    return z() if z is not None else False
 
 
 def phi_product(qorder, uwindow=None):
@@ -498,7 +492,7 @@ def match_quartic(f):
         else:
             rem = rem - TruncatedSeries(ring, 0, [c], rem.order)
     for e in range(rem.low, rem.order + 1):
-        if not _zeroish(rem.coeff(e)):
+        if not coeff_is_zero(rem.coeff(e)):
             raise InconsistentSystem(
                 f"quartic does not close at x^{e}: {rem.coeff(e)}"
             )

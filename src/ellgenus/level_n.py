@@ -88,10 +88,6 @@ class LevelNData:
     def r_upper_q(self):
         return to_q_coords(self.r_upper)
 
-    def p_poly_coeffs(self):
-        """Monic P_N coefficients [1, d_1, ..., d_N] (in q-coordinates)."""
-        return [Q_RING.one] + [self.d[i] for i in range(1, self.N + 1)]
-
     def __repr__(self):
         return f"<LevelNData N={self.N}>"
 

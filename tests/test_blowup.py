@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, permutations
 from math import factorial
 
 import pytest
@@ -12,10 +12,10 @@ from ellgenus.blowup import (
     DegenerateSample,
     TruncationTooLow,
     default_cases,
-    flag_pushforward,
     genus_defect,
+    projective_pushforward,
+    pushed_defect,
     symmetric_to_elementary,
-    vandermonde,
     verify_blowup_invariance,
     verify_elliptic_identity,
     verify_rational_identity,
@@ -38,21 +38,95 @@ def _cp_center(spec, n, q):
 
 
 # ---------------------------------------------------------------------------
-# flag pushforward
+# brute-force oracle: the full flag bundle, by antisymmetrization
+# ---------------------------------------------------------------------------
+
+
+def _sign(perm):
+    sgn = 1
+    for i in range(len(perm)):
+        for j in range(i):
+            if perm[j] > perm[i]:
+                sgn = -sgn
+    return sgn
+
+
+def _antisymmetrize(p):
+    """sum over sigma of sign(sigma) * sigma(p)."""
+    total = MultiPoly.zero(p.ring, p.nvars, p.cap)
+    for perm in permutations(range(p.nvars)):
+        total = total + p.permute(perm) * _sign(perm)
+    return total
+
+
+def _vandermonde(q, lowest=0):
+    """prod_{i > j >= lowest} (x_i - x_j)."""
+    out = MultiPoly.const(QQ, q, F(1))
+    for i in range(lowest, q):
+        for j in range(lowest, i):
+            out = out * (MultiPoly.gen(QQ, q, i) - MultiPoly.gen(QQ, q, j))
+    return out
+
+
+def _oracle_pushforward(t, q):
+    """Lift t to the flag bundle with the sub-Vandermonde in x_2..x_q,
+    push forward by antisymmetrizing and dividing by the Vandermonde, and
+    divide by (q-1)!, the fiber integral of the sub-Vandermonde."""
+    out = _antisymmetrize(t * _vandermonde(q, lowest=1))
+    for i in range(q):
+        for j in range(i):
+            out = out.divide_linear(i, j)
+    return out * F(1, factorial(q - 1))
+
+
+def test_antisymmetrize_oracle():
+    x1 = MultiPoly.gen(QQ, 2, 0)
+    x2 = MultiPoly.gen(QQ, 2, 1)
+    assert _antisymmetrize(x1 * x1) == x1 * x1 - x2 * x2
+    # symmetric input antisymmetrizes to zero
+    assert _antisymmetrize(x1 * x2).is_zero()
+
+
+@st.composite
+def _symmetric_in_tail(draw):
+    """(t, q): a polynomial over Q in x_1..x_q, symmetric in x_2..x_q."""
+    q = draw(st.integers(min_value=1, max_value=3))
+    terms = draw(st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * q),
+        st.fractions(min_value=F(-5), max_value=F(5), max_denominator=4),
+        max_size=4,
+    ))
+    p = MultiPoly(QQ, q, terms)
+    t = MultiPoly.zero(QQ, q)
+    for tail in permutations(range(1, q)):
+        t = t + p.permute((0,) + tail)
+    return t, q
+
+
+@settings(max_examples=40, deadline=None)
+@seed(20261017)
+@given(_symmetric_in_tail())
+def test_pushforward_matches_oracle(case):
+    t, q = case
+    assert projective_pushforward(t, q) == _oracle_pushforward(t, q)
+
+
+# ---------------------------------------------------------------------------
+# projective-bundle pushforward
 # ---------------------------------------------------------------------------
 
 
 def test_pushforward_of_low_degree_is_zero():
-    # antisymmetrizing anything of degree below the Vandermonde kills it
+    # the fiber has dimension q-1: anything of lower degree pushes to zero
     for q in (2, 3):
         one = MultiPoly.const(QQ, q, F(1))
-        assert flag_pushforward(one, q).is_zero()
-    assert flag_pushforward(MultiPoly.gen(QQ, 3, 0), 3).is_zero()
+        assert projective_pushforward(one, q).is_zero()
+    assert projective_pushforward(MultiPoly.gen(QQ, 3, 0), 3).is_zero()
 
 
 def test_pushforward_top_normalization():
-    # q = 2: antisym(x1) / (x2 - x1) = -1 with the ordered Vandermonde
-    out = flag_pushforward(MultiPoly.gen(QQ, 2, 0), 2)
+    # q = 2: x1 / (x2 - x1) + x2 / (x1 - x2) = -1
+    out = projective_pushforward(MultiPoly.gen(QQ, 2, 0), 2)
     assert out == MultiPoly.const(QQ, 2, F(-1))
 
 
@@ -68,17 +142,29 @@ def _complete_homogeneous(q, m):
 
 
 def test_projective_bundle_chain_oracle():
-    # lifting s(x1) to the flag via the sub-Vandermonde (pushforward
-    # (q-1)!) must reproduce the Segre-class formula: the pushforward of
-    # x1^k from the projective bundle is the complete homogeneous
-    # function h_{k-q+1}, here with the orientation sign (-1)^{q-1}
-    for q in (2, 3):
-        sub = vandermonde(QQ, q, lowest=1)
+    # the Segre-class formula: the pushforward of x1^k from the projective
+    # bundle is the complete homogeneous function h_{k-q+1} (zero below
+    # degree q-1), here with the orientation sign (-1)^{q-1}
+    for q in range(1, 6):
         sign = (-1) ** (q - 1)
-        for k in range(q - 1, q + 3):
-            t = MultiPoly.gen(QQ, q, 0) ** k * sub
-            lhs = flag_pushforward(t, q) * F(1, factorial(q - 1))
-            assert lhs == _complete_homogeneous(q, k - q + 1) * sign, (q, k)
+        for k in range(q + 3):
+            t = MultiPoly.gen(QQ, q, 0) ** k
+            want = (_complete_homogeneous(q, k - q + 1) * sign
+                    if k >= q - 1 else MultiPoly.zero(QQ, q))
+            assert projective_pushforward(t, q) == want, (q, k)
+
+
+def test_pushed_defect_truncation_sound():
+    # the result through degree dim does not depend on how far past dim
+    # it was computed
+    for name in ("todd", "signature", "euler", "a_hat"):
+        spec = classical_genus(name, order=10)
+        for q in range(1, 5):
+            for dim in range(4):
+                low = pushed_defect(spec, q, dim)
+                high = pushed_defect(spec, q, dim + 2)
+                assert low.terms == {e: c for e, c in high.terms.items()
+                                     if sum(e) <= dim}, (name, q, dim)
 
 
 def test_symmetric_to_elementary_round_trip():
@@ -205,6 +291,16 @@ def test_elliptic_identity_negative_control():
     assert not ok
     exps, qpow, value = witness
     assert not value == 0
+
+
+def test_elliptic_identity_larger_cases():
+    # 5 = 1 mod 2 and 5 = 1 mod 4; 3 = 0 mod 3 fails with a witness
+    assert verify_elliptic_identity(2, 5) == (True, None)
+    assert verify_elliptic_identity(4, 5) == (True, None)
+    ok, witness = verify_elliptic_identity(3, 3)
+    assert not ok
+    exps, qpow, value = witness
+    assert len(exps) == 3 and not value.is_zero()
 
 
 # ---------------------------------------------------------------------------

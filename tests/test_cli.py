@@ -116,6 +116,15 @@ def test_blowup_verify_json():
     assert obj["ok"] and all(c["ok"] for c in obj["cases"])
 
 
+def test_blowup_verify_level_1_exits_2():
+    rc, text = run("blowup", "verify", "--N", "1")
+    assert rc == 2
+    assert text == "error: N must be >= 2\n"
+    rc, text = run("blowup", "verify", "--N", "1", "--format", "json")
+    assert rc == 2
+    assert json.loads(text) == {"error": "N must be >= 2"}
+
+
 def test_unknown_genus_exits_2():
     rc, text = run("genus", "eval", "--genus", "nope",
                    "--manifold", "catalog:W2")

@@ -264,11 +264,9 @@ def test_formal_group_law_axioms():
     Fuv = formal_group_law(sig, 6)
     # commutativity
     assert Fuv.permute((1, 0)) == Fuv
-    # F(u, 0) = u
-    from ellgenus.algebra_kernel import MultiPoly
-    zero = MultiPoly.zero(QQ, 2, cap=6)
-    u_only = Fuv.substitute_var(1, zero)
-    assert u_only.terms == {(1, 0): F(1)}
+    # F(u, 0) = u: the terms without v are exactly u
+    u_only = {e: c for e, c in Fuv.terms.items() if e[1] == 0}
+    assert u_only == {(1, 0): F(1)}
 
 
 # ---------------------------------------------------------------------------
