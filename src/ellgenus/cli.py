@@ -67,8 +67,10 @@ from .universal_elliptic import (
     ABCD_RING,
     ABCDPoint,
     Q_RING,
+    abcd_to_q,
     phi_ell,
-    specialize,
+    q_of_h,
+    solve_h,
 )
 from .universal_elliptic import test_vectors_Q3_Q4 as _fiber_vectors
 
@@ -184,8 +186,9 @@ def resolve_genus(sel, order):
             vals = [Fraction(p.strip()) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad genus point {sel!r}: {exc}") from exc
-        return specialize(phi_ell(order), ABCDPoint(*vals),
-                          name=f"phi_ell|({sel})")
+        # at the point first: the same exact value as specialising phi_ell
+        h = solve_h(abcd_to_q(ABCDPoint(*vals)), order)
+        return q_of_h(h, name=f"phi_ell|({sel})")
     name = sel.strip().lower()
     if name == "phi_ell":
         return phi_ell(order)

@@ -13,6 +13,7 @@ provided in closed form.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 
 from .algebra_kernel import (
@@ -47,9 +48,10 @@ class BadParams(ValueError):
 class GenusSpec:
     """A genus given by its characteristic series Q(x) = x / f(x).
 
-    Q must have constant term 1.  The log coefficients l_m with
-    log Q(x) = sum_m l_m x^m are cached at construction; multiplicative
-    sequences are cached on demand (pure data, safe to share).
+    Q must have constant term 1, which is checked at construction.  The
+    log coefficients l_m with log Q(x) = sum_m l_m x^m are computed on
+    first access and kept; multiplicative sequences are cached on demand
+    (pure data, safe to share).
     """
 
     def __init__(self, q_series, name="genus"):
@@ -59,10 +61,14 @@ class GenusSpec:
         self.q = q_series
         self.order = q_series.order
         self.name = name
-        logq = q_series.log()
-        self.log_coeffs = [logq.coeff(m) if m >= 1 else self.ring.zero
-                           for m in range(self.order + 1)]
         self._ms_cache = {}
+
+    @cached_property
+    def log_coeffs(self):
+        """[0, l_1, ..., l_order] with log Q(x) = sum_m l_m x^m."""
+        logq = self.q.log()
+        return [logq.coeff(m) if m >= 1 else self.ring.zero
+                for m in range(self.order + 1)]
 
     # -- derived series -----------------------------------------------------
 

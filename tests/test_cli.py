@@ -1,10 +1,15 @@
 import io
 import json
+import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from ellgenus.cli import main
+from ellgenus.cohomology_models import catalog
+from ellgenus.genus_engine import evaluate
+from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
 F = Fraction
 
@@ -57,6 +62,46 @@ def test_genus_eval_explicit_point():
                    "--manifold", "catalog:W2")
     assert rc == 0
     assert text.strip().endswith("= -16")
+
+
+def _fr_str(x):
+    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
+
+
+@lru_cache(maxsize=None)
+def _symbolic_phi_ell(order):
+    return phi_ell(order)
+
+
+def _seeded_point(seed):
+    rng = random.Random(seed)
+    return [F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 9))
+            for _ in range(4)]
+
+
+@pytest.mark.parametrize("manifold,seed", [("CP2", 11), ("CP6", 12),
+                                           ("K3", 13), ("W4", 14)])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_genus_eval_point_matches_specialized_phi_ell(manifold, seed, fmt):
+    # the CLI solves the ODE at the point; specialising the symbolic
+    # genus must give the same exact value and the same genus name
+    point = _seeded_point(seed)
+    sel = ",".join(_fr_str(x) for x in point)
+    order = 12  # the genus eval default
+    spec = specialize(_symbolic_phi_ell(order), ABCDPoint(*point),
+                      name=f"phi_ell|({sel})")
+    value = evaluate(spec, catalog(manifold))
+    argv = ["genus", "eval", f"--genus={sel}",
+            "--manifold", f"catalog:{manifold}"]
+    if fmt == "json":
+        rc, text = run(*argv, "--format", "json")
+        obj = json.loads(text)
+        assert (obj["genus"], obj["value"]) == (spec.name, _fr_str(value))
+    else:
+        rc, text = run(*argv)
+        assert text.startswith(f"{spec.name}(")
+        assert text.endswith(f") = {_fr_str(value)}\n")
+    assert rc == 0
 
 
 def test_genus_eval_inline_json_manifold():

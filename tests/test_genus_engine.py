@@ -3,7 +3,13 @@ from math import factorial
 
 import pytest
 
-from ellgenus.algebra_kernel import PolyRing, QQ, TruncatedSeries
+from ellgenus.algebra_kernel import (
+    BadValuation,
+    MultiPoly,
+    PolyRing,
+    QQ,
+    TruncatedSeries,
+)
 from ellgenus.cohomology_models import (
     ChernVector,
     catalog,
@@ -208,6 +214,65 @@ def test_trivial_genus():
     for m in range(1, 5):
         assert ms.ks[m] == {}
     assert evaluate(spec, cp_model(3)) == 0
+
+
+# ---------------------------------------------------------------------------
+# the log coefficients, computed on first use
+# ---------------------------------------------------------------------------
+
+
+def test_bad_constant_term_raises_at_construction():
+    for q in (TruncatedSeries(QQ, 0, [F(2), F(1)], 4),
+              TruncatedSeries(QQ, 1, [F(1)], 4),
+              TruncatedSeries.zero_series(QQ, 4)):
+        with pytest.raises(BadValuation):
+            GenusSpec(q)
+
+
+@pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
+def test_log_coeffs_are_lazy_and_match_series_log(name):
+    spec = classical_genus(name, order=7)
+    assert "log_coeffs" not in vars(spec)
+    logq = spec.q.log()
+    expected = [spec.ring.zero] + [logq.coeff(m) for m in range(1, 8)]
+    assert spec.log_coeffs == expected
+    assert spec.log_coeffs is spec.log_coeffs
+
+
+def _elementary_symmetric(ring, nvars, k, cap):
+    """e_k(x_1..x_nvars) as a MultiPoly."""
+    e = MultiPoly.const(ring, nvars, ring.one, cap)
+    total = [e] + [MultiPoly.zero(ring, nvars, cap)] * k
+    for i in range(nvars):
+        x = MultiPoly.gen(ring, nvars, i, cap)
+        for j in range(k, 0, -1):
+            total[j] = total[j] + total[j - 1] * x
+    return total[k]
+
+
+@pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
+def test_multiplicative_sequence_is_product_of_q(name):
+    # sum_m K_m(e_1..e_m) = prod_i Q(x_i) through degree n, in n variables
+    n = 4
+    spec = classical_genus(name, order=n)
+    ring = spec.ring
+    ms = multiplicative_sequence(spec, n)
+    prod = MultiPoly.const(ring, n, ring.one, n)
+    for i in range(n):
+        x = MultiPoly.gen(ring, n, i, n)
+        qx = MultiPoly.zero(ring, n, n)
+        for e in range(n, -1, -1):
+            qx = qx * x + MultiPoly.const(ring, n, spec.q.coeff(e), n)
+        prod = prod * qx
+    es = [None] + [_elementary_symmetric(ring, n, k, n) for k in range(1, n + 1)]
+    total = MultiPoly.zero(ring, n, n)
+    for m in range(n + 1):
+        for part, c in ms.ks[m].items():
+            term = MultiPoly.const(ring, n, c, n)
+            for k in part:
+                term = term * es[k]
+            total = total + term
+    assert total == prod
 
 
 # ---------------------------------------------------------------------------

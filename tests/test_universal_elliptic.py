@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import factorial
 
@@ -16,7 +17,6 @@ from ellgenus.universal_elliptic import (
     Q_RING,
     QuarticData,
     abcd_to_q,
-    ode_residual,
     phi_ell,
     q_of_h,
     q_to_abcd,
@@ -35,6 +35,101 @@ q1, q2, q3, q4 = Q_RING.gens()
 # ---------------------------------------------------------------------------
 # the ODE solution
 # ---------------------------------------------------------------------------
+
+
+def ode_residual(h, S):
+    """(h')^2 - S(h), valid where the truncated products are exact."""
+    q1, q2, q3, q4 = S
+    hp = h.derivative()
+    h2 = h * h
+    h3 = h2 * h
+    h4 = h2 * h2
+    q4_series = TruncatedSeries(h.ring, 0, [q4], max(h4.order, 0))
+    rhs = h4 + h3 * q1 + h2 * q2 + h * q3 + q4_series
+    return (hp * hp - rhs).truncate(h4.order)
+
+
+def _solve_h_by_residual(S, order):
+    """Oracle for solve_h: rebuild the whole residual for each coefficient.
+
+    The coefficient at x^e (trial value 0) is the residual at x^(e-3)
+    divided by 2e + 4.
+    """
+    ring = S.ring
+    coeffs = [ring.one] + [ring.zero] * order  # exponents -1 .. order-1
+    for e in range(order):
+        h = TruncatedSeries(ring, -1, coeffs, order - 1)
+        r = ode_residual(h, S).coeff(e - 3)
+        coeffs[e + 1] = r * F(1, 2 * e + 4)
+    return TruncatedSeries(ring, -1, coeffs, order - 1)
+
+
+def _seeded_points(seed, count):
+    rng = random.Random(seed)
+    return [ABCDPoint(*(F(rng.choice((-1, 1)) * rng.randint(1, 9),
+                          rng.randint(1, 9)) for _ in range(4)))
+            for _ in range(count)]
+
+
+def _same_series(a, b):
+    return (a.low, a.order, a.coeffs) == (b.low, b.order, b.coeffs)
+
+
+@pytest.mark.parametrize("order", range(1, 13))
+def test_recurrence_matches_residual_oracle_generic(order):
+    S = QuarticData.generic()
+    assert _same_series(solve_h(S, order), _solve_h_by_residual(S, order))
+
+
+@pytest.mark.parametrize("point", _seeded_points(20201, 3),
+                         ids=["p0", "p1", "p2"])
+def test_recurrence_matches_residual_oracle_at_points(point):
+    S = abcd_to_q(point)
+    for order in range(1, 21):
+        assert _same_series(solve_h(S, order), _solve_h_by_residual(S, order))
+
+
+def test_recurrence_matches_residual_oracle_trivial():
+    S = QuarticData(F(0), F(0), F(0), F(0))
+    for order in (1, 4, 10):
+        assert _same_series(solve_h(S, order), _solve_h_by_residual(S, order))
+
+
+def test_order_below_one_raises():
+    with pytest.raises(ValueError):
+        solve_h(QuarticData.generic(), 0)
+
+
+_POINT = _seeded_points(7, 1)[0]
+_SOUNDNESS_QUARTICS = [QuarticData.generic(), abcd_to_q(_POINT)]
+
+
+@pytest.mark.parametrize("S", _SOUNDNESS_QUARTICS, ids=["generic", "point"])
+def test_solve_h_truncation_soundness(S):
+    for n in (1, 2, 5, 9):
+        h, longer = solve_h(S, n), solve_h(S, n + 3)
+        assert _same_series(h, longer.truncate(h.order))
+
+
+@pytest.mark.parametrize("build", [
+    phi_ell,
+    lambda n: q_of_h(solve_h(abcd_to_q(_POINT), n)),
+], ids=["generic", "point"])
+def test_phi_ell_truncation_soundness(build):
+    for n in (2, 5, 8):
+        short, longer = build(n), build(n + 2)
+        assert short.order == n
+        assert short.q.coeffs == longer.q.coeffs[: n + 1]
+
+
+def test_phi_ell_equals_substituted_q_genus():
+    # solving in A, B, C, D agrees with solving in q1..q4 and substituting
+    images = dict(zip(Q_RING.names, abcd_to_q(ABCDPoint.generic())))
+    spec_q = universal_in_q(10)
+    spec = phi_ell(10)
+    assert spec.order == spec_q.order == 10
+    assert spec.q.coeffs == [c.substitute(images, ring=ABCD_RING)
+                             for c in spec_q.q.coeffs]
 
 
 def test_first_coefficient():
