@@ -1,8 +1,11 @@
 """Exact arithmetic foundation.
 
-Rationals (stdlib Fraction), weighted multivariate polynomials over Q,
-truncated uni- and multivariate series over generic exact coefficient rings,
-univariate quotient rings Q[y]/(m), and rational functions in one variable.
+Rationals (stdlib Fraction); one sparse multivariate polynomial type,
+WeightedPoly, with weighted variables, coefficients in any ring context
+and an optional total-degree cap that makes it a truncated multivariate
+series; resultants; truncated series in one variable over any ring
+context; univariate quotient rings Q[y]/(m); and rational functions in
+one variable.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -11,6 +14,7 @@ so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class NonUnitLeadingCoefficient(ArithmeticError):
@@ -43,7 +47,8 @@ def _fr(x):
 # A "ring context" is any object with attributes/methods
 #     zero, one, from_fraction(fr)
 # whose elements support +, -, unary -, *, == and multiplication by Fraction.
-# Fraction itself is the base case.
+# Fraction itself is the base case.  PolyRing and QuotientRing below are
+# ring contexts too, so coefficient rings nest.
 # ---------------------------------------------------------------------------
 
 
@@ -89,18 +94,29 @@ def ring_invert(c):
 
 
 # ---------------------------------------------------------------------------
-# weighted multivariate polynomials over Q
+# sparse multivariate polynomials: weighted variables, generic
+# coefficients, optional total-degree cap
 # ---------------------------------------------------------------------------
 
 
-class PolyRing:
-    """Q[x_1, ..., x_k] with a positive integer weight per variable.
+def _mincap(a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    return min(a, b)
 
-    Variables are ordered; the first variable is largest in the graded
-    lexicographic term order used for display and leading terms.
+
+class PolyRing:
+    """base[x_1, ..., x_k] with a positive integer weight per variable.
+
+    base is a ring context (QQ by default, or e.g. a QuotientRing, a ring
+    of q-series or another PolyRing).  Variables are ordered; the first
+    variable is largest in the graded lexicographic term order used for
+    display and leading terms.
     """
 
-    def __init__(self, *variables):
+    def __init__(self, *variables, base=QQ):
         spec = []
         for v in variables:
             if isinstance(v, str):
@@ -117,27 +133,27 @@ class PolyRing:
         self.nvars = len(spec)
         if len(set(self.names)) != self.nvars:
             raise ValueError("duplicate variable names")
+        self.base = base
         self.zero = WeightedPoly(self, {})
-        self.one = WeightedPoly(self, {(0,) * self.nvars: Fraction(1)})
+        self.one = self.constant(base.one)
 
     def gen(self, name):
         i = self.names.index(name)
         exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return WeightedPoly(self, {exps: Fraction(1)})
+        return WeightedPoly(self, {exps: self.base.one})
 
     def gens(self):
         return tuple(self.gen(n) for n in self.names)
 
+    def constant(self, c):
+        """The constant polynomial with value c, an element of base."""
+        return WeightedPoly(self, {(0,) * self.nvars: c})
+
     def from_fraction(self, fr):
-        fr = _fr(fr)
-        if fr == 0:
-            return self.zero
-        return WeightedPoly(self, {(0,) * self.nvars: fr})
+        return self.constant(self.base.from_fraction(fr))
 
     def monomial(self, exps, coeff=1):
-        coeff = _fr(coeff)
-        if coeff == 0:
-            return self.zero
+        coeff = self.base.from_fraction(coeff)
         return WeightedPoly(self, {tuple(exps): coeff})
 
     def monomials_of_weight(self, w):
@@ -157,25 +173,46 @@ class PolyRing:
         return out
 
     def __eq__(self, other):
-        return isinstance(other, PolyRing) and self.variables == other.variables
+        return (isinstance(other, PolyRing)
+                and self.variables == other.variables
+                and self.base == other.base)
 
     def __hash__(self):
-        return hash(self.variables)
+        return hash((self.variables, self.base))
 
     def __repr__(self):
-        return "Q[%s]" % ", ".join(
+        names = ", ".join(
             n if w == 1 else f"{n}(w={w})" for n, w in self.variables
         )
+        if self.base is QQ:
+            return f"Q[{names}]"
+        return f"({self.base!r})[{names}]"
 
 
 class WeightedPoly:
-    """Element of a PolyRing; terms map exponent tuples to nonzero Fractions."""
+    """Element of a PolyRing; terms map exponent tuples to nonzero
+    coefficients in ring.base.
 
-    __slots__ = ("ring", "terms")
+    cap, if not None, bounds the total degree (the sum of the exponents):
+    terms above it are dropped, which makes the element a truncated
+    multivariate series, and binary operations keep the smaller cap of
+    their operands.
+    """
 
-    def __init__(self, ring, terms):
+    __slots__ = ("ring", "terms", "cap")
+
+    def __init__(self, ring, terms, cap=None):
         self.ring = ring
-        self.terms = {e: c for e, c in terms.items() if c != 0}
+        self.cap = cap
+        if cap is None:
+            self.terms = {e: c for e, c in terms.items() if c != 0}
+        else:
+            self.terms = {e: c for e, c in terms.items()
+                          if c != 0 and sum(e) <= cap}
+
+    def truncate(self, cap):
+        """Drop the terms of total degree above cap, which becomes the cap."""
+        return WeightedPoly(self.ring, self.terms, _mincap(self.cap, cap))
 
     # -- basic structure ----------------------------------------------------
 
@@ -202,21 +239,45 @@ class WeightedPoly:
         return ws == {w}
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), Fraction(0))
+        return self.terms.get(tuple(exps), self.ring.base.zero)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, Fraction(0))
+        return self.terms.get((0,) * self.ring.nvars, self.ring.base.zero)
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _coerce(self, other):
-        if isinstance(other, WeightedPoly):
-            if other.ring != self.ring:
-                raise ValueError("mixed polynomial rings")
-            return other
+    def _same_ring(self, other):
+        return isinstance(other, WeightedPoly) and (
+            other.ring is self.ring or other.ring == self.ring)
+
+    def _scalar(self, other):
+        """other as a coefficient multiplying every term, or None.
+
+        Rationals are scalars over every base, and so is a WeightedPoly
+        of the base ring.  Over a base other than QQ any value that is
+        not a WeightedPoly is taken to be a base element.  None means
+        other belongs to a ring over this one, whose reflected operation
+        Python tries next.
+        """
         if isinstance(other, (int, Fraction)):
-            return self.ring.from_fraction(other)
-        return None
+            return other
+        if isinstance(other, WeightedPoly):
+            if other.ring == self.ring.base:
+                return other
+            if other.ring.base != self.ring:
+                raise ValueError("mixed polynomial rings")
+            return None
+        return None if self.ring.base is QQ else other
+
+    def _coerce(self, other):
+        if self._same_ring(other):
+            return other
+        c = self._scalar(other)
+        if c is None:
+            return None
+        if isinstance(c, (int, Fraction)):
+            return self.ring.from_fraction(c)
+        return self.ring.constant(c)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -224,13 +285,15 @@ class WeightedPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in o.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return WeightedPoly(self.ring, terms)
+            prev = terms.get(e)
+            terms[e] = c if prev is None else prev + c
+        return WeightedPoly(self.ring, terms, _mincap(self.cap, o.cap))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeightedPoly(self.ring, {e: -c for e, c in self.terms.items()})
+        return WeightedPoly(self.ring, {e: -c for e, c in self.terms.items()},
+                            self.cap)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -242,18 +305,23 @@ class WeightedPoly:
         return -(self - other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            f = _fr(other)
-            return WeightedPoly(self.ring, {e: c * f for e, c in self.terms.items()})
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
+        if not self._same_ring(other):
+            c = self._scalar(other)
+            if c is None:
+                return NotImplemented
+            return WeightedPoly(
+                self.ring, {e: a * c for e, a in self.terms.items()}, self.cap)
+        cap = _mincap(self.cap, other.cap)
         terms = {}
         for e1, c1 in self.terms.items():
-            for e2, c2 in o.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return WeightedPoly(self.ring, terms)
+            d1 = sum(e1)
+            for e2, c2 in other.terms.items():
+                if cap is not None and d1 + sum(e2) > cap:
+                    continue
+                e = tuple(map(add, e1, e2))
+                prev = terms.get(e)
+                terms[e] = c1 * c2 if prev is None else prev + c1 * c2
+        return WeightedPoly(self.ring, terms, cap)
 
     __rmul__ = __mul__
 
@@ -265,8 +333,9 @@ class WeightedPoly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:
+                base = base * base
         return result
 
     def __truediv__(self, other):
@@ -284,11 +353,11 @@ class WeightedPoly:
         return hash((self.ring, tuple(sorted(self.terms.items()))))
 
     def inverse(self):
-        """Inverse of a unit (nonzero constant) polynomial."""
+        """Inverse of a unit (a constant that is a unit of the base)."""
         if len(self.terms) == 1:
             c = self.constant_term()
             if c != 0:
-                return self.ring.from_fraction(1 / c)
+                return self.ring.constant(ring_invert(c))
         raise NonUnitLeadingCoefficient("polynomial is not a unit")
 
     # -- term order / display ----------------------------------------------
@@ -322,6 +391,9 @@ class WeightedPoly:
                 for n, k in zip(self.ring.names, e)
                 if k
             )
+            if not isinstance(c, (int, Fraction)):
+                parts.append((1, f"({c})*{mon}" if mon else f"({c})"))
+                continue
             if not mon:
                 parts.append((c, str(abs(c))))
                 continue
@@ -340,33 +412,69 @@ class WeightedPoly:
 
     __repr__ = __str__
 
-    # -- substitution -------------------------------------------------------
+    # -- substitution and variable operations -------------------------------
 
     def substitute(self, mapping, ring=QQ):
         """Evaluate with variables replaced by elements of a target ring.
 
         mapping: dict name -> target-ring element (or Fraction/int).
-        Every variable that actually appears must be mapped.
+        Every variable that actually appears must be mapped.  The
+        coefficients multiply the target elements as scalars.
         """
-        images = []
+        powers = []  # per variable: [1, image, image^2, ...] as needed
         for i, name in enumerate(self.ring.names):
             if name in mapping:
                 v = mapping[name]
                 if isinstance(v, (int, Fraction)):
                     v = ring.from_fraction(v)
-                images.append(v)
+                powers.append([ring.one, v])
             else:
                 if any(e[i] for e in self.terms):
                     raise VariableNotPresent(f"no image for variable {name}")
-                images.append(None)
+                powers.append(None)
         result = ring.zero
         for exps, c in self.terms.items():
-            term = ring.from_fraction(c)
-            for img, k in zip(images, exps):
-                for _ in range(k):
-                    term = term * img
-            result = result + term
+            term = ring.one
+            for pw, k in zip(powers, exps):
+                if k:
+                    while len(pw) <= k:
+                        pw.append(pw[-1] * pw[1])
+                    term = term * pw[k]
+            result = result + term * c
         return result
+
+    def permute(self, perm):
+        """Relabel variables: variable perm[i] receives the exponent of
+        variable i."""
+        terms = {}
+        for e, c in self.terms.items():
+            ne = [0] * len(e)
+            for i, k in enumerate(e):
+                ne[perm[i]] = k
+            terms[tuple(ne)] = c
+        return WeightedPoly(self.ring, terms, self.cap)
+
+    def divide_linear(self, i, j):
+        """Exact division by (x_i - x_j), x_i the i-th variable; raises
+        ExactDivisionError if a remainder survives.
+
+        Synthetic division in x_i.  A capped dividend gives a quotient
+        whose cap is one lower.
+        """
+        parts = self.as_univariate(self.ring.names[i])
+        zero = self.ring.zero
+        xj = self.ring.gen(self.ring.names[j]).truncate(self.cap)
+        quotient = {}
+        carry = zero
+        for k in range(max(parts, default=0), 0, -1):
+            qk = parts.get(k, zero) + carry
+            for e, c in qk.terms.items():
+                quotient[e[:i] + (k - 1,) + e[i + 1:]] = c
+            carry = xj * qk
+        if not (parts.get(0, zero) + carry).is_zero():
+            raise ExactDivisionError("not divisible by (x_i - x_j)")
+        return WeightedPoly(self.ring, quotient,
+                            None if self.cap is None else self.cap - 1)
 
     # -- univariate views ---------------------------------------------------
 
@@ -379,10 +487,7 @@ class WeightedPoly:
         i = self.ring.names.index(name)
         out = {}
         for exps, c in self.terms.items():
-            k = exps[i]
-            rest = exps[:i] + (0,) + exps[i + 1:]
-            p = out.setdefault(k, {})
-            p[rest] = p.get(rest, Fraction(0)) + c
+            out.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
         return {k: WeightedPoly(self.ring, t) for k, t in out.items()}
 
     # -- exact division (integral domain) -----------------------------------
@@ -405,6 +510,20 @@ class WeightedPoly:
             qterms[qe] = qterms.get(qe, Fraction(0)) + qc
             rem = rem - WeightedPoly(self.ring, {qe: qc}) * o
         return WeightedPoly(self.ring, qterms)
+
+
+def horner(coeffs, x):
+    """coeffs[0] + coeffs[1] x + coeffs[2] x^2 + ... for a WeightedPoly x,
+    the coefficients in its ring's base; the result keeps x's cap."""
+    out = x.ring.zero
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+# The benchmark's tracer (bench/tracer.py) times products under this name
+# too.
+MultiPoly = WeightedPoly
 
 
 # ---------------------------------------------------------------------------
@@ -473,45 +592,6 @@ def resultant_in(p, q, var):
     for i in range(m):
         rows.append([ring.zero] * i + qc + [ring.zero] * (size - i - n - 1))
     return bareiss_determinant(rows, ring.zero, ring.one)
-
-
-# ---------------------------------------------------------------------------
-# exact linear algebra over Q (used for graded ideal membership)
-# ---------------------------------------------------------------------------
-
-
-def solve_linear(rows, rhs):
-    """Solve A x = b exactly over Q; returns one solution or None.
-
-    rows: list of rows of A (Fractions); rhs: list of Fractions.
-    """
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    a = [[_fr(v) for v in row] + [_fr(b)] for row, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, m) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [v * inv for v in a[r]]
-        for i in range(m):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [vi - f * vr for vi, vr in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][n] != 0:
-            return None
-    x = [Fraction(0)] * n
-    for i, c in enumerate(pivots):
-        x[c] = a[i][n]
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -1159,186 +1239,5 @@ class RationalFunction:
         if self.den == (Fraction(1),):
             return fmt(self.num)
         return f"({fmt(self.num)}) / ({fmt(self.den)})"
-
-    __repr__ = __str__
-
-
-# ---------------------------------------------------------------------------
-# multivariate truncated polynomials, generic coefficients
-# ---------------------------------------------------------------------------
-
-
-class MultiPoly:
-    """Polynomial in x_1..x_k with coefficients in a generic ring context.
-
-    An optional total-degree cap makes this a truncated multivariate series:
-    terms beyond the cap are dropped, and binary operations take the minimum
-    of the operands' caps.
-    """
-
-    __slots__ = ("ring", "nvars", "terms", "cap")
-
-    def __init__(self, ring, nvars, terms, cap=None):
-        self.ring = ring
-        self.nvars = nvars
-        self.cap = cap
-        out = {}
-        for e, c in terms.items():
-            if cap is not None and sum(e) > cap:
-                continue
-            if not (c == ring.zero):
-                out[tuple(e)] = c
-        self.terms = out
-
-    @classmethod
-    def zero(cls, ring, nvars, cap=None):
-        return cls(ring, nvars, {}, cap)
-
-    @classmethod
-    def const(cls, ring, nvars, c, cap=None):
-        return cls(ring, nvars, {(0,) * nvars: c}, cap)
-
-    @classmethod
-    def gen(cls, ring, nvars, i, cap=None):
-        e = tuple(1 if j == i else 0 for j in range(nvars))
-        return cls(ring, nvars, {e: ring.one}, cap)
-
-    def _mincap(self, other):
-        if self.cap is None:
-            return other.cap
-        if other.cap is None:
-            return self.cap
-        return min(self.cap, other.cap)
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.ring, self.nvars,
-                                    self.ring.from_fraction(other), self.cap)
-        terms = dict(self.terms)
-        for e, c in other.terms.items():
-            terms[e] = terms.get(e, self.ring.zero) + c
-        return MultiPoly(self.ring, self.nvars, terms, self._mincap(other))
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return MultiPoly(self.ring, self.nvars,
-                         {e: -c for e, c in self.terms.items()}, self.cap)
-
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = MultiPoly.const(self.ring, self.nvars,
-                                    self.ring.from_fraction(other), self.cap)
-        return self + (-other)
-
-    def __mul__(self, other):
-        if isinstance(other, MultiPoly):
-            cap = self._mincap(other)
-            terms = {}
-            for e1, c1 in self.terms.items():
-                d1 = sum(e1)
-                for e2, c2 in other.terms.items():
-                    if cap is not None and d1 + sum(e2) > cap:
-                        continue
-                    e = tuple(a + b for a, b in zip(e1, e2))
-                    prev = terms.get(e)
-                    terms[e] = c1 * c2 if prev is None else prev + c1 * c2
-            return MultiPoly(self.ring, self.nvars, terms, cap)
-        if isinstance(other, (int, Fraction)):
-            f = _fr(other)
-            return MultiPoly(self.ring, self.nvars,
-                             {e: c * f for e, c in self.terms.items()}, self.cap)
-        return MultiPoly(self.ring, self.nvars,
-                         {e: c * other for e, c in self.terms.items()}, self.cap)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, n):
-        result = MultiPoly.const(self.ring, self.nvars, self.ring.one, self.cap)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other):
-        if isinstance(other, MultiPoly):
-            return self.terms == other.terms
-        return NotImplemented
-
-    def is_zero(self):
-        return not self.terms
-
-    def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.zero)
-
-    def permute(self, perm):
-        """Relabel variables: new variable perm[i] receives old exponent i."""
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * self.nvars
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            terms[tuple(ne)] = c
-        return MultiPoly(self.ring, self.nvars, terms, self.cap)
-
-    def divide_linear(self, i, j):
-        """Exact division by (x_i - x_j); raises if the remainder survives.
-
-        If the dividend is degree-capped, the quotient cap drops by one and
-        only the remainder below the cap is checked.
-        """
-        # univariate view in x_i
-        by_deg = {}
-        for e, c in self.terms.items():
-            k = e[i]
-            rest = e[:i] + (0,) + e[i + 1:]
-            by_deg.setdefault(k, {})[rest] = c
-        if not by_deg:
-            return MultiPoly.zero(self.ring, self.nvars,
-                                  None if self.cap is None else self.cap - 1)
-        d = max(by_deg)
-        cap = None if self.cap is None else self.cap - 1
-        xj = MultiPoly.gen(self.ring, self.nvars, j, self.cap)
-        cs = [MultiPoly(self.ring, self.nvars, by_deg.get(k, {}), self.cap)
-              for k in range(d + 1)]
-        q = [None] * d
-        carry = MultiPoly.zero(self.ring, self.nvars, self.cap)
-        for k in range(d, 0, -1):
-            qk = cs[k] + carry
-            q[k - 1] = qk
-            carry = xj * qk
-        rem = cs[0] + carry
-        if cap is not None:
-            rem = MultiPoly(self.ring, self.nvars, rem.terms, self.cap)
-            checkable = {e: c for e, c in rem.terms.items() if sum(e) <= self.cap}
-        else:
-            checkable = rem.terms
-        if checkable:
-            raise ExactDivisionError("not divisible by (x_i - x_j)")
-        out = MultiPoly.zero(self.ring, self.nvars, cap)
-        for k in range(d):
-            shift = {}
-            for e, c in q[k].terms.items():
-                ne = list(e)
-                ne[i] += k
-                shift[tuple(ne)] = c
-            out = out + MultiPoly(self.ring, self.nvars, shift, cap)
-        return out
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, key=lambda t: (sum(t), t), reverse=True):
-            mon = "*".join(
-                f"x{k + 1}" if p == 1 else f"x{k + 1}^{p}"
-                for k, p in enumerate(e) if p
-            )
-            c = self.terms[e]
-            parts.append(f"({c})*{mon}" if mon else f"({c})")
-        return " + ".join(parts)
 
     __repr__ = __str__

@@ -21,8 +21,9 @@ pushforward vanishes identically in the roots.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
-from .algebra_kernel import MultiPoly, coeff_is_zero
+from .algebra_kernel import PolyRing, WeightedPoly, coeff_is_zero, horner
 from .cohomology_models import cp_model, point_model
 from .genus_engine import multiplicative_class
 from .jacobi_q import _product_spec
@@ -67,7 +68,7 @@ class BlowupInput:
 def projective_pushforward(t, q):
     """Pushforward from the projective bundle of a rank-q bundle.
 
-    t is a MultiPoly in the roots x_1..x_q, symmetric in x_2..x_q, read
+    t is a polynomial in the roots x_1..x_q, symmetric in x_2..x_q, read
     as a class on P(E) with v = x_1.  The result is the symmetric
 
         sum_i t|_{x_1 <-> x_i} / prod_{j != i} (x_j - x_i)
@@ -91,16 +92,17 @@ flag_pushforward = projective_pushforward
 
 
 def symmetric_to_elementary(sym):
-    """Symmetric MultiPoly -> dict {(m_1..m_q): coeff} over e_1..e_q.
+    """Symmetric polynomial -> dict {(m_1..m_q): coeff} over e_1..e_q.
 
     Gauss reduction on the lex-leading monomial; each leading exponent
     vector of a symmetric polynomial is a partition lambda, killed by
-    c * e_1^{l1-l2} e_2^{l2-l3} ... e_q^{lq}.
+    c * e_1^{l1-l2} e_2^{l2-l3} ... e_q^{lq}.  Each lambda leads once,
+    so each coefficient is set once.
     """
     ring = sym.ring
-    q = sym.nvars
-    elems = [_elementary(ring, q, k) for k in range(1, q + 1)]
-    work = MultiPoly(ring, q, dict(sym.terms), None)
+    q = ring.nvars
+    elems = [_elementary(ring, k) for k in range(1, q + 1)]
+    work = WeightedPoly(ring, sym.terms)
     out = {}
     while work.terms:
         lam = max(work.terms)  # lex order; leading exponent is a partition
@@ -108,36 +110,26 @@ def symmetric_to_elementary(sym):
         if list(lam) != sorted(lam, reverse=True):
             raise ValueError("polynomial is not symmetric")
         expo = [lam[k] - (lam[k + 1] if k + 1 < q else 0) for k in range(q)]
-        mono = MultiPoly.const(ring, q, ring.one, None)
+        mono = ring.one
         for k, m in enumerate(expo):
             if m:
                 mono = mono * elems[k] ** m
-        out[tuple(expo)] = out.get(tuple(expo), ring.zero) + c
+        out[tuple(expo)] = c
         work = work - mono * c
-    return {e: c for e, c in out.items() if not (c == ring.zero)}
+    return out
 
 
-def _elementary(ring, q, k):
-    from itertools import combinations
-
+def _elementary(ring, k):
+    n = ring.nvars
     terms = {}
-    for sub in combinations(range(q), k):
-        e = tuple(1 if i in sub else 0 for i in range(q))
-        terms[e] = ring.one
-    return MultiPoly(ring, q, terms, None)
+    for sub in combinations(range(n), k):
+        terms[tuple(1 if i in sub else 0 for i in range(n))] = ring.base.one
+    return WeightedPoly(ring, terms)
 
 
 # ---------------------------------------------------------------------------
 # the defect formula
 # ---------------------------------------------------------------------------
-
-
-def _series_poly(coeffs, arg, ring, q, cap):
-    """sum_k coeffs[k] arg^k as a MultiPoly (Horner)."""
-    out = MultiPoly.zero(ring, q, cap)
-    for k in range(len(coeffs) - 1, -1, -1):
-        out = out * arg + MultiPoly.const(ring, q, coeffs[k], cap)
-    return out
 
 
 def _divide_by_var(p, i):
@@ -150,7 +142,7 @@ def _divide_by_var(p, i):
         ne[i] -= 1
         terms[tuple(ne)] = c
     cap = None if p.cap is None else p.cap - 1
-    return MultiPoly(p.ring, p.nvars, terms, cap)
+    return WeightedPoly(p.ring, terms, cap)
 
 
 def _defect_cap(q, dim):
@@ -165,28 +157,24 @@ def _defect_cap(q, dim):
 def pushed_defect(spec, q, dim):
     """p_*((Q(v) prod_{i>=2} Q(x_i - v) - prod_i Q(x_i)) / v) through degree dim.
 
-    A symmetric MultiPoly in the q normal-bundle roots, with coefficients
-    in spec.ring.
+    A symmetric polynomial in the q normal-bundle roots x1..xq over
+    spec.ring.
     """
     cap = _defect_cap(q, dim)
     if spec.order < cap:
         raise TruncationTooLow(
             f"genus truncation {spec.order} < required {cap}"
         )
-    ring = spec.ring
+    ring = PolyRing(*(f"x{i + 1}" for i in range(q)), base=spec.ring)
     qc = [spec.q.coeff(k) for k in range(cap + 1)]
-    xs = [MultiPoly.gen(ring, q, i, cap) for i in range(q)]
-
-    def Q(arg):
-        return _series_poly(qc, arg, ring, q, cap)
-
+    xs = [x.truncate(cap) for x in ring.gens()]
     v = xs[0]
-    first = Q(v)
+    first = horner(qc, v)
     for xi in xs[1:]:
-        first = first * Q(xi - v)
-    second = MultiPoly.const(ring, q, ring.one, cap)
+        first = first * horner(qc, xi - v)
+    second = ring.one
     for xi in xs:
-        second = second * Q(xi)
+        second = second * horner(qc, xi)
     return projective_pushforward(_divide_by_var(first - second, 0), q)
 
 

@@ -18,11 +18,11 @@ from math import factorial
 
 from .algebra_kernel import (
     BadValuation,
-    MultiPoly,
     PolyRing,
     QQ,
     TruncatedSeries,
     _fr,
+    horner,
 )
 from .cohomology_models import (
     ChernVector,
@@ -219,28 +219,19 @@ def multiplicative_class(spec, model, chern_elt=None):
 
 
 def formal_group_law(spec, order=None):
-    """F(u, v) = f(g(u) + g(v)) as a total-degree-truncated MultiPoly."""
+    """F(u, v) = f(g(u) + g(v)) in spec.ring[u, v], capped at total
+    degree order."""
     if order is None:
         order = spec.order
     if order > spec.order:
         raise DimensionMismatch(
             f"series truncated at order {spec.order}, need {order}"
         )
-    ring = spec.ring
-    g = spec.log_series()
-    f = spec.f_series()
-    u = MultiPoly.gen(ring, 2, 0, cap=order)
-    v = MultiPoly.gen(ring, 2, 1, cap=order)
-
-    def apply_series(s, arg):
-        # Horner over the valuation->=1 argument
-        out = MultiPoly.zero(ring, 2, cap=order)
-        for e in range(s.order, 0, -1):
-            out = out * arg + MultiPoly.const(ring, 2, s.coeff(e), cap=order)
-        return out * arg
-
-    w = apply_series(g, u) + apply_series(g, v)
-    return apply_series(f, w)
+    u, v = (x.truncate(order)
+            for x in PolyRing("u", "v", base=spec.ring).gens())
+    g, f = ([s.coeff(e) for e in range(s.order + 1)]
+            for s in (spec.log_series(), spec.f_series()))
+    return horner(f, horner(g, u) + horner(g, v))
 
 
 # ---------------------------------------------------------------------------

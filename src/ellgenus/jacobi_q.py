@@ -151,151 +151,6 @@ def xscale(xs, c):
 # ---------------------------------------------------------------------------
 
 
-class UXSeries:
-    """q-truncated series whose q^n coefficient is a u-Laurent polynomial.
-
-    rows[n] maps the u-exponent to a coefficient (Fraction or y-ring
-    element); exponents outside [-window, window] are dropped, which is
-    sound as long as the window exceeds every u-power that can influence
-    the retained range (the constructors choose it that way).
-    """
-
-    def __init__(self, qorder, rows, window):
-        self.qorder = qorder
-        self.window = window
-        self.rows = [
-            {e: c for e, c in row.items()
-             if abs(e) <= window and not coeff_is_zero(c)}
-            for row in rows
-        ]
-
-    @classmethod
-    def one(cls, qorder, window):
-        return cls(qorder, [{0: Fraction(1)}] + [{} for _ in range(qorder)],
-                   window)
-
-    def __mul__(self, other):
-        rows = [dict() for _ in range(self.qorder + 1)]
-        for i, ra in enumerate(self.rows):
-            for j, rb in enumerate(other.rows):
-                if i + j > self.qorder:
-                    break
-                tgt = rows[i + j]
-                for ea, ca in ra.items():
-                    for eb, cb in rb.items():
-                        e = ea + eb
-                        if abs(e) > self.window:
-                            continue
-                        prev = tgt.get(e)
-                        tgt[e] = ca * cb if prev is None else prev + ca * cb
-        return UXSeries(self.qorder, rows, self.window)
-
-    def scale_u(self, c):
-        """Substitute u -> c * u (c a unit of the coefficient ring)."""
-        rows = []
-        for row in self.rows:
-            rows.append({e: coeff * c ** e for e, coeff in row.items()})
-        return UXSeries(self.qorder, rows, self.window)
-
-    def shift_u_by_q(self):
-        """Substitute u -> q u (x -> x + 2 pi i tau)."""
-        rows = [dict() for _ in range(self.qorder + 1)]
-        for n, row in enumerate(self.rows):
-            for e, c in row.items():
-                if 0 <= n + e <= self.qorder:
-                    rows[n + e][e] = rows[n + e].get(e, Fraction(0)) + c
-        return UXSeries(self.qorder, rows, self.window)
-
-    def times_u_power(self, k):
-        rows = [{e + k: c for e, c in row.items()} for row in self.rows]
-        return UXSeries(self.qorder, rows, self.window)
-
-    def scalar(self, c):
-        return UXSeries(
-            self.qorder,
-            [{e: v * c for e, v in row.items()} for row in self.rows],
-            self.window,
-        )
-
-    def eval_u(self, value, ring):
-        """Substitute a ring value for u; returns a q-series over ring."""
-        inv = value ** (-1) if any(
-            e < 0 for row in self.rows for e in row
-        ) else None
-        coeffs = []
-        for row in self.rows:
-            total = ring.zero
-            for e, c in row.items():
-                term = ring.from_fraction(c) if isinstance(
-                    c, (int, Fraction)) else c
-                p = value ** e if e >= 0 else inv ** (-e)
-                total = total + term * p
-            coeffs.append(total)
-        return TruncatedSeries(ring, 0, coeffs, self.qorder)
-
-    def to_x_series(self, xorder, nested):
-        """Expand u = e^{-x}; x-series over a SeriesRing."""
-        coeffs = []
-        for k in range(xorder + 1):
-            inv_k = Fraction(1, factorial(k))
-
-            def qc(n, k=k, inv_k=inv_k):
-                total = nested.base.zero
-                for e, c in self.rows[n].items():
-                    w = Fraction((-e) ** k) * inv_k
-                    term = c * w
-                    if isinstance(term, (int, Fraction)):
-                        term = nested.base.from_fraction(term)
-                    total = total + term
-                return total
-
-            coeffs.append(nested.from_function(qc))
-        return TruncatedSeries(nested, 0, coeffs, xorder)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, UXSeries)
-            and self.qorder == other.qorder
-            and self.rows == other.rows
-        )
-
-    def __repr__(self):
-        return f"<UXSeries qorder={self.qorder} window={self.window}>"
-
-
-def phi_product(qorder, uwindow=None):
-    """Phi(tau, x) = (1-u) prod (1-q^n u)(1-q^n/u)/(1-q^n)^2, exactly."""
-    if uwindow is None:
-        uwindow = qorder + 2
-    out = UXSeries(
-        qorder,
-        [{0: Fraction(1), 1: Fraction(-1)}] + [{} for _ in range(qorder)],
-        uwindow,
-    )
-    # scalar factor prod (1-q^n)^{-2} = prod sum_m (m+1) q^{nm}
-    scal = TruncatedSeries.one_series(QQ, qorder)
-    for n in range(1, qorder + 1):
-        rows = [dict() for _ in range(qorder + 1)]
-        rows[0][0] = Fraction(1)
-        rows[n][1] = Fraction(-1)
-        out = out * UXSeries(qorder, rows, uwindow)
-        rows = [dict() for _ in range(qorder + 1)]
-        rows[0][0] = Fraction(1)
-        rows[n][-1] = Fraction(-1)
-        out = out * UXSeries(qorder, rows, uwindow)
-        scal = scal * TruncatedSeries.from_function(
-            QQ,
-            lambda e, n=n: Fraction(e // n + 1) if e % n == 0 else Fraction(0),
-            qorder,
-        )
-    rows = [dict() for _ in range(qorder + 1)]
-    for n in range(qorder + 1):
-        c = scal.coeff(n)
-        if c:
-            rows[n][0] = c
-    return out * UXSeries(qorder, rows, uwindow)
-
-
 def phi_at_minus_z(qorder, ring, y):
     """Phi(tau, -z) = (1+y) prod (1+y q^n)(1+y^{-1} q^n)/(1-q^n)^2."""
     y_inv = y ** (-1)

@@ -8,17 +8,17 @@ from ellgenus.algebra_kernel import (
     QQ,
     BadValuation,
     ExactDivisionError,
-    MultiPoly,
     NonUnitLeadingCoefficient,
     PolyRing,
     QuotientRing,
     RationalFunction,
     TruncatedSeries,
     VariableNotPresent,
+    WeightedPoly,
     cyclotomic_polynomial,
+    horner,
     poly_divmod,
     resultant_in,
-    solve_linear,
 )
 
 F = Fraction
@@ -282,39 +282,23 @@ def test_rational_function_evaluate():
 
 def test_multipoly_vandermonde_division():
     # (x1^2 - x2^2) / (x1 - x2) = x1 + x2
-    x1 = MultiPoly.gen(QQ, 2, 0)
-    x2 = MultiPoly.gen(QQ, 2, 1)
+    x1, x2 = PolyRing("x1", "x2").gens()
     p = x1 * x1 - x2 * x2
     q = p.divide_linear(0, 1)
     assert q == x1 + x2
 
 
 def test_multipoly_division_not_exact():
-    x1 = MultiPoly.gen(QQ, 2, 0)
-    x2 = MultiPoly.gen(QQ, 2, 1)
+    x1, x2 = PolyRing("x1", "x2").gens()
     with pytest.raises(ExactDivisionError):
         (x1 * x1 + x2).divide_linear(0, 1)
 
 
 def test_multipoly_cap():
-    x1 = MultiPoly.gen(QQ, 1, 0, cap=3)
+    x1 = PolyRing("x1").gen("x1").truncate(3)
     p = (x1 + 1) ** 5
     assert p.coeff((4,)) == QQ.zero
     assert p.coeff((3,)) == F(10)
-
-
-# ---------------------------------------------------------------------------
-# linear solver
-# ---------------------------------------------------------------------------
-
-
-def test_solve_linear_basic():
-    x = solve_linear([[F(2), F(1)], [F(1), F(-1)]], [F(5), F(1)])
-    assert x == [F(2), F(1)]
-
-
-def test_solve_linear_inconsistent():
-    assert solve_linear([[F(1), F(1)], [F(2), F(2)]], [F(1), F(3)]) is None
 
 
 # ---------------------------------------------------------------------------
@@ -376,3 +360,59 @@ def test_poly_ring_axioms(e1, e2, c1, c2):
     r = A * B - C
     assert (p + q) * r == p * r + q * r
     assert p * q == q * p
+
+
+XYZ = PolyRing("x", "y", "z")
+
+small_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+    st.integers(min_value=-4, max_value=4),
+    max_size=5,
+).map(lambda t: WeightedPoly(XYZ, {e: F(c) for e, c in t.items()}))
+
+
+def _truncation(p, cap):
+    return {e: c for e, c in p.terms.items() if sum(e) <= cap}
+
+
+@seed(20261018)
+@settings(max_examples=60, deadline=None)
+@given(small_polys, small_polys,
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=6),
+       st.integers(min_value=0, max_value=3))
+def test_capped_ops_are_truncations_of_uncapped(p, q, a, b, n):
+    pa, qb = p.truncate(a), q.truncate(b)
+    cap = min(a, b)
+    assert (pa + qb).terms == _truncation(p + q, cap)
+    assert (pa - qb).terms == _truncation(p - q, cap)
+    assert (pa * qb).terms == _truncation(p * q, cap)
+    assert (pa * qb).cap == cap
+    assert (pa ** n).terms == _truncation(p ** n, a)
+    x, y, _ = XYZ.gens()
+    quotient = ((x - y) * p).truncate(a).divide_linear(0, 1)
+    assert quotient.terms == _truncation(p, a - 1)
+    assert quotient.cap == a - 1
+
+
+@seed(20261019)
+@settings(max_examples=30, deadline=None)
+@given(small_polys, small_polys)
+def test_nested_base_agrees_with_rationals(p, q):
+    # the same integer polynomials over Q and over a nested base, whose
+    # coefficients are the images of the rational ones
+    x, y, _ = XYZ.gens()
+    plain = [p + q, p * q - q * 3, p ** 2, horner([1, -2, 3], p),
+             ((x - y) * q).divide_linear(0, 1)]
+    for base in (QuotientRing([1, -1, 1]), PolyRing("t")):
+        ring = PolyRing("x", "y", "z", base=base)
+        P, Q = (WeightedPoly(ring, {e: base.from_fraction(c)
+                                    for e, c in r.terms.items()})
+                for r in (p, q))
+        X, Y, _ = ring.gens()
+        nested = [P + Q, P * Q - Q * base.from_fraction(3), P ** 2,
+                  horner([1, -2, 3], P),
+                  ((X - Y) * Q).divide_linear(0, 1)]
+        for r, s in zip(plain, nested):
+            assert s.terms == {e: base.from_fraction(c)
+                               for e, c in r.terms.items()}, base

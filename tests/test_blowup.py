@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import MultiPoly, QQ
+from ellgenus.algebra_kernel import PolyRing, WeightedPoly
 from ellgenus.blowup import (
     BlowupInput,
     DegenerateSample,
@@ -24,6 +24,11 @@ from ellgenus.cohomology_models import cp_model, point_model, product_model
 from ellgenus.genus_engine import classical_genus
 
 F = Fraction
+
+
+def _roots(q):
+    """The ring Q[x1..xq] of the normal-bundle roots."""
+    return PolyRing(*(f"x{i + 1}" for i in range(q)))
 
 
 def _point_input(spec, q):
@@ -53,18 +58,19 @@ def _sign(perm):
 
 def _antisymmetrize(p):
     """sum over sigma of sign(sigma) * sigma(p)."""
-    total = MultiPoly.zero(p.ring, p.nvars, p.cap)
-    for perm in permutations(range(p.nvars)):
+    total = p.ring.zero
+    for perm in permutations(range(p.ring.nvars)):
         total = total + p.permute(perm) * _sign(perm)
     return total
 
 
 def _vandermonde(q, lowest=0):
     """prod_{i > j >= lowest} (x_i - x_j)."""
-    out = MultiPoly.const(QQ, q, F(1))
+    xs = _roots(q).gens()
+    out = _roots(q).one
     for i in range(lowest, q):
         for j in range(lowest, i):
-            out = out * (MultiPoly.gen(QQ, q, i) - MultiPoly.gen(QQ, q, j))
+            out = out * (xs[i] - xs[j])
     return out
 
 
@@ -80,8 +86,7 @@ def _oracle_pushforward(t, q):
 
 
 def test_antisymmetrize_oracle():
-    x1 = MultiPoly.gen(QQ, 2, 0)
-    x2 = MultiPoly.gen(QQ, 2, 1)
+    x1, x2 = _roots(2).gens()
     assert _antisymmetrize(x1 * x1) == x1 * x1 - x2 * x2
     # symmetric input antisymmetrizes to zero
     assert _antisymmetrize(x1 * x2).is_zero()
@@ -96,8 +101,8 @@ def _symmetric_in_tail(draw):
         st.fractions(min_value=F(-5), max_value=F(5), max_denominator=4),
         max_size=4,
     ))
-    p = MultiPoly(QQ, q, terms)
-    t = MultiPoly.zero(QQ, q)
+    p = WeightedPoly(_roots(q), terms)
+    t = p.ring.zero
     for tail in permutations(range(1, q)):
         t = t + p.permute((0,) + tail)
     return t, q
@@ -119,15 +124,14 @@ def test_pushforward_matches_oracle(case):
 def test_pushforward_of_low_degree_is_zero():
     # the fiber has dimension q-1: anything of lower degree pushes to zero
     for q in (2, 3):
-        one = MultiPoly.const(QQ, q, F(1))
-        assert projective_pushforward(one, q).is_zero()
-    assert projective_pushforward(MultiPoly.gen(QQ, 3, 0), 3).is_zero()
+        assert projective_pushforward(_roots(q).one, q).is_zero()
+    assert projective_pushforward(_roots(3).gen("x1"), 3).is_zero()
 
 
 def test_pushforward_top_normalization():
     # q = 2: x1 / (x2 - x1) + x2 / (x1 - x2) = -1
-    out = projective_pushforward(MultiPoly.gen(QQ, 2, 0), 2)
-    assert out == MultiPoly.const(QQ, 2, F(-1))
+    out = projective_pushforward(_roots(2).gen("x1"), 2)
+    assert out == _roots(2).from_fraction(-1)
 
 
 def _complete_homogeneous(q, m):
@@ -138,7 +142,7 @@ def _complete_homogeneous(q, m):
             e[i] += 1
         key = tuple(e)
         terms[key] = terms.get(key, F(0)) + 1
-    return MultiPoly(QQ, q, terms)
+    return WeightedPoly(_roots(q), terms)
 
 
 def test_projective_bundle_chain_oracle():
@@ -148,9 +152,9 @@ def test_projective_bundle_chain_oracle():
     for q in range(1, 6):
         sign = (-1) ** (q - 1)
         for k in range(q + 3):
-            t = MultiPoly.gen(QQ, q, 0) ** k
+            t = _roots(q).gen("x1") ** k
             want = (_complete_homogeneous(q, k - q + 1) * sign
-                    if k >= q - 1 else MultiPoly.zero(QQ, q))
+                    if k >= q - 1 else _roots(q).zero)
             assert projective_pushforward(t, q) == want, (q, k)
 
 
@@ -169,15 +173,12 @@ def test_pushed_defect_truncation_sound():
 
 def test_symmetric_to_elementary_round_trip():
     # p2 = e1^2 - 2 e2 in three variables
-    q = 3
-    p2 = sum(
-        (MultiPoly.gen(QQ, q, i) ** 2 for i in range(q)),
-        MultiPoly.zero(QQ, q),
-    )
+    ring = _roots(3)
+    p2 = sum((x ** 2 for x in ring.gens()), ring.zero)
     out = symmetric_to_elementary(p2)
     assert out == {(2, 0, 0): F(1), (0, 1, 0): F(-2)}
     with pytest.raises(ValueError):
-        symmetric_to_elementary(MultiPoly.gen(QQ, 2, 0))
+        symmetric_to_elementary(_roots(2).gen("x1"))
 
 
 # ---------------------------------------------------------------------------

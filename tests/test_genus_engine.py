@@ -5,10 +5,10 @@ import pytest
 
 from ellgenus.algebra_kernel import (
     BadValuation,
-    MultiPoly,
     PolyRing,
     QQ,
     TruncatedSeries,
+    horner,
 )
 from ellgenus.cohomology_models import (
     ChernVector,
@@ -239,12 +239,11 @@ def test_log_coeffs_are_lazy_and_match_series_log(name):
     assert spec.log_coeffs is spec.log_coeffs
 
 
-def _elementary_symmetric(ring, nvars, k, cap):
-    """e_k(x_1..x_nvars) as a MultiPoly."""
-    e = MultiPoly.const(ring, nvars, ring.one, cap)
-    total = [e] + [MultiPoly.zero(ring, nvars, cap)] * k
-    for i in range(nvars):
-        x = MultiPoly.gen(ring, nvars, i, cap)
+def _elementary_symmetric(xs, k):
+    """e_k of the polynomials xs."""
+    ring = xs[0].ring
+    total = [ring.one] + [ring.zero] * k
+    for x in xs:
         for j in range(k, 0, -1):
             total[j] = total[j] + total[j - 1] * x
     return total[k]
@@ -255,20 +254,18 @@ def test_multiplicative_sequence_is_product_of_q(name):
     # sum_m K_m(e_1..e_m) = prod_i Q(x_i) through degree n, in n variables
     n = 4
     spec = classical_genus(name, order=n)
-    ring = spec.ring
     ms = multiplicative_sequence(spec, n)
-    prod = MultiPoly.const(ring, n, ring.one, n)
-    for i in range(n):
-        x = MultiPoly.gen(ring, n, i, n)
-        qx = MultiPoly.zero(ring, n, n)
-        for e in range(n, -1, -1):
-            qx = qx * x + MultiPoly.const(ring, n, spec.q.coeff(e), n)
-        prod = prod * qx
-    es = [None] + [_elementary_symmetric(ring, n, k, n) for k in range(1, n + 1)]
-    total = MultiPoly.zero(ring, n, n)
+    ring = PolyRing(*(f"x{i + 1}" for i in range(n)), base=spec.ring)
+    xs = [x.truncate(n) for x in ring.gens()]
+    qc = [spec.q.coeff(e) for e in range(n + 1)]
+    prod = ring.one
+    for x in xs:
+        prod = prod * horner(qc, x)
+    es = [None] + [_elementary_symmetric(xs, k) for k in range(1, n + 1)]
+    total = ring.zero
     for m in range(n + 1):
         for part, c in ms.ks[m].items():
-            term = MultiPoly.const(ring, n, c, n)
+            term = ring.constant(c)
             for k in part:
                 term = term * es[k]
             total = total + term
