@@ -5,7 +5,9 @@ WeightedPoly, with weighted variables, coefficients in any ring context
 and an optional total-degree cap that makes it a truncated multivariate
 series; resultants; truncated series in one variable over any ring
 context; univariate quotient rings Q[y]/(m); and rational functions in
-one variable.
+one variable whose denominators are products of fixed irreducibles, the
+localisations of Q[t] at finitely many primes, kept in a normal form that
+needs no gcd.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -47,8 +49,8 @@ def _fr(x):
 # A "ring context" is any object with attributes/methods
 #     zero, one, from_fraction(fr)
 # whose elements support +, -, unary -, *, == and multiplication by Fraction.
-# Fraction itself is the base case.  PolyRing and QuotientRing below are
-# ring contexts too, so coefficient rings nest.
+# Fraction itself is the base case.  PolyRing, QuotientRing and Localization
+# below are ring contexts too, so coefficient rings nest.
 # ---------------------------------------------------------------------------
 
 
@@ -723,12 +725,10 @@ class TruncatedSeries:
                         continue
                     cs[e - low] = cs[e - low] + a * b
             return TruncatedSeries(self.ring, low, cs, order)
-        if isinstance(other, (int, Fraction)):
-            f = _fr(other)
-            return TruncatedSeries(
-                self.ring, self.low, [c * f for c in self.coeffs], self.order
-            )
-        # scalar from the coefficient ring
+        if isinstance(other, WeightedPoly) and other.ring != self.ring:
+            # a polynomial over a ring of series: its product applies
+            return NotImplemented
+        # a rational or a scalar from the coefficient ring
         return TruncatedSeries(
             self.ring, self.low, [c * other for c in self.coeffs], self.order
         )
@@ -823,21 +823,18 @@ class TruncatedSeries:
     def compose_inverse(self):
         """Compositional inverse g with self(g(y)) = y.
 
-        Requires valuation exactly 1 with unit linear coefficient.
+        Requires valuation exactly 1 with unit linear coefficient.  By
+        Lagrange inversion [y^k] g = (1/k) [x^(k-1)] (x/self)^k.
         """
         if self.low > 1 or self.valuation() != 1:
             raise BadValuation("compositional inverse needs valuation exactly 1")
-        a1 = self.coeff(1)
-        inv_a1 = ring_invert(a1)
-        order = self.order
-        # build g coefficient by coefficient
-        g = [self.ring.zero, inv_a1]  # g_0, g_1
-        for k in range(2, order + 1):
-            gk = TruncatedSeries(self.ring, 1, g[1:] + [self.ring.zero], k)
-            comp = self.truncate(k).compose(gk)
-            err = comp.coeff(k)
-            g.append(-(inv_a1 * err))
-        return TruncatedSeries(self.ring, 1, g[1:], order)
+        x_over_f = self.shift(-1).inverse()
+        power = x_over_f
+        g = []
+        for k in range(1, self.order + 1):
+            g.append(power.coeff(k - 1) * Fraction(1, k))
+            power = power * x_over_f
+        return TruncatedSeries(self.ring, 1, g, self.order)
 
     def exp(self):
         """exp of a series with valuation >= 1."""
@@ -933,6 +930,8 @@ def poly_divmod(a, b):
     return _poly_trim(q), r
 
 
+# No caller in the package: the benchmark's tracer (bench/tracer.py) looks
+# this name up.
 def poly_gcd(a, b):
     a = _poly_trim([_fr(x) for x in a])
     b = _poly_trim([_fr(x) for x in b])
@@ -949,6 +948,40 @@ def poly_eval(a, t):
     for c in reversed(a):
         r = r * _fr(t) + c
     return r
+
+
+class _DenseElement:
+    """Arithmetic shared by the dense one-variable ring elements QuotElt
+    and RationalFunction: each has a ring with from_fraction and one, and
+    defines +, unary -, * and inverse."""
+
+    __slots__ = ()
+
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            if other.ring is not self.ring and other.ring != self.ring:
+                raise ValueError("mixed rings")
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.ring.from_fraction(other)
+        return None
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self + (-o)
+
+    def __rsub__(self, other):
+        return -(self - other)
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self.ring.one
+        for _ in range(n):
+            out = out * self
+        return out
 
 
 class QuotientRing:
@@ -996,21 +1029,12 @@ class QuotientRing:
         return f"Q[{self.varname}]/(m), m degree {self.degree}"
 
 
-class QuotElt:
+class QuotElt(_DenseElement):
     __slots__ = ("ring", "coeffs")
 
     def __init__(self, ring, coeffs):
         self.ring = ring
         self.coeffs = tuple(coeffs)
-
-    def _coerce(self, other):
-        if isinstance(other, QuotElt):
-            if other.ring != self.ring:
-                raise ValueError("mixed quotient rings")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return self.ring.from_fraction(other)
-        return None
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -1023,15 +1047,6 @@ class QuotElt:
     def __neg__(self):
         return QuotElt(self.ring, tuple(-a for a in self.coeffs))
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             f = _fr(other)
@@ -1043,14 +1058,6 @@ class QuotElt:
         return self.ring.element(prod)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = self.ring.one
-        for _ in range(n):
-            out = out * self
-        return out
 
     def __eq__(self, other):
         o = self._coerce(other)
@@ -1118,126 +1125,153 @@ def cyclotomic_polynomial(n):
 
 
 # ---------------------------------------------------------------------------
-# rational functions in one variable t over Q
+# Q[t] localised at a finite set of irreducible polynomials
 # ---------------------------------------------------------------------------
 
 
-class RationalFunction:
-    """num(t)/den(t) in lowest terms, den monic."""
+class Localization:
+    """Q[t] with a fixed finite set S of polynomials made invertible.
 
-    __slots__ = ("num", "den")
+    The members of S (coefficient lists, low -> high, stored monic) must
+    be irreducible and pairwise coprime.  Then every element is uniquely
+    num(t) * prod_s s(t)^(-e_s) with integer exponents and num divisible
+    by no s, and the ring operations keep this form by exact trial
+    division alone, never a gcd.  The units are the elements whose num
+    is a constant.
+    """
 
-    def __init__(self, num, den=(1,)):
-        num = _poly_trim([_fr(c) for c in num])
-        den = _poly_trim([_fr(c) for c in den])
-        if not den:
-            raise ZeroDivisionError("zero denominator")
-        if num:
-            g = poly_gcd(num, den)
-            if len(g) > 1:
-                num, _ = poly_divmod(num, g)
-                den, _ = poly_divmod(den, g)
-        else:
-            den = [Fraction(1)]
-        lc = den[-1]
-        if lc != 1:
-            num = [c / lc for c in num]
-            den = [c / lc for c in den]
-        self.num = tuple(num)
-        self.den = tuple(den)
+    def __init__(self, inverted, varname="t"):
+        monic = [_poly_trim([_fr(c) for c in s]) for s in inverted]
+        if any(len(s) < 2 for s in monic):
+            raise ValueError("inverted polynomials must have degree >= 1")
+        self.inverted = tuple(tuple(c / s[-1] for c in s) for s in monic)
+        self.varname = varname
+        self.zero = RationalFunction(self, (), (0,) * len(monic))
+        self.one = self.from_fraction(1)
 
-    @classmethod
-    def one_minus_t_power(cls, r):
-        """1 - t^r."""
-        c = [Fraction(1)] + [Fraction(0)] * (r - 1) + [Fraction(-1)]
-        return cls(c)
+    def from_fraction(self, fr):
+        fr = _fr(fr)
+        return RationalFunction(self, (fr,) if fr else (), self.zero.exps)
+
+    def gen(self):
+        return self.element([0, 1])
+
+    def element(self, num, exps=None):
+        """num(t) * prod_s s(t)^(-e_s) in normal form."""
+        return self._strip(_poly_trim([_fr(c) for c in num]),
+                           list(exps or self.zero.exps),
+                           range(len(self.inverted)))
+
+    def _strip(self, num, exps, which):
+        # move every factor s of num, for the s in which, into exps
+        if not num:
+            return self.zero
+        for i in which:
+            while True:
+                q, r = poly_divmod(num, self.inverted[i])
+                if r:
+                    break
+                num, exps[i] = q, exps[i] - 1
+        return RationalFunction(self, tuple(num), tuple(exps))
+
+    def __eq__(self, other):
+        return (isinstance(other, Localization)
+                and self.inverted == other.inverted)
+
+    def __hash__(self):
+        return hash(self.inverted)
+
+    def __repr__(self):
+        return f"Q[{self.varname}] localised at {len(self.inverted)} primes"
+
+
+class RationalFunction(_DenseElement):
+    """num(t) * prod_s s(t)^(-e_s), an element of a Localization.
+
+    num is a tuple of Fractions (low -> high) divisible by no s and exps
+    the tuple of the e_s; zero has num () and every exponent 0.
+    """
+
+    __slots__ = ("ring", "num", "exps")
+
+    def __init__(self, ring, num, exps):
+        self.ring = ring
+        self.num = num
+        self.exps = exps
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(poly_scale(list(self.num), other), list(self.den))
-        return RationalFunction(
-            poly_mul(list(self.num), list(other.num)),
-            poly_mul(list(self.den), list(other.den)),
-        )
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not self.num or not o.num:
+            return self.ring.zero
+        # numerators prime to every s have a product prime to every s
+        return RationalFunction(self.ring, tuple(poly_mul(self.num, o.num)),
+                                tuple(map(add, self.exps, o.exps)))
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return RationalFunction(list(self.num), poly_scale(list(self.den), other))
-        return RationalFunction(
-            poly_mul(list(self.num), list(other.den)),
-            poly_mul(list(self.den), list(other.num)),
-        )
-
     def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction([other])
-        num = poly_add(
-            poly_mul(list(self.num), list(other.den)),
-            poly_mul(list(other.num), list(self.den)),
-        )
-        return RationalFunction(num, poly_mul(list(self.den), list(other.den)))
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        # lift both numerators to the larger exponents; where these differ
+        # just one lifted numerator is divisible by s, so the sum is not
+        a, b, tied = self.num, o.num, []
+        for i, (ea, eb) in enumerate(zip(self.exps, o.exps)):
+            for _ in range(eb - ea):
+                a = poly_mul(a, self.ring.inverted[i])
+            for _ in range(ea - eb):
+                b = poly_mul(b, self.ring.inverted[i])
+            if ea == eb:
+                tied.append(i)
+        return self.ring._strip(poly_add(a, b),
+                                list(map(max, self.exps, o.exps)), tied)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(poly_scale(list(self.num), -1), list(self.den))
+        return RationalFunction(self.ring, tuple(-c for c in self.num),
+                                self.exps)
 
-    def __sub__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction([other])
-        return self + (-other)
-
-    def __rsub__(self, other):
-        return -(self - other)
-
-    def __pow__(self, n):
-        if n < 0:
-            return self.inverse() ** (-n)
-        out = RationalFunction([Fraction(1)])
-        for _ in range(n):
-            out = out * self
-        return out
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self * o.inverse()
 
     def is_zero(self):
         return not self.num
 
     def inverse(self):
-        if not self.num:
-            raise NonUnitLeadingCoefficient("zero rational function")
-        return RationalFunction(list(self.den), list(self.num))
+        """Inverse of a unit c * prod_s s^(-e_s); anything else raises."""
+        if len(self.num) != 1:
+            raise NonUnitLeadingCoefficient(f"not a unit: {self}")
+        return RationalFunction(self.ring, (1 / self.num[0],),
+                                tuple(-e for e in self.exps))
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = RationalFunction([other])
-        return self.num == other.num and self.den == other.den
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.num == o.num and self.exps == o.exps
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        return hash((self.num, self.exps))
 
     def evaluate(self, t):
-        d = poly_eval(list(self.den), t)
-        if d == 0:
-            raise ZeroDivisionError("pole of rational function")
-        return poly_eval(list(self.num), t) / d
+        out = poly_eval(self.num, t)
+        for s, e in zip(self.ring.inverted, self.exps):
+            v = poly_eval(s, t)
+            if v == 0 and e > 0:
+                raise ZeroDivisionError("pole of rational function")
+            out *= v ** -e
+        return out
 
-    def __str__(self):
-        def fmt(p):
-            parts = []
-            for e, c in enumerate(p):
-                if c == 0:
-                    continue
-                if e == 0:
-                    parts.append(str(c))
-                elif e == 1:
-                    parts.append(f"{c}*t" if c != 1 else "t")
-                else:
-                    parts.append(f"{c}*t^{e}" if c != 1 else f"t^{e}")
-            return " + ".join(parts) if parts else "0"
-
-        if self.den == (Fraction(1),):
-            return fmt(self.num)
-        return f"({fmt(self.num)}) / ({fmt(self.den)})"
-
-    __repr__ = __str__
+    def __repr__(self):
+        num = ", ".join(map(str, self.num))
+        return f"RationalFunction([{num}], exps={self.exps})"

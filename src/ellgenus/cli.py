@@ -104,7 +104,7 @@ def poly_pairs(p):
 
 
 def laurent_pairs(v):
-    """y-Laurent coefficient (rational function of y) -> ordered pairs."""
+    """y-Laurent coefficient (element of the formal y-ring) -> ordered pairs."""
     lau = as_y_laurent(v)
     return [[e, fr_str(c)] for e, c in sorted(lau.items())]
 
@@ -532,13 +532,9 @@ def criterion_4():
         if degree_h0(pres) != N * N - 1:
             return False, f"h0 mismatch at N={N}"
     lhs = poincare_series(GradedIdealPresentation((1, 2, 3, 4), (2, 4)))
-    den = (RationalFunction.one_minus_t_power(2)
-           * RationalFunction.one_minus_t_power(3)
-           * RationalFunction.one_minus_t_power(4))
-    t = RationalFunction([F(0), F(1)])
-    rhs = RationalFunction.one_minus_t_power(8) / den + (
-        RationalFunction.one_minus_t_power(3)
-        * RationalFunction.one_minus_t_power(4)) / den * t
+    t = lhs.ring.gen()
+    den = (1 - t ** 2) * (1 - t ** 3) * (1 - t ** 4)
+    rhs = (1 - t ** 8) / den + (1 - t ** 3) * (1 - t ** 4) / den * t
     if lhs != rhs:
         return False, "Poincare footnote identity fails"
     return True, "ideal equality, eliminant, h0 and Poincare identity hold"

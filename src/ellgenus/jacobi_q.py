@@ -9,9 +9,9 @@ series of the genus acquires the expansion (with y = -e^z)
                                [(1+y^{-1} q^n/u)/(1-q^n/u)] / Phi(tau,-z),
 
 valid on SU classes (an overall e^{kx} factor is dropped).  The module
-expands these products exactly over two coefficient models for y —
-rational functions of a formal y, or a cyclotomic quotient ring where
--y is a primitive N-th root of unity — and provides the loop-space
+expands these products exactly over two coefficient models for y — a
+formal y in Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring where -y
+is a primitive N-th root of unity — and provides the loop-space
 expansion chi_y(q, LX), the Weierstrass series, recovery of the quartic
 coefficients q_1..q_4 as q-series, and the integrality check.
 """
@@ -23,11 +23,12 @@ from math import factorial
 
 from .algebra_kernel import (
     QQ,
+    Localization,
     QuotientRing,
-    RationalFunction,
     TruncatedSeries,
     coeff_is_zero,
     cyclotomic_polynomial,
+    poly_mul,
 )
 from .cohomology_models import chern_vector
 from .genus_engine import GenusSpec, evaluate
@@ -54,35 +55,21 @@ class NotLaurent(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class FunctionField:
-    """Ring context for rational functions in one formal variable y."""
-
-    zero = RationalFunction([Fraction(0)])
-    one = RationalFunction([Fraction(1)])
-
-    @staticmethod
-    def from_fraction(fr):
-        return RationalFunction([Fraction(fr)])
-
-    @staticmethod
-    def gen():
-        return RationalFunction([Fraction(0), Fraction(1)])
-
-    def __repr__(self):
-        return "Q(y)"
-
-
-YF = FunctionField()
+# Q[y] localised at y and 1 + y.  The only non-monomial factor the q-side
+# ever inverts is Phi(tau, -z), whose q^0 term is 1 + y, so every
+# denominator met is y^a (1+y)^b.
+FORMAL_RING = Localization(([0, 1], [1, 1]), "y")
 
 
 def y_model(mode):
     """(ring, y) for mode 'formal' or an integer N (cyclotomic).
 
-    In cyclotomic mode -y is a primitive N-th root of unity: the modulus
+    In formal mode y is a variable and y, 1 + y are invertible.  In
+    cyclotomic mode -y is a primitive N-th root of unity: the modulus
     is the monic minimal polynomial of y, +-Phi_N(-y).
     """
     if mode == "formal":
-        return YF, YF.gen()
+        return FORMAL_RING, FORMAL_RING.gen()
     N = int(mode)
     phi = cyclotomic_polynomial(N)
     m = [c * Fraction((-1) ** i) for i, c in enumerate(phi)]
@@ -91,20 +78,20 @@ def y_model(mode):
 
 
 def as_y_laurent(value):
-    """Rational function in y -> dict exponent -> Fraction.
+    """Element of the formal y-ring -> dict exponent -> Fraction.
 
-    Requires the denominator to be a monomial c * y^k; raises NotLaurent
+    Requires no power of 1 + y in the denominator; raises NotLaurent
     otherwise.
     """
     if isinstance(value, (int, Fraction)):
         return {0: Fraction(value)} if value else {}
-    num, den = value.num, value.den
-    nz = [i for i, c in enumerate(den) if c != 0]
-    if len(nz) != 1:
+    ey, e1 = value.exps
+    if e1 > 0:
         raise NotLaurent(f"denominator is not a monomial: {value}")
-    k = nz[0]
-    c = den[k]
-    return {e - k: v / c for e, v in enumerate(num) if v != 0}
+    num = value.num
+    for _ in range(-e1):
+        num = poly_mul(num, (1, 1))
+    return {e - ey: c for e, c in enumerate(num) if c != 0}
 
 
 class SeriesRing:
@@ -187,7 +174,7 @@ def qx_of_phiell_product(qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER,
                          mode="formal"):
     """The genus's Q(x) with q-series coefficients, from the product form.
 
-    mode: "formal" (coefficients rational functions of y) or an integer N
+    mode: "formal" (coefficients in Q[y, 1/y, 1/(1+y)]) or an integer N
     (coefficients in the cyclotomic model where -y is a primitive N-th
     root of unity).  The overall e^{kx} factor is dropped, so evaluation
     is only meaningful on SU classes.

@@ -15,17 +15,18 @@ membership tests, and the two level-2 modular forms delta and epsilon.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import prod
 
 from .algebra_kernel import (
+    Localization,
     PolyRing,
     QQ,
-    QuotientRing,
-    RationalFunction,
     TruncatedSeries,
     cyclotomic_polynomial,
     resultant_in,
 )
 from .genus_engine import classical_genus, evaluate
+from .jacobi_q import y_model
 from .universal_elliptic import (
     ABCD_RING,
     ABCDPoint,
@@ -172,55 +173,46 @@ def eliminate(data, coords="abcd"):
 
 
 class GradedIdealPresentation:
-    """Ambient variable weights and generator degrees of a graded ideal."""
+    """Ambient variable weights and the degrees of a regular sequence of
+    generators of a graded ideal."""
 
-    def __init__(self, weights, degrees, regular=True):
+    def __init__(self, weights, degrees):
         self.weights = tuple(int(w) for w in weights)
         self.degrees = tuple(int(r) for r in degrees)
-        self.regular = bool(regular)
 
 
 def poincare_series(pres):
-    """P_I(t) = prod (1 - t^{r_j}) / prod (1 - t^{d_i}) for a regular
-    sequence of generators."""
-    if not pres.regular:
-        raise ValueError("closed form requires the regular-sequence flag")
-    out = RationalFunction([Fraction(1)])
+    """P_I(t) = prod (1 - t^{r_j}) / prod (1 - t^{d_i}).
+
+    It lives in Q[t] localised at Phi_d(t) for every d dividing a weight,
+    where each 1 - t^{d_i} is a unit; Phi_1 = t - 1 comes first.
+    """
+    ds = sorted({d for w in pres.weights for d in range(1, w + 1)
+                 if w % d == 0})
+    t = Localization([cyclotomic_polynomial(d) for d in ds], "t").gen()
+    out = t.ring.one
     for r in pres.degrees:
-        out = out * RationalFunction.one_minus_t_power(r)
+        out = out * (1 - t ** r)
     for w in pres.weights:
-        out = out / RationalFunction.one_minus_t_power(w)
+        out = out / (1 - t ** w)
     return out
 
 
-def degree_h0(pres, krull_dim=None):
+def degree_h0(pres):
     """h_0 = Q~(1) with Q~(t) = P_I(t) (1-t)^kdim prod_i (1 + t + ... +
-    t^{d_i - 1}); the multiplicity of the quotient ring."""
-    if isinstance(pres, GradedIdealPresentation):
-        p = poincare_series(pres)
-        if krull_dim is None:
-            krull_dim = len(pres.weights) - len(pres.degrees)
-        weights = pres.weights
-    else:
-        p, weights = pres
-        if krull_dim is None:
-            raise ValueError("krull_dim required with a bare series")
-    q = p
-    one_minus_t = RationalFunction([Fraction(1), Fraction(-1)])
-    for _ in range(krull_dim):
-        q = q * one_minus_t
-    for w in weights:
-        q = q * RationalFunction([Fraction(1)] * w)
-    if poly_at_one(q.den) == 0:
-        raise WrongPoleOrder("pole order at t=1 does not match krull_dim")
-    value = q.evaluate(Fraction(1))
-    if value <= 0:
-        raise WrongPoleOrder("degree must be positive")
-    return value
+    t^{d_i - 1}); the multiplicity of the quotient ring.
 
-
-def poly_at_one(coeffs):
-    return sum(coeffs, Fraction(0))
+    P_I must have a pole of order kdim at t = 1, its exponent of
+    Phi_1 = t - 1, which (1-t)^kdim cancels up to (-1)^kdim; the rest of
+    P_I is regular at t = 1, where each 1 + ... + t^{d_i - 1} is d_i.
+    """
+    p = poincare_series(pres)
+    kdim = len(pres.weights) - len(pres.degrees)
+    if p.exps[0] != kdim:
+        raise WrongPoleOrder("pole order at t=1 does not match the Krull "
+                             "dimension")
+    rest = p.ring.element(p.num, (0,) + p.exps[1:])
+    return rest.evaluate(1) * (-1) ** kdim * prod(pres.weights)
 
 
 # ---------------------------------------------------------------------------
@@ -246,11 +238,7 @@ def cusp_points(N):
     for dvs in range(2, N + 1):
         if N % dvs:
             continue
-        phi = cyclotomic_polynomial(dvs)  # coefficients low -> high
-        # minimal polynomial of y: +-Phi_d(-y), made monic
-        m = [c * Fraction((-1) ** i) for i, c in enumerate(phi)]
-        ring = QuotientRing(m)
-        y = ring.gen()
+        ring, y = y_model(dvs)
         one = ring.one
         u = (one + y).inverse()
         A = (one - y) * u

@@ -8,6 +8,7 @@ from ellgenus.algebra_kernel import (
     QQ,
     BadValuation,
     ExactDivisionError,
+    Localization,
     NonUnitLeadingCoefficient,
     PolyRing,
     QuotientRing,
@@ -18,8 +19,12 @@ from ellgenus.algebra_kernel import (
     cyclotomic_polynomial,
     horner,
     poly_divmod,
+    poly_eval,
+    poly_mul,
     resultant_in,
+    ring_invert,
 )
+from ellgenus.jacobi_q import SeriesRing
 
 F = Fraction
 
@@ -120,6 +125,28 @@ def test_compose_inverse_bad_valuation():
     s2 = TruncatedSeries(QQ, 2, [F(1)], 5)
     with pytest.raises(BadValuation):
         s2.compose_inverse()
+
+
+def _compose_inverse_by_loop(f):
+    """Oracle: g_k fixed one at a time from the x^k coefficient of f(g),
+    one composition per coefficient."""
+    inv_a1 = ring_invert(f.coeff(1))
+    g = [f.ring.zero, inv_a1]
+    for k in range(2, f.order + 1):
+        gk = TruncatedSeries(f.ring, 1, g[1:] + [f.ring.zero], k)
+        err = f.truncate(k).compose(gk).coeff(k)
+        g.append(-(inv_a1 * err))
+    return TruncatedSeries(f.ring, 1, g[1:], f.order)
+
+
+def test_compose_inverse_matches_loop_oracle_over_abcd():
+    A, B, C, D = ABCD.gens()
+    tail = [A, B, A * C - D, D * B, A ** 3]
+    f = TruncatedSeries(ABCD, 1, [ABCD.from_fraction(F(2))] + tail, 8)
+    g = f.compose_inverse()
+    assert g.order == 8
+    assert g == _compose_inverse_by_loop(f)
+    assert f.compose(g) == TruncatedSeries.x_series(ABCD, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -257,22 +284,29 @@ def test_cyclotomic_polynomials():
 # ---------------------------------------------------------------------------
 
 
+CYCLO = Localization([cyclotomic_polynomial(d) for d in (1, 2, 3, 4)], "t")
+
+
 def test_rational_function_cancellation():
-    # (1-t^2)/(1-t) = 1+t
-    r = RationalFunction([1, 0, -1], [1, -1])
-    assert r == RationalFunction([1, 1])
+    # (1-t^2)/(1-t) = 1+t, and 1 + t = Phi_2 is a unit
+    r = CYCLO.element([1, 0, -1]) / CYCLO.element([1, -1])
+    assert r == CYCLO.element([1, 1])
+    assert r.num == (F(1),) and r.exps == (0, -1, 0, 0)
 
 
 def test_rational_function_arithmetic():
-    a = RationalFunction([1], [1, -1])   # 1/(1-t)
-    b = RationalFunction([0, 1], [1, -1])  # t/(1-t)
-    assert a - b == RationalFunction([1, -1], [1, -1]) * RationalFunction([1])
-    assert a - b == RationalFunction([1])
+    t = CYCLO.gen()
+    a = (1 - t).inverse()       # 1/(1-t)
+    b = t * (1 - t).inverse()   # t/(1-t)
+    assert a - b == CYCLO.element([1, -1]) / (1 - t) * CYCLO.one
+    assert a - b == CYCLO.one
 
 
 def test_rational_function_evaluate():
-    r = RationalFunction([1, 1], [2])
+    r = CYCLO.element([1, 1]) / 2
     assert r.evaluate(F(3)) == F(2)
+    with pytest.raises(ZeroDivisionError):
+        (1 - CYCLO.gen()).inverse().evaluate(1)
 
 
 # ---------------------------------------------------------------------------
@@ -416,3 +450,98 @@ def test_nested_base_agrees_with_rationals(p, q):
         for r, s in zip(plain, nested):
             assert s.terms == {e: base.from_fraction(c)
                                for e, c in r.terms.items()}, base
+
+
+@seed(20261020)
+@settings(max_examples=40, deadline=None)
+@given(st.lists(small_fractions, min_size=0, max_size=7),
+       small_fractions.filter(bool))
+def test_compose_inverse_matches_loop_oracle_over_q(tail, lead):
+    f = TruncatedSeries(QQ, 1, [lead] + tail, 7)
+    assert f.compose_inverse() == _compose_inverse_by_loop(f)
+
+
+def test_series_times_polynomial_over_series_is_polynomial():
+    # a q-series c and a polynomial p over the q-series ring: both orders
+    # of the product are the polynomial p * c
+    base = QuotientRing([1, -1, 1])
+    qs = SeriesRing(base, 2)
+    x = PolyRing("x", base=qs).gen("x")
+    p = x * x + x * 3
+    c = qs.from_function(lambda e: base.from_fraction(e + 1))
+    expected = p * c
+    assert type(expected) is WeightedPoly
+    for prod in (c * p, p * c):
+        assert type(prod) is WeightedPoly
+        assert prod == expected
+    assert expected.coeff((1,)) == c * 3
+
+
+# ---------------------------------------------------------------------------
+# localisations: Q[y, 1/y, 1/(1+y)] and Q[t] at Phi_1..Phi_4
+# ---------------------------------------------------------------------------
+
+Y_LOCAL = Localization([[0, 1], [1, 1]], "y")
+
+local_parts = st.tuples(
+    st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=4),
+)
+# no root of y, 1 + y or Phi_1..Phi_4 is a rational other than 0, 1, -1
+local_points = st.fractions(min_value=-3, max_value=3,
+                            max_denominator=5).filter(
+    lambda t: t not in (0, 1, -1))
+
+
+def _local(ring, part):
+    num, exps = part
+    return ring.element(num, exps[:len(ring.inverted)])
+
+
+def _local_value(ring, part, t):
+    """num(t) * prod s(t)^(-e_s) straight from the data."""
+    num, exps = part
+    out = poly_eval(num, t)
+    for s, e in zip(ring.inverted, exps):
+        out *= poly_eval(s, t) ** -e
+    return out
+
+
+@seed(20261021)
+@settings(max_examples=60, deadline=None)
+@given(local_parts, local_parts, local_parts, local_points)
+def test_localization_evaluation_is_a_homomorphism(pa, pb, pc, t):
+    for ring in (Y_LOCAL, CYCLO):
+        a, b, c = (_local(ring, p) for p in (pa, pb, pc))
+        va, vb = _local_value(ring, pa, t), _local_value(ring, pb, t)
+        assert a.evaluate(t) == va
+        assert (a + b).evaluate(t) == va + vb
+        assert (a - b).evaluate(t) == va - vb
+        assert (a * b).evaluate(t) == va * vb
+        # units c * prod s^k invert; t - 2 is prime to every s
+        unit = ring.element([pa[0][0] or 1], pa[1][:len(ring.inverted)])
+        assert unit.inverse().evaluate(t) == 1 / unit.evaluate(t)
+        assert unit * unit.inverse() == ring.one
+        if not a.is_zero():
+            with pytest.raises(NonUnitLeadingCoefficient):
+                (a * ring.element([-2, 1])).inverse()
+        # two routes to one function: equal, with equal hashes
+        for x, y in (((a + b) * c, a * c + b * c),
+                     (a * b - c, b * a + (-c)),
+                     ((a * unit) / unit, a)):
+            assert x == y
+            assert hash(x) == hash(y)
+        # the normal form strips a factor s written into the numerator
+        s0 = ring.inverted[0]
+        lifted = ring.element(poly_mul(a.num, s0), (a.exps[0] + 1,) + a.exps[1:])
+        assert lifted == a and hash(lifted) == hash(a)
+
+
+def test_localization_rejects_non_unit_inverse():
+    for ring in (Y_LOCAL, CYCLO):
+        with pytest.raises(NonUnitLeadingCoefficient):
+            ring.zero.inverse()
+        with pytest.raises(NonUnitLeadingCoefficient):
+            ring.element([3, 0, 1]).inverse()
+    y = Y_LOCAL.gen()
+    assert (y * (1 + y) ** 2).inverse() == y ** -1 * (1 + y) ** -2

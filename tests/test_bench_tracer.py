@@ -1,7 +1,8 @@
 """The benchmark's tracer (bench/tracer.py) still finds every name it wraps.
 
 The tracer looks the package's functions and classes up by name, among
-them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward.
+them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward and
+algebra_kernel.poly_gcd, which nothing in the package calls.
 The tier-1 suite does not run a traced benchmark, so a renamed or deleted
 name would show nowhere else.
 """

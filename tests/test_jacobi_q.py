@@ -339,6 +339,34 @@ def test_cyclotomic_extraction_truncation_sound():
                 assert a.coeff(n) == b.coeff(n), (N, n)
 
 
+def test_formal_product_truncation_sound():
+    # the formal-mode product through q^qorder and x^xorder does not
+    # depend on how far past either order it was expanded
+    qorder, xorder = 3, 8
+    jacobi_q._spec_cache.clear()
+    low = _product_spec(qorder, xorder, "formal")
+    jacobi_q._spec_cache.clear()
+    high = _product_spec(qorder + 1, xorder + 2, "formal")
+    assert low.order == xorder
+    for k in range(xorder + 1):
+        a, b = low.q.coeff(k), high.q.coeff(k)
+        assert a.order == qorder
+        for n in range(qorder + 1):
+            assert a.coeff(n) == b.coeff(n), (k, n)
+
+
+def test_formal_extraction_truncation_sound():
+    qorder, xorder = 3, 8
+    jacobi_q._spec_cache.clear()
+    low, _ = extract_qi("formal", qorder, xorder)
+    jacobi_q._spec_cache.clear()
+    high, _ = extract_qi("formal", qorder + 1, xorder + 2)
+    for a, b in zip(low, high):
+        assert a.order == qorder
+        for n in range(qorder + 1):
+            assert a.coeff(n) == b.coeff(n), n
+
+
 def test_extracted_point_satisfies_level_relations():
     for N in (2, 3):
         quartic, _ = extract_qi(N, 4, 2 * N + 6)

@@ -2,7 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from ellgenus.algebra_kernel import QQ, RationalFunction, TruncatedSeries
+from ellgenus.algebra_kernel import (
+    QQ,
+    Localization,
+    TruncatedSeries,
+    cyclotomic_polynomial,
+)
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import classical_genus, evaluate
 from ellgenus.level_n import (
@@ -10,6 +15,7 @@ from ellgenus.level_n import (
     GradedIdealPresentation,
     InsufficientOrder,
     LevelNData,
+    WrongPoleOrder,
     compute_level_data,
     cusp_points,
     degree_h0,
@@ -174,15 +180,22 @@ def _an_presentation(N):
     return GradedIdealPresentation((1, 2, 3, 4), (N - 1, N + 1))
 
 
+def _one_minus_t_power(ring, r):
+    return 1 - ring.gen() ** r
+
+
 def test_poincare_series_an():
     p = poincare_series(_an_presentation(3))
+    ring = p.ring
+    assert ring == Localization(
+        [cyclotomic_polynomial(d) for d in (1, 2, 3, 4)], "t")
     expected = (
-        RationalFunction.one_minus_t_power(2)
-        * RationalFunction.one_minus_t_power(4)
-        / RationalFunction.one_minus_t_power(1)
-        / RationalFunction.one_minus_t_power(2)
-        / RationalFunction.one_minus_t_power(3)
-        / RationalFunction.one_minus_t_power(4)
+        _one_minus_t_power(ring, 2)
+        * _one_minus_t_power(ring, 4)
+        / _one_minus_t_power(ring, 1)
+        / _one_minus_t_power(ring, 2)
+        / _one_minus_t_power(ring, 3)
+        / _one_minus_t_power(ring, 4)
     )
     assert p == expected
 
@@ -191,24 +204,18 @@ def test_poincare_series_footnote_identity():
     # (1-t^2)(1-t^4)/prod = (1-t^8)/((1-t^2)(1-t^3)(1-t^4))
     #                       + t (1-t^3)(1-t^4)/((1-t^2)(1-t^3)(1-t^4))
     lhs = poincare_series(_an_presentation(3))
-    den = (
-        RationalFunction.one_minus_t_power(2)
-        * RationalFunction.one_minus_t_power(3)
-        * RationalFunction.one_minus_t_power(4)
-    )
-    t = RationalFunction([F(0), F(1)])
-    rhs = RationalFunction.one_minus_t_power(8) / den + (
-        RationalFunction.one_minus_t_power(3)
-        * RationalFunction.one_minus_t_power(4)
-    ) / den * t
+    t = lhs.ring.gen()
+    den = (1 - t ** 2) * (1 - t ** 3) * (1 - t ** 4)
+    rhs = (1 - t ** 8) / den + (1 - t ** 3) * (1 - t ** 4) / den * t
     assert lhs == rhs
 
 
 def test_poincare_series_zero_ideal():
     p = poincare_series(GradedIdealPresentation((1, 2, 3, 4), ()))
-    expected = RationalFunction([F(1)])
+    ring = p.ring
+    expected = ring.one
     for w in (1, 2, 3, 4):
-        expected = expected / RationalFunction.one_minus_t_power(w)
+        expected = expected / _one_minus_t_power(ring, w)
     assert p == expected
 
 
@@ -216,9 +223,8 @@ def test_poincare_bookkeeping_product():
     # adding a degree-r nonzerodivisor multiplies the series by (1 - t^r)
     base = GradedIdealPresentation((1, 2, 3, 4), (2,))
     bigger = GradedIdealPresentation((1, 2, 3, 4), (2, 5))
-    assert poincare_series(bigger) == (
-        poincare_series(base) * RationalFunction.one_minus_t_power(5)
-    )
+    lhs, rhs = poincare_series(bigger), poincare_series(base)
+    assert lhs == rhs * _one_minus_t_power(rhs.ring, 5)
 
 
 def test_degree_h0_values():
@@ -227,6 +233,8 @@ def test_degree_h0_values():
         res_pres = GradedIdealPresentation((2, 3, 4), (N * N - 1,))
         assert degree_h0(res_pres) == N * N - 1
     assert degree_h0(GradedIdealPresentation((1, 2, 3, 4), ())) == 1
+    with pytest.raises(WrongPoleOrder):  # a degree-0 generator: P_I = 0
+        degree_h0(GradedIdealPresentation((1, 2), (0,)))
 
 
 # ---------------------------------------------------------------------------
