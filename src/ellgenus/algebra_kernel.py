@@ -7,7 +7,12 @@ series; resultants; truncated series in one variable over any ring
 context; univariate quotient rings Q[y]/(m); and rational functions in
 one variable whose denominators are products of fixed irreducibles, the
 localisations of Q[t] at finitely many primes, kept in a normal form that
-needs no gcd.
+needs no polynomial gcd.
+
+The last two are dense: an element stores its numerator as a tuple of
+ints over one positive int denominator.  Their moduli and inverted
+polynomials are monic over Z, so reduction and trial division stay in
+the integers; Fractions appear only where a coefficient is read out.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -16,6 +21,7 @@ so values can be shared freely.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 
@@ -874,7 +880,7 @@ class TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# univariate quotient ring Q[y]/(m(y))
+# dense polynomials in one variable: coefficient lists, low -> high
 # ---------------------------------------------------------------------------
 
 
@@ -884,30 +890,15 @@ def _poly_trim(p):
     return p
 
 
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim([
-        (a[i] if i < len(a) else Fraction(0)) + (b[i] if i < len(b) else Fraction(0))
-        for i in range(n)
-    ])
-
-
-def poly_scale(a, c):
-    c = _fr(c)
-    if c == 0:
-        return []
-    return [x * c for x in a]
-
-
 def poly_mul(a, b):
+    """Product of coefficient lists; integer inputs give an integer list."""
     if not a or not b:
         return []
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    out = [0] * (len(a) + len(b) - 1)
     for i, x in enumerate(a):
-        if x == 0:
-            continue
-        for j, y in enumerate(b):
-            out[i + j] += x * y
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
     return _poly_trim(out)
 
 
@@ -950,10 +941,128 @@ def poly_eval(a, t):
     return r
 
 
+def cyclotomic_polynomial(n):
+    """Coefficients (low -> high) of the n-th cyclotomic polynomial.
+
+    Standard divisor recursion: x^n - 1 = prod_{d | n} Phi_d(x).
+    """
+    if n < 1:
+        raise ValueError("n must be positive")
+    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    den = [Fraction(1)]
+    for d in range(1, n):
+        if n % d == 0:
+            den = poly_mul(den, cyclotomic_polynomial(d))
+    q, r = poly_divmod(num, den)
+    assert not r
+    return q
+
+
+# ---------------------------------------------------------------------------
+# integer numerators over one shared denominator
+#
+# QuotElt and RationalFunction store a numerator as ints / den: a tuple
+# of ints (low -> high, no trailing zeros) and one int den > 0 sharing no
+# factor with their content.  Every modulus and inverted polynomial is
+# monic over Z, so by Gauss's lemma reduction and trial division by it
+# never leave Z, and products and sums need one gcd each.
+# ---------------------------------------------------------------------------
+
+
+def _monic_ints(coeffs, what):
+    """coeffs divided by their leading coefficient, as a tuple of ints;
+    ValueError unless that has degree >= 1 and integer coefficients."""
+    m = _poly_trim([_fr(c) for c in coeffs])
+    if len(m) < 2:
+        raise ValueError(f"{what} must have degree >= 1")
+    m = [c / m[-1] for c in m]
+    if any(c.denominator != 1 for c in m):
+        raise ValueError(f"{what} must be monic over Z up to a unit")
+    return tuple(c.numerator for c in m)
+
+
+def _ints_over_den(coeffs):
+    """Rationals -> (list of ints, common denominator)."""
+    fs = [_fr(c) for c in coeffs]
+    den = lcm(*(f.denominator for f in fs))
+    return [f.numerator * (den // f.denominator) for f in fs], den
+
+
+def _normal(ints, den):
+    """ints / den in normal form: trailing zeros trimmed (ints is a list
+    and is trimmed in place), den > 0 and gcd(den, content) = 1."""
+    _poly_trim(ints)
+    if not ints:
+        return (), 1
+    if den == 1:
+        return tuple(ints), 1
+    g = gcd(den, *ints)
+    if den < 0:
+        g = -g
+    if g == 1:
+        return tuple(ints), den
+    return tuple(c // g for c in ints), den // g
+
+
+def _sum(a, da, b, db):
+    """a/da + b/db over their least common denominator, not normalised."""
+    if da != db:
+        g = gcd(da, db)
+        a = [c * (db // g) for c in a]
+        b = [c * (da // g) for c in b]
+        da = da // g * db
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    return out, da
+
+
+def _divmod_monic(a, m):
+    """Quotient and remainder of the ints a by the monic ints m, by
+    synthetic division."""
+    k = len(m) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - k)
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            q[i - k] = c
+            for j in range(k):
+                r[i - k + j] -= c * m[j]
+    del r[k:]
+    return q, _poly_trim(r)
+
+
+def _divide_out(a, s):
+    """a / s for nonzero trimmed ints a and monic ints s, or None if s
+    does not divide a."""
+    if len(s) == 2 and s[0] in (0, 1, -1):
+        # s = t - r with r in {0, 1, -1} divides a exactly when a(r) = 0
+        r = -s[0]
+        if r == 0:
+            return a[1:] if a[0] == 0 else None
+        if sum(a[::2]) + r * sum(a[1::2]):
+            return None
+    q, rem = _divmod_monic(a, s)
+    return None if rem else q
+
+
+def _combine(a, x, b, y, k):
+    """a*x - b*t^k*y for int lists x, y and ints a, b, trimmed."""
+    out = [a * c for c in x]
+    out += [0] * (len(y) + k - len(out))
+    for i, c in enumerate(y, k):
+        out[i] -= b * c
+    return _poly_trim(out)
+
+
 class _DenseElement:
     """Arithmetic shared by the dense one-variable ring elements QuotElt
-    and RationalFunction: each has a ring with from_fraction and one, and
-    defines +, unary -, * and inverse."""
+    and RationalFunction.  Each stores its numerator as ints / den in the
+    normal form above, has a ring with from_fraction and one, defines +,
+    * and inverse, and rebuilds itself around a new numerator by _with."""
 
     __slots__ = ()
 
@@ -965,6 +1074,21 @@ class _DenseElement:
         if isinstance(other, (int, Fraction)):
             return self.ring.from_fraction(other)
         return None
+
+    def _fractions(self):
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    def _scale(self, c):
+        """self times a rational c."""
+        c = _fr(c)
+        return self._with(*_normal([a * c.numerator for a in self.ints],
+                                   self.den * c.denominator))
+
+    def is_zero(self):
+        return not self.ints
+
+    def __neg__(self):
+        return self._with(tuple(-a for a in self.ints), self.den)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -984,40 +1108,43 @@ class _DenseElement:
         return out
 
 
+# ---------------------------------------------------------------------------
+# univariate quotient ring Q[y]/(m(y))
+# ---------------------------------------------------------------------------
+
+
 class QuotientRing:
-    """Q[y]/(m(y)) with m monic of degree >= 1."""
+    """Q[y]/(m(y)), m of degree >= 1 and monic over Z up to a unit.
+
+    The modulus is stored monic, as a tuple of ints; a polynomial that is
+    not integral once divided by its leading coefficient raises
+    ValueError.  An element is stored as ints / den of degree below m.
+    """
 
     def __init__(self, modulus, varname="y"):
-        m = _poly_trim([_fr(c) for c in modulus])
-        if len(m) < 2:
-            raise ValueError("modulus must have degree >= 1")
-        if m[-1] != 1:
-            m = [c / m[-1] for c in m]
-        self.modulus = tuple(m)
-        self.degree = len(m) - 1
+        self.modulus = _monic_ints(modulus, "modulus")
+        self.degree = len(self.modulus) - 1
         self.varname = varname
-        self.zero = QuotElt(self, (Fraction(0),) * self.degree)
-        one = [Fraction(0)] * self.degree
-        one[0] = Fraction(1)
-        self.one = QuotElt(self, tuple(one))
+        self.zero = QuotElt(self, (), 1)
+        self.one = QuotElt(self, (1,), 1)
 
     def from_fraction(self, fr):
-        c = [Fraction(0)] * self.degree
-        c[0] = _fr(fr)
-        return QuotElt(self, tuple(c))
+        fr = _fr(fr)
+        return QuotElt(self, (fr.numerator,) if fr else (), fr.denominator)
 
     def gen(self):
         if self.degree == 1:
             # y is congruent to a rational
             return self.from_fraction(-self.modulus[0])
-        c = [Fraction(0)] * self.degree
-        c[1] = Fraction(1)
-        return QuotElt(self, tuple(c))
+        return QuotElt(self, (0, 1), 1)
 
     def element(self, coeffs):
-        q, r = poly_divmod(list(coeffs), list(self.modulus))
-        c = list(r) + [Fraction(0)] * (self.degree - len(r))
-        return QuotElt(self, tuple(c[: self.degree]))
+        return self._reduce(*_ints_over_den(coeffs))
+
+    def _reduce(self, ints, den):
+        # ints / den modulo m, in normal form
+        return QuotElt(self, *_normal(_divmod_monic(ints, self.modulus)[1],
+                                      den))
 
     def __eq__(self, other):
         return isinstance(other, QuotientRing) and self.modulus == other.modulus
@@ -1030,32 +1157,41 @@ class QuotientRing:
 
 
 class QuotElt(_DenseElement):
-    __slots__ = ("ring", "coeffs")
+    """Element ints / den of a QuotientRing; coeffs gives its Fraction
+    coefficients, low -> high, padded to the degree of the modulus."""
 
-    def __init__(self, ring, coeffs):
+    __slots__ = ("ring", "ints", "den")
+
+    def __init__(self, ring, ints, den):
         self.ring = ring
-        self.coeffs = tuple(coeffs)
+        self.ints = ints
+        self.den = den
+
+    @property
+    def coeffs(self):
+        c = self._fractions()
+        return c + (Fraction(0),) * (self.ring.degree - len(c))
+
+    def _with(self, ints, den):
+        return QuotElt(self.ring, ints, den)
 
     def __add__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return QuotElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, o.coeffs)))
+        return QuotElt(self.ring,
+                       *_normal(*_sum(self.ints, self.den, o.ints, o.den)))
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return QuotElt(self.ring, tuple(-a for a in self.coeffs))
-
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            f = _fr(other)
-            return QuotElt(self.ring, tuple(a * f for a in self.coeffs))
+            return self._scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        prod = poly_mul(list(self.coeffs), list(o.coeffs))
-        return self.ring.element(prod)
+        return self.ring._reduce(poly_mul(self.ints, o.ints),
+                                 self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -1063,37 +1199,41 @@ class QuotElt(_DenseElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.coeffs == o.coeffs
+        return self.ints == o.ints and self.den == o.den
 
     def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return hash((self.ring, self.ints, self.den))
 
     def inverse(self):
-        """Inverse via the extended Euclidean algorithm in Q[y]."""
-        a = _poly_trim(list(self.coeffs))
-        if not a:
+        """Inverse by the extended Euclidean algorithm in Z[y].
+
+        Each pair (r, s) of integer lists keeps r = s * self (mod m);
+        reducing one pair by the other scales it by a leading
+        coefficient instead of dividing, and each pair is divided by its
+        content.  A nonzero constant r ends it: the inverse is s / r.
+        """
+        if not self.ints:
             raise NonUnitLeadingCoefficient("zero is not invertible")
-        m = list(self.ring.modulus)
-        # extended euclid: s*a + t*m = g
-        r0, r1 = m, a
-        s0, s1 = [], [Fraction(1)]
-        t0, t1 = [Fraction(1)], []
-        while r1:
-            q, r = poly_divmod(r0, r1)
-            r0, r1 = r1, r
-            s0, s1 = s1, poly_add(s0, poly_scale(poly_mul(q, s1), -1))
-        if len(r0) != 1:
+        r0, s0 = list(self.ring.modulus), []
+        r1, s1 = list(self.ints), [self.den]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                k, a, b = len(r0) - len(r1), r1[-1], r0[-1]
+                r0 = _combine(a, r0, b, r1, k)
+                s0 = _combine(a, s0, b, s1, k)
+                g = gcd(*r0, *s0)
+                if g > 1:
+                    r0 = [c // g for c in r0]
+                    s0 = [c // g for c in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        if not r1:
             raise NonUnitLeadingCoefficient("element is a zero divisor")
-        inv = poly_scale(s0, Fraction(1) / r0[0])
-        return self.ring.element(inv)
+        return self.ring._reduce(s1, r1[0])
 
     def __str__(self):
         y = self.ring.varname
         parts = []
-        for e, c in enumerate(self.coeffs):
+        for e, c in enumerate(self._fractions()):
             if c == 0:
                 continue
             if e == 0:
@@ -1107,23 +1247,6 @@ class QuotElt(_DenseElement):
     __repr__ = __str__
 
 
-def cyclotomic_polynomial(n):
-    """Coefficients (low -> high) of the n-th cyclotomic polynomial.
-
-    Standard divisor recursion: x^n - 1 = prod_{d | n} Phi_d(x).
-    """
-    if n < 1:
-        raise ValueError("n must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
-    den = [Fraction(1)]
-    for d in range(1, n):
-        if n % d == 0:
-            den = poly_mul(den, cyclotomic_polynomial(d))
-    q, r = poly_divmod(num, den)
-    assert not r
-    return q
-
-
 # ---------------------------------------------------------------------------
 # Q[t] localised at a finite set of irreducible polynomials
 # ---------------------------------------------------------------------------
@@ -1132,47 +1255,48 @@ def cyclotomic_polynomial(n):
 class Localization:
     """Q[t] with a fixed finite set S of polynomials made invertible.
 
-    The members of S (coefficient lists, low -> high, stored monic) must
-    be irreducible and pairwise coprime.  Then every element is uniquely
-    num(t) * prod_s s(t)^(-e_s) with integer exponents and num divisible
-    by no s, and the ring operations keep this form by exact trial
-    division alone, never a gcd.  The units are the elements whose num
-    is a constant.
+    The members of S (coefficient lists, low -> high) must be irreducible,
+    pairwise coprime and monic over Z up to a unit; they are stored monic,
+    as tuples of ints, and any other raises ValueError.  Then every
+    element is uniquely num(t) * prod_s s(t)^(-e_s) with integer
+    exponents and num divisible by no s, and the ring operations keep
+    this form by exact trial division in Z[t] alone, never a polynomial
+    gcd.  The units are the elements whose num is a constant.
     """
 
     def __init__(self, inverted, varname="t"):
-        monic = [_poly_trim([_fr(c) for c in s]) for s in inverted]
-        if any(len(s) < 2 for s in monic):
-            raise ValueError("inverted polynomials must have degree >= 1")
-        self.inverted = tuple(tuple(c / s[-1] for c in s) for s in monic)
+        self.inverted = tuple(_monic_ints(s, "inverted polynomials")
+                              for s in inverted)
         self.varname = varname
-        self.zero = RationalFunction(self, (), (0,) * len(monic))
+        self.zero = RationalFunction(self, (), 1, (0,) * len(self.inverted))
         self.one = self.from_fraction(1)
 
     def from_fraction(self, fr):
         fr = _fr(fr)
-        return RationalFunction(self, (fr,) if fr else (), self.zero.exps)
+        return RationalFunction(self, (fr.numerator,) if fr else (),
+                                fr.denominator, self.zero.exps)
 
     def gen(self):
         return self.element([0, 1])
 
     def element(self, num, exps=None):
         """num(t) * prod_s s(t)^(-e_s) in normal form."""
-        return self._strip(_poly_trim([_fr(c) for c in num]),
-                           list(exps or self.zero.exps),
+        return self._strip(*_ints_over_den(num), list(exps or self.zero.exps),
                            range(len(self.inverted)))
 
-    def _strip(self, num, exps, which):
-        # move every factor s of num, for the s in which, into exps
-        if not num:
+    def _strip(self, ints, den, exps, which):
+        # normalise ints / den, then move every factor s of it, for the s
+        # in which, into exps
+        ints, den = _normal(ints, den)
+        if not ints:
             return self.zero
         for i in which:
             while True:
-                q, r = poly_divmod(num, self.inverted[i])
-                if r:
+                q = _divide_out(ints, self.inverted[i])
+                if q is None:
                     break
-                num, exps[i] = q, exps[i] - 1
-        return RationalFunction(self, tuple(num), tuple(exps))
+                ints, exps[i] = q, exps[i] - 1
+        return RationalFunction(self, tuple(ints), den, tuple(exps))
 
     def __eq__(self, other):
         return (isinstance(other, Localization)
@@ -1188,26 +1312,41 @@ class Localization:
 class RationalFunction(_DenseElement):
     """num(t) * prod_s s(t)^(-e_s), an element of a Localization.
 
-    num is a tuple of Fractions (low -> high) divisible by no s and exps
-    the tuple of the e_s; zero has num () and every exponent 0.
+    num is stored as ints / den and is divisible by no s; exps is the
+    tuple of the e_s, and zero has ints () and every exponent 0.  num
+    gives the coefficients of num as Fractions, low -> high.
     """
 
-    __slots__ = ("ring", "num", "exps")
+    __slots__ = ("ring", "ints", "den", "exps")
 
-    def __init__(self, ring, num, exps):
+    def __init__(self, ring, ints, den, exps):
         self.ring = ring
-        self.num = num
+        self.ints = ints
+        self.den = den
         self.exps = exps
 
+    @property
+    def num(self):
+        return self._fractions()
+
+    def _with(self, ints, den):
+        if not ints:
+            return self.ring.zero
+        return RationalFunction(self.ring, ints, den, self.exps)
+
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self._scale(other)
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not self.num or not o.num:
+        if not self.ints or not o.ints:
             return self.ring.zero
         # numerators prime to every s have a product prime to every s
-        return RationalFunction(self.ring, tuple(poly_mul(self.num, o.num)),
-                                tuple(map(add, self.exps, o.exps)))
+        return RationalFunction(
+            self.ring,
+            *_normal(poly_mul(self.ints, o.ints), self.den * o.den),
+            tuple(map(add, self.exps, o.exps)))
 
     __rmul__ = __mul__
 
@@ -1215,13 +1354,13 @@ class RationalFunction(_DenseElement):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        if not o.num:
+        if not o.ints:
             return self
-        if not self.num:
+        if not self.ints:
             return o
         # lift both numerators to the larger exponents; where these differ
         # just one lifted numerator is divisible by s, so the sum is not
-        a, b, tied = self.num, o.num, []
+        a, b, tied = self.ints, o.ints, []
         for i, (ea, eb) in enumerate(zip(self.exps, o.exps)):
             for _ in range(eb - ea):
                 a = poly_mul(a, self.ring.inverted[i])
@@ -1229,14 +1368,10 @@ class RationalFunction(_DenseElement):
                 b = poly_mul(b, self.ring.inverted[i])
             if ea == eb:
                 tied.append(i)
-        return self.ring._strip(poly_add(a, b),
+        return self.ring._strip(*_sum(a, self.den, b, o.den),
                                 list(map(max, self.exps, o.exps)), tied)
 
     __radd__ = __add__
-
-    def __neg__(self):
-        return RationalFunction(self.ring, tuple(-c for c in self.num),
-                                self.exps)
 
     def __truediv__(self, other):
         o = self._coerce(other)
@@ -1244,27 +1379,27 @@ class RationalFunction(_DenseElement):
             return NotImplemented
         return self * o.inverse()
 
-    def is_zero(self):
-        return not self.num
-
     def inverse(self):
         """Inverse of a unit c * prod_s s^(-e_s); anything else raises."""
-        if len(self.num) != 1:
+        if len(self.ints) != 1:
             raise NonUnitLeadingCoefficient(f"not a unit: {self}")
-        return RationalFunction(self.ring, (1 / self.num[0],),
+        c = self.ints[0]
+        sign = 1 if c > 0 else -1
+        return RationalFunction(self.ring, (sign * self.den,), sign * c,
                                 tuple(-e for e in self.exps))
 
     def __eq__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.num == o.num and self.exps == o.exps
+        return (self.ints == o.ints and self.den == o.den
+                and self.exps == o.exps)
 
     def __hash__(self):
-        return hash((self.num, self.exps))
+        return hash((self.ints, self.den, self.exps))
 
     def evaluate(self, t):
-        out = poly_eval(self.num, t)
+        out = poly_eval(self.ints, t) / self.den
         for s, e in zip(self.ring.inverted, self.exps):
             v = poly_eval(s, t)
             if v == 0 and e > 0:

@@ -14,6 +14,7 @@ the standard generator manifolds used throughout.
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 
 from .algebra_kernel import QQ, _fr, coeff_is_zero
@@ -21,6 +22,10 @@ from .algebra_kernel import QQ, _fr, coeff_is_zero
 
 class UnknownName(KeyError):
     pass
+
+
+class BadManifold(ValueError):
+    """A JSON manifold with a missing or malformed field."""
 
 
 class RankZeroTotal(ValueError):
@@ -535,6 +540,30 @@ def catalog(name):
 # ---------------------------------------------------------------------------
 
 
+MANIFOLD_TYPES = ("cp", "catalog", "product", "hypersurface",
+                  "twisted_bundle", "chern_numbers")
+_KIND_NAMES = {int: "a nonnegative integer", str: "a string", list: "a list",
+               dict: "an object"}
+
+
+def _field(obj, key, kind, default=None):
+    """obj[key], which must be a kind (int, str, list or dict); default,
+    if given, stands in for a missing field.  The int fields are counts:
+    a nonnegative integer or integral float, never a boolean."""
+    if key not in obj:
+        if default is None:
+            raise BadManifold(f"manifold JSON: missing field {key!r}")
+        return default
+    v = obj[key]
+    if kind is int and isinstance(v, float) and v.is_integer():
+        v = int(v)
+    if not isinstance(v, kind) or (
+            kind is int and (isinstance(v, bool) or v < 0)):
+        raise BadManifold(f"manifold JSON: field {key!r} must be "
+                          f"{_KIND_NAMES[kind]}, got {json.dumps(v)}")
+    return v
+
+
 def model_from_json(obj):
     """Build a manifold from the JSON schema used by the CLI.
 
@@ -545,14 +574,24 @@ def model_from_json(obj):
     {"type":"product","factors":[...]}
     {"type":"chern_numbers","dim":n,"numbers":{"1,1":"2",...}}
     {"type":"catalog","name":"W5"}
+
+    A missing or malformed field raises BadManifold naming it.
     """
+    if not isinstance(obj, dict):
+        raise BadManifold(f"manifold JSON: expected an object, got "
+                          f"{json.dumps(obj)}")
+    if "type" not in obj:
+        raise BadManifold("manifold JSON: missing field 'type'")
     t = obj["type"]
+    if t not in MANIFOLD_TYPES:
+        raise BadManifold(f"manifold JSON: field 'type' must be one of "
+                          f"{', '.join(MANIFOLD_TYPES)}, got {json.dumps(t)}")
     if t == "cp":
-        return cp_model(int(obj["n"]))
+        return cp_model(_field(obj, "n", int))
     if t == "catalog":
-        return catalog(obj["name"])
+        return catalog(_field(obj, "name", str))
     if t == "product":
-        factors = [model_from_json(f) for f in obj["factors"]]
+        factors = [model_from_json(f) for f in _field(obj, "factors", list)]
         if not factors:
             return point_model()
         m = factors[0]
@@ -560,40 +599,48 @@ def model_from_json(obj):
             m = product_model(m, f)
         return m
     if t == "hypersurface":
-        amb = model_from_json(obj["ambient"])
-        c1 = _element_from_list(amb, obj["c1"])
+        amb = model_from_json(_field(obj, "ambient", dict))
+        c1 = _element_from_list(amb, _field(obj, "c1", list))
         return hypersurface_model(amb, c1)
     if t == "twisted_bundle":
-        base = model_from_json(obj["base"])
-        e = obj.get("E", {})
-        f = obj.get("F", {})
-        e_lines = [_element_from_list(base, v) for v in e.get("lines", [])]
-        f_lines = [_element_from_list(base, v) for v in f.get("lines", [])]
+        base = model_from_json(_field(obj, "base", dict))
+        e = _field(obj, "E", dict, {})
+        f = _field(obj, "F", dict, {})
+        e_lines = [_element_from_list(base, v)
+                   for v in _field(e, "lines", list, [])]
+        f_lines = [_element_from_list(base, v)
+                   for v in _field(f, "lines", list, [])]
         return twisted_proj_bundle_model(
             base,
-            e_lines=e_lines, e_trivial=int(e.get("trivial", 0)),
-            f_lines=f_lines, f_trivial=int(f.get("trivial", 0)),
+            e_lines=e_lines, e_trivial=_field(e, "trivial", int, 0),
+            f_lines=f_lines, f_trivial=_field(f, "trivial", int, 0),
         )
-    if t == "chern_numbers":
-        dim = int(obj["dim"])
-        numbers = {}
-        for key, val in obj.get("numbers", {}).items():
-            part = tuple(int(s) for s in key.split(","))
-            numbers[part] = Fraction(val)
-        return ChernVector(dim, numbers)
-    raise UnknownName(f"unknown manifold type {t!r}")
+    # the one type left: chern_numbers
+    dim = _field(obj, "dim", int)
+    numbers = {}
+    for key, val in _field(obj, "numbers", dict, {}).items():
+        try:
+            numbers[tuple(int(s) for s in key.split(","))] = Fraction(val)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise BadManifold(f"manifold JSON: bad Chern number "
+                              f"{key!r}: {json.dumps(val)}") from None
+    return ChernVector(dim, numbers)
 
 
 def _element_from_list(model, coeffs):
     """Integer vector over the degree-2 (complex degree 1) basis."""
     deg1 = [l for l in model.labels if model.degree[l] == 1]
-    if len(coeffs) != len(deg1):
-        raise ValueError(
+    if not isinstance(coeffs, list) or len(coeffs) != len(deg1):
+        raise BadManifold(
             f"expected {len(deg1)} coefficients for the degree-2 basis"
         )
     out = {}
     for l, c in zip(deg1, coeffs):
-        c = Fraction(c)
+        try:
+            c = Fraction(c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise BadManifold(f"manifold JSON: bad coefficient "
+                              f"{json.dumps(c)}") from None
         if c != 0:
             out[l] = c
     return out

@@ -88,10 +88,10 @@ def as_y_laurent(value):
     ey, e1 = value.exps
     if e1 > 0:
         raise NotLaurent(f"denominator is not a monomial: {value}")
-    num = value.num
+    num = value.ints
     for _ in range(-e1):
         num = poly_mul(num, (1, 1))
-    return {e - ey: c for e, c in enumerate(num) if c != 0}
+    return {e - ey: Fraction(c, value.den) for e, c in enumerate(num) if c}
 
 
 class SeriesRing:

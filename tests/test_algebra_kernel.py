@@ -1,4 +1,6 @@
 from fractions import Fraction
+from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, seed
@@ -24,7 +26,7 @@ from ellgenus.algebra_kernel import (
     resultant_in,
     ring_invert,
 )
-from ellgenus.jacobi_q import SeriesRing
+from ellgenus.jacobi_q import FORMAL_RING, SeriesRing, y_model
 
 F = Fraction
 
@@ -545,3 +547,278 @@ def test_localization_rejects_non_unit_inverse():
             ring.element([3, 0, 1]).inverse()
     y = Y_LOCAL.gen()
     assert (y * (1 + y) ** 2).inverse() == y ** -1 * (1 + y) ** -2
+
+
+# ---------------------------------------------------------------------------
+# the integer kernel against the Fraction kernel it replaced
+# ---------------------------------------------------------------------------
+#
+# The oracle is the former QuotientRing/QuotElt and Localization/
+# RationalFunction: Fraction coefficients, reduction and trial division by
+# generic polynomial division, inverses by the extended Euclidean
+# algorithm over Q.
+
+
+def _frac_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _frac_add(a, b):
+    n = max(len(a), len(b))
+    return _frac_trim([(a[i] if i < len(a) else F(0))
+                       + (b[i] if i < len(b) else F(0)) for i in range(n)])
+
+
+class _FracElement:
+    def _coerce(self, other):
+        if isinstance(other, type(self)):
+            return other
+        if isinstance(other, (int, F)):
+            return self.ring.from_fraction(other)
+        return None
+
+    def __sub__(self, other):
+        return self + (-self._coerce(other))
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        out = self.ring.one
+        for _ in range(n):
+            out = out * self
+        return out
+
+
+class _FracQuotientRing:
+    def __init__(self, modulus):
+        m = _frac_trim([F(c) for c in modulus])
+        self.modulus = [c / m[-1] for c in m]
+        self.degree = len(m) - 1
+        self.one = self.from_fraction(1)
+
+    def from_fraction(self, fr):
+        return self.element([fr])
+
+    def element(self, coeffs):
+        _, r = poly_divmod(list(coeffs), self.modulus)
+        return _FracQuotElt(self, tuple(r) + (F(0),) * (self.degree - len(r)))
+
+
+class _FracQuotElt(_FracElement):
+    def __init__(self, ring, coeffs):
+        self.ring, self.coeffs = ring, coeffs
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        return _FracQuotElt(self.ring, tuple(map(add, self.coeffs, o.coeffs)))
+
+    def __neg__(self):
+        return _FracQuotElt(self.ring, tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        if isinstance(other, (int, F)):
+            return _FracQuotElt(self.ring, tuple(a * other for a in self.coeffs))
+        return self.ring.element(poly_mul(self.coeffs, other.coeffs))
+
+    def __eq__(self, other):
+        return self.coeffs == self._coerce(other).coeffs
+
+    def inverse(self):
+        a = _frac_trim(list(self.coeffs))
+        if not a:
+            raise NonUnitLeadingCoefficient("zero is not invertible")
+        r0, r1, s0, s1 = self.ring.modulus, a, [], [F(1)]
+        while r1:
+            q, r = poly_divmod(r0, r1)
+            r0, r1 = r1, r
+            s0, s1 = s1, _frac_add(s0, [-c for c in poly_mul(q, s1)])
+        if len(r0) != 1:
+            raise NonUnitLeadingCoefficient("element is a zero divisor")
+        return self.ring.element([c / r0[0] for c in s0])
+
+
+class _FracLocalization:
+    def __init__(self, inverted):
+        monic = [_frac_trim([F(c) for c in s]) for s in inverted]
+        self.inverted = tuple(tuple(c / s[-1] for c in s) for s in monic)
+        self.zero = _FracRationalFunction(self, (), (0,) * len(monic))
+        self.one = self.from_fraction(1)
+
+    def from_fraction(self, fr):
+        return self.element([fr])
+
+    def element(self, num, exps=None):
+        return self._strip(_frac_trim([F(c) for c in num]),
+                           list(exps or self.zero.exps),
+                           range(len(self.inverted)))
+
+    def _strip(self, num, exps, which):
+        if not num:
+            return self.zero
+        for i in which:
+            while True:
+                q, r = poly_divmod(num, self.inverted[i])
+                if r:
+                    break
+                num, exps[i] = q, exps[i] - 1
+        return _FracRationalFunction(self, tuple(num), tuple(exps))
+
+
+class _FracRationalFunction(_FracElement):
+    def __init__(self, ring, num, exps):
+        self.ring, self.num, self.exps = ring, num, exps
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if not self.num or not o.num:
+            return self.ring.zero
+        return _FracRationalFunction(self.ring,
+                                     tuple(poly_mul(self.num, o.num)),
+                                     tuple(map(add, self.exps, o.exps)))
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if not o.num:
+            return self
+        if not self.num:
+            return o
+        a, b, tied = self.num, o.num, []
+        for i, (ea, eb) in enumerate(zip(self.exps, o.exps)):
+            for _ in range(eb - ea):
+                a = poly_mul(a, self.ring.inverted[i])
+            for _ in range(ea - eb):
+                b = poly_mul(b, self.ring.inverted[i])
+            if ea == eb:
+                tied.append(i)
+        return self.ring._strip(_frac_add(list(a), list(b)),
+                                list(map(max, self.exps, o.exps)), tied)
+
+    def __neg__(self):
+        return _FracRationalFunction(self.ring, tuple(-c for c in self.num),
+                                     self.exps)
+
+    def inverse(self):
+        if len(self.num) != 1:
+            raise NonUnitLeadingCoefficient("not a unit")
+        return _FracRationalFunction(self.ring, (1 / self.num[0],),
+                                     tuple(-e for e in self.exps))
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        return self.num == o.num and self.exps == o.exps
+
+
+KERNEL_RINGS = [FORMAL_RING, CYCLO] + [y_model(N)[0] for N in (3, 5, 7, 12)]
+
+
+def _oracle_ring(ring):
+    if isinstance(ring, Localization):
+        return _FracLocalization(ring.inverted)
+    return _FracQuotientRing(ring.modulus)
+
+
+def _same(x, o):
+    """The integer element x has the oracle element o's value."""
+    if isinstance(x, RationalFunction):
+        return x.num == o.num and x.exps == o.exps
+    return x.coeffs == o.coeffs
+
+
+def _check_normal_form(x):
+    assert all(type(c) is int for c in x.ints) and type(x.den) is int
+    assert x.den > 0
+    assert gcd(x.den, *x.ints) == 1
+    assert not x.ints or x.ints[-1] != 0
+    if isinstance(x, RationalFunction):
+        for s in x.ring.inverted:
+            assert not x.ints or poly_divmod(x.ints, s)[1], (x, s)
+        assert x.ints or x.exps == x.ring.zero.exps
+    else:
+        assert len(x.ints) <= x.ring.degree
+
+
+small_fractions_kernel = st.fractions(min_value=-3, max_value=3,
+                                      max_denominator=4)
+kernel_parts = st.tuples(
+    st.lists(small_fractions_kernel, min_size=0, max_size=8),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=4),
+)
+
+
+def _pair(ring, oracle, part):
+    """The same element in the integer ring and in the oracle."""
+    coeffs, exps = part
+    if isinstance(ring, Localization):
+        n = len(ring.inverted)
+        return ring.element(coeffs, exps[:n]), oracle.element(coeffs, exps[:n])
+    return ring.element(coeffs), oracle.element(coeffs)
+
+
+@seed(20261101)
+@settings(max_examples=40, deadline=None)
+@given(kernel_parts, kernel_parts, small_fractions_kernel,
+       st.integers(min_value=0, max_value=3))
+def test_integer_kernel_matches_fraction_oracle(pa, pb, c, n):
+    for ring in KERNEL_RINGS:
+        oracle = _oracle_ring(ring)
+        (a, oa), (b, ob) = _pair(ring, oracle, pa), _pair(ring, oracle, pb)
+        results = [(a, oa), (b, ob), (a + b, oa + ob), (a - b, oa - ob),
+                   (a * b, oa * ob), (a * c, oa * c), (c * b, ob * c),
+                   (a + c, oa + c), (c - b, -(ob - c)), (-a, -oa),
+                   (a ** n, oa ** n)]
+        # units: every nonzero element of a field Q[y]/(m), and the
+        # constants times powers of the s in a localisation
+        if isinstance(ring, Localization):
+            unit_part = ([pa[0][0] if pa[0] and pa[0][0] else 1], pa[1])
+            u, ou = _pair(ring, oracle, unit_part)
+        else:
+            u, ou = (a, oa) if not a.is_zero() else (ring.one, oracle.one)
+        results += [(u.inverse(), ou.inverse()), (u ** -n, ou ** -n),
+                    (b * u.inverse(), ob * ou.inverse())]
+        for x, o in results:
+            assert _same(x, o), ring
+            _check_normal_form(x)
+        # == and hash agree with the oracle's equality
+        assert (a == b) == (oa == ob)
+        for x, y in (((a + b) * u, a * u + b * u), (a * b, b * a),
+                     (u * u.inverse(), ring.one), (a - a, ring.zero),
+                     ((a * u) * u.inverse(), a)):
+            assert x == y and hash(x) == hash(y)
+        if isinstance(ring, Localization) and not a.is_zero():
+            # a non-constant numerator prime to every s is not a unit
+            with pytest.raises(NonUnitLeadingCoefficient):
+                (a * ring.element([-2, 1])).inverse()
+
+
+def test_localization_strip_linear_matches_division():
+    # s = y and s = 1 + y: the value num(0), num(-1) decides, against
+    # generic division, for multiplicities 0..3
+    for k in range(4):
+        for body in ([3, 1], [2, 0, 5], [-1, 4, 0, 2]):
+            for i, s in enumerate(FORMAL_RING.inverted):
+                num = body
+                for _ in range(k):
+                    num = poly_mul(num, s)
+                x = FORMAL_RING.element(num)
+                exps = [0, 0]
+                exps[i] = -k
+                q = list(num)
+                for _ in range(k):
+                    q, r = poly_divmod(q, s)
+                    assert not r
+                assert poly_divmod(q, s)[1]
+                assert x.exps == tuple(exps)
+                assert x.num == tuple(q)
+                _check_normal_form(x)
+
+
+def test_integral_monic_required():
+    with pytest.raises(ValueError):
+        QuotientRing([1, 2])
+    with pytest.raises(ValueError):
+        Localization([[1, 2]])
+    # monic over Z up to a unit: scaled moduli are accepted and stored monic
+    assert QuotientRing([F(-2), F(0), F(2)]).modulus == (-1, 0, 1)
+    assert Localization([[-3, -3]]).inverted == ((1, 1),)

@@ -204,3 +204,49 @@ def test_output_is_deterministic():
     a = run("leveln", "relations", "--N", "4", "--format", "json")
     b = run("leveln", "relations", "--N", "4", "--format", "json")
     assert a == b
+
+
+# One case per fault of the inline-manifold reader: each exits 2 with one
+# line that names the missing or bad field, in text and in json.
+BAD_MANIFOLDS = [
+    (("qexpand",), "{}", "missing field 'type'"),
+    (("genus", "eval", "--genus", "todd"), '{"type":"cp"}',
+     "missing field 'n'"),
+    (("genus", "eval", "--genus", "todd"), '{"type":3}',
+     "field 'type' must be one of"),
+    (("genus", "eval", "--genus", "todd"), '{"type":"cp","n":2.5}',
+     "field 'n' must be a nonnegative integer, got 2.5"),
+    (("genus", "eval", "--genus", "todd"), '{"type":"cp","n":true}',
+     "field 'n' must be a nonnegative integer, got true"),
+    (("genus", "eval", "--genus", "todd"),
+     '{"type":"chern_numbers","dim":4.5}',
+     "field 'dim' must be a nonnegative integer, got 4.5"),
+    (("genus", "eval", "--genus", "todd"),
+     '{"type":"chern_numbers","dim":-1}',
+     "field 'dim' must be a nonnegative integer, got -1"),
+    (("genus", "eval", "--genus", "todd"),
+     '{"type":"twisted_bundle","base":{"type":"cp","n":1},'
+     '"E":{"trivial":false}}',
+     "field 'trivial' must be a nonnegative integer, got false"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command,manifold,message", BAD_MANIFOLDS)
+def test_bad_manifold_json_exits_2(command, manifold, message, fmt):
+    rc, text = run(*command, "--manifold", manifold, "--format", fmt)
+    assert rc == 2
+    assert text.count("\n") == 1
+    if fmt == "json":
+        error = json.loads(text)["error"]
+    else:
+        assert text.startswith("error: ")
+        error = text[len("error: "):]
+    assert error.startswith("manifold JSON: ")
+    assert message in error
+
+
+def test_integral_float_count_is_accepted():
+    rc, text = run("genus", "eval", "--genus", "todd",
+                   "--manifold", '{"type":"cp","n":2.0}')
+    assert (rc, text) == (0, "todd(CP2) = 1\n")

@@ -1,9 +1,11 @@
-"""Differential oracle: the Localization normal form against sympy.
+"""Differential oracle: the dense kernel against sympy.
 
-An element num * prod_s s^(-e_s) in normal form, written as a fraction,
-is in lowest terms with a monic denominator, which is what sympy.cancel
-gives once its denominator is made monic.  Test-only: skipped when sympy
-is not installed.
+An element num * prod_s s^(-e_s) of a Localization in normal form,
+written as a fraction, is in lowest terms with a monic denominator, which
+is what sympy.cancel gives once its denominator is made monic.  An
+element of the cyclotomic ring Q[y]/(+-Phi_N(-y)) is its remainder
+modulo the minimal polynomial of y, which sympy.rem gives, and its
+inverse is sympy.invert.  Test-only: skipped when sympy is not installed.
 """
 
 from fractions import Fraction
@@ -13,6 +15,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus.algebra_kernel import Localization, cyclotomic_polynomial, poly_mul
+from ellgenus.jacobi_q import y_model
 
 sympy = pytest.importorskip("sympy")
 
@@ -82,3 +85,42 @@ def test_normal_form_matches_sympy_cancel(pa, pb):
         for ours, theirs in ((a, sa), (a + b, sa + sb), (a - b, sa - sb),
                              (a * b, sa * sb)):
             assert _pair(ours) == _sympy_pair(theirs), ring
+
+
+Y = sympy.Symbol("y")
+
+quot_parts = st.lists(
+    st.fractions(min_value=-4, max_value=4, max_denominator=3),
+    min_size=1, max_size=9)
+
+
+def _sym_y(coeffs):
+    return sum((sympy.Rational(F(c).numerator, F(c).denominator) * Y ** i
+                for i, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+def _residue(expr, modulus, degree):
+    """expr mod modulus, as Fractions low -> high padded to degree."""
+    out = _coeffs(sympy.Poly(sympy.rem(expr, modulus, Y), Y))
+    return tuple(out) + (F(0),) * (degree - len(out))
+
+
+@seed(20261102)
+@settings(max_examples=30, deadline=None)
+@given(quot_parts, quot_parts)
+def test_cyclotomic_products_and_inverses_match_sympy(pa, pb):
+    for N in (3, 4, 5, 7):
+        ring, y = y_model(N)
+        # the modulus is the monic minimal polynomial +-Phi_N(-y) of y
+        modulus = sympy.Poly(sympy.cyclotomic_poly(N, -Y), Y).monic()
+        assert _coeffs(modulus) == list(ring.modulus)
+        m = modulus.as_expr()
+        a, b = ring.element(pa), ring.element(pb)
+        sa, sb = _sym_y(pa), _sym_y(pb)
+        assert a.coeffs == _residue(sa, m, ring.degree)
+        assert (a * b).coeffs == _residue(sa * sb, m, ring.degree)
+        assert (a * y).coeffs == _residue(sa * Y, m, ring.degree)
+        for x, sx in ((a, sa), (b, sb), (a * b, sa * sb)):
+            if not x.is_zero():
+                inv = sympy.invert(sympy.rem(sx, m, Y), m, Y)
+                assert x.inverse().coeffs == _residue(inv, m, ring.degree)
