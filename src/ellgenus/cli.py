@@ -157,10 +157,11 @@ class InputError(ValueError):
 
 
 def resolve_manifold(sel):
-    """catalog:NAME, a path to a JSON file, or inline JSON."""
+    """catalog:NAME, inline JSON (a value starting with { or [), or a
+    path to a JSON file."""
     if sel.startswith("catalog:"):
         return catalog(sel[len("catalog:"):])
-    if sel.lstrip().startswith("{"):
+    if sel.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(sel)
         except json.JSONDecodeError as exc:

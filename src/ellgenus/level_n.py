@@ -3,10 +3,12 @@
 For each N >= 2 the function f of the universal genus satisfies a
 first-order equation 1/f^N + d_2N f^N = P_N(f'/f) with P_N monic of
 degree N.  Expanding that equation as a Laurent series determines the
-coefficients d_1..d_N and d_2N triangularly and leaves constraint
-polynomials in q_1..q_4; the Zolotarev condition d_{N-1} = 0 together
-with the first surviving constraint give the two relations R_{N-1} and
-R_{N+1} cutting out the level-N curve in Q[A, B, C, D].  The module also
+coefficients d_1..d_N and d_2N triangularly and leaves constraints; the
+Zolotarev condition d_{N-1} = 0 together with the first constraint give
+the two relations R_{N-1} and R_{N+1} cutting out the level-N curve in
+Q[A, B, C, D].  Both are weighted homogeneous, so the expansion runs over
+QQ at rational points (1, b, c, d) and the relations are interpolated
+exactly on their weighted monomial support.  The module also
 provides the resultant eliminating A, weighted Poincare series with
 their degree h_0, cusp points, the C = D = 0 relation T_{N-1}, kernel
 membership tests, and the two level-2 modular forms delta and epsilon.
@@ -15,6 +17,7 @@ membership tests, and the two level-2 modular forms delta and epsilon.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count, product
 from math import prod
 
 from .algebra_kernel import (
@@ -22,6 +25,7 @@ from .algebra_kernel import (
     PolyRing,
     QQ,
     TruncatedSeries,
+    WeightedPoly,
     cyclotomic_polynomial,
     resultant_in,
 )
@@ -50,12 +54,6 @@ class WrongPoleOrder(ArithmeticError):
     pass
 
 
-def to_abcd_coords(poly):
-    """Transport a polynomial in q1..q4 to A, B, C, D coordinates."""
-    images = dict(zip(Q_RING.names, abcd_to_q(ABCDPoint.generic())))
-    return poly.substitute(images, ring=ABCD_RING)
-
-
 def to_q_coords(poly):
     """Transport a polynomial in A, B, C, D to q1..q4 coordinates."""
     images = dict(zip(("A", "B", "C", "D"), q_to_abcd(QuarticData.generic())))
@@ -63,23 +61,16 @@ def to_q_coords(poly):
 
 
 class LevelNData:
-    """P_N data and the two relations for one level N.
+    """The two relations for one level N.
 
-    d: dict i -> d_i (WeightedPoly in q1..q4, weight i), i = 1..N
-    d2N: WeightedPoly of weight 2N
-    constraints: list of (k, poly) — the Laurent coefficient of x^k of the
-        expanded equation, for every k whose coefficient is not consumed
-        as a definition; each poly has weight N + k
     r_lower, r_upper: the normalized relations in A, B, C, D (weights
         N-1 and N+1)
+    order: the truncation order of the ODE solution they were read from
     """
 
-    def __init__(self, N, order, d, d2N, constraints, r_lower, r_upper):
+    def __init__(self, N, order, r_lower, r_upper):
         self.N = N
         self.order = order
-        self.d = d
-        self.d2N = d2N
-        self.constraints = constraints
         self.r_lower = r_lower
         self.r_upper = r_upper
 
@@ -93,9 +84,73 @@ class LevelNData:
         return f"<LevelNData N={self.N}>"
 
 
+def _slice_points():
+    """Integer points (b, c, d) of growing height max(|b|, |c|, |d|)."""
+    for height in count():
+        for p in product(range(-height, height + 1), repeat=3):
+            if max(map(abs, p)) == height:
+                yield tuple(Fraction(x) for x in p)
+
+
+def _slice_row(support, point):
+    """The monomials A^a B^b C^c D^d of support evaluated at (1, b, c, d);
+    on a support of one weight these are distinct monomials in b, c, d."""
+    b, c, d = point
+    return [b ** e[1] * c ** e[2] * d ** e[3] for e in support]
+
+
+def _unisolvent_points(support, points):
+    """The first points, in order, whose rows raise the rank over support,
+    until the square system on support is nonsingular."""
+    basis, kept = [], []
+    for p in points:
+        if _echelon_insert(basis, _slice_row(support, p)):
+            kept.append(p)
+            if len(kept) == len(support):
+                return kept
+    raise ArithmeticError("points exhausted before the support was fixed")
+
+
+def _point_values(N, order, point):
+    """d_{N-1} and the x^1 coefficient of P_N(h) - f^-N - sum d_i h^(N-i)
+    at the rational point (A, B, C, D) = (1, b, c, d), solved over QQ.
+
+    The Laurent coefficient at x^{-N+i} defines d_i because h^{N-i} =
+    x^{-(N-i)} + ...; f^N = x^N + ... has no x^1 term for N >= 2, so the
+    x^1 coefficient is the first constraint without d_2N.
+    """
+    h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *point)), order)
+    f = q_of_h(h).f_series()
+    hp = [TruncatedSeries.one_series(QQ, h.order)]
+    for _ in range(N):
+        hp.append(hp[-1] * h)
+    acc = hp[N] - f.inverse() ** N
+    for i in range(1, N + 1):
+        di = -acc.coeff(i - N)
+        if i == N - 1:
+            d_lower = di
+        acc = acc + hp[N - i] * di
+    return d_lower, acc.coeff(1)
+
+
+def _interpolate(support, points, values):
+    """The polynomial on support that takes values at (1, b, c, d) for each
+    point; the points must make the square system nonsingular."""
+    rows = [_slice_row(support, p) for p in points]
+    coeffs = _solve(rows, values)
+    return WeightedPoly(ABCD_RING, dict(zip(support, coeffs)))
+
+
 def compute_level_data(N, order=None):
-    """Solve 1/f^N + d_2N f^N = P_N(f'/f) over Q[q1..q4] and extract
-    the relations R_{N-1} and R_{N+1}.
+    """The relations R_{N-1} and R_{N+1} of 1/f^N + d_2N f^N = P_N(f'/f),
+    by evaluation at rational points and exact interpolation.
+
+    Both relations are weighted homogeneous (weights N-1 and N+1), so
+    their values on the slice A = 1 fix them over a support known in
+    advance.  At each point (1, b, c, d) the ODE is solved to the given
+    order over QQ and the equation expanded there; the points come from
+    an unbounded enumeration, each kept only if it raises the rank, so
+    the square systems are nonsingular and their solutions exact.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -103,58 +158,36 @@ def compute_level_data(N, order=None):
         order = 2 * N + 4
     if order < 2 * N + 2:
         raise InsufficientOrder(f"need order >= {2 * N + 2}, got {order}")
-    S = QuarticData.generic()
-    h = solve_h(S, order)
-    spec = q_of_h(h)
-    f = spec.f_series()
-    f_inv = f.inverse()
-    fN = f ** N
-    fmN = f_inv ** N
-    hp = [None] * (N + 1)
-    hp[0] = TruncatedSeries.one_series(Q_RING, h.order)
-    for j in range(1, N + 1):
-        hp[j] = hp[j - 1] * h
-
-    # accumulate P_N(h) - f^{-N}; the Laurent coefficient at x^{-N+i}
-    # defines d_i because h^{N-i} = x^{-(N-i)} + ...
-    acc = hp[N] - fmN
-    d = {}
-    for i in range(1, N + 1):
-        di = -acc.coeff(-N + i)
-        d[i] = di
-        acc = acc + hp[N - i] * di
-    d2N = acc.coeff(N)
-    E = acc - fN * d2N
-
-    constraints = []
-    for k in range(1, E.order + 1):
-        if k == N:
-            continue
-        c = E.coeff(k)
-        if not c.is_zero():
-            constraints.append((k, c))
+    # at A = 1 the lower support's monomials are among the upper's, so a
+    # point that raises the rank on the lower support raises it on the
+    # upper one: the points for R_{N-1} are among those for R_{N+1}
+    support_lo = ABCD_RING.monomials_of_weight(N - 1)
+    support_up = ABCD_RING.monomials_of_weight(N + 1)
+    points_up = _unisolvent_points(support_up, _slice_points())
+    points_lo = _unisolvent_points(support_lo, points_up)
+    values = {p: _point_values(N, order, p) for p in points_up}
 
     # R_{N-1}: the Zolotarev condition d_{N-1} = 0, normalized so the
     # A^{N-1} coefficient is 1
-    r_lower = to_abcd_coords(d[N - 1])
-    lead_exp = (N - 1, 0, 0, 0)
-    alpha = r_lower.coeff(lead_exp)
+    r_lower = _interpolate(support_lo, points_lo,
+                           [values[p][0] for p in points_lo])
+    alpha = r_lower.coeff((N - 1, 0, 0, 0))
     if alpha == 0:
         raise ArithmeticError("missing leading A power in R_{N-1}")
     r_lower = r_lower * (1 / alpha)
 
-    # R_{N+1}: first constraint, with the A^{N+1} and A^{N-1} B monomials
-    # removed by subtracting multiples of R_{N-1}, then made monic in the
-    # graded lexicographic order
-    first = next((c for k, c in constraints if k == 1), None)
-    if first is None:
+    # R_{N+1}: the first constraint, with the A^{N+1} and A^{N-1} B
+    # monomials removed by subtracting multiples of R_{N-1}, then made
+    # monic in the graded lexicographic order
+    r_upper = _interpolate(support_up, points_up,
+                           [values[p][1] for p in points_up])
+    if r_upper.is_zero():
         raise ArithmeticError("no weight-(N+1) constraint found")
-    r_upper = to_abcd_coords(first)
     A, B, _, _ = ABCD_RING.gens()
     r_upper = r_upper - A * A * r_lower * r_upper.coeff((N + 1, 0, 0, 0))
     r_upper = r_upper - B * r_lower * r_upper.coeff((N - 1, 1, 0, 0))
     r_upper = r_upper.monic()
-    return LevelNData(N, order, d, d2N, constraints, r_lower, r_upper)
+    return LevelNData(N, order, r_lower, r_upper)
 
 
 def eliminate(data, coords="abcd"):
@@ -307,28 +340,52 @@ def reduce_mod_ideal(v, gens):
     return out
 
 
-def _reduce_vector(rows, vec):
-    """Reduce vec against the row space of rows (exact Gauss-Jordan)."""
-    work = [list(r) for r in rows]
-    n = len(vec)
-    vec = list(vec)
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
-        if piv is None:
-            continue
-        work[r], work[piv] = work[piv], work[r]
-        inv = 1 / work[r][c]
-        work[r] = [x * inv for x in work[r]]
-        for i in range(len(work)):
-            if i != r and work[i][c] != 0:
-                fct = work[i][c]
-                work[i] = [a - fct * b for a, b in zip(work[i], work[r])]
+def _echelon_insert(basis, vec):
+    """Exact Gauss-Jordan step: add vec to basis, a reduced row echelon
+    form kept as a list of (pivot column, row with 1 there).  Returns
+    False, leaving basis as it was, if vec lies in its span."""
+    vec = _reduce(basis, vec)
+    c = next((i for i, x in enumerate(vec) if x != 0), None)
+    if c is None:
+        return False
+    inv = Fraction(1) / vec[c]
+    vec = [x * inv for x in vec]
+    for k, (pc, row) in enumerate(basis):
+        if row[c] != 0:
+            fct = row[c]
+            basis[k] = (pc, [a - fct * b for a, b in zip(row, vec)])
+    basis.append((c, vec))
+    return True
+
+
+def _reduce(basis, vec):
+    """vec minus the combination of basis rows that clears every pivot
+    column: its canonical normal form modulo their span."""
+    for c, row in basis:
         if vec[c] != 0:
             fct = vec[c]
-            vec = [a - fct * b for a, b in zip(vec, work[r])]
-        r += 1
+            vec = [a - fct * b for a, b in zip(vec, row)]
     return vec
+
+
+def _reduce_vector(rows, vec):
+    """Reduce vec against the row space of rows (exact Gauss-Jordan)."""
+    basis = []
+    for row in rows:
+        _echelon_insert(basis, row)
+    return _reduce(basis, list(vec))
+
+
+def _solve(rows, values):
+    """The unique x with rows x = values for a nonsingular square system,
+    by Gauss-Jordan on the augmented rows."""
+    n = len(rows)
+    basis = []
+    for row, v in zip(rows, values):
+        _echelon_insert(basis, list(row) + [v])
+    if sorted(c for c, _ in basis) != list(range(n)):
+        raise ArithmeticError("singular interpolation system")
+    return [row[-1] for _, row in sorted(basis, key=lambda cr: cr[0])]
 
 
 def in_ideal(v, gens):

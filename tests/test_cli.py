@@ -1,8 +1,10 @@
+import hashlib
 import io
 import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -130,6 +132,20 @@ def test_leveln_relations_json():
     assert obj["relations_abcd"]["R1"] == [["A", "1"]]
 
 
+LEVELN_DIGESTS = json.loads(
+    (Path(__file__).parent / "leveln_relations_sha256.json").read_text())
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("N", sorted(LEVELN_DIGESTS, key=int))
+def test_leveln_relations_golden_stdout(N, fmt):
+    # SHA-256 of the recorded stdout; a change to this output must
+    # re-record tests/leveln_relations_sha256.json and say why
+    rc, text = run("leveln", "relations", "--N", N, "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == LEVELN_DIGESTS[N][fmt]
+
+
 def test_qexpand_text():
     rc, text = run("qexpand", "--manifold", "catalog:W2", "--qorder", "1")
     assert rc == 0
@@ -228,6 +244,7 @@ BAD_MANIFOLDS = [
      '{"type":"twisted_bundle","base":{"type":"cp","n":1},'
      '"E":{"trivial":false}}',
      "field 'trivial' must be a nonnegative integer, got false"),
+    (("genus", "eval", "--genus", "todd"), "[1]", "expected an object"),
 ]
 
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+from functools import lru_cache
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,8 @@ from ellgenus.level_n import (
     InsufficientOrder,
     LevelNData,
     WrongPoleOrder,
+    _slice_points,
+    _unisolvent_points,
     compute_level_data,
     cusp_points,
     degree_h0,
@@ -28,11 +32,65 @@ from ellgenus.level_n import (
     t_poly,
     to_q_coords,
 )
-from ellgenus.universal_elliptic import ABCD_RING, Q_RING
+from ellgenus.universal_elliptic import (
+    ABCD_RING,
+    ABCDPoint,
+    Q_RING,
+    QuarticData,
+    abcd_to_q,
+    q_of_h,
+    solve_h,
+)
 
 F = Fraction
 A, B, C, D = ABCD_RING.gens()
 q1, q2, q3, q4 = Q_RING.gens()
+
+
+# ---------------------------------------------------------------------------
+# oracle: the relations by symbolic expansion over Q[q1..q4]
+# ---------------------------------------------------------------------------
+
+
+def _to_abcd_coords(poly):
+    images = dict(zip(Q_RING.names, abcd_to_q(ABCDPoint.generic())))
+    return poly.substitute(images, ring=ABCD_RING)
+
+
+@lru_cache(maxsize=None)
+def _level_data_symbolic(N, order):
+    """Solve 1/f^N + d_2N f^N = P_N(f'/f) over Q[q1..q4].
+
+    d: dict i -> d_i (weight i), i = 1..N; d2N of weight 2N;
+    constraints: (k, poly) for the Laurent coefficient at every x^k, k != N,
+    that is not zero, each of weight N + k; r_lower, r_upper normalized as
+    in compute_level_data.
+    """
+    h = solve_h(QuarticData.generic(), order)
+    f = q_of_h(h).f_series()
+    fN = f ** N
+    fmN = f.inverse() ** N
+    hp = [TruncatedSeries.one_series(Q_RING, h.order)]
+    for _ in range(N):
+        hp.append(hp[-1] * h)
+    acc = hp[N] - fmN
+    d = {}
+    for i in range(1, N + 1):
+        d[i] = -acc.coeff(-N + i)
+        acc = acc + hp[N - i] * d[i]
+    d2N = acc.coeff(N)
+    E = acc - fN * d2N
+    constraints = [(k, E.coeff(k)) for k in range(1, E.order + 1)
+                   if k != N and not E.coeff(k).is_zero()]
+
+    r_lower = _to_abcd_coords(d[N - 1])
+    r_lower = r_lower * (1 / r_lower.coeff((N - 1, 0, 0, 0)))
+    first = next(c for k, c in constraints if k == 1)
+    r_upper = _to_abcd_coords(first)
+    r_upper = r_upper - A * A * r_lower * r_upper.coeff((N + 1, 0, 0, 0))
+    r_upper = r_upper - B * r_lower * r_upper.coeff((N - 1, 1, 0, 0))
+    return SimpleNamespace(d=d, d2N=d2N, constraints=constraints,
+                           r_lower=r_lower, r_upper=r_upper.monic())
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +138,7 @@ def test_zolotarev_condition_consumed():
     # d_{N-1} itself is the lower relation (up to normalization)
     for N in (2, 3, 4):
         data = compute_level_data(N)
-        dq = data.d[N - 1]
+        dq = _level_data_symbolic(N, 2 * N + 4).d[N - 1]
         assert in_ideal(to_q_coords(data.r_lower), [dq])
 
 
@@ -90,8 +148,34 @@ def test_higher_constraints_lie_in_the_ideal():
     for N in (2, 3):
         data = compute_level_data(N, order=2 * N + 6)
         gens = [data.r_lower_q(), data.r_upper_q()]
-        for _, c in data.constraints:
+        for _, c in _level_data_symbolic(N, 2 * N + 6).constraints:
             assert in_ideal(c, gens)
+
+
+@pytest.mark.parametrize("N", range(2, 8))
+def test_relations_match_symbolic_oracle(N):
+    data = compute_level_data(N)
+    oracle = _level_data_symbolic(N, 2 * N + 4)
+    assert data.order == 2 * N + 4
+    assert data.r_lower == oracle.r_lower
+    assert data.r_upper == oracle.r_upper
+
+
+def test_relations_truncation_sound():
+    for N in (2, 3, 4, 5):
+        data, deeper = compute_level_data(N), compute_level_data(
+            N, order=2 * N + 8)
+        assert (data.r_lower, data.r_upper) == (deeper.r_lower,
+                                                deeper.r_upper)
+
+
+def test_slice_points_fix_large_supports():
+    # a fixed [-2, 2]^3 grid runs out of points at weight 11 (N = 10);
+    # the growing enumeration does not
+    for w in (3, 7, 11):
+        support = ABCD_RING.monomials_of_weight(w)
+        points = _unisolvent_points(support, _slice_points())
+        assert len(set(points)) == len(support)
 
 
 def test_eliminant_level3():
@@ -134,7 +218,9 @@ def test_cusp_points_level2():
 
 
 def test_cusp_points_satisfy_relations():
-    for N in (2, 3, 4):
+    # the cusps come from closed formulas, independent of both routes to
+    # the relations
+    for N in range(2, 9):
         data = compute_level_data(N)
         for p in cusp_points(N):
             images = dict(zip(("A", "B", "C", "D"), p))
