@@ -2,12 +2,12 @@
 
 Rationals (stdlib Fraction); one sparse multivariate polynomial type,
 WeightedPoly, with weighted variables, coefficients in any ring context
-and an optional total-degree cap that makes it a truncated multivariate
-series; resultants; truncated series in one variable over any ring
-context; univariate quotient rings Q[y]/(m); and rational functions in
-one variable whose denominators are products of fixed irreducibles, the
-localisations of Q[t] at finitely many primes, kept in a normal form that
-needs no polynomial gcd.
+and an optional weighted-degree cap that makes it a truncated
+multivariate series; resultants; truncated series in one variable over
+any ring context; univariate quotient rings Q[y]/(m); and rational
+functions in one variable whose denominators are products of fixed
+irreducibles, the localisations of Q[t] at finitely many primes, kept in
+a normal form that needs no polynomial gcd.
 
 The last two are dense: an element stores its numerator as a tuple of
 ints over one positive int denominator.  Their moduli and inverted
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
+from operator import add, mul
 
 
 class NonUnitLeadingCoefficient(ArithmeticError):
@@ -103,7 +103,7 @@ def ring_invert(c):
 
 # ---------------------------------------------------------------------------
 # sparse multivariate polynomials: weighted variables, generic
-# coefficients, optional total-degree cap
+# coefficients, optional weighted-degree cap
 # ---------------------------------------------------------------------------
 
 
@@ -201,10 +201,10 @@ class WeightedPoly:
     """Element of a PolyRing; terms map exponent tuples to nonzero
     coefficients in ring.base.
 
-    cap, if not None, bounds the total degree (the sum of the exponents):
-    terms above it are dropped, which makes the element a truncated
-    multivariate series, and binary operations keep the smaller cap of
-    their operands.
+    cap, if not None, bounds the weighted degree (term_weight, the sum of
+    the exponents times the variable weights): terms above it are
+    dropped, which makes the element a truncated multivariate series, and
+    binary operations keep the smaller cap of their operands.
     """
 
     __slots__ = ("ring", "terms", "cap")
@@ -216,10 +216,10 @@ class WeightedPoly:
             self.terms = {e: c for e, c in terms.items() if c != 0}
         else:
             self.terms = {e: c for e, c in terms.items()
-                          if c != 0 and sum(e) <= cap}
+                          if c != 0 and self.term_weight(e) <= cap}
 
     def truncate(self, cap):
-        """Drop the terms of total degree above cap, which becomes the cap."""
+        """Drop the terms of weight above cap, which becomes the cap."""
         return WeightedPoly(self.ring, self.terms, _mincap(self.cap, cap))
 
     # -- basic structure ----------------------------------------------------
@@ -228,7 +228,7 @@ class WeightedPoly:
         return not self.terms
 
     def term_weight(self, exps):
-        return sum(e * w for e, w in zip(exps, self.ring.weights))
+        return sum(map(mul, exps, self.ring.weights))
 
     def weight(self):
         """Weight if homogeneous, else None.  Zero returns None as well
@@ -320,11 +320,13 @@ class WeightedPoly:
             return WeightedPoly(
                 self.ring, {e: a * c for e, a in self.terms.items()}, self.cap)
         cap = _mincap(self.cap, other.cap)
+        weigh = (lambda e: 0) if cap is None else self.term_weight
+        right = [(weigh(e2), e2, c2) for e2, c2 in other.terms.items()]
         terms = {}
         for e1, c1 in self.terms.items():
-            d1 = sum(e1)
-            for e2, c2 in other.terms.items():
-                if cap is not None and d1 + sum(e2) > cap:
+            room = 0 if cap is None else cap - weigh(e1)
+            for w2, e2, c2 in right:
+                if w2 > room:
                     continue
                 e = tuple(map(add, e1, e2))
                 prev = terms.get(e)
@@ -450,39 +452,6 @@ class WeightedPoly:
                     term = term * pw[k]
             result = result + term * c
         return result
-
-    def permute(self, perm):
-        """Relabel variables: variable perm[i] receives the exponent of
-        variable i."""
-        terms = {}
-        for e, c in self.terms.items():
-            ne = [0] * len(e)
-            for i, k in enumerate(e):
-                ne[perm[i]] = k
-            terms[tuple(ne)] = c
-        return WeightedPoly(self.ring, terms, self.cap)
-
-    def divide_linear(self, i, j):
-        """Exact division by (x_i - x_j), x_i the i-th variable; raises
-        ExactDivisionError if a remainder survives.
-
-        Synthetic division in x_i.  A capped dividend gives a quotient
-        whose cap is one lower.
-        """
-        parts = self.as_univariate(self.ring.names[i])
-        zero = self.ring.zero
-        xj = self.ring.gen(self.ring.names[j]).truncate(self.cap)
-        quotient = {}
-        carry = zero
-        for k in range(max(parts, default=0), 0, -1):
-            qk = parts.get(k, zero) + carry
-            for e, c in qk.terms.items():
-                quotient[e[:i] + (k - 1,) + e[i + 1:]] = c
-            carry = xj * qk
-        if not (parts.get(0, zero) + carry).is_zero():
-            raise ExactDivisionError("not divisible by (x_i - x_j)")
-        return WeightedPoly(self.ring, quotient,
-                            None if self.cap is None else self.cap - 1)
 
     # -- univariate views ---------------------------------------------------
 

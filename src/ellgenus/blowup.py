@@ -2,29 +2,32 @@
 
 For a blow-up X~ -> X along a center Y of codimension q, the change of
 the genus is supported on Y: with Q the characteristic series, x_i the
-Chern roots of the normal bundle, and v = x_1,
+Chern roots of the normal bundle E, and v = x_1,
 
     phi(X~) - phi(X)
         = K_phi(TY) . p_* ( (Q(v) prod_{i>=2} Q(x_i - v)
                              - prod_i Q(x_i)) / v ) [Y],
 
-where p_* is the pushforward from the projective bundle of the normal
-bundle, p_*(g(v)) = sum_i g(x_i) / prod_{j != i} (x_j - x_i), computed
-by q - 1 exact divided differences.  No model of the blown-up space is
+where p_* is the pushforward from the projective bundle P(E).  Because
+Q(0) = 1 the integrand is G(v) = Q(v) prod_{i=1..q} Q(x_i - v), which is
+symmetric in all the roots, so the computation runs in the Chern classes
+e_1..e_q of E and never forms the roots: log G is linear in the power
+sums, G is its graded exponential, and p_* sends v^(q-1+k) to
+(-1)^(q-1) h_k(E), a Segre class.  No model of the blown-up space is
 ever built.  The module also verifies the two residue identities behind
 level-N invariance: the rational identity
 sum_i prod_{j != i} x_j/(x_j - x_i) = 1, and its elliptic analogue for
 the level-N series when q = 1 mod N, which says that the same
-pushforward vanishes identically in the roots.
+pushforward vanishes identically.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
+from math import comb
 
-from .algebra_kernel import PolyRing, WeightedPoly, coeff_is_zero, horner
-from .cohomology_models import cp_model, point_model
+from .algebra_kernel import PolyRing, WeightedPoly, coeff_is_zero
+from .cohomology_models import cp_model, point_model, power_sum_in_chern
 from .genus_engine import multiplicative_class
 from .jacobi_q import _product_spec
 
@@ -66,23 +69,33 @@ class BlowupInput:
 
 
 def projective_pushforward(t, q):
-    """Pushforward from the projective bundle of a rank-q bundle.
+    """Pushforward from the projective bundle P(E) of a rank-q bundle E.
 
-    t is a polynomial in the roots x_1..x_q, symmetric in x_2..x_q, read
-    as a class on P(E) with v = x_1.  The result is the symmetric
+    t is a polynomial in v, e_1..e_q (the first variable of its ring is
+    v, the others the Chern classes of E), read as a class on P(E) with
+    v = x_1.  The pushforward is linear over the e's, and
 
-        sum_i t|_{x_1 <-> x_i} / prod_{j != i} (x_j - x_i)
-            = (-1)^(q-1) d_{q-1} ... d_1 t,
+        p_*(v^(q-1+k)) = (-1)^(q-1) h_k(E),
 
-    d_k f = (f - s_k f) / (x_k - x_{k+1}), s_k swapping x_k and x_{k+1}.
-    Every division is exact and checked; a capped t loses one degree of
-    cap per step.
+    h_k the complete homogeneous function of the roots, so that
+    h_k = (-1)^k s_k(E) with s(E) = 1/c(E) the Segre classes (Fulton,
+    Intersection Theory, 3.1); lower powers of v push forward to 0.  The
+    result is a polynomial in e_1..e_q over the same base.
     """
-    out = t
-    for k in range(q - 1):
-        swap = list(range(q))
-        swap[k], swap[k + 1] = k + 1, k
-        out = (out - out.permute(swap)).divide_linear(k, k + 1)
+    ering = PolyRing(*t.ring.variables[1:], base=t.ring.base)
+    by_power = {}
+    for e, c in t.terms.items():
+        if e[0] >= q - 1:
+            by_power.setdefault(e[0] - q + 1, {})[e[1:]] = c
+    # h_k = sum_{i=1..min(k,q)} (-1)^(i-1) e_i h_{k-i}
+    es = ering.gens()
+    hs = [ering.one]
+    for k in range(1, max(by_power, default=0) + 1):
+        hs.append(sum((es[i - 1] * hs[k - i] * (-1) ** (i - 1)
+                       for i in range(1, min(k, q) + 1)), ering.zero))
+    out = ering.zero
+    for k, terms in by_power.items():
+        out = out + WeightedPoly(ering, terms) * hs[k]
     return -out if q % 2 == 0 else out
 
 
@@ -91,99 +104,73 @@ def projective_pushforward(t, q):
 flag_pushforward = projective_pushforward
 
 
-def symmetric_to_elementary(sym):
-    """Symmetric polynomial -> dict {(m_1..m_q): coeff} over e_1..e_q.
-
-    Gauss reduction on the lex-leading monomial; each leading exponent
-    vector of a symmetric polynomial is a partition lambda, killed by
-    c * e_1^{l1-l2} e_2^{l2-l3} ... e_q^{lq}.  Each lambda leads once,
-    so each coefficient is set once.
-    """
-    ring = sym.ring
-    q = ring.nvars
-    elems = [_elementary(ring, k) for k in range(1, q + 1)]
-    work = WeightedPoly(ring, sym.terms)
-    out = {}
-    while work.terms:
-        lam = max(work.terms)  # lex order; leading exponent is a partition
-        c = work.terms[lam]
-        if list(lam) != sorted(lam, reverse=True):
-            raise ValueError("polynomial is not symmetric")
-        expo = [lam[k] - (lam[k + 1] if k + 1 < q else 0) for k in range(q)]
-        mono = ring.one
-        for k, m in enumerate(expo):
-            if m:
-                mono = mono * elems[k] ** m
-        out[tuple(expo)] = c
-        work = work - mono * c
-    return out
-
-
-def _elementary(ring, k):
-    n = ring.nvars
-    terms = {}
-    for sub in combinations(range(n), k):
-        terms[tuple(1 if i in sub else 0 for i in range(n))] = ring.base.one
-    return WeightedPoly(ring, terms)
-
-
 # ---------------------------------------------------------------------------
 # the defect formula
 # ---------------------------------------------------------------------------
 
 
-def _divide_by_var(p, i):
-    """Exact division by x_i; every term must contain x_i."""
-    terms = {}
-    for e, c in p.terms.items():
-        if e[i] < 1:
-            raise ArithmeticError("expression not divisible by the root")
-        ne = list(e)
-        ne[i] -= 1
-        terms[tuple(ne)] = c
-    cap = None if p.cap is None else p.cap - 1
-    return WeightedPoly(p.ring, terms, cap)
-
-
 def _defect_cap(q, dim):
-    """x-degree through which the pushforward numerator is needed.
+    """Weight through which the integrand G is needed.
 
-    Dividing by v and the q - 1 divided differences lower the degree by q
-    in total; the result is needed through degree dim.
+    Dividing by v and pushing forward lower the weight by q in total; the
+    result is needed through weight dim.
     """
     return dim + q
 
 
 def pushed_defect(spec, q, dim):
-    """p_*((Q(v) prod_{i>=2} Q(x_i - v) - prod_i Q(x_i)) / v) through degree dim.
+    """p_*((G(v) - G(0)) / v) through weight dim, a polynomial over
+    spec.ring in the Chern classes e_1..e_q of the normal bundle.
 
-    A symmetric polynomial in the q normal-bundle roots x1..xq over
-    spec.ring.
+    G(v) = Q(v) prod_{i=1..q} Q(x_i - v) is the blow-up integrand, since
+    Q(x_1 - v) = Q(0) = 1 at v = x_1, and G(0) = prod_i Q(x_i).  It is
+    built in spec.ring[v, e_1..e_q], e_i of weight i, through weight
+    dim + q: with p_j the power sums of the roots in the e's (p_0 = q),
+
+        log G = sum_m l_m (v^m + sum_j C(m, j) (-v)^(m-j) p_j),
+
+    and G_n = (1/n) sum_m m L_m G_{n-m}, L_m the weight-m part of log G.
     """
     cap = _defect_cap(q, dim)
     if spec.order < cap:
         raise TruncationTooLow(
             f"genus truncation {spec.order} < required {cap}"
         )
-    ring = PolyRing(*(f"x{i + 1}" for i in range(q)), base=spec.ring)
-    qc = [spec.q.coeff(k) for k in range(cap + 1)]
-    xs = [x.truncate(cap) for x in ring.gens()]
-    v = xs[0]
-    first = horner(qc, v)
-    for xi in xs[1:]:
-        first = first * horner(qc, xi - v)
-    second = ring.one
-    for xi in xs:
-        second = second * horner(qc, xi)
-    return projective_pushforward(_divide_by_var(first - second, 0), q)
+    ring = PolyRing("v", *((f"e{i}", i) for i in range(1, q + 1)),
+                    base=spec.ring)
+    zeros = (0,) * q
+    powers = [{zeros: q}]
+    for j in range(1, cap + 1):
+        pj = {}
+        for part, c in power_sum_in_chern(j).items():
+            if part[0] <= q:  # e_i = 0 for i > q
+                pj[tuple(part.count(i) for i in range(1, q + 1))] = c
+        powers.append(pj)
+    graded = [ring.one]
+    dlog = [None]  # dlog[m] = m L_m
+    for n in range(1, cap + 1):
+        ints = {(n,) + zeros: n}  # from log Q(v)
+        for j in range(n + 1):
+            k = n * comb(n, j) * (-1) ** (n - j)
+            for a, c in powers[j].items():
+                ints[(n - j,) + a] = ints.get((n - j,) + a, 0) + k * c
+        l_n = spec.log_coeffs[n]
+        dlog.append(WeightedPoly(ring, {e: l_n * k for e, k in ints.items()}))
+        acc = ring.zero
+        for m in range(1, n + 1):
+            acc = acc + dlog[m] * graded[n - m]
+        graded.append(acc * Fraction(1, n))
+    # (G - G(0)) / v: drop the v-free terms, lower the power of v
+    over_v = {(e[0] - 1,) + e[1:]: c
+              for gn in graded for e, c in gn.terms.items() if e[0]}
+    return projective_pushforward(WeightedPoly(ring, over_v), q)
 
 
 def genus_defect(inp):
     """phi(blow-up of X along the center) - phi(X), computed over the center."""
     model = inp.center
     spec = inp.spec
-    edict = symmetric_to_elementary(
-        pushed_defect(spec, inp.codim, model.dim))
+    pushed = pushed_defect(spec, inp.codim, model.dim)
 
     # elementary symmetric functions of the normal-bundle roots
     e_classes = [model.one_elt()]
@@ -195,7 +182,7 @@ def genus_defect(inp):
         e_classes = new
 
     total = model.zero_elt()
-    for expo, c in edict.items():
+    for expo, c in pushed.terms.items():
         term = model.one_elt()
         for k, m in enumerate(expo):
             for _ in range(m):
@@ -234,8 +221,8 @@ def verify_rational_identity(q, samples):
 def verify_elliptic_identity(N, q, qorder=2, xorder=4):
     """The elliptic residue identity for the level-N series.
 
-    Checks, as an identity of truncated polynomials in formal x_1..x_q
-    with level-N q-series coefficients, that
+    The identity, in formal roots x_1..x_q with level-N q-series
+    coefficients, is
 
         sum_i (1/f(x_i)) prod_{j != i} 1/f(x_j - x_i)
             - prod_i 1/f(x_i) = 0.
@@ -243,15 +230,18 @@ def verify_elliptic_identity(N, q, qorder=2, xorder=4):
     With 1/f(x) = Q(x)/x and Q(0) = 1 the first sum is p_* of
     (Q(v)/v) prod_j Q(x_j - v), whose pole part prod_i Q(x_i)/v pushes
     forward to prod_i 1/f(x_i); so the identity says that pushed_defect
-    vanishes, and it is checked through degree xorder - 1.  Returns
-    (holds, witness); witness is None or the first nonzero term
-    (exponents, q-power, value) — the identity genuinely fails when q is
-    not 1 mod N, so the hypothesis is reported, not assumed.
+    vanishes.  It is checked as a polynomial in e_1..e_q through weight
+    xorder - 1, which is equivalent because the e's are algebraically
+    independent.  Returns (holds, witness); witness is None or the first
+    nonzero term (e-exponents, q-power, value) — the identity genuinely
+    fails when q is not 1 mod N, so the hypothesis is reported, not
+    assumed.
     """
     dim = xorder - 1
     spec = _product_spec(qorder, _defect_cap(q, dim), N)
     pushed = pushed_defect(spec, q, dim)
-    for e in sorted(pushed.terms, key=lambda t: (sum(t), t)):
+    for e in sorted(pushed.terms,
+                    key=lambda t: (pushed.term_weight(t), t)):
         lowest = _first_nonzero(pushed.terms[e])
         if lowest is not None:
             return False, (e, *lowest)

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ellgenus.algebra_kernel import (
     QQ,
     BadValuation,
-    ExactDivisionError,
     Localization,
     NonUnitLeadingCoefficient,
     PolyRing,
@@ -316,20 +315,6 @@ def test_rational_function_evaluate():
 # ---------------------------------------------------------------------------
 
 
-def test_multipoly_vandermonde_division():
-    # (x1^2 - x2^2) / (x1 - x2) = x1 + x2
-    x1, x2 = PolyRing("x1", "x2").gens()
-    p = x1 * x1 - x2 * x2
-    q = p.divide_linear(0, 1)
-    assert q == x1 + x2
-
-
-def test_multipoly_division_not_exact():
-    x1, x2 = PolyRing("x1", "x2").gens()
-    with pytest.raises(ExactDivisionError):
-        (x1 * x1 + x2).divide_linear(0, 1)
-
-
 def test_multipoly_cap():
     x1 = PolyRing("x1").gen("x1").truncate(3)
     p = (x1 + 1) ** 5
@@ -399,25 +384,35 @@ def test_poly_ring_axioms(e1, e2, c1, c2):
 
 
 XYZ = PolyRing("x", "y", "z")
+WXYZ = PolyRing(("x", 1), ("y", 2), ("z", 3))
 
-small_polys = st.dictionaries(
-    st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
-    st.integers(min_value=-4, max_value=4),
-    max_size=5,
-).map(lambda t: WeightedPoly(XYZ, {e: F(c) for e, c in t.items()}))
+
+def _small_polys(ring):
+    return st.dictionaries(
+        st.tuples(*[st.integers(min_value=0, max_value=3)] * 3),
+        st.integers(min_value=-4, max_value=4),
+        max_size=5,
+    ).map(lambda t: WeightedPoly(ring, {e: F(c) for e, c in t.items()}))
+
+
+small_polys = _small_polys(XYZ)
 
 
 def _truncation(p, cap):
-    return {e: c for e, c in p.terms.items() if sum(e) <= cap}
+    return {e: c for e, c in p.terms.items() if p.term_weight(e) <= cap}
 
 
 @seed(20261018)
 @settings(max_examples=60, deadline=None)
-@given(small_polys, small_polys,
+@given(st.sampled_from([XYZ, WXYZ]).flatmap(
+           lambda r: st.tuples(_small_polys(r), _small_polys(r))),
        st.integers(min_value=0, max_value=6),
        st.integers(min_value=0, max_value=6),
        st.integers(min_value=0, max_value=3))
-def test_capped_ops_are_truncations_of_uncapped(p, q, a, b, n):
+def test_capped_ops_are_truncations_of_uncapped(pq, a, b, n):
+    # the cap bounds the weighted degree: over weights (1, 1, 1) the sum
+    # of the exponents, over (1, 2, 3) x + 2y + 3z
+    p, q = pq
     pa, qb = p.truncate(a), q.truncate(b)
     cap = min(a, b)
     assert (pa + qb).terms == _truncation(p + q, cap)
@@ -425,10 +420,6 @@ def test_capped_ops_are_truncations_of_uncapped(p, q, a, b, n):
     assert (pa * qb).terms == _truncation(p * q, cap)
     assert (pa * qb).cap == cap
     assert (pa ** n).terms == _truncation(p ** n, a)
-    x, y, _ = XYZ.gens()
-    quotient = ((x - y) * p).truncate(a).divide_linear(0, 1)
-    assert quotient.terms == _truncation(p, a - 1)
-    assert quotient.cap == a - 1
 
 
 @seed(20261019)
@@ -437,18 +428,14 @@ def test_capped_ops_are_truncations_of_uncapped(p, q, a, b, n):
 def test_nested_base_agrees_with_rationals(p, q):
     # the same integer polynomials over Q and over a nested base, whose
     # coefficients are the images of the rational ones
-    x, y, _ = XYZ.gens()
-    plain = [p + q, p * q - q * 3, p ** 2, horner([1, -2, 3], p),
-             ((x - y) * q).divide_linear(0, 1)]
+    plain = [p + q, p * q - q * 3, p ** 2, horner([1, -2, 3], p)]
     for base in (QuotientRing([1, -1, 1]), PolyRing("t")):
         ring = PolyRing("x", "y", "z", base=base)
         P, Q = (WeightedPoly(ring, {e: base.from_fraction(c)
                                     for e, c in r.terms.items()})
                 for r in (p, q))
-        X, Y, _ = ring.gens()
         nested = [P + Q, P * Q - Q * base.from_fraction(3), P ** 2,
-                  horner([1, -2, 3], P),
-                  ((X - Y) * Q).divide_linear(0, 1)]
+                  horner([1, -2, 3], P)]
         for r, s in zip(plain, nested):
             assert s.terms == {e: base.from_fraction(c)
                                for e, c in r.terms.items()}, base

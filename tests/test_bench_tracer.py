@@ -4,7 +4,8 @@ The tracer looks the package's functions and classes up by name, among
 them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward and
 algebra_kernel.poly_gcd, which nothing in the package calls.
 The tier-1 suite does not run a traced benchmark, so a renamed or deleted
-name would show nowhere else.
+name would show nowhere else, and neither would a blow-up kernel that no
+longer goes through the traced pushforward.
 """
 
 import json
@@ -25,6 +26,7 @@ tr = tracer.Tracer()
 tracer.install(tr, modules)
 x, y = modules[0].PolyRing("x", "y").gens()
 (x + y) * (x - y)
+modules[1].verify_elliptic_identity(2, 3, xorder=2)
 print(json.dumps(sorted(tr.stats)))
 """
 
@@ -41,3 +43,5 @@ def test_tracer_installs_and_times_polynomial_products():
     spans = json.loads(proc.stdout)
     assert "algebra_kernel.mul.WeightedPoly" in spans
     assert "algebra_kernel.mul.MultiPoly" in spans
+    assert "blowup.verify_elliptic_identity" in spans
+    assert "blowup.flag_pushforward" in spans

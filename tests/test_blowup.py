@@ -1,12 +1,19 @@
 from fractions import Fraction
-from itertools import combinations_with_replacement, permutations
+from itertools import combinations, permutations
 from math import factorial
 
 import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import PolyRing, WeightedPoly
+from ellgenus.algebra_kernel import (
+    QQ,
+    ExactDivisionError,
+    PolyRing,
+    TruncatedSeries,
+    WeightedPoly,
+    horner,
+)
 from ellgenus.blowup import (
     BlowupInput,
     DegenerateSample,
@@ -15,13 +22,13 @@ from ellgenus.blowup import (
     genus_defect,
     projective_pushforward,
     pushed_defect,
-    symmetric_to_elementary,
     verify_blowup_invariance,
     verify_elliptic_identity,
     verify_rational_identity,
 )
 from ellgenus.cohomology_models import cp_model, point_model, product_model
-from ellgenus.genus_engine import classical_genus
+from ellgenus.genus_engine import GenusSpec, classical_genus
+from ellgenus.jacobi_q import _product_spec
 
 F = Fraction
 
@@ -29,6 +36,11 @@ F = Fraction
 def _roots(q):
     """The ring Q[x1..xq] of the normal-bundle roots."""
     return PolyRing(*(f"x{i + 1}" for i in range(q)))
+
+
+def _chern(q, base=QQ):
+    """The ring base[v, e1..eq] of a class on the projective bundle."""
+    return PolyRing("v", *((f"e{i}", i) for i in range(1, q + 1)), base=base)
 
 
 def _point_input(spec, q):
@@ -40,6 +52,141 @@ def _cp_center(spec, n, q):
     m = cp_model(n)
     g = m.scale(m.chern_class(1), F(1, n + 1))
     return BlowupInput(m, [g] * q, spec)
+
+
+# ---------------------------------------------------------------------------
+# oracle helpers in the roots: relabelling, exact division by x_i - x_j,
+# the divided-difference pushforward and the change to the e-basis
+# ---------------------------------------------------------------------------
+
+
+def _permute(p, perm):
+    """Relabel variables: variable perm[i] receives the exponent of
+    variable i."""
+    terms = {}
+    for e, c in p.terms.items():
+        ne = [0] * len(e)
+        for i, k in enumerate(e):
+            ne[perm[i]] = k
+        terms[tuple(ne)] = c
+    return WeightedPoly(p.ring, terms, p.cap)
+
+
+def _divide_linear(p, i, j):
+    """Exact division by (x_i - x_j), by synthetic division in x_i;
+    raises ExactDivisionError if a remainder survives.  A capped dividend
+    gives a quotient whose cap is one lower."""
+    parts = p.as_univariate(p.ring.names[i])
+    zero = p.ring.zero
+    xj = p.ring.gen(p.ring.names[j]).truncate(p.cap)
+    quotient = {}
+    carry = zero
+    for k in range(max(parts, default=0), 0, -1):
+        qk = parts.get(k, zero) + carry
+        for e, c in qk.terms.items():
+            quotient[e[:i] + (k - 1,) + e[i + 1:]] = c
+        carry = xj * qk
+    if not (parts.get(0, zero) + carry).is_zero():
+        raise ExactDivisionError("not divisible by (x_i - x_j)")
+    return WeightedPoly(p.ring, quotient,
+                        None if p.cap is None else p.cap - 1)
+
+
+def test_multipoly_vandermonde_division():
+    # (x1^2 - x2^2) / (x1 - x2) = x1 + x2
+    x1, x2 = _roots(2).gens()
+    assert _divide_linear(x1 * x1 - x2 * x2, 0, 1) == x1 + x2
+
+
+def test_multipoly_division_not_exact():
+    x1, x2 = _roots(2).gens()
+    with pytest.raises(ExactDivisionError):
+        _divide_linear(x1 * x1 + x2, 0, 1)
+
+
+def _divided_difference_pushforward(t, q):
+    """p_* from P(E) of t, a polynomial in the roots x_1..x_q symmetric in
+    x_2..x_q, read as a class on P(E) with v = x_1:
+
+        sum_i t|_{x_1 <-> x_i} / prod_{j != i} (x_j - x_i)
+            = (-1)^(q-1) d_{q-1} ... d_1 t,
+
+    d_k f = (f - s_k f) / (x_k - x_{k+1}), s_k swapping x_k and x_{k+1}.
+    """
+    out = t
+    for k in range(q - 1):
+        swap = list(range(q))
+        swap[k], swap[k + 1] = k + 1, k
+        out = _divide_linear(out - _permute(out, swap), k, k + 1)
+    return -out if q % 2 == 0 else out
+
+
+def _elementary(ring, k):
+    n = ring.nvars
+    terms = {}
+    for sub in combinations(range(n), k):
+        terms[tuple(1 if i in sub else 0 for i in range(n))] = ring.base.one
+    return WeightedPoly(ring, terms)
+
+
+def _symmetric_to_elementary(sym):
+    """Symmetric polynomial -> dict {(m_1..m_q): coeff} over e_1..e_q.
+
+    Gauss reduction on the lex-leading monomial; each leading exponent
+    vector of a symmetric polynomial is a partition lambda, killed by
+    c * e_1^{l1-l2} e_2^{l2-l3} ... e_q^{lq}.
+    """
+    ring = sym.ring
+    q = ring.nvars
+    elems = [_elementary(ring, k) for k in range(1, q + 1)]
+    work = WeightedPoly(ring, sym.terms)
+    out = {}
+    while work.terms:
+        lam = max(work.terms)  # lex order; leading exponent is a partition
+        c = work.terms[lam]
+        if list(lam) != sorted(lam, reverse=True):
+            raise ValueError("polynomial is not symmetric")
+        expo = [lam[k] - (lam[k + 1] if k + 1 < q else 0) for k in range(q)]
+        mono = ring.one
+        for k, m in enumerate(expo):
+            if m:
+                mono = mono * elems[k] ** m
+        out[tuple(expo)] = c
+        work = work - mono * c
+    return out
+
+
+def _root_defect(spec, q, dim):
+    """The blow-up defect in the roots, converted to the e's:
+    p_*((Q(v) prod_{i>=2} Q(x_i - v) - prod_i Q(x_i)) / v), v = x_1,
+    by divided differences."""
+    cap = dim + q
+    ring = PolyRing(*(f"x{i + 1}" for i in range(q)), base=spec.ring)
+    qc = [spec.q.coeff(k) for k in range(cap + 1)]
+    xs = [x.truncate(cap) for x in ring.gens()]
+    v = xs[0]
+    first = horner(qc, v)
+    for xi in xs[1:]:
+        first = first * horner(qc, xi - v)
+    second = ring.one
+    for xi in xs:
+        second = second * horner(qc, xi)
+    over_v = {}
+    for e, c in (first - second).terms.items():
+        assert e[0] >= 1, "integrand not divisible by v"
+        over_v[(e[0] - 1,) + e[1:]] = c
+    return _symmetric_to_elementary(_divided_difference_pushforward(
+        WeightedPoly(ring, over_v, cap - 1), q))
+
+
+def test_symmetric_to_elementary_round_trip():
+    # p2 = e1^2 - 2 e2 in three variables
+    ring = _roots(3)
+    p2 = sum((x ** 2 for x in ring.gens()), ring.zero)
+    out = _symmetric_to_elementary(p2)
+    assert out == {(2, 0, 0): F(1), (0, 1, 0): F(-2)}
+    with pytest.raises(ValueError):
+        _symmetric_to_elementary(_roots(2).gen("x1"))
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +207,7 @@ def _antisymmetrize(p):
     """sum over sigma of sign(sigma) * sigma(p)."""
     total = p.ring.zero
     for perm in permutations(range(p.ring.nvars)):
-        total = total + p.permute(perm) * _sign(perm)
+        total = total + _permute(p, perm) * _sign(perm)
     return total
 
 
@@ -81,7 +228,7 @@ def _oracle_pushforward(t, q):
     out = _antisymmetrize(t * _vandermonde(q, lowest=1))
     for i in range(q):
         for j in range(i):
-            out = out.divide_linear(i, j)
+            out = _divide_linear(out, i, j)
     return out * F(1, factorial(q - 1))
 
 
@@ -104,7 +251,7 @@ def _symmetric_in_tail(draw):
     p = WeightedPoly(_roots(q), terms)
     t = p.ring.zero
     for tail in permutations(range(1, q)):
-        t = t + p.permute((0,) + tail)
+        t = t + _permute(p, (0,) + tail)
     return t, q
 
 
@@ -112,54 +259,49 @@ def _symmetric_in_tail(draw):
 @seed(20261017)
 @given(_symmetric_in_tail())
 def test_pushforward_matches_oracle(case):
+    # the two root oracles agree: divided differences and the flag bundle
     t, q = case
-    assert projective_pushforward(t, q) == _oracle_pushforward(t, q)
+    assert _divided_difference_pushforward(t, q) == _oracle_pushforward(t, q)
 
 
 # ---------------------------------------------------------------------------
-# projective-bundle pushforward
+# projective-bundle pushforward in the Chern classes
 # ---------------------------------------------------------------------------
 
 
 def test_pushforward_of_low_degree_is_zero():
-    # the fiber has dimension q-1: anything of lower degree pushes to zero
+    # the fiber has dimension q-1: anything of lower degree in v pushes
+    # to zero
     for q in (2, 3):
-        assert projective_pushforward(_roots(q).one, q).is_zero()
-    assert projective_pushforward(_roots(3).gen("x1"), 3).is_zero()
+        assert projective_pushforward(_chern(q).one, q).is_zero()
+        assert projective_pushforward(_chern(q).gen("e1"), q).is_zero()
+    assert projective_pushforward(_chern(3).gen("v"), 3).is_zero()
 
 
 def test_pushforward_top_normalization():
     # q = 2: x1 / (x2 - x1) + x2 / (x1 - x2) = -1
-    out = projective_pushforward(_roots(2).gen("x1"), 2)
-    assert out == _roots(2).from_fraction(-1)
-
-
-def _complete_homogeneous(q, m):
-    terms = {}
-    for combo in combinations_with_replacement(range(q), m):
-        e = [0] * q
-        for i in combo:
-            e[i] += 1
-        key = tuple(e)
-        terms[key] = terms.get(key, F(0)) + 1
-    return WeightedPoly(_roots(q), terms)
+    out = projective_pushforward(_chern(2).gen("v"), 2)
+    assert out.terms == {(0, 0): F(-1)}
 
 
 def test_projective_bundle_chain_oracle():
-    # the Segre-class formula: the pushforward of x1^k from the projective
-    # bundle is the complete homogeneous function h_{k-q+1} (zero below
-    # degree q-1), here with the orientation sign (-1)^{q-1}
+    # the Segre-class formula against divided differences in the roots:
+    # v^k e_j pushes forward to e_j (-1)^{q-1} h_{k-q+1} (zero below
+    # k = q-1); the e-exponents of the result are the oracle's
     for q in range(1, 6):
-        sign = (-1) ** (q - 1)
         for k in range(q + 3):
-            t = _roots(q).gen("x1") ** k
-            want = (_complete_homogeneous(q, k - q + 1) * sign
-                    if k >= q - 1 else _roots(q).zero)
-            assert projective_pushforward(t, q) == want, (q, k)
+            for j in range(q + 1):
+                t = _chern(q).gen("v") ** k
+                roots = _roots(q).gen("x1") ** k * _elementary(_roots(q), j)
+                if j:
+                    t = t * _chern(q).gen(f"e{j}")
+                want = _symmetric_to_elementary(
+                    _divided_difference_pushforward(roots, q))
+                assert projective_pushforward(t, q).terms == want, (q, k, j)
 
 
 def test_pushed_defect_truncation_sound():
-    # the result through degree dim does not depend on how far past dim
+    # the result through weight dim does not depend on how far past dim
     # it was computed
     for name in ("todd", "signature", "euler", "a_hat"):
         spec = classical_genus(name, order=10)
@@ -167,18 +309,36 @@ def test_pushed_defect_truncation_sound():
             for dim in range(4):
                 low = pushed_defect(spec, q, dim)
                 high = pushed_defect(spec, q, dim + 2)
-                assert low.terms == {e: c for e, c in high.terms.items()
-                                     if sum(e) <= dim}, (name, q, dim)
+                assert low.terms == high.truncate(dim).terms, (name, q, dim)
+                assert all(high.term_weight(e) <= dim + 2
+                           for e in high.terms), (name, q, dim)
 
 
-def test_symmetric_to_elementary_round_trip():
-    # p2 = e1^2 - 2 e2 in three variables
-    ring = _roots(3)
-    p2 = sum((x ** 2 for x in ring.gens()), ring.zero)
-    out = symmetric_to_elementary(p2)
-    assert out == {(2, 0, 0): F(1), (0, 1, 0): F(-2)}
-    with pytest.raises(ValueError):
-        symmetric_to_elementary(_roots(2).gen("x1"))
+@pytest.mark.parametrize("which", ["todd", "signature", "euler", "a_hat",
+                                   "chi_y", 2, 3, "formal"])
+def test_pushed_defect_matches_root_oracle(which):
+    # the five classical genera, and the level-N series for N = 2, 3 and
+    # formal y
+    if isinstance(which, int) or which == "formal":
+        spec = _product_spec(2, 10, which)
+    else:
+        spec = classical_genus(which, order=8)
+    for q in range(1, 6):
+        for dim in range(4):
+            assert pushed_defect(spec, q, dim).terms == \
+                _root_defect(spec, q, dim), (q, dim)
+
+
+@settings(max_examples=25, deadline=None)
+@seed(20261021)
+@given(st.lists(st.fractions(min_value=F(-3), max_value=F(3),
+                             max_denominator=5),
+                min_size=7, max_size=7),
+       st.integers(min_value=1, max_value=4),
+       st.integers(min_value=0, max_value=3))
+def test_pushed_defect_matches_root_oracle_random_series(tail, q, dim):
+    spec = GenusSpec(TruncatedSeries(QQ, 0, [F(1)] + tail, 7))
+    assert pushed_defect(spec, q, dim).terms == _root_defect(spec, q, dim)
 
 
 # ---------------------------------------------------------------------------

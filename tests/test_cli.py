@@ -135,15 +135,31 @@ def test_leveln_relations_json():
 LEVELN_DIGESTS = json.loads(
     (Path(__file__).parent / "leveln_relations_sha256.json").read_text())
 
+BLOWUP_DIGESTS = json.loads(
+    (Path(__file__).parent / "blowup_verify_sha256.json").read_text())
+
+
+def _assert_golden_stdout(command, N, fmt, digests):
+    # SHA-256 of the recorded stdout; a change to this output must
+    # re-record the digest file and say why
+    rc, text = run(*command, "--N", N, "--format", fmt)
+    assert rc == 0
+    assert hashlib.sha256(text.encode()).hexdigest() == digests[N][fmt]
+
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("N", sorted(LEVELN_DIGESTS, key=int))
 def test_leveln_relations_golden_stdout(N, fmt):
-    # SHA-256 of the recorded stdout; a change to this output must
-    # re-record tests/leveln_relations_sha256.json and say why
-    rc, text = run("leveln", "relations", "--N", N, "--format", fmt)
-    assert rc == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == LEVELN_DIGESTS[N][fmt]
+    # digests in tests/leveln_relations_sha256.json
+    _assert_golden_stdout(("leveln", "relations"), N, fmt, LEVELN_DIGESTS)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("N", sorted(BLOWUP_DIGESTS, key=int))
+def test_blowup_verify_golden_stdout(N, fmt):
+    # digests in tests/blowup_verify_sha256.json, recorded from the
+    # divided-difference kernel in the roots
+    _assert_golden_stdout(("blowup", "verify"), N, fmt, BLOWUP_DIGESTS)
 
 
 def test_qexpand_text():
