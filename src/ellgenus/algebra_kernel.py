@@ -53,10 +53,19 @@ def _fr(x):
 # coefficient ring contexts
 #
 # A "ring context" is any object with attributes/methods
-#     zero, one, from_fraction(fr)
+#     zero, one, from_fraction(fr), dot(pairs)
 # whose elements support +, -, unary -, *, == and multiplication by Fraction.
 # Fraction itself is the base case.  PolyRing, QuotientRing and Localization
 # below are ring contexts too, so coefficient rings nest.
+#
+# dot(pairs) is the sum of a * b over an iterable of pairs, each factor an
+# element of the ring or a rational.  It equals the fold s = zero; s = s +
+# a * b, with the same truncation, but accumulates in the unnormalised
+# representation and normalises once, at the end: one Fraction for QQ, one
+# reduction mod m in a QuotientRing, one _strip in a Localization, and over
+# a nested ring one base dot per coefficient of the result.  Products of
+# polynomials and of series, and the convolutions of the builders, are
+# built on it.  It reads the pairs once.
 # ---------------------------------------------------------------------------
 
 
@@ -69,6 +78,25 @@ class FractionRing:
     @staticmethod
     def from_fraction(fr):
         return _fr(fr)
+
+    @staticmethod
+    def dot(pairs):
+        # integer numerator over the least common denominator so far
+        n, d = 0, 1
+        for a, b in pairs:
+            pn = a.numerator * b.numerator
+            if not pn:
+                continue
+            pd = a.denominator * b.denominator
+            if pd != d:
+                g = gcd(d, pd)
+                if g != pd:
+                    m = pd // g
+                    n *= m
+                    d *= m
+                pn *= d // pd
+            n += pn
+        return Fraction(n, d)
 
     def __repr__(self):
         return "QQ"
@@ -163,6 +191,50 @@ class PolyRing:
     def monomial(self, exps, coeff=1):
         coeff = self.base.from_fraction(coeff)
         return WeightedPoly(self, {tuple(exps): coeff})
+
+    def dot(self, pairs):
+        """Sum of the products: the coefficient pairs of every product
+        monomial are collected first, then summed by one base dot each.
+        A pair multiplies to the smaller cap of its factors and the sum
+        keeps the smallest cap of all."""
+        weights = self.weights
+        buckets = {}
+        cap = None
+        for a, b in pairs:
+            a, b = self._element(a), self._element(b)
+            pair_cap = _mincap(a.cap, b.cap)
+            cap = _mincap(cap, pair_cap)
+            if pair_cap is None:
+                right = [(0, e2, c2) for e2, c2 in b.terms.items()]
+            else:
+                right = [(sum(map(mul, e2, weights)), e2, c2)
+                         for e2, c2 in b.terms.items()]
+            for e1, c1 in a.terms.items():
+                room = 0 if pair_cap is None else (
+                    pair_cap - sum(map(mul, e1, weights)))
+                for w2, e2, c2 in right:
+                    if w2 > room:
+                        continue
+                    e = tuple(map(add, e1, e2))
+                    bucket = buckets.get(e)
+                    if bucket is None:
+                        buckets[e] = [c1, c2]
+                    else:
+                        bucket += c1, c2
+        # a bucket holds its pairs flat: c1, c2, c1', c2', ...
+        base_dot = self.base.dot
+        return WeightedPoly(self, {e: base_dot(zip(cs[::2], cs[1::2]))
+                                   for e, cs in buckets.items()}, cap)
+
+    def _element(self, x):
+        # x as an element of this ring: rationals and base elements are
+        # constants
+        if isinstance(x, WeightedPoly) and x.ring is self:
+            return x
+        p = self.zero._coerce(x)
+        if p is None:
+            raise TypeError(f"{x!r} is not an element of {self!r}")
+        return p
 
     def monomials_of_weight(self, w):
         """All exponent tuples of total weight exactly w."""
@@ -319,19 +391,7 @@ class WeightedPoly:
                 return NotImplemented
             return WeightedPoly(
                 self.ring, {e: a * c for e, a in self.terms.items()}, self.cap)
-        cap = _mincap(self.cap, other.cap)
-        weigh = (lambda e: 0) if cap is None else self.term_weight
-        right = [(weigh(e2), e2, c2) for e2, c2 in other.terms.items()]
-        terms = {}
-        for e1, c1 in self.terms.items():
-            room = 0 if cap is None else cap - weigh(e1)
-            for w2, e2, c2 in right:
-                if w2 > room:
-                    continue
-                e = tuple(map(add, e1, e2))
-                prev = terms.get(e)
-                terms[e] = c1 * c2 if prev is None else prev + c1 * c2
-        return WeightedPoly(self.ring, terms, cap)
+        return self.ring.dot([(self, other)])
 
     __rmul__ = __mul__
 
@@ -684,21 +744,13 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            # product provably correct to min(o1 + low2, o2 + low1)
+            # product provably correct to min(o1 + low2, o2 + low1); the
+            # coefficient k places above low pairs a[i] with b[k - i], and
+            # k never passes the end of either window
             low = self.low + other.low
             order = min(self.order + other.low, other.order + self.low)
-            cs = [self.ring.zero] * (order - low + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == self.ring.zero:
-                    continue
-                ea = self.low + i
-                for j, b in enumerate(other.coeffs):
-                    e = ea + other.low + j
-                    if e > order:
-                        break
-                    if b == self.ring.zero:
-                        continue
-                    cs[e - low] = cs[e - low] + a * b
+            a, b, dot = self.coeffs, other.coeffs, self.ring.dot
+            cs = [dot(zip(a, b[k::-1])) for k in range(order - low + 1)]
             return TruncatedSeries(self.ring, low, cs, order)
         if isinstance(other, WeightedPoly) and other.ring != self.ring:
             # a polynomial over a ring of series: its product applies
@@ -752,11 +804,10 @@ class TruncatedSeries:
         a = [self.coeff(v + k) for k in range(n + 1)]
         b0 = ring_invert(a[0])
         b = [b0]
-        for k in range(1, n + 1):
-            s = self.ring.zero
-            for i in range(1, k + 1):
-                s = s + a[i] * b[k - i]
-            b.append(-(b0 * s))
+        tail, dot = a[1:], self.ring.dot
+        for _ in range(n):
+            # b_k = -b_0 sum_{i=1..k} a_i b_{k-i}
+            b.append(-(b0 * dot(zip(tail, reversed(b)))))
         return TruncatedSeries(self.ring, -v, b, -v + n)
 
     def derivative(self):
@@ -818,14 +869,13 @@ class TruncatedSeries:
         ):
             raise BadValuation("exp needs positive valuation")
         order = self.order
-        a = [self.coeff(e) if self.low <= e <= order else self.ring.zero
-             for e in range(0, order + 1)]
+        # j a_j for j = 1..order
+        ja = [self.coeff(j) * Fraction(j) for j in range(1, order + 1)]
         b = [self.ring.one]
+        dot = self.ring.dot
         for k in range(1, order + 1):
-            s = self.ring.zero
-            for j in range(1, k + 1):
-                s = s + (a[j] * Fraction(j)) * b[k - j]
-            b.append(s * Fraction(1, k))
+            # k b_k = sum_{j=1..k} j a_j b_{k-j}
+            b.append(dot(zip(ja, reversed(b))) * Fraction(1, k))
         return TruncatedSeries(self.ring, 0, b, order)
 
     def log(self):
@@ -988,6 +1038,30 @@ def _sum(a, da, b, db):
     return out, da
 
 
+def _mac(acc, d, a, da, b, db):
+    """acc/d + (a/da)(b/db) over the least common denominator, not
+    normalised: returns the new (acc, d), acc changed in place unless
+    the denominator grows."""
+    pd = da * db
+    f = 1
+    if pd != d:
+        g = gcd(d, pd)
+        if g != pd:
+            m = pd // g
+            acc = [c * m for c in acc]
+            d *= m
+        f = d // pd
+    short = len(a) + len(b) - 1 - len(acc)
+    if short > 0:
+        acc += [0] * short
+    for i, x in enumerate(a):
+        if x:
+            x *= f
+            for j, y in enumerate(b, i):
+                acc[j] += x * y
+    return acc, d
+
+
 def _divmod_monic(a, m):
     """Quotient and remainder of the ints a by the monic ints m, by
     synthetic division."""
@@ -1109,6 +1183,26 @@ class QuotientRing:
 
     def element(self, coeffs):
         return self._reduce(*_ints_over_den(coeffs))
+
+    def dot(self, pairs):
+        """Sum of the products, accumulated in Z[y] over one denominator
+        and reduced modulo m once."""
+        acc, d = [], 1
+        for x, y in pairs:
+            a, da = self._parts(x)
+            b, db = self._parts(y)
+            if a and b:
+                acc, d = _mac(acc, d, a, da, b, db)
+        return self._reduce(acc, d)
+
+    def _parts(self, x):
+        # (ints, den) of an element or a rational
+        if isinstance(x, QuotElt):
+            if x.ring is not self and x.ring != self:
+                raise ValueError("mixed rings")
+            return x.ints, x.den
+        x = _fr(x)
+        return (x.numerator,) if x else (), x.denominator
 
     def _reduce(self, ints, den):
         # ints / den modulo m, in normal form
@@ -1252,6 +1346,41 @@ class Localization:
         """num(t) * prod_s s(t)^(-e_s) in normal form."""
         return self._strip(*_ints_over_den(num), list(exps or self.zero.exps),
                            range(len(self.inverted)))
+
+    def dot(self, pairs):
+        """Sum of the products.  The numerators are accumulated over one
+        denominator per exponent tuple; the sums are lifted to the largest
+        exponents, added, and normalised by one _strip."""
+        buckets = {}
+        for x, y in pairs:
+            a, da, ea = self._parts(x)
+            b, db, eb = self._parts(y)
+            if a and b:
+                e = tuple(map(add, ea, eb))
+                acc, d = buckets.get(e, ([], 1))
+                buckets[e] = _mac(acc, d, a, da, b, db)
+        # a bucket that cancelled to zero would raise the exponents only
+        # for _strip to lower them again
+        buckets = {e: v for e, v in buckets.items() if any(v[0])}
+        if not buckets:
+            return self.zero
+        top = [max(col) for col in zip(*buckets)]
+        total, den = [], 1
+        for exps, (acc, d) in buckets.items():
+            for s, k, t in zip(self.inverted, exps, top):
+                for _ in range(t - k):
+                    acc = poly_mul(acc, s)
+            total, den = _sum(total, den, acc, d)
+        return self._strip(total, den, top, range(len(self.inverted)))
+
+    def _parts(self, x):
+        # (ints, den, exps) of an element or a rational
+        if isinstance(x, RationalFunction):
+            if x.ring is not self and x.ring != self:
+                raise ValueError("mixed rings")
+            return x.ints, x.den, x.exps
+        x = _fr(x)
+        return (x.numerator,) if x else (), x.denominator, self.zero.exps
 
     def _strip(self, ints, den, exps, which):
         # normalise ints / den, then move every factor s of it, for the s

@@ -91,11 +91,10 @@ def projective_pushforward(t, q):
     es = ering.gens()
     hs = [ering.one]
     for k in range(1, max(by_power, default=0) + 1):
-        hs.append(sum((es[i - 1] * hs[k - i] * (-1) ** (i - 1)
-                       for i in range(1, min(k, q) + 1)), ering.zero))
-    out = ering.zero
-    for k, terms in by_power.items():
-        out = out + WeightedPoly(ering, terms) * hs[k]
+        hs.append(ering.dot((es[i - 1] * (-1) ** (i - 1), hs[k - i])
+                            for i in range(1, min(k, q) + 1)))
+    out = ering.dot((WeightedPoly(ering, terms), hs[k])
+                    for k, terms in by_power.items())
     return -out if q % 2 == 0 else out
 
 
@@ -156,9 +155,7 @@ def pushed_defect(spec, q, dim):
                 ints[(n - j,) + a] = ints.get((n - j,) + a, 0) + k * c
         l_n = spec.log_coeffs[n]
         dlog.append(WeightedPoly(ring, {e: l_n * k for e, k in ints.items()}))
-        acc = ring.zero
-        for m in range(1, n + 1):
-            acc = acc + dlog[m] * graded[n - m]
+        acc = ring.dot(zip(dlog[1:], reversed(graded)))
         graded.append(acc * Fraction(1, n))
     # (G - G(0)) / v: drop the v-free terms, lower the power of v
     over_v = {(e[0] - 1,) + e[1:]: c

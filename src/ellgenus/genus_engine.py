@@ -22,6 +22,7 @@ from .algebra_kernel import (
     QQ,
     TruncatedSeries,
     _fr,
+    coeff_is_zero,
     horner,
 )
 from .cohomology_models import (
@@ -117,20 +118,17 @@ class MultiplicativeSequence:
             raise DimensionMismatch(
                 f"sequence computed to weight {self.n}, need {cv.dim}"
             )
-        total = self.ring.zero
-        for part, coeff in self.ks[cv.dim].items():
-            v = cv[part]
-            if v != 0:
-                total = total + coeff * v
-        return total
-
+        pairs = ((coeff, cv[part]) for part, coeff in self.ks[cv.dim].items())
+        return self.ring.dot((c, v) for c, v in pairs if v)
 
 
 def multiplicative_sequence(spec, n):
     """K_0..K_n for the genus, via log coefficients and Newton's identities.
 
-    sum_i log Q(x_i) = sum_m l_m p_m(c); exponentiating in the ring graded
-    by total Chern weight gives prod_i Q(x_i) = sum_m K_m(c_1..c_m).
+    sum_i log Q(x_i) = sum_m L_m with L_m = l_m p_m(c) of Chern weight m;
+    exponentiating in the ring graded by that weight gives
+    prod_i Q(x_i) = sum_n K_n(c_1..c_n), by the graded exponential
+    K_n = (1/n) sum_m m L_m K_{n-m}.
     """
     if n > spec.order:
         raise DimensionMismatch(
@@ -139,36 +137,24 @@ def multiplicative_sequence(spec, n):
     if n in spec._ms_cache:
         return spec._ms_cache[n]
     ring = spec.ring
-    # L = sum_m l_m p_m as partition -> coefficient
-    L = {}
+    # dlog[m] = m L_m as partition -> coefficient
+    dlog = [None]
     for m in range(1, n + 1):
         lm = spec.log_coeffs[m]
-        if lm == ring.zero:
-            continue
-        for part, c in power_sum_in_chern(m).items():
-            prev = L.get(part, ring.zero)
-            L[part] = prev + lm * c
-    # graded exp: K = sum_k L^k / k!, truncated at weight n
-    ks = [dict() for _ in range(n + 1)]
-    ks[0][()] = ring.one
-    term = {(): ring.one}
-    for k in range(1, n + 1):
-        nxt = {}
-        for p1, c1 in term.items():
-            for p2, c2 in L.items():
-                if sum(p1) + sum(p2) > n:
-                    continue
-                p = tuple(sorted(p1 + p2, reverse=True))
-                prev = nxt.get(p, ring.zero)
-                nxt[p] = prev + c1 * c2
-        term = nxt
-        if not term:
-            break
-        inv_fact = Fraction(1, factorial(k))
-        for p, c in term.items():
-            prev = ks[sum(p)].get(p, ring.zero)
-            ks[sum(p)][p] = prev + c * inv_fact
-    ks = [{p: c for p, c in km.items() if not c == ring.zero} for km in ks]
+        dlog.append({} if coeff_is_zero(lm) else
+                    {part: lm * (m * c)
+                     for part, c in power_sum_in_chern(m).items()})
+    ks = [{(): ring.one}]
+    for w in range(1, n + 1):
+        buckets = {}
+        for m in range(1, w + 1):
+            for p1, c1 in dlog[m].items():
+                for p2, c2 in ks[w - m].items():
+                    p = tuple(sorted(p1 + p2, reverse=True))
+                    buckets.setdefault(p, []).append((c1, c2))
+        inv_w = Fraction(1, w)
+        kw = {p: ring.dot(ps) * inv_w for p, ps in buckets.items()}
+        ks.append({p: c for p, c in kw.items() if not coeff_is_zero(c)})
     ms = MultiplicativeSequence(ring, ks)
     spec._ms_cache[n] = ms
     return ms
@@ -288,9 +274,8 @@ def _chi_y_series(order):
 
     a = [ring.one]
     for n in range(1, order + 1):
-        acc = rhs(n)
-        for k in range(2, n + 2):
-            acc = acc - a[n + 1 - k] * lhs_c[k]
+        # a_{n+1-k} lhs_k for k = 2..n+1
+        acc = rhs(n) - ring.dot(zip(reversed(a), lhs_c[2:]))
         a.append(acc.exact_div(one_plus_y))
     return TruncatedSeries(ring, 0, a, order)
 

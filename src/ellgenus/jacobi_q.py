@@ -110,6 +110,45 @@ class SeriesRing:
         """Constant q-series with a base-ring value."""
         return TruncatedSeries(self.base, 0, [c], self.qorder)
 
+    def dot(self, pairs):
+        """Sum of the products, one base dot per q-exponent.
+
+        The window is the fold's from zero: low the least of 0 and the
+        products' lows, order the least of qorder and the products'
+        orders by the minimum rule.  A factor that is not a series is a
+        scalar: it multiplies a series coefficientwise, and a product of
+        two scalars is a constant series.
+        """
+        low, order = 0, self.qorder
+        products, scaled = [], []
+        for a, b in pairs:
+            if not isinstance(a, TruncatedSeries):
+                a, b = b, a
+            if not isinstance(a, TruncatedSeries):
+                a = self.constant(a)
+            if isinstance(b, TruncatedSeries):
+                low = min(low, a.low + b.low)
+                order = min(order, a.order + b.low, b.order + a.low)
+                products.append((a, b))
+            else:
+                low = min(low, a.low)
+                order = min(order, a.order)
+                scaled.append((a, b))
+
+        def pairs_at(e):
+            for a, b in products:
+                for i in range(max(a.low, e - b.order),
+                               min(a.order, e - b.low) + 1):
+                    yield a.coeffs[i - a.low], b.coeffs[e - i - b.low]
+            for a, c in scaled:
+                if a.low <= e:
+                    yield a.coeffs[e - a.low], c
+
+        base_dot = self.base.dot
+        return TruncatedSeries(
+            self.base, low,
+            [base_dot(pairs_at(e)) for e in range(low, order + 1)], order)
+
     def from_function(self, fn):
         return TruncatedSeries.from_function(self.base, fn, self.qorder)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra_kernel import PolyRing, QQ, TruncatedSeries, coeff_is_zero
+from .algebra_kernel import PolyRing, QQ, TruncatedSeries
 from .cohomology_models import (
     chern_vector,
     cp_model,
@@ -129,22 +129,13 @@ def q_to_abcd(q):
 # ---------------------------------------------------------------------------
 
 
-def _dot(pairs, zero):
-    """sum x*y over the pairs, skipping zero factors."""
-    s = zero
-    for x, y in pairs:
-        if not (coeff_is_zero(x) or coeff_is_zero(y)):
-            s = s + x * y
-    return s
-
-
-def _square_coeff(a, n, lo, zero):
+def _square_coeff(ring, a, n, lo):
     """sum a_j a_k over j + k = n with j, k >= lo, by symmetric halves."""
     half, odd = divmod(n, 2)
-    s = _dot(((a[j], a[n - j]) for j in range(lo, half + odd)), zero)
+    s = ring.dot((a[j], a[n - j]) for j in range(lo, half + odd))
     s = s * Fraction(2)
     if not odd and half >= lo:
-        s = s + _dot([(a[half], a[half])], zero)
+        s = s + ring.dot([(a[half], a[half])])
     return s
 
 
@@ -173,15 +164,14 @@ def solve_h(S, order):
         raise ValueError("order must be >= 1")
     ring = S.ring
     q1, q2, q3, q4 = S
-    zero = ring.zero
     c = [ring.one]   # c_i, coefficients of H = x h
     p = [-ring.one]  # (i - 1) c_i, coefficients of P
     g = [ring.one]   # g_j, coefficients of G = H^2
     for i in range(1, order + 1):
-        g.append(_square_coeff(c, i, 1, zero))  # g_i at c_i = 0
-        r = _square_coeff(p, i, 1, zero) - _square_coeff(g, i, 0, zero)
+        g.append(_square_coeff(ring, c, i, 1))  # g_i at c_i = 0
+        r = _square_coeff(ring, p, i, 1) - _square_coeff(ring, g, i, 0)
         # x G H at x^i is G H at x^(i-1)
-        gh = _dot(((g[j], c[i - 1 - j]) for j in range(i)), zero)
+        gh = ring.dot(zip(g, reversed(c)))
         r = r - gh * q1
         if i >= 2:
             r = r - g[i - 2] * q2

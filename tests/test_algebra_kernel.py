@@ -809,3 +809,214 @@ def test_integral_monic_required():
     # monic over Z up to a unit: scaled moduli are accepted and stored monic
     assert QuotientRing([F(-2), F(0), F(2)]).modulus == (-1, 0, 1)
     assert Localization([[-3, -3]]).inverted == ((1, 1),)
+
+
+# ---------------------------------------------------------------------------
+# ring.dot against the fold s = s + a * b
+# ---------------------------------------------------------------------------
+#
+# Products of WeightedPolys and of series are themselves built on dot, so
+# the fold multiplies those term by term here; products of rationals, of
+# quotient-ring elements and of rational functions do not use dot.
+
+ZETA5 = y_model(5)[0]
+
+
+def _poly_product(p, q):
+    """p * q term by term, capped at the smaller cap."""
+    cap = min((c for c in (p.cap, q.cap) if c is not None), default=None)
+    terms = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(map(add, e1, e2))
+            terms[e] = terms.get(e, p.ring.base.zero) + c1 * c2
+    return WeightedPoly(p.ring, terms, cap)
+
+
+def _series_product(a, b):
+    """a * b by the double loop, under the minimum truncation rule."""
+    low = a.low + b.low
+    order = min(a.order + b.low, b.order + a.low)
+    cs = [a.ring.zero] * (order - low + 1)
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            if i + j <= order - low:
+                cs[i + j] = cs[i + j] + x * y
+    return TruncatedSeries(a.ring, low, cs, order)
+
+
+def _fold_product(a, b):
+    for cls, product in ((WeightedPoly, _poly_product),
+                         (TruncatedSeries, _series_product)):
+        if isinstance(a, cls) and isinstance(b, cls):
+            return product(a, b)
+    return a * b
+
+
+def _fold(ring, pairs):
+    s = ring.zero
+    for a, b in pairs:
+        s = s + _fold_product(a, b)
+    return s
+
+
+def _assert_identical(x, y):
+    """x and y are one element in one normal form, with equal hashes."""
+    assert type(x) is type(y), (x, y)
+    if isinstance(y, TruncatedSeries):
+        assert (x.low, x.order) == (y.low, y.order)
+        for a, b in zip(x.coeffs, y.coeffs):
+            _assert_identical(a, b)
+        return
+    if isinstance(y, WeightedPoly):
+        assert x.cap == y.cap and x.terms.keys() == y.terms.keys()
+        for e, c in y.terms.items():
+            _assert_identical(x.terms[e], c)
+    elif isinstance(y, RationalFunction):
+        assert (x.ints, x.den, x.exps) == (y.ints, y.den, y.exps)
+    elif not isinstance(y, Fraction):
+        assert (x.ints, x.den) == (y.ints, y.den)
+    assert x == y and hash(x) == hash(y)
+
+
+small_ints = st.integers(min_value=-3, max_value=3)
+
+
+def _quot_elements(ring):
+    return st.lists(small_fractions_kernel, max_size=6).map(ring.element)
+
+
+def _local_elements(ring):
+    # numerators of every degree, and units c prod s^(-e_s), whose sums
+    # often have a factor s left to strip
+    n = len(ring.inverted)
+    exps = st.lists(st.integers(min_value=-2, max_value=2), min_size=n,
+                    max_size=n)
+    return st.one_of(
+        st.tuples(st.lists(small_fractions_kernel, max_size=4), exps),
+        st.tuples(st.sampled_from([[1], [-1], [2]]), exps),
+    ).map(lambda t: ring.element(*t))
+
+
+def _poly_elements(ring, caps):
+    return st.tuples(_small_polys(ring), st.sampled_from(caps)).map(
+        lambda t: t[0] if t[1] is None else t[0].truncate(t[1]))
+
+
+def _series_elements(ring, coefficients):
+    # Laurent windows and unequal orders, some above the ring's qorder
+    return st.tuples(
+        st.integers(min_value=-1, max_value=1),
+        st.lists(coefficients, min_size=1, max_size=ring.qorder + 2),
+    ).map(lambda t: TruncatedSeries(ring.base, t[0], t[1]))
+
+
+NESTED_ZETA5 = SeriesRing(ZETA5, 3)
+NESTED_FORMAL = SeriesRing(FORMAL_RING, 2)
+
+DOT_CASES = {
+    "QQ": (QQ, small_fractions_kernel),
+    "poly": (XYZ, _poly_elements(XYZ, [None])),
+    "poly-capped": (WXYZ, _poly_elements(WXYZ, [None, 0, 2, 4, 6])),
+    "zeta5": (ZETA5, _quot_elements(ZETA5)),
+    "formal": (FORMAL_RING, _local_elements(FORMAL_RING)),
+    "cyclotomic-local": (CYCLO, _local_elements(CYCLO)),
+    "series-zeta5": (NESTED_ZETA5,
+                     _series_elements(NESTED_ZETA5, _quot_elements(ZETA5))),
+    "series-formal": (NESTED_FORMAL,
+                      _series_elements(NESTED_FORMAL,
+                                       _local_elements(FORMAL_RING))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DOT_CASES))
+@seed(20261201)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_dot_matches_fold(name, data):
+    ring, elements = DOT_CASES[name]
+    factor = st.one_of(elements, elements, st.just(ring.zero),
+                       small_ints, small_fractions_kernel)
+    pairs = data.draw(st.lists(st.tuples(factor, factor), max_size=5))
+    for a, b in pairs:
+        # products of series and of polynomials are one-pair dots
+        if isinstance(a, (WeightedPoly, TruncatedSeries)) and (
+                type(a) is type(b)):
+            _assert_identical(a * b, _fold_product(a, b))
+    want = _fold(ring, pairs)
+    _assert_identical(ring.dot(pairs), want)
+    # the pairs are read once, so a generator serves as well as a list
+    _assert_identical(ring.dot(iter(pairs)), want)
+
+
+@pytest.mark.parametrize("name", sorted(DOT_CASES))
+def test_dot_of_nothing_is_zero(name):
+    ring, _ = DOT_CASES[name]
+    _assert_identical(ring.dot([]), ring.zero)
+    _assert_identical(ring.dot([(0, 0), (F(1, 2), 0)]), ring.zero)
+
+
+def test_dot_rejects_mixed_rings():
+    for ring in (ZETA5, FORMAL_RING):
+        other = y_model(7)[0] if ring is ZETA5 else CYCLO
+        with pytest.raises(ValueError):
+            ring.dot([(ring.one, other.one)])
+    with pytest.raises(TypeError):
+        XYZ.dot([(XYZ.one, TruncatedSeries.one_series(QQ, 2))])
+
+
+# ---------------------------------------------------------------------------
+# truncation soundness: a coefficient reported at order n is the one
+# computed at order n + 3
+# ---------------------------------------------------------------------------
+
+SOUNDNESS_RINGS = {
+    "QQ": (QQ, small_fractions_kernel,
+           small_fractions_kernel.filter(bool)),
+    "formal": (FORMAL_RING, _local_elements(FORMAL_RING),
+               st.tuples(small_fractions_kernel.filter(bool),
+                         st.lists(st.integers(min_value=-2, max_value=2),
+                                  min_size=2, max_size=2)).map(
+                   lambda t: FORMAL_RING.element([t[0]], t[1]))),
+    "zeta5": (ZETA5, _quot_elements(ZETA5),
+              _quot_elements(ZETA5).filter(lambda c: not c.is_zero())),
+}
+
+
+def _assert_sound(short, long):
+    """Every coefficient of short equals long's at the same exponent."""
+    assert short.order <= long.order
+    for e in range(short.low, short.order + 1):
+        assert short.coeff(e) == long.coeff(e), e
+
+
+@pytest.mark.parametrize("name", sorted(SOUNDNESS_RINGS))
+@seed(20261202)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_series_ops_are_truncation_sound(name, data):
+    ring, elements, units = SOUNDNESS_RINGS[name]
+    n = data.draw(st.integers(min_value=0, max_value=4), label="n")
+
+    def series(low, lead, extra=0):
+        # known through order n + 3 + extra, leading coefficient from lead
+        size = n + 3 + extra
+        body = data.draw(st.lists(elements, min_size=size, max_size=size))
+        return TruncatedSeries(ring, low, [data.draw(lead)] + body,
+                               low + size)
+
+    def check(op, *args):
+        _assert_sound(op(*(s.truncate(s.order - 3) for s in args)),
+                      op(*args))
+
+    a = series(data.draw(st.integers(min_value=-1, max_value=1)), elements)
+    b = series(data.draw(st.integers(min_value=-1, max_value=1)), elements,
+               data.draw(st.integers(min_value=0, max_value=2)))
+    check(lambda s, t: s * t, a, b)
+    check(lambda s: s * b, a)
+    check(lambda s: b * s, a)
+    u = series(data.draw(st.integers(min_value=-1, max_value=1)), units)
+    check(TruncatedSeries.inverse, u)
+    check(TruncatedSeries.exp, series(1, elements))
+    check(TruncatedSeries.log, series(0, st.just(ring.one)))
+    check(TruncatedSeries.compose_inverse, series(1, units))

@@ -138,20 +138,25 @@ LEVELN_DIGESTS = json.loads(
 BLOWUP_DIGESTS = json.loads(
     (Path(__file__).parent / "blowup_verify_sha256.json").read_text())
 
+# command line (without --format) -> format -> digest
+CLI_DIGESTS = json.loads(
+    (Path(__file__).parent / "cli_stdout_sha256.json").read_text())
 
-def _assert_golden_stdout(command, N, fmt, digests):
+
+def _assert_golden_stdout(argv, fmt, digest):
     # SHA-256 of the recorded stdout; a change to this output must
     # re-record the digest file and say why
-    rc, text = run(*command, "--N", N, "--format", fmt)
+    rc, text = run(*argv, "--format", fmt)
     assert rc == 0
-    assert hashlib.sha256(text.encode()).hexdigest() == digests[N][fmt]
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("N", sorted(LEVELN_DIGESTS, key=int))
 def test_leveln_relations_golden_stdout(N, fmt):
     # digests in tests/leveln_relations_sha256.json
-    _assert_golden_stdout(("leveln", "relations"), N, fmt, LEVELN_DIGESTS)
+    _assert_golden_stdout(("leveln", "relations", "--N", N), fmt,
+                          LEVELN_DIGESTS[N][fmt])
 
 
 @pytest.mark.parametrize("fmt", ["text", "json"])
@@ -159,7 +164,16 @@ def test_leveln_relations_golden_stdout(N, fmt):
 def test_blowup_verify_golden_stdout(N, fmt):
     # digests in tests/blowup_verify_sha256.json, recorded from the
     # divided-difference kernel in the roots
-    _assert_golden_stdout(("blowup", "verify"), N, fmt, BLOWUP_DIGESTS)
+    _assert_golden_stdout(("blowup", "verify", "--N", N), fmt,
+                          BLOWUP_DIGESTS[N][fmt])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+def test_cli_golden_stdout(command, fmt):
+    # digests in tests/cli_stdout_sha256.json, recorded before the
+    # products were moved onto ring.dot
+    _assert_golden_stdout(command.split(), fmt, CLI_DIGESTS[command][fmt])
 
 
 def test_qexpand_text():
