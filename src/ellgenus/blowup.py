@@ -29,7 +29,7 @@ from math import comb
 from .algebra_kernel import PolyRing, WeightedPoly, coeff_is_zero
 from .cohomology_models import cp_model, point_model, power_sum_in_chern
 from .genus_engine import multiplicative_class
-from .jacobi_q import _product_spec
+from .jacobi_q import phi_ell_q
 
 
 class DegenerateSample(ValueError):
@@ -235,7 +235,7 @@ def verify_elliptic_identity(N, q, qorder=2, xorder=4):
     assumed.
     """
     dim = xorder - 1
-    spec = _product_spec(qorder, _defect_cap(q, dim), N)
+    spec = phi_ell_q(qorder, _defect_cap(q, dim), N)
     pushed = pushed_defect(spec, q, dim)
     for e in sorted(pushed.terms,
                     key=lambda t: (pushed.term_weight(t), t)):
@@ -309,7 +309,7 @@ def verify_blowup_invariance(N, examples=None, qorder=2):
     cases = examples if examples is not None else default_cases(N)
     report = []
     for label, build, q, dim, expect_zero in cases:
-        spec = _product_spec(qorder, max(_defect_cap(q, dim), 4), N)
+        spec = phi_ell_q(qorder, max(_defect_cap(q, dim), 4), N)
         defect = genus_defect(build(spec))
         is_zero = defect.is_zero()
         lowest = None if is_zero else _first_nonzero(defect)

@@ -43,7 +43,6 @@ from .genus_engine import (
     multiplicative_sequence,
 )
 from .jacobi_q import (
-    _product_spec,
     as_y_laurent,
     chi_y_loop,
     extract_qi,

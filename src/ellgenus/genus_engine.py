@@ -1,8 +1,9 @@
 """Genera as ring homomorphisms on complex cobordism.
 
 A GenusSpec packages a characteristic power series Q(x) = 1 + a_1 x + ...
-over a coefficient ring.  From it we derive the genus logarithm g, the
-formal group law F(u, v) = f(g(u) + g(v)), the multiplicative sequence
+over a coefficient ring, given by Q itself or by log Q.  From it we
+derive the genus logarithm g, the formal group law
+F(u, v) = f(g(u) + g(v)), the multiplicative sequence
 K_0, K_1, ... (via the power-sum route: sum_i log Q(x_i) = sum_m l_m p_m,
 Newton's identities, then a graded exponential), and evaluation on Chern
 vectors or cohomology models.  A catalog of classical genera (Todd,
@@ -49,20 +50,42 @@ class BadParams(ValueError):
 class GenusSpec:
     """A genus given by its characteristic series Q(x) = x / f(x).
 
-    Q must have constant term 1, which is checked at construction.  The
-    log coefficients l_m with log Q(x) = sum_m l_m x^m are computed on
-    first access and kept; multiplicative sequences are cached on demand
-    (pure data, safe to share).
+    It is built from Q, whose constant term must be 1 (checked here), or
+    by from_log_coeffs from log Q(x) = sum_m l_m x^m, whose exponential
+    has constant term 1 by construction.  Whichever of q and log_coeffs
+    was not given is computed once, on first access: log Q or exp of the
+    log.  The multiplicative sequence reads only the log coefficients;
+    f_series and the formal group law read Q.  Multiplicative sequences
+    are cached on demand (pure data, safe to share).
     """
 
     def __init__(self, q_series, name="genus"):
         if q_series.low > 0 or q_series.coeff(0) != q_series.ring.one:
             raise BadValuation("characteristic series must start with 1")
-        self.ring = q_series.ring
         self.q = q_series
-        self.order = q_series.order
+        self._init(q_series.ring, q_series.order, name)
+
+    @classmethod
+    def from_log_coeffs(cls, ring, log_coeffs, name="genus"):
+        """The genus with log Q(x) = sum_m l_m x^m, from [0, l_1, ..., l_n]."""
+        if not coeff_is_zero(log_coeffs[0]):
+            raise BadValuation("log Q must have zero constant term")
+        spec = cls.__new__(cls)
+        spec.log_coeffs = [ring.zero] + list(log_coeffs[1:])
+        spec._init(ring, len(log_coeffs) - 1, name)
+        return spec
+
+    def _init(self, ring, order, name):
+        self.ring = ring
+        self.order = order
         self.name = name
         self._ms_cache = {}
+
+    @cached_property
+    def q(self):
+        """Q(x) = exp(sum_m l_m x^m)."""
+        return TruncatedSeries(self.ring, 0, self.log_coeffs,
+                               self.order).exp()
 
     @cached_property
     def log_coeffs(self):
@@ -84,16 +107,6 @@ class GenusSpec:
 
     def __repr__(self):
         return f"<GenusSpec {self.name}, order {self.order}>"
-
-
-def genus_from_log(g, name="genus"):
-    """GenusSpec with logarithm g: Q(x) = x / f(x), f the inverse of g."""
-    if g.valuation() != 1:
-        raise BadValuation("genus logarithm needs valuation exactly 1")
-    f = g.compose_inverse()
-    x = TruncatedSeries.x_series(g.ring, f.order)
-    q = (x * f.inverse()).truncate(f.order)
-    return GenusSpec(q, name=name)
 
 
 class MultiplicativeSequence:

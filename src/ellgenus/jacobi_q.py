@@ -1,4 +1,4 @@
-"""q-expansion side of the elliptic genus: Jacobi-form products.
+"""q-expansion side of the elliptic genus: Jacobi-form products in closed form.
 
 The building block is the entire function
 Phi(tau, x) = (1 - u) prod_n (1 - q^n u)(1 - q^n / u)/(1 - q^n)^2 with
@@ -9,11 +9,24 @@ series of the genus acquires the expansion (with y = -e^z)
                                [(1+y^{-1} q^n/u)/(1-q^n/u)] / Phi(tau,-z),
 
 valid on SU classes (an overall e^{kx} factor is dropped).  The module
-expands these products exactly over two coefficient models for y — a
-formal y in Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring where -y
-is a primitive N-th root of unity — and provides the loop-space
-expansion chi_y(q, LX), the Weierstrass series, recovery of the quartic
-coefficients q_1..q_4 as q-series, and the integrality check.
+never multiplies the product out.  The log of each factor is a geometric
+series in q^n u^{+-1}, so log Q(x) = sum_k l_k x^k has the divisor sums
+
+  l_k = [x^k] (log(x/(1-u)) + log(1 + y(u - 1)/(1+y)))
+        + sum_{e>=1} q^e sum_{m|e} ((-1)^(m+1) (y^m (-m)^k + y^-m m^k)
+                                    + (-m)^k + m^k) / (m k!)
+
+for k >= 1, the twisted-Eisenstein expansion of the elliptic genus
+(Zagier, "Note on the Landweber-Stong elliptic genus", LNM 1326, 1988;
+Hirzebruch, Berger & Jung, Manifolds and Modular Forms, 1992), and
+Phi(tau, -z) is (1+y) times the exponential of the k = 0 sums.  The
+GenusSpec is built from the l_k; Q(x) is their exponential, formed only
+when a caller reads it.  The sums are exact over two coefficient models
+for y: a formal y in Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring
+where -y is a primitive N-th root of unity.  The module also provides
+the loop-space expansion chi_y(q, LX), the Weierstrass series, recovery
+of the quartic coefficients q_1..q_4 as q-series, and the integrality
+check.
 """
 
 from __future__ import annotations
@@ -22,7 +35,6 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra_kernel import (
-    QQ,
     Localization,
     QuotientRing,
     TruncatedSeries,
@@ -31,7 +43,7 @@ from .algebra_kernel import (
     poly_mul,
 )
 from .cohomology_models import chern_vector
-from .genus_engine import GenusSpec, evaluate
+from .genus_engine import GenusSpec, classical_genus, evaluate
 from .universal_elliptic import QuarticData, q_to_abcd
 
 DEFAULT_QORDER = 5
@@ -173,115 +185,89 @@ def xscale(xs, c):
 
 
 # ---------------------------------------------------------------------------
-# the Phi product
+# the product as divisor sums
 # ---------------------------------------------------------------------------
+
+
+def _y_powers(ring, y, n):
+    """[y^0, ..., y^n] and [y^0, ..., y^-n]."""
+    up, down = [ring.one], [ring.one]
+    y_inv = y ** (-1)
+    for _ in range(n):
+        up.append(up[-1] * y)
+        down.append(down[-1] * y_inv)
+    return up, down
+
+
+def _divisor_sums(ring, powers, weight):
+    """[0, s_1, ..., s_n] with s_e = sum_{m|e} (a y^m + b y^-m + c).
+
+    powers is _y_powers(ring, y, n); weight(m) gives the rationals
+    (a, b, c).  Each s_e is one ring.dot.
+    """
+    up, down = powers
+    weights = [None] + [weight(m) for m in range(1, len(up))]
+
+    def pairs(e):
+        for m in range(1, e + 1):
+            if e % m == 0:
+                a, b, c = weights[m]
+                yield from ((up[m], a), (down[m], b), (ring.one, c))
+
+    return [ring.zero] + [ring.dot(pairs(e)) for e in range(1, len(up))]
 
 
 def phi_at_minus_z(qorder, ring, y):
-    """Phi(tau, -z) = (1+y) prod (1+y q^n)(1+y^{-1} q^n)/(1-q^n)^2."""
-    y_inv = y ** (-1)
-    out = TruncatedSeries(ring, 0, [ring.one + y], qorder)
-    for n in range(1, qorder + 1):
-        f1 = TruncatedSeries.from_function(
-            ring,
-            lambda e, n=n: ring.one if e == 0 else
-            (y if e == n else ring.zero),
-            qorder,
-        )
-        f2 = TruncatedSeries.from_function(
-            ring,
-            lambda e, n=n: ring.one if e == 0 else
-            (y_inv if e == n else ring.zero),
-            qorder,
-        )
-        geom2 = TruncatedSeries.from_function(
-            ring,
-            lambda e, n=n: ring.from_fraction(e // n + 1) if e % n == 0
-            else ring.zero,
-            qorder,
-        )
-        out = out * f1 * f2 * geom2
-    return out
+    """Phi(tau, -z) = (1+y) prod (1+y q^n)(1+y^{-1} q^n)/(1-q^n)^2.
+
+    The log of the product is sum_e q^e sum_{m|e}
+    ((-1)^(m+1) (y^m + y^-m) + 2) / m.
+    """
+    log = _divisor_sums(ring, _y_powers(ring, y, qorder), lambda m: (
+        Fraction((-1) ** (m + 1), m), Fraction((-1) ** (m + 1), m),
+        Fraction(2, m)))
+    return TruncatedSeries(ring, 0, log, qorder).exp() * (ring.one + y)
 
 
-# ---------------------------------------------------------------------------
-# the product form of the characteristic series
-# ---------------------------------------------------------------------------
-
-
-def qx_of_phiell_product(qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER,
-                         mode="formal"):
-    """The genus's Q(x) with q-series coefficients, from the product form.
+def phi_ell_q(qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER, mode="formal"):
+    """The genus of the theta product, from its log coefficients l_k.
 
     mode: "formal" (coefficients in Q[y, 1/y, 1/(1+y)]) or an integer N
     (coefficients in the cyclotomic model where -y is a primitive N-th
-    root of unity).  The overall e^{kx} factor is dropped, so evaluation
-    is only meaningful on SU classes.
+    root of unity).  Each l_k is a q-series through q^qorder; its q^0
+    term is log(x/(1-u)) + log(1 + y(u-1)/(1+y)) at x^k, and its q^e
+    terms are the divisor sums of the module docstring.  The overall
+    e^{kx} factor is dropped, so evaluation is only meaningful on SU
+    classes.
     """
     ring, y = y_model(mode)
+    powers = _y_powers(ring, y, qorder)
+    todd = classical_genus("todd", order=xorder).log_coeffs
+    w = y * (ring.one + y) ** (-1)
+    unit = TruncatedSeries(ring, 0, [ring.one] + [
+        w * Fraction((-1) ** k, factorial(k)) for k in range(1, xorder + 1)
+    ], xorder).log()
     nested = SeriesRing(ring, qorder)
-    y_inv = y ** (-1)
+    logs = [nested.zero]
+    for k in range(1, xorder + 1):
+        sums = _divisor_sums(ring, powers, lambda m, k=k: (
+            Fraction((-1) ** (m + 1) * (-m) ** k, m * factorial(k)),
+            Fraction((-1) ** (m + 1) * m ** k, m * factorial(k)),
+            Fraction((-m) ** k + m ** k, m * factorial(k))))
+        sums[0] = unit.coeff(k) + todd[k]
+        logs.append(TruncatedSeries(ring, 0, sums, qorder))
+    return GenusSpec.from_log_coeffs(nested, logs,
+                                     name=f"phi_ell(q; {mode})")
 
-    # x/(1 - e^{-x}), lifted
-    x = TruncatedSeries.x_series(QQ, xorder + 1)
-    denom = (TruncatedSeries.one_series(QQ, xorder + 1) - (-x).exp())
-    todd = (x * denom.inverse()).truncate(xorder)
-    q_of_x = TruncatedSeries(
-        nested, 0, [nested.from_fraction(todd.coeff(k))
-                    for k in range(xorder + 1)], xorder
-    )
 
-    # (1 + y e^{-x})
-    fac = TruncatedSeries(
-        nested, 0,
-        [nested.constant(ring.one + y)] + [
-            nested.constant(y * Fraction((-1) ** k, factorial(k)))
-            for k in range(1, xorder + 1)
-        ],
-        xorder,
-    )
-    q_of_x = q_of_x * fac
-
-    one_plus_y = ring.one + y
-    one_plus_yinv = ring.one + y_inv
-    for n in range(1, qorder + 1):
-        for sign, unit in ((1, one_plus_y), (-1, one_plus_yinv)):
-            # 1 + unit * sum_{m>=1} q^{nm} u^{sign*m}
-            coeffs = []
-            for k in range(xorder + 1):
-                def qc(e, k=k, n=n, sign=sign, unit=unit):
-                    if e == 0 or e % n:
-                        return ring.zero
-                    m = e // n
-                    w = Fraction((sign * -m) ** k, factorial(k))
-                    return unit * w
-
-                col = nested.from_function(qc)
-                if k == 0:
-                    col = col + nested.one
-                coeffs.append(col)
-            q_of_x = q_of_x * TruncatedSeries(nested, 0, coeffs, xorder)
-
-    norm_inv = phi_at_minus_z(qorder, ring, y).inverse()
-    q_of_x = xscale(q_of_x, norm_inv)
-    return GenusSpec(q_of_x, name=f"phi_ell(q; {mode})")
+# The benchmark's tracer (bench/tracer.py) times the q-side build under
+# these names.
+qx_of_phiell_product = _product_spec = phi_ell_q
 
 
 # ---------------------------------------------------------------------------
 # loop-space expansion and the Weierstrass series
 # ---------------------------------------------------------------------------
-
-_spec_cache = {}
-
-
-def _product_spec(qorder, xorder, mode):
-    # a spec of higher x-order answers every lower-order request
-    key = (qorder, mode)
-    spec = _spec_cache.get(key)
-    if spec is None or spec.order < xorder:
-        spec = qx_of_phiell_product(qorder, xorder, mode)
-        _spec_cache[key] = spec
-    return spec
 
 
 def chi_y_loop(X, qorder=DEFAULT_QORDER):
@@ -292,7 +278,7 @@ def chi_y_loop(X, qorder=DEFAULT_QORDER):
     cv = chern_vector(X)
     if not cv.is_su():
         raise NotSU("chi_y(q, LX) needs an SU class")
-    spec = _product_spec(qorder, max(cv.dim, 2), "formal")
+    spec = phi_ell_q(qorder, max(cv.dim, 2), "formal")
     v = evaluate(spec, cv)
     ring, y = y_model("formal")
     norm = phi_at_minus_z(qorder, ring, y)
@@ -318,25 +304,6 @@ def weierstrass_p(qorder=DEFAULT_QORDER):
                 total = total + (minus_y ** d + minus_y_inv ** d) * d
                 s1 += d
         return total - Fraction(2 * s1)
-
-    return TruncatedSeries(ring, 0, [coeff(n) for n in range(qorder + 1)],
-                           qorder)
-
-
-def weierstrass_p_prime(qorder=DEFAULT_QORDER):
-    """d/dz of the Weierstrass series (z-derivative acts as y d/dy)."""
-    ring, y = y_model("formal")
-    minus_y = -y
-    minus_y_inv = minus_y ** (-1)
-
-    def coeff(n):
-        if n == 0:
-            return y * (y - ring.one) * (ring.one + y) ** (-3)
-        total = ring.zero
-        for d in range(1, n + 1):
-            if n % d == 0:
-                total = total + (minus_y ** d - minus_y_inv ** d) * (d * d)
-        return total
 
     return TruncatedSeries(ring, 0, [coeff(n) for n in range(qorder + 1)],
                            qorder)
@@ -384,9 +351,9 @@ def extract_qi(mode="formal", qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER):
     """The q-expansions of q_1..q_4 (and of A, B, C, D).
 
     Returns (QuarticData, ABCDPoint) over the q-series ring, recovered
-    from the product form of f via its quartic differential equation.
+    from f = x/Q(x) via its quartic differential equation.
     """
-    spec = _product_spec(qorder, xorder, mode)
+    spec = phi_ell_q(qorder, xorder, mode)
     quartic = match_quartic(spec.f_series())
     return quartic, q_to_abcd(quartic)
 

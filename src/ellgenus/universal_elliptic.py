@@ -187,11 +187,11 @@ def solve_h(S, order):
 
 
 def q_of_h(h, name="genus"):
-    """GenusSpec with f'/f = h: Q(x) = x/f = exp(-integral(h - 1/x))."""
+    """GenusSpec with f'/f = h: log Q(x) = log(x/f) = -integral(h - 1/x)."""
     ring = h.ring
     one_over_x = TruncatedSeries(ring, -1, [ring.one], h.order)
-    g = (h - one_over_x).integrate()
-    return GenusSpec((-g).exp(), name=name)
+    log_q = -(h - one_over_x).integrate()
+    return GenusSpec.from_log_coeffs(ring, log_q.coeffs, name=name)
 
 
 def universal_in_q(order=DEFAULT_ORDER):

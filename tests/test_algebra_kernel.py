@@ -1020,3 +1020,6 @@ def test_series_ops_are_truncation_sound(name, data):
     check(TruncatedSeries.exp, series(1, elements))
     check(TruncatedSeries.log, series(0, st.just(ring.one)))
     check(TruncatedSeries.compose_inverse, series(1, units))
+    inner = series(data.draw(st.integers(min_value=1, max_value=2)),
+                   elements, data.draw(st.integers(min_value=0, max_value=2)))
+    check(TruncatedSeries.compose, series(0, elements), inner)

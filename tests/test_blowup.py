@@ -28,7 +28,7 @@ from ellgenus.blowup import (
 )
 from ellgenus.cohomology_models import cp_model, point_model, product_model
 from ellgenus.genus_engine import GenusSpec, classical_genus
-from ellgenus.jacobi_q import _product_spec
+from ellgenus.jacobi_q import phi_ell_q
 
 F = Fraction
 
@@ -320,7 +320,7 @@ def test_pushed_defect_matches_root_oracle(which):
     # the five classical genera, and the level-N series for N = 2, 3 and
     # formal y
     if isinstance(which, int) or which == "formal":
-        spec = _product_spec(2, 10, which)
+        spec = phi_ell_q(2, 10, which)
     else:
         spec = classical_genus(which, order=8)
     for q in range(1, 6):

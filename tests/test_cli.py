@@ -163,7 +163,8 @@ def test_leveln_relations_golden_stdout(N, fmt):
 @pytest.mark.parametrize("N", sorted(BLOWUP_DIGESTS, key=int))
 def test_blowup_verify_golden_stdout(N, fmt):
     # digests in tests/blowup_verify_sha256.json, recorded from the
-    # divided-difference kernel in the roots
+    # divided-difference kernel in the roots (N = 2..7) and from the
+    # multiplied-out theta product (N = 8, 9)
     _assert_golden_stdout(("blowup", "verify", "--N", N), fmt,
                           BLOWUP_DIGESTS[N][fmt])
 
@@ -172,7 +173,8 @@ def test_blowup_verify_golden_stdout(N, fmt):
 @pytest.mark.parametrize("command", list(CLI_DIGESTS))
 def test_cli_golden_stdout(command, fmt):
     # digests in tests/cli_stdout_sha256.json, recorded before the
-    # products were moved onto ring.dot
+    # products were moved onto ring.dot; the qexpand entries at qorder 6
+    # and 14..30 were recorded from the multiplied-out theta product
     _assert_golden_stdout(command.split(), fmt, CLI_DIGESTS[command][fmt])
 
 

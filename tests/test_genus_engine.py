@@ -27,7 +27,6 @@ from ellgenus.genus_engine import (
     classical_genus,
     evaluate,
     formal_group_law,
-    genus_from_log,
     multiplicative_class,
     multiplicative_sequence,
 )
@@ -272,9 +271,37 @@ def test_multiplicative_sequence_is_product_of_q(name):
     assert total == prod
 
 
+@pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
+def test_log_route_builds_the_same_genus(name):
+    # from_log_coeffs takes log Q and forms Q = exp on first access
+    ref = classical_genus(name, order=7)
+    spec = GenusSpec.from_log_coeffs(ref.ring, ref.log_coeffs, name=name)
+    assert "q" not in vars(spec)
+    assert spec.order == 7
+    assert spec.q == ref.q
+    assert spec.q is spec.q
+    assert multiplicative_sequence(spec, 5).ks == (
+        multiplicative_sequence(ref, 5).ks)
+
+
+def test_log_route_rejects_a_constant_term():
+    with pytest.raises(BadValuation):
+        GenusSpec.from_log_coeffs(QQ, [F(1), F(1, 2)])
+
+
 # ---------------------------------------------------------------------------
 # logarithm and formal group law
 # ---------------------------------------------------------------------------
+
+
+def genus_from_log(g, name="genus"):
+    """Oracle: GenusSpec with logarithm g, Q(x) = x / f(x) for f the
+    compositional inverse of g."""
+    if g.valuation() != 1:
+        raise BadValuation("genus logarithm needs valuation exactly 1")
+    f = g.compose_inverse()
+    x = TruncatedSeries.x_series(g.ring, f.order)
+    return GenusSpec((x * f.inverse()).truncate(f.order), name=name)
 
 
 def test_genus_from_log_identity():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from ellgenus.algebra_kernel import TruncatedSeries, coeff_is_zero
 from ellgenus.cohomology_models import catalog, chern_vector, cp_model, product_model
-from ellgenus.genus_engine import evaluate
+from ellgenus.genus_engine import GenusSpec, evaluate
 from ellgenus.jacobi_q import (
     InconsistentSystem,
     NotLaurent,
@@ -19,13 +19,11 @@ from ellgenus.jacobi_q import (
     integrality_check,
     match_quartic,
     phi_at_minus_z,
+    phi_ell_q,
     weierstrass_p,
-    weierstrass_p_prime,
     xscale,
     y_model,
 )
-from ellgenus import jacobi_q
-from ellgenus.jacobi_q import _product_spec
 from ellgenus.level_n import compute_level_data, level2_modular_forms
 from ellgenus.universal_elliptic import QQ, universal_in_q, specialize
 
@@ -181,6 +179,113 @@ def phi_product(qorder, uwindow=None):
 
 
 # ---------------------------------------------------------------------------
+# the product form as an oracle for the divisor sums: Q(x) multiplied out
+# as 2 * qorder nested x-series over q-series, then its log
+# ---------------------------------------------------------------------------
+
+
+def _phi_at_minus_z_product(qorder, ring, y):
+    """Phi(tau, -z) = (1+y) prod (1+y q^n)(1+y^{-1} q^n)/(1-q^n)^2."""
+    y_inv = y ** (-1)
+    out = TruncatedSeries(ring, 0, [ring.one + y], qorder)
+    for n in range(1, qorder + 1):
+        f1 = TruncatedSeries.from_function(
+            ring, lambda e, n=n: ring.one if e == 0 else
+            (y if e == n else ring.zero), qorder)
+        f2 = TruncatedSeries.from_function(
+            ring, lambda e, n=n: ring.one if e == 0 else
+            (y_inv if e == n else ring.zero), qorder)
+        geom2 = TruncatedSeries.from_function(
+            ring, lambda e, n=n: ring.from_fraction(e // n + 1)
+            if e % n == 0 else ring.zero, qorder)
+        out = out * f1 * f2 * geom2
+    return out
+
+
+def _product_genus(qorder, xorder, mode):
+    """Q(x) = x/(1-u) (1 + y u) prod_n [...] / Phi(tau,-z), multiplied out."""
+    ring, y = y_model(mode)
+    nested = SeriesRing(ring, qorder)
+    y_inv = y ** (-1)
+    x = TruncatedSeries.x_series(QQ, xorder + 1)
+    denom = TruncatedSeries.one_series(QQ, xorder + 1) - (-x).exp()
+    todd = (x * denom.inverse()).truncate(xorder)
+    q_of_x = TruncatedSeries(nested, 0, [
+        nested.from_fraction(todd.coeff(k)) for k in range(xorder + 1)
+    ], xorder)
+    q_of_x = q_of_x * TruncatedSeries(nested, 0, [
+        nested.constant(ring.one + y)] + [
+        nested.constant(y * F((-1) ** k, factorial(k)))
+        for k in range(1, xorder + 1)], xorder)
+    for n in range(1, qorder + 1):
+        for sign, unit in ((1, ring.one + y), (-1, ring.one + y_inv)):
+            # 1 + unit * sum_{m>=1} q^{nm} u^{sign*m}
+            coeffs = []
+            for k in range(xorder + 1):
+                def qc(e, k=k, n=n, sign=sign, unit=unit):
+                    if e == 0 or e % n:
+                        return ring.zero
+                    return unit * F((sign * -(e // n)) ** k, factorial(k))
+
+                col = nested.from_function(qc)
+                coeffs.append(col + nested.one if k == 0 else col)
+            q_of_x = q_of_x * TruncatedSeries(nested, 0, coeffs, xorder)
+    norm_inv = _phi_at_minus_z_product(qorder, ring, y).inverse()
+    return GenusSpec(xscale(q_of_x, norm_inv))
+
+
+def _assert_q_series_agree(a, b, qorder):
+    """Two q-series agree through q^qorder."""
+    assert a.order >= qorder and b.order >= qorder
+    for n in range(qorder + 1):
+        assert a.coeff(n) == b.coeff(n), n
+
+
+@pytest.mark.parametrize("mode,qorder,xorder", [
+    ("formal", 4, 4), ("formal", 8, 6), ("formal", 30, 2),
+    (2, 4, 4), (3, 4, 4), (5, 4, 4)])
+def test_divisor_sums_equal_product_log(mode, qorder, xorder):
+    spec = phi_ell_q(qorder, xorder, mode)
+    oracle = _product_genus(qorder, xorder, mode)
+    assert spec.order == xorder
+    for k in range(1, xorder + 1):
+        _assert_q_series_agree(spec.log_coeffs[k], oracle.log_coeffs[k],
+                               qorder)
+
+
+@pytest.mark.parametrize("mode", ["formal", 3])
+def test_phi_at_minus_z_equals_product(mode):
+    ring, y = y_model(mode)
+    _assert_q_series_agree(phi_at_minus_z(12, ring, y),
+                           _phi_at_minus_z_product(12, ring, y), 12)
+
+
+@pytest.mark.parametrize("mode", ["formal", 2, 3])
+def test_divisor_sums_truncation_sound(mode):
+    # every l_k through q^n and x^n equals the one built to order n + 3,
+    # in qorder and in xorder; likewise Phi(tau, -z)
+    ring, y = y_model(mode)
+    for n in (1, 2, 4):
+        low = phi_ell_q(n, n, mode)
+        for high in (phi_ell_q(n + 3, n, mode), phi_ell_q(n, n + 3, mode),
+                     phi_ell_q(n + 3, n + 3, mode)):
+            for k in range(1, n + 1):
+                _assert_q_series_agree(low.log_coeffs[k],
+                                       high.log_coeffs[k], n)
+        _assert_q_series_agree(phi_at_minus_z(n, ring, y),
+                               phi_at_minus_z(n + 3, ring, y), n)
+
+
+def test_q_is_formed_only_when_read():
+    spec = phi_ell_q(3, 4, "formal")
+    evaluate(spec, chern_vector(catalog("W2")))
+    assert "q" not in vars(spec)
+    oracle = _product_genus(3, 4, "formal")
+    for k in range(5):
+        _assert_q_series_agree(spec.q.coeff(k), oracle.q.coeff(k), 3)
+
+
+# ---------------------------------------------------------------------------
 # the theta-quotient product
 # ---------------------------------------------------------------------------
 
@@ -280,6 +385,25 @@ def test_extract_leading_term_is_chi_y_point():
     assert abcd.D.coeff(0) == y * (-(y * y) + 4 * y - one) * u**4
 
 
+def weierstrass_p_prime(qorder):
+    """Oracle: d/dz of the Weierstrass series (z-derivative acts as y d/dy)."""
+    ring, y = y_model("formal")
+    minus_y = -y
+    minus_y_inv = minus_y ** (-1)
+
+    def coeff(n):
+        if n == 0:
+            return y * (y - ring.one) * (ring.one + y) ** (-3)
+        total = ring.zero
+        for d in range(1, n + 1):
+            if n % d == 0:
+                total = total + (minus_y ** d - minus_y_inv ** d) * (d * d)
+        return total
+
+    return TruncatedSeries(ring, 0, [coeff(n) for n in range(qorder + 1)],
+                           qorder)
+
+
 def test_bcd_are_weierstrass_expansions():
     qorder = QORDER
     _, abcd = extract_qi("formal", qorder, XORDER)
@@ -325,13 +449,10 @@ def test_level2_extraction_is_delta_epsilon():
 
 def test_cyclotomic_extraction_truncation_sound():
     # q_1..q_4 through q^qorder do not depend on how far past qorder, or
-    # past xorder, the product was expanded; the cache is cleared so that
-    # both specs are built
+    # past xorder, the genus was built
     for N in (2, 3):
         qorder, xorder = 3, 8
-        jacobi_q._spec_cache.clear()
         low, _ = extract_qi(N, qorder, xorder)
-        jacobi_q._spec_cache.clear()
         high, _ = extract_qi(N, qorder + 1, xorder + 2)
         for a, b in zip(low, high):
             assert a.order == qorder
@@ -340,13 +461,11 @@ def test_cyclotomic_extraction_truncation_sound():
 
 
 def test_formal_product_truncation_sound():
-    # the formal-mode product through q^qorder and x^xorder does not
-    # depend on how far past either order it was expanded
+    # the formal-mode Q(x) through q^qorder and x^xorder does not
+    # depend on how far past either order it was built
     qorder, xorder = 3, 8
-    jacobi_q._spec_cache.clear()
-    low = _product_spec(qorder, xorder, "formal")
-    jacobi_q._spec_cache.clear()
-    high = _product_spec(qorder + 1, xorder + 2, "formal")
+    low = phi_ell_q(qorder, xorder, "formal")
+    high = phi_ell_q(qorder + 1, xorder + 2, "formal")
     assert low.order == xorder
     for k in range(xorder + 1):
         a, b = low.q.coeff(k), high.q.coeff(k)
@@ -357,9 +476,7 @@ def test_formal_product_truncation_sound():
 
 def test_formal_extraction_truncation_sound():
     qorder, xorder = 3, 8
-    jacobi_q._spec_cache.clear()
     low, _ = extract_qi("formal", qorder, xorder)
-    jacobi_q._spec_cache.clear()
     high, _ = extract_qi("formal", qorder + 1, xorder + 2)
     for a, b in zip(low, high):
         assert a.order == qorder
@@ -446,9 +563,9 @@ def test_as_y_laurent_rejects_true_denominators():
 
 def test_product_form_matches_ode_solution():
     # evaluate the universal genus at the extracted q-series point and
-    # compare with direct evaluation of the product form
+    # compare with direct evaluation of the q-side genus (two routes)
     qorder = QORDER
-    spec = _product_spec(qorder, 8, "formal")
+    spec = phi_ell_q(qorder, 8, "formal")
     quartic, _ = extract_qi("formal", qorder, XORDER)
     su = specialize(universal_in_q(6), quartic)
     for name in ("W2", "W3", "W4", "W5", "W6"):
@@ -461,7 +578,7 @@ def test_twisted_projective_spaces_vanish_at_level_n():
     cases = {2: [(3, 1), (4, 2)], 3: [(4, 1)]}
     for N, pqs in cases.items():
         for p, q in pqs:
-            spec = _product_spec(4, max(p + q - 1, 4), N)
+            spec = phi_ell_q(4, max(p + q - 1, 4), N)
             v = evaluate(spec, chern_vector(catalog(f"TwCP({p},{q})")))
             assert v.is_zero(), (N, p, q)
 
@@ -478,5 +595,5 @@ def test_cyclotomic_f_is_shifted_phi_quotient():
         shifted_x = phi.scale_u(-y).to_x_series(xorder, nested)
         const = phi.eval_u(-y, ring)
         f_cmp = xscale(num_x, const) * shifted_x.inverse()
-        f = _product_spec(qorder, xorder, N).f_series()
+        f = phi_ell_q(qorder, xorder, N).f_series()
         assert (f_cmp.truncate(f.order) - f).is_zero(), N

@@ -5,7 +5,9 @@ written as a fraction, is in lowest terms with a monic denominator, which
 is what sympy.cancel gives once its denominator is made monic.  An
 element of the cyclotomic ring Q[y]/(+-Phi_N(-y)) is its remainder
 modulo the minimal polynomial of y, which sympy.rem gives, and its
-inverse is sympy.invert.  Test-only: skipped when sympy is not installed.
+inverse is sympy.invert.  The series operations exp, log, inverse and
+compose_inverse over QQ are checked against sympy's ring_series.
+Test-only: skipped when sympy is not installed.
 """
 
 from fractions import Fraction
@@ -14,7 +16,13 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import Localization, cyclotomic_polynomial, poly_mul
+from ellgenus.algebra_kernel import (
+    QQ,
+    Localization,
+    TruncatedSeries,
+    cyclotomic_polynomial,
+    poly_mul,
+)
 from ellgenus.jacobi_q import y_model
 
 sympy = pytest.importorskip("sympy")
@@ -124,3 +132,58 @@ def test_cyclotomic_products_and_inverses_match_sympy(pa, pb):
             if not x.is_zero():
                 inv = sympy.invert(sympy.rem(sx, m, Y), m, Y)
                 assert x.inverse().coeffs == _residue(inv, m, ring.degree)
+
+
+rs = pytest.importorskip("sympy.polys.ring_series")
+RS_RING, RS_X, RS_Y = sympy.polys.rings.ring("x,y", sympy.QQ)
+
+tails = st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=5),
+                 min_size=1, max_size=7)
+units = st.fractions(min_value=-4, max_value=4,
+                     max_denominator=5).filter(bool)
+
+
+def _rs(series):
+    """A TruncatedSeries over QQ with low >= 0 as a sympy ring element."""
+    return sum((sympy.QQ(c.numerator, c.denominator) * RS_X ** e
+                for e, c in zip(range(series.low, series.order + 1),
+                                series.coeffs)), RS_RING.zero)
+
+
+def _rs_coeffs(p, var, n):
+    """Coefficients of var^0..var^n of a sympy ring element, as Fractions."""
+    idx = RS_RING.gens.index(var)
+    out = [F(0)] * (n + 1)
+    for monom, c in p.terms():
+        assert sum(monom) == monom[idx] and monom[idx] <= n
+        out[monom[idx]] = F(int(c.numerator), int(c.denominator))
+    return out
+
+
+def _coeffs_through(series, n):
+    return [series.coeff(e) for e in range(n + 1)]
+
+
+@seed(20261018)
+@settings(max_examples=40, deadline=None)
+@given(tails, units)
+def test_series_ops_over_qq_match_sympy_ring_series(tail, lead):
+    n = len(tail)
+    # valuation >= 1 for exp; constant term 1 for log; a unit constant
+    # term for inverse; a unit linear term for compose_inverse
+    shifted = TruncatedSeries(QQ, 1, tail, n)
+    assert _coeffs_through(shifted.exp(), n) == _rs_coeffs(
+        rs.rs_exp(_rs(shifted), RS_X, n + 1), RS_X, n)
+    one_plus = TruncatedSeries(QQ, 0, [F(1)] + tail, n)
+    assert _coeffs_through(one_plus.log(), n) == _rs_coeffs(
+        rs.rs_log(_rs(one_plus), RS_X, n + 1), RS_X, n)
+    unit = TruncatedSeries(QQ, 0, [lead] + tail, n)
+    inv = unit.inverse()
+    assert (inv.low, inv.order) == (0, n)
+    assert _coeffs_through(inv, n) == _rs_coeffs(
+        rs.rs_series_inversion(_rs(unit), RS_X, n + 1), RS_X, n)
+    f = TruncatedSeries(QQ, 1, [lead] + tail, n + 1)
+    g = f.compose_inverse()
+    assert (g.low, g.order) == (1, n + 1)
+    assert _coeffs_through(g, n + 1) == _rs_coeffs(
+        rs.rs_series_reversion(_rs(f), RS_X, n + 2, RS_Y), RS_Y, n + 1)
