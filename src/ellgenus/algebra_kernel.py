@@ -569,6 +569,8 @@ MultiPoly = WeightedPoly
 
 
 def _entry_exact_div(a, b):
+    if isinstance(a, int) and isinstance(b, int):
+        return a // b
     if isinstance(a, Fraction) or isinstance(a, int):
         return _fr(a) / _fr(b)
     return a.exact_div(b)
@@ -578,6 +580,7 @@ def bareiss_determinant(rows, zero, one):
     """Fraction-free (Bareiss) determinant over an integral domain.
 
     rows: square list-of-lists; entries support *, -, exact division.
+    Over Z every division is an exact //, so no Fraction is formed.
     """
     n = len(rows)
     if n == 0:
@@ -606,6 +609,10 @@ def resultant_in(p, q, var):
     """Sylvester resultant of p and q with respect to one variable.
 
     Both inputs live in the same PolyRing; the result does not involve var.
+    Nothing in the package calls it: level_n.eliminant interpolates the
+    resultant from integer determinants at points.  It is the tests'
+    symbolic oracle, kept here because the benchmark's tracer looks it up
+    by name, until the package carries its own trace spans.
     """
     if not isinstance(p, WeightedPoly) or not isinstance(q, WeightedPoly):
         raise TypeError("resultant_in expects WeightedPoly inputs")

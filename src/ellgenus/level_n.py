@@ -6,19 +6,24 @@ degree N.  Expanding that equation as a Laurent series determines the
 coefficients d_1..d_N and d_2N triangularly and leaves constraints; the
 Zolotarev condition d_{N-1} = 0 together with the first constraint give
 the two relations R_{N-1} and R_{N+1} cutting out the level-N curve in
-Q[A, B, C, D].  Both are weighted homogeneous, so the expansion runs over
-QQ at rational points (1, b, c, d) and the relations are interpolated
-exactly on their weighted monomial support.  The module also
-provides the resultant eliminating A, weighted Poincare series with
-their degree h_0, cusp points, the C = D = 0 relation T_{N-1}, kernel
-membership tests, and the two level-2 modular forms delta and epsilon.
+Q[A, B, C, D].
+
+The two relations and their resultants eliminating A (or q1) are
+weighted homogeneous, so each is fixed by its values on a slice where
+one variable is 1, and there its support is a lower set of exponents.
+One exact kernel, tensor Newton interpolation on a lower set, recovers
+each from values at integer nodes: the relations from the ODE solved
+over QQ at points (1, b, c, d), the eliminants from integer Sylvester
+determinants.  The module also
+provides weighted Poincare series with their degree h_0, the C = D = 0
+relation T_{N-1}, kernel membership tests, and the two level-2 modular
+forms delta and epsilon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import count, product
-from math import prod
+from math import lcm, prod
 
 from .algebra_kernel import (
     Localization,
@@ -26,11 +31,10 @@ from .algebra_kernel import (
     QQ,
     TruncatedSeries,
     WeightedPoly,
+    bareiss_determinant,
     cyclotomic_polynomial,
-    resultant_in,
 )
 from .genus_engine import classical_genus, evaluate
-from .jacobi_q import y_model
 from .universal_elliptic import (
     ABCD_RING,
     ABCDPoint,
@@ -84,31 +88,52 @@ class LevelNData:
         return f"<LevelNData N={self.N}>"
 
 
-def _slice_points():
-    """Integer points (b, c, d) of growing height max(|b|, |c|, |d|)."""
-    for height in count():
-        for p in product(range(-height, height + 1), repeat=3):
-            if max(map(abs, p)) == height:
-                yield tuple(Fraction(x) for x in p)
+def _zigzag(i):
+    """The i-th interpolation node 0, -1, 1, -2, 2, ... on an axis."""
+    return -(i + 1) // 2 if i % 2 else i // 2
 
 
-def _slice_row(support, point):
-    """The monomials A^a B^b C^c D^d of support evaluated at (1, b, c, d);
-    on a support of one weight these are distinct monomials in b, c, d."""
-    b, c, d = point
-    return [b ** e[1] * c ** e[2] * d ** e[3] for e in support]
+def _lower_set(weights, w):
+    """The index tuples e >= 0 with sum(weights * e) <= w, a lower set."""
+    if not weights:
+        return [()]
+    return [(e,) + rest for e in range(w // weights[0] + 1)
+            for rest in _lower_set(weights[1:], w - e * weights[0])]
 
 
-def _unisolvent_points(support, points):
-    """The first points, in order, whose rows raise the rank over support,
-    until the square system on support is nonsingular."""
-    basis, kept = [], []
-    for p in points:
-        if _echelon_insert(basis, _slice_row(support, p)):
-            kept.append(p)
-            if len(kept) == len(support):
-                return kept
-    raise ArithmeticError("points exhausted before the support was fixed")
+def newton_interpolate(lower, nodes, values):
+    """Exact interpolation on a lower set of node indices.
+
+    lower: index tuples closed under lowering any entry; nodes[j][i]: the
+    i-th node on axis j, all distinct; values: e -> the value at
+    (nodes[0][e[0]], nodes[1][e[1]], ...).  Returns e -> the coefficient
+    of prod_j x_j^e_j in the one polynomial on lower with these values
+    (Gasca & Sauer, Adv. Comput. Math. 12, 2000).  Divided differences run
+    along every axis, on lines that are prefixes 0..m of it, before any
+    axis leaves the Newton basis prod_j prod_{i < e_j} (x_j - nodes[j][i]).
+    """
+    coef = {e: Fraction(values[e]) for e in lower}
+    lines = []
+    for j in range(len(nodes)):
+        by_rest = {}
+        for e in sorted(lower, key=lambda e: e[j]):
+            by_rest.setdefault(e[:j] + e[j + 1:], []).append(e)
+        lines.append(list(by_rest.values()))
+    for x, axis_lines in zip(nodes, lines):
+        for line in axis_lines:
+            v = [coef[e] for e in line]
+            for k in range(1, len(v)):
+                for i in range(len(v) - 1, k - 1, -1):
+                    v[i] = (v[i] - v[i - 1]) / (x[i] - x[i - k])
+            coef.update(zip(line, v))
+    for x, axis_lines in zip(nodes, lines):
+        for line in axis_lines:
+            v = [coef[e] for e in line]
+            for k in range(len(v) - 2, -1, -1):
+                for i in range(k, len(v) - 1):
+                    v[i] -= x[k] * v[i + 1]
+            coef.update(zip(line, v))
+    return coef
 
 
 def _point_values(N, order, point):
@@ -119,7 +144,8 @@ def _point_values(N, order, point):
     x^{-(N-i)} + ...; f^N = x^N + ... has no x^1 term for N >= 2, so the
     x^1 coefficient is the first constraint without d_2N.
     """
-    h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *point)), order)
+    h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *map(Fraction, point))),
+                order)
     f = q_of_h(h).f_series()
     hp = [TruncatedSeries.one_series(QQ, h.order)]
     for _ in range(N):
@@ -133,12 +159,14 @@ def _point_values(N, order, point):
     return d_lower, acc.coeff(1)
 
 
-def _interpolate(support, points, values):
-    """The polynomial on support that takes values at (1, b, c, d) for each
-    point; the points must make the square system nonsingular."""
-    rows = [_slice_row(support, p) for p in points]
-    coeffs = _solve(rows, values)
-    return WeightedPoly(ABCD_RING, dict(zip(support, coeffs)))
+def _relation(w, nodes, values):
+    """The weight-w polynomial in A, B, C, D whose values at (1, b, c, d)
+    on the nodes of its support, the lower set 2b + 3c + 4d <= w, are
+    values[(b, c, d)]."""
+    coef = newton_interpolate(_lower_set((2, 3, 4), w), (nodes,) * 3,
+                              values)
+    return WeightedPoly(ABCD_RING, {(w - 2 * b - 3 * c - 4 * d, b, c, d): v
+                                    for (b, c, d), v in coef.items()})
 
 
 def compute_level_data(N, order=None):
@@ -146,11 +174,11 @@ def compute_level_data(N, order=None):
     by evaluation at rational points and exact interpolation.
 
     Both relations are weighted homogeneous (weights N-1 and N+1), so
-    their values on the slice A = 1 fix them over a support known in
-    advance.  At each point (1, b, c, d) the ODE is solved to the given
-    order over QQ and the equation expanded there; the points come from
-    an unbounded enumeration, each kept only if it raises the rank, so
-    the square systems are nonsingular and their solutions exact.
+    their values on the slice A = 1 fix them, where their supports are
+    the lower sets 2b + 3c + 4d <= N -/+ 1, one inside the other.  The
+    ODE is solved over QQ at each node (1, b, c, d) of the larger, with
+    b, c, d among 0, -1, 1, -2, 2, ..., and newton_interpolate reads each
+    relation off the values on its own lower set.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
@@ -158,19 +186,13 @@ def compute_level_data(N, order=None):
         order = 2 * N + 4
     if order < 2 * N + 2:
         raise InsufficientOrder(f"need order >= {2 * N + 2}, got {order}")
-    # at A = 1 the lower support's monomials are among the upper's, so a
-    # point that raises the rank on the lower support raises it on the
-    # upper one: the points for R_{N-1} are among those for R_{N+1}
-    support_lo = ABCD_RING.monomials_of_weight(N - 1)
-    support_up = ABCD_RING.monomials_of_weight(N + 1)
-    points_up = _unisolvent_points(support_up, _slice_points())
-    points_lo = _unisolvent_points(support_lo, points_up)
-    values = {p: _point_values(N, order, p) for p in points_up}
+    nodes = [_zigzag(i) for i in range((N + 1) // 2 + 1)]
+    values = {e: _point_values(N, order, [nodes[i] for i in e])
+              for e in _lower_set((2, 3, 4), N + 1)}
 
     # R_{N-1}: the Zolotarev condition d_{N-1} = 0, normalized so the
     # A^{N-1} coefficient is 1
-    r_lower = _interpolate(support_lo, points_lo,
-                           [values[p][0] for p in points_lo])
+    r_lower = _relation(N - 1, nodes, {e: v[0] for e, v in values.items()})
     alpha = r_lower.coeff((N - 1, 0, 0, 0))
     if alpha == 0:
         raise ArithmeticError("missing leading A power in R_{N-1}")
@@ -179,8 +201,7 @@ def compute_level_data(N, order=None):
     # R_{N+1}: the first constraint, with the A^{N+1} and A^{N-1} B
     # monomials removed by subtracting multiples of R_{N-1}, then made
     # monic in the graded lexicographic order
-    r_upper = _interpolate(support_up, points_up,
-                           [values[p][1] for p in points_up])
+    r_upper = _relation(N + 1, nodes, {e: v[1] for e, v in values.items()})
     if r_upper.is_zero():
         raise ArithmeticError("no weight-(N+1) constraint found")
     A, B, _, _ = ABCD_RING.gens()
@@ -190,13 +211,68 @@ def compute_level_data(N, order=None):
     return LevelNData(N, order, r_lower, r_upper)
 
 
+def _integer_coeffs(p):
+    """(L, rows) for L the common denominator of p: rows[k] lists the
+    terms (integer, exponent of C, exponent of D) of the coefficient of
+    A^(deg - k) in L p, for p's variables A, B, C, D."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    rows = [[] for _ in range(max(e[0] for e in p.terms) + 1)]
+    for (a, _, c, d), x in p.terms.items():
+        rows[-1 - a].append((int(x * den), c, d))
+    return den, rows
+
+
+def _at(rows, c, d):
+    """The values at (B, C, D) = (1, c, d) of the coefficients in rows."""
+    return [sum(a * c ** i * d ** j for a, i, j in t) for t in rows]
+
+
+def eliminant(p, q):
+    """res_A(p, q), the Sylvester resultant eliminating the first variable
+    A of a ring with weights 1, 2, 3, 4 (A, B, C, D or q1..q4), for
+    weighted homogeneous p and q.
+
+    For degrees m, n in A it has weight W = n wt(p) + m wt(q) - m n, so
+    on the slice B = 1 it is C^(W mod 2) S(C^2, D), with S supported on
+    the lower set 3(W mod 2 + 2k) + 4l <= W of exponents of (C^2, D).  At
+    each node c = 1, 2, ..., d = 0, -1, 1, ... the determinant of the
+    (m + n)-square Sylvester matrix of the values, denominators cleared,
+    is taken over Z; its size stays where a leading coefficient vanishes.
+    """
+    dp, dq = p.weight(), q.weight()
+    if p.ring.weights != (1, 2, 3, 4) or None in (dp, dq):
+        raise ValueError("eliminant needs weighted homogeneous polynomials "
+                         "in variables of weights 1, 2, 3, 4")
+    lp, pc = _integer_coeffs(p)
+    lq, qc = _integer_coeffs(q)
+    m, n = len(pc) - 1, len(qc) - 1
+    W = n * dp + m * dq - m * n
+    odd = W % 2
+    top = W - 3 * odd
+    lower = _lower_set((6, 4), top)
+    cs = range(1, top // 6 + 2)
+    ds = [_zigzag(j) for j in range(top // 4 + 1)]
+    values = {}
+    for k, j in lower:
+        c, d = cs[k], ds[j]
+        pv, qv = _at(pc, c, d), _at(qc, c, d)
+        rows = [[0] * r + pv + [0] * (n - 1 - r) for r in range(n)]
+        rows += [[0] * r + qv + [0] * (m - 1 - r) for r in range(m)]
+        values[k, j] = Fraction(bareiss_determinant(rows, 0, 1), c ** odd)
+    coef = newton_interpolate(lower, ([c * c for c in cs], ds), values)
+    scale = Fraction(1, lp ** n * lq ** m)
+    return WeightedPoly(p.ring, {
+        (0, (top - 6 * k - 4 * j) // 2, odd + 2 * k, j): s * scale
+        for (k, j), s in coef.items()})
+
+
 def eliminate(data, coords="abcd"):
     """res_A(R_{N-1}, R_{N+1}) in Q[B,C,D] (or the q-coordinate analogue,
-    eliminating q1)."""
+    eliminating q1); see eliminant."""
     if coords == "abcd":
-        return resultant_in(data.r_lower, data.r_upper, "A")
+        return eliminant(data.r_lower, data.r_upper)
     if coords == "q":
-        return resultant_in(data.r_lower_q(), data.r_upper_q(), "q1")
+        return eliminant(data.r_lower_q(), data.r_upper_q())
     raise ValueError("coords must be 'abcd' or 'q'")
 
 
@@ -249,37 +325,8 @@ def degree_h0(pres):
 
 
 # ---------------------------------------------------------------------------
-# cusps and the C = D = 0 relation
+# the C = D = 0 relation
 # ---------------------------------------------------------------------------
-
-
-def cusp_points(N):
-    """The two families of cusp values of (A, B, C, D) at level N.
-
-    Type (i): A = 2(1/2 - k/N), B = 2, C = D = 0 for k = 1..N-1, over Q.
-    Type (ii): A = (1-y)/(1+y), B = 2(y^2-10y+1)/(1+y)^2,
-    C = y(y-1)/(1+y)^3, D = y(-y^2+4y-1)/(1+y)^4 with -y a primitive d-th
-    root of unity, over Q[y] modulo the minimal polynomial of y, for each
-    divisor d > 1 of N.
-    """
-    if N < 2:
-        raise ValueError("N must be >= 2")
-    points = []
-    for k in range(1, N):
-        A = 2 * (Fraction(1, 2) - Fraction(k, N))
-        points.append(ABCDPoint(A, Fraction(2), Fraction(0), Fraction(0)))
-    for dvs in range(2, N + 1):
-        if N % dvs:
-            continue
-        ring, y = y_model(dvs)
-        one = ring.one
-        u = (one + y).inverse()
-        A = (one - y) * u
-        B = (y * y - 10 * y + one) * 2 * u * u
-        C = y * (y - one) * u * u * u
-        D = y * (-(y * y) + 4 * y - one) * u * u * u * u
-        points.append(ABCDPoint(A, B, C, D, ring=ring))
-    return points
 
 
 def t_poly(N):
@@ -374,18 +421,6 @@ def _reduce_vector(rows, vec):
     for row in rows:
         _echelon_insert(basis, row)
     return _reduce(basis, list(vec))
-
-
-def _solve(rows, values):
-    """The unique x with rows x = values for a nonsingular square system,
-    by Gauss-Jordan on the augmented rows."""
-    n = len(rows)
-    basis = []
-    for row, v in zip(rows, values):
-        _echelon_insert(basis, list(row) + [v])
-    if sorted(c for c, _ in basis) != list(range(n)):
-        raise ArithmeticError("singular interpolation system")
-    return [row[-1] for _, row in sorted(basis, key=lambda cr: cr[0])]
 
 
 def in_ideal(v, gens):

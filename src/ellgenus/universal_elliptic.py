@@ -69,19 +69,6 @@ class ABCDPoint:
     def __eq__(self, other):
         return isinstance(other, ABCDPoint) and list(self) == list(other)
 
-    def g2(self):
-        return self.B ** 2 * Fraction(1, 48) - Fraction(2) * self.D
-
-    def g3(self):
-        return (
-            -(self.B ** 3) * Fraction(1, 1728)
-            + self.B * self.D * Fraction(1, 12)
-            - self.C ** 2
-        )
-
-    def discriminant(self):
-        return self.g2() ** 3 - Fraction(27) * self.g3() ** 2
-
     def __repr__(self):
         return f"ABCDPoint({self.A}, {self.B}, {self.C}, {self.D})"
 
@@ -192,12 +179,6 @@ def q_of_h(h, name="genus"):
     one_over_x = TruncatedSeries(ring, -1, [ring.one], h.order)
     log_q = -(h - one_over_x).integrate()
     return GenusSpec.from_log_coeffs(ring, log_q.coeffs, name=name)
-
-
-def universal_in_q(order=DEFAULT_ORDER):
-    """phi_ell as a GenusSpec over Q[q1..q4]."""
-    h = solve_h(QuarticData.generic(), order)
-    return q_of_h(h, name="phi_ell(q)")
 
 
 def phi_ell(order=DEFAULT_ORDER):

@@ -7,9 +7,11 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ellgenus.cli import main
-from ellgenus.cohomology_models import catalog
+from ellgenus.cohomology_models import MANIFOLD_TYPES, catalog
 from ellgenus.genus_engine import evaluate
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
@@ -299,3 +301,77 @@ def test_integral_float_count_is_accepted():
     rc, text = run("genus", "eval", "--genus", "todd",
                    "--manifold", '{"type":"cp","n":2.0}')
     assert (rc, text) == (0, "todd(CP2) = 1\n")
+
+
+# ---------------------------------------------------------------------------
+# fuzzing the command line: every request exits 0, 1 or 2 without raising
+# ---------------------------------------------------------------------------
+
+_CATALOG_NAMES = ["W1", "W2", "W3", "W4", "W5", "W6", "K3", "CP0", "CP1",
+                  "CP3", "CP-1", "CP", "TwCP(0,0)", "TwCP(2,1)", "TwCP(1,x)",
+                  "TwCP(3)", "W0", "Wx", "", " CP2", "X"]
+_JSON_KEYS = ["type", "n", "name", "factors", "ambient", "c1", "base", "E",
+              "F", "lines", "trivial", "dim", "numbers", "1,1", "2", "0,x"]
+# small leaves only, so no drawn manifold is expensive
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-1, 2)
+    | st.sampled_from([0.5, 2.0, -1.0, "", "cp", "W2", "1/0", "3/2"]),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=3),
+    max_leaves=6)
+
+
+@st.composite
+def _manifold_args(draw):
+    kind = draw(st.sampled_from(
+        ["catalog", "catalog", "cp", "object", "json", "broken"]))
+    if kind == "catalog":
+        return "catalog:" + draw(st.sampled_from(_CATALOG_NAMES))
+    if kind == "cp":
+        return json.dumps({"type": "cp", "n": draw(st.integers(-1, 3))})
+    if kind == "object":
+        obj = draw(st.dictionaries(st.sampled_from(_JSON_KEYS), _JSON,
+                                   max_size=4))
+        obj["type"] = draw(st.sampled_from(MANIFOLD_TYPES + ("bogus",)))
+        text = json.dumps(obj)
+    else:
+        text = "[" + json.dumps(draw(_JSON))
+        if kind == "json":
+            text += "]"
+        else:
+            text = text[:draw(st.integers(1, len(text)))]
+    return text
+
+
+@st.composite
+def _argvs(draw):
+    size = st.integers(-1, 4).map(str)
+    command = draw(st.sampled_from(
+        ["genus", "universal", "leveln", "qexpand", "blowup"]))
+    if command == "genus":
+        genus = draw(st.sampled_from(
+            ["todd", "phi_ell", "chi_y", "a_tilde", "euler", "0,-16,0,2",
+             "1,2", "1/0,0,0,0", "x,1,2,3", "nope"]))
+        argv = ["genus", "eval", "--genus", genus,
+                "--manifold", draw(_manifold_args()), "--order", draw(size)]
+    elif command == "universal":
+        argv = ["universal", "coeffs", "--order",
+                draw(st.integers(-2, 8).map(str))]
+    elif command == "leveln":
+        argv = ["leveln", "relations", "--N", draw(size)]
+    elif command == "qexpand":
+        argv = ["qexpand", "--manifold", draw(_manifold_args()),
+                "--qorder", draw(st.integers(-1, 2).map(str))]
+    else:
+        argv = ["blowup", "verify", "--N", draw(st.integers(-1, 3).map(str)),
+                "--qorder", draw(st.integers(-1, 2).map(str))]
+    return argv + draw(st.sampled_from(
+        [[], [], ["--format", "json"], ["--format", "xml"]]))
+
+
+@settings(max_examples=80, deadline=None)
+@seed(20261018)
+@given(argv=_argvs())
+def test_cli_fuzz_exits_0_1_or_2(argv):
+    out = io.StringIO()
+    assert main(argv, out=out) in (0, 1, 2)

@@ -25,7 +25,13 @@ from ellgenus.jacobi_q import (
     y_model,
 )
 from ellgenus.level_n import compute_level_data, level2_modular_forms
-from ellgenus.universal_elliptic import QQ, universal_in_q, specialize
+from ellgenus.universal_elliptic import (
+    QQ,
+    QuarticData,
+    q_of_h,
+    solve_h,
+    specialize,
+)
 
 F = Fraction
 
@@ -567,7 +573,7 @@ def test_product_form_matches_ode_solution():
     qorder = QORDER
     spec = phi_ell_q(qorder, 8, "formal")
     quartic, _ = extract_qi("formal", qorder, XORDER)
-    su = specialize(universal_in_q(6), quartic)
+    su = specialize(q_of_h(solve_h(QuarticData.generic(), 6)), quartic)
     for name in ("W2", "W3", "W4", "W5", "W6"):
         cv = chern_vector(catalog(name))
         assert evaluate(su, cv) == evaluate(spec, cv), name

@@ -1,32 +1,40 @@
 from fractions import Fraction
 from functools import lru_cache
+from itertools import count, product
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ellgenus.algebra_kernel import (
     QQ,
     Localization,
     TruncatedSeries,
+    WeightedPoly,
     cyclotomic_polynomial,
+    resultant_in,
 )
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import classical_genus, evaluate
+from ellgenus.jacobi_q import y_model
 from ellgenus.level_n import (
     AB_RING,
     GradedIdealPresentation,
     InsufficientOrder,
     LevelNData,
     WrongPoleOrder,
-    _slice_points,
-    _unisolvent_points,
+    _echelon_insert,
+    _point_values,
+    _zigzag,
     compute_level_data,
-    cusp_points,
     degree_h0,
+    eliminant,
     eliminate,
     in_ideal,
     kernel_membership,
     level2_modular_forms,
+    newton_interpolate,
     poincare_series,
     reduce_mod_ideal,
     t_poly,
@@ -169,13 +177,125 @@ def test_relations_truncation_sound():
                                                 deeper.r_upper)
 
 
-def test_slice_points_fix_large_supports():
-    # a fixed [-2, 2]^3 grid runs out of points at weight 11 (N = 10);
-    # the growing enumeration does not
-    for w in (3, 7, 11):
-        support = ABCD_RING.monomials_of_weight(w)
-        points = _unisolvent_points(support, _slice_points())
-        assert len(set(points)) == len(support)
+# ---------------------------------------------------------------------------
+# oracle: the relations by Gauss-Jordan on points chosen by a rank test
+# ---------------------------------------------------------------------------
+
+
+def _slice_points():
+    """Integer points (b, c, d) of growing height max(|b|, |c|, |d|)."""
+    for height in count():
+        for p in product(range(-height, height + 1), repeat=3):
+            if max(map(abs, p)) == height:
+                yield tuple(F(x) for x in p)
+
+
+def _slice_row(support, point):
+    """The monomials A^a B^b C^c D^d of support evaluated at (1, b, c, d)."""
+    b, c, d = point
+    return [b ** e[1] * c ** e[2] * d ** e[3] for e in support]
+
+
+def _unisolvent_points(support, points):
+    """The first points, in order, whose rows raise the rank over support,
+    until the square system on support is nonsingular."""
+    basis, kept = [], []
+    for p in points:
+        if _echelon_insert(basis, _slice_row(support, p)):
+            kept.append(p)
+            if len(kept) == len(support):
+                return kept
+    raise ArithmeticError("points exhausted before the support was fixed")
+
+
+def _solve(rows, values):
+    """The unique x with rows x = values, by Gauss-Jordan on the augmented
+    rows of a nonsingular square system."""
+    basis = []
+    for row, v in zip(rows, values):
+        _echelon_insert(basis, list(row) + [v])
+    assert sorted(c for c, _ in basis) == list(range(len(rows)))
+    return [row[-1] for _, row in sorted(basis, key=lambda cr: cr[0])]
+
+
+@lru_cache(maxsize=None)
+def _level_data_gauss_jordan(N):
+    """compute_level_data before the lower-set kernel: the supports'
+    square systems at points kept only if they raise the rank."""
+    order = 2 * N + 4
+    support_lo = ABCD_RING.monomials_of_weight(N - 1)
+    support_up = ABCD_RING.monomials_of_weight(N + 1)
+    points_up = _unisolvent_points(support_up, _slice_points())
+    points_lo = _unisolvent_points(support_lo, points_up)
+    values = {p: _point_values(N, order, p) for p in points_up}
+
+    def interpolate(support, points, which):
+        coeffs = _solve([_slice_row(support, p) for p in points],
+                        [values[p][which] for p in points])
+        return WeightedPoly(ABCD_RING, dict(zip(support, coeffs)))
+
+    r_lower = interpolate(support_lo, points_lo, 0)
+    r_lower = r_lower * (1 / r_lower.coeff((N - 1, 0, 0, 0)))
+    r_upper = interpolate(support_up, points_up, 1)
+    r_upper = r_upper - A * A * r_lower * r_upper.coeff((N + 1, 0, 0, 0))
+    r_upper = r_upper - B * r_lower * r_upper.coeff((N - 1, 1, 0, 0))
+    return r_lower, r_upper.monic()
+
+
+@lru_cache(maxsize=None)
+def _data(N):
+    return compute_level_data(N)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_relations_match_gauss_jordan_route(N):
+    data = _data(N)
+    assert (data.r_lower, data.r_upper) == _level_data_gauss_jordan(N)
+
+
+# ---------------------------------------------------------------------------
+# the lower-set Newton kernel
+# ---------------------------------------------------------------------------
+
+
+def test_zigzag_nodes():
+    assert [_zigzag(i) for i in range(7)] == [0, -1, 1, -2, 2, -3, 3]
+
+
+@st.composite
+def _lower_sets(draw):
+    """A random lower set in 1..3 dimensions, as the downward closure of a
+    few random index tuples."""
+    dims = draw(st.integers(1, 3))
+    tops = draw(st.lists(st.tuples(*[st.integers(0, 4)] * dims),
+                         min_size=1, max_size=4))
+    return sorted({e for t in tops
+                   for e in product(*(range(k + 1) for k in t))})
+
+
+@settings(max_examples=60, deadline=None)
+@seed(20261018)
+@given(lower=_lower_sets(), data=st.data())
+def test_newton_interpolate_recovers_a_random_polynomial(lower, data):
+    dims = len(lower[0])
+    squares = data.draw(st.booleans())
+    nodes = [[(i + 1) ** 2 if squares else _zigzag(i) for i in range(5)]
+             for _ in range(dims)]
+    fracs = st.fractions(min_value=-50, max_value=50, max_denominator=20)
+    poly = {e: data.draw(fracs) for e in lower}
+
+    def value(e):
+        point = [x[i] for x, i in zip(nodes, e)]
+        total = F(0)
+        for m, c in poly.items():
+            term = c
+            for x, k in zip(point, m):
+                term *= F(x) ** k
+            total += term
+        return total
+
+    coef = newton_interpolate(lower, nodes, {e: value(e) for e in lower})
+    assert coef == poly
 
 
 def test_eliminant_level3():
@@ -200,9 +320,67 @@ def test_eliminant_level2_vanishes_at_classical_points():
         assert v == 0
 
 
+@pytest.mark.parametrize("N", range(2, 8))
+def test_eliminant_equals_sylvester_resultant(N):
+    # the symbolic Bareiss over Q[B, C, D] (or Q[q2, q3, q4]) is the oracle
+    data = _data(N)
+    assert eliminate(data) == resultant_in(data.r_lower, data.r_upper, "A")
+    assert eliminate(data, coords="q") == resultant_in(
+        data.r_lower_q(), data.r_upper_q(), "q1")
+
+
+def test_eliminant_keeps_the_formal_degrees():
+    # both leading coefficients in A vanish at the node B = 1, D = 1, where
+    # the Sylvester matrix has a zero first column; the resultant with the
+    # degrees of the values there would be a nonzero constant instead
+    p = (D - B * B) * A + B * C
+    q = (D - B * B) * A * A + C * C - B * D * 3
+    res = eliminant(p, q)
+    assert res == resultant_in(p, q, "A")
+    assert res.is_homogeneous(2 * 5 + 6 - 2)
+    at_node = res.substitute({"A": F(0), "B": F(1), "C": F(2), "D": F(1)})
+    assert at_node == 0
+    # and in the q-coordinates, eliminating q1
+    pq, qq = to_q_coords(p), to_q_coords(q)
+    assert eliminant(pq, qq) == resultant_in(pq, qq, "q1")
+
+
+def test_eliminant_rejects_inhomogeneous_input():
+    with pytest.raises(ValueError):
+        eliminant(A + B, A * C)
+
+
 # ---------------------------------------------------------------------------
 # cusps
 # ---------------------------------------------------------------------------
+
+
+def cusp_points(N):
+    """The two families of cusp values of (A, B, C, D) at level N.
+
+    Type (i): A = 2(1/2 - k/N), B = 2, C = D = 0 for k = 1..N-1, over Q.
+    Type (ii): A = (1-y)/(1+y), B = 2(y^2-10y+1)/(1+y)^2,
+    C = y(y-1)/(1+y)^3, D = y(-y^2+4y-1)/(1+y)^4 with -y a primitive d-th
+    root of unity, over Q[y] modulo the minimal polynomial of y, for each
+    divisor d > 1 of N.
+    """
+    points = []
+    for k in range(1, N):
+        A = 2 * (F(1, 2) - F(k, N))
+        points.append(ABCDPoint(A, F(2), F(0), F(0)))
+    for dvs in range(2, N + 1):
+        if N % dvs:
+            continue
+        ring, y = y_model(dvs)
+        one = ring.one
+        u = (one + y).inverse()
+        A = (one - y) * u
+        B = (y * y - 10 * y + one) * 2 * u * u
+        C = y * (y - one) * u * u * u
+        D = y * (-(y * y) + 4 * y - one) * u * u * u * u
+        points.append(ABCDPoint(A, B, C, D, ring=ring))
+    return points
+
 
 
 def test_cusp_points_level2():
