@@ -773,19 +773,17 @@ class TruncatedSeries:
     def __pow__(self, n):
         if n < 0:
             return self.inverse() ** (-n)
-        result = TruncatedSeries.one_series(self.ring, self.order - self.low * 0)
-        result = result.truncate(self.order)
-        base = self
-        first = True
+        if n == 0:
+            return TruncatedSeries.one_series(self.ring, self.order)
+        # the first factor is taken as is, not multiplied into 1, so the
+        # window of a Laurent series does not shrink
+        result, base = None, self
         while n:
             if n & 1:
-                result = base if first else result * base
-                first = False
+                result = base if result is None else result * base
             n >>= 1
             if n:
                 base = base * base
-        if first:
-            return TruncatedSeries.one_series(self.ring, self.order)
         return result
 
     def __eq__(self, other):
@@ -926,6 +924,19 @@ def poly_mul(a, b):
             for j, y in enumerate(b, i):
                 out[j] += x * y
     return _poly_trim(out)
+
+
+def poly_mul_power(a, s, k):
+    """a * s^k for coefficient lists a, s and k >= 0: a shift for s = t,
+    else one product with s^k."""
+    if not k or not a:
+        return a
+    if tuple(s) == (0, 1):
+        return [0] * k + list(a)
+    power = s
+    for _ in range(k - 1):
+        power = poly_mul(power, s)
+    return poly_mul(a, power)
 
 
 def poly_divmod(a, b):
@@ -1375,8 +1386,7 @@ class Localization:
         total, den = [], 1
         for exps, (acc, d) in buckets.items():
             for s, k, t in zip(self.inverted, exps, top):
-                for _ in range(t - k):
-                    acc = poly_mul(acc, s)
+                acc = poly_mul_power(acc, s, t - k)
             total, den = _sum(total, den, acc, d)
         return self._strip(total, den, top, range(len(self.inverted)))
 
@@ -1466,12 +1476,13 @@ class RationalFunction(_DenseElement):
         # lift both numerators to the larger exponents; where these differ
         # just one lifted numerator is divisible by s, so the sum is not
         a, b, tied = self.ints, o.ints, []
-        for i, (ea, eb) in enumerate(zip(self.exps, o.exps)):
-            for _ in range(eb - ea):
-                a = poly_mul(a, self.ring.inverted[i])
-            for _ in range(ea - eb):
-                b = poly_mul(b, self.ring.inverted[i])
-            if ea == eb:
+        for i, (s, ea, eb) in enumerate(
+                zip(self.ring.inverted, self.exps, o.exps)):
+            if ea < eb:
+                a = poly_mul_power(a, s, eb - ea)
+            elif eb < ea:
+                b = poly_mul_power(b, s, ea - eb)
+            else:
                 tied.append(i)
         return self.ring._strip(*_sum(a, self.den, b, o.den),
                                 list(map(max, self.exps, o.exps)), tied)

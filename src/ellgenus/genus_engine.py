@@ -5,10 +5,12 @@ over a coefficient ring, given by Q itself or by log Q.  From it we
 derive the genus logarithm g, the formal group law
 F(u, v) = f(g(u) + g(v)), the multiplicative sequence
 K_0, K_1, ... (via the power-sum route: sum_i log Q(x_i) = sum_m l_m p_m,
-Newton's identities, then a graded exponential), and evaluation on Chern
-vectors or cohomology models.  A catalog of classical genera (Todd,
-signature, A-hat, chi_y, twisted Todd, and the two-variable A-tilde) is
-provided in closed form.
+Newton's identities, then a graded exponential), and from that sequence
+both evaluation on Chern vectors and the total class K(c) in a
+cohomology model.  The classical genera (Todd, twisted Todd, signature,
+A-hat, Euler and the two-variable A-tilde) are given by closed-form
+logarithms in b_n = B_n/n!, the coefficients of x/(e^x - 1); chi_y is
+given by its closed-form Q(x) = x + u/(e^u - 1) with u = (1 + y) x.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ from .algebra_kernel import (
     horner,
 )
 from .cohomology_models import (
-    ChernVector,
     UnknownName,
     chern_vector,
     power_sum_in_chern,
@@ -186,34 +187,26 @@ def evaluate(spec, x):
 def multiplicative_class(spec, model, chern_elt=None):
     """K(c) = sum_m K_m(c_1..c_m) as a model element (the total class).
 
-    Computed directly from the log coefficients via Newton's identities
-    applied to the model's Chern class (or any supplied total class c),
-    so it works for arbitrary bundles, not just the tangent bundle.
+    Each partition of multiplicative_sequence(spec, top) is evaluated at
+    the degree parts of the model's Chern class (or of any supplied total
+    class c), so it works for arbitrary bundles, not just the tangent
+    bundle.
     """
     c = model.chern if chern_elt is None else chern_elt
     top = min(model.dim, spec.order)
     cs = [model.degree_part(c, m) for m in range(top + 1)]
-    # Newton: p_m = c_1 p_{m-1} - c_2 p_{m-2} + ... + (-1)^{m-1} m c_m
-    ps = [model.zero_elt()]
-    for m in range(1, top + 1):
-        pm = model.scale(cs[m], Fraction((-1) ** (m - 1) * m))
-        for i in range(1, m):
-            t = model.mul(cs[i], ps[m - i])
-            pm = model.add(pm, model.scale(t, Fraction((-1) ** (i - 1))))
-        ps.append(pm)
-    L = model.zero_elt()
-    for m in range(1, top + 1):
-        lm = spec.log_coeffs[m]
-        if lm == spec.ring.zero:
-            continue
-        L = model.add(L, model.scale(ps[m], lm))
-    K = model.one_elt()
-    term = model.one_elt()
-    for k in range(1, top + 1):
-        term = model.mul(term, L)
-        if not term:
-            break
-        K = model.add(K, model.scale(term, Fraction(1, factorial(k))))
+    monomials = {(): model.one_elt()}
+
+    def monomial(part):
+        # prod c_{p_i}, built from the partition without its last part
+        if part not in monomials:
+            monomials[part] = model.mul(monomial(part[:-1]), cs[part[-1]])
+        return monomials[part]
+
+    K = model.one_elt()  # K_0 = 1
+    for km in multiplicative_sequence(spec, top).ks[1:]:
+        for part, coeff in km.items():
+            K = model.add(K, model.scale(monomial(part), coeff))
     return K
 
 
@@ -238,83 +231,37 @@ def formal_group_law(spec, order=None):
 # ---------------------------------------------------------------------------
 
 
-def _todd_series(order, shift=Fraction(0)):
-    """x/(1 - e^{-x}) * e^{shift * x} over Q."""
-    x = TruncatedSeries.x_series(QQ, order + 1)
-    expm = (-x).exp()  # e^{-x}
-    one = TruncatedSeries.one_series(QQ, order + 1)
-    denom = (one - expm).truncate(order + 1)  # valuation 1
-    q = (x * denom.inverse()).truncate(order)
-    if shift:
-        sh = TruncatedSeries.from_function(
-            QQ, lambda e: shift ** e / factorial(e), order
-        )
-        q = (q * sh).truncate(order)
-    return q
+def _bernoulli_over_factorial(order):
+    """[b_0, ..., b_order] with x/(e^x - 1) = sum_n b_n x^n, b_n = B_n/n!."""
+    return TruncatedSeries.from_function(
+        QQ, lambda e: Fraction(1, factorial(e + 1)), order).inverse().coeffs
 
 
-def _z_over_sinh_z(order):
-    """Coefficients of z/sinh(z) (even series) as a list up to z^order."""
-    # sinh(z)/z = sum z^{2k} / (2k+1)!
-    s = TruncatedSeries.from_function(
-        QQ,
-        lambda e: Fraction(1, factorial(e + 1)) if e % 2 == 0 else Fraction(0),
-        order,
-    )
-    return s.inverse().truncate(order)
+def _todd_type(name, order, l1=QQ.zero, scale=lambda _: -1, ring=QQ):
+    """The genus with log Q(x) = l_1 x + sum_k scale(k) b_2k x^2k / (2k).
 
-
-def _chi_y_series(order):
-    """Q(x) for chi_y over Q[y], solved with exact division by (1 + y).
-
-    Q(x) (1 - e^{-u}) = x (1 + y e^{-u}) with u = (1 + y) x; matching
-    coefficients gives a triangular system whose pivot is (1 + y), and
-    every division is exact in Q[y].
+    With l_1 = 1/2 and scale -1 it is the Todd genus:
+    log x/(1 - e^{-x}) = x/2 - sum_k b_2k x^2k / (2k).
     """
-    ring = PolyRing(("y", 1))
-    y = ring.gen("y")
+    b = _bernoulli_over_factorial(order)
+    logs = [ring.zero] * (order + 1)
+    if order >= 1:
+        logs[1] = l1
+    for m in range(2, order + 1, 2):
+        logs[m] = scale(m // 2) * (b[m] / m)
+    return GenusSpec.from_log_coeffs(ring, logs, name)
+
+
+def _chi_y_series(ring, y, order):
+    """Q(x) = x + u/(e^u - 1) with u = (1 + y) x, for y in ring:
+    a_0 = 1, a_1 = (1 - y)/2 and a_n = b_n (1 + y)^n."""
+    b = _bernoulli_over_factorial(order)
     one_plus_y = ring.one + y
-    # coefficient of x^k in 1 - e^{-u}: (-1)^{k+1} (1+y)^k / k!  (k >= 1)
-    lhs_c = [ring.zero] + [
-        one_plus_y ** k * Fraction((-1) ** (k + 1), factorial(k))
-        for k in range(1, order + 2)
-    ]
-    # coefficient of x^{n+1} in x (1 + y e^{-u})
-    def rhs(n):
-        if n == 0:
-            return one_plus_y
-        return y * ((-one_plus_y) ** n * Fraction(1, factorial(n)))
-
-    a = [ring.one]
-    for n in range(1, order + 1):
-        # a_{n+1-k} lhs_k for k = 2..n+1
-        acc = rhs(n) - ring.dot(zip(reversed(a), lhs_c[2:]))
-        a.append(acc.exact_div(one_plus_y))
-    return TruncatedSeries(ring, 0, a, order)
-
-
-def _a_tilde_series(order):
-    """Q(x) = e^{(A/2) x} * w/sinh(w), w = sqrt(B/2) x/2, over Q[A, B].
-
-    w/sinh(w) is even in w, so only w^2 = B x^2 / 8 enters and the result
-    is polynomial in A and B.
-    """
-    ring = PolyRing(("A", 1), ("B", 2))
-    A, B = ring.gens()
-    zs = _z_over_sinh_z(order)
-    coeffs = []
-    for e in range(order + 1):
-        c = ring.zero
-        # e^{(A/2)x} contributes (A/2)^j / j!, the even part (B/8)^k z-coeff
-        for k in range(0, e // 2 + 1):
-            j = e - 2 * k
-            zc = zs.coeff(2 * k)
-            if zc == 0:
-                continue
-            c = c + (A ** j) * (B ** k) * (
-                Fraction(1, 2 ** j * factorial(j)) * zc * Fraction(1, 8 ** k)
-            )
-        coeffs.append(c)
+    coeffs = [ring.one, (ring.one - y) * Fraction(1, 2)]
+    power = one_plus_y
+    for n in range(2, order + 1):
+        power = power * one_plus_y
+        coeffs.append(power * b[n])
     return TruncatedSeries(ring, 0, coeffs, order)
 
 
@@ -328,7 +275,7 @@ def classical_genus(name, params=None, order=12):
     params = params or {}
     name = name.strip().lower()
     if name == "todd":
-        return GenusSpec(_todd_series(order), name="todd")
+        return _todd_type("todd", order, Fraction(1, 2))
     if name == "chi_kkn":
         try:
             k = Fraction(params["k"])
@@ -337,43 +284,33 @@ def classical_genus(name, params=None, order=12):
             raise BadParams("chi_KkN needs params k and N") from exc
         if N == 0:
             raise BadParams("N must be nonzero")
-        return GenusSpec(_todd_series(order, shift=-k / N),
-                         name=f"chi(.,K^{k}/{N})")
+        # the Todd genus times e^{-(k/N) x}
+        return _todd_type(f"chi(.,K^{k}/{N})", order, Fraction(1, 2) - k / N)
     if name == "signature":
-        # x/tanh(x) = x cosh(x)/sinh(x)
-        sinh_over_x = TruncatedSeries.from_function(
-            QQ,
-            lambda e: Fraction(1, factorial(e + 1)) if e % 2 == 0 else
-            Fraction(0),
-            order,
-        )
-        cosh = TruncatedSeries.from_function(
-            QQ,
-            lambda e: Fraction(1, factorial(e)) if e % 2 == 0 else Fraction(0),
-            order,
-        )
-        return GenusSpec((cosh * sinh_over_x.inverse()).truncate(order),
-                         name="signature")
+        # x/tanh(x) = A-hat(2x)^2 / A-hat(4x)
+        return _todd_type("signature", order,
+                          scale=lambda k: 16 ** k - 2 * 4 ** k)
     if name == "a_hat":
-        # (x/2)/sinh(x/2): substitute z = x/2 in z/sinh(z)
-        zs = _z_over_sinh_z(order)
-        q = TruncatedSeries.from_function(
-            QQ, lambda e: zs.coeff(e) / 2 ** e, order
-        )
-        return GenusSpec(q, name="a_hat")
+        # (x/2)/sinh(x/2): the Todd genus times e^{-x/2}
+        return _todd_type("a_hat", order)
     if name == "euler":
         # chi_y at y = EULER_POINT: Q(x) = 1 + x, K_n = c_n
-        one = TruncatedSeries.one_series(QQ, order)
-        x = TruncatedSeries.x_series(QQ, order)
-        return GenusSpec(one + x, name="euler")
+        return GenusSpec.from_log_coeffs(
+            QQ, [QQ.zero] + [Fraction((-1) ** (m + 1), m)
+                             for m in range(1, order + 1)],
+            name="euler")
     if name == "chi_y":
-        q = _chi_y_series(order)
         if "y" in params:
             yval = _fr(params["y"])
-            coeffs = [c.substitute({"y": yval}) for c in q.coeffs]
-            return GenusSpec(TruncatedSeries(QQ, 0, coeffs, order),
+            return GenusSpec(_chi_y_series(QQ, yval, order),
                              name=f"chi_y(y={yval})")
-        return GenusSpec(q, name="chi_y")
+        ring = PolyRing(("y", 1))
+        return GenusSpec(_chi_y_series(ring, ring.gen("y"), order),
+                         name="chi_y")
     if name == "a_tilde":
-        return GenusSpec(_a_tilde_series(order), name="a_tilde")
+        # e^{(A/2) x} w/sinh(w) with w = sqrt(B/2) x/2, so w^2 = B x^2/8
+        ring = PolyRing(("A", 1), ("B", 2))
+        A, B = ring.gens()
+        return _todd_type("a_tilde", order, A * Fraction(1, 2),
+                          lambda k: B ** k * Fraction(-1, 2 ** k), ring)
     raise UnknownName(name)

@@ -40,7 +40,7 @@ from .algebra_kernel import (
     TruncatedSeries,
     coeff_is_zero,
     cyclotomic_polynomial,
-    poly_mul,
+    poly_mul_power,
 )
 from .cohomology_models import chern_vector
 from .genus_engine import GenusSpec, classical_genus, evaluate
@@ -100,9 +100,7 @@ def as_y_laurent(value):
     ey, e1 = value.exps
     if e1 > 0:
         raise NotLaurent(f"denominator is not a monomial: {value}")
-    num = value.ints
-    for _ in range(-e1):
-        num = poly_mul(num, (1, 1))
+    num = poly_mul_power(value.ints, (1, 1), -e1)
     return {e - ey: Fraction(c, value.den) for e, c in enumerate(num) if c}
 
 

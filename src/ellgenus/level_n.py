@@ -483,31 +483,23 @@ def level2_modular_forms(qorder):
 
     delta = 1/4 + 6 sum_n (sum of odd divisors of n) q^n
     epsilon = (1/16) prod_n ((1 - q^n)/(1 + q^n))^8
+            = (1/16) exp(-16 sum_e q^e sum_{m | e, m odd} 1/m),
+    because log((1 - q^n)/(1 + q^n)) = -2 sum_{m odd} q^(nm)/m.
     """
     if qorder < 1:
         raise ValueError("qorder must be >= 1")
 
-    def odd_divisor_sum(n):
-        return sum(d for d in range(1, n + 1) if n % d == 0 and d % 2 == 1)
+    def odd_divisors(n):
+        return [d for d in range(1, n + 1, 2) if n % d == 0]
 
     delta = TruncatedSeries.from_function(
         QQ,
-        lambda n: Fraction(1, 4) if n == 0 else Fraction(6 * odd_divisor_sum(n)),
+        lambda n: Fraction(6 * sum(odd_divisors(n))) if n else Fraction(1, 4),
         qorder,
     )
-    eps = TruncatedSeries.one_series(QQ, qorder) * Fraction(1, 16)
-    for n in range(1, qorder + 1):
-        factor = TruncatedSeries.from_function(
-            QQ,
-            lambda e: Fraction(1) if e == 0 else
-            (Fraction(-1) if e == n else Fraction(0)),
-            qorder,
-        )
-        inv_factor = TruncatedSeries.from_function(
-            QQ,
-            lambda e: Fraction(1) if e == 0 else
-            (Fraction(1) if e == n else Fraction(0)),
-            qorder,
-        ).inverse()
-        eps = (eps * (factor * inv_factor) ** 8).truncate(qorder)
-    return delta, eps
+    log_eps = TruncatedSeries.from_function(
+        QQ, lambda e: -16 * sum((Fraction(1, m) for m in odd_divisors(e)),
+                                Fraction(0)),
+        qorder,
+    )
+    return delta, log_eps.exp() * Fraction(1, 16)

@@ -54,6 +54,23 @@ def test_series_inverse_laurent():
         assert inv.coeff(-1 + k) == F((-1) ** k)
 
 
+def test_power_of_a_laurent_series_keeps_the_product_window():
+    # s^n is the product s * s * ... * s: the first factor is taken as is,
+    # so s^1 keeps the window of s and no power loses a coefficient to a
+    # product with the series 1
+    s = TruncatedSeries(QQ, -1, [F(1), F(2), F(-3), F(0), F(5)], 4)
+    p1 = s ** 1
+    assert (p1.low, p1.order, p1.coeffs) == (s.low, s.order, s.coeffs)
+    by_hand = s
+    for n in range(2, 6):
+        by_hand = by_hand * s
+        p = s ** n
+        assert (p.low, p.order) == (by_hand.low, by_hand.order) == (-n, 5 - n)
+        assert p.coeffs == by_hand.coeffs
+    p0 = s ** 0
+    assert (p0.low, p0.order) == (0, 4) and p0 == 1
+
+
 def test_series_inverse_universal_leading_coefficient():
     # Q = 1 + (A/2) x + ..., then 1/Q has linear coefficient -A/2.
     A = ABCD.gen("A")

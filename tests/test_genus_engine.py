@@ -11,10 +11,10 @@ from ellgenus.algebra_kernel import (
     horner,
 )
 from ellgenus.cohomology_models import (
-    ChernVector,
     catalog,
     chern_vector,
     cp_model,
+    point_model,
     product_model,
     quartic_surface,
 )
@@ -30,6 +30,7 @@ from ellgenus.genus_engine import (
     multiplicative_class,
     multiplicative_sequence,
 )
+from ellgenus.jacobi_q import phi_ell_q
 
 F = Fraction
 
@@ -154,6 +155,160 @@ def test_a_tilde_on_projective_spaces():
 
 
 # ---------------------------------------------------------------------------
+# the closed forms against Q(x) built by series division
+# ---------------------------------------------------------------------------
+
+
+def _todd_series(order, shift=F(0)):
+    """Oracle: x/(1 - e^{-x}) * e^{shift * x} over Q."""
+    x = TruncatedSeries.x_series(QQ, order + 1)
+    expm = (-x).exp()  # e^{-x}
+    one = TruncatedSeries.one_series(QQ, order + 1)
+    denom = (one - expm).truncate(order + 1)  # valuation 1
+    q = (x * denom.inverse()).truncate(order)
+    if shift:
+        sh = TruncatedSeries.from_function(
+            QQ, lambda e: shift ** e / factorial(e), order
+        )
+        q = (q * sh).truncate(order)
+    return q
+
+
+def _z_over_sinh_z(order):
+    """Oracle: z/sinh(z), the inverse of sinh(z)/z = sum z^2k / (2k+1)!."""
+    s = TruncatedSeries.from_function(
+        QQ, lambda e: F(1, factorial(e + 1)) if e % 2 == 0 else F(0), order
+    )
+    return s.inverse().truncate(order)
+
+
+def _signature_series(order):
+    """Oracle: x/tanh(x) = x cosh(x)/sinh(x)."""
+    sinh_over_x = TruncatedSeries.from_function(
+        QQ, lambda e: F(1, factorial(e + 1)) if e % 2 == 0 else F(0), order
+    )
+    cosh = TruncatedSeries.from_function(
+        QQ, lambda e: F(1, factorial(e)) if e % 2 == 0 else F(0), order
+    )
+    return (cosh * sinh_over_x.inverse()).truncate(order)
+
+
+def _a_hat_series(order):
+    """Oracle: (x/2)/sinh(x/2), z = x/2 substituted in z/sinh(z)."""
+    zs = _z_over_sinh_z(order)
+    return TruncatedSeries.from_function(
+        QQ, lambda e: zs.coeff(e) / 2 ** e, order
+    )
+
+
+def _chi_y_series_by_division(order):
+    """Oracle: Q(x) for chi_y over Q[y], solved with exact division.
+
+    Q(x) (1 - e^{-u}) = x (1 + y e^{-u}) with u = (1 + y) x; matching
+    coefficients gives a triangular system whose pivot is (1 + y), and
+    every division is exact in Q[y].
+    """
+    ring = PolyRing(("y", 1))
+    y = ring.gen("y")
+    one_plus_y = ring.one + y
+    # coefficient of x^k in 1 - e^{-u}: (-1)^{k+1} (1+y)^k / k!  (k >= 1)
+    lhs_c = [ring.zero] + [
+        one_plus_y ** k * F((-1) ** (k + 1), factorial(k))
+        for k in range(1, order + 2)
+    ]
+
+    # coefficient of x^{n+1} in x (1 + y e^{-u})
+    def rhs(n):
+        if n == 0:
+            return one_plus_y
+        return y * ((-one_plus_y) ** n * F(1, factorial(n)))
+
+    a = [ring.one]
+    for n in range(1, order + 1):
+        # a_{n+1-k} lhs_k for k = 2..n+1
+        acc = rhs(n) - ring.dot(zip(reversed(a), lhs_c[2:]))
+        a.append(acc.exact_div(one_plus_y))
+    return TruncatedSeries(ring, 0, a, order)
+
+
+def _a_tilde_series(order):
+    """Oracle: e^{(A/2) x} * w/sinh(w), w = sqrt(B/2) x/2, over Q[A, B].
+
+    w/sinh(w) is even in w, so only w^2 = B x^2 / 8 enters.
+    """
+    ring = PolyRing(("A", 1), ("B", 2))
+    A, B = ring.gens()
+    zs = _z_over_sinh_z(order)
+    coeffs = []
+    for e in range(order + 1):
+        c = ring.zero
+        # e^{(A/2)x} contributes (A/2)^j / j!, the even part (B/8)^k z-coeff
+        for k in range(0, e // 2 + 1):
+            j = e - 2 * k
+            zc = zs.coeff(2 * k)
+            if zc == 0:
+                continue
+            c = c + (A ** j) * (B ** k) * (
+                F(1, 2 ** j * factorial(j)) * zc * F(1, 8 ** k)
+            )
+        coeffs.append(c)
+    return TruncatedSeries(ring, 0, coeffs, order)
+
+
+def _q_oracle(name, params, order):
+    """Q(x) of a classical genus by series division."""
+    if name == "todd":
+        return _todd_series(order)
+    if name == "chi_KkN":
+        return _todd_series(order, shift=-F(params["k"]) / F(params["N"]))
+    if name == "signature":
+        return _signature_series(order)
+    if name == "a_hat":
+        return _a_hat_series(order)
+    if name == "euler":
+        return TruncatedSeries(QQ, 0, [F(1), F(1)], order)
+    if name == "chi_y":
+        q = _chi_y_series_by_division(order)
+        if params:
+            return TruncatedSeries(QQ, 0, [c.substitute({"y": params["y"]})
+                                           for c in q.coeffs], order)
+        return q
+    return _a_tilde_series(order)
+
+
+CLASSICAL = [
+    ("todd", None), ("chi_KkN", {"k": 1, "N": 2}),
+    ("chi_KkN", {"k": 0, "N": 1}), ("signature", None), ("a_hat", None),
+    ("euler", None), ("chi_y", None),
+    ("chi_y", {"y": 0}), ("chi_y", {"y": 1}), ("chi_y", {"y": -1}),
+    ("chi_y", {"y": F(2, 3)}), ("a_tilde", None),
+]
+CLASSICAL_IDS = [name + "".join(f"-{k}={v}" for k, v in (params or {}).items())
+                 for name, params in CLASSICAL]
+
+
+@pytest.mark.parametrize("name, params", CLASSICAL, ids=CLASSICAL_IDS)
+def test_classical_genus_matches_series_oracle(name, params):
+    oracle = _q_oracle(name, params, 30)
+    oracle_log = oracle.log()
+    for order in range(31):
+        spec = classical_genus(name, params, order)
+        assert (spec.order, spec.q.low, spec.q.order) == (order, 0, order)
+        assert spec.q.coeffs == oracle.coeffs[:order + 1]
+        assert spec.log_coeffs == [spec.ring.zero] + [
+            oracle_log.coeff(m) for m in range(1, order + 1)]
+
+
+@pytest.mark.parametrize("name, params", CLASSICAL, ids=CLASSICAL_IDS)
+def test_classical_genus_truncation_is_sound(name, params):
+    # every coefficient at order n equals the one at order n + 3
+    for n in (0, 1, 2, 5, 12, 27):
+        low, high = (classical_genus(name, params, k) for k in (n, n + 3))
+        assert low.q.coeffs == high.q.coeffs[:n + 1]
+        assert low.log_coeffs == high.log_coeffs[:n + 1]
+
+
+# ---------------------------------------------------------------------------
 # structural laws
 # ---------------------------------------------------------------------------
 
@@ -230,7 +385,8 @@ def test_bad_constant_term_raises_at_construction():
 
 @pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
 def test_log_coeffs_are_lazy_and_match_series_log(name):
-    spec = classical_genus(name, order=7)
+    # a genus given by its Q computes log Q on first access
+    spec = GenusSpec(classical_genus(name, order=7).q, name=name)
     assert "log_coeffs" not in vars(spec)
     logq = spec.q.log()
     expected = [spec.ring.zero] + [logq.coeff(m) for m in range(1, 8)]
@@ -390,3 +546,56 @@ def test_multiplicative_class_whitney():
     Kx = multiplicative_class(todd, m, cx)
     Ky = multiplicative_class(todd, m, cy)
     assert multiplicative_class(todd, m) == m.mul(Kx, Ky)
+
+
+def _multiplicative_class_by_newton(spec, model, chern_elt=None):
+    """Oracle: K(c) = exp(sum_m l_m p_m) in the model, with the power sums
+    p_m of c from Newton's identities."""
+    c = model.chern if chern_elt is None else chern_elt
+    top = min(model.dim, spec.order)
+    cs = [model.degree_part(c, m) for m in range(top + 1)]
+    # Newton: p_m = c_1 p_{m-1} - c_2 p_{m-2} + ... + (-1)^{m-1} m c_m
+    ps = [model.zero_elt()]
+    for m in range(1, top + 1):
+        pm = model.scale(cs[m], F((-1) ** (m - 1) * m))
+        for i in range(1, m):
+            t = model.mul(cs[i], ps[m - i])
+            pm = model.add(pm, model.scale(t, F((-1) ** (i - 1))))
+        ps.append(pm)
+    L = model.zero_elt()
+    for m in range(1, top + 1):
+        L = model.add(L, model.scale(ps[m], spec.log_coeffs[m]))
+    K = model.one_elt()
+    term = model.one_elt()
+    for k in range(1, top + 1):
+        term = model.mul(term, L)
+        K = model.add(K, model.scale(term, F(1, factorial(k))))
+    return K
+
+
+def _class_models():
+    return [point_model(), cp_model(2), cp_model(3), quartic_surface(),
+            product_model(cp_model(2), cp_model(1)), catalog("W5")]
+
+
+@pytest.mark.parametrize(
+    "name", ["todd", "signature", "a_hat", "euler", "chi_y", "a_tilde"])
+def test_multiplicative_class_matches_newton_oracle(name):
+    spec = classical_genus(name, order=8)
+    for m in _class_models():
+        assert multiplicative_class(spec, m) == (
+            _multiplicative_class_by_newton(spec, m))
+    # a total class other than the tangent bundle's
+    x, y = cp_model(2), cp_model(1)
+    m = product_model(x, y)
+    cx = {(a, y.unit): c for a, c in x.chern.items()}
+    assert multiplicative_class(spec, m, cx) == (
+        _multiplicative_class_by_newton(spec, m, cx))
+
+
+def test_multiplicative_class_of_the_theta_product():
+    # coefficients in Q(zeta_3)[[q]]
+    spec = phi_ell_q(2, 6, 3)
+    for m in (cp_model(2), cp_model(3), quartic_surface()):
+        assert multiplicative_class(spec, m) == (
+            _multiplicative_class_by_newton(spec, m))
