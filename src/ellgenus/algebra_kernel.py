@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, floordiv, mul
 
 
 class NonUnitLeadingCoefficient(ArithmeticError):
@@ -568,23 +568,18 @@ MultiPoly = WeightedPoly
 # ---------------------------------------------------------------------------
 
 
-def _entry_exact_div(a, b):
-    if isinstance(a, int) and isinstance(b, int):
-        return a // b
-    if isinstance(a, Fraction) or isinstance(a, int):
-        return _fr(a) / _fr(b)
-    return a.exact_div(b)
-
-
 def bareiss_determinant(rows, zero, one):
     """Fraction-free (Bareiss) determinant over an integral domain.
 
-    rows: square list-of-lists; entries support *, -, exact division.
-    Over Z every division is an exact //, so no Fraction is formed.
+    rows: square list-of-lists; entries support *, - and exact_div, or
+    are ints.  The division is chosen once: over Z (int zero and one)
+    every division is an exact //, so no Fraction is formed.
     """
     n = len(rows)
     if n == 0:
         return one
+    ints = type(zero) is int and type(one) is int
+    div = floordiv if ints else type(zero).exact_div
     m = [list(r) for r in rows]
     sign = 1
     prev = one
@@ -598,7 +593,7 @@ def bareiss_determinant(rows, zero, one):
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = _entry_exact_div(num, prev)
+                m[i][j] = div(num, prev)
             m[i][k] = zero
         prev = m[k][k]
     det = m[n - 1][n - 1]

@@ -488,7 +488,7 @@ def criterion_3():
         for part, val in numbers.items():
             if cv[part] != val:
                 return False, f"{name} c_{part} != {val}"
-        if milnor_number(catalog(name)) != _MILNOR_TABLE[name]:
+        if milnor_number(cv) != _MILNOR_TABLE[name]:
             return False, f"s({name}) mismatch"
     rng = random.Random(20240825)
     for trial in range(20):
@@ -666,21 +666,20 @@ def criterion_9():
 def criterion_10():
     """property suite: ring hom, homogeneity, SU A-independence, FGL, round-trips"""
     spec = phi_ell(6)
-    prod = catalog("W2")
-    v = evaluate(spec, chern_vector(catalog("W2"))
-                 + chern_vector(catalog("W2")))
-    if not v == evaluate(spec, prod) * 2:
+    w2 = catalog("W2")
+    cv = chern_vector(w2)
+    v = evaluate(spec, cv + cv)
+    if not v == evaluate(spec, w2) * 2:
         return False, "additivity fails"
-    m = product_model(cp_model(2), catalog("W2"))
+    m = product_model(cp_model(2), w2)
     lhs = evaluate(spec, m)
-    rhs = evaluate(spec, cp_model(2)) * evaluate(spec, catalog("W2"))
+    rhs = evaluate(spec, cp_model(2)) * evaluate(spec, w2)
     if not lhs == rhs:
         return False, "ring-homomorphism law fails on CP2 x W2"
     for name in ("W2", "W3", "W4", "CP3", "CP5"):
         mod = catalog(name)
         val = evaluate(spec, mod)
-        if not val.is_zero() and not val.is_homogeneous(
-                chern_vector(mod).dim):
+        if not val.is_zero() and not val.is_homogeneous(mod.dim):
             return False, f"value on {name} not homogeneous"
     for name in ("W2", "W4", "W5", "W6"):
         val = evaluate(spec, catalog(name))

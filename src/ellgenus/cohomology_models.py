@@ -9,7 +9,12 @@ characteristic classes live in the same machinery.
 
 Constructors cover complex projective spaces, products, smooth hypersurfaces,
 and (twisted) projective bundles of sums of line bundles; the catalog exposes
-the standard generator manifolds used throughout.
+the standard generator manifolds used throughout.  Structure constants are
+filled on first use: each model's table computes an entry when a product
+first asks for it.  A bundle's ring is H*(B)[t]/(t^r + c_1(V) t^(r-1) + ...
++ c_r(V)); its model reduces t^r .. t^(2r-2) to the basis once, so an entry
+is a base product times a stored power of t.  Chern numbers share the
+monomials c_{p_1}...c_{p_k} of common prefixes.
 """
 
 from __future__ import annotations
@@ -117,6 +122,18 @@ class ChernVector:
 # ---------------------------------------------------------------------------
 
 
+class StructureTable(dict):
+    """Structure constants (label, label) -> element, each computed by
+    entry(l1, l2) when first read and stored for the model's lifetime."""
+
+    def __init__(self, entry):
+        self.entry = entry
+
+    def __missing__(self, key):
+        value = self[key] = self.entry(*key)
+        return value
+
+
 class CohomologyModel:
     """Finite graded commutative algebra with Chern class and integration.
 
@@ -126,7 +143,7 @@ class CohomologyModel:
     labels : basis labels (hashable), including the unit label.
     degree : dict label -> complex degree.
     unit : the degree-0 basis label.
-    mul_table : dict (label, label) -> dict label -> Fraction.
+    mul_table : StructureTable (label, label) -> dict label -> Fraction.
     integral : dict label -> Fraction (value of the integration functional).
     chern : element dict (total Chern class, Fraction coefficients).
     name : display name.
@@ -168,7 +185,7 @@ class CohomologyModel:
         for l1, c1 in u.items():
             for l2, c2 in v.items():
                 prod = c1 * c2
-                for l3, s in self.mul_table.get((l1, l2), {}).items():
+                for l3, s in self.mul_table[l1, l2].items():
                     add = prod * s
                     if l3 in out:
                         out[l3] = out[l3] + add
@@ -203,22 +220,34 @@ class CohomologyModel:
     def chern_class(self, i):
         return self.degree_part(self.chern, i)
 
-    def chern_number(self, part):
-        u = self.one_elt()
-        for p in part:
-            u = self.mul(u, self.chern_class(p))
-        return self.integrate(u)
-
     def __repr__(self):
         return f"<CohomologyModel {self.name}, dim {self.dim}>"
+
+
+def chern_monomials(model, chern_elt=None, top=None):
+    """part -> c_{p_1}...c_{p_k} (parts <= top, default the dimension) of
+    model.chern or any total class; each monomial is its prefix's monomial
+    times c_{p_k}, so common prefixes are multiplied once."""
+    c = model.chern if chern_elt is None else chern_elt
+    top = model.dim if top is None else top
+    cs = [model.degree_part(c, m) for m in range(top + 1)]
+    monomials = {(): model.one_elt()}
+
+    def monomial(part):
+        if part not in monomials:
+            monomials[part] = model.mul(monomial(part[:-1]), cs[part[-1]])
+        return monomials[part]
+
+    return monomial
 
 
 def chern_vector(m):
     """All Chern numbers of a model (or pass a ChernVector through)."""
     if isinstance(m, ChernVector):
         return m
+    monomial = chern_monomials(m)
     return ChernVector(
-        m.dim, {p: m.chern_number(p) for p in partitions(m.dim)}
+        m.dim, {p: m.integrate(monomial(p)) for p in partitions(m.dim)}
     )
 
 
@@ -269,10 +298,8 @@ def cp_model(n):
         raise ValueError("n must be >= 0")
     labels = list(range(n + 1))
     degree = {i: i for i in labels}
-    mul = {}
-    for i in labels:
-        for j in labels:
-            mul[(i, j)] = {i + j: Fraction(1)} if i + j <= n else {}
+    mul = StructureTable(
+        lambda i, j: {i + j: Fraction(1)} if i + j <= n else {})
     integral = {n: Fraction(1)}
     chern = {}
     from math import comb
@@ -290,14 +317,14 @@ def product_model(x, y):
     """X x Y with tensor basis and product Chern class / integration."""
     labels = [(a, b) for a in x.labels for b in y.labels]
     degree = {(a, b): x.degree[a] + y.degree[b] for a, b in labels}
-    mul = {}
-    for a1, b1 in labels:
-        for a2, b2 in labels:
-            out = {}
-            for a3, s1 in x.mul_table.get((a1, a2), {}).items():
-                for b3, s2 in y.mul_table.get((b1, b2), {}).items():
-                    out[(a3, b3)] = out.get((a3, b3), Fraction(0)) + s1 * s2
-            mul[((a1, b1), (a2, b2))] = out
+
+    def entry(l1, l2):
+        (a1, b1), (a2, b2) = l1, l2
+        ys = y.mul_table[b1, b2].items()
+        return {(a3, b3): s1 * s2
+                for a3, s1 in x.mul_table[a1, a2].items() for b3, s2 in ys}
+
+    mul = StructureTable(entry)
     integral = {}
     for a, b in labels:
         v = x.integral.get(a, Fraction(0)) * y.integral.get(b, Fraction(0))
@@ -379,35 +406,28 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
     degree = {(bl, j): base.degree[bl] + j for bl, j in labels}
     unit = (base.unit, 0)
 
-    # reduction of t^j (j >= r) to the canonical basis, as a map
-    # j -> element dict {(bl, jj<r): Fraction-combination over base labels}
-    # we reduce elements directly instead
-    def reduce_elt(raw):
-        # raw: dict (bl, j) -> Fraction with j possibly >= r
-        out = {}
-        pending = dict(raw)
-        while pending:
-            (bl, j), c = pending.popitem()
-            if c == 0:
-                continue
-            if j < r:
-                out[(bl, j)] = out.get((bl, j), Fraction(0)) + c
-                continue
-            # t^j = -sum_{k=1..r} c_k(V) t^{j-k}
-            for k in range(1, r + 1):
-                prod = base.mul({bl: c}, cV[k])
-                for bl2, c2 in prod.items():
-                    key = (bl2, j - k)
-                    pending[key] = pending.get(key, Fraction(0)) - c2
-        return {l: c for l, c in out.items() if c != 0}
+    # tpow[j - r][i] is the base coefficient of t^i in t^j, for
+    # r <= j <= 2r - 2: t^r = -sum_k c_k(V) t^(r-k), and t^(j+1) = t * t^j
+    # with only the leading coefficient reduced again
+    tpow = [[base.scale(cV[r - i], Fraction(-1)) for i in range(r)]]
+    for _ in range(r - 2):
+        prev = tpow[-1]
+        tpow.append([
+            base.add(prev[i - 1] if i else {},
+                     base.scale(base.mul(prev[-1], cV[r - i]), Fraction(-1)))
+            for i in range(r)
+        ])
 
-    mul = {}
-    for bl1, j1 in labels:
-        for bl2, j2 in labels:
-            raw = {}
-            for bl3, s in base.mul_table.get((bl1, bl2), {}).items():
-                raw[(bl3, j1 + j2)] = raw.get((bl3, j1 + j2), Fraction(0)) + s
-            mul[((bl1, j1), (bl2, j2))] = reduce_elt(raw)
+    def entry(l1, l2):
+        (bl1, j1), (bl2, j2) = l1, l2
+        b, j = base.mul_table[bl1, bl2], j1 + j2
+        if j < r:
+            return {(bl3, j): s for bl3, s in b.items()}
+        return {(bl3, i): s
+                for i, coeff in enumerate(tpow[j - r])
+                for bl3, s in base.mul(b, coeff).items()}
+
+    mul = StructureTable(entry)
 
     sign = Fraction((-1) ** q)
     integral = {}
@@ -423,21 +443,14 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
         return {(bl, 0): c for bl, c in u.items()}
 
     t = {(base.unit, 1): Fraction(1)}
+    one_t = model.add(model.one_elt(), t)
+    one_mt = model.add(model.one_elt(), model.scale(t, Fraction(-1)))
     chern = lift(base.chern)
-    for x in e_lines:
-        factor = model.add(model.add(model.one_elt(), t), lift(x))
+    for factor in ([model.add(one_t, lift(x)) for x in e_lines]
+                   + [one_t] * e_trivial
+                   + [model.add(one_mt, lift(y)) for y in f_lines]
+                   + [one_mt] * f_trivial):
         chern = model.mul(chern, factor)
-    for _ in range(e_trivial):
-        chern = model.mul(chern, model.add(model.one_elt(), t))
-    for y in f_lines:
-        factor = model.add(
-            model.add(model.one_elt(), model.scale(t, Fraction(-1))), lift(y)
-        )
-        chern = model.mul(chern, factor)
-    for _ in range(f_trivial):
-        chern = model.mul(
-            chern, model.add(model.one_elt(), model.scale(t, Fraction(-1)))
-        )
     model.chern = {l: c for l, c in chern.items() if model.degree[l] <= dim}
     return model
 

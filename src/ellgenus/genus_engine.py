@@ -30,6 +30,7 @@ from .algebra_kernel import (
 )
 from .cohomology_models import (
     UnknownName,
+    chern_monomials,
     chern_vector,
     power_sum_in_chern,
 )
@@ -192,17 +193,8 @@ def multiplicative_class(spec, model, chern_elt=None):
     class c), so it works for arbitrary bundles, not just the tangent
     bundle.
     """
-    c = model.chern if chern_elt is None else chern_elt
     top = min(model.dim, spec.order)
-    cs = [model.degree_part(c, m) for m in range(top + 1)]
-    monomials = {(): model.one_elt()}
-
-    def monomial(part):
-        # prod c_{p_i}, built from the partition without its last part
-        if part not in monomials:
-            monomials[part] = model.mul(monomial(part[:-1]), cs[part[-1]])
-        return monomials[part]
-
+    monomial = chern_monomials(model, chern_elt, top)
     K = model.one_elt()  # K_0 = 1
     for km in multiplicative_sequence(spec, top).ks[1:]:
         for part, coeff in km.items():

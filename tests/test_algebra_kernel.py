@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import gcd
 from operator import add
@@ -17,6 +18,7 @@ from ellgenus.algebra_kernel import (
     TruncatedSeries,
     VariableNotPresent,
     WeightedPoly,
+    bareiss_determinant,
     cyclotomic_polynomial,
     horner,
     poly_divmod,
@@ -214,8 +216,42 @@ def test_substitute_to_fraction():
 
 
 # ---------------------------------------------------------------------------
-# resultants
+# determinants and resultants
 # ---------------------------------------------------------------------------
+
+
+def _gauss_determinant(rows):
+    m = [[F(x) for x in r] for r in rows]
+    det = F(1)
+    for k in range(len(m)):
+        piv = next((i for i in range(k, len(m)) if m[i][k] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, len(m)):
+            f = m[i][k] / m[k][k]
+            m[i] = [a - f * b for a, b in zip(m[i], m[k])]
+    return det
+
+
+def test_bareiss_integer_determinant_matches_gauss():
+    rng = random.Random(20261018)
+    for trial in range(200):
+        n = rng.randint(1, 7)
+        rows = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        if trial % 4 == 0 and n > 1:
+            # singular: one row a combination of two others
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            rows[-1] = [a * x + b * y for x, y in zip(rows[0], rows[1 % n])]
+        if trial % 9 == 0:
+            rows[rng.randrange(n)] = [0] * n
+        det = bareiss_determinant(rows, 0, 1)
+        assert type(det) is int
+        assert det == _gauss_determinant(rows)
+    assert bareiss_determinant([], 0, 1) == 1
 
 
 def test_resultant_linear_pair():

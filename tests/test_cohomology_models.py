@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from math import comb
 
@@ -300,6 +301,134 @@ def test_milnor_closed_form_base3(e_c1s, e_triv, f_c1s, f_triv):
     m = twisted_proj_bundle_model(base, e_lines, e_triv, f_lines, f_triv)
     oracle = _milnor_oracle_base3(base, e_lines, e_triv, f_lines, f_triv)
     assert milnor_number(m) == oracle
+
+
+# ---------------------------------------------------------------------------
+# on-demand structure constants against full-table constructions
+# ---------------------------------------------------------------------------
+
+
+def _bundle_table_by_reduction(base, e_lines, e_trivial, f_lines, f_trivial):
+    """Every structure constant of the twisted bundle, each product
+    (b1, j1)(b2, j2) = (b1 b2) t^(j1 + j2) reduced term by term with
+    t^j = -sum_k c_k(V) t^(j-k) until every power of t is below r."""
+    r = len(e_lines) + e_trivial + len(f_lines) + f_trivial
+    cv_total = base.one_elt()
+    for x in list(e_lines) + [base.scale(y, F(-1)) for y in f_lines]:
+        cv_total = base.mul(cv_total, base.add(base.one_elt(), x))
+    cV = [base.degree_part(cv_total, k) for k in range(r + 1)]
+
+    def reduce_elt(raw):
+        out = {}
+        pending = dict(raw)
+        while pending:
+            (bl, j), c = pending.popitem()
+            if c == 0:
+                continue
+            if j < r:
+                out[(bl, j)] = out.get((bl, j), F(0)) + c
+                continue
+            for k in range(1, r + 1):
+                for bl2, c2 in base.mul({bl: c}, cV[k]).items():
+                    key = (bl2, j - k)
+                    pending[key] = pending.get(key, F(0)) - c2
+        return {l: c for l, c in out.items() if c != 0}
+
+    labels = [(bl, j) for bl in base.labels for j in range(r)]
+    table = {}
+    for bl1, j1 in labels:
+        for bl2, j2 in labels:
+            b = base.mul({bl1: F(1)}, {bl2: F(1)})
+            table[(bl1, j1), (bl2, j2)] = reduce_elt(
+                {(bl3, j1 + j2): s for bl3, s in b.items()})
+    return table
+
+
+def _forced_table(m):
+    return {(l1, l2): m.mul_table[l1, l2] for l1 in m.labels
+            for l2 in m.labels}
+
+
+def _random_line(rng, base):
+    # a rational class on the degree-2 basis, as the JSON schema allows
+    return {l: F(rng.randint(-4, 4), rng.randint(1, 3))
+            for l in base.labels if base.degree[l] == 1}
+
+
+BASES = {
+    "CP0": lambda: cp_model(0),
+    "CP1": lambda: cp_model(1),
+    "CP2": lambda: cp_model(2),
+    "CP3": lambda: cp_model(3),
+    "quartic": quartic_surface,
+    "CP1xCP1": lambda: product_model(cp_model(1), cp_model(1)),
+}
+
+
+@pytest.mark.parametrize("name", list(BASES))
+def test_bundle_table_matches_reduction(name):
+    rng = random.Random(f"bundle-table-{name}")
+    base = BASES[name]()
+    # rank 1 from E, rank 1 from F, an F-only bundle, then random ones
+    shapes = [(1, 0, 0, 0), (0, 0, 1, 0), (0, 0, 2, 1)] + [
+        tuple(rng.randint(0, 2) for _ in range(4)) for _ in range(6)]
+    for ne, et, nf, ft in shapes:
+        if ne + et + nf + ft == 0:
+            et = 1
+        e_lines = [_random_line(rng, base) for _ in range(ne)]
+        f_lines = [_random_line(rng, base) for _ in range(nf)]
+        m = twisted_proj_bundle_model(base, e_lines, et, f_lines, ft)
+        assert _forced_table(m) == _bundle_table_by_reduction(
+            base, e_lines, et, f_lines, ft)
+
+
+def test_product_table_matches_tensor_product():
+    x, y = cp_model(2), tw_cp(2, 1)
+    m = product_model(x, y)
+    expected = {}
+    for a1, b1 in m.labels:
+        for a2, b2 in m.labels:
+            out = {}
+            for a3, s1 in x.mul({a1: F(1)}, {a2: F(1)}).items():
+                for b3, s2 in y.mul({b1: F(1)}, {b2: F(1)}).items():
+                    out[(a3, b3)] = s1 * s2
+            expected[(a1, b1), (a2, b2)] = out
+    assert _forced_table(m) == expected
+
+
+def _chern_number(m, part):
+    u = m.one_elt()
+    for p in part:
+        u = m.mul(u, m.chern_class(p))
+    return m.integrate(u)
+
+
+@pytest.mark.parametrize("name", ["CP0", "CP4", "W1", "W2", "W5", "W6", "W7",
+                                  "W8", "TwCP(3,2)"])
+def test_chern_vector_matches_per_partition_products(name):
+    m = catalog(name)
+    assert chern_vector(m).numbers == {
+        p: _chern_number(m, p) for p in partitions(m.dim)}
+
+
+def test_chern_vector_of_products_and_bundles():
+    rng = random.Random(20261018)
+    base = product_model(cp_model(1), cp_model(1))
+    models = [product_model(cp_model(2), catalog("W2")),
+              twisted_proj_bundle_model(
+                  base, [_random_line(rng, base)], 1,
+                  [_random_line(rng, base)], 1)]
+    for m in models:
+        assert chern_vector(m).numbers == {
+            p: _chern_number(m, p) for p in partitions(m.dim)}
+
+
+def test_chern_numbers_fill_part_of_the_table():
+    # structure constants are computed on first use, and the Chern numbers
+    # of W5 and of CP2 x W2 read only part of their tables
+    for m in (catalog("W5"), product_model(cp_model(2), catalog("W2"))):
+        chern_vector(m)
+        assert 0 < len(m.mul_table) < len(m.labels) ** 2
 
 
 # ---------------------------------------------------------------------------
