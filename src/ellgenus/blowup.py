@@ -26,8 +26,18 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra_kernel import PolyRing, WeightedPoly, coeff_is_zero
-from .cohomology_models import cp_model, point_model, power_sum_in_chern
+from .algebra_kernel import (
+    PolyRing,
+    TruncatedSeries,
+    WeightedPoly,
+    coeff_is_zero,
+)
+from .cohomology_models import (
+    chern_monomials,
+    cp_model,
+    point_model,
+    power_sum_in_chern,
+)
 from .genus_engine import multiplicative_class
 from .jacobi_q import phi_ell_q
 
@@ -124,11 +134,15 @@ def pushed_defect(spec, q, dim):
     G(v) = Q(v) prod_{i=1..q} Q(x_i - v) is the blow-up integrand, since
     Q(x_1 - v) = Q(0) = 1 at v = x_1, and G(0) = prod_i Q(x_i).  It is
     built in spec.ring[v, e_1..e_q], e_i of weight i, through weight
-    dim + q: with p_j the power sums of the roots in the e's (p_0 = q),
+    dim + q as the exponential of log G: with p_j the power sums of the
+    roots in the e's (p_0 = q),
 
-        log G = sum_m l_m (v^m + sum_j C(m, j) (-v)^(m-j) p_j),
+        log G = sum_m l_m (v^m + sum_j C(m, j) (-v)^(m-j) p_j).
 
-    and G_n = (1/n) sum_m m L_m G_{n-m}, L_m the weight-m part of log G.
+    The classes e_i with i > dim vanish on a centre of dimension dim and
+    are set to 0 in the p_j; a term carrying one has weight above dim
+    after the pushforward, so the result through weight dim is exact in
+    e_1..e_q, and a point centre's integrand is a series in v alone.
     """
     cap = _defect_cap(q, dim)
     if spec.order < cap:
@@ -137,26 +151,23 @@ def pushed_defect(spec, q, dim):
         )
     ring = PolyRing("v", *((f"e{i}", i) for i in range(1, q + 1)),
                     base=spec.ring)
+    top = min(q, dim)
     zeros = (0,) * q
     powers = [{zeros: q}]
     for j in range(1, cap + 1):
-        pj = {}
-        for part, c in power_sum_in_chern(j).items():
-            if part[0] <= q:  # e_i = 0 for i > q
-                pj[tuple(part.count(i) for i in range(1, q + 1))] = c
-        powers.append(pj)
-    graded = [ring.one]
-    dlog = [None]  # dlog[m] = m L_m
+        powers.append({tuple(part.count(i) for i in range(1, q + 1)): c
+                       for part, c in power_sum_in_chern(j).items()
+                       if part[0] <= top})
+    logs = [ring.zero]  # logs[m] = L_m, the weight-m part of log G
     for n in range(1, cap + 1):
-        ints = {(n,) + zeros: n}  # from log Q(v)
+        ints = {(n,) + zeros: 1}  # from log Q(v)
         for j in range(n + 1):
-            k = n * comb(n, j) * (-1) ** (n - j)
+            k = comb(n, j) * (-1) ** (n - j)
             for a, c in powers[j].items():
                 ints[(n - j,) + a] = ints.get((n - j,) + a, 0) + k * c
         l_n = spec.log_coeffs[n]
-        dlog.append(WeightedPoly(ring, {e: l_n * k for e, k in ints.items()}))
-        acc = ring.dot(zip(dlog[1:], reversed(graded)))
-        graded.append(acc * Fraction(1, n))
+        logs.append(WeightedPoly(ring, {e: l_n * k for e, k in ints.items()}))
+    graded = TruncatedSeries(ring, 0, logs, cap).exp().coeffs
     # (G - G(0)) / v: drop the v-free terms, lower the power of v
     over_v = {(e[0] - 1,) + e[1:]: c
               for gn in graded for e, c in gn.terms.items() if e[0]}
@@ -164,27 +175,24 @@ def pushed_defect(spec, q, dim):
 
 
 def genus_defect(inp):
-    """phi(blow-up of X along the center) - phi(X), computed over the center."""
+    """phi(blow-up of X along the center) - phi(X), computed over the center.
+
+    The pushed defect is a polynomial in the Chern classes of the normal
+    bundle E; each monomial e_1^a_1...e_q^a_q is the Chern monomial of the
+    partition with a_i parts i, evaluated at c(E) = prod_i (1 + x_i).
+    """
     model = inp.center
     spec = inp.spec
-    pushed = pushed_defect(spec, inp.codim, model.dim)
-
-    # elementary symmetric functions of the normal-bundle roots
-    e_classes = [model.one_elt()]
+    q = inp.codim
+    pushed = pushed_defect(spec, q, model.dim)
+    chern_e = model.one_elt()
     for r in inp.roots:
-        new = [e_classes[0]]
-        for k in range(1, len(e_classes) + 1):
-            prev = e_classes[k] if k < len(e_classes) else model.zero_elt()
-            new.append(model.add(prev, model.mul(e_classes[k - 1], r)))
-        e_classes = new
-
+        chern_e = model.mul(chern_e, model.add(model.one_elt(), r))
+    monomial = chern_monomials(model, chern_e, q)
     total = model.zero_elt()
     for expo, c in pushed.terms.items():
-        term = model.one_elt()
-        for k, m in enumerate(expo):
-            for _ in range(m):
-                term = model.mul(term, e_classes[k + 1])
-        total = model.add(total, model.scale(term, c))
+        part = tuple(i for i in range(q, 0, -1) for _ in range(expo[i - 1]))
+        total = model.add(total, model.scale(monomial(part), c))
 
     kclass = multiplicative_class(spec, model)
     value = model.integrate(model.mul(kclass, total))
@@ -229,10 +237,11 @@ def verify_elliptic_identity(N, q, qorder=2, xorder=4):
     forward to prod_i 1/f(x_i); so the identity says that pushed_defect
     vanishes.  It is checked as a polynomial in e_1..e_q through weight
     xorder - 1, which is equivalent because the e's are algebraically
-    independent.  Returns (holds, witness); witness is None or the first
-    nonzero term (e-exponents, q-power, value) — the identity genuinely
-    fails when q is not 1 mod N, so the hypothesis is reported, not
-    assumed.
+    independent; setting e_i = 0 for i > xorder - 1 leaves that range
+    exact, since every term with such an e_i lies above it.  Returns
+    (holds, witness); witness is None or the first nonzero term
+    (e-exponents, q-power, value) — the identity genuinely fails when q
+    is not 1 mod N, so the hypothesis is reported, not assumed.
     """
     dim = xorder - 1
     spec = phi_ell_q(qorder, _defect_cap(q, dim), N)
@@ -259,58 +268,41 @@ def _first_nonzero(series):
 # ---------------------------------------------------------------------------
 
 
-def _cp1_in_cp4_input(spec):
-    """A line in CP4: normal bundle O(1)^3 over CP1."""
-    m = cp_model(1)
-    g = m.scale(m.chern_class(1), Fraction(1, 2))
-    return BlowupInput(m, [g, g, g], spec)
-
-
-def _cp2_in_cp4_input(spec):
-    """A plane in CP4: normal bundle O(1)^2 over CP2."""
-    m = cp_model(2)
-    g = m.scale(m.chern_class(1), Fraction(1, 3))
-    return BlowupInput(m, [g, g], spec)
-
-
-def _point_input(spec, q):
-    m = point_model()
-    zero = m.zero_elt()
-    return BlowupInput(m, [zero] * q, spec)
-
-
 def default_cases(N):
-    """(label, input-builder, codim, center dim, hypothesis-met)."""
+    """(label, center, normal-bundle roots, hypothesis met)."""
+    point = point_model()
     if N == 2:
+        # a line and a plane in CP4: normal bundles O(1)^3 and O(1)^2
+        line, plane = cp_model(1), cp_model(2)
+        h1 = line.scale(line.chern_class(1), Fraction(1, 2))
+        h2 = plane.scale(plane.chern_class(1), Fraction(1, 3))
         return [
-            ("point center, codim 3",
-             lambda s: _point_input(s, 3), 3, 0, True),
-            ("CP1 center in CP4, codim 3", _cp1_in_cp4_input, 3, 1, True),
+            ("point center, codim 3", point, [point.zero_elt()] * 3, True),
+            ("CP1 center in CP4, codim 3", line, [h1] * 3, True),
             ("CP2 center in CP4, codim 2 (violates codim = 1 mod N)",
-             _cp2_in_cp4_input, 2, 2, False),
+             plane, [h2] * 2, False),
         ]
     return [
-        (f"point center, codim {N + 1}",
-         lambda s: _point_input(s, N + 1), N + 1, 0, True),
+        (f"point center, codim {N + 1}", point,
+         [point.zero_elt()] * (N + 1), True),
     ]
 
 
-def verify_blowup_invariance(N, examples=None, qorder=2):
+def verify_blowup_invariance(N, qorder=2):
     """Defect of the level-N q-series genus on blow-up centers.
 
-    examples: list of (label, input-builder, codim, center dim,
-    expect_zero); defaults cover codim = 1 mod N cases plus a
+    The cases of default_cases cover codim = 1 mod N plus a
     violated-hypothesis negative control.  Each report entry carries the
     first nonzero q-coefficient as a witness when the defect does not
     vanish.
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    cases = examples if examples is not None else default_cases(N)
     report = []
-    for label, build, q, dim, expect_zero in cases:
-        spec = phi_ell_q(qorder, max(_defect_cap(q, dim), 4), N)
-        defect = genus_defect(build(spec))
+    for label, center, roots, expect_zero in default_cases(N):
+        q = len(roots)
+        spec = phi_ell_q(qorder, max(_defect_cap(q, center.dim), 4), N)
+        defect = genus_defect(BlowupInput(center, roots, spec))
         is_zero = defect.is_zero()
         lowest = None if is_zero else _first_nonzero(defect)
         witness = None if lowest is None else (lowest[0], repr(lowest[1]))

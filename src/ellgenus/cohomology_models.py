@@ -108,9 +108,7 @@ class ChernVector:
 
     def is_su(self):
         """True if every Chern number involving c_1 vanishes."""
-        return all(
-            v == 0 for p, v in self.numbers.items() if 1 in p and self.dim > 1
-        ) and (self.dim != 1 or self.numbers[(1,)] == 0)
+        return all(v == 0 for p, v in self.numbers.items() if 1 in p)
 
     def __repr__(self):
         nz = {partition_key(p): str(v) for p, v in self.numbers.items() if v != 0}

@@ -287,24 +287,11 @@ def weierstrass_p(qorder=DEFAULT_QORDER):
     """The Weierstrass series: -y/(1+y)^2
     + sum_n q^n sum_{d|n} d((-y)^d + (-y)^{-d}) + (1/12)(1 - 24 sum sigma_1 q^n)."""
     ring, y = y_model("formal")
-    minus_y = -y
-    minus_y_inv = minus_y ** (-1)
-
-    def coeff(n):
-        if n == 0:
-            return (
-                -y * (ring.one + y) ** (-2) + ring.from_fraction(Fraction(1, 12))
-            )
-        total = ring.zero
-        s1 = 0
-        for d in range(1, n + 1):
-            if n % d == 0:
-                total = total + (minus_y ** d + minus_y_inv ** d) * d
-                s1 += d
-        return total - Fraction(2 * s1)
-
-    return TruncatedSeries(ring, 0, [coeff(n) for n in range(qorder + 1)],
-                           qorder)
+    coeffs = _divisor_sums(ring, _y_powers(ring, y, qorder), lambda d: (
+        (-1) ** d * d, (-1) ** d * d, -2 * d))
+    coeffs[0] = (-y * (ring.one + y) ** (-2)
+                 + ring.from_fraction(Fraction(1, 12)))
+    return TruncatedSeries(ring, 0, coeffs, qorder)
 
 
 # ---------------------------------------------------------------------------

@@ -146,11 +146,13 @@ def _point_values(N, order, point):
     """
     h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *map(Fraction, point))),
                 order)
-    f = q_of_h(h).f_series()
+    # f^-N = (Q/x)^N = x^-N exp(N log Q)
+    log_q = q_of_h(h).log_coeffs
+    f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
     hp = [TruncatedSeries.one_series(QQ, h.order)]
     for _ in range(N):
         hp.append(hp[-1] * h)
-    acc = hp[N] - f.inverse() ** N
+    acc = hp[N] - f_minus_n
     for i in range(1, N + 1):
         di = -acc.coeff(i - N)
         if i == N - 1:

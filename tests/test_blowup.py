@@ -26,8 +26,13 @@ from ellgenus.blowup import (
     verify_elliptic_identity,
     verify_rational_identity,
 )
-from ellgenus.cohomology_models import cp_model, point_model, product_model
-from ellgenus.genus_engine import GenusSpec, classical_genus
+from ellgenus.cohomology_models import (
+    cp_model,
+    point_model,
+    product_model,
+    twisted_proj_bundle_model,
+)
+from ellgenus.genus_engine import GenusSpec, classical_genus, evaluate
 from ellgenus.jacobi_q import phi_ell_q
 
 F = Fraction
@@ -341,6 +346,25 @@ def test_pushed_defect_matches_root_oracle_random_series(tail, q, dim):
     assert pushed_defect(spec, q, dim).terms == _root_defect(spec, q, dim)
 
 
+@pytest.mark.parametrize("which", ["todd", "signature", 3, 13])
+def test_pushed_defect_point_center_oracle(which):
+    # over a point every e_i vanishes and every root is 0, so G(v) =
+    # Q(v) Q(-v)^q and p_* keeps (-1)^(q-1) times its v^q coefficient
+    if which == 3:
+        spec = phi_ell_q(2, 5, 3)
+    elif which == 13:
+        spec = phi_ell_q(2, 15, 13)
+    else:
+        spec = classical_genus(which, order=12)
+    qv = spec.q
+    q_minus = TruncatedSeries(spec.ring, 0, [
+        c if k % 2 == 0 else -c for k, c in enumerate(qv.coeffs)], qv.order)
+    for q in range(1, spec.order + 1):
+        want = (-1) ** (q - 1) * (qv * q_minus ** q).coeff(q)
+        expected = WeightedPoly(_chern(q, spec.ring), {(0,) * q: want})
+        assert pushed_defect(spec, q, 0).terms == expected.terms, q
+
+
 # ---------------------------------------------------------------------------
 # the defect formula against classical facts
 # ---------------------------------------------------------------------------
@@ -387,6 +411,24 @@ def test_defect_independent_of_root_order():
     a = genus_defect(BlowupInput(m, [g1, g2], sig))
     b = genus_defect(BlowupInput(m, [g2, g1], sig))
     assert a == b
+
+
+@pytest.mark.parametrize("n, k", [(3, 0), (4, 0), (4, 1), (4, 2), (5, 1),
+                                  (5, 2)])
+def test_defect_of_a_linear_center_matches_the_blown_up_space(n, k):
+    # the blow-up of CP^n along a linear CP^k is the projective bundle
+    # P(O^(k+1) + O(-1)) over CP^(n-k-1); a genus with odd terms makes the
+    # pushed defect carry e-monomials, so their Chern evaluation is tested
+    spec = GenusSpec(TruncatedSeries(QQ, 0, [
+        F(1), F(2, 3), F(-1, 5), F(3, 7), F(1, 2), F(-2, 3), F(5, 4),
+        F(1, 9)], 7))
+    base = cp_model(n - k - 1)
+    h = base.scale(base.chern_class(1), F(-1, n - k))
+    blown_up = twisted_proj_bundle_model(base, e_lines=[h], e_trivial=k + 1)
+    center = cp_model(k)
+    g = center.scale(center.chern_class(1), F(1, k + 1))
+    defect = genus_defect(BlowupInput(center, [g] * (n - k), spec))
+    assert evaluate(spec, blown_up) == evaluate(spec, cp_model(n)) + defect
 
 
 def test_input_validation():

@@ -165,8 +165,9 @@ def test_leveln_relations_golden_stdout(N, fmt):
 @pytest.mark.parametrize("N", sorted(BLOWUP_DIGESTS, key=int))
 def test_blowup_verify_golden_stdout(N, fmt):
     # digests in tests/blowup_verify_sha256.json, recorded from the
-    # divided-difference kernel in the roots (N = 2..7) and from the
-    # multiplied-out theta product (N = 8, 9)
+    # divided-difference kernel in the roots (N = 2..7), from the
+    # multiplied-out theta product (N = 8, 9) and from the integrand in
+    # all of e_1..e_q (N = 10..13)
     _assert_golden_stdout(("blowup", "verify", "--N", N), fmt,
                           BLOWUP_DIGESTS[N][fmt])
 

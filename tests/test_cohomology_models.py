@@ -165,6 +165,17 @@ def test_w6_chern_numbers():
     assert milnor_number(m) == 1344
 
 
+def test_is_su_in_low_dimensions():
+    # the point has no Chern number involving c_1, so it is SU; CP1 has
+    # c_1 = 2 and CP2 has c_1^2 = 9, so neither is
+    assert chern_vector(point_model()).is_su()
+    assert not chern_vector(cp_model(1)).is_su()
+    assert not chern_vector(cp_model(2)).is_su()
+    assert ChernVector(1).is_su()
+    assert ChernVector(2, {(2,): 24}).is_su()
+    assert not ChernVector(2, {(1, 1): 1}).is_su()
+
+
 def test_w_family_milnor_numbers():
     # s(W_{2n+1}) = (-1)^n 128 n (2n+1), s(W_{2n+2}) = (-1)^n 192 (n-1)(2n-3)(2n+3)
     for n in (2, 3):
