@@ -1,10 +1,10 @@
 """The acceptance suite: one test and one printed pass/fail line per
-criterion.  The criteria themselves live in ellgenus.cli (shared with
+criterion.  The criteria themselves live in ellgenus.criteria (shared with
 `ellgenus verify all`)."""
 
 import pytest
 
-from ellgenus.cli import CRITERIA
+from ellgenus.criteria import CRITERIA
 
 
 @pytest.mark.parametrize(

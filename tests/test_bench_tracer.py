@@ -6,6 +6,10 @@ algebra_kernel.poly_gcd, which nothing in the package calls.
 The tier-1 suite does not run a traced benchmark, so a renamed or deleted
 name would show nowhere else, and neither would a blow-up kernel that no
 longer goes through the traced pushforward.
+
+bench/traced_cli.py also finds the modules to trace in sys.modules right
+after `import ellgenus.cli`, and the criteria as cli.criterion_N and
+cli.CRITERIA; the last tests run that script as it is.
 """
 
 import json
@@ -13,6 +17,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -31,12 +37,14 @@ print(json.dumps(sorted(tr.stats)))
 """
 
 
-def test_tracer_installs_and_times_polynomial_products():
+def _env(*dirs):
     path = os.pathsep.join(
-        p for p in (str(ROOT / "bench"), str(ROOT / "src"),
-                    os.environ.get("PYTHONPATH")) if p
-    )
-    env = dict(os.environ, PYTHONPATH=path)
+        p for p in (*map(str, dirs), os.environ.get("PYTHONPATH")) if p)
+    return dict(os.environ, PYTHONPATH=path)
+
+
+def test_tracer_installs_and_times_polynomial_products():
+    env = _env(ROOT / "bench", ROOT / "src")
     proc = subprocess.run([sys.executable, "-c", SCRIPT], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
@@ -45,3 +53,27 @@ def test_tracer_installs_and_times_polynomial_products():
     assert "algebra_kernel.mul.MultiPoly" in spans
     assert "blowup.verify_elliptic_identity" in spans
     assert "blowup.flag_pushforward" in spans
+
+
+CRITERION_SPANS = {f"cli.criterion_{i}" for i in range(1, 11)}
+
+
+@pytest.mark.parametrize("argv,spans", [
+    (["qexpand", "--manifold", "catalog:K3", "--qorder", "8"],
+     {"jacobi_q.chi_y_loop"}),
+    (["leveln", "relations", "--N", "3"], {"level_n.compute_level_data"}),
+    (["verify", "all"], CRITERION_SPANS
+     | {"jacobi_q.chi_y_loop", "level_n.compute_level_data"}),
+], ids=["qexpand", "leveln", "verify"])
+def test_traced_cli_matches_untraced_stdout(argv, spans, tmp_path):
+    env = _env(ROOT / "src")
+    plain = subprocess.run([sys.executable, "-m", "ellgenus.cli", *argv],
+                           env=env, capture_output=True, timeout=120)
+    trace = tmp_path / "trace.json"
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "traced_cli.py"), str(trace),
+         *argv], env=env, capture_output=True, timeout=120)
+    assert plain.returncode == 0, plain.stderr.decode()
+    assert traced.returncode == 0, traced.stderr.decode()
+    assert traced.stdout == plain.stdout
+    assert spans <= set(json.loads(trace.read_text())["stats"])
