@@ -284,11 +284,11 @@ class WeightedPoly:
     def __init__(self, ring, terms, cap=None):
         self.ring = ring
         self.cap = cap
-        if cap is None:
-            self.terms = {e: c for e, c in terms.items() if c != 0}
-        else:
-            self.terms = {e: c for e, c in terms.items()
-                          if c != 0 and self.term_weight(e) <= cap}
+        # coeff_is_zero builds nothing, where c != 0 on a ring element
+        # would coerce 0 into the base
+        self.terms = {e: c for e, c in terms.items()
+                      if not coeff_is_zero(c)
+                      and (cap is None or self.term_weight(e) <= cap)}
 
     def truncate(self, cap):
         """Drop the terms of weight above cap, which becomes the cap."""

@@ -3,9 +3,14 @@
 A CohomologyModel is a finite graded commutative Q-algebra given by a basis,
 structure constants, a distinguished total Chern class and a top-degree
 integration functional.  Elements are dicts mapping basis labels to
-coefficients; coefficients may be Fractions or elements of any commutative
-ring (weighted polynomials, q-series, ...), which is what lets genus-valued
-characteristic classes live in the same machinery.
+coefficients.  The data of a model (structure constants, Chern class,
+integrals) are ints where they are integral, as for H*(X; Z), and
+Fractions only where a class is truly rational, such as c_1/3 on CP2:
+each integral Fraction is made an int where it enters a model, so
+products of integral classes never pay for a gcd.  An element's
+coefficients may also lie in any commutative ring that multiplies with
+ints (weighted polynomials, q-series, ...), which is what lets
+genus-valued characteristic classes live in the same machinery.
 
 Constructors cover complex projective spaces, products, smooth hypersurfaces,
 and (twisted) projective bundles of sums of line bundles; the catalog exposes
@@ -21,8 +26,21 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import comb
 
 from .algebra_kernel import QQ, _fr, coeff_is_zero
+
+
+def _integral(c):
+    """c as an int if it is an integral Fraction; any other value as is."""
+    if type(c) is Fraction and c.denominator == 1:
+        return c.numerator
+    return c
+
+
+def _integral_elt(u):
+    """An element with its integral Fraction coefficients made ints."""
+    return {l: _integral(c) for l, c in u.items()}
 
 
 class UnknownName(KeyError):
@@ -141,10 +159,12 @@ class CohomologyModel:
     labels : basis labels (hashable), including the unit label.
     degree : dict label -> complex degree.
     unit : the degree-0 basis label.
-    mul_table : StructureTable (label, label) -> dict label -> Fraction.
-    integral : dict label -> Fraction (value of the integration functional).
-    chern : element dict (total Chern class, Fraction coefficients).
+    mul_table : StructureTable (label, label) -> dict label -> rational.
+    integral : dict label -> rational (value of the integration functional).
+    chern : element dict (total Chern class, rational coefficients).
     name : display name.
+
+    The constructors below store each integral rational as an int.
     """
 
     def __init__(self, dim, labels, degree, unit, mul_table, integral, chern,
@@ -164,7 +184,7 @@ class CohomologyModel:
         return {}
 
     def one_elt(self):
-        return {self.unit: Fraction(1)}
+        return {self.unit: 1}
 
     def add(self, u, v):
         out = dict(u)
@@ -176,6 +196,7 @@ class CohomologyModel:
         return {l: c for l, c in out.items() if not coeff_is_zero(c)}
 
     def scale(self, u, c):
+        c = _integral(c)
         return {l: v * c for l, v in u.items()}
 
     def mul(self, u, v):
@@ -204,13 +225,13 @@ class CohomologyModel:
         """Evaluate on the fundamental class; generic coefficients allowed."""
         total = None
         for l, c in u.items():
-            w = self.integral.get(l, Fraction(0))
+            w = self.integral.get(l, 0)
             if w == 0:
                 continue
             term = c * w
             total = term if total is None else total + term
         if total is None:
-            return Fraction(0)
+            return 0
         return total
 
     # -- Chern data ----------------------------------------------------------
@@ -296,13 +317,9 @@ def cp_model(n):
         raise ValueError("n must be >= 0")
     labels = list(range(n + 1))
     degree = {i: i for i in labels}
-    mul = StructureTable(
-        lambda i, j: {i + j: Fraction(1)} if i + j <= n else {})
-    integral = {n: Fraction(1)}
-    chern = {}
-    from math import comb
-    for i in labels:
-        chern[i] = Fraction(comb(n + 1, i))
+    mul = StructureTable(lambda i, j: {i + j: 1} if i + j <= n else {})
+    integral = {n: 1}
+    chern = {i: comb(n + 1, i) for i in labels}
     return CohomologyModel(n, labels, degree, 0, mul, integral, chern,
                            name=f"CP{n}")
 
@@ -325,13 +342,13 @@ def product_model(x, y):
     mul = StructureTable(entry)
     integral = {}
     for a, b in labels:
-        v = x.integral.get(a, Fraction(0)) * y.integral.get(b, Fraction(0))
+        v = x.integral.get(a, 0) * y.integral.get(b, 0)
         if v != 0:
             integral[(a, b)] = v
     chern = {}
     for a, ca in x.chern.items():
         for b, cb in y.chern.items():
-            chern[(a, b)] = chern.get((a, b), Fraction(0)) + ca * cb
+            chern[(a, b)] = chern.get((a, b), 0) + ca * cb
     chern = {l: c for l, c in chern.items() if c != 0}
     m = CohomologyModel(x.dim + y.dim, labels, degree, (x.unit, y.unit), mul,
                         integral, chern, name=f"{x.name}x{y.name}")
@@ -347,18 +364,19 @@ def hypersurface_model(ambient, c1_L):
     if ambient.dim < 1:
         raise ValueError("ambient must have positive dimension")
     n = ambient.dim - 1
+    c1_L = _integral_elt(c1_L)
     # c(H) = c(ambient) * (1 + c1L)^{-1}; the inverse is a finite geometric
     # series because c1L is nilpotent.
     inv = ambient.one_elt()
     term = ambient.one_elt()
     for _ in range(ambient.dim):
-        term = ambient.scale(ambient.mul(term, c1_L), Fraction(-1))
+        term = ambient.scale(ambient.mul(term, c1_L), -1)
         inv = ambient.add(inv, term)
     chern = ambient.mul(ambient.chern, inv)
     chern = {l: c for l, c in chern.items() if ambient.degree[l] <= n}
     integral = {}
     for l in ambient.labels:
-        v = ambient.integrate(ambient.mul({l: Fraction(1)}, c1_L))
+        v = ambient.integrate(ambient.mul({l: 1}, c1_L))
         if v != 0:
             integral[l] = v
     return CohomologyModel(n, ambient.labels, ambient.degree, ambient.unit,
@@ -378,8 +396,8 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
     orientation sign (-1)^q in the integration rule
     t^{p+q-1} * pi^*(alpha) -> (-1)^q alpha[B].
     """
-    e_lines = [dict(x) for x in e_lines]
-    f_lines = [dict(y) for y in f_lines]
+    e_lines = [_integral_elt(x) for x in e_lines]
+    f_lines = [_integral_elt(y) for y in f_lines]
     p = len(e_lines) + e_trivial
     q = len(f_lines) + f_trivial
     r = p + q
@@ -391,7 +409,7 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
     v_roots = (
         e_lines
         + [base.zero_elt()] * e_trivial
-        + [base.scale(y, Fraction(-1)) for y in f_lines]
+        + [base.scale(y, -1) for y in f_lines]
         + [base.zero_elt()] * f_trivial
     )
     # elementary symmetric functions of the roots via prod (1 + x_i)
@@ -407,12 +425,12 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
     # tpow[j - r][i] is the base coefficient of t^i in t^j, for
     # r <= j <= 2r - 2: t^r = -sum_k c_k(V) t^(r-k), and t^(j+1) = t * t^j
     # with only the leading coefficient reduced again
-    tpow = [[base.scale(cV[r - i], Fraction(-1)) for i in range(r)]]
+    tpow = [[base.scale(cV[r - i], -1) for i in range(r)]]
     for _ in range(r - 2):
         prev = tpow[-1]
         tpow.append([
             base.add(prev[i - 1] if i else {},
-                     base.scale(base.mul(prev[-1], cV[r - i]), Fraction(-1)))
+                     base.scale(base.mul(prev[-1], cV[r - i]), -1))
             for i in range(r)
         ])
 
@@ -427,10 +445,10 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
 
     mul = StructureTable(entry)
 
-    sign = Fraction((-1) ** q)
+    sign = (-1) ** q
     integral = {}
     for bl in base.labels:
-        v = base.integral.get(bl, Fraction(0))
+        v = base.integral.get(bl, 0)
         if v != 0:
             integral[(bl, r - 1)] = sign * v
 
@@ -440,9 +458,9 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
     def lift(u):
         return {(bl, 0): c for bl, c in u.items()}
 
-    t = {(base.unit, 1): Fraction(1)}
+    t = {(base.unit, 1): 1}
     one_t = model.add(model.one_elt(), t)
-    one_mt = model.add(model.one_elt(), model.scale(t, Fraction(-1)))
+    one_mt = model.add(model.one_elt(), model.scale(t, -1))
     chern = lift(base.chern)
     for factor in ([model.add(one_t, lift(x)) for x in e_lines]
                    + [one_t] * e_trivial
@@ -461,7 +479,7 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
 def quartic_surface():
     """Degree-4 surface in CP3 (a K3 surface): c_1^2 = 0, c_2 = 24."""
     amb = cp_model(3)
-    c1_L = {1: Fraction(4)}  # c1(O(4)) = 4g
+    c1_L = {1: 4}  # c1(O(4)) = 4g
     m = hypersurface_model(amb, c1_L)
     m.name = "W2"
     return m
@@ -476,9 +494,9 @@ def w_odd(n):
     if n < 2:
         raise ValueError("defined for n >= 2")
     base = quartic_surface()
-    g = {1: Fraction(1)}
-    nu2 = base.scale(g, Fraction(8))
-    nu_inv = base.scale(g, Fraction(-4))
+    g = {1: 1}
+    nu2 = base.scale(g, 8)
+    nu_inv = base.scale(g, -4)
     m = twisted_proj_bundle_model(
         base,
         e_lines=[nu2], e_trivial=n - 1,
@@ -496,9 +514,9 @@ def w_even(n):
     if n < 2:
         raise ValueError("defined for n >= 2")
     base = cp_model(3)
-    g = {1: Fraction(1)}
-    K = base.scale(g, Fraction(4))
-    K_m2 = base.scale(g, Fraction(-8))
+    g = {1: 1}
+    K = base.scale(g, 4)
+    K_m2 = base.scale(g, -8)
     m = twisted_proj_bundle_model(
         base,
         e_lines=[K], e_trivial=n - 1,

@@ -316,7 +316,8 @@ def criterion_6():
     if not v == weierstrass_p(qorder) * 24 * norm * norm:
         return False, "24 wp * Phi(tau,-z)^2 identity fails"
     for name in ("W2", "W4", "W5"):
-        ok, violation = integrality_check(chi_y_loop(catalog(name), qorder))
+        series = v if name == "W2" else chi_y_loop(catalog(name), qorder)
+        ok, violation = integrality_check(series)
         if not ok:
             return False, f"integrality fails for {name}: {violation}"
     return True, "displays, Weierstrass identity and integrality hold"
@@ -336,7 +337,8 @@ def criterion_7():
         if not abcd2.D.coeff(n) == ring2.from_fraction(2 * eps.coeff(n)):
             return False, f"D != 2 epsilon at q^{n}"
     for N in (2, 3):
-        quartic, _ = extract_qi(N, qorder, 2 * N + 6)
+        # the level-2 extraction is the one above: xorder 2 * 2 + 6 = 10
+        quartic = quartic2 if N == 2 else extract_qi(N, qorder, 2 * N + 6)[0]
         data = compute_level_data(N)
         images = dict(zip(("q1", "q2", "q3", "q4"), quartic))
         for rel in (data.r_lower_q(), data.r_upper_q()):

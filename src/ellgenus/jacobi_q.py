@@ -21,9 +21,12 @@ for k >= 1, the twisted-Eisenstein expansion of the elliptic genus
 Hirzebruch, Berger & Jung, Manifolds and Modular Forms, 1992), and
 Phi(tau, -z) is (1+y) times the exponential of the k = 0 sums.  The
 GenusSpec is built from the l_k; Q(x) is their exponential, formed only
-when a caller reads it.  The sums are exact over two coefficient models
-for y: a formal y in Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring
-where -y is a primitive N-th root of unity.  The module also provides
+when a caller reads it.  The quartic coefficients never need Q: with
+f = x/Q, h = f'/f = 1/x - sum_k k l_k x^(k-1) is read off the l_k, and
+(h')^2 = h^4 + q_1 h^3 + ... + q_4 is matched term by term.  The sums
+are exact over two coefficient models for y: a formal y in
+Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring where -y is a
+primitive N-th root of unity.  The module also provides
 the loop-space expansion chi_y(q, LX), the Weierstrass series, recovery
 of the quartic coefficients q_1..q_4 as q-series, and the integrality
 check.
@@ -299,16 +302,17 @@ def weierstrass_p(qorder=DEFAULT_QORDER):
 # ---------------------------------------------------------------------------
 
 
-def match_quartic(f):
-    """q_1..q_4 with (h')^2 = h^4 + q_1 h^3 + ... for h = f'/f.
+def match_quartic(h):
+    """q_1..q_4 with (h')^2 = h^4 + q_1 h^3 + ... + q_4 for h = f'/f.
 
-    The coefficients of (h')^2 - h^4 at x^{-3}..x^0 determine q_1..q_4
-    sequentially; the remaining Laurent coefficients must then vanish,
-    which is checked — raises InconsistentSystem if the genus with this
-    f does not satisfy a quartic differential equation.
+    h is a Laurent series 1/x + O(1); extract_qi reads it off log Q,
+    since h = 1/x - sum_k k l_k x^(k-1) for f = x/Q.  The coefficients of
+    (h')^2 - h^4 at x^{-3}..x^0 determine q_1..q_4 sequentially; the
+    remaining Laurent coefficients must then vanish, which is checked —
+    raises InconsistentSystem if the genus does not satisfy a quartic
+    differential equation.
     """
-    ring = f.ring
-    h = (f.derivative() * f.inverse()).truncate(f.order - 3)
+    ring = h.ring
     hp = h.derivative()
     h2 = h * h
     h3 = h2 * h
@@ -336,10 +340,17 @@ def extract_qi(mode="formal", qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER):
     """The q-expansions of q_1..q_4 (and of A, B, C, D).
 
     Returns (QuarticData, ABCDPoint) over the q-series ring, recovered
-    from f = x/Q(x) via its quartic differential equation.
+    from h = f'/f = 1/x - sum_k k l_k x^(k-1), read off the log
+    coefficients l_k of the genus, via its quartic differential
+    equation.  h is known through x^(xorder-3), the window that
+    (f' * f^-1) of the truncated f = x/Q(x) would have: Q, f and its
+    inverse are never formed.
     """
     spec = phi_ell_q(qorder, xorder, mode)
-    quartic = match_quartic(spec.f_series())
+    ring, logs = spec.ring, spec.log_coeffs
+    h = TruncatedSeries(ring, -1, [ring.one] + [
+        logs[k] * (-k) for k in range(1, xorder - 1)], xorder - 3)
+    quartic = match_quartic(h)
     return quartic, q_to_abcd(quartic)
 
 

@@ -375,6 +375,34 @@ def test_multipoly_cap():
     assert p.coeff((3,)) == F(10)
 
 
+@pytest.mark.parametrize("kind", ["poly", "series"])
+def test_nested_zero_terms_dropped_without_coercion(kind, monkeypatch):
+    # dropping a zero term over a polynomial or series base must not build
+    # a constant of the base, or of a series' coefficient ring, to compare
+    # against
+    if kind == "poly":
+        base = PolyRing("s")
+        s = base.gen("s")
+        nonzero, zero = s * 2 + 1, s - s
+    else:
+        base = SeriesRing(QuotientRing([1, -1, 1]), 2)
+        nonzero = base.from_function(lambda e: base.base.from_fraction(e + 1))
+        zero = base.zero
+    ring = PolyRing("x", "z", base=base)
+    calls = []
+    for cls in (PolyRing, SeriesRing, QuotientRing):
+        def counted(self, fr, original=cls.from_fraction):
+            calls.append(fr)
+            return original(self, fr)
+
+        monkeypatch.setattr(cls, "from_fraction", counted)
+    p = WeightedPoly(ring, {(1, 0): nonzero, (0, 1): zero, (2, 0): zero})
+    q = WeightedPoly(ring, {(1, 0): zero, (0, 2): nonzero}, cap=1)
+    assert calls == []
+    assert p.terms == {(1, 0): nonzero}
+    assert q.terms == {} and q.cap == 1
+
+
 # ---------------------------------------------------------------------------
 # property tests (fixed seeds)
 # ---------------------------------------------------------------------------

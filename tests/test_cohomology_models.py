@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from ellgenus.cohomology_models import (
     ChernVector,
+    CohomologyModel,
+    StructureTable,
     UnknownName,
     catalog,
     chern_vector,
@@ -432,6 +434,64 @@ def test_chern_vector_of_products_and_bundles():
     for m in models:
         assert chern_vector(m).numbers == {
             p: _chern_number(m, p) for p in partitions(m.dim)}
+
+
+def _model_data(m):
+    """Every structure constant, Chern-class coefficient and integral."""
+    for l1 in m.labels:
+        for l2 in m.labels:
+            yield from m.mul_table[l1, l2].values()
+    yield from m.chern.values()
+    yield from m.integral.values()
+
+
+def _integral_line(rng, base):
+    return {l: rng.randint(-4, 4) * F(1)
+            for l in base.labels if base.degree[l] == 1}
+
+
+def test_integral_models_store_ints():
+    rng = random.Random(20261019)
+    models = [cp_model(n) for n in range(5)] + [
+        product_model(cp_model(2), catalog("W2")),
+        product_model(cp_model(1), tw_cp(2, 1))]
+    for n in (2, 3):
+        base = cp_model(n)
+        models.append(twisted_proj_bundle_model(
+            base, [_integral_line(rng, base)], 1,
+            [_integral_line(rng, base) for _ in range(2)], 1))
+    # W3 and W4 are given by their Chern numbers, not by a model
+    models += [catalog(f"W{k}") for k in range(1, 22) if k not in (3, 4)]
+    for m in models:
+        for v in _model_data(m):
+            assert type(v) is int, (m.name, v)
+
+
+def _fraction_copy(m):
+    """The same model with every structure constant, Chern-class
+    coefficient and integral a Fraction."""
+    def entry(l1, l2):
+        return {l: F(c) for l, c in m.mul_table[l1, l2].items()}
+
+    return CohomologyModel(
+        m.dim, m.labels, m.degree, m.unit, StructureTable(entry),
+        {l: F(c) for l, c in m.integral.items()},
+        {l: F(c) for l, c in m.chern.items()}, name=m.name)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_int_data_give_the_chern_numbers_of_fraction_data(n):
+    rng = random.Random(f"int-data-{n}")
+    base = cp_model(n)
+    for trial in range(6):
+        # integral lines, then half-integral ones
+        den = 1 if trial < 3 else 2
+        lines = [{1: F(rng.randint(-5, 5), den)} for _ in range(3)]
+        m = twisted_proj_bundle_model(base, lines[:1], trial % 2,
+                                      lines[1:], 1)
+        cv = chern_vector(m)
+        assert cv == chern_vector(_fraction_copy(m)), (n, trial)
+        assert all(type(v) is Fraction for v in cv.numbers.values())
 
 
 def test_chern_numbers_fill_part_of_the_table():

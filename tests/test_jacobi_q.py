@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from ellgenus.algebra_kernel import TruncatedSeries, coeff_is_zero
 from ellgenus.cohomology_models import catalog, chern_vector, cp_model, product_model
 from ellgenus.genus_engine import GenusSpec, evaluate
+from ellgenus import jacobi_q
 from ellgenus.jacobi_q import (
     InconsistentSystem,
     NotLaurent,
@@ -430,11 +431,41 @@ def test_bcd_are_weierstrass_expansions():
     assert abcd.D == wp * wp * 6 - g2h
 
 
+def _log_derivative(f):
+    """Oracle: h = f'/f, through the window f' * f^-1 provably has."""
+    return (f.derivative() * f.inverse()).truncate(f.order - 3)
+
+
 def test_match_quartic_rejects_non_elliptic_series():
     # f = x + x^2 does not satisfy any quartic differential equation
     f = TruncatedSeries(QQ, 1, [F(1), F(1)], 10)
     with pytest.raises(InconsistentSystem):
-        match_quartic(f)
+        match_quartic(_log_derivative(f))
+
+
+@pytest.mark.parametrize("mode, qorder, xorder", [
+    (2, 4, 10), (3, 4, 12), (4, 3, 14), (5, 2, 16), ("formal", 3, 8)])
+def test_extract_qi_matches_log_derivative_of_f(mode, qorder, xorder,
+                                                monkeypatch):
+    # h read off log Q equals f'/f of f = x/Q(x), with the same x- and
+    # q-windows, so the closing check covers the same range and q_1..q_4
+    # agree coefficient by coefficient
+    seen = []
+
+    def recording(h):
+        seen.append(h)
+        return match_quartic(h)
+
+    monkeypatch.setattr(jacobi_q, "match_quartic", recording)
+    quartic, _ = extract_qi(mode, qorder, xorder)
+    h = _log_derivative(phi_ell_q(qorder, xorder, mode).f_series())
+    (h_read,) = seen
+    assert (h_read.low, h_read.order) == (h.low, h.order) == (-1, xorder - 3)
+    assert h_read.coeffs == h.coeffs
+    oracle = match_quartic(h)
+    for a, b in zip(quartic, oracle):
+        assert (a.low, a.order) == (b.low, b.order) == (0, qorder)
+        assert a.coeffs == b.coeffs
 
 
 def test_level2_extraction_is_delta_epsilon():
