@@ -224,8 +224,9 @@ def cmd_universal_coeffs(args, out):
 def cmd_leveln_relations(args, out):
     N = args.N
     data = level_n.compute_level_data(N)
+    r_lower_q, r_upper_q = data.r_lower_q(), data.r_upper_q()
     res = level_n.eliminate(data)
-    res_q = level_n.eliminate(data, coords="q")
+    res_q = level_n.eliminant(r_lower_q, r_upper_q)
     pres = level_n.GradedIdealPresentation((1, 2, 3, 4), (N - 1, N + 1))
     h0 = level_n.degree_h0(pres)
     if args.format == "json":
@@ -233,8 +234,8 @@ def cmd_leveln_relations(args, out):
             "N": N,
             "relations_abcd": {f"R{N - 1}": poly_pairs(data.r_lower),
                                f"R{N + 1}": poly_pairs(data.r_upper)},
-            "relations_q": {f"R{N - 1}": poly_pairs(data.r_lower_q()),
-                            f"R{N + 1}": poly_pairs(data.r_upper_q())},
+            "relations_q": {f"R{N - 1}": poly_pairs(r_lower_q),
+                            f"R{N + 1}": poly_pairs(r_upper_q)},
             "eliminant_abcd": poly_pairs(res),
             "eliminant_q": poly_pairs(res_q),
             "h0": str(h0),
@@ -245,8 +246,8 @@ def cmd_leveln_relations(args, out):
         out.write(f"  R_{N - 1} = {data.r_lower}\n")
         out.write(f"  R_{N + 1} = {data.r_upper}\n")
         out.write("  in quartic coordinates:\n")
-        out.write(f"  R_{N - 1} = {data.r_lower_q()}\n")
-        out.write(f"  R_{N + 1} = {data.r_upper_q()}\n")
+        out.write(f"  R_{N - 1} = {r_lower_q}\n")
+        out.write(f"  R_{N + 1} = {r_upper_q}\n")
         out.write(f"  eliminant (A removed): {res}\n")
         out.write(f"  eliminant (q-coords):  {res_q}\n")
         out.write(f"  h0 = {h0}\n")

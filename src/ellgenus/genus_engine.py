@@ -57,8 +57,10 @@ class GenusSpec:
     has constant term 1 by construction.  Whichever of q and log_coeffs
     was not given is computed once, on first access: log Q or exp of the
     log.  The multiplicative sequence reads only the log coefficients;
-    f_series and the formal group law read Q.  Multiplicative sequences
-    are cached on demand (pure data, safe to share).
+    f_series = x/Q and its compositional inverse log_series, which the
+    formal group law reads, are likewise built once, on first access.
+    Multiplicative sequences are cached on demand (pure data, safe to
+    share).
     """
 
     def __init__(self, q_series, name="genus"):
@@ -85,9 +87,20 @@ class GenusSpec:
 
     @cached_property
     def q(self):
-        """Q(x) = exp(sum_m l_m x^m)."""
-        return TruncatedSeries(self.ring, 0, self.log_coeffs,
-                               self.order).exp()
+        """Q(x) = exp(sum_m l_m x^m) = exp(l_1 x) exp(sum_{m>=2} l_m x^m).
+
+        The first factor has the coefficients l_1^j / j!, so the
+        exponential runs on l_2, l_3, ... alone; for the universal genus
+        these are free of A (see universal_elliptic.solve_h).  The two
+        series commute, so the product is exact.
+        """
+        ring, order, logs = self.ring, self.order, self.log_coeffs
+        e = [ring.one]
+        for j in range(1, order + 1):
+            e.append(e[-1] * logs[1] * Fraction(1, j))
+        tail = TruncatedSeries(ring, 0, [ring.zero] * 2 + logs[2:],
+                               order).exp()
+        return TruncatedSeries(ring, 0, e, order) * tail
 
     @cached_property
     def log_coeffs(self):
@@ -98,14 +111,16 @@ class GenusSpec:
 
     # -- derived series -----------------------------------------------------
 
+    @cached_property
     def f_series(self):
         """f(x) = x / Q(x), the inverse of the genus logarithm."""
         x = TruncatedSeries.x_series(self.ring, self.order)
         return (x * self.q.inverse()).truncate(self.order)
 
+    @cached_property
     def log_series(self):
         """The genus logarithm g(y) with f(g(y)) = y."""
-        return self.f_series().compose_inverse()
+        return self.f_series.compose_inverse()
 
     def __repr__(self):
         return f"<GenusSpec {self.name}, order {self.order}>"
@@ -214,7 +229,7 @@ def formal_group_law(spec, order=None):
     u, v = (x.truncate(order)
             for x in PolyRing("u", "v", base=spec.ring).gens())
     g, f = ([s.coeff(e) for e in range(s.order + 1)]
-            for s in (spec.log_series(), spec.f_series()))
+            for s in (spec.log_series, spec.f_series))
     return horner(f, horner(g, u) + horner(g, v))
 
 

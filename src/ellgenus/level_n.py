@@ -69,7 +69,8 @@ class LevelNData:
 
     r_lower, r_upper: the normalized relations in A, B, C, D (weights
         N-1 and N+1)
-    order: the truncation order of the ODE solution they were read from
+    order: the ODE truncation order they were computed under, an upper
+        bound on the order each node is solved to (see _point_values)
     """
 
     def __init__(self, N, order, r_lower, r_upper):
@@ -142,10 +143,13 @@ def _point_values(N, order, point):
 
     The Laurent coefficient at x^{-N+i} defines d_i because h^{N-i} =
     x^{-(N-i)} + ...; f^N = x^N + ... has no x^1 term for N >= 2, so the
-    x^1 coefficient is the first constraint without d_2N.
+    x^1 coefficient is the first constraint without d_2N.  Only
+    x^(1-N)..x^1 are read, so order is an upper bound: the ODE is solved
+    through min(order, N + 2), the least order whose window, under the
+    minimum rule of the series products, still holds h^N at x^1.
     """
     h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *map(Fraction, point))),
-                order)
+                min(order, N + 2))
     # f^-N = (Q/x)^N = x^-N exp(N log Q)
     log_q = q_of_h(h).log_coeffs
     f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
@@ -180,7 +184,9 @@ def compute_level_data(N, order=None):
     the lower sets 2b + 3c + 4d <= N -/+ 1, one inside the other.  The
     ODE is solved over QQ at each node (1, b, c, d) of the larger, with
     b, c, d among 0, -1, 1, -2, 2, ..., and newton_interpolate reads each
-    relation off the values on its own lower set.
+    relation off the values on its own lower set.  order bounds the ODE
+    truncation from above; each node reads its values through x^1 only
+    (see _point_values).
     """
     if N < 2:
         raise ValueError("N must be >= 2")

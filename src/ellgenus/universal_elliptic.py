@@ -5,7 +5,9 @@ c_2 x + ... of the differential equation (h')^2 = S(h) for the quartic
 S(y) = y^4 + q_1 y^3 + q_2 y^2 + q_3 y + q_4; with f defined by f'/f = h
 and f = x + O(x^2), the characteristic series is Q(x) = x/f(x).  The
 coefficients live in Q[q_1..q_4] (q_i of weight i) or, after the standard
-coordinate change, in Q[A, B, C, D] (weights 1..4).  Everything is generic
+coordinate change, in Q[A, B, C, D] (weights 1..4).  The ODE is solved
+with the quartic depressed by q_1/4 = A/2, which leaves it free of A, so
+log Q is (A/2) x plus a series over Q[B, C, D].  Everything is generic
 over the coefficient ring, so symbolic generators and rational point
 values share one code path.
 """
@@ -132,44 +134,55 @@ def solve_h(S, order):
     Returns a Laurent TruncatedSeries with low = -1 carrying c_1..c_order
     (exponents 0..order-1).
 
-    The coefficients come from the first-order equation by a recurrence.
-    Write H = x h = sum_i c_i x^i (c_0 = 1), G = H^2 = sum_j g_j x^j and
-    P = x H' - H = sum_i (i-1) c_i x^i; times x^4 the equation reads
-    P^2 = G^2 + q1 x G H + q2 x^2 G + q3 x^3 H + q4 x^4.  At x^i the
+    The equation is solved in its depressed form.  With s = q1/4,
+    S(z - s) = z^4 + p2 z^2 + p3 z + p4, where p2 = q2 - (3/8) q1^2,
+    p3 = q3 - 2s(q2 - q1 s) and p4 = q4 - s(q3 - s(q2 - 3s^2)); so
+    h = h0 - s for the solution h0 of (h0')^2 = S(h0 - s), and only c_1
+    differs from h0's.  For the generic quartic in A, B, C, D, s = A/2
+    and p2, p3, p4 are free of A (the Weierstrass-type normal form of
+    Hirzebruch, Berger and Jung, Manifolds and Modular Forms, 1992), so
+    every c_i with i >= 2 lies in Q[B, C, D].
+
+    The coefficients of h0 come from the first-order equation by a
+    recurrence.  Write H = x h0 = sum_i c_i x^i (c_0 = 1), G = H^2 =
+    sum_j g_j x^j and P = x H' - H = sum_i (i-1) c_i x^i; times x^4 the
+    equation reads P^2 = G^2 + p2 x^2 G + p3 x^3 H + p4 x^4.  At x^i the
     unknown c_i enters only through 2 (-1) (i-1) c_i in P^2 and
     2 g_0 g_i = 4 c_i + (terms in c_1..c_{i-1}) in G^2.  So with c_i set
     to 0, the residual r at x^i, which is the coefficient of
-    (h')^2 - S(h) at x^(e-3) for the exponent e = i - 1 of c_i, gives
-    c_i = r / (2e + 4).  The divisor 2e + 4 is never zero (the
+    (h0')^2 - S(h0 - s) at x^(e-3) for the exponent e = i - 1 of c_i,
+    gives c_i = r / (2e + 4).  The divisor 2e + 4 is never zero (the
     second-order equation 2h'' = S'(h) would divide by (e-3)(e+2),
     which vanishes at e = 3).  The g_j are kept as they become known,
     so each step costs O(e) ring products: one convolution coefficient
-    each of P^2, G (at c_i = 0), G^2 and G H, the squares by symmetric
+    each of P^2, G (at c_i = 0) and G^2, the squares by symmetric
     halves.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
     ring = S.ring
     q1, q2, q3, q4 = S
-    c = [ring.one]   # c_i, coefficients of H = x h
+    s = q1 * Fraction(1, 4)
+    p2 = q2 - q1 * s * Fraction(3, 2)
+    p3 = q3 - s * (q2 - q1 * s) * Fraction(2)
+    p4 = q4 - s * (q3 - s * (q2 - s * s * Fraction(3)))
+    c = [ring.one]   # c_i, coefficients of H = x h0
     p = [-ring.one]  # (i - 1) c_i, coefficients of P
     g = [ring.one]   # g_j, coefficients of G = H^2
     for i in range(1, order + 1):
         g.append(_square_coeff(ring, c, i, 1))  # g_i at c_i = 0
         r = _square_coeff(ring, p, i, 1) - _square_coeff(ring, g, i, 0)
-        # x G H at x^i is G H at x^(i-1)
-        gh = ring.dot(zip(g, reversed(c)))
-        r = r - gh * q1
         if i >= 2:
-            r = r - g[i - 2] * q2
+            r = r - g[i - 2] * p2
         if i >= 3:
-            r = r - c[i - 3] * q3
+            r = r - c[i - 3] * p3
         if i == 4:
-            r = r - q4
+            r = r - p4
         ci = r * Fraction(1, 2 * i + 2)  # 2e + 4 with e = i - 1
         c.append(ci)
         p.append(ci * Fraction(i - 1))
         g[i] = g[i] + ci * Fraction(2)
+    c[1] = c[1] - s  # h = h0 - s
     return TruncatedSeries(ring, -1, c, order - 1)
 
 
@@ -185,8 +198,9 @@ def phi_ell(order=DEFAULT_ORDER):
     """The universal elliptic genus as a GenusSpec over Q[A, B, C, D].
 
     The ODE is solved with the quartic written in A, B, C, D, so no
-    coordinate substitution follows; at order 18 this is about five times
-    faster than solving over Q[q1..q4] and substituting.
+    coordinate substitution follows.  As solve_h depresses the quartic,
+    log Q = (A/2) x + sum_{k>=2} l_k x^k with the l_k free of A, so
+    GenusSpec.q runs its exponential over Q[B, C, D].
     """
     h = solve_h(abcd_to_q(ABCDPoint.generic()), order)
     return q_of_h(h, name="phi_ell")

@@ -177,7 +177,9 @@ def test_blowup_verify_golden_stdout(N, fmt):
 def test_cli_golden_stdout(command, fmt):
     # digests in tests/cli_stdout_sha256.json, recorded before the
     # products were moved onto ring.dot; the qexpand entries at qorder 6
-    # and 14..30 were recorded from the multiplied-out theta product
+    # and 14..30 were recorded from the multiplied-out theta product, and
+    # universal coeffs --order 40 from the ODE solved over all of
+    # Q[A, B, C, D] with Q the exponential of the whole log
     _assert_golden_stdout(command.split(), fmt, CLI_DIGESTS[command][fmt])
 
 

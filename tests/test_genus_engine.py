@@ -3,6 +3,7 @@ from math import factorial
 
 import pytest
 
+from ellgenus import criteria
 from ellgenus.algebra_kernel import (
     BadValuation,
     PolyRing,
@@ -31,6 +32,7 @@ from ellgenus.genus_engine import (
     multiplicative_sequence,
 )
 from ellgenus.jacobi_q import phi_ell_q
+from ellgenus.universal_elliptic import phi_ell
 
 F = Fraction
 
@@ -488,7 +490,7 @@ def test_genus_from_log_signature():
 
 def test_log_series_roundtrip():
     todd = classical_genus("todd", order=8)
-    g = todd.log_series()
+    g = todd.log_series
     # g(CP_n-integrals): coefficient of y^{n+1} is phi(CP_n)/(n+1) = 1/(n+1)
     for n in range(0, 7):
         assert g.coeff(n + 1) == F(1, n + 1)
@@ -513,6 +515,41 @@ def test_formal_group_law_axioms():
     # F(u, 0) = u: the terms without v are exactly u
     u_only = {e: c for e, c in Fuv.terms.items() if e[1] == 0}
     assert u_only == {(1, 0): F(1)}
+
+
+def _formal_group_law_rebuilt(spec, order):
+    """formal_group_law with f = x/Q and its inverse rebuilt from Q."""
+    x = TruncatedSeries.x_series(spec.ring, spec.order)
+    f = (x * spec.q.inverse()).truncate(spec.order)
+    g = f.compose_inverse()
+    u, v = (w.truncate(order)
+            for w in PolyRing("u", "v", base=spec.ring).gens())
+    f, g = ([s.coeff(e) for e in range(s.order + 1)] for s in (f, g))
+    return horner(f, horner(g, u) + horner(g, v))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: phi_ell(6),
+    lambda: classical_genus("todd", order=6),
+], ids=["phi_ell", "todd"])
+def test_formal_group_law_matches_rebuilt_series(build):
+    ours, oracle = formal_group_law(build(), 6), \
+        _formal_group_law_rebuilt(build(), 6)
+    assert (ours.terms, ours.cap) == (oracle.terms, oracle.cap)
+
+
+def test_criterion_10_inverts_f_once(monkeypatch):
+    calls = []
+    compose_inverse = TruncatedSeries.compose_inverse
+
+    def counted(self):
+        calls.append(self.order)
+        return compose_inverse(self)
+
+    monkeypatch.setattr(TruncatedSeries, "compose_inverse", counted)
+    ok, _ = criteria.criterion_10()
+    assert ok
+    assert len(calls) == 1
 
 
 # ---------------------------------------------------------------------------

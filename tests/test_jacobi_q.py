@@ -458,7 +458,7 @@ def test_extract_qi_matches_log_derivative_of_f(mode, qorder, xorder,
 
     monkeypatch.setattr(jacobi_q, "match_quartic", recording)
     quartic, _ = extract_qi(mode, qorder, xorder)
-    h = _log_derivative(phi_ell_q(qorder, xorder, mode).f_series())
+    h = _log_derivative(phi_ell_q(qorder, xorder, mode).f_series)
     (h_read,) = seen
     assert (h_read.low, h_read.order) == (h.low, h.order) == (-1, xorder - 3)
     assert h_read.coeffs == h.coeffs
@@ -632,5 +632,5 @@ def test_cyclotomic_f_is_shifted_phi_quotient():
         shifted_x = phi.scale_u(-y).to_x_series(xorder, nested)
         const = phi.eval_u(-y, ring)
         f_cmp = xscale(num_x, const) * shifted_x.inverse()
-        f = phi_ell_q(qorder, xorder, N).f_series()
+        f = phi_ell_q(qorder, xorder, N).f_series
         assert (f_cmp.truncate(f.order) - f).is_zero(), N

@@ -25,6 +25,7 @@ from ellgenus.level_n import (
     LevelNData,
     WrongPoleOrder,
     _echelon_insert,
+    _lower_set,
     _point_values,
     _zigzag,
     compute_level_data,
@@ -75,7 +76,7 @@ def _level_data_symbolic(N, order):
     in compute_level_data.
     """
     h = solve_h(QuarticData.generic(), order)
-    f = q_of_h(h).f_series()
+    f = q_of_h(h).f_series
     fN = f ** N
     fmN = f.inverse() ** N
     hp = [TruncatedSeries.one_series(Q_RING, h.order)]
@@ -240,6 +241,33 @@ def _level_data_gauss_jordan(N):
     r_upper = r_upper - A * A * r_lower * r_upper.coeff((N + 1, 0, 0, 0))
     r_upper = r_upper - B * r_lower * r_upper.coeff((N - 1, 1, 0, 0))
     return r_lower, r_upper.monic()
+
+
+def _point_values_full_window(N, order, point):
+    """_point_values with the ODE solved through the whole order given."""
+    h = solve_h(abcd_to_q(ABCDPoint(F(1), *map(F, point))), order)
+    log_q = q_of_h(h).log_coeffs
+    f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
+    hp = [TruncatedSeries.one_series(QQ, h.order)]
+    for _ in range(N):
+        hp.append(hp[-1] * h)
+    acc = hp[N] - f_minus_n
+    for i in range(1, N + 1):
+        di = -acc.coeff(i - N)
+        if i == N - 1:
+            d_lower = di
+        acc = acc + hp[N - i] * di
+    return d_lower, acc.coeff(1)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_point_values_match_full_window(N):
+    # the values read through x^1 do not depend on solving further
+    nodes = [_zigzag(i) for i in range((N + 1) // 2 + 1)]
+    for e in _lower_set((2, 3, 4), N + 1):
+        point = [nodes[i] for i in e]
+        assert _point_values(N, 2 * N + 4, point) == \
+            _point_values_full_window(N, 2 * N + 4, point)
 
 
 @lru_cache(maxsize=None)

@@ -144,6 +144,22 @@ def test_phi_ell_equals_substituted_q_genus():
                              for c in spec_q.q.coeffs]
 
 
+@pytest.mark.parametrize("n", range(1, 15))
+def test_phi_ell_q_equals_exp_of_full_log(n):
+    # Q built as exp((A/2) x) exp(sum_{k>=2} l_k x^k) equals the
+    # exponential of the whole log over Q[A, B, C, D]
+    spec = phi_ell(n)
+    oracle = TruncatedSeries(ABCD_RING, 0, spec.log_coeffs, n).exp()
+    assert _same_series(spec.q, oracle)
+
+
+def test_phi_ell_log_coefficients_beyond_first_avoid_A():
+    spec = phi_ell(14)
+    assert spec.log_coeffs[1] == A * F(1, 2)
+    for k in range(2, 15):
+        assert spec.log_coeffs[k].degree_in("A") == 0
+
+
 def test_first_coefficient():
     h = solve_h(QuarticData.generic(), 6)
     assert h.coeff(-1) == Q_RING.one
@@ -177,7 +193,7 @@ def test_coefficients_are_homogeneous():
 def test_q_of_h_defining_relation():
     h = solve_h(QuarticData.generic(), 8)
     spec = q_of_h(h)
-    f = spec.f_series()
+    f = spec.f_series
     lhs = f.derivative() * f.inverse()
     assert lhs == h.truncate(lhs.order)
 
