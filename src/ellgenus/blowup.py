@@ -26,12 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra_kernel import (
-    PolyRing,
-    TruncatedSeries,
-    WeightedPoly,
-    coeff_is_zero,
-)
+from .algebra_kernel import TruncatedSeries, coeff_is_zero
 from .cohomology_models import (
     chern_monomials,
     cp_model,
@@ -40,6 +35,7 @@ from .cohomology_models import (
 )
 from .genus_engine import multiplicative_class
 from .jacobi_q import phi_ell_q
+from .weighted_poly import PolyRing, WeightedPoly
 
 
 class DegenerateSample(ValueError):

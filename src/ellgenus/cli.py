@@ -17,19 +17,19 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra_kernel import RationalFunction, TruncatedSeries
-from .cohomology_models import UnknownName, catalog, model_from_json
+from .algebra_kernel import TruncatedSeries
 from .genus_engine import classical_genus, evaluate
-from .universal_elliptic import ABCDPoint, abcd_to_q, phi_ell, q_of_h, solve_h
 
 
 def _lazy(name):
     """The submodule ``ellgenus.<name>``, executed on first attribute read.
 
-    A command runs only the modules it reads.  The module is registered in
-    ``sys.modules`` and bound on the package at once, as an import does,
-    because bench/traced_cli.py finds the modules it traces there right
-    after ``import ellgenus.cli``.
+    A command compiles and runs only the modules it reads: the cohomology
+    models, the universal genus and each algebra representation too.  The
+    module is registered in ``sys.modules`` and bound on the package at
+    once, as an import does, because bench/traced_cli.py finds the modules
+    it traces there right after ``import ellgenus.cli``.  weighted_poly is
+    bound for that alone: cli reads none of its names.
     """
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
@@ -47,6 +47,10 @@ blowup = _lazy("blowup")
 jacobi_q = _lazy("jacobi_q")
 level_n = _lazy("level_n")
 criteria = _lazy("criteria")
+cohomology_models = _lazy("cohomology_models")
+universal_elliptic = _lazy("universal_elliptic")
+weighted_poly = _lazy("weighted_poly")
+dense_poly = _lazy("dense_poly")
 
 
 def __getattr__(name):
@@ -109,7 +113,7 @@ def value_json(v):
         return fr_str(v)
     if hasattr(v, "terms") and hasattr(v, "ring"):
         return poly_pairs(v)
-    if isinstance(v, RationalFunction):
+    if isinstance(v, dense_poly.RationalFunction):
         return laurent_pairs(v)
     if isinstance(v, TruncatedSeries):
         return {str(n): value_json(v.coeff(n))
@@ -120,7 +124,9 @@ def value_json(v):
 def value_str(v):
     if isinstance(v, (int, Fraction)):
         return fr_str(v)
-    if isinstance(v, RationalFunction):
+    if hasattr(v, "terms") and hasattr(v, "ring"):
+        return str(v)
+    if isinstance(v, dense_poly.RationalFunction):
         return laurent_str(v)
     if isinstance(v, TruncatedSeries):
         rows = [f"q^{n}: {value_str(v.coeff(n))}"
@@ -142,13 +148,13 @@ def resolve_manifold(sel):
     """catalog:NAME, inline JSON (a value starting with { or [), or a
     path to a JSON file."""
     if sel.startswith("catalog:"):
-        return catalog(sel[len("catalog:"):])
+        return cohomology_models.catalog(sel[len("catalog:"):])
     if sel.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(sel)
         except json.JSONDecodeError as exc:
             raise InputError(f"bad inline manifold JSON: {exc}") from exc
-        return model_from_json(obj)
+        return cohomology_models.model_from_json(obj)
     try:
         with open(sel) as fh:
             obj = json.load(fh)
@@ -156,7 +162,7 @@ def resolve_manifold(sel):
         raise InputError(f"cannot read manifold file {sel!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise InputError(f"bad manifold JSON in {sel!r}: {exc}") from exc
-    return model_from_json(obj)
+    return cohomology_models.model_from_json(obj)
 
 
 def resolve_genus(sel, order):
@@ -170,11 +176,12 @@ def resolve_genus(sel, order):
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad genus point {sel!r}: {exc}") from exc
         # at the point first: the same exact value as specialising phi_ell
-        h = solve_h(abcd_to_q(ABCDPoint(*vals)), order)
-        return q_of_h(h, name=f"phi_ell|({sel})")
+        ue = universal_elliptic
+        h = ue.solve_h(ue.abcd_to_q(ue.ABCDPoint(*vals)), order)
+        return ue.q_of_h(h, name=f"phi_ell|({sel})")
     name = sel.strip().lower()
     if name == "phi_ell":
-        return phi_ell(order)
+        return universal_elliptic.phi_ell(order)
     if name in GENUS_NAMES:
         return classical_genus(name, order=order)
     raise InputError(
@@ -209,7 +216,7 @@ def cmd_genus_eval(args, out):
 
 
 def cmd_universal_coeffs(args, out):
-    spec = phi_ell(args.order)
+    spec = universal_elliptic.phi_ell(args.order)
     rows = [(k, spec.q.coeff(k)) for k in range(1, args.order + 1)]
     if args.format == "json":
         json.dump({"coefficients": {f"a{k}": value_json(c) for k, c in rows}},
@@ -398,7 +405,7 @@ def _run(argv, out):
             return 2
     try:
         return args.fn(args, out)
-    except UnknownName as exc:
+    except cohomology_models.UnknownName as exc:
         _emit_error(args, out, f"unknown catalog manifold {exc.args[0]!r}")
         return 2
     except (InputError, KeyError, ValueError) as exc:

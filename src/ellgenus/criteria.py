@@ -14,7 +14,7 @@ import random
 from fractions import Fraction
 from math import comb
 
-from .algebra_kernel import PolyRing, TruncatedSeries
+from .algebra_kernel import TruncatedSeries
 from .blowup import (
     BlowupInput,
     genus_defect,
@@ -59,6 +59,7 @@ from .level_n import (
 )
 from .universal_elliptic import ABCD_RING, Q_RING, phi_ell
 from .universal_elliptic import test_vectors_Q3_Q4 as _fiber_vectors
+from .weighted_poly import PolyRing
 
 F = Fraction
 

@@ -21,18 +21,10 @@ from math import factorial
 
 from .algebra_kernel import (
     BadValuation,
-    PolyRing,
     QQ,
     TruncatedSeries,
     _fr,
     coeff_is_zero,
-    horner,
-)
-from .cohomology_models import (
-    UnknownName,
-    chern_monomials,
-    chern_vector,
-    power_sum_in_chern,
 )
 
 # chi_y specialization points; the Euler characteristic is chi_y at y = -1
@@ -166,6 +158,8 @@ def multiplicative_sequence(spec, n):
         )
     if n in spec._ms_cache:
         return spec._ms_cache[n]
+    from .cohomology_models import power_sum_in_chern
+
     ring = spec.ring
     # dlog[m] = m L_m as partition -> coefficient
     dlog = [None]
@@ -192,6 +186,8 @@ def multiplicative_sequence(spec, n):
 
 def evaluate(spec, x):
     """Genus value on a ChernVector or CohomologyModel."""
+    from .cohomology_models import chern_vector
+
     cv = chern_vector(x)
     if cv.dim > spec.order:
         raise DimensionMismatch(
@@ -208,6 +204,8 @@ def multiplicative_class(spec, model, chern_elt=None):
     class c), so it works for arbitrary bundles, not just the tangent
     bundle.
     """
+    from .cohomology_models import chern_monomials
+
     top = min(model.dim, spec.order)
     monomial = chern_monomials(model, chern_elt, top)
     K = model.one_elt()  # K_0 = 1
@@ -220,6 +218,8 @@ def multiplicative_class(spec, model, chern_elt=None):
 def formal_group_law(spec, order=None):
     """F(u, v) = f(g(u) + g(v)) in spec.ring[u, v], capped at total
     degree order."""
+    from .weighted_poly import PolyRing, horner
+
     if order is None:
         order = spec.order
     if order > spec.order:
@@ -311,13 +311,19 @@ def classical_genus(name, params=None, order=12):
             yval = _fr(params["y"])
             return GenusSpec(_chi_y_series(QQ, yval, order),
                              name=f"chi_y(y={yval})")
+        from .weighted_poly import PolyRing
+
         ring = PolyRing(("y", 1))
         return GenusSpec(_chi_y_series(ring, ring.gen("y"), order),
                          name="chi_y")
     if name == "a_tilde":
         # e^{(A/2) x} w/sinh(w) with w = sqrt(B/2) x/2, so w^2 = B x^2/8
+        from .weighted_poly import PolyRing
+
         ring = PolyRing(("A", 1), ("B", 2))
         A, B = ring.gens()
         return _todd_type("a_tilde", order, A * Fraction(1, 2),
                           lambda k: B ** k * Fraction(-1, 2 ** k), ring)
+    from .cohomology_models import UnknownName
+
     raise UnknownName(name)

@@ -37,17 +37,15 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .algebra_kernel import (
+from .algebra_kernel import TruncatedSeries, coeff_is_zero
+from .cohomology_models import chern_vector
+from .dense_poly import (
     Localization,
     QuotientRing,
-    TruncatedSeries,
-    coeff_is_zero,
     cyclotomic_polynomial,
     poly_mul_power,
 )
-from .cohomology_models import chern_vector
 from .genus_engine import GenusSpec, classical_genus, evaluate
-from .universal_elliptic import QuarticData, q_to_abcd
 
 DEFAULT_QORDER = 5
 DEFAULT_XORDER = 12
@@ -312,6 +310,8 @@ def match_quartic(h):
     raises InconsistentSystem if the genus does not satisfy a quartic
     differential equation.
     """
+    from .universal_elliptic import QuarticData
+
     ring = h.ring
     hp = h.derivative()
     h2 = h * h
@@ -346,6 +346,8 @@ def extract_qi(mode="formal", qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER):
     (f' * f^-1) of the truncated f = x/Q(x) would have: Q, f and its
     inverse are never formed.
     """
+    from .universal_elliptic import q_to_abcd
+
     spec = phi_ell_q(qorder, xorder, mode)
     ring, logs = spec.ring, spec.log_coeffs
     h = TruncatedSeries(ring, -1, [ring.one] + [

@@ -25,15 +25,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm, prod
 
-from .algebra_kernel import (
-    Localization,
-    PolyRing,
-    QQ,
-    TruncatedSeries,
-    WeightedPoly,
-    bareiss_determinant,
-    cyclotomic_polynomial,
-)
+from .algebra_kernel import QQ, TruncatedSeries
+from .dense_poly import Localization, cyclotomic_polynomial
 from .genus_engine import classical_genus, evaluate
 from .universal_elliptic import (
     ABCD_RING,
@@ -46,6 +39,7 @@ from .universal_elliptic import (
     q_to_abcd,
     solve_h,
 )
+from .weighted_poly import PolyRing, WeightedPoly, bareiss_determinant
 
 AB_RING = PolyRing(("A", 1), ("B", 2))
 
@@ -145,16 +139,17 @@ def _point_values(N, order, point):
     x^{-(N-i)} + ...; f^N = x^N + ... has no x^1 term for N >= 2, so the
     x^1 coefficient is the first constraint without d_2N.  Only
     x^(1-N)..x^1 are read, so order is an upper bound: the ODE is solved
-    through min(order, N + 2), the least order whose window, under the
-    minimum rule of the series products, still holds h^N at x^1.
+    through min(order, N + 1), the least order whose window, under the
+    minimum rule of the series products, still holds h^N at x^1.  The
+    powers start at h itself, so h^k holds x^-k..x^(order - k).
     """
     h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *map(Fraction, point))),
-                min(order, N + 2))
+                min(order, N + 1))
     # f^-N = (Q/x)^N = x^-N exp(N log Q)
     log_q = q_of_h(h).log_coeffs
     f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
-    hp = [TruncatedSeries.one_series(QQ, h.order)]
-    for _ in range(N):
+    hp = [1, h]
+    for _ in range(N - 1):
         hp.append(hp[-1] * h)
     acc = hp[N] - f_minus_n
     for i in range(1, N + 1):

@@ -16,14 +16,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra_kernel import PolyRing, QQ, TruncatedSeries
-from .cohomology_models import (
-    chern_vector,
-    cp_model,
-    product_model,
-    twisted_proj_bundle_model,
-)
+from .algebra_kernel import QQ, TruncatedSeries
 from .genus_engine import GenusSpec, evaluate
+from .weighted_poly import PolyRing
 
 Q_RING = PolyRing(("q1", 1), ("q2", 2), ("q3", 3), ("q4", 4))
 ABCD_RING = PolyRing(("A", 1), ("B", 2), ("C", 3), ("D", 4))
@@ -242,6 +237,9 @@ def test_vectors_Q3_Q4(order=6):
     [E(xi)] - [CP2] * [fiber].  Their genus values generate the relations
     that force chi_y-type multiplicativity.
     """
+    from .cohomology_models import (
+        chern_vector, cp_model, product_model, twisted_proj_bundle_model)
+
     base = cp_model(2)
     g = {1: Fraction(1)}
     K = base.scale(g, 3)

@@ -10,24 +10,28 @@ from hypothesis import strategies as st
 from ellgenus.algebra_kernel import (
     QQ,
     BadValuation,
-    Localization,
     NonUnitLeadingCoefficient,
-    PolyRing,
-    QuotientRing,
-    RationalFunction,
     TruncatedSeries,
     VariableNotPresent,
-    WeightedPoly,
-    bareiss_determinant,
+    ring_invert,
+)
+from ellgenus.dense_poly import (
+    Localization,
+    QuotientRing,
+    RationalFunction,
     cyclotomic_polynomial,
-    horner,
     poly_divmod,
     poly_eval,
     poly_mul,
-    resultant_in,
-    ring_invert,
 )
 from ellgenus.jacobi_q import FORMAL_RING, SeriesRing, y_model
+from ellgenus.weighted_poly import (
+    PolyRing,
+    WeightedPoly,
+    bareiss_determinant,
+    horner,
+    resultant_in,
+)
 
 F = Fraction
 

@@ -2,7 +2,9 @@
 
 The tracer looks the package's functions and classes up by name, among
 them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward and
-algebra_kernel.poly_gcd, which nothing in the package calls.
+algebra_kernel.poly_gcd, which nothing in the package calls.  The names
+it reads from algebra_kernel that live in weighted_poly or dense_poly are
+forwarded by algebra_kernel.__getattr__, and no other name is.
 The tier-1 suite does not run a traced benchmark, so a renamed or deleted
 name would show nowhere else, and neither would a blow-up kernel that no
 longer goes through the traced pushforward.
@@ -12,6 +14,8 @@ after `import ellgenus.cli`, and the criteria as cli.criterion_N and
 cli.CRITERIA; the last tests run that script as it is.
 """
 
+import importlib
+import importlib.util
 import json
 import os
 import subprocess
@@ -20,17 +24,43 @@ from pathlib import Path
 
 import pytest
 
+from ellgenus import algebra_kernel, dense_poly, weighted_poly
+
 ROOT = Path(__file__).resolve().parent.parent
+
+
+def _bench_tracer():
+    spec = importlib.util.spec_from_file_location(
+        "tracer", ROOT / "bench" / "tracer.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_algebra_kernel_forwards_exactly_the_traced_names():
+    tracer = _bench_tracer()
+    traced = {attr for mod, attr, _ in tracer.FUNCTIONS
+              if mod == "algebra_kernel"} | set(tracer.MUL_CLASSES)
+    assert set(algebra_kernel._MOVED) == traced - set(vars(algebra_kernel))
+    for name, home in algebra_kernel._MOVED.items():
+        module = importlib.import_module(f"ellgenus.{home}")
+        assert getattr(algebra_kernel, name) is getattr(module, name)
+    others = (set(vars(weighted_poly)) | set(vars(dense_poly))) - set(
+        vars(algebra_kernel)) - set(algebra_kernel._MOVED)
+    for name in sorted(others) + ["no_such_name"]:
+        with pytest.raises(AttributeError):
+            getattr(algebra_kernel, name)
 
 SCRIPT = """
 import importlib, json
 import tracer
 names = ("algebra_kernel", "blowup", "cli", "cohomology_models",
-         "genus_engine", "jacobi_q", "level_n", "universal_elliptic")
+         "dense_poly", "genus_engine", "jacobi_q", "level_n",
+         "universal_elliptic", "weighted_poly")
 modules = [importlib.import_module("ellgenus." + n) for n in names]
 tr = tracer.Tracer()
 tracer.install(tr, modules)
-x, y = modules[0].PolyRing("x", "y").gens()
+x, y = modules[-1].PolyRing("x", "y").gens()
 (x + y) * (x - y)
 modules[1].verify_elliptic_identity(2, 3, xorder=2)
 print(json.dumps(sorted(tr.stats)))

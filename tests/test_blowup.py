@@ -6,14 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import (
-    QQ,
-    ExactDivisionError,
-    PolyRing,
-    TruncatedSeries,
-    WeightedPoly,
-    horner,
-)
+from ellgenus.algebra_kernel import QQ, ExactDivisionError, TruncatedSeries
 from ellgenus.blowup import (
     BlowupInput,
     DegenerateSample,
@@ -34,6 +27,7 @@ from ellgenus.cohomology_models import (
 )
 from ellgenus.genus_engine import GenusSpec, classical_genus, evaluate
 from ellgenus.jacobi_q import phi_ell_q
+from ellgenus.weighted_poly import PolyRing, WeightedPoly, horner
 
 F = Fraction
 

@@ -4,13 +4,7 @@ from math import factorial
 import pytest
 
 from ellgenus import criteria
-from ellgenus.algebra_kernel import (
-    BadValuation,
-    PolyRing,
-    QQ,
-    TruncatedSeries,
-    horner,
-)
+from ellgenus.algebra_kernel import BadValuation, QQ, TruncatedSeries
 from ellgenus.cohomology_models import (
     catalog,
     chern_vector,
@@ -33,6 +27,7 @@ from ellgenus.genus_engine import (
 )
 from ellgenus.jacobi_q import phi_ell_q
 from ellgenus.universal_elliptic import phi_ell
+from ellgenus.weighted_poly import PolyRing, horner
 
 F = Fraction
 

@@ -7,15 +7,10 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import (
-    QQ,
-    Localization,
-    TruncatedSeries,
-    WeightedPoly,
-    cyclotomic_polynomial,
-    resultant_in,
-)
+from ellgenus import level_n
+from ellgenus.algebra_kernel import QQ, TruncatedSeries
 from ellgenus.cohomology_models import catalog, cp_model
+from ellgenus.dense_poly import Localization, cyclotomic_polynomial
 from ellgenus.genus_engine import classical_genus, evaluate
 from ellgenus.jacobi_q import y_model
 from ellgenus.level_n import (
@@ -50,6 +45,7 @@ from ellgenus.universal_elliptic import (
     q_of_h,
     solve_h,
 )
+from ellgenus.weighted_poly import WeightedPoly, resultant_in
 
 F = Fraction
 A, B, C, D = ABCD_RING.gens()
@@ -170,10 +166,13 @@ def test_relations_match_symbolic_oracle(N):
     assert data.r_upper == oracle.r_upper
 
 
-def test_relations_truncation_sound():
-    for N in (2, 3, 4, 5):
-        data, deeper = compute_level_data(N), compute_level_data(
-            N, order=2 * N + 8)
+def test_relations_truncation_sound(monkeypatch):
+    # every node solved to the least ODE order N + 1 against every node
+    # solved to the whole order 2N + 8
+    minimal = {N: compute_level_data(N) for N in (2, 3, 4, 5)}
+    monkeypatch.setattr(level_n, "_point_values", _point_values_full_window)
+    for N, data in minimal.items():
+        deeper = compute_level_data(N, order=2 * N + 8)
         assert (data.r_lower, data.r_upper) == (deeper.r_lower,
                                                 deeper.r_upper)
 
@@ -268,6 +267,9 @@ def test_point_values_match_full_window(N):
         point = [nodes[i] for i in e]
         assert _point_values(N, 2 * N + 4, point) == \
             _point_values_full_window(N, 2 * N + 4, point)
+        # N + 1 is the least order that reaches x^1
+        with pytest.raises(IndexError):
+            _point_values(N, N, point)
 
 
 @lru_cache(maxsize=None)

@@ -16,13 +16,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import (
-    QQ,
-    Localization,
-    TruncatedSeries,
-    cyclotomic_polynomial,
-    poly_mul,
-)
+from ellgenus.algebra_kernel import QQ, TruncatedSeries
+from ellgenus.dense_poly import Localization, cyclotomic_polynomial, poly_mul
 from ellgenus.jacobi_q import y_model
 
 sympy = pytest.importorskip("sympy")

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from ellgenus.algebra_kernel import PolyRing, QQ, TruncatedSeries
+from ellgenus.algebra_kernel import TruncatedSeries
 from ellgenus.cohomology_models import catalog, chern_vector, cp_model
 from ellgenus.genus_engine import (
     classical_genus,
@@ -24,6 +24,7 @@ from ellgenus.universal_elliptic import (
     specialize,
 )
 from ellgenus.universal_elliptic import test_vectors_Q3_Q4 as fiber_vectors
+from ellgenus.weighted_poly import PolyRing
 
 F = Fraction
 
