@@ -56,10 +56,11 @@ def _fr(x):
 # element of the ring or a rational.  It equals the fold s = zero; s = s +
 # a * b, with the same truncation, but accumulates in the unnormalised
 # representation and normalises once, at the end: one Fraction for QQ, one
+# gcd for a polynomial over QQ (int numerators over one denominator), one
 # reduction mod m in a QuotientRing, one _strip in a Localization, and over
-# a nested ring one base dot per coefficient of the result.  Products of
-# polynomials and of series, and the convolutions of the builders, are
-# built on it.  It reads the pairs once.
+# any other nested ring one base dot per coefficient of the result.
+# Products of polynomials and of series, and the convolutions of the
+# builders, are built on it.  It reads the pairs once.
 # ---------------------------------------------------------------------------
 
 

@@ -23,7 +23,7 @@ forms delta and epsilon.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm, prod
+from math import prod
 
 from .algebra_kernel import QQ, TruncatedSeries
 from .dense_poly import Localization, cyclotomic_polynomial
@@ -215,14 +215,13 @@ def compute_level_data(N, order=None):
 
 
 def _integer_coeffs(p):
-    """(L, rows) for L the common denominator of p: rows[k] lists the
-    terms (integer, exponent of C, exponent of D) of the coefficient of
-    A^(deg - k) in L p, for p's variables A, B, C, D."""
-    den = lcm(*(c.denominator for c in p.terms.values()))
-    rows = [[] for _ in range(max(e[0] for e in p.terms) + 1)]
-    for (a, _, c, d), x in p.terms.items():
-        rows[-1 - a].append((int(x * den), c, d))
-    return den, rows
+    """(L, rows) for L the common denominator of p, a polynomial over QQ:
+    rows[k] lists the terms (integer, exponent of C, exponent of D) of
+    the coefficient of A^(deg - k) in L p, for p's variables A, B, C, D."""
+    rows = [[] for _ in range(max(e[0] for e in p.num) + 1)]
+    for (a, _, c, d), x in p.num.items():
+        rows[-1 - a].append((x, c, d))
+    return p.den, rows
 
 
 def _at(rows, c, d):

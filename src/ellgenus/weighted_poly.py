@@ -3,12 +3,15 @@ coefficients, optional weighted-degree cap.
 
 One type, WeightedPoly, in a PolyRing over any ring context (see
 algebra_kernel); horner evaluation; the fraction-free determinant and
-the Sylvester resultant.
+the Sylvester resultant.  Over QQ the coefficients are int numerators
+over one denominator, so arithmetic runs on ints with one gcd per result;
+the rationals that terms, coeff and printing show are built on read.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add, floordiv, mul
 
 from .algebra_kernel import (QQ, ExactDivisionError, NonUnitLeadingCoefficient,
@@ -22,6 +25,24 @@ def _mincap(a, b):
     if b is None:
         return a
     return min(a, b)
+
+
+def _normal(ring, num, den, cap):
+    """The element num / den of a ring over QQ, num a dict exps -> int,
+    in normal form: zero terms and terms above cap dropped, den > 0 and
+    gcd(den, content) = 1."""
+    weights = ring.weights
+    num = {e: c for e, c in num.items() if c and (
+        cap is None or sum(map(mul, e, weights)) <= cap)}
+    g = gcd(den, *num.values())
+    if den < 0:
+        g = -g
+    if g != 1:
+        num = {e: c // g for e, c in num.items()}
+        den //= g
+    p = WeightedPoly.__new__(WeightedPoly)
+    p.ring, p.num, p.den, p.cap, p._terms = ring, num, den, cap, None
+    return p
 
 
 class PolyRing:
@@ -74,38 +95,56 @@ class PolyRing:
         return WeightedPoly(self, {tuple(exps): coeff})
 
     def dot(self, pairs):
-        """Sum of the products: the coefficient pairs of every product
-        monomial are collected first, then summed by one base dot each.
-        A pair multiplies to the smaller cap of its factors and the sum
-        keeps the smallest cap of all."""
+        """Sum of the products.  Over QQ the numerators are convolved
+        over the least common denominator so far and normalised once;
+        over another base the coefficient pairs of every product monomial
+        are collected first, then summed by one base dot each.  A pair
+        multiplies to the smaller cap of its factors and the sum keeps
+        the smallest cap of all."""
         weights = self.weights
-        buckets = {}
-        cap = None
+        ints = self.base is QQ
+        acc, d, cap = {}, 1, None
         for a, b in pairs:
             a, b = self._element(a), self._element(b)
             pair_cap = _mincap(a.cap, b.cap)
             cap = _mincap(cap, pair_cap)
-            if pair_cap is None:
-                right = [(0, e2, c2) for e2, c2 in b.terms.items()]
-            else:
-                right = [(sum(map(mul, e2, weights)), e2, c2)
-                         for e2, c2 in b.terms.items()]
-            for e1, c1 in a.terms.items():
+            if not (a.num and b.num):
+                continue
+            right = [(0 if pair_cap is None else sum(map(mul, e2, weights)),
+                      e2, c2) for e2, c2 in b.num.items()]
+            if ints:
+                # acc / d and the pair over their least common denominator
+                pd = a.den * b.den
+                m = pd // gcd(d, pd)
+                if m != 1:
+                    acc = {e: c * m for e, c in acc.items()}
+                    d *= m
+                f = d // pd
+            for e1, c1 in a.num.items():
                 room = 0 if pair_cap is None else (
                     pair_cap - sum(map(mul, e1, weights)))
+                if not ints:
+                    for w2, e2, c2 in right:
+                        if w2 <= room:
+                            e = tuple(map(add, e1, e2))
+                            bucket = acc.get(e)
+                            if bucket is None:
+                                acc[e] = [c1, c2]
+                            else:
+                                bucket += c1, c2
+                    continue
+                c1 *= f
                 for w2, e2, c2 in right:
-                    if w2 > room:
-                        continue
-                    e = tuple(map(add, e1, e2))
-                    bucket = buckets.get(e)
-                    if bucket is None:
-                        buckets[e] = [c1, c2]
-                    else:
-                        bucket += c1, c2
+                    if w2 <= room:
+                        e = tuple(map(add, e1, e2))
+                        acc[e] = acc.get(e, 0) + c1 * c2
+        if ints:
+            # a pair of a larger cap may have left terms above the sum's
+            return _normal(self, acc, d, cap)
         # a bucket holds its pairs flat: c1, c2, c1', c2', ...
         base_dot = self.base.dot
         return WeightedPoly(self, {e: base_dot(zip(cs[::2], cs[1::2]))
-                                   for e, cs in buckets.items()}, cap)
+                                   for e, cs in acc.items()}, cap)
 
     def _element(self, x):
         # x as an element of this ring: rationals and base elements are
@@ -154,31 +193,52 @@ class WeightedPoly:
     """Element of a PolyRing; terms map exponent tuples to nonzero
     coefficients in ring.base.
 
+    Over QQ it is num / den, num mapping the same exponents to ints, in
+    normal form: den > 0 and gcd(den, content) = 1.  Over another base
+    den is None and num is terms.
+
     cap, if not None, bounds the weighted degree (term_weight, the sum of
     the exponents times the variable weights): terms above it are
     dropped, which makes the element a truncated multivariate series, and
     binary operations keep the smaller cap of their operands.
     """
 
-    __slots__ = ("ring", "terms", "cap")
+    __slots__ = ("ring", "num", "den", "cap", "_terms")
 
     def __init__(self, ring, terms, cap=None):
         self.ring = ring
         self.cap = cap
         # coeff_is_zero builds nothing, where c != 0 on a ring element
         # would coerce 0 into the base
-        self.terms = {e: c for e, c in terms.items()
-                      if not coeff_is_zero(c)
-                      and (cap is None or self.term_weight(e) <= cap)}
+        terms = {e: c for e, c in terms.items()
+                 if not coeff_is_zero(c)
+                 and (cap is None or self.term_weight(e) <= cap)}
+        self.num, self.den, self._terms = terms, None, terms
+        if ring.base is QQ:
+            # over the least common denominator the content is prime to it
+            self.den = lcm(*(c.denominator for c in terms.values()))
+            self.num = {e: c.numerator * (self.den // c.denominator)
+                        for e, c in terms.items()}
+            self._terms = None
+
+    @property
+    def terms(self):
+        if self._terms is None:
+            self._terms = {e: Fraction(c, self.den)
+                           for e, c in self.num.items()}
+        return self._terms
 
     def truncate(self, cap):
         """Drop the terms of weight above cap, which becomes the cap."""
-        return WeightedPoly(self.ring, self.terms, _mincap(self.cap, cap))
+        cap = _mincap(self.cap, cap)
+        if self.den is None:
+            return WeightedPoly(self.ring, self.num, cap)
+        return _normal(self.ring, self.num, self.den, cap)
 
     # -- basic structure ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self.num
 
     def term_weight(self, exps):
         return sum(map(mul, exps, self.ring.weights))
@@ -186,13 +246,13 @@ class WeightedPoly:
     def weight(self):
         """Weight if homogeneous, else None.  Zero returns None as well
         (it is homogeneous of every weight)."""
-        ws = {self.term_weight(e) for e in self.terms}
+        ws = {self.term_weight(e) for e in self.num}
         if len(ws) == 1:
             return ws.pop()
         return None
 
     def is_homogeneous(self, w=None):
-        ws = {self.term_weight(e) for e in self.terms}
+        ws = {self.term_weight(e) for e in self.num}
         if not ws:
             return True
         if w is None:
@@ -200,10 +260,13 @@ class WeightedPoly:
         return ws == {w}
 
     def coeff(self, exps):
-        return self.terms.get(tuple(exps), self.ring.base.zero)
+        c = self.num.get(tuple(exps))
+        if c is None:
+            return self.ring.base.zero
+        return c if self.den is None else Fraction(c, self.den)
 
     def constant_term(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.base.zero)
+        return self.coeff((0,) * self.ring.nvars)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -244,17 +307,27 @@ class WeightedPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        terms = dict(self.terms)
-        for e, c in o.terms.items():
+        cap = _mincap(self.cap, o.cap)
+        a, b, d = self.num, o.num, self.den
+        if d is not None and d != o.den:
+            d = lcm(d, o.den)
+            a = {e: c * (d // self.den) for e, c in a.items()}
+            b = {e: c * (d // o.den) for e, c in b.items()}
+        terms = dict(a)
+        for e, c in b.items():
             prev = terms.get(e)
             terms[e] = c if prev is None else prev + c
-        return WeightedPoly(self.ring, terms, _mincap(self.cap, o.cap))
+        if d is None:
+            return WeightedPoly(self.ring, terms, cap)
+        return _normal(self.ring, terms, d, cap)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return WeightedPoly(self.ring, {e: -c for e, c in self.terms.items()},
-                            self.cap)
+        num = {e: -c for e, c in self.num.items()}
+        if self.den is None:
+            return WeightedPoly(self.ring, num, self.cap)
+        return _normal(self.ring, num, self.den, self.cap)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -270,8 +343,13 @@ class WeightedPoly:
             c = self._scalar(other)
             if c is None:
                 return NotImplemented
-            return WeightedPoly(
-                self.ring, {e: a * c for e, a in self.terms.items()}, self.cap)
+            if self.den is None:
+                return WeightedPoly(
+                    self.ring, {e: a * c for e, a in self.num.items()},
+                    self.cap)
+            return _normal(self.ring,
+                           {e: a * c.numerator for e, a in self.num.items()},
+                           self.den * c.denominator, self.cap)
         return self.ring.dot([(self, other)])
 
     __rmul__ = __mul__
@@ -298,14 +376,14 @@ class WeightedPoly:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self.terms == o.terms
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
-        return hash((self.ring, tuple(sorted(self.terms.items()))))
+        return hash((self.ring, self.den, frozenset(self.num.items())))
 
     def inverse(self):
         """Inverse of a unit (a constant that is a unit of the base)."""
-        if len(self.terms) == 1:
+        if len(self.num) == 1:
             c = self.constant_term()
             if c != 0:
                 return self.ring.constant(ring_invert(c))
@@ -319,17 +397,17 @@ class WeightedPoly:
 
     def leading(self):
         """(exps, coeff) of the graded-lex leading term; None for zero."""
-        if not self.terms:
+        if not self.num:
             return None
-        e = max(self.terms, key=self._grlex_key)
-        return e, self.terms[e]
+        e = max(self.num, key=self._grlex_key)
+        return e, self.coeff(e)
 
     def monic(self):
-        """Scale so the graded-lex leading coefficient is 1."""
+        """Scale so the graded-lex leading coefficient is 1 (over QQ)."""
         lt = self.leading()
         if lt is None:
             return self
-        return self * (Fraction(1) / lt[1])
+        return _normal(self.ring, self.num, self.num[lt[0]], self.cap)
 
     def __str__(self):
         if not self.terms:
@@ -370,35 +448,46 @@ class WeightedPoly:
 
         mapping: dict name -> target-ring element (or Fraction/int).
         Every variable that actually appears must be mapped.  The
-        coefficients multiply the target elements as scalars.
+        coefficients multiply the target elements as scalars.  Each power
+        of an image is formed once; the terms are grouped by the power of
+        one variable after another, each group summed by one ring.dot.
         """
-        powers = []  # per variable: [1, image, image^2, ...] as needed
+        levels = []  # (variable index, [1, image, image^2, ...])
         for i, name in enumerate(self.ring.names):
-            if name in mapping:
-                v = mapping[name]
-                if isinstance(v, (int, Fraction)):
-                    v = ring.from_fraction(v)
-                powers.append([ring.one, v])
-            else:
-                if any(e[i] for e in self.terms):
-                    raise VariableNotPresent(f"no image for variable {name}")
-                powers.append(None)
-        result = ring.zero
-        for exps, c in self.terms.items():
-            term = ring.one
-            for pw, k in zip(powers, exps):
-                if k:
-                    while len(pw) <= k:
-                        pw.append(pw[-1] * pw[1])
-                    term = term * pw[k]
-            result = result + term * c
-        return result
+            top = max((e[i] for e in self.num), default=0)
+            if not top:
+                continue
+            if name not in mapping:
+                raise VariableNotPresent(f"no image for variable {name}")
+            v = mapping[name]
+            if isinstance(v, (int, Fraction)):
+                v = ring.from_fraction(v)
+            pw = [ring.one, v]
+            while len(pw) <= top:
+                pw.append(pw[-1] * v)
+            levels.append((i, pw))
+
+        def fold(terms, level):
+            # the sum of the terms, which agree in the variables before
+            # levels[level], with those variables left out
+            if level == len(levels):
+                return terms[0][1]
+            i, pw = levels[level]
+            groups = {}
+            for t in terms:
+                groups.setdefault(t[0][i], []).append(t)
+            return ring.dot((pw[k], fold(g, level + 1))
+                            for k, g in groups.items())
+
+        if not levels:
+            return ring.dot((ring.one, c) for c in self.terms.values())
+        return fold(list(self.terms.items()), 0)
 
     # -- univariate views ---------------------------------------------------
 
     def degree_in(self, name):
         i = self.ring.names.index(name)
-        return max((e[i] for e in self.terms), default=-1)
+        return max((e[i] for e in self.num), default=-1)
 
     def as_univariate(self, name):
         """dict exponent-of-name -> WeightedPoly not involving name."""

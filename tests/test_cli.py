@@ -172,14 +172,17 @@ def test_blowup_verify_golden_stdout(N, fmt):
                           BLOWUP_DIGESTS[N][fmt])
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("command", list(CLI_DIGESTS))
+@pytest.mark.parametrize("command, fmt", [
+    (command, fmt) for command, formats in CLI_DIGESTS.items()
+    for fmt in sorted(formats)])
 def test_cli_golden_stdout(command, fmt):
     # digests in tests/cli_stdout_sha256.json, recorded before the
     # products were moved onto ring.dot; the qexpand entries at qorder 6
-    # and 14..30 were recorded from the multiplied-out theta product, and
+    # and 14..30 were recorded from the multiplied-out theta product,
     # universal coeffs --order 40 from the ODE solved over all of
-    # Q[A, B, C, D] with Q the exponential of the whole log
+    # Q[A, B, C, D] with Q the exponential of the whole log, and
+    # universal coeffs --order 60 (text only) from polynomials over QQ
+    # with a Fraction per coefficient
     _assert_golden_stdout(command.split(), fmt, CLI_DIGESTS[command][fmt])
 
 
