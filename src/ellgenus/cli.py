@@ -5,17 +5,19 @@ Subcommands: `genus eval`, `universal coeffs`, `leveln relations`,
 suite with a pass/fail table).  All arithmetic is exact; rationals are
 printed as "p/q" strings, polynomials in graded-lex order with A > B >
 C > D.  Exit status: 0 on success, 1 on failed verification, 2 on
-argument or input errors.
+argument or input errors.  A bad command line prints one line on stderr;
+-h or --help after any command prefix prints its usage on stdout.  The
+parser reads the COMMANDS table; json is imported only where JSON is read
+or written.
 """
 
 from __future__ import annotations
 
-import argparse
 import importlib.util
-import json
 import os
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
 from .algebra_kernel import TruncatedSeries
 from .genus_engine import classical_genus, evaluate
@@ -149,6 +151,7 @@ def resolve_manifold(sel):
     path to a JSON file."""
     if sel.startswith("catalog:"):
         return cohomology_models.catalog(sel[len("catalog:"):])
+    import json
     if sel.lstrip().startswith(("{", "[")):
         try:
             obj = json.loads(sel)
@@ -203,13 +206,13 @@ def _manifold_label(m, sel):
 def cmd_genus_eval(args, out):
     m = resolve_manifold(args.manifold)
     dim = m.dim
-    order = max(args.order, dim)
-    spec = resolve_genus(args.genus, order)
+    # the value reads Q only through x^dim, so --order beyond it changes
+    # nothing; a genus needs order >= 1 even on a point
+    spec = resolve_genus(args.genus, max(dim, 1))
     v = evaluate(spec, m)
     if args.format == "json":
-        json.dump({"genus": spec.name, "manifold": _manifold_label(m, args.manifold),
-                   "dim": dim, "value": value_json(v)}, out, indent=2)
-        out.write("\n")
+        _write_json({"genus": spec.name, "manifold": _manifold_label(m, args.manifold),
+                     "dim": dim, "value": value_json(v)}, out)
     else:
         out.write(f"{spec.name}({_manifold_label(m, args.manifold)}) = {value_str(v)}\n")
     return 0
@@ -219,9 +222,8 @@ def cmd_universal_coeffs(args, out):
     spec = universal_elliptic.phi_ell(args.order)
     rows = [(k, spec.q.coeff(k)) for k in range(1, args.order + 1)]
     if args.format == "json":
-        json.dump({"coefficients": {f"a{k}": value_json(c) for k, c in rows}},
-                  out, indent=2)
-        out.write("\n")
+        _write_json({"coefficients": {f"a{k}": value_json(c) for k, c in rows}},
+                    out)
     else:
         for k, c in rows:
             out.write(f"a{k} = {c}\n")
@@ -237,7 +239,7 @@ def cmd_leveln_relations(args, out):
     pres = level_n.GradedIdealPresentation((1, 2, 3, 4), (N - 1, N + 1))
     h0 = level_n.degree_h0(pres)
     if args.format == "json":
-        json.dump({
+        _write_json({
             "N": N,
             "relations_abcd": {f"R{N - 1}": poly_pairs(data.r_lower),
                                f"R{N + 1}": poly_pairs(data.r_upper)},
@@ -246,8 +248,7 @@ def cmd_leveln_relations(args, out):
             "eliminant_abcd": poly_pairs(res),
             "eliminant_q": poly_pairs(res_q),
             "h0": str(h0),
-        }, out, indent=2)
-        out.write("\n")
+        }, out)
     else:
         out.write(f"level {N} relation ideal\n")
         out.write(f"  R_{N - 1} = {data.r_lower}\n")
@@ -265,9 +266,8 @@ def cmd_qexpand(args, out):
     m = resolve_manifold(args.manifold)
     v = jacobi_q.chi_y_loop(m, args.qorder)
     if args.format == "json":
-        json.dump({"manifold": _manifold_label(m, args.manifold), "qorder": args.qorder,
-                   "chi_y_loop": value_json(v)}, out, indent=2)
-        out.write("\n")
+        _write_json({"manifold": _manifold_label(m, args.manifold), "qorder": args.qorder,
+                     "chi_y_loop": value_json(v)}, out)
     else:
         out.write(f"chi_y(q, L {_manifold_label(m, args.manifold)}) =\n")
         for n in range(args.qorder + 1):
@@ -279,8 +279,7 @@ def cmd_blowup_verify(args, out):
     report = blowup.verify_blowup_invariance(args.N, qorder=args.qorder)
     ok = all(e["ok"] for e in report)
     if args.format == "json":
-        json.dump({"N": args.N, "ok": ok, "cases": report}, out, indent=2)
-        out.write("\n")
+        _write_json({"N": args.N, "ok": ok, "cases": report}, out)
     else:
         for e in report:
             tag = "PASS" if e["ok"] else "FAIL"
@@ -300,8 +299,7 @@ def cmd_verify_all(args, out):
                         "detail": detail})
     ok_all = all(r["ok"] for r in results)
     if args.format == "json":
-        json.dump({"ok": ok_all, "criteria": results}, out, indent=2)
-        out.write("\n")
+        _write_json({"ok": ok_all, "criteria": results}, out)
     else:
         for r in results:
             tag = "PASS" if r["ok"] else "FAIL"
@@ -316,63 +314,178 @@ def cmd_verify_all(args, out):
 # argument parsing
 # ---------------------------------------------------------------------------
 
+PROG = "ellgenus"
 
-def build_parser():
-    p = argparse.ArgumentParser(
-        prog="ellgenus",
-        description="exact computation of complex elliptic genera",
-    )
-    sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=("text", "json"), default="text")
+class Opt:
+    """One option of a command, given as `--name VALUE`, `--name=VALUE`,
+    a unique prefix of --name, or the alias (`-o VALUE`, `-oVALUE`)."""
 
-    g = sub.add_parser("genus", help="genus evaluation")
-    gsub = g.add_subparsers(dest="sub", required=True)
-    ge = gsub.add_parser("eval", help="evaluate a genus on a manifold")
-    ge.add_argument("--genus", required=True,
-                    help="name (phi_ell, todd, ...) or point A,B,C,D")
-    ge.add_argument("--manifold", required=True,
-                    help="catalog:NAME, a JSON file path, or inline JSON")
-    ge.add_argument("--order", "-o", type=int, default=12)
-    common(ge)
-    ge.set_defaults(fn=cmd_genus_eval)
+    __slots__ = ("name", "help", "type", "choices", "default", "required",
+                 "alias")
 
-    u = sub.add_parser("universal", help="the universal elliptic genus")
-    usub = u.add_subparsers(dest="sub", required=True)
-    uc = usub.add_parser("coeffs", help="coefficients of Q(x) over Q[A,B,C,D]")
-    uc.add_argument("--order", "-o", type=int, default=5)
-    common(uc)
-    uc.set_defaults(fn=cmd_universal_coeffs)
+    def __init__(self, name, help, type=str, choices=None, default=None,
+                 required=False, alias=None):
+        self.name, self.help, self.type = name, help, type
+        self.choices, self.default = choices, default
+        self.required, self.alias = required, alias
 
-    ln = sub.add_parser("leveln", help="level-N structure")
-    lsub = ln.add_subparsers(dest="sub", required=True)
-    lr = lsub.add_parser("relations", help="the relation ideal at level N")
-    lr.add_argument("--N", type=int, required=True)
-    common(lr)
-    lr.set_defaults(fn=cmd_leveln_relations)
+    @property
+    def dest(self):
+        return self.name[2:]
 
-    qe = sub.add_parser("qexpand", help="q-expansion of chi_y(q, LX)")
-    qe.add_argument("--manifold", required=True)
-    qe.add_argument("--qorder", type=int, default=3)
-    common(qe)
-    qe.set_defaults(fn=cmd_qexpand)
+    @property
+    def metavar(self):
+        if self.choices:
+            return "{" + ",".join(self.choices) + "}"
+        return self.dest.upper()
 
-    b = sub.add_parser("blowup", help="blow-up invariance")
-    bsub = b.add_subparsers(dest="sub", required=True)
-    bv = bsub.add_parser("verify", help="level-N blow-up invariance report")
-    bv.add_argument("--N", type=int, required=True)
-    bv.add_argument("--qorder", type=int, default=2)
-    common(bv)
-    bv.set_defaults(fn=cmd_blowup_verify)
 
-    v = sub.add_parser("verify", help="verification suites")
-    vsub = v.add_subparsers(dest="sub", required=True)
-    va = vsub.add_parser("all", help="run all acceptance criteria")
-    common(va)
-    va.set_defaults(fn=cmd_verify_all)
+HELP = Opt("--help", "show this help message and exit", alias="-h")
+FORMAT = Opt("--format", "output format", choices=("text", "json"),
+             default="text")
+MANIFOLD = Opt("--manifold", "catalog:NAME, a JSON file path, or inline JSON",
+               required=True)
 
-    return p
+# One entry per command: (group, subcommand or None, handler, help,
+# options).  The parser, the usage texts and the handlers' argument names
+# (args.<option name>) all come from this table.
+COMMANDS = (
+    ("genus", "eval", cmd_genus_eval, "evaluate a genus on a manifold", (
+        Opt("--genus", "name (phi_ell, todd, ...) or point A,B,C,D",
+            required=True),
+        MANIFOLD,
+        Opt("--order", "series order; read only up to the manifold's "
+            "dimension", type=int, default=12, alias="-o"),
+        FORMAT)),
+    ("universal", "coeffs", cmd_universal_coeffs,
+     "coefficients of Q(x) over Q[A,B,C,D]", (
+        Opt("--order", "print a1 .. a<ORDER>", type=int, default=5,
+            alias="-o"),
+        FORMAT)),
+    ("leveln", "relations", cmd_leveln_relations,
+     "the relation ideal at level N", (
+        Opt("--N", "the level", type=int, required=True),
+        FORMAT)),
+    ("qexpand", None, cmd_qexpand, "q-expansion of chi_y(q, LX)", (
+        MANIFOLD,
+        Opt("--qorder", "print q^0 .. q^<QORDER>", type=int, default=3),
+        FORMAT)),
+    ("blowup", "verify", cmd_blowup_verify,
+     "level-N blow-up invariance report", (
+        Opt("--N", "the level", type=int, required=True),
+        Opt("--qorder", "q-order of the genus checked", type=int, default=2),
+        FORMAT)),
+    ("verify", "all", cmd_verify_all, "run all acceptance criteria",
+     (FORMAT,)),
+)
+
+
+class UsageError(Exception):
+    """A bad command line; the message is one line."""
+
+
+class HelpRequested(Exception):
+    """-h or --help; the message is the usage text."""
+
+
+def _table(rows):
+    width = max(len(left) for left, _ in rows) + 2
+    return "".join(f"  {left.ljust(width)}{right}\n" for left, right in rows)
+
+
+def _commands_help(entries):
+    rows = [(" ".join(filter(None, e[:2])), e[3]) for e in entries]
+    return (f"usage: {PROG} [-h] COMMAND [OPTIONS]\n\n"
+            "exact computation of complex elliptic genera\n\n"
+            f"commands:\n{_table(rows)}\n"
+            "Each command takes -h for its options.\n")
+
+
+def _command_help(command, about, opts):
+    usage = " ".join(f"{o.name} {o.metavar}" if o.required
+                     else f"[{o.name} {o.metavar}]" for o in opts)
+    rows = [("-h, --help", HELP.help)] + [
+        (", ".join(filter(None, (o.alias, o.name))) + f" {o.metavar}",
+         o.help if o.default is None else f"{o.help} (default: {o.default})")
+        for o in opts]
+    return (f"usage: {PROG} {command} [-h] {usage}\n\n{about}\n\n"
+            f"options:\n{_table(rows)}")
+
+
+def parse_args(argv):
+    """The command argv names: a namespace holding its handler as fn and
+    every option's value (default if not given) under the option's name.
+
+    Raises UsageError for a bad command line, HelpRequested for -h.
+    """
+    argv = list(argv)
+    entries, path = COMMANDS, []
+    for level in (0, 1):
+        names = list(dict.fromkeys(e[level] for e in entries))
+        if names == [None]:
+            break
+        where = " ".join(path) + ": " if path else ""
+        token = argv.pop(0) if argv else None
+        if token == "-h" or (token and len(token) > 2
+                             and "--help".startswith(token)):
+            raise HelpRequested(_commands_help(entries))
+        if token not in names:
+            what = "missing command" if token is None else (
+                f"unknown command {token!r}")
+            raise UsageError(f"{where}{what} (choose from "
+                             f"{', '.join(names)})")
+        path.append(token)
+        entries = [e for e in entries if e[level] == token]
+    _, _, fn, about, opts = entries[0]
+    command = " ".join(path)
+    return SimpleNamespace(fn=fn, **_parse_options(command, about, opts, argv))
+
+
+def _parse_options(command, about, opts, argv):
+    def fail(message):
+        raise UsageError(f"{command}: {message}")
+
+    known = (HELP, *opts)
+    short = {o.alias: o for o in known if o.alias}
+    values = {}
+    tokens = iter(argv)
+    for token in tokens:
+        if token.startswith("--") and token != "--":
+            name, eq, value = token.partition("=")
+            matches = [o for o in known if o.name == name] or [
+                o for o in known if o.name.startswith(name)]
+            if not matches:
+                fail(f"unrecognized option {name!r}")
+            if len(matches) > 1:
+                fail(f"ambiguous option {name!r} could match "
+                     + ", ".join(o.name for o in matches))
+            opt, given = matches[0], bool(eq)
+        elif token[:2] in short:
+            opt, value = short[token[:2]], token[2:].removeprefix("=")
+            given = len(token) > 2
+        else:
+            fail(f"unexpected argument {token!r}")
+        if opt is HELP:
+            raise HelpRequested(_command_help(command, about, opts))
+        if not given:
+            value = next(tokens, None)
+            if value is None or value.startswith("--"):
+                fail(f"argument {opt.name}: expected a value")
+        try:
+            value = opt.type(value)
+        except ValueError:
+            fail(f"argument {opt.name}: invalid {opt.type.__name__} value "
+                 f"{value!r}")
+        if opt.choices and value not in opt.choices:
+            fail(f"argument {opt.name}: invalid choice {value!r} (choose "
+                 f"from {', '.join(opt.choices)})")
+        values[opt.dest] = value  # a repeated option: the last one wins
+    missing = [o.name for o in opts if o.required and o.dest not in values]
+    if missing:
+        fail(f"missing required option{'s' * (len(missing) > 1)} "
+             + ", ".join(missing))
+    return {o.dest: values.get(o.dest, o.default) for o in opts}
 
 
 def main(argv=None, out=None):
@@ -392,15 +505,16 @@ def main(argv=None, out=None):
 
 
 def _run(argv, out):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if exc.code is None:
-            return 0
-        return exc.code if isinstance(exc.code, int) else 2
+        args = parse_args(sys.argv[1:] if argv is None else argv)
+    except HelpRequested as exc:
+        out.write(str(exc))
+        return 0
+    except UsageError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 2
     for name in ("order", "qorder", "N"):
-        if getattr(args, name, 1) is not None and getattr(args, name, 1) < 1:
+        if getattr(args, name, 1) < 1:
             _emit_error(args, out, f"--{name} must be positive")
             return 2
     try:
@@ -413,10 +527,15 @@ def _run(argv, out):
         return 2
 
 
+def _write_json(obj, out, indent=2):
+    import json
+    json.dump(obj, out, indent=indent)
+    out.write("\n")
+
+
 def _emit_error(args, out, message):
-    if getattr(args, "format", "text") == "json":
-        json.dump({"error": message}, out)
-        out.write("\n")
+    if args.format == "json":
+        _write_json({"error": message}, out, indent=None)
     else:
         out.write(f"error: {message}\n")
 

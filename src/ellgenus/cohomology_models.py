@@ -24,7 +24,6 @@ monomials c_{p_1}...c_{p_k} of common prefixes.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from math import comb
 
@@ -575,6 +574,13 @@ _KIND_NAMES = {int: "a nonnegative integer", str: "a string", list: "a list",
                dict: "an object"}
 
 
+def _json_text(v):
+    """v as JSON, for the messages about a manifold read from JSON (which
+    has loaded json already)."""
+    import json
+    return json.dumps(v)
+
+
 def _field(obj, key, kind, default=None):
     """obj[key], which must be a kind (int, str, list or dict); default,
     if given, stands in for a missing field.  The int fields are counts:
@@ -589,7 +595,7 @@ def _field(obj, key, kind, default=None):
     if not isinstance(v, kind) or (
             kind is int and (isinstance(v, bool) or v < 0)):
         raise BadManifold(f"manifold JSON: field {key!r} must be "
-                          f"{_KIND_NAMES[kind]}, got {json.dumps(v)}")
+                          f"{_KIND_NAMES[kind]}, got {_json_text(v)}")
     return v
 
 
@@ -608,13 +614,13 @@ def model_from_json(obj):
     """
     if not isinstance(obj, dict):
         raise BadManifold(f"manifold JSON: expected an object, got "
-                          f"{json.dumps(obj)}")
+                          f"{_json_text(obj)}")
     if "type" not in obj:
         raise BadManifold("manifold JSON: missing field 'type'")
     t = obj["type"]
     if t not in MANIFOLD_TYPES:
         raise BadManifold(f"manifold JSON: field 'type' must be one of "
-                          f"{', '.join(MANIFOLD_TYPES)}, got {json.dumps(t)}")
+                          f"{', '.join(MANIFOLD_TYPES)}, got {_json_text(t)}")
     if t == "cp":
         return cp_model(_field(obj, "n", int))
     if t == "catalog":
@@ -652,7 +658,7 @@ def model_from_json(obj):
             numbers[tuple(int(s) for s in key.split(","))] = Fraction(val)
         except (TypeError, ValueError, ZeroDivisionError):
             raise BadManifold(f"manifold JSON: bad Chern number "
-                              f"{key!r}: {json.dumps(val)}") from None
+                              f"{key!r}: {_json_text(val)}") from None
     return ChernVector(dim, numbers)
 
 
@@ -669,7 +675,7 @@ def _element_from_list(model, coeffs):
             c = Fraction(c)
         except (TypeError, ValueError, ZeroDivisionError):
             raise BadManifold(f"manifold JSON: bad coefficient "
-                              f"{json.dumps(c)}") from None
+                              f"{_json_text(c)}") from None
         if c != 0:
             out[l] = c
     return out

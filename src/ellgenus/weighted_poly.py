@@ -410,34 +410,30 @@ class WeightedPoly:
         return _normal(self.ring, self.num, self.num[lt[0]], self.cap)
 
     def __str__(self):
-        if not self.terms:
+        # over QQ each coefficient is num[e] / den, reduced here by one gcd
+        num, den, names = self.num, self.den, self.ring.names
+        out = []
+        for e in sorted(num, key=self._grlex_key, reverse=True):
+            c = num[e]
+            mon = "*".join(n if k == 1 else f"{n}^{k}"
+                           for n, k in zip(names, e) if k)
+            if den is not None:
+                g = gcd(c, den)
+                p, q = c // g, den // g
+            elif isinstance(c, (int, Fraction)):
+                p, q = c.numerator, c.denominator
+            else:
+                out.append((False, f"({c})*{mon}" if mon else f"({c})"))
+                continue
+            mag = str(abs(p)) if q == 1 else f"{abs(p)}/{q}"
+            if mon:
+                mag = mon if mag == "1" else f"{mag}*{mon}"
+            out.append((p < 0, mag))
+        if not out:
             return "0"
-        parts = []
-        for e in sorted(self.terms, key=self._grlex_key, reverse=True):
-            c = self.terms[e]
-            mon = "*".join(
-                n if k == 1 else f"{n}^{k}"
-                for n, k in zip(self.ring.names, e)
-                if k
-            )
-            if not isinstance(c, (int, Fraction)):
-                parts.append((1, f"({c})*{mon}" if mon else f"({c})"))
-                continue
-            if not mon:
-                parts.append((c, str(abs(c))))
-                continue
-            ac = abs(c)
-            if ac == 1:
-                parts.append((c, mon))
-            else:
-                parts.append((c, f"{ac}*{mon}"))
-        out = ""
-        for i, (c, txt) in enumerate(parts):
-            if i == 0:
-                out = ("-" if c < 0 else "") + txt
-            else:
-                out += (" - " if c < 0 else " + ") + txt
-        return out
+        text = "-" if out[0][0] else ""
+        return text + out[0][1] + "".join(
+            (" - " if neg else " + ") + part for neg, part in out[1:])
 
     __repr__ = __str__
 

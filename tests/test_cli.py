@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.cli import main
+from ellgenus.cli import Opt, UsageError, _parse_options, main
 from ellgenus.cohomology_models import MANIFOLD_TYPES, catalog
 from ellgenus.genus_engine import evaluate
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
@@ -254,6 +254,149 @@ def test_bad_subcommand_exits_2(capsys):
 def test_negative_order_exits_2():
     rc, _ = run("universal", "coeffs", "--order", "-1")
     assert rc == 2
+
+
+# ---------------------------------------------------------------------------
+# the command-line parser
+# ---------------------------------------------------------------------------
+
+EVAL = ("genus", "eval", "--genus", "todd", "--manifold", "catalog:W2")
+
+
+@pytest.mark.parametrize("argv,message", [
+    ((), "missing command"),
+    (("bogus",), "unknown command 'bogus'"),
+    (("genus",), "genus: missing command"),
+    (("genus", "bogus"), "genus: unknown command 'bogus'"),
+    (("--format", "json"), "unknown command '--format'"),
+    (EVAL + ("--bogus", "1"), "unrecognized option '--bogus'"),
+    (EVAL + ("--bogus=1",), "unrecognized option '--bogus'"),
+    (EVAL + ("-x",), "unexpected argument '-x'"),
+    (("blowup", "verify", "--N", "2", "--x", "1"),
+     "blowup verify: unrecognized option '--x'"),
+    (("blowup", "verify", "--N", "2", "--q"),
+     "argument --qorder: expected a value"),
+    (("genus", "eval", "--genus", "todd"),
+     "missing required option --manifold"),
+    (("genus", "eval"), "missing required options --genus, --manifold"),
+    (("leveln", "relations"), "missing required option --N"),
+    (("leveln", "relations", "--N", "x"),
+     "argument --N: invalid int value 'x'"),
+    (("leveln", "relations", "--N", "2.0"),
+     "argument --N: invalid int value '2.0'"),
+    (("universal", "coeffs", "--order="), "argument --order: invalid int"),
+    (("universal", "coeffs", "-ox"), "argument --order: invalid int"),
+    (EVAL + ("--format", "xml"),
+     "argument --format: invalid choice 'xml' (choose from text, json)"),
+    (EVAL + ("--format",), "argument --format: expected a value"),
+    (("genus", "eval", "--genus", "--manifold", "catalog:W2"),
+     "argument --genus: expected a value"),
+    (EVAL + ("stray",), "unexpected argument 'stray'"),
+    (("verify", "all", "extra"), "unexpected argument 'extra'"),
+    (("qexpand", "--manifold", "catalog:K3", "--"),
+     "unexpected argument '--'"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_bad_argument_exits_2_with_one_stderr_line(argv, message, capsys):
+    rc, text = run(*argv)
+    err = capsys.readouterr().err
+    assert (rc, text) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("\n") and message in err
+    assert "usage" not in err
+
+
+def test_ambiguous_prefix_is_an_error():
+    # no two options of one command share a prefix today, so the check
+    # runs on options of its own
+    opts = (Opt("--alpha", ""), Opt("--alps", ""), Opt("--al", ""))
+    with pytest.raises(UsageError, match="ambiguous option '--alp' could "
+                       "match --alpha, --alps"):
+        _parse_options("x", "", opts, ["--alp", "1"])
+    # an exact name is never ambiguous
+    assert _parse_options("x", "", opts, ["--al", "1"])["al"] == "1"
+
+
+COMMAND_LINES = [("genus", "eval"), ("universal", "coeffs"),
+                 ("leveln", "relations"), ("qexpand",), ("blowup", "verify"),
+                 ("verify", "all")]
+
+
+@pytest.mark.parametrize("argv", [("-h",), ("--help",), ("--he",),
+                                  ("genus", "-h"), ("verify", "--help")],
+                         ids=" ".join)
+def test_help_lists_the_commands(argv, capsys):
+    rc, text = run(*argv)
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert text.startswith("usage: ellgenus ") and "commands:" in text
+
+
+@pytest.mark.parametrize("flag", ["-h", "--help", "--he"])
+@pytest.mark.parametrize("command", COMMAND_LINES, ids=" ".join)
+def test_help_of_each_command(command, flag, capsys):
+    rc, text = run(*command, flag)
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert text.startswith(f"usage: ellgenus {' '.join(command)} [-h] ")
+    assert "-h, --help" in text and "--format {text,json}" in text
+
+
+def test_help_wins_over_missing_and_later_options(capsys):
+    rc, text = run("genus", "eval", "--genus", "todd", "-h", "--bogus")
+    assert (rc, capsys.readouterr().err) == (0, "")
+    assert text.startswith("usage: ellgenus genus eval ")
+
+
+def test_help_lists_defaults():
+    _, text = run("genus", "eval", "-h")
+    assert "-o, --order ORDER" in text and "(default: 12)" in text
+    assert "(default: 5)" in run("universal", "coeffs", "-h")[1]
+    assert "(default: 3)" in run("qexpand", "-h")[1]
+    assert "(default: 2)" in run("blowup", "verify", "-h")[1]
+    _, top = run("-h")
+    for command in ("genus eval", "universal coeffs", "leveln relations",
+                    "qexpand", "blowup verify", "verify all"):
+        assert f"  {command} " in top
+
+
+@pytest.mark.parametrize("argv", [
+    ("genus", "eval", "--genus", "todd", "--man", "catalog:W2"),
+    ("genus", "eval", "--genus", "todd", "--man=catalog:W2"),
+    ("genus", "eval", "--gen=todd", "--manifold", "catalog:W2", "--ord", "3"),
+    ("genus", "eval", "--genus", "todd", "--manifold", "catalog:W2",
+     "-o", "3", "--order=4", "-o5", "--fo", "text"),
+    # a repeated option: the last one wins
+    ("genus", "eval", "--genus", "phi_ell", "--manifold", "catalog:W2",
+     "--genus", "todd"),
+    ("genus", "eval", "--manifold", "catalog:W2", "--genus", "todd"),
+], ids=" ".join)
+def test_option_forms_parse(argv):
+    assert run(*argv) == (0, "todd(W2) = 2\n")
+
+
+def test_genus_point_starting_with_minus_parses():
+    for argv in (("--genus=-1/2,3,4,5",), ("--genus", "-1/2,3,4,5")):
+        rc, text = run("genus", "eval", *argv, "--manifold", "catalog:W2")
+        assert (rc, text) == (0, "phi_ell|(-1/2,3,4,5)(W2) = 3\n")
+
+
+def test_defaults_and_formats():
+    assert run("universal", "coeffs") == run("universal", "coeffs",
+                                             "--order", "5")
+    assert run("qexpand", "--manifold", "catalog:W2") == run(
+        "qexpand", "--manifold", "catalog:W2", "--qorder", "3")
+    assert run("blowup", "verify", "--N", "2") == run(
+        "blowup", "verify", "--N", "2", "--qorder", "2")
+    rc, text = run("universal", "coeffs", "-o", "1", "--format=json")
+    assert (rc, json.loads(text)) == (0, {"coefficients": {"a1": [["A", "1/2"]]}})
+
+
+@pytest.mark.parametrize("manifold", ["W2", "CP3", "W5"])
+@pytest.mark.parametrize("genus", ["todd", "phi_ell", "chi_y", "1,2,3,4"])
+def test_genus_eval_reads_order_only_up_to_the_dimension(genus, manifold):
+    argv = ("genus", "eval", "--genus", genus, "--manifold",
+            f"catalog:{manifold}")
+    low, high = run(*argv, "--order", "1"), run(*argv, "--order", "14")
+    assert low[0] == 0 and low == high
+    assert low == run(*argv, "--order", "100000")
 
 
 def test_output_is_deterministic():

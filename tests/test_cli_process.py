@@ -1,7 +1,8 @@
 """The command line in a fresh interpreter, as a user runs it.
 
 Which package modules each command executes: `import ellgenus.cli` runs
-cli, algebra_kernel and genus_engine alone.  cli binds every other module
+cli, algebra_kernel and genus_engine alone, and loads neither argparse nor
+json.  cli binds every other module
 lazily, and the others import the cohomology models, the universal genus
 and the polynomial representations where they use them, so a command
 that does not read a module never compiles or runs it.  And a reader that
@@ -24,18 +25,22 @@ CORE = {"cli", "algebra_kernel", "genus_engine"}
 DEFERRED = {path.stem for path in (ROOT / "src" / "ellgenus").glob("*.py")
             if path.stem != "__init__"} - CORE
 
-# Prints the exit status of main(argv), or null when argv is null (import
-# only), and the ellgenus modules that have run.  A lazily loaded module
-# that has not run yet is not of type types.ModuleType.
+# Prints the exit status of main(argv), or null for "import" alone, the
+# ellgenus modules that have run and which of argparse and json were
+# loaded.  The command line comes as arguments, so that the script loads
+# json only to print its report.  A lazily loaded module that has not run
+# yet is not of type types.ModuleType.
 SCRIPT = """
-import io, json, sys, types
+import io, sys, types
 import ellgenus.cli
-argv = json.loads(sys.argv[1])
+argv = sys.argv[2:] if sys.argv[1] == "run" else None
 status = None if argv is None else ellgenus.cli.main(argv, out=io.StringIO())
 executed = sorted(name.split(".", 1)[1] for name, m in sys.modules.items()
                   if name.startswith("ellgenus.")
                   and type(m) is types.ModuleType)
-print(json.dumps({"status": status, "executed": executed}))
+stdlib = sorted(name for name in ("argparse", "json") if name in sys.modules)
+import json
+print(json.dumps({"status": status, "executed": executed, "stdlib": stdlib}))
 """
 
 
@@ -71,13 +76,16 @@ def _seeded_point(seed):
 ], ids=["import", "universal", "genus-eval", "genus-eval-phi-ell", "leveln",
         "qexpand", "qexpand-json", "verify"])
 def test_command_executes_only_the_modules_it_uses(argv, expected):
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, json.dumps(argv)],
+    args = ["import"] if argv is None else ["run", *argv]
+    proc = subprocess.run([sys.executable, "-c", SCRIPT, *args],
                           env=_env(), capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
     report = json.loads(proc.stdout)
     assert report["status"] in (None, 0)
     assert set(report["executed"]) == CORE | expected
+    # no command loads argparse; json only where JSON is written
+    assert report["stdlib"] == (["json"] if "json" in (argv or []) else [])
 
 
 @pytest.mark.parametrize("argv", [
@@ -101,3 +109,24 @@ def test_closed_stdout_exits_2_without_traceback(argv):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv,status", [
+    (["--help"], 0),
+    (["genus", "eval", "--genus", "todd", "--manifold", "catalog:W2",
+      "--order", "x"], 2),
+    (["bogus"], 2),
+])
+def test_usage_and_argument_errors_under_m(argv, status):
+    # help on stdout; a bad argument as one line on stderr, stdout empty
+    proc = subprocess.run([sys.executable, "-m", "ellgenus.cli", *argv],
+                          capture_output=True, env=_env(), text=True,
+                          timeout=120)
+    assert proc.returncode == status
+    if status == 0:
+        assert proc.stdout.startswith("usage: ellgenus ")
+        assert proc.stderr == ""
+    else:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1

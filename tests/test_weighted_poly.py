@@ -247,6 +247,41 @@ def test_exact_div_matches_oracle(p, q):
             _oracle_exact_div(_plain(product + 1)[0], q.terms)
 
 
+def _oracle_str(p):
+    """The text of the printer that formatted one Fraction per term."""
+    parts = []
+    for e in sorted(p.terms, key=p._grlex_key, reverse=True):
+        c = p.terms[e]
+        mon = "*".join(n if k == 1 else f"{n}^{k}"
+                       for n, k in zip(p.ring.names, e) if k)
+        body = str(abs(c)) if not mon else (
+            mon if abs(c) == 1 else f"{abs(c)}*{mon}")
+        parts.append((c < 0, body))
+    if not parts:
+        return "0"
+    return ("-" if parts[0][0] else "") + parts[0][1] + "".join(
+        (" - " if neg else " + ") + body for neg, body in parts[1:])
+
+
+@seed(20261305)
+@settings(max_examples=80, deadline=None)
+@given(polys, scalars)
+def test_str_matches_fraction_formatting(p, c):
+    # scaling by c gives contents and denominators that do not cancel
+    for q in (p, p * c, p + c):
+        assert str(q) == _oracle_str(q)
+
+
+def test_str_over_a_polynomial_base():
+    ring = PolyRing(("u", 1), ("v", 2), base=ST)
+    s, t = ST.gens()
+    u, v = ring.gens()
+    p = u * (s + t) - v * s * F(1, 2) + ring.constant(s * 3) + u * u
+    assert str(p) == "(1)*u^2 + (-1/2*s)*v + (s + t)*u + (3*s)"
+    assert str(ring.zero) == "0"
+    assert str(-s + t * F(-1, 2)) == "-s - 1/2*t"
+
+
 def test_normal_form_of_fixed_values():
     x, y, z = WXYZ.gens()
     p = x * F(2, 3) + y * F(4, 9) - z * F(1, 6)
