@@ -27,11 +27,12 @@ def _lazy(name):
     """The submodule ``ellgenus.<name>``, executed on first attribute read.
 
     A command compiles and runs only the modules it reads: the cohomology
-    models, the universal genus and each algebra representation too.  The
-    module is registered in ``sys.modules`` and bound on the package at
-    once, as an import does, because bench/traced_cli.py finds the modules
-    it traces there right after ``import ellgenus.cli``.  weighted_poly is
-    bound for that alone: cli reads none of its names.
+    models, the elliptic ODE, the universal genus and each algebra
+    representation too.  The module is registered in ``sys.modules`` and
+    bound on the package at once, as an import does, because
+    bench/traced_cli.py finds the modules it traces there right after
+    ``import ellgenus.cli``.  weighted_poly is bound for that alone: cli
+    reads none of its names.
     """
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
@@ -50,6 +51,7 @@ jacobi_q = _lazy("jacobi_q")
 level_n = _lazy("level_n")
 criteria = _lazy("criteria")
 cohomology_models = _lazy("cohomology_models")
+elliptic_ode = _lazy("elliptic_ode")
 universal_elliptic = _lazy("universal_elliptic")
 weighted_poly = _lazy("weighted_poly")
 dense_poly = _lazy("dense_poly")
@@ -152,20 +154,22 @@ def resolve_manifold(sel):
     if sel.startswith("catalog:"):
         return cohomology_models.catalog(sel[len("catalog:"):])
     import json
-    if sel.lstrip().startswith(("{", "[")):
-        try:
-            obj = json.loads(sel)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"bad inline manifold JSON: {exc}") from exc
-        return cohomology_models.model_from_json(obj)
+    from .manifold_json import model_from_json
+    inline = sel.lstrip().startswith(("{", "["))
+    where = "inline manifold JSON" if inline else f"manifold JSON in {sel!r}"
     try:
-        with open(sel) as fh:
-            obj = json.load(fh)
+        if inline:
+            obj = json.loads(sel)
+        else:
+            with open(sel) as fh:
+                obj = json.load(fh)
     except OSError as exc:
         raise InputError(f"cannot read manifold file {sel!r}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"bad manifold JSON in {sel!r}: {exc}") from exc
-    return cohomology_models.model_from_json(obj)
+        raise InputError(f"bad {where}: {exc}") from exc
+    except RecursionError:  # the decoder recurses once per nesting level
+        raise InputError(f"bad {where}: nested too deeply") from None
+    return model_from_json(obj)
 
 
 def resolve_genus(sel, order):
@@ -179,9 +183,9 @@ def resolve_genus(sel, order):
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad genus point {sel!r}: {exc}") from exc
         # at the point first: the same exact value as specialising phi_ell
-        ue = universal_elliptic
-        h = ue.solve_h(ue.abcd_to_q(ue.ABCDPoint(*vals)), order)
-        return ue.q_of_h(h, name=f"phi_ell|({sel})")
+        ode = elliptic_ode
+        h = ode.solve_h(ode.abcd_to_q(ode.ABCDPoint(*vals)), order)
+        return ode.q_of_h(h, name=f"phi_ell|({sel})")
     name = sel.strip().lower()
     if name == "phi_ell":
         return universal_elliptic.phi_ell(order)

@@ -12,14 +12,14 @@ coefficients may also lie in any commutative ring that multiplies with
 ints (weighted polynomials, q-series, ...), which is what lets
 genus-valued characteristic classes live in the same machinery.
 
-Constructors cover complex projective spaces, products, smooth hypersurfaces,
-and (twisted) projective bundles of sums of line bundles; the catalog exposes
-the standard generator manifolds used throughout.  Structure constants are
-filled on first use: each model's table computes an entry when a product
-first asks for it.  A bundle's ring is H*(B)[t]/(t^r + c_1(V) t^(r-1) + ...
-+ c_r(V)); its model reduces t^r .. t^(2r-2) to the basis once, so an entry
-is a base product times a stored power of t.  Chern numbers share the
-monomials c_{p_1}...c_{p_k} of common prefixes.
+Constructors here cover complex projective spaces, products and smooth
+hypersurfaces; the catalog exposes the standard generator manifolds used
+throughout.  Structure constants are filled on first use: each model's
+table computes an entry when a product first asks for it.  Chern numbers
+share the monomials c_{p_1}...c_{p_k} of common prefixes.  The twisted
+projective bundles (catalog W5, W6, ... and TwCP(p,q)) are in
+twisted_bundles and manifolds read from JSON in manifold_json; each is
+imported only where such a manifold is built.
 """
 
 from __future__ import annotations
@@ -43,14 +43,6 @@ def _integral_elt(u):
 
 
 class UnknownName(KeyError):
-    pass
-
-
-class BadManifold(ValueError):
-    """A JSON manifold with a missing or malformed field."""
-
-
-class RankZeroTotal(ValueError):
     pass
 
 
@@ -383,93 +375,6 @@ def hypersurface_model(ambient, c1_L):
                            name=f"H({ambient.name})")
 
 
-def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
-                              f_lines=(), f_trivial=0, name=None):
-    """Twisted projectivization of E + F over a base model.
-
-    E and F are sums of line bundles (given by their first Chern classes,
-    elements of the base model) and trivial summands.  F empty gives the
-    ordinary projective bundle of E.  The stable complex structure twists
-    the F-part, which shows up in three places: the bundle V = E + F-bar
-    entering the ring relation, the Chern factors (1 - t + y_j), and the
-    orientation sign (-1)^q in the integration rule
-    t^{p+q-1} * pi^*(alpha) -> (-1)^q alpha[B].
-    """
-    e_lines = [_integral_elt(x) for x in e_lines]
-    f_lines = [_integral_elt(y) for y in f_lines]
-    p = len(e_lines) + e_trivial
-    q = len(f_lines) + f_trivial
-    r = p + q
-    if r == 0:
-        raise RankZeroTotal("E + F must have positive rank")
-    dim = base.dim + r - 1
-
-    # V = E + F-bar; roots: E roots and negated F roots (trivial -> 0)
-    v_roots = (
-        e_lines
-        + [base.zero_elt()] * e_trivial
-        + [base.scale(y, -1) for y in f_lines]
-        + [base.zero_elt()] * f_trivial
-    )
-    # elementary symmetric functions of the roots via prod (1 + x_i)
-    cv_total = base.one_elt()
-    for x in v_roots:
-        cv_total = base.mul(cv_total, base.add(base.one_elt(), x))
-    cV = [base.degree_part(cv_total, k) for k in range(r + 1)]
-
-    labels = [(bl, j) for bl in base.labels for j in range(r)]
-    degree = {(bl, j): base.degree[bl] + j for bl, j in labels}
-    unit = (base.unit, 0)
-
-    # tpow[j - r][i] is the base coefficient of t^i in t^j, for
-    # r <= j <= 2r - 2: t^r = -sum_k c_k(V) t^(r-k), and t^(j+1) = t * t^j
-    # with only the leading coefficient reduced again
-    tpow = [[base.scale(cV[r - i], -1) for i in range(r)]]
-    for _ in range(r - 2):
-        prev = tpow[-1]
-        tpow.append([
-            base.add(prev[i - 1] if i else {},
-                     base.scale(base.mul(prev[-1], cV[r - i]), -1))
-            for i in range(r)
-        ])
-
-    def entry(l1, l2):
-        (bl1, j1), (bl2, j2) = l1, l2
-        b, j = base.mul_table[bl1, bl2], j1 + j2
-        if j < r:
-            return {(bl3, j): s for bl3, s in b.items()}
-        return {(bl3, i): s
-                for i, coeff in enumerate(tpow[j - r])
-                for bl3, s in base.mul(b, coeff).items()}
-
-    mul = StructureTable(entry)
-
-    sign = (-1) ** q
-    integral = {}
-    for bl in base.labels:
-        v = base.integral.get(bl, 0)
-        if v != 0:
-            integral[(bl, r - 1)] = sign * v
-
-    model = CohomologyModel(dim, labels, degree, unit, mul, integral, {},
-                            name=name or f"TwP({base.name};{p},{q})")
-
-    def lift(u):
-        return {(bl, 0): c for bl, c in u.items()}
-
-    t = {(base.unit, 1): 1}
-    one_t = model.add(model.one_elt(), t)
-    one_mt = model.add(model.one_elt(), model.scale(t, -1))
-    chern = lift(base.chern)
-    for factor in ([model.add(one_t, lift(x)) for x in e_lines]
-                   + [one_t] * e_trivial
-                   + [model.add(one_mt, lift(y)) for y in f_lines]
-                   + [one_mt] * f_trivial):
-        chern = model.mul(chern, factor)
-    model.chern = {l: c for l, c in chern.items() if model.degree[l] <= dim}
-    return model
-
-
 # ---------------------------------------------------------------------------
 # catalog
 # ---------------------------------------------------------------------------
@@ -482,54 +387,6 @@ def quartic_surface():
     m = hypersurface_model(amb, c1_L)
     m.name = "W2"
     return m
-
-
-def w_odd(n):
-    """W_{2n+1}: twisted projective bundle over the quartic surface.
-
-    E = trivial^(n-1) + nu^2, F = trivial^(n-2) + nu^{-1} + nu^{-1},
-    where nu has c_1 = 4g (restricted from the ambient CP3).
-    """
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    base = quartic_surface()
-    g = {1: 1}
-    nu2 = base.scale(g, 8)
-    nu_inv = base.scale(g, -4)
-    m = twisted_proj_bundle_model(
-        base,
-        e_lines=[nu2], e_trivial=n - 1,
-        f_lines=[nu_inv, nu_inv], f_trivial=n - 2,
-        name=f"W{2 * n + 1}",
-    )
-    return m
-
-
-def w_even(n):
-    """W_{2n+2}: twisted projective bundle over CP3.
-
-    E = trivial^(n-1) + K, F = trivial^(n-1) + K^{-2}, c_1(K) = 4g.
-    """
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    base = cp_model(3)
-    g = {1: 1}
-    K = base.scale(g, 4)
-    K_m2 = base.scale(g, -8)
-    m = twisted_proj_bundle_model(
-        base,
-        e_lines=[K], e_trivial=n - 1,
-        f_lines=[K_m2], f_trivial=n - 1,
-        name=f"W{2 * n + 2}",
-    )
-    return m
-
-
-def tw_cp(p, q):
-    """C~P_{p,q}: twisted projective space (bundle over a point)."""
-    return twisted_proj_bundle_model(
-        point_model(), e_trivial=p, f_trivial=q, name=f"TwCP({p},{q})"
-    )
 
 
 def catalog(name):
@@ -551,6 +408,7 @@ def catalog(name):
     if name.startswith("W") and name[1:].isdigit():
         k = int(name[1:])
         if k >= 5:
+            from .twisted_bundles import w_even, w_odd
             if k % 2 == 1:
                 return w_odd((k - 1) // 2)
             return w_even((k - 2) // 2)
@@ -559,123 +417,6 @@ def catalog(name):
     if name.startswith("TwCP(") and name.endswith(")"):
         inner = name[5:-1]
         p, q = (int(s) for s in inner.split(","))
+        from .twisted_bundles import tw_cp
         return tw_cp(p, q)
     raise UnknownName(name)
-
-
-# ---------------------------------------------------------------------------
-# JSON manifold schema
-# ---------------------------------------------------------------------------
-
-
-MANIFOLD_TYPES = ("cp", "catalog", "product", "hypersurface",
-                  "twisted_bundle", "chern_numbers")
-_KIND_NAMES = {int: "a nonnegative integer", str: "a string", list: "a list",
-               dict: "an object"}
-
-
-def _json_text(v):
-    """v as JSON, for the messages about a manifold read from JSON (which
-    has loaded json already)."""
-    import json
-    return json.dumps(v)
-
-
-def _field(obj, key, kind, default=None):
-    """obj[key], which must be a kind (int, str, list or dict); default,
-    if given, stands in for a missing field.  The int fields are counts:
-    a nonnegative integer or integral float, never a boolean."""
-    if key not in obj:
-        if default is None:
-            raise BadManifold(f"manifold JSON: missing field {key!r}")
-        return default
-    v = obj[key]
-    if kind is int and isinstance(v, float) and v.is_integer():
-        v = int(v)
-    if not isinstance(v, kind) or (
-            kind is int and (isinstance(v, bool) or v < 0)):
-        raise BadManifold(f"manifold JSON: field {key!r} must be "
-                          f"{_KIND_NAMES[kind]}, got {_json_text(v)}")
-    return v
-
-
-def model_from_json(obj):
-    """Build a manifold from the JSON schema used by the CLI.
-
-    {"type":"cp","n":...}
-    {"type":"hypersurface","ambient":...,"c1":[...]}
-    {"type":"twisted_bundle","base":...,
-     "E":{"trivial":k,"lines":[[...], ...]},"F":{...}}
-    {"type":"product","factors":[...]}
-    {"type":"chern_numbers","dim":n,"numbers":{"1,1":"2",...}}
-    {"type":"catalog","name":"W5"}
-
-    A missing or malformed field raises BadManifold naming it.
-    """
-    if not isinstance(obj, dict):
-        raise BadManifold(f"manifold JSON: expected an object, got "
-                          f"{_json_text(obj)}")
-    if "type" not in obj:
-        raise BadManifold("manifold JSON: missing field 'type'")
-    t = obj["type"]
-    if t not in MANIFOLD_TYPES:
-        raise BadManifold(f"manifold JSON: field 'type' must be one of "
-                          f"{', '.join(MANIFOLD_TYPES)}, got {_json_text(t)}")
-    if t == "cp":
-        return cp_model(_field(obj, "n", int))
-    if t == "catalog":
-        return catalog(_field(obj, "name", str))
-    if t == "product":
-        factors = [model_from_json(f) for f in _field(obj, "factors", list)]
-        if not factors:
-            return point_model()
-        m = factors[0]
-        for f in factors[1:]:
-            m = product_model(m, f)
-        return m
-    if t == "hypersurface":
-        amb = model_from_json(_field(obj, "ambient", dict))
-        c1 = _element_from_list(amb, _field(obj, "c1", list))
-        return hypersurface_model(amb, c1)
-    if t == "twisted_bundle":
-        base = model_from_json(_field(obj, "base", dict))
-        e = _field(obj, "E", dict, {})
-        f = _field(obj, "F", dict, {})
-        e_lines = [_element_from_list(base, v)
-                   for v in _field(e, "lines", list, [])]
-        f_lines = [_element_from_list(base, v)
-                   for v in _field(f, "lines", list, [])]
-        return twisted_proj_bundle_model(
-            base,
-            e_lines=e_lines, e_trivial=_field(e, "trivial", int, 0),
-            f_lines=f_lines, f_trivial=_field(f, "trivial", int, 0),
-        )
-    # the one type left: chern_numbers
-    dim = _field(obj, "dim", int)
-    numbers = {}
-    for key, val in _field(obj, "numbers", dict, {}).items():
-        try:
-            numbers[tuple(int(s) for s in key.split(","))] = Fraction(val)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise BadManifold(f"manifold JSON: bad Chern number "
-                              f"{key!r}: {_json_text(val)}") from None
-    return ChernVector(dim, numbers)
-
-
-def _element_from_list(model, coeffs):
-    """Integer vector over the degree-2 (complex degree 1) basis."""
-    deg1 = [l for l in model.labels if model.degree[l] == 1]
-    if not isinstance(coeffs, list) or len(coeffs) != len(deg1):
-        raise BadManifold(
-            f"expected {len(deg1)} coefficients for the degree-2 basis"
-        )
-    out = {}
-    for l, c in zip(deg1, coeffs):
-        try:
-            c = Fraction(c)
-        except (TypeError, ValueError, ZeroDivisionError):
-            raise BadManifold(f"manifold JSON: bad coefficient "
-                              f"{_json_text(c)}") from None
-        if c != 0:
-            out[l] = c
-    return out

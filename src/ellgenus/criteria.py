@@ -29,7 +29,6 @@ from .cohomology_models import (
     milnor_number,
     point_model,
     product_model,
-    twisted_proj_bundle_model,
 )
 from .genus_engine import (
     classical_genus,
@@ -57,6 +56,7 @@ from .level_n import (
     poincare_series,
     t_poly,
 )
+from .twisted_bundles import twisted_proj_bundle_model
 from .universal_elliptic import ABCD_RING, Q_RING, phi_ell
 from .universal_elliptic import test_vectors_Q3_Q4 as _fiber_vectors
 from .weighted_poly import PolyRing

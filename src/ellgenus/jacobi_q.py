@@ -310,7 +310,7 @@ def match_quartic(h):
     raises InconsistentSystem if the genus does not satisfy a quartic
     differential equation.
     """
-    from .universal_elliptic import QuarticData
+    from .elliptic_ode import QuarticData
 
     ring = h.ring
     hp = h.derivative()
@@ -346,7 +346,7 @@ def extract_qi(mode="formal", qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER):
     (f' * f^-1) of the truncated f = x/Q(x) would have: Q, f and its
     inverse are never formed.
     """
-    from .universal_elliptic import q_to_abcd
+    from .elliptic_ode import q_to_abcd
 
     spec = phi_ell_q(qorder, xorder, mode)
     ring, logs = spec.ring, spec.log_coeffs

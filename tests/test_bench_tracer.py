@@ -11,7 +11,10 @@ longer goes through the traced pushforward.
 
 bench/traced_cli.py also finds the modules to trace in sys.modules right
 after `import ellgenus.cli`, and the criteria as cli.criterion_N and
-cli.CRITERIA; the last tests run that script as it is.
+cli.CRITERIA; the last tests run that script as it is.  The tracer wraps
+universal_elliptic.solve_h, which is elliptic_ode.solve_h re-exported, in
+every module that binds it, so a genus at a point, which calls it through
+elliptic_ode alone, is still traced.
 """
 
 import importlib
@@ -24,7 +27,8 @@ from pathlib import Path
 
 import pytest
 
-from ellgenus import algebra_kernel, dense_poly, weighted_poly
+from ellgenus import (algebra_kernel, dense_poly, elliptic_ode,
+                     universal_elliptic, weighted_poly)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,6 +54,14 @@ def test_algebra_kernel_forwards_exactly_the_traced_names():
     for name in sorted(others) + ["no_such_name"]:
         with pytest.raises(AttributeError):
             getattr(algebra_kernel, name)
+
+
+def test_universal_elliptic_reexports_the_ode():
+    for name in ("QuarticData", "ABCDPoint", "abcd_to_q", "q_to_abcd",
+                 "solve_h", "q_of_h"):
+        assert getattr(universal_elliptic, name) is getattr(elliptic_ode,
+                                                             name)
+
 
 SCRIPT = """
 import importlib, json
@@ -92,9 +104,11 @@ CRITERION_SPANS = {f"cli.criterion_{i}" for i in range(1, 11)}
     (["qexpand", "--manifold", "catalog:K3", "--qorder", "8"],
      {"jacobi_q.chi_y_loop"}),
     (["leveln", "relations", "--N", "3"], {"level_n.compute_level_data"}),
+    (["genus", "eval", "--genus=1/2,-3,2/7,5", "--manifold", "catalog:CP6",
+      "--order", "14"], {"universal_elliptic.solve_h"}),
     (["verify", "all"], CRITERION_SPANS
      | {"jacobi_q.chi_y_loop", "level_n.compute_level_data"}),
-], ids=["qexpand", "leveln", "verify"])
+], ids=["qexpand", "leveln", "genus-eval-point", "verify"])
 def test_traced_cli_matches_untraced_stdout(argv, spans, tmp_path):
     env = _env(ROOT / "src")
     plain = subprocess.run([sys.executable, "-m", "ellgenus.cli", *argv],

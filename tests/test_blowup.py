@@ -23,10 +23,10 @@ from ellgenus.cohomology_models import (
     cp_model,
     point_model,
     product_model,
-    twisted_proj_bundle_model,
 )
 from ellgenus.genus_engine import GenusSpec, classical_genus, evaluate
 from ellgenus.jacobi_q import phi_ell_q
+from ellgenus.twisted_bundles import twisted_proj_bundle_model
 from ellgenus.weighted_poly import PolyRing, WeightedPoly, horner
 
 F = Fraction

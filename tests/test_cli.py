@@ -11,8 +11,9 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus.cli import Opt, UsageError, _parse_options, main
-from ellgenus.cohomology_models import MANIFOLD_TYPES, catalog
+from ellgenus.cohomology_models import catalog
 from ellgenus.genus_engine import evaluate
+from ellgenus.manifold_json import MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
 F = Fraction
@@ -450,6 +451,26 @@ def test_integral_float_count_is_accepted():
     rc, text = run("genus", "eval", "--genus", "todd",
                    "--manifold", '{"type":"cp","n":2.0}')
     assert (rc, text) == (0, "todd(CP2) = 1\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("source", ["inline", "file"])
+def test_deeply_nested_manifold_json_exits_2(source, fmt, tmp_path):
+    # deeper than the JSON decoder's recursion limit
+    deep = "[" * 5000 + "]" * 5000
+    if source == "file":
+        path = tmp_path / "deep.json"
+        path.write_text(deep)
+        sel, where = str(path), f"manifold JSON in {str(path)!r}"
+    else:
+        sel, where = deep, "inline manifold JSON"
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold", sel,
+                   "--format", fmt)
+    assert rc == 2
+    assert text.count("\n") == 1
+    error = (json.loads(text)["error"] if fmt == "json"
+             else text.removeprefix("error: ").rstrip("\n"))
+    assert error == f"bad {where}: nested too deeply"
 
 
 # ---------------------------------------------------------------------------

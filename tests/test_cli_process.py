@@ -2,12 +2,14 @@
 
 Which package modules each command executes: `import ellgenus.cli` runs
 cli, algebra_kernel and genus_engine alone, and loads neither argparse nor
-json.  cli binds every other module
-lazily, and the others import the cohomology models, the universal genus
-and the polynomial representations where they use them, so a command
-that does not read a module never compiles or runs it.  And a reader that
-closes the pipe early (`| head`) ends the command with exit status 2 and
-one line on stderr, not a traceback.
+json.  cli binds every other module lazily, and the others import the
+cohomology models, the elliptic ODE, the universal genus and the
+polynomial representations where they use them, so a command that does
+not read a module never compiles or runs it: a genus at a rational point
+needs no polynomial ring, a catalog CPn no twisted bundle, and only a
+manifold given as JSON reads the JSON schema.  And a reader that closes
+the pipe early (`| head`) ends the command with exit status 2 and one
+line on stderr, not a traceback.
 """
 
 import json
@@ -59,22 +61,30 @@ def _seeded_point(seed):
 @pytest.mark.parametrize("argv,expected", [
     (None, set()),
     (["universal", "coeffs", "--order", "18"],
-     {"universal_elliptic", "weighted_poly"}),
+     {"elliptic_ode", "universal_elliptic", "weighted_poly"}),
+    # at a rational point the ODE runs over QQ: no polynomial ring
     (["genus", "eval", f"--genus={_seeded_point(16)}",
       "--manifold", "catalog:CP6", "--order", "14"],
-     {"cohomology_models", "universal_elliptic", "weighted_poly"}),
+     {"cohomology_models", "elliptic_ode"}),
     # a WeightedPoly value, printed as text
     (["genus", "eval", "--genus", "phi_ell", "--manifold", "catalog:CP3"],
-     {"cohomology_models", "universal_elliptic", "weighted_poly"}),
+     {"cohomology_models", "elliptic_ode", "universal_elliptic",
+      "weighted_poly"}),
+    (["genus", "eval", "--genus", "todd", "--manifold", "catalog:W5"],
+     {"cohomology_models", "twisted_bundles"}),
+    (["genus", "eval", "--genus", "todd", "--manifold",
+      '{"type": "cp", "n": 3}'], {"cohomology_models", "manifold_json"}),
     (["leveln", "relations", "--N", "6"],
-     {"level_n", "universal_elliptic", "weighted_poly", "dense_poly"}),
+     {"level_n", "elliptic_ode", "universal_elliptic", "weighted_poly",
+      "dense_poly"}),
     (["qexpand", "--manifold", "catalog:K3", "--qorder", "8"],
      {"jacobi_q", "cohomology_models", "dense_poly"}),
     (["qexpand", "--manifold", "catalog:W2", "--qorder", "6",
       "--format", "json"], {"jacobi_q", "cohomology_models", "dense_poly"}),
-    (["verify", "all"], DEFERRED),
-], ids=["import", "universal", "genus-eval", "genus-eval-phi-ell", "leveln",
-        "qexpand", "qexpand-json", "verify"])
+    (["verify", "all"], DEFERRED - {"manifold_json"}),
+], ids=["import", "universal", "genus-eval", "genus-eval-phi-ell",
+        "genus-eval-bundle", "genus-eval-inline-json", "leveln", "qexpand",
+        "qexpand-json", "verify"])
 def test_command_executes_only_the_modules_it_uses(argv, expected):
     args = ["import"] if argv is None else ["run", *argv]
     proc = subprocess.run([sys.executable, "-c", SCRIPT, *args],
@@ -84,8 +94,9 @@ def test_command_executes_only_the_modules_it_uses(argv, expected):
     report = json.loads(proc.stdout)
     assert report["status"] in (None, 0)
     assert set(report["executed"]) == CORE | expected
-    # no command loads argparse; json only where JSON is written
-    assert report["stdlib"] == (["json"] if "json" in (argv or []) else [])
+    # no command loads argparse; json only where JSON is read or written
+    reads_json = any(a == "json" or a.startswith("{") for a in argv or [])
+    assert report["stdlib"] == (["json"] if reads_json else [])
 
 
 @pytest.mark.parametrize("argv", [

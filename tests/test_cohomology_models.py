@@ -16,12 +16,14 @@ from ellgenus.cohomology_models import (
     cp_model,
     hypersurface_model,
     milnor_number,
-    model_from_json,
     partitions,
     point_model,
     power_sum_in_chern,
     product_model,
     quartic_surface,
+)
+from ellgenus.manifold_json import model_from_json
+from ellgenus.twisted_bundles import (
     tw_cp,
     twisted_proj_bundle_model,
     w_even,
