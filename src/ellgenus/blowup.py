@@ -31,7 +31,7 @@ from .cohomology_models import (
     chern_monomials,
     cp_model,
     point_model,
-    power_sum_in_chern,
+    power_sums_in_chern,
 )
 from .genus_engine import multiplicative_class
 from .jacobi_q import phi_ell_q
@@ -149,11 +149,10 @@ def pushed_defect(spec, q, dim):
                     base=spec.ring)
     top = min(q, dim)
     zeros = (0,) * q
-    powers = [{zeros: q}]
-    for j in range(1, cap + 1):
-        powers.append({tuple(part.count(i) for i in range(1, q + 1)): c
-                       for part, c in power_sum_in_chern(j).items()
-                       if part[0] <= top})
+    powers = [{zeros: q}] + [
+        {tuple(part.count(i) for i in range(1, q + 1)): c
+         for part, c in pj.items() if part[0] <= top}
+        for pj in power_sums_in_chern(cap)[1:]]
     logs = [ring.zero]  # logs[m] = L_m, the weight-m part of log G
     for n in range(1, cap + 1):
         ints = {(n,) + zeros: 1}  # from log Q(v)

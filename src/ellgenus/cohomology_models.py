@@ -25,7 +25,7 @@ imported only where such a manifold is built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .algebra_kernel import QQ, _fr, coeff_is_zero
 
@@ -230,6 +230,12 @@ class CohomologyModel:
     def chern_class(self, i):
         return self.degree_part(self.chern, i)
 
+    def is_su(self):
+        """True if every Chern number involving c_1 vanishes; c_1 = 0 in
+        the ring answers without the Chern numbers."""
+        return not any(self.chern_class(1).values()) or \
+            chern_vector(self).is_su()
+
     def __repr__(self):
         return f"<CohomologyModel {self.name}, dim {self.dim}>"
 
@@ -262,39 +268,128 @@ def chern_vector(m):
 
 
 # ---------------------------------------------------------------------------
-# Milnor numbers
+# power sums and Milnor numbers
 # ---------------------------------------------------------------------------
 
 
-def power_sum_in_chern(n):
-    """The power sum p_n as a polynomial in c_1..c_n: partition -> integer.
+# None, p_1, p_2, ...: p_k as a polynomial in c_1..c_k
+_POWER_SUMS = [None]
 
-    Newton's identities: p_k = c_1 p_{k-1} - c_2 p_{k-2} + ...
-    + (-1)^{k-1} k c_k.
+
+def power_sums_in_chern(n):
+    """[None, p_1, ..., p_n], each power sum p_k as a polynomial in
+    c_1..c_k (partition -> integer), by Newton's identities
+    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k.
+
+    The table is one list for the process, extended as far as a caller
+    asks; callers must not change it.
     """
-    ps = [None, {(1,): 1}]
-    for k in range(2, n + 1):
-        acc = {}
+    ps = _POWER_SUMS
+    for k in range(len(ps), n + 1):
+        acc = {(k,): (-1) ** (k - 1) * k}
         for i in range(1, k):
             sign = (-1) ** (i - 1)
             for part, coeff in ps[k - i].items():
                 newp = tuple(sorted(part + (i,), reverse=True))
                 acc[newp] = acc.get(newp, 0) + sign * coeff
-        ek = (k,)
-        acc[ek] = acc.get(ek, 0) + (-1) ** (k - 1) * k
         ps.append(acc)
-    return ps[n]
+    return ps[:n + 1]
+
+
+def _model_caps(model, top):
+    """The state and the step of power_sum_numbers on a model: the class
+    p_{lambda_1}...p_{lambda_k}, times p_m(TX) from Newton's identities
+    in the model."""
+    cs = [model.degree_part(model.chern, k) for k in range(top + 1)]
+    ps = [None]
+    for k in range(1, top + 1):
+        acc = model.scale(cs[k], (-1) ** (k - 1) * k)
+        for i in range(1, k):
+            acc = model.add(acc, model.scale(model.mul(cs[i], ps[k - i]),
+                                             (-1) ** (i - 1)))
+        ps.append(acc)
+    return model.one_elt(), lambda u, m, rest: model.mul(u, ps[m]), \
+        model.integrate
+
+
+def _vector_caps(cv, top):
+    """The state and the step of power_sum_numbers on Chern numbers: F,
+    with F[mu] = <c_mu p_{lambda_1}...p_{lambda_k}, [X]>, capped by p_m
+    as mu -> sum_nu c_nu F[mu + nu] over the terms c_nu c^nu of p_m."""
+    table = power_sums_in_chern(top)
+    # (m, rest) -> [(mu, [(c_nu, mu + nu) for the terms of p_m]) for the
+    # partitions mu of rest], shared by every tail that takes that step
+    merged = {}
+
+    def cap(f, m, rest):
+        if (m, rest) not in merged:
+            merged[m, rest] = [
+                (mu, [(c, tuple(sorted(mu + nu, reverse=True)))
+                      for nu, c in table[m].items()])
+                for mu in partitions(rest)]
+        out = {}
+        for mu, terms in merged[m, rest]:
+            v = sum(c * f.get(p, 0) for c, p in terms)
+            if v:
+                out[mu] = v
+        return out
+
+    # the numbers as int numerators over one denominator
+    den = lcm(*(v.denominator for v in cv.numbers.values()))
+    return ({p: v.numerator * (den // v.denominator)
+             for p, v in cv.numbers.items() if v}, cap,
+            lambda f: Fraction(f.get((), 0), den))
+
+
+def power_sum_numbers(x, parts):
+    """The nonzero power-sum Chern numbers s_lambda(X) =
+    <p_{lambda_1}...p_{lambda_k}, [X]> of a model or ChernVector, for
+    the partitions lambda of its dimension into the given parts: a dict
+    lambda -> rational, lambda a non-increasing tuple.
+
+    lambda is built from its smallest part up, and each tail
+    (lambda_j, ..., lambda_k) is one step from the next shorter one: a
+    product by p_(lambda_j) in the model's ring, or a cap of the Chern
+    numbers by it.  A tail whose class is zero, or whose remainder is no
+    sum of parts at least lambda_j, takes no further step.
+    """
+    n = x.dim
+    parts = sorted({m for m in parts if 1 <= m <= n})
+    state, cap, value = (_vector_caps if isinstance(x, ChernVector)
+                         else _model_caps)(x, parts[-1] if parts else 0)
+    # fits[t][r]: r is a sum of the parts, each at least t
+    fits = [None] * (n + 1) + [[r == 0 for r in range(n + 1)]]
+    for t in range(n, 0, -1):
+        fits[t] = row = list(fits[t + 1])
+        if t in parts:
+            for r in range(t, n + 1):
+                row[r] = row[r] or row[r - t]
+    steps = {}  # (t, r) -> the parts m >= t with r - m a sum of parts >= m
+    out = {}
+    stack = [((), state, n)] if fits[1][n] and state else []
+    while stack:
+        tail, u, rest = stack.pop()
+        if rest == 0:
+            s = value(u)
+            if s:
+                out[tail] = s
+            continue
+        key = tail[0] if tail else 1, rest
+        if key not in steps:
+            steps[key] = [m for m in parts
+                          if key[0] <= m <= rest and fits[m][rest - m]]
+        for m in steps[key]:
+            v = cap(u, m, rest - m)
+            if v:
+                stack.append(((m,) + tail, v, rest - m))
+    return out
 
 
 def milnor_number(m):
     """s(X) = p_n[X], the power-sum characteristic number."""
-    cv = chern_vector(m)
-    if cv.dim == 0:
+    if m.dim == 0:
         return Fraction(1)
-    total = Fraction(0)
-    for part, coeff in power_sum_in_chern(cv.dim).items():
-        total += coeff * cv[part]
-    return total
+    return Fraction(power_sum_numbers(m, [m.dim]).get((m.dim,), 0))
 
 
 # ---------------------------------------------------------------------------

@@ -1,23 +1,22 @@
 """Genera as ring homomorphisms on complex cobordism.
 
 A GenusSpec packages a characteristic power series Q(x) = 1 + a_1 x + ...
-over a coefficient ring, given by Q itself or by log Q.  From it we
-derive the genus logarithm g, the formal group law
-F(u, v) = f(g(u) + g(v)), the multiplicative sequence
-K_0, K_1, ... (via the power-sum route: sum_i log Q(x_i) = sum_m l_m p_m,
-Newton's identities, then a graded exponential), and from that sequence
-both evaluation on Chern vectors and the total class K(c) in a
-cohomology model.  The classical genera (Todd, twisted Todd, signature,
-A-hat, Euler and the two-variable A-tilde) are given by closed-form
-logarithms in b_n = B_n/n!, the coefficients of x/(e^x - 1); chi_y is
-given by its closed-form Q(x) = x + u/(e^u - 1) with u = (1 + y) x.
+over a coefficient ring, given by Q itself or by log Q = sum_m l_m x^m.
+A value is read in power sums: prod_i Q(x_i) = exp(sum_m l_m p_m), paired
+with the power-sum Chern numbers.  The multiplicative sequence K_0, K_1,
+... (that exponential graded by Chern weight) gives the total class K(c)
+in a cohomology model, and the genus logarithm g the formal group law
+F(u, v) = f(g(u) + g(v)).  The classical genera (Todd, twisted Todd,
+signature, A-hat, Euler and the two-variable A-tilde) are given by
+closed-form logarithms in b_n = B_n/n!, the coefficients of
+x/(e^x - 1); chi_y by Q(x) = x + u/(e^u - 1) with u = (1 + y) x.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from math import factorial
+from math import factorial, prod
 
 from .algebra_kernel import (
     BadValuation,
@@ -45,14 +44,11 @@ class GenusSpec:
     """A genus given by its characteristic series Q(x) = x / f(x).
 
     It is built from Q, whose constant term must be 1 (checked here), or
-    by from_log_coeffs from log Q(x) = sum_m l_m x^m, whose exponential
-    has constant term 1 by construction.  Whichever of q and log_coeffs
-    was not given is computed once, on first access: log Q or exp of the
-    log.  The multiplicative sequence reads only the log coefficients;
+    by from_log_coeffs from log Q(x) = sum_m l_m x^m.  Whichever of q
+    and log_coeffs was not given is computed on first access, as are
     f_series = x/Q and its compositional inverse log_series, which the
-    formal group law reads, are likewise built once, on first access.
-    Multiplicative sequences are cached on demand (pure data, safe to
-    share).
+    formal group law reads.  Evaluation and the multiplicative sequences
+    (cached per spec) read only the log coefficients.
     """
 
     def __init__(self, q_series, name="genus"):
@@ -79,13 +75,9 @@ class GenusSpec:
 
     @cached_property
     def q(self):
-        """Q(x) = exp(sum_m l_m x^m) = exp(l_1 x) exp(sum_{m>=2} l_m x^m).
-
-        The first factor has the coefficients l_1^j / j!, so the
-        exponential runs on l_2, l_3, ... alone; for the universal genus
-        these are free of A (see universal_elliptic.solve_h).  The two
-        series commute, so the product is exact.
-        """
+        """Q(x) = exp(l_1 x) exp(sum_{m>=2} l_m x^m): the first factor
+        has the coefficients l_1^j / j!, so the exponential runs on l_2,
+        l_3, ... alone, which for the universal genus are free of A."""
         ring, order, logs = self.ring, self.order, self.log_coeffs
         e = [ring.one]
         for j in range(1, order + 1):
@@ -119,29 +111,12 @@ class GenusSpec:
 
 
 class MultiplicativeSequence:
-    """K_0 = 1, K_1(c_1), ..., K_n(c_1..c_n) for a genus.
-
-    Each K_m is a dict mapping a partition of m (a non-increasing tuple,
-    standing for the monomial prod c_{p_i}) to its coefficient in the
-    genus's coefficient ring.
-    """
+    """K_0 = 1, K_1(c_1), ..., K_n(c_1..c_n): ks[m] maps each partition
+    of m (the monomial prod c_{p_i}) to its coefficient."""
 
     def __init__(self, ring, ks):
         self.ring = ring
-        self.ks = ks  # list of dicts, index = weight
-
-    @property
-    def n(self):
-        return len(self.ks) - 1
-
-    def evaluate(self, cv):
-        """Pair K_dim against a ChernVector."""
-        if cv.dim > self.n:
-            raise DimensionMismatch(
-                f"sequence computed to weight {self.n}, need {cv.dim}"
-            )
-        pairs = ((coeff, cv[part]) for part, coeff in self.ks[cv.dim].items())
-        return self.ring.dot((c, v) for c, v in pairs if v)
+        self.ks = ks
 
 
 def multiplicative_sequence(spec, n):
@@ -158,16 +133,14 @@ def multiplicative_sequence(spec, n):
         )
     if n in spec._ms_cache:
         return spec._ms_cache[n]
-    from .cohomology_models import power_sum_in_chern
+    from .cohomology_models import power_sums_in_chern
 
     ring = spec.ring
     # dlog[m] = m L_m as partition -> coefficient
-    dlog = [None]
-    for m in range(1, n + 1):
-        lm = spec.log_coeffs[m]
-        dlog.append({} if coeff_is_zero(lm) else
-                    {part: lm * (m * c)
-                     for part, c in power_sum_in_chern(m).items()})
+    dlog = [{} if coeff_is_zero(lm) else
+            {part: lm * (m * c) for part, c in pm.items()}
+            for m, (lm, pm) in enumerate(zip(spec.log_coeffs,
+                                              power_sums_in_chern(n)))]
     ks = [{(): ring.one}]
     for w in range(1, n + 1):
         buckets = {}
@@ -185,25 +158,37 @@ def multiplicative_sequence(spec, n):
 
 
 def evaluate(spec, x):
-    """Genus value on a ChernVector or CohomologyModel."""
-    from .cohomology_models import chern_vector
+    """Genus value on a ChernVector or CohomologyModel: the sum over
+    partitions lambda of dim of l_lambda s_lambda / prod_j m_j!, with
+    l_lambda = prod_i l_(lambda_i) over the parts with l_m != 0, s_lambda
+    the power-sum Chern number and m_j the multiplicity of j.  Each
+    l_(lambda_k, ...) is one product from l_(lambda_(k+1), ...), and the
+    terms of one largest part lambda_1 are summed before l_(lambda_1)."""
+    from .cohomology_models import power_sum_numbers
 
-    cv = chern_vector(x)
-    if cv.dim > spec.order:
+    if x.dim > spec.order:
         raise DimensionMismatch(
-            f"series truncated at order {spec.order}, manifold dim {cv.dim}"
+            f"series truncated at order {spec.order}, manifold dim {x.dim}"
         )
-    return multiplicative_sequence(spec, cv.dim).evaluate(cv)
+    ring, logs = spec.ring, spec.log_coeffs
+    numbers = power_sum_numbers(
+        x, [m for m in range(1, x.dim + 1) if not coeff_is_zero(logs[m])])
+    prods = {(): ring.one}  # a tail of lambda -> l_tail
+    groups = {}  # (lambda_1,) -> [(l_(lambda_2, ...), s_lambda / prod m_j!)]
+    for part, s in numbers.items():
+        tail = part[1:]
+        for j in range(len(tail) - 1, -1, -1):
+            if tail[j:] not in prods:
+                prods[tail[j:]] = logs[tail[j]] * prods[tail[j + 1:]]
+        groups.setdefault(part[:1], []).append((prods[tail], Fraction(
+            s, prod(factorial(part.count(m)) for m in set(part)))))
+    return ring.dot((logs[top[0]] if top else ring.one, ring.dot(pairs))
+                    for top, pairs in groups.items())
 
 
 def multiplicative_class(spec, model, chern_elt=None):
-    """K(c) = sum_m K_m(c_1..c_m) as a model element (the total class).
-
-    Each partition of multiplicative_sequence(spec, top) is evaluated at
-    the degree parts of the model's Chern class (or of any supplied total
-    class c), so it works for arbitrary bundles, not just the tangent
-    bundle.
-    """
+    """K(c) = sum_m K_m(c_1..c_m) as a model element (the total class),
+    at the Chern classes of the tangent bundle or of any total class c."""
     from .cohomology_models import chern_monomials
 
     top = min(model.dim, spec.order)

@@ -38,7 +38,6 @@ from fractions import Fraction
 from math import factorial
 
 from .algebra_kernel import TruncatedSeries, coeff_is_zero
-from .cohomology_models import chern_vector
 from .dense_poly import (
     Localization,
     QuotientRing,
@@ -274,14 +273,13 @@ def chi_y_loop(X, qorder=DEFAULT_QORDER):
 
     X must be an SU class (all Chern numbers containing c_1 vanish).
     """
-    cv = chern_vector(X)
-    if not cv.is_su():
+    if not X.is_su():
         raise NotSU("chi_y(q, LX) needs an SU class")
-    spec = phi_ell_q(qorder, max(cv.dim, 2), "formal")
-    v = evaluate(spec, cv)
+    spec = phi_ell_q(qorder, max(X.dim, 2), "formal")
+    v = evaluate(spec, X)
     ring, y = y_model("formal")
     norm = phi_at_minus_z(qorder, ring, y)
-    return v * norm ** cv.dim
+    return v * norm ** X.dim
 
 
 def weierstrass_p(qorder=DEFAULT_QORDER):

@@ -457,19 +457,16 @@ def kernel_membership(name, X, N, order=None):
     <T_{N-1}> in Q[A, B].
     Returns (is_zero, reduced_value).
     """
-    from .cohomology_models import chern_vector
-
-    cv = chern_vector(X)
     if order is None:
-        order = max(cv.dim, 4)
+        order = max(X.dim, 4)
     if name == "phi_tilde_N":
-        v = evaluate(_phi(order), cv)
+        v = evaluate(_phi(order), X)
         data = _level(N)
         reduced = reduce_mod_ideal(v, [data.r_lower, data.r_upper])
         return reduced.is_zero(), reduced
     if name == "a_tilde_N":
         spec = classical_genus("a_tilde", order=order)
-        v = evaluate(spec, cv)
+        v = evaluate(spec, X)
         reduced = reduce_mod_ideal(v, [t_poly(N)])
         return reduced.is_zero(), reduced
     raise ValueError(f"unknown kernel name {name!r}")

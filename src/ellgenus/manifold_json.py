@@ -29,12 +29,20 @@ MANIFOLD_TYPES = ("cp", "catalog", "product", "hypersurface",
                   "twisted_bundle", "chern_numbers")
 _KIND_NAMES = {int: "a nonnegative integer", str: "a string", list: "a list",
                dict: "an object"}
+# The largest value of each count field: at it the slowest named genus,
+# chi_y, takes about 10 s cold on CP^n, on dense Chern numbers of that
+# dimension and on the projective bundle of that many trivial lines over
+# a point (the curve is in BENCH_pr23.json).  The counts of a composite
+# manifold (a product, or a bundle over a large base) are bounded one by
+# one, not their sum.
+COUNT_LIMITS = {"n": 42, "dim": 32, "trivial": 43}
 
 
 def _field(obj, key, kind, default=None):
     """obj[key], which must be a kind (int, str, list or dict); default,
     if given, stands in for a missing field.  The int fields are counts:
-    a nonnegative integer or integral float, never a boolean."""
+    a nonnegative integer or integral float, never a boolean, and at most
+    the field's entry in COUNT_LIMITS."""
     if key not in obj:
         if default is None:
             raise BadManifold(f"manifold JSON: missing field {key!r}")
@@ -46,6 +54,9 @@ def _field(obj, key, kind, default=None):
             kind is int and (isinstance(v, bool) or v < 0)):
         raise BadManifold(f"manifold JSON: field {key!r} must be "
                           f"{_KIND_NAMES[kind]}, got {json.dumps(v)}")
+    if kind is int and v > COUNT_LIMITS.get(key, v):
+        raise BadManifold(f"manifold JSON: field {key!r} must be at most "
+                          f"{COUNT_LIMITS[key]}, got {v}")
     return v
 
 
@@ -89,17 +100,20 @@ def model_from_json(obj):
         return hypersurface_model(amb, c1)
     if t == "twisted_bundle":
         from .twisted_bundles import twisted_proj_bundle_model
-        base = model_from_json(_field(obj, "base", dict))
+        base_obj = _field(obj, "base", dict)
         e = _field(obj, "E", dict, {})
         f = _field(obj, "F", dict, {})
+        # the counts are checked before the base is built
+        e_trivial = _field(e, "trivial", int, 0)
+        f_trivial = _field(f, "trivial", int, 0)
+        base = model_from_json(base_obj)
         e_lines = [_element_from_list(base, v)
                    for v in _field(e, "lines", list, [])]
         f_lines = [_element_from_list(base, v)
                    for v in _field(f, "lines", list, [])]
         return twisted_proj_bundle_model(
-            base,
-            e_lines=e_lines, e_trivial=_field(e, "trivial", int, 0),
-            f_lines=f_lines, f_trivial=_field(f, "trivial", int, 0),
+            base, e_lines=e_lines, e_trivial=e_trivial,
+            f_lines=f_lines, f_trivial=f_trivial,
         )
     # the one type left: chern_numbers
     dim = _field(obj, "dim", int)

@@ -11,9 +11,10 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus.cli import Opt, UsageError, _parse_options, main
-from ellgenus.cohomology_models import catalog
+from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import evaluate
-from ellgenus.manifold_json import MANIFOLD_TYPES
+from ellgenus import manifold_json, twisted_bundles
+from ellgenus.manifold_json import COUNT_LIMITS, MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
 F = Fraction
@@ -445,6 +446,67 @@ def test_bad_manifold_json_exits_2(command, manifold, message, fmt):
         error = text[len("error: "):]
     assert error.startswith("manifold JSON: ")
     assert message in error
+
+
+# One case per count field of the schema, each over its limit.
+OVER_LIMIT = [
+    ("n", {"type": "cp", "n": COUNT_LIMITS["n"] + 1}),
+    ("n", {"type": "cp", "n": 100000}),
+    ("dim", {"type": "chern_numbers", "dim": COUNT_LIMITS["dim"] + 1}),
+    ("trivial", {"type": "twisted_bundle", "base": {"type": "cp", "n": 1},
+                 "E": {"trivial": COUNT_LIMITS["trivial"] + 1}}),
+    ("trivial", {"type": "twisted_bundle", "base": {"type": "cp", "n": 1},
+                 "F": {"trivial": 10 ** 6}}),
+]
+
+
+def _forbid_models(monkeypatch):
+    # every constructor a count field reaches fails the test if it runs
+    def built(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    for module, name in ((manifold_json, "cp_model"),
+                         (manifold_json, "ChernVector"),
+                         (twisted_bundles, "twisted_proj_bundle_model")):
+        monkeypatch.setattr(module, name, built)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("field,manifold", OVER_LIMIT)
+def test_json_count_over_its_limit_exits_2_before_any_algebra(
+        field, manifold, fmt, monkeypatch):
+    _forbid_models(monkeypatch)
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                   json.dumps(manifold), "--format", fmt)
+    assert rc == 2
+    assert text.count("\n") == 1
+    error = (json.loads(text)["error"] if fmt == "json"
+             else text.removeprefix("error: ").rstrip("\n"))
+    value = (manifold.get(field) or manifold.get("E", {}).get(field)
+             or manifold["F"][field])
+    assert error == (f"manifold JSON: field {field!r} must be at most "
+                     f"{COUNT_LIMITS[field]}, got {value}")
+
+
+@pytest.mark.parametrize("field", sorted(COUNT_LIMITS))
+def test_json_count_at_its_limit_is_read(field, monkeypatch):
+    # the limit itself passes the check and reaches the constructor
+    reached = []
+    monkeypatch.setattr(manifold_json, "cp_model",
+                        lambda n: reached.append(("n", n)) or cp_model(1))
+    monkeypatch.setattr(manifold_json, "ChernVector",
+                        lambda dim, numbers: reached.append(("dim", dim)))
+    monkeypatch.setattr(
+        twisted_bundles, "twisted_proj_bundle_model",
+        lambda base, **kw: reached.append(("trivial", kw["e_trivial"])))
+    limit = COUNT_LIMITS[field]
+    obj = {"n": {"type": "cp", "n": limit},
+           "dim": {"type": "chern_numbers", "dim": limit},
+           "trivial": {"type": "twisted_bundle", "base": {"type": "cp",
+                                                          "n": 1},
+                       "E": {"trivial": limit}}}[field]
+    manifold_json.model_from_json(obj)
+    assert (field, limit) in reached
 
 
 def test_integral_float_count_is_accepted():

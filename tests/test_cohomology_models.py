@@ -18,7 +18,7 @@ from ellgenus.cohomology_models import (
     milnor_number,
     partitions,
     point_model,
-    power_sum_in_chern,
+    power_sums_in_chern,
     product_model,
     quartic_surface,
 )
@@ -563,11 +563,15 @@ def test_partitions_count():
 
 
 def test_power_sums():
-    assert power_sum_in_chern(2) == {(1, 1): 1, (2,): -2}
-    assert power_sum_in_chern(3) == {(1, 1, 1): 1, (2, 1): -3, (3,): 3}
-    assert power_sum_in_chern(4) == {
-        (1, 1, 1, 1): 1, (2, 1, 1): -4, (2, 2): 2, (3, 1): 4, (4,): -4
-    }
+    ps = power_sums_in_chern(4)
+    assert ps[1:] == [
+        {(1,): 1},
+        {(1, 1): 1, (2,): -2},
+        {(1, 1, 1): 1, (2, 1): -3, (3,): 3},
+        {(1, 1, 1, 1): 1, (2, 1, 1): -4, (2, 2): 2, (3, 1): 4, (4,): -4},
+    ]
+    # one table, extended in place: a longer request shares the shorter
+    assert all(a is b for a, b in zip(ps, power_sums_in_chern(7)))
 
 
 def test_milnor_vanishes_on_products():

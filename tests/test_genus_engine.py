@@ -1,15 +1,23 @@
+import json
 from fractions import Fraction
-from math import factorial
+from functools import lru_cache
+from math import factorial, prod
 
 import pytest
+from hypothesis import given, seed, settings
+from hypothesis import strategies as st
 
 from ellgenus import criteria
 from ellgenus.algebra_kernel import BadValuation, QQ, TruncatedSeries
 from ellgenus.cohomology_models import (
+    ChernVector,
     catalog,
     chern_vector,
     cp_model,
+    hypersurface_model,
+    partitions,
     point_model,
+    power_sum_numbers,
     product_model,
     quartic_surface,
 )
@@ -26,6 +34,7 @@ from ellgenus.genus_engine import (
     multiplicative_sequence,
 )
 from ellgenus.jacobi_q import phi_ell_q
+from ellgenus.manifold_json import model_from_json
 from ellgenus.universal_elliptic import phi_ell
 from ellgenus.weighted_poly import PolyRing, horner
 
@@ -354,8 +363,10 @@ def test_su_insensitivity():
 
 def test_dimension_mismatch_raises():
     todd = classical_genus("todd", order=2)
-    with pytest.raises(DimensionMismatch):
-        evaluate(todd, cp_model(3))
+    for x in (cp_model(3), chern_vector(cp_model(3))):
+        with pytest.raises(DimensionMismatch) as exc:
+            evaluate(todd, x)
+        assert str(exc.value) == "series truncated at order 2, manifold dim 3"
 
 
 def test_trivial_genus():
@@ -631,3 +642,159 @@ def test_multiplicative_class_of_the_theta_product():
     for m in (cp_model(2), cp_model(3), quartic_surface()):
         assert multiplicative_class(spec, m) == (
             _multiplicative_class_by_newton(spec, m))
+
+
+# ---------------------------------------------------------------------------
+# evaluation in power sums against the multiplicative sequence
+# ---------------------------------------------------------------------------
+
+
+def _sequence_value(spec, x):
+    """Oracle: K_dim of the multiplicative sequence paired with all the
+    Chern numbers of x."""
+    cv = chern_vector(x)
+    if cv.dim > spec.order:
+        raise DimensionMismatch(
+            f"series truncated at order {spec.order}, manifold dim {cv.dim}")
+    ks = multiplicative_sequence(spec, cv.dim).ks[cv.dim]
+    return spec.ring.dot((c, cv[part]) for part, c in ks.items() if cv[part])
+
+
+def _power_sum_value(spec, x, drop=None):
+    """The sum over lambda of prod l_(lambda_i) s_lambda / prod_j m_j!,
+    term by term; drop names a part whose m_j! is left out (a deliberately
+    wrong formula, for the negative control)."""
+    logs = spec.log_coeffs
+    numbers = power_sum_numbers(x, range(1, x.dim + 1))
+    return spec.ring.dot(
+        (prod((logs[k] for k in part), start=spec.ring.one),
+         Fraction(s, prod(factorial(part.count(j)) for j in set(part)
+                          if j != drop)))
+        for part, s in numbers.items())
+
+
+@lru_cache(maxsize=None)
+def _spec(name, order):
+    # one spec per order, so the oracle's sequences are cached on it
+    if name == "phi_ell":
+        return phi_ell(order)
+    if name == "phi_ell_q formal":
+        return phi_ell_q(2, order, "formal")
+    if name == "phi_ell_q 3":
+        return phi_ell_q(2, order, 3)
+    return classical_genus(name, order=order)
+
+
+_GENERA = ["todd", "signature", "a_hat", "chi_y", "a_tilde", "phi_ell",
+           "phi_ell_q formal", "phi_ell_q 3"]
+
+_TWISTED_JSON = (
+    '{"type":"twisted_bundle","base":{"type":"cp","n":2},'
+    '"E":{"trivial":1,"lines":[[2],["3/2"]]},"F":{"trivial":1,"lines":[[-1]]}}',
+    '{"type":"twisted_bundle","base":{"type":"product","factors":'
+    '[{"type":"cp","n":1},{"type":"cp","n":1}]},'
+    '"E":{"lines":[[1,0],[0,-2]]},"F":{"trivial":1}}',
+)
+
+_MODELS = {
+    **{f"CP{n}": (lambda n=n: cp_model(n)) for n in range(7)},
+    "CP1xCP2": lambda: product_model(cp_model(1), cp_model(2)),
+    "CP2xW2": lambda: product_model(cp_model(2), quartic_surface()),
+    "CP1^3": lambda: product_model(product_model(cp_model(1), cp_model(1)),
+                                   cp_model(1)),
+    "cubic3": lambda: hypersurface_model(cp_model(4), {1: 3}),
+    "quadric4": lambda: hypersurface_model(cp_model(5), {1: 2}),
+    "H(1,2)": lambda: hypersurface_model(
+        product_model(cp_model(1), cp_model(2)), {(1, 0): 1, (0, 1): 2}),
+    **{f"W{k}": (lambda k=k: catalog(f"W{k}")) for k in range(1, 11)},
+    **{f"TwCP({p},{q})": (lambda p=p, q=q: catalog(f"TwCP({p},{q})"))
+       for p, q in ((1, 1), (2, 1), (3, 2), (1, 4))},
+    **{f"json{i}": (lambda t=t: model_from_json(json.loads(t)))
+       for i, t in enumerate(_TWISTED_JSON)},
+}
+
+
+def _assert_same(*values):
+    # equal, and printed alike (a series prints its truncation order)
+    assert all(v == values[0] for v in values[1:])
+    assert len({str(v) for v in values}) == 1
+
+
+@settings(max_examples=60, deadline=None)
+@seed(20261023)
+@given(name=st.sampled_from(_GENERA), model=st.sampled_from(sorted(_MODELS)),
+       extra=st.integers(0, 2))
+def test_evaluate_matches_the_sequence_on_models(name, model, extra):
+    x = _MODELS[model]()
+    spec = _spec(name, max(x.dim, 1) + extra)
+    _assert_same(evaluate(spec, x), evaluate(spec, chern_vector(x)),
+                 _sequence_value(spec, x))
+
+
+_small_fractions = st.fractions(min_value=-20, max_value=20,
+                                max_denominator=6)
+
+
+@st.composite
+def _chern_vectors(draw):
+    dim = draw(st.integers(0, 8))
+    numbers = {p: draw(st.just(0) | _small_fractions)
+               for p in partitions(dim)}
+    cv = ChernVector(dim, numbers)
+    return cv + cv if draw(st.booleans()) else cv
+
+
+@settings(max_examples=60, deadline=None)
+@seed(20261024)
+@given(name=st.sampled_from(_GENERA), cv=_chern_vectors())
+def test_evaluate_matches_the_sequence_on_chern_vectors(name, cv):
+    spec = _spec(name, max(cv.dim, 1))
+    _assert_same(evaluate(spec, cv), _sequence_value(spec, cv))
+
+
+@pytest.mark.parametrize("name", _GENERA)
+def test_evaluate_on_a_point_and_on_zero(name):
+    spec = _spec(name, 4)
+    three = ChernVector(0, {(): 3})
+    _assert_same(evaluate(spec, three), _sequence_value(spec, three),
+                 spec.ring.dot([(spec.ring.one, 3)]))
+    _assert_same(evaluate(spec, point_model()),
+                 _sequence_value(spec, point_model()), spec.ring.one)
+    for dim in (0, 1, 4):
+        zero = ChernVector(dim)
+        _assert_same(evaluate(spec, zero), _sequence_value(spec, zero),
+                     spec.ring.zero)
+
+
+def test_evaluate_reads_only_the_parts_with_nonzero_l():
+    # l_m = 0 for odd m: odd dimensions give 0, and no odd part is read
+    spec = GenusSpec.from_log_coeffs(
+        QQ, [F(0), F(0), F(1, 3), F(0), F(-2, 5), F(0), F(1, 7)])
+    for x in (cp_model(3), cp_model(4), product_model(cp_model(2),
+                                                      quartic_surface()),
+              catalog("W5"), catalog("W4")):
+        _assert_same(evaluate(spec, x), _sequence_value(spec, x))
+        assert all(k % 2 == 0 for part in power_sum_numbers(x, [2, 4, 6])
+                   for k in part)
+    assert evaluate(spec, cp_model(5)) == 0
+
+
+@pytest.mark.parametrize("x, drop", [
+    (cp_model(2), 1), (cp_model(4), 1), (cp_model(4), 2),
+    (product_model(cp_model(1), cp_model(2)), 1),
+    # SU: p_1 = 0, so only a repeated larger part can tell
+    (catalog("W6"), 2)], ids=["CP2", "CP4", "CP4-m2", "CP1xCP2", "W6"])
+def test_negative_control_dropped_multiplicity_factorial(x, drop):
+    # the term-by-term formula is the oracle's; without 1/m_drop! it is not
+    spec = _spec("todd", x.dim)
+    assert _power_sum_value(spec, x) == _sequence_value(spec, x)
+    assert _power_sum_value(spec, x, drop=drop) != _sequence_value(spec, x)
+
+
+def test_power_sum_numbers_of_projective_space():
+    # p_m(CP^n) = (n + 1) g^m, so s_lambda = (n + 1)^len(lambda)
+    for n in range(6):
+        numbers = power_sum_numbers(cp_model(n), range(1, n + 1))
+        assert numbers == {p: (n + 1) ** len(p) for p in partitions(n)}
+        assert power_sum_numbers(chern_vector(cp_model(n)),
+                                 range(1, n + 1)) == numbers
