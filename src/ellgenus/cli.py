@@ -234,8 +234,21 @@ def cmd_universal_coeffs(args, out):
     return 0
 
 
+# The largest --N of each command: the largest level it runs in about
+# 10 s cold (BENCH_pr24.json).  The time grows steeply above it.
+LEVELN_MAX_N = 14
+BLOWUP_MAX_N = 48
+
+
+def _level_at_most(args, limit):
+    """args.N, checked against the command's limit before any algebra."""
+    if args.N > limit:
+        raise InputError(f"--N must be at most {limit}, got {args.N}")
+    return args.N
+
+
 def cmd_leveln_relations(args, out):
-    N = args.N
+    N = _level_at_most(args, LEVELN_MAX_N)
     data = level_n.compute_level_data(N)
     r_lower_q, r_upper_q = data.r_lower_q(), data.r_upper_q()
     res = level_n.eliminate(data)
@@ -280,10 +293,11 @@ def cmd_qexpand(args, out):
 
 
 def cmd_blowup_verify(args, out):
-    report = blowup.verify_blowup_invariance(args.N, qorder=args.qorder)
+    N = _level_at_most(args, BLOWUP_MAX_N)
+    report = blowup.verify_blowup_invariance(N, qorder=args.qorder)
     ok = all(e["ok"] for e in report)
     if args.format == "json":
-        _write_json({"N": args.N, "ok": ok, "cases": report}, out)
+        _write_json({"N": N, "ok": ok, "cases": report}, out)
     else:
         for e in report:
             tag = "PASS" if e["ok"] else "FAIL"
@@ -369,7 +383,8 @@ COMMANDS = (
         FORMAT)),
     ("leveln", "relations", cmd_leveln_relations,
      "the relation ideal at level N", (
-        Opt("--N", "the level", type=int, required=True),
+        Opt("--N", f"the level, at most {LEVELN_MAX_N}", type=int,
+            required=True),
         FORMAT)),
     ("qexpand", None, cmd_qexpand, "q-expansion of chi_y(q, LX)", (
         MANIFOLD,
@@ -377,7 +392,8 @@ COMMANDS = (
         FORMAT)),
     ("blowup", "verify", cmd_blowup_verify,
      "level-N blow-up invariance report", (
-        Opt("--N", "the level", type=int, required=True),
+        Opt("--N", f"the level, at most {BLOWUP_MAX_N}", type=int,
+            required=True),
         Opt("--qorder", "q-order of the genus checked", type=int, default=2),
         FORMAT)),
     ("verify", "all", cmd_verify_all, "run all acceptance criteria",

@@ -272,20 +272,15 @@ def chern_vector(m):
 # ---------------------------------------------------------------------------
 
 
-# None, p_1, p_2, ...: p_k as a polynomial in c_1..c_k
-_POWER_SUMS = [None]
-
-
 def power_sums_in_chern(n):
     """[None, p_1, ..., p_n], each power sum p_k as a polynomial in
     c_1..c_k (partition -> integer), by Newton's identities
     p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k.
 
-    The table is one list for the process, extended as far as a caller
-    asks; callers must not change it.
+    Each call builds a new table, which the caller may change.
     """
-    ps = _POWER_SUMS
-    for k in range(len(ps), n + 1):
+    ps = [None]
+    for k in range(1, n + 1):
         acc = {(k,): (-1) ** (k - 1) * k}
         for i in range(1, k):
             sign = (-1) ** (i - 1)
@@ -293,7 +288,7 @@ def power_sums_in_chern(n):
                 newp = tuple(sorted(part + (i,), reverse=True))
                 acc[newp] = acc.get(newp, 0) + sign * coeff
         ps.append(acc)
-    return ps[:n + 1]
+    return ps
 
 
 def _model_caps(model, top):

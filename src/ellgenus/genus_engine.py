@@ -47,8 +47,8 @@ class GenusSpec:
     by from_log_coeffs from log Q(x) = sum_m l_m x^m.  Whichever of q
     and log_coeffs was not given is computed on first access, as are
     f_series = x/Q and its compositional inverse log_series, which the
-    formal group law reads.  Evaluation and the multiplicative sequences
-    (cached per spec) read only the log coefficients.
+    formal group law reads.  Evaluation and the multiplicative sequence
+    read only the log coefficients.
     """
 
     def __init__(self, q_series, name="genus"):
@@ -71,7 +71,6 @@ class GenusSpec:
         self.ring = ring
         self.order = order
         self.name = name
-        self._ms_cache = {}
 
     @cached_property
     def q(self):
@@ -110,17 +109,10 @@ class GenusSpec:
         return f"<GenusSpec {self.name}, order {self.order}>"
 
 
-class MultiplicativeSequence:
-    """K_0 = 1, K_1(c_1), ..., K_n(c_1..c_n): ks[m] maps each partition
-    of m (the monomial prod c_{p_i}) to its coefficient."""
-
-    def __init__(self, ring, ks):
-        self.ring = ring
-        self.ks = ks
-
-
 def multiplicative_sequence(spec, n):
-    """K_0..K_n for the genus, via log coefficients and Newton's identities.
+    """[K_0, ..., K_n] for the genus, via log coefficients and Newton's
+    identities: K_m maps each partition of m (the monomial prod c_{p_i})
+    to its coefficient, and K_0 = 1.
 
     sum_i log Q(x_i) = sum_m L_m with L_m = l_m p_m(c) of Chern weight m;
     exponentiating in the ring graded by that weight gives
@@ -131,8 +123,6 @@ def multiplicative_sequence(spec, n):
         raise DimensionMismatch(
             f"series truncated at order {spec.order}, need {n}"
         )
-    if n in spec._ms_cache:
-        return spec._ms_cache[n]
     from .cohomology_models import power_sums_in_chern
 
     ring = spec.ring
@@ -152,9 +142,7 @@ def multiplicative_sequence(spec, n):
         inv_w = Fraction(1, w)
         kw = {p: ring.dot(ps) * inv_w for p, ps in buckets.items()}
         ks.append({p: c for p, c in kw.items() if not coeff_is_zero(c)})
-    ms = MultiplicativeSequence(ring, ks)
-    spec._ms_cache[n] = ms
-    return ms
+    return ks
 
 
 def evaluate(spec, x):
@@ -194,7 +182,7 @@ def multiplicative_class(spec, model, chern_elt=None):
     top = min(model.dim, spec.order)
     monomial = chern_monomials(model, chern_elt, top)
     K = model.one_elt()  # K_0 = 1
-    for km in multiplicative_sequence(spec, top).ks[1:]:
+    for km in multiplicative_sequence(spec, top)[1:]:
         for part, coeff in km.items():
             K = model.add(K, model.scale(monomial(part), coeff))
     return K

@@ -44,10 +44,6 @@ from .weighted_poly import PolyRing, WeightedPoly, bareiss_determinant
 AB_RING = PolyRing(("A", 1), ("B", 2))
 
 
-class InsufficientOrder(ValueError):
-    pass
-
-
 class WrongPoleOrder(ArithmeticError):
     pass
 
@@ -63,13 +59,10 @@ class LevelNData:
 
     r_lower, r_upper: the normalized relations in A, B, C, D (weights
         N-1 and N+1)
-    order: the ODE truncation order they were computed under, an upper
-        bound on the order each node is solved to (see _point_values)
     """
 
-    def __init__(self, N, order, r_lower, r_upper):
+    def __init__(self, N, r_lower, r_upper):
         self.N = N
-        self.order = order
         self.r_lower = r_lower
         self.r_upper = r_upper
 
@@ -131,20 +124,20 @@ def newton_interpolate(lower, nodes, values):
     return coef
 
 
-def _point_values(N, order, point):
+def _point_values(N, point):
     """d_{N-1} and the x^1 coefficient of P_N(h) - f^-N - sum d_i h^(N-i)
     at the rational point (A, B, C, D) = (1, b, c, d), solved over QQ.
 
     The Laurent coefficient at x^{-N+i} defines d_i because h^{N-i} =
     x^{-(N-i)} + ...; f^N = x^N + ... has no x^1 term for N >= 2, so the
     x^1 coefficient is the first constraint without d_2N.  Only
-    x^(1-N)..x^1 are read, so order is an upper bound: the ODE is solved
-    through min(order, N + 1), the least order whose window, under the
-    minimum rule of the series products, still holds h^N at x^1.  The
-    powers start at h itself, so h^k holds x^-k..x^(order - k).
+    x^(1-N)..x^1 are read, so the ODE is solved through N + 1, the least
+    order whose window, under the minimum rule of the series products,
+    still holds h^N at x^1.  The powers start at h itself, so h^k holds
+    x^-k..x^(N + 1 - k).
     """
     h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *map(Fraction, point))),
-                min(order, N + 1))
+                N + 1)
     # f^-N = (Q/x)^N = x^-N exp(N log Q)
     log_q = q_of_h(h).log_coeffs
     f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
@@ -170,7 +163,7 @@ def _relation(w, nodes, values):
                                     for (b, c, d), v in coef.items()})
 
 
-def compute_level_data(N, order=None):
+def compute_level_data(N):
     """The relations R_{N-1} and R_{N+1} of 1/f^N + d_2N f^N = P_N(f'/f),
     by evaluation at rational points and exact interpolation.
 
@@ -179,18 +172,14 @@ def compute_level_data(N, order=None):
     the lower sets 2b + 3c + 4d <= N -/+ 1, one inside the other.  The
     ODE is solved over QQ at each node (1, b, c, d) of the larger, with
     b, c, d among 0, -1, 1, -2, 2, ..., and newton_interpolate reads each
-    relation off the values on its own lower set.  order bounds the ODE
-    truncation from above; each node reads its values through x^1 only
-    (see _point_values).
+    relation off the values on its own lower set.  Each node reads its
+    values through x^1 only, so it is solved through N + 1 (see
+    _point_values).
     """
     if N < 2:
         raise ValueError("N must be >= 2")
-    if order is None:
-        order = 2 * N + 4
-    if order < 2 * N + 2:
-        raise InsufficientOrder(f"need order >= {2 * N + 2}, got {order}")
     nodes = [_zigzag(i) for i in range((N + 1) // 2 + 1)]
-    values = {e: _point_values(N, order, [nodes[i] for i in e])
+    values = {e: _point_values(N, [nodes[i] for i in e])
               for e in _lower_set((2, 3, 4), N + 1)}
 
     # R_{N-1}: the Zolotarev condition d_{N-1} = 0, normalized so the
@@ -211,7 +200,7 @@ def compute_level_data(N, order=None):
     r_upper = r_upper - A * A * r_lower * r_upper.coeff((N + 1, 0, 0, 0))
     r_upper = r_upper - B * r_lower * r_upper.coeff((N - 1, 1, 0, 0))
     r_upper = r_upper.monic()
-    return LevelNData(N, order, r_lower, r_upper)
+    return LevelNData(N, r_lower, r_upper)
 
 
 def _integer_coeffs(p):
@@ -433,43 +422,28 @@ def in_ideal(v, gens):
 # kernel membership for the level-N genera
 # ---------------------------------------------------------------------------
 
-_phi_cache = {}
-_level_cache = {}
 
-
-def _phi(order):
-    if order not in _phi_cache:
-        _phi_cache[order] = phi_ell(order)
-    return _phi_cache[order]
-
-
-def _level(N):
-    if N not in _level_cache:
-        _level_cache[N] = compute_level_data(N)
-    return _level_cache[N]
-
-
-def kernel_membership(name, X, N, order=None):
-    """Does X lie in the kernel of the level-N genus?
+def kernel_membership(name, models, N):
+    """Which of the manifolds lie in the kernel of the level-N genus?
 
     name = "phi_tilde_N": reduce phi_ell(X) modulo <R_{N-1}, R_{N+1}>.
     name = "a_tilde_N": reduce the two-variable A-tilde value modulo
     <T_{N-1}> in Q[A, B].
-    Returns (is_zero, reduced_value).
+    The genus, at the largest dimension among the models, and the ideal
+    are built once.  Returns [(is_zero, reduced_value)], one per model.
     """
-    if order is None:
-        order = max(X.dim, 4)
+    order = max(1, *(X.dim for X in models))
     if name == "phi_tilde_N":
-        v = evaluate(_phi(order), X)
-        data = _level(N)
-        reduced = reduce_mod_ideal(v, [data.r_lower, data.r_upper])
-        return reduced.is_zero(), reduced
-    if name == "a_tilde_N":
+        spec = phi_ell(order)
+        data = compute_level_data(N)
+        gens = [data.r_lower, data.r_upper]
+    elif name == "a_tilde_N":
         spec = classical_genus("a_tilde", order=order)
-        v = evaluate(spec, X)
-        reduced = reduce_mod_ideal(v, [t_poly(N)])
-        return reduced.is_zero(), reduced
-    raise ValueError(f"unknown kernel name {name!r}")
+        gens = [t_poly(N)]
+    else:
+        raise ValueError(f"unknown kernel name {name!r}")
+    reduced = [reduce_mod_ideal(evaluate(spec, X), gens) for X in models]
+    return [(r.is_zero(), r) for r in reduced]
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,17 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.cli import Opt, UsageError, _parse_options, main
+from ellgenus.cli import (
+    BLOWUP_MAX_N,
+    LEVELN_MAX_N,
+    Opt,
+    UsageError,
+    _parse_options,
+    main,
+)
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import evaluate
-from ellgenus import manifold_json, twisted_bundles
+from ellgenus import blowup, level_n, manifold_json, twisted_bundles
 from ellgenus.manifold_json import COUNT_LIMITS, MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
@@ -226,6 +233,27 @@ def test_blowup_verify_level_1_exits_2():
     rc, text = run("blowup", "verify", "--N", "1", "--format", "json")
     assert rc == 2
     assert json.loads(text) == {"error": "N must be >= 2"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, limit, module, name", [
+    (("leveln", "relations", "--N", "40"), LEVELN_MAX_N, level_n,
+     "compute_level_data"),
+    (("blowup", "verify", "--N", "60"), BLOWUP_MAX_N, blowup,
+     "verify_blowup_invariance"),
+], ids=["leveln", "blowup"])
+def test_level_over_its_limit_exits_2_at_once(argv, limit, module, name,
+                                              fmt, monkeypatch):
+    def ran(*args, **kwargs):
+        raise AssertionError("the algebra ran")
+
+    monkeypatch.setattr(module, name, ran)
+    rc, text = run(*argv, "--format", fmt)
+    assert rc == 2
+    assert text.count("\n") == 1
+    error = (json.loads(text)["error"] if fmt == "json"
+             else text.removeprefix("error: ").rstrip("\n"))
+    assert error == f"--N must be at most {limit}, got {argv[-1]}"
 
 
 def test_unknown_genus_exits_2():

@@ -563,15 +563,19 @@ def test_partitions_count():
 
 
 def test_power_sums():
-    ps = power_sums_in_chern(4)
-    assert ps[1:] == [
+    expected = [
         {(1,): 1},
         {(1, 1): 1, (2,): -2},
         {(1, 1, 1): 1, (2, 1): -3, (3,): 3},
         {(1, 1, 1, 1): 1, (2, 1, 1): -4, (2, 2): 2, (3, 1): 4, (4,): -4},
     ]
-    # one table, extended in place: a longer request shares the shorter
-    assert all(a is b for a, b in zip(ps, power_sums_in_chern(7)))
+    ps = power_sums_in_chern(4)
+    assert ps[1:] == expected
+    # each call builds its own table: changing one leaves the next intact
+    ps[2][(2,)] = 0
+    ps.append({})
+    assert power_sums_in_chern(4)[1:] == expected
+    assert power_sums_in_chern(7)[2] == {(1, 1): 1, (2,): -2}
 
 
 def test_milnor_vanishes_on_products():

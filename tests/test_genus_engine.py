@@ -54,10 +54,10 @@ def test_todd_of_projective_spaces():
 
 def test_todd_multiplicative_sequence_low_terms():
     todd = classical_genus("todd", order=4)
-    ms = multiplicative_sequence(todd, 3)
-    assert ms.ks[1] == {(1,): F(1, 2)}
-    assert ms.ks[2] == {(1, 1): F(1, 12), (2,): F(1, 12)}
-    assert ms.ks[3] == {(2, 1): F(1, 24)}
+    ks = multiplicative_sequence(todd, 3)
+    assert ks[1] == {(1,): F(1, 2)}
+    assert ks[2] == {(1, 1): F(1, 12), (2,): F(1, 12)}
+    assert ks[3] == {(2, 1): F(1, 24)}
 
 
 def test_signature_values():
@@ -372,9 +372,9 @@ def test_dimension_mismatch_raises():
 def test_trivial_genus():
     one = TruncatedSeries.one_series(QQ, 6)
     spec = GenusSpec(one)
-    ms = multiplicative_sequence(spec, 4)
+    ks = multiplicative_sequence(spec, 4)
     for m in range(1, 5):
-        assert ms.ks[m] == {}
+        assert ks[m] == {}
     assert evaluate(spec, cp_model(3)) == 0
 
 
@@ -417,7 +417,7 @@ def test_multiplicative_sequence_is_product_of_q(name):
     # sum_m K_m(e_1..e_m) = prod_i Q(x_i) through degree n, in n variables
     n = 4
     spec = classical_genus(name, order=n)
-    ms = multiplicative_sequence(spec, n)
+    ks = multiplicative_sequence(spec, n)
     ring = PolyRing(*(f"x{i + 1}" for i in range(n)), base=spec.ring)
     xs = [x.truncate(n) for x in ring.gens()]
     qc = [spec.q.coeff(e) for e in range(n + 1)]
@@ -427,7 +427,7 @@ def test_multiplicative_sequence_is_product_of_q(name):
     es = [None] + [_elementary_symmetric(xs, k) for k in range(1, n + 1)]
     total = ring.zero
     for m in range(n + 1):
-        for part, c in ms.ks[m].items():
+        for part, c in ks[m].items():
             term = ring.constant(c)
             for k in part:
                 term = term * es[k]
@@ -444,8 +444,7 @@ def test_log_route_builds_the_same_genus(name):
     assert spec.order == 7
     assert spec.q == ref.q
     assert spec.q is spec.q
-    assert multiplicative_sequence(spec, 5).ks == (
-        multiplicative_sequence(ref, 5).ks)
+    assert multiplicative_sequence(spec, 5) == multiplicative_sequence(ref, 5)
 
 
 def test_log_route_rejects_a_constant_term():
@@ -656,7 +655,7 @@ def _sequence_value(spec, x):
     if cv.dim > spec.order:
         raise DimensionMismatch(
             f"series truncated at order {spec.order}, manifold dim {cv.dim}")
-    ks = multiplicative_sequence(spec, cv.dim).ks[cv.dim]
+    ks = multiplicative_sequence(spec, cv.dim)[cv.dim]
     return spec.ring.dot((c, cv[part]) for part, c in ks.items() if cv[part])
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus import level_n
+from ellgenus import cohomology_models, criteria, genus_engine, level_n
 from ellgenus.algebra_kernel import QQ, TruncatedSeries
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.dense_poly import Localization, cyclotomic_polynomial
@@ -16,7 +16,6 @@ from ellgenus.jacobi_q import y_model
 from ellgenus.level_n import (
     AB_RING,
     GradedIdealPresentation,
-    InsufficientOrder,
     LevelNData,
     WrongPoleOrder,
     _echelon_insert,
@@ -103,11 +102,6 @@ def _level_data_symbolic(N, order):
 # ---------------------------------------------------------------------------
 
 
-def test_insufficient_order():
-    with pytest.raises(InsufficientOrder):
-        compute_level_data(3, order=7)
-
-
 def test_relations_are_homogeneous():
     for N in (2, 3, 4, 5):
         data = compute_level_data(N)
@@ -151,7 +145,7 @@ def test_higher_constraints_lie_in_the_ideal():
     # every further constraint should reduce to zero modulo the two
     # relations (checked, not assumed, for small N)
     for N in (2, 3):
-        data = compute_level_data(N, order=2 * N + 6)
+        data = compute_level_data(N)
         gens = [data.r_lower_q(), data.r_upper_q()]
         for _, c in _level_data_symbolic(N, 2 * N + 6).constraints:
             assert in_ideal(c, gens)
@@ -161,7 +155,6 @@ def test_higher_constraints_lie_in_the_ideal():
 def test_relations_match_symbolic_oracle(N):
     data = compute_level_data(N)
     oracle = _level_data_symbolic(N, 2 * N + 4)
-    assert data.order == 2 * N + 4
     assert data.r_lower == oracle.r_lower
     assert data.r_upper == oracle.r_upper
 
@@ -170,9 +163,10 @@ def test_relations_truncation_sound(monkeypatch):
     # every node solved to the least ODE order N + 1 against every node
     # solved to the whole order 2N + 8
     minimal = {N: compute_level_data(N) for N in (2, 3, 4, 5)}
-    monkeypatch.setattr(level_n, "_point_values", _point_values_full_window)
+    monkeypatch.setattr(level_n, "_point_values", lambda N, point:
+                        _point_values_full_window(N, 2 * N + 8, point))
     for N, data in minimal.items():
-        deeper = compute_level_data(N, order=2 * N + 8)
+        deeper = compute_level_data(N)
         assert (data.r_lower, data.r_upper) == (deeper.r_lower,
                                                 deeper.r_upper)
 
@@ -222,12 +216,11 @@ def _solve(rows, values):
 def _level_data_gauss_jordan(N):
     """compute_level_data before the lower-set kernel: the supports'
     square systems at points kept only if they raise the rank."""
-    order = 2 * N + 4
     support_lo = ABCD_RING.monomials_of_weight(N - 1)
     support_up = ABCD_RING.monomials_of_weight(N + 1)
     points_up = _unisolvent_points(support_up, _slice_points())
     points_lo = _unisolvent_points(support_lo, points_up)
-    values = {p: _point_values(N, order, p) for p in points_up}
+    values = {p: _point_values(N, p) for p in points_up}
 
     def interpolate(support, points, which):
         coeffs = _solve([_slice_row(support, p) for p in points],
@@ -265,11 +258,11 @@ def test_point_values_match_full_window(N):
     nodes = [_zigzag(i) for i in range((N + 1) // 2 + 1)]
     for e in _lower_set((2, 3, 4), N + 1):
         point = [nodes[i] for i in e]
-        assert _point_values(N, 2 * N + 4, point) == \
+        assert _point_values(N, point) == \
             _point_values_full_window(N, 2 * N + 4, point)
         # N + 1 is the least order that reaches x^1
         with pytest.raises(IndexError):
-            _point_values(N, N, point)
+            _point_values_full_window(N, N, point)
 
 
 @lru_cache(maxsize=None)
@@ -546,31 +539,80 @@ def test_reduce_mod_ideal_basics():
 
 def test_phi_tilde_kernel_cp():
     for N in (2, 3, 4, 5):
-        zero, _ = kernel_membership("phi_tilde_N", cp_model(N - 1), N)
+        [(zero, _)] = kernel_membership("phi_tilde_N", [cp_model(N - 1)], N)
         assert zero
     # and CP_N is not in the kernel
     for N in (2, 3):
-        zero, red = kernel_membership("phi_tilde_N", cp_model(N), N)
+        [(zero, red)] = kernel_membership("phi_tilde_N", [cp_model(N)], N)
         assert not zero and not red.is_zero()
 
 
 def test_phi_tilde_kernel_twisted_cp():
     for N in (2, 3, 4):
         m = catalog(f"TwCP({N + 1},1)")
-        zero, _ = kernel_membership("phi_tilde_N", m, N)
+        [(zero, _)] = kernel_membership("phi_tilde_N", [m], N)
         assert zero
 
 
 def test_phi_tilde_kernel_w5():
-    zero, _ = kernel_membership("phi_tilde_N", catalog("W5"), 2)
+    [(zero, _)] = kernel_membership("phi_tilde_N", [catalog("W5")], 2)
     assert zero
 
 
 def test_a_tilde_kernel():
     for N in (2, 3, 4):
-        assert kernel_membership("a_tilde_N", catalog("W3"), N)[0]
-        assert kernel_membership("a_tilde_N", cp_model(N - 1), N)[0]
-        assert not kernel_membership("a_tilde_N", cp_model(N), N)[0]
+        models = [catalog("W3"), cp_model(N - 1), cp_model(N)]
+        zeros = [z for z, _ in kernel_membership("a_tilde_N", models, N)]
+        assert zeros == [True, True, False]
+
+
+def test_kernel_membership_batch_matches_one_at_a_time():
+    # the genus is built at the largest dimension among the models, and
+    # the answers do not depend on which other models share the call
+    models = [cp_model(1), cp_model(2), catalog("TwCP(4,1)"), cp_model(3),
+              catalog("W5")]
+    for name in ("phi_tilde_N", "a_tilde_N"):
+        batch = kernel_membership(name, models, 3)
+        assert batch == [kernel_membership(name, [m], 3)[0] for m in models]
+    assert [z for z, _ in kernel_membership("phi_tilde_N", models, 3)] == [
+        False, True, True, False, True]
+
+
+def test_kernel_membership_unknown_name():
+    with pytest.raises(ValueError, match="unknown kernel name"):
+        kernel_membership("phi_N", [cp_model(1)], 2)
+
+
+def test_criterion_5_builds_each_level_once(monkeypatch):
+    # one question per N about CP_{N-1} and TwCP(N+1,1): one level data
+    # and one phi_ell for each of N = 2, 3, 4
+    levels, orders = [], []
+    real_level, real_phi = level_n.compute_level_data, level_n.phi_ell
+
+    def counted_level(N):
+        levels.append(N)
+        return real_level(N)
+
+    def counted_phi(order):
+        orders.append(order)
+        return real_phi(order)
+
+    monkeypatch.setattr(level_n, "compute_level_data", counted_level)
+    monkeypatch.setattr(level_n, "phi_ell", counted_phi)
+    assert criteria.criterion_5() == (
+        True, "kernel memberships and T_{N-1} proportionality hold")
+    assert levels == [2, 3, 4]
+    assert len(orders) == 3
+
+
+@pytest.mark.parametrize("module", [level_n, genus_engine,
+                                    cohomology_models])
+def test_no_module_level_containers(module):
+    # results depend on the arguments alone: no table carried between
+    # calls at module level
+    assert not [name for name, v in vars(module).items()
+                if isinstance(v, (dict, list, set))
+                and not name.startswith("__")]
 
 
 # ---------------------------------------------------------------------------

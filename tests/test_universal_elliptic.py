@@ -283,19 +283,19 @@ def test_q_coefficients_a1_to_a5():
 
 def test_multiplicative_sequence_K1_to_K5():
     spec = phi_ell(6)
-    ms = multiplicative_sequence(spec, 5)
-    assert ms.ks[1] == {(1,): A * F(1, 2)}
-    assert ms.ks[2] == {
+    ks = multiplicative_sequence(spec, 5)
+    assert ks[1] == {(1,): A * F(1, 2)}
+    assert ks[2] == {
         (2,): 2 * B * F(1, 48),
         (1, 1): (6 * A ** 2 - B) * F(1, 48),
     }
-    assert ms.ks[3] == {
+    assert ks[3] == {
         (3,): 48 * C * F(1, 96),
         (2, 1): (2 * (A * B) - 48 * C) * F(1, 96),
         (1, 1, 1): (2 * A ** 3 - A * B + 16 * C) * F(1, 96),
     }
     s4 = F(1, 2 ** 9 * 3 ** 2 * 5)
-    assert ms.ks[4] == {
+    assert ks[4] == {
         (4,): (-8 * B ** 2 + 4608 * D) * s4,
         (3, 1): (5760 * (A * C) + 8 * B ** 2 - 4608 * D) * s4,
         (2, 2): (24 * B ** 2 - 2304 * D) * s4,
@@ -308,7 +308,7 @@ def test_multiplicative_sequence_K1_to_K5():
         ) * s4,
     }
     s5 = F(1, 2 ** 10 * 3 ** 2 * 5)
-    assert ms.ks[5] == {
+    assert ks[5] == {
         (5,): 960 * (B * C) * s5,
         (4, 1): (-8 * (A * B ** 2) + 4608 * (A * D) - 960 * (B * C)) * s5,
         (3, 1, 1): (
