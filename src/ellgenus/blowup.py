@@ -147,12 +147,11 @@ def pushed_defect(spec, q, dim):
         )
     ring = PolyRing("v", *((f"e{i}", i) for i in range(1, q + 1)),
                     base=spec.ring)
-    top = min(q, dim)
     zeros = (0,) * q
     powers = [{zeros: q}] + [
         {tuple(part.count(i) for i in range(1, q + 1)): c
-         for part, c in pj.items() if part[0] <= top}
-        for pj in power_sums_in_chern(cap)[1:]]
+         for part, c in pj.items()}
+        for pj in power_sums_in_chern(cap, min(q, dim))[1:]]
     logs = [ring.zero]  # logs[m] = L_m, the weight-m part of log G
     for n in range(1, cap + 1):
         ints = {(n,) + zeros: 1}  # from log Q(v)

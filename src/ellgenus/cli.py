@@ -223,8 +223,9 @@ def cmd_genus_eval(args, out):
 
 
 def cmd_universal_coeffs(args, out):
-    spec = universal_elliptic.phi_ell(args.order)
-    rows = [(k, spec.q.coeff(k)) for k in range(1, args.order + 1)]
+    order = _at_most(args, "order", UNIVERSAL_MAX_ORDER)
+    spec = universal_elliptic.phi_ell(order)
+    rows = [(k, spec.q.coeff(k)) for k in range(1, order + 1)]
     if args.format == "json":
         _write_json({"coefficients": {f"a{k}": value_json(c) for k, c in rows}},
                     out)
@@ -234,21 +235,24 @@ def cmd_universal_coeffs(args, out):
     return 0
 
 
-# The largest --N of each command: the largest level it runs in about
-# 10 s cold (BENCH_pr24.json).  The time grows steeply above it.
+# The largest --N or --order of each command: the largest value it runs
+# in about 10 s cold (BENCH_pr24.json, BENCH_pr25.json).  The time grows
+# steeply above it.
 LEVELN_MAX_N = 14
-BLOWUP_MAX_N = 48
+BLOWUP_MAX_N = 66
+UNIVERSAL_MAX_ORDER = 92
 
 
-def _level_at_most(args, limit):
-    """args.N, checked against the command's limit before any algebra."""
-    if args.N > limit:
-        raise InputError(f"--N must be at most {limit}, got {args.N}")
-    return args.N
+def _at_most(args, name, limit):
+    """The option --name, checked against its limit before any algebra."""
+    value = getattr(args, name)
+    if value > limit:
+        raise InputError(f"--{name} must be at most {limit}, got {value}")
+    return value
 
 
 def cmd_leveln_relations(args, out):
-    N = _level_at_most(args, LEVELN_MAX_N)
+    N = _at_most(args, "N", LEVELN_MAX_N)
     data = level_n.compute_level_data(N)
     r_lower_q, r_upper_q = data.r_lower_q(), data.r_upper_q()
     res = level_n.eliminate(data)
@@ -293,7 +297,7 @@ def cmd_qexpand(args, out):
 
 
 def cmd_blowup_verify(args, out):
-    N = _level_at_most(args, BLOWUP_MAX_N)
+    N = _at_most(args, "N", BLOWUP_MAX_N)
     report = blowup.verify_blowup_invariance(N, qorder=args.qorder)
     ok = all(e["ok"] for e in report)
     if args.format == "json":
@@ -378,8 +382,8 @@ COMMANDS = (
         FORMAT)),
     ("universal", "coeffs", cmd_universal_coeffs,
      "coefficients of Q(x) over Q[A,B,C,D]", (
-        Opt("--order", "print a1 .. a<ORDER>", type=int, default=5,
-            alias="-o"),
+        Opt("--order", f"print a1 .. a<ORDER>, ORDER at most "
+            f"{UNIVERSAL_MAX_ORDER}", type=int, default=5, alias="-o"),
         FORMAT)),
     ("leveln", "relations", cmd_leveln_relations,
      "the relation ideal at level N", (

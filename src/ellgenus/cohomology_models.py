@@ -272,17 +272,20 @@ def chern_vector(m):
 # ---------------------------------------------------------------------------
 
 
-def power_sums_in_chern(n):
+def power_sums_in_chern(n, top=None):
     """[None, p_1, ..., p_n], each power sum p_k as a polynomial in
     c_1..c_k (partition -> integer), by Newton's identities
-    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k.
+    p_k = c_1 p_{k-1} - c_2 p_{k-2} + ... + (-1)^{k-1} k c_k,
+    with c_i = 0 for i > top (default n): only the partitions with parts
+    at most top are formed.
 
     Each call builds a new table, which the caller may change.
     """
+    top = n if top is None else top
     ps = [None]
     for k in range(1, n + 1):
-        acc = {(k,): (-1) ** (k - 1) * k}
-        for i in range(1, k):
+        acc = {(k,): (-1) ** (k - 1) * k} if k <= top else {}
+        for i in range(1, min(k, top + 1)):
             sign = (-1) ** (i - 1)
             for part, coeff in ps[k - i].items():
                 newp = tuple(sorted(part + (i,), reverse=True))

@@ -185,4 +185,4 @@ def q_of_h(h, name="genus"):
     ring = h.ring
     one_over_x = TruncatedSeries(ring, -1, [ring.one], h.order)
     log_q = -(h - one_over_x).integrate()
-    return GenusSpec.from_log_coeffs(ring, log_q.coeffs, name=name)
+    return GenusSpec(ring, log_q.coeffs, name=name)

@@ -1,15 +1,17 @@
 """Genera as ring homomorphisms on complex cobordism.
 
-A GenusSpec packages a characteristic power series Q(x) = 1 + a_1 x + ...
-over a coefficient ring, given by Q itself or by log Q = sum_m l_m x^m.
-A value is read in power sums: prod_i Q(x_i) = exp(sum_m l_m p_m), paired
-with the power-sum Chern numbers.  The multiplicative sequence K_0, K_1,
-... (that exponential graded by Chern weight) gives the total class K(c)
-in a cohomology model, and the genus logarithm g the formal group law
+A GenusSpec is a characteristic power series Q(x) = 1 + a_1 x + ...
+over a coefficient ring, given and stored by its logarithm
+log Q = sum_m l_m x^m.  A value is read in power sums:
+prod_i Q(x_i) = exp(sum_m l_m p_m), paired with the power-sum Chern
+numbers.  The multiplicative sequence K_0, K_1, ... (that exponential,
+a series graded by Chern weight) gives the total class K(c) in a
+cohomology model, and the genus logarithm g the formal group law
 F(u, v) = f(g(u) + g(v)).  The classical genera (Todd, twisted Todd,
 signature, A-hat, Euler and the two-variable A-tilde) are given by
 closed-form logarithms in b_n = B_n/n!, the coefficients of
-x/(e^x - 1); chi_y by Q(x) = x + u/(e^u - 1) with u = (1 + y) x.
+x/(e^x - 1); chi_y by the log of Q(x) = x + u/(e^u - 1) with
+u = (1 + y) x.
 """
 
 from __future__ import annotations
@@ -41,35 +43,22 @@ class BadParams(ValueError):
 
 
 class GenusSpec:
-    """A genus given by its characteristic series Q(x) = x / f(x).
+    """A genus given by its logarithm log Q(x) = sum_m l_m x^m, from
+    log_coeffs = [0, l_1, ..., l_order] over the coefficient ring.
 
-    It is built from Q, whose constant term must be 1 (checked here), or
-    by from_log_coeffs from log Q(x) = sum_m l_m x^m.  Whichever of q
-    and log_coeffs was not given is computed on first access, as are
-    f_series = x/Q and its compositional inverse log_series, which the
-    formal group law reads.  Evaluation and the multiplicative sequence
-    read only the log coefficients.
+    Evaluation, the multiplicative sequence and every other reader of
+    the genus take the l_m alone.  The characteristic series
+    Q(x) = x / f(x), f_series = x/Q and its compositional inverse
+    log_series, which the formal group law reads, are computed on first
+    access.
     """
 
-    def __init__(self, q_series, name="genus"):
-        if q_series.low > 0 or q_series.coeff(0) != q_series.ring.one:
-            raise BadValuation("characteristic series must start with 1")
-        self.q = q_series
-        self._init(q_series.ring, q_series.order, name)
-
-    @classmethod
-    def from_log_coeffs(cls, ring, log_coeffs, name="genus"):
-        """The genus with log Q(x) = sum_m l_m x^m, from [0, l_1, ..., l_n]."""
+    def __init__(self, ring, log_coeffs, name="genus"):
         if not coeff_is_zero(log_coeffs[0]):
             raise BadValuation("log Q must have zero constant term")
-        spec = cls.__new__(cls)
-        spec.log_coeffs = [ring.zero] + list(log_coeffs[1:])
-        spec._init(ring, len(log_coeffs) - 1, name)
-        return spec
-
-    def _init(self, ring, order, name):
         self.ring = ring
-        self.order = order
+        self.log_coeffs = [ring.zero] + list(log_coeffs[1:])
+        self.order = len(log_coeffs) - 1
         self.name = name
 
     @cached_property
@@ -84,13 +73,6 @@ class GenusSpec:
         tail = TruncatedSeries(ring, 0, [ring.zero] * 2 + logs[2:],
                                order).exp()
         return TruncatedSeries(ring, 0, e, order) * tail
-
-    @cached_property
-    def log_coeffs(self):
-        """[0, l_1, ..., l_order] with log Q(x) = sum_m l_m x^m."""
-        logq = self.q.log()
-        return [logq.coeff(m) if m >= 1 else self.ring.zero
-                for m in range(self.order + 1)]
 
     # -- derived series -----------------------------------------------------
 
@@ -110,39 +92,29 @@ class GenusSpec:
 
 
 def multiplicative_sequence(spec, n):
-    """[K_0, ..., K_n] for the genus, via log coefficients and Newton's
-    identities: K_m maps each partition of m (the monomial prod c_{p_i})
-    to its coefficient, and K_0 = 1.
+    """[K_0, ..., K_n] for the genus: K_m maps each partition of m (the
+    monomial prod c_{p_i}) to its coefficient, and K_0 = 1.
 
-    sum_i log Q(x_i) = sum_m L_m with L_m = l_m p_m(c) of Chern weight m;
-    exponentiating in the ring graded by that weight gives
-    prod_i Q(x_i) = sum_n K_n(c_1..c_n), by the graded exponential
-    K_n = (1/n) sum_m m L_m K_{n-m}.
+    sum_i log Q(x_i) = sum_m L_m with L_m = l_m p_m(c) of Chern weight m,
+    p_m the power sum in c_1..c_m; prod_i Q(x_i) = sum_m K_m(c_1..c_m)
+    is its exponential, taken as a series graded by that weight in
+    spec.ring[c_1..c_n], c_i of weight i.
     """
     if n > spec.order:
         raise DimensionMismatch(
             f"series truncated at order {spec.order}, need {n}"
         )
     from .cohomology_models import power_sums_in_chern
+    from .weighted_poly import PolyRing, WeightedPoly
 
-    ring = spec.ring
-    # dlog[m] = m L_m as partition -> coefficient
-    dlog = [{} if coeff_is_zero(lm) else
-            {part: lm * (m * c) for part, c in pm.items()}
-            for m, (lm, pm) in enumerate(zip(spec.log_coeffs,
-                                              power_sums_in_chern(n)))]
-    ks = [{(): ring.one}]
-    for w in range(1, n + 1):
-        buckets = {}
-        for m in range(1, w + 1):
-            for p1, c1 in dlog[m].items():
-                for p2, c2 in ks[w - m].items():
-                    p = tuple(sorted(p1 + p2, reverse=True))
-                    buckets.setdefault(p, []).append((c1, c2))
-        inv_w = Fraction(1, w)
-        kw = {p: ring.dot(ps) * inv_w for p, ps in buckets.items()}
-        ks.append({p: c for p, c in kw.items() if not coeff_is_zero(c)})
-    return ks
+    ring = PolyRing(*((f"c{i}", i) for i in range(1, n + 1)), base=spec.ring)
+    logs = [ring.zero] + [
+        WeightedPoly(ring, {tuple(part.count(i) for i in range(1, n + 1)):
+                            lm * c for part, c in pm.items()})
+        for lm, pm in zip(spec.log_coeffs[1:], power_sums_in_chern(n)[1:])]
+    return [{tuple(i for i in range(n, 0, -1) for _ in range(e[i - 1])): c
+             for e, c in km.terms.items()}
+            for km in TruncatedSeries(ring, 0, logs, n).exp().coeffs]
 
 
 def evaluate(spec, x):
@@ -174,13 +146,13 @@ def evaluate(spec, x):
                     for top, pairs in groups.items())
 
 
-def multiplicative_class(spec, model, chern_elt=None):
+def multiplicative_class(spec, model):
     """K(c) = sum_m K_m(c_1..c_m) as a model element (the total class),
-    at the Chern classes of the tangent bundle or of any total class c."""
+    at the Chern classes of the tangent bundle."""
     from .cohomology_models import chern_monomials
 
     top = min(model.dim, spec.order)
-    monomial = chern_monomials(model, chern_elt, top)
+    monomial = chern_monomials(model, top=top)
     K = model.one_elt()  # K_0 = 1
     for km in multiplicative_sequence(spec, top)[1:]:
         for part, coeff in km.items():
@@ -229,12 +201,13 @@ def _todd_type(name, order, l1=QQ.zero, scale=lambda _: -1, ring=QQ):
         logs[1] = l1
     for m in range(2, order + 1, 2):
         logs[m] = scale(m // 2) * (b[m] / m)
-    return GenusSpec.from_log_coeffs(ring, logs, name)
+    return GenusSpec(ring, logs, name)
 
 
-def _chi_y_series(ring, y, order):
-    """Q(x) = x + u/(e^u - 1) with u = (1 + y) x, for y in ring:
-    a_0 = 1, a_1 = (1 - y)/2 and a_n = b_n (1 + y)^n."""
+def _chi_y_genus(ring, y, order, name):
+    """The genus with Q(x) = x + u/(e^u - 1), u = (1 + y) x, for y in
+    ring: a_0 = 1, a_1 = (1 - y)/2 and a_n = b_n (1 + y)^n; its log is
+    taken once, here."""
     b = _bernoulli_over_factorial(order)
     one_plus_y = ring.one + y
     coeffs = [ring.one, (ring.one - y) * Fraction(1, 2)]
@@ -242,7 +215,8 @@ def _chi_y_series(ring, y, order):
     for n in range(2, order + 1):
         power = power * one_plus_y
         coeffs.append(power * b[n])
-    return TruncatedSeries(ring, 0, coeffs, order)
+    return GenusSpec(ring, TruncatedSeries(ring, 0, coeffs, order).log().coeffs,
+                     name)
 
 
 def classical_genus(name, params=None, order=12):
@@ -275,20 +249,17 @@ def classical_genus(name, params=None, order=12):
         return _todd_type("a_hat", order)
     if name == "euler":
         # chi_y at y = EULER_POINT: Q(x) = 1 + x, K_n = c_n
-        return GenusSpec.from_log_coeffs(
-            QQ, [QQ.zero] + [Fraction((-1) ** (m + 1), m)
-                             for m in range(1, order + 1)],
-            name="euler")
+        return GenusSpec(QQ, [QQ.zero] + [Fraction((-1) ** (m + 1), m)
+                                          for m in range(1, order + 1)],
+                         name="euler")
     if name == "chi_y":
         if "y" in params:
             yval = _fr(params["y"])
-            return GenusSpec(_chi_y_series(QQ, yval, order),
-                             name=f"chi_y(y={yval})")
+            return _chi_y_genus(QQ, yval, order, f"chi_y(y={yval})")
         from .weighted_poly import PolyRing
 
         ring = PolyRing(("y", 1))
-        return GenusSpec(_chi_y_series(ring, ring.gen("y"), order),
-                         name="chi_y")
+        return _chi_y_genus(ring, ring.gen("y"), order, "chi_y")
     if name == "a_tilde":
         # e^{(A/2) x} w/sinh(w) with w = sqrt(B/2) x/2, so w^2 = B x^2/8
         from .weighted_poly import PolyRing

@@ -254,8 +254,7 @@ def phi_ell_q(qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER, mode="formal"):
             Fraction((-m) ** k + m ** k, m * factorial(k))))
         sums[0] = unit.coeff(k) + todd[k]
         logs.append(TruncatedSeries(ring, 0, sums, qorder))
-    return GenusSpec.from_log_coeffs(nested, logs,
-                                     name=f"phi_ell(q; {mode})")
+    return GenusSpec(nested, logs, name=f"phi_ell(q; {mode})")
 
 
 # The benchmark's tracer (bench/tracer.py) times the q-side build under

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .algebra_kernel import QQ, TruncatedSeries
+from .algebra_kernel import QQ
 # the ODE names are re-exported: callers read them here as well
 from .elliptic_ode import (
     ABCDPoint,
@@ -62,11 +62,9 @@ def specialize(spec, point, name=None):
     else:
         images = dict(point)
     target = getattr(point, "ring", QQ)
-    coeffs = [c.substitute(images, ring=target) for c in spec.q.coeffs]
-    return GenusSpec(
-        TruncatedSeries(target, 0, coeffs, spec.order),
-        name=name or f"{spec.name}|point",
-    )
+    return GenusSpec(target, [c.substitute(images, ring=target)
+                              for c in spec.log_coeffs],
+                     name=name or f"{spec.name}|point")
 
 
 # ---------------------------------------------------------------------------

@@ -336,7 +336,8 @@ def test_pushed_defect_matches_root_oracle(which):
        st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=3))
 def test_pushed_defect_matches_root_oracle_random_series(tail, q, dim):
-    spec = GenusSpec(TruncatedSeries(QQ, 0, [F(1)] + tail, 7))
+    series = TruncatedSeries(QQ, 0, [F(1)] + tail, 7)
+    spec = GenusSpec(series.ring, series.log().coeffs)
     assert pushed_defect(spec, q, dim).terms == _root_defect(spec, q, dim)
 
 
@@ -413,9 +414,10 @@ def test_defect_of_a_linear_center_matches_the_blown_up_space(n, k):
     # the blow-up of CP^n along a linear CP^k is the projective bundle
     # P(O^(k+1) + O(-1)) over CP^(n-k-1); a genus with odd terms makes the
     # pushed defect carry e-monomials, so their Chern evaluation is tested
-    spec = GenusSpec(TruncatedSeries(QQ, 0, [
+    q = TruncatedSeries(QQ, 0, [
         F(1), F(2, 3), F(-1, 5), F(3, 7), F(1, 2), F(-2, 3), F(5, 4),
-        F(1, 9)], 7))
+        F(1, 9)], 7)
+    spec = GenusSpec(q.ring, q.log().coeffs)
     base = cp_model(n - k - 1)
     h = base.scale(base.chern_class(1), F(-1, n - k))
     blown_up = twisted_proj_bundle_model(base, e_lines=[h], e_trivial=k + 1)

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ellgenus.cli import (
     BLOWUP_MAX_N,
     LEVELN_MAX_N,
+    UNIVERSAL_MAX_ORDER,
     Opt,
     UsageError,
     _parse_options,
@@ -20,7 +21,8 @@ from ellgenus.cli import (
 )
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import evaluate
-from ellgenus import blowup, level_n, manifold_json, twisted_bundles
+from ellgenus import (blowup, level_n, manifold_json, twisted_bundles,
+                     universal_elliptic)
 from ellgenus.manifold_json import COUNT_LIMITS, MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
@@ -239,9 +241,11 @@ def test_blowup_verify_level_1_exits_2():
 @pytest.mark.parametrize("argv, limit, module, name", [
     (("leveln", "relations", "--N", "40"), LEVELN_MAX_N, level_n,
      "compute_level_data"),
-    (("blowup", "verify", "--N", "60"), BLOWUP_MAX_N, blowup,
+    (("blowup", "verify", "--N", "1000"), BLOWUP_MAX_N, blowup,
      "verify_blowup_invariance"),
-], ids=["leveln", "blowup"])
+    (("universal", "coeffs", "--order", "100000"), UNIVERSAL_MAX_ORDER,
+     universal_elliptic, "phi_ell"),
+], ids=["leveln", "blowup", "universal"])
 def test_level_over_its_limit_exits_2_at_once(argv, limit, module, name,
                                               fmt, monkeypatch):
     def ran(*args, **kwargs):
@@ -253,7 +257,7 @@ def test_level_over_its_limit_exits_2_at_once(argv, limit, module, name,
     assert text.count("\n") == 1
     error = (json.loads(text)["error"] if fmt == "json"
              else text.removeprefix("error: ").rstrip("\n"))
-    assert error == f"--N must be at most {limit}, got {argv[-1]}"
+    assert error == f"{argv[-2]} must be at most {limit}, got {argv[-1]}"
 
 
 def test_unknown_genus_exits_2():

@@ -337,10 +337,11 @@ def test_scaling_action():
     todd = classical_genus("todd", order=6)
     ring = PolyRing(("s", 1))
     s = ring.gen("s")
-    scaled = GenusSpec(TruncatedSeries(
+    q = TruncatedSeries(
         ring, 0,
         [ring.from_fraction(todd.q.coeff(e)) * s ** e for e in range(7)], 6,
-    ))
+    )
+    scaled = GenusSpec(q.ring, q.log().coeffs)
     for m in (cp_model(2), cp_model(3), quartic_surface()):
         assert evaluate(scaled, m) == s ** m.dim * evaluate(todd, m)
 
@@ -352,7 +353,8 @@ def test_su_insensitivity():
     ex = TruncatedSeries.from_function(
         QQ, lambda e: a ** e / factorial(e), 8
     )
-    twisted = GenusSpec((todd.q * ex).truncate(8))
+    q = (todd.q * ex).truncate(8)
+    twisted = GenusSpec(q.ring, q.log().coeffs)
     for name in ("W2", "W4", "W5", "W6"):
         m = catalog(name)
         assert chern_vector(m).is_su()
@@ -371,7 +373,7 @@ def test_dimension_mismatch_raises():
 
 def test_trivial_genus():
     one = TruncatedSeries.one_series(QQ, 6)
-    spec = GenusSpec(one)
+    spec = GenusSpec(one.ring, one.log().coeffs)
     ks = multiplicative_sequence(spec, 4)
     for m in range(1, 5):
         assert ks[m] == {}
@@ -379,7 +381,7 @@ def test_trivial_genus():
 
 
 # ---------------------------------------------------------------------------
-# the log coefficients, computed on first use
+# a genus from its log coefficients, and Q from them on first use
 # ---------------------------------------------------------------------------
 
 
@@ -388,18 +390,18 @@ def test_bad_constant_term_raises_at_construction():
               TruncatedSeries(QQ, 1, [F(1)], 4),
               TruncatedSeries.zero_series(QQ, 4)):
         with pytest.raises(BadValuation):
-            GenusSpec(q)
+            GenusSpec(q.ring, q.log().coeffs)
 
 
 @pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
-def test_log_coeffs_are_lazy_and_match_series_log(name):
-    # a genus given by its Q computes log Q on first access
-    spec = GenusSpec(classical_genus(name, order=7).q, name=name)
-    assert "log_coeffs" not in vars(spec)
-    logq = spec.q.log()
-    expected = [spec.ring.zero] + [logq.coeff(m) for m in range(1, 8)]
-    assert spec.log_coeffs == expected
-    assert spec.log_coeffs is spec.log_coeffs
+def test_log_coeffs_match_series_log(name):
+    # a genus built from log Q of a classical Q gives back that Q
+    q = classical_genus(name, order=7).q
+    logq = q.log()
+    spec = GenusSpec(q.ring, logq.coeffs, name=name)
+    assert spec.log_coeffs == [spec.ring.zero] + [
+        logq.coeff(m) for m in range(1, 8)]
+    assert spec.q == q
 
 
 def _elementary_symmetric(xs, k):
@@ -412,11 +414,15 @@ def _elementary_symmetric(xs, k):
     return total[k]
 
 
-@pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
+@pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y",
+                                  "phi_ell", "phi_ell_q"])
 def test_multiplicative_sequence_is_product_of_q(name):
-    # sum_m K_m(e_1..e_m) = prod_i Q(x_i) through degree n, in n variables
+    # sum_m K_m(e_1..e_m) = prod_i Q(x_i) through degree n, in n variables;
+    # phi_ell is over Q[A, B, C, D] and phi_ell_q over Q(zeta_3)[[q]]
     n = 4
-    spec = classical_genus(name, order=n)
+    spec = (phi_ell(n) if name == "phi_ell" else
+            phi_ell_q(2, n, 3) if name == "phi_ell_q" else
+            classical_genus(name, order=n))
     ks = multiplicative_sequence(spec, n)
     ring = PolyRing(*(f"x{i + 1}" for i in range(n)), base=spec.ring)
     xs = [x.truncate(n) for x in ring.gens()]
@@ -437,9 +443,9 @@ def test_multiplicative_sequence_is_product_of_q(name):
 
 @pytest.mark.parametrize("name", ["todd", "signature", "a_hat", "chi_y"])
 def test_log_route_builds_the_same_genus(name):
-    # from_log_coeffs takes log Q and forms Q = exp on first access
+    # the genus keeps log Q and forms Q = exp on first access
     ref = classical_genus(name, order=7)
-    spec = GenusSpec.from_log_coeffs(ref.ring, ref.log_coeffs, name=name)
+    spec = GenusSpec(ref.ring, ref.log_coeffs, name=name)
     assert "q" not in vars(spec)
     assert spec.order == 7
     assert spec.q == ref.q
@@ -449,7 +455,7 @@ def test_log_route_builds_the_same_genus(name):
 
 def test_log_route_rejects_a_constant_term():
     with pytest.raises(BadValuation):
-        GenusSpec.from_log_coeffs(QQ, [F(1), F(1, 2)])
+        GenusSpec(QQ, [F(1), F(1, 2)])
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +470,8 @@ def genus_from_log(g, name="genus"):
         raise BadValuation("genus logarithm needs valuation exactly 1")
     f = g.compose_inverse()
     x = TruncatedSeries.x_series(g.ring, f.order)
-    return GenusSpec((x * f.inverse()).truncate(f.order), name=name)
+    q = (x * f.inverse()).truncate(f.order)
+    return GenusSpec(q.ring, q.log().coeffs, name=name)
 
 
 def test_genus_from_log_identity():
@@ -503,7 +510,7 @@ def test_log_series_roundtrip():
 
 def test_formal_group_law_trivial_and_todd():
     one = TruncatedSeries.one_series(QQ, 6)
-    Fuv = formal_group_law(GenusSpec(one), 6)
+    Fuv = formal_group_law(GenusSpec(one.ring, one.log().coeffs), 6)
     u = {(1, 0): F(1)}
     assert Fuv.terms == {(1, 0): F(1), (0, 1): F(1)}
     todd = classical_genus("todd", order=6)
@@ -578,22 +585,10 @@ def test_multiplicative_class_todd_cp2():
     assert K == {0: F(1), 1: F(3, 2), 2: F(1)}
 
 
-def test_multiplicative_class_whitney():
-    # K of a Whitney sum factors: use c(TCP2) * c(TCP1) inside CP2 x CP1
-    todd = classical_genus("todd", order=6)
-    x, y = cp_model(2), cp_model(1)
-    m = product_model(x, y)
-    cx = {(a, y.unit): c for a, c in x.chern.items()}
-    cy = {(x.unit, b): c for b, c in y.chern.items()}
-    Kx = multiplicative_class(todd, m, cx)
-    Ky = multiplicative_class(todd, m, cy)
-    assert multiplicative_class(todd, m) == m.mul(Kx, Ky)
-
-
-def _multiplicative_class_by_newton(spec, model, chern_elt=None):
+def _multiplicative_class_by_newton(spec, model):
     """Oracle: K(c) = exp(sum_m l_m p_m) in the model, with the power sums
-    p_m of c from Newton's identities."""
-    c = model.chern if chern_elt is None else chern_elt
+    p_m of c = c(TX) from Newton's identities."""
+    c = model.chern
     top = min(model.dim, spec.order)
     cs = [model.degree_part(c, m) for m in range(top + 1)]
     # Newton: p_m = c_1 p_{m-1} - c_2 p_{m-2} + ... + (-1)^{m-1} m c_m
@@ -627,12 +622,6 @@ def test_multiplicative_class_matches_newton_oracle(name):
     for m in _class_models():
         assert multiplicative_class(spec, m) == (
             _multiplicative_class_by_newton(spec, m))
-    # a total class other than the tangent bundle's
-    x, y = cp_model(2), cp_model(1)
-    m = product_model(x, y)
-    cx = {(a, y.unit): c for a, c in x.chern.items()}
-    assert multiplicative_class(spec, m, cx) == (
-        _multiplicative_class_by_newton(spec, m, cx))
 
 
 def test_multiplicative_class_of_the_theta_product():
@@ -767,7 +756,7 @@ def test_evaluate_on_a_point_and_on_zero(name):
 
 def test_evaluate_reads_only_the_parts_with_nonzero_l():
     # l_m = 0 for odd m: odd dimensions give 0, and no odd part is read
-    spec = GenusSpec.from_log_coeffs(
+    spec = GenusSpec(
         QQ, [F(0), F(0), F(1, 3), F(0), F(-2, 5), F(0), F(1, 7)])
     for x in (cp_model(3), cp_model(4), product_model(cp_model(2),
                                                       quartic_surface()),

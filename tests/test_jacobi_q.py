@@ -238,7 +238,8 @@ def _product_genus(qorder, xorder, mode):
                 coeffs.append(col + nested.one if k == 0 else col)
             q_of_x = q_of_x * TruncatedSeries(nested, 0, coeffs, xorder)
     norm_inv = _phi_at_minus_z_product(qorder, ring, y).inverse()
-    return GenusSpec(xscale(q_of_x, norm_inv))
+    q = xscale(q_of_x, norm_inv)
+    return GenusSpec(q.ring, q.log().coeffs)
 
 
 def _assert_q_series_agree(a, b, qorder):

@@ -4,7 +4,7 @@ from math import factorial
 
 import pytest
 
-from ellgenus.algebra_kernel import TruncatedSeries
+from ellgenus.algebra_kernel import QQ, TruncatedSeries
 from ellgenus.cohomology_models import catalog, chern_vector, cp_model
 from ellgenus.genus_engine import (
     classical_genus,
@@ -395,6 +395,22 @@ def test_specialize_phi_A():
     phiA = specialize(spec, ABCDPoint(F(2), F(0), F(0), F(0)))
     for n in range(1, 7):
         assert evaluate(phiA, cp_model(n)) == F((n + 1) ** n, factorial(n))
+
+
+@pytest.mark.parametrize("point", _seeded_points(20251, 4),
+                         ids=["p0", "p1", "p2", "p3"])
+def test_specialize_matches_q_substitution_and_ode_at_points(point):
+    # the point goes into log Q; Q's own coefficients substituted, and the
+    # ODE solved at the point, are two independent routes to the same Q
+    spec = phi_ell(8)
+    images = dict(zip(("A", "B", "C", "D"), point))
+    got = specialize(spec, point)
+    assert got.order == 8
+    assert got.q.coeffs == [c.substitute(images, ring=QQ)
+                            for c in spec.q.coeffs]
+    at_point = q_of_h(solve_h(abcd_to_q(point), 8))
+    assert got.log_coeffs == at_point.log_coeffs
+    assert got.q.coeffs == at_point.q.coeffs
 
 
 def test_specialize_chi_y_via_quartic():
