@@ -49,16 +49,17 @@ def _fr(x):
 #     zero, one, from_fraction(fr), dot(pairs)
 # whose elements support +, -, unary -, *, == and multiplication by Fraction.
 # Fraction itself is the base case.  PolyRing (weighted_poly), QuotientRing
-# and Localization (dense_poly) are ring contexts too, so coefficient rings
-# nest.
+# and Localization (dense_poly) and the flat q-series ring QSeriesRing
+# (jacobi_q) are ring contexts too, so coefficient rings nest.
 #
 # dot(pairs) is the sum of a * b over an iterable of pairs, each factor an
 # element of the ring or a rational.  It equals the fold s = zero; s = s +
 # a * b, with the same truncation, but accumulates in the unnormalised
 # representation and normalises once, at the end: one Fraction for QQ, one
 # gcd for a polynomial over QQ (int numerators over one denominator), one
-# reduction mod m in a QuotientRing, one _strip in a Localization, and over
-# any other nested ring one base dot per coefficient of the result.
+# reduction mod m in a QuotientRing, one _strip in a Localization, one
+# integer convolution in a QSeriesRing, and over any other nested ring one
+# base dot per coefficient of the result.
 # Products of polynomials and of series, and the convolutions of the
 # builders, are built on it.  It reads the pairs once.
 # ---------------------------------------------------------------------------

@@ -17,9 +17,9 @@ import importlib.util
 import os
 import sys
 from fractions import Fraction
+from math import gcd
 from types import SimpleNamespace
 
-from .algebra_kernel import TruncatedSeries
 from .genus_engine import classical_genus, evaluate
 
 
@@ -119,7 +119,7 @@ def value_json(v):
         return poly_pairs(v)
     if isinstance(v, dense_poly.RationalFunction):
         return laurent_pairs(v)
-    if isinstance(v, TruncatedSeries):
+    if hasattr(v, "low"):  # a series: a TruncatedSeries or a QSeries
         return {str(n): value_json(v.coeff(n))
                 for n in range(max(v.low, 0), v.order + 1)}
     return str(v)
@@ -132,7 +132,7 @@ def value_str(v):
         return str(v)
     if isinstance(v, dense_poly.RationalFunction):
         return laurent_str(v)
-    if isinstance(v, TruncatedSeries):
+    if hasattr(v, "low"):  # a series: a TruncatedSeries or a QSeries
         rows = [f"q^{n}: {value_str(v.coeff(n))}"
                 for n in range(max(v.low, 0), v.order + 1)]
         return "\n".join(rows)
@@ -209,7 +209,7 @@ def _manifold_label(m, sel):
 
 def cmd_genus_eval(args, out):
     m = resolve_manifold(args.manifold)
-    dim = m.dim
+    dim = _at_most("the manifold's dimension", m.dim, GENUS_MAX_DIM)
     # the value reads Q only through x^dim, so --order beyond it changes
     # nothing; a genus needs order >= 1 even on a point
     spec = resolve_genus(args.genus, max(dim, 1))
@@ -223,7 +223,7 @@ def cmd_genus_eval(args, out):
 
 
 def cmd_universal_coeffs(args, out):
-    order = _at_most(args, "order", UNIVERSAL_MAX_ORDER)
+    order = _at_most("--order", args.order, UNIVERSAL_MAX_ORDER)
     spec = universal_elliptic.phi_ell(order)
     rows = [(k, spec.q.coeff(k)) for k in range(1, order + 1)]
     if args.format == "json":
@@ -237,22 +237,27 @@ def cmd_universal_coeffs(args, out):
 
 # The largest --N or --order of each command: the largest value it runs
 # in about 10 s cold (BENCH_pr24.json, BENCH_pr25.json).  The time grows
-# steeply above it.
+# steeply above it.  So do the limits on the manifold's dimension and on
+# --qorder times the cost of one q-coefficient (BENCH_pr26.json);
+# QEXPAND_MAX_DIM is the largest dimension of a JSON SU class.
 LEVELN_MAX_N = 14
 BLOWUP_MAX_N = 66
 UNIVERSAL_MAX_ORDER = 92
+GENUS_MAX_DIM = 40
+QEXPAND_MAX_DIM = 32
+QEXPAND_MAX_WORK = 480
+BLOWUP_MAX_WORK = 180
 
 
-def _at_most(args, name, limit):
-    """The option --name, checked against its limit before any algebra."""
-    value = getattr(args, name)
+def _at_most(what, value, limit):
+    """value, checked against its limit before any algebra."""
     if value > limit:
-        raise InputError(f"--{name} must be at most {limit}, got {value}")
+        raise InputError(f"{what} must be at most {limit}, got {value}")
     return value
 
 
 def cmd_leveln_relations(args, out):
-    N = _at_most(args, "N", LEVELN_MAX_N)
+    N = _at_most("--N", args.N, LEVELN_MAX_N)
     data = level_n.compute_level_data(N)
     r_lower_q, r_upper_q = data.r_lower_q(), data.r_upper_q()
     res = level_n.eliminate(data)
@@ -285,6 +290,9 @@ def cmd_leveln_relations(args, out):
 
 def cmd_qexpand(args, out):
     m = resolve_manifold(args.manifold)
+    dim = _at_most("the manifold's dimension", m.dim, QEXPAND_MAX_DIM)
+    _at_most(f"--qorder in dimension {dim}", args.qorder,
+             QEXPAND_MAX_WORK // max(dim, 2))
     v = jacobi_q.chi_y_loop(m, args.qorder)
     if args.format == "json":
         _write_json({"manifold": _manifold_label(m, args.manifold), "qorder": args.qorder,
@@ -297,7 +305,11 @@ def cmd_qexpand(args, out):
 
 
 def cmd_blowup_verify(args, out):
-    N = _at_most(args, "N", BLOWUP_MAX_N)
+    N = _at_most("--N", args.N, BLOWUP_MAX_N)
+    # phi(N), the degree of Q(zeta_N)
+    phi = sum(gcd(k, N) == 1 for k in range(N))
+    _at_most(f"--qorder at level {N}", args.qorder,
+             BLOWUP_MAX_WORK // phi - 1)
     report = blowup.verify_blowup_invariance(N, qorder=args.qorder)
     ok = all(e["ok"] for e in report)
     if args.format == "json":
@@ -378,7 +390,8 @@ COMMANDS = (
             required=True),
         MANIFOLD,
         Opt("--order", "series order; read only up to the manifold's "
-            "dimension", type=int, default=12, alias="-o"),
+            f"dimension, which is at most {GENUS_MAX_DIM}", type=int,
+            default=12, alias="-o"),
         FORMAT)),
     ("universal", "coeffs", cmd_universal_coeffs,
      "coefficients of Q(x) over Q[A,B,C,D]", (
@@ -392,13 +405,16 @@ COMMANDS = (
         FORMAT)),
     ("qexpand", None, cmd_qexpand, "q-expansion of chi_y(q, LX)", (
         MANIFOLD,
-        Opt("--qorder", "print q^0 .. q^<QORDER>", type=int, default=3),
+        Opt("--qorder", "print q^0 .. q^<QORDER>; the dimension is at most "
+            f"{QEXPAND_MAX_DIM} and QORDER times it (at least 2) at most "
+            f"{QEXPAND_MAX_WORK}", type=int, default=3),
         FORMAT)),
     ("blowup", "verify", cmd_blowup_verify,
      "level-N blow-up invariance report", (
         Opt("--N", f"the level, at most {BLOWUP_MAX_N}", type=int,
             required=True),
-        Opt("--qorder", "q-order of the genus checked", type=int, default=2),
+        Opt("--qorder", "q-order of the genus checked; QORDER + 1 times "
+            f"phi(N) at most {BLOWUP_MAX_WORK}", type=int, default=2),
         FORMAT)),
     ("verify", "all", cmd_verify_all, "run all acceptance criteria",
      (FORMAT,)),

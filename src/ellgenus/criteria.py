@@ -313,8 +313,7 @@ def criterion_6():
     for n, exp in displays.items():
         if as_y_laurent(v.coeff(n)) != exp:
             return False, f"q^{n} display mismatch"
-    ring, y = y_model("formal")
-    norm = phi_at_minus_z(qorder, ring, y)
+    norm = phi_at_minus_z(qorder)
     if not v == weierstrass_p(qorder) * 24 * norm * norm:
         return False, "24 wp * Phi(tau,-z)^2 identity fails"
     for name in ("W2", "W4", "W5"):

@@ -9,8 +9,9 @@ series of the genus acquires the expansion (with y = -e^z)
                                [(1+y^{-1} q^n/u)/(1-q^n/u)] / Phi(tau,-z),
 
 valid on SU classes (an overall e^{kx} factor is dropped).  The module
-never multiplies the product out.  The log of each factor is a geometric
-series in q^n u^{+-1}, so log Q(x) = sum_k l_k x^k has the divisor sums
+never multiplies the x-dependent product out.  The log of each factor is
+a geometric series in q^n u^{+-1}, so log Q(x) = sum_k l_k x^k has the
+divisor sums
 
   l_k = [x^k] (log(x/(1-u)) + log(1 + y(u - 1)/(1+y)))
         + sum_{e>=1} q^e sum_{m|e} ((-1)^(m+1) (y^m (-m)^k + y^-m m^k)
@@ -18,30 +19,50 @@ series in q^n u^{+-1}, so log Q(x) = sum_k l_k x^k has the divisor sums
 
 for k >= 1, the twisted-Eisenstein expansion of the elliptic genus
 (Zagier, "Note on the Landweber-Stong elliptic genus", LNM 1326, 1988;
-Hirzebruch, Berger & Jung, Manifolds and Modular Forms, 1992), and
-Phi(tau, -z) is (1+y) times the exponential of the k = 0 sums.  The
+Hirzebruch, Berger & Jung, Manifolds and Modular Forms, 1992), while
+Phi(tau, -z), the one factor of Q(x) free of x, comes from the Jacobi
+triple product.  The
 GenusSpec is built from the l_k; Q(x) is their exponential, formed only
 when a caller reads it.  The quartic coefficients never need Q: with
-f = x/Q, h = f'/f = 1/x - sum_k k l_k x^(k-1) is read off the l_k, and
-(h')^2 = h^4 + q_1 h^3 + ... + q_4 is matched term by term.  The sums
-are exact over two coefficient models for y: a formal y in
-Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring where -y is a
-primitive N-th root of unity.  The module also provides
-the loop-space expansion chi_y(q, LX), the Weierstrass series, recovery
-of the quartic coefficients q_1..q_4 as q-series, and the integrality
+f = x/Q, h = f'/f = 1/x - sum_k k l_k x^(k-1) is read off the l_k,
+q_1..q_4 are read from (h')^2 = h^4 + q_1 h^3 + ... + q_4 through x^0,
+and the rest of h is compared with the solution of that equation.
+
+Every q-series is exact over one of two coefficient models for y: a
+formal y in Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring where -y
+is a primitive N-th root of unity.  It is an element of one flat ring,
+QSeriesRing: the numerators of all its q-coefficients are Python ints
+over one denominator, so a sum of products is one integer convolution
+followed by one reduction and one normalisation, with no ring of series
+nested over the coefficient ring.  The module also provides the
+loop-space expansion chi_y(q, LX), the Weierstrass series, recovery of
+the quartic coefficients q_1..q_4 as q-series, and the integrality
 check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
-from math import factorial
+from itertools import chain
+from math import comb, factorial, gcd, lcm
+from operator import add
 
-from .algebra_kernel import TruncatedSeries, coeff_is_zero
+from .algebra_kernel import (
+    QQ,
+    TruncatedSeries,
+    coeff_is_zero,
+    ring_invert,
+)
 from .dense_poly import (
     Localization,
+    QuotElt,
     QuotientRing,
+    _divmod_monic,
+    _normal,
+    _poly_trim,
     cyclotomic_polynomial,
+    poly_mul,
     poly_mul_power,
 )
 from .genus_engine import GenusSpec, classical_genus, evaluate
@@ -104,82 +125,238 @@ def as_y_laurent(value):
     return {e - ey: Fraction(c, value.den) for e, c in enumerate(num) if c}
 
 
-class SeriesRing:
-    """Ring context whose elements are q-truncated series over a base."""
+class QSeriesRing:
+    """Ring context of the q-series through q^qorder over y_model(mode).
 
-    def __init__(self, base, qorder):
-        self.base = base
+    An element (QSeries) is flat: the numerators of its q^0..q^qorder
+    coefficients as rows of ints, one tuple per power of q, trailing zero
+    rows dropped, over one denominator den > 0 prime to their content.
+    Cyclotomic rows are reduced modulo the modulus.  Formal rows share one
+    exponent tuple (a, b): the series is sum_n q^n rows[n](y) / den *
+    y^-a (1+y)^-b, and neither y nor 1 + y divides every row.  This normal
+    form is unique; coeff(n) returns the base ring's own normal form.
+    """
+
+    def __init__(self, mode, qorder):
+        self.base = y_model(mode)[0]
         self.qorder = qorder
-        self.zero = TruncatedSeries.zero_series(base, qorder)
-        self.one = TruncatedSeries.one_series(base, qorder)
-
-    def from_fraction(self, fr):
-        return self.one * Fraction(fr)
+        # the cyclotomic modulus, None over the formal ring
+        self.modulus = getattr(self.base, "modulus", None)
+        self.zero = QSeries(self, (), 1, () if self.modulus else (0, 0))
+        self.one = self.constant(self.base.one)
 
     def constant(self, c):
-        """Constant q-series with a base-ring value."""
-        return TruncatedSeries(self.base, 0, [c], self.qorder)
+        """The constant series c, c rational or in the base ring."""
+        return self.dot([(c, 1)])
+
+    from_fraction = constant
+
+    def series(self, coeffs):
+        """sum_n coeffs[n] q^n through q^qorder, each rational or in the
+        base ring."""
+        exps = self.zero.exps
+        return self.dot((c, QSeries(self, ((),) * n + ((1,),), 1, exps))
+                        for n, c in enumerate(coeffs[:self.qorder + 1]))
+
+    @staticmethod
+    def _lift(ints, exps, top):
+        # the ints times y^(top - exps)_0 (1 + y)^(top - exps)_1
+        if exps == top:
+            return ints
+        k = top[1] - exps[1]
+        return poly_mul(ints, [0] * (top[0] - exps[0])
+                        + [comb(k, j) for j in range(k + 1)])
+
+    def _parts(self, x):
+        # (rows, den, exps) of a series, a base element or a rational
+        if isinstance(x, (int, Fraction)):
+            return ((x.numerator,),) if x else (), x.denominator, \
+                self.zero.exps
+        if x.ring is not self and x.ring != self:
+            if x.ring != self.base:
+                raise ValueError("mixed rings")
+            return (x.ints,) if x.ints else (), x.den, getattr(x, "exps", ())
+        return x.rows, x.den, x.exps
 
     def dot(self, pairs):
-        """Sum of the products, one base dot per q-exponent.
+        """Sum of the products.  Over the formal ring the second factor of
+        each pair, which callers make the smaller, is first lifted to the
+        largest exponent sum of the pairs.  The rows of every pair are then
+        convolved into one int array over one denominator, row e of the sum
+        being its slice e * width .. (e + 1) * width, and each pair visits
+        only the nonzero ints of its second factor, which over the formal
+        ring are often few.  Each q-slot is reduced modulo the cyclotomic
+        modulus, and the sum is put in normal form once."""
+        items, sums = [], []
+        for x, z in pairs:
+            a, b = self._parts(x), self._parts(z)
+            if a[0] and b[0]:
+                items.append((a, b))
+                sums.append(tuple(map(add, a[2], b[2])))
+        if not items:
+            return self.zero
+        top = tuple(map(max, *sums, sums[0]))
+        n, den, width = self.qorder + 1, 1, 1
+        for i, ((a, b), e) in enumerate(zip(items, sums)):
+            if e != top:
+                b = [self._lift(r, e, top) for r in b[0]], b[1]
+                items[i] = a, b
+            den = lcm(den, a[1] * b[1])
+            width = max(width, max(map(len, a[0])) + max(map(len, b[0])) - 1)
+        flat = [0] * (n * width)
+        for (ra, da, *_), (rb, db, *_) in items:
+            f = den // (da * db)
+            # b's nonzero ints at their offsets in the sum, in order
+            nz = [(i * width + j, z) for i, row in enumerate(rb[:n])
+                  for j, z in enumerate(row) if z]
+            for i, r in enumerate(ra[:n]):
+                # the part of b that stays below q^n
+                nzi = nz[:bisect_left(nz, ((n - i) * width,))] if i else nz
+                for k, x in enumerate(r, i * width):
+                    if x:
+                        x *= f
+                        for j, z in nzi:
+                            flat[k + j] += x * z
+        rows = [_poly_trim(flat[i:i + width]) for i in range(0, n * width,
+                                                              width)]
+        m = self.modulus
+        if m:
+            rows = [_divmod_monic(r, m)[1] if len(r) >= len(m) else r
+                    for r in rows]
+        return self._finish(rows, den, top)
 
-        The window is the fold's from zero: low the least of 0 and the
-        products' lows, order the least of qorder and the products'
-        orders by the minimum rule.  A factor that is not a series is a
-        scalar: it multiplies a series coefficientwise, and a product of
-        two scalars is a constant series.
-        """
-        low, order = 0, self.qorder
-        products, scaled = [], []
-        for a, b in pairs:
-            if not isinstance(a, TruncatedSeries):
-                a, b = b, a
-            if not isinstance(a, TruncatedSeries):
-                a = self.constant(a)
-            if isinstance(b, TruncatedSeries):
-                low = min(low, a.low + b.low)
-                order = min(order, a.order + b.low, b.order + a.low)
-                products.append((a, b))
-            else:
-                low = min(low, a.low)
-                order = min(order, a.order)
-                scaled.append((a, b))
-
-        def pairs_at(e):
-            for a, b in products:
-                for i in range(max(a.low, e - b.order),
-                               min(a.order, e - b.low) + 1):
-                    yield a.coeffs[i - a.low], b.coeffs[e - i - b.low]
-            for a, c in scaled:
-                if a.low <= e:
-                    yield a.coeffs[e - a.low], c
-
-        base_dot = self.base.dot
-        return TruncatedSeries(
-            self.base, low,
-            [base_dot(pairs_at(e)) for e in range(low, order + 1)], order)
-
-    def from_function(self, fn):
-        return TruncatedSeries.from_function(self.base, fn, self.qorder)
+    def _finish(self, rows, den, exps):
+        """The series of the trimmed int lists rows over den in normal
+        form: over the formal ring the factors y and 1 + y of every row
+        are moved into exps."""
+        while rows and not rows[-1]:
+            rows.pop()
+        if not rows:
+            return self.zero
+        if not self.modulus:
+            ey, e1 = exps
+            shift = min(r.index(next(filter(None, r))) for r in rows if r)
+            rows = [r[shift:] for r in rows]
+            while not any(sum(r[::2]) - sum(r[1::2]) for r in rows):
+                rows = [_divmod_monic(r, (1, 1))[0] for r in rows]
+                e1 -= 1
+            exps = ey - shift, e1
+        g = gcd(den, *chain.from_iterable(rows))
+        if g > 1:
+            rows = [list(map(g.__rfloordiv__, r)) for r in rows]
+        return QSeries(self, tuple(map(tuple, rows)), den // g, exps)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, SeriesRing)
-            and self.base == other.base
-            and self.qorder == other.qorder
-        )
+        return (isinstance(other, QSeriesRing) and self.base == other.base
+                and self.qorder == other.qorder)
 
     def __hash__(self):
-        return hash(("SeriesRing", self.base, self.qorder))
+        return hash(("QSeriesRing", self.base, self.qorder))
 
     def __repr__(self):
         return f"{self.base!r}[[q]]/q^{self.qorder + 1}"
 
 
-def xscale(xs, c):
-    """Multiply an x-series by one nested coefficient (not an x-series)."""
-    return TruncatedSeries(xs.ring, xs.low, [a * c for a in xs.coeffs],
-                           xs.order)
+class QSeries:
+    """Element of a QSeriesRing (see there): rows, den and exps."""
+
+    __slots__ = ("ring", "rows", "den", "exps")
+    low = 0
+
+    def __init__(self, ring, rows, den, exps):
+        self.ring = ring
+        self.rows = rows
+        self.den = den
+        self.exps = exps
+
+    @property
+    def order(self):
+        return self.ring.qorder
+
+    def coeff(self, n):
+        """The q^n coefficient, in the base ring's normal form."""
+        if n > self.ring.qorder:
+            raise IndexError(f"coefficient q^{n} beyond truncation "
+                             f"{self.ring.qorder}")
+        base = self.ring.base
+        if not 0 <= n < len(self.rows):
+            return base.zero
+        if self.ring.modulus:
+            return QuotElt(base, *_normal(list(self.rows[n]), self.den))
+        return base._strip(list(self.rows[n]), self.den, list(self.exps),
+                           range(2))
+
+    def is_zero(self):
+        return not self.rows
+
+    def _dot(self, pairs, other):
+        # ring.dot(pairs) if other is a series of the ring, a rational or
+        # a base element; a polynomial or an x-series over the ring
+        # applies its own operation
+        if isinstance(other, (QSeries, int, Fraction)) or (
+                getattr(other, "ring", None) == self.ring.base):
+            return self.ring.dot(pairs)
+        return NotImplemented
+
+    def __add__(self, other):
+        return self._dot(((self, 1), (other, 1)), other)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._dot(((self, 1), (other, -1)), other)
+
+    def __rsub__(self, other):
+        return self._dot(((self, -1), (other, 1)), other)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return self.ring._finish(
+                [list(map(other.numerator.__mul__, r)) for r in self.rows]
+                if other else [], self.den * other.denominator, self.exps)
+        return self._dot([(self, other)], other)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, n):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result, base = self.ring.one, self
+        while n:
+            if n & 1:
+                result = result * base
+            n >>= 1
+            if n:
+                base = base * base
+        return result
+
+    def __eq__(self, other):
+        o = self._dot([(other, 1)], other)
+        if o is NotImplemented:
+            return o
+        return (self.rows, self.den, self.exps, self.ring) == (
+            o.rows, o.den, o.exps, o.ring)
+
+    def __hash__(self):
+        return hash((self.rows, self.den, self.exps))
+
+    def inverse(self):
+        """By Newton's iteration b -> b + b (1 - self b), which doubles the
+        number of correct coefficients."""
+        b = self.ring.constant(ring_invert(self.coeff(0)))
+        for _ in range(self.ring.qorder.bit_length()):
+            b = b + b * (1 - self * b)
+        return b
+
+    def __str__(self):
+        return " + ".join([f"({self.coeff(n)})*q^{n}"
+                           for n, r in enumerate(self.rows) if r]
+                          + [f"O(q^{self.ring.qorder + 1})"])
+
+    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------
@@ -187,44 +364,65 @@ def xscale(xs, c):
 # ---------------------------------------------------------------------------
 
 
-def _y_powers(ring, y, n):
-    """[y^0, ..., y^n] and [y^0, ..., y^-n]."""
-    up, down = [ring.one], [ring.one]
-    y_inv = y ** (-1)
-    for _ in range(n):
-        up.append(up[-1] * y)
-        down.append(down[-1] * y_inv)
-    return up, down
+def _y_powers(qs):
+    """[(y^m, y^-m) for m = 1..qorder] as parts (see QSeriesRing._parts)."""
+    y = qs.base.gen()
+    y_inv = y.inverse()
+    up = down = qs.base.one
+    powers = []
+    for _ in range(qs.qorder):
+        up, down = up * y, down * y_inv
+        powers.append((qs._parts(up), qs._parts(down)))
+    return powers
 
 
-def _divisor_sums(ring, powers, weight):
-    """[0, s_1, ..., s_n] with s_e = sum_{m|e} (a y^m + b y^-m + c).
+def _divisor_sums(qs, powers, weight, head=0):
+    """head + sum_e q^e sum_{m|e} (a y^m + b y^-m + c) in the q-series
+    ring qs, weight(m) giving the rationals (a, b, c) and powers being
+    _y_powers(qs).
 
-    powers is _y_powers(ring, y, n); weight(m) gives the rationals
-    (a, b, c).  Each s_e is one ring.dot.
+    The y^m, y^-m and 1, times their weights, are lifted once to one
+    denominator and one exponent tuple; row e is the sum of those of the
+    divisors m of e.
     """
-    up, down = powers
-    weights = [None] + [weight(m) for m in range(1, len(up))]
+    one = qs._parts(1)
+    terms = [(0, qs._parts(head), 1)]
+    for m, (up, down) in enumerate(powers, 1):
+        terms += zip((m, m, m), (up, down, one), weight(m))
+    terms = [(m, r[0], d * w.denominator, e, w.numerator)
+             for m, (r, d, e), w in terms if r and w]
+    if not terms:
+        return qs.zero
+    den = lcm(*(t[2] for t in terms))
+    top = tuple(map(max, *(t[3] for t in terms), terms[0][3]))
+    rows = [[] for _ in range(qs.qorder + 1)]
+    for m, ints, d, e, w in terms:
+        ints = qs._lift([c * w * (den // d) for c in ints], e, top)
+        for row in (rows[m::m] if m else rows[:1]):
+            row += [0] * (len(ints) - len(row))
+            for i, c in enumerate(ints):
+                row[i] += c
+    return qs._finish(list(map(_poly_trim, rows)), den, top)
 
-    def pairs(e):
-        for m in range(1, e + 1):
-            if e % m == 0:
-                a, b, c = weights[m]
-                yield from ((up[m], a), (down[m], b), (ring.one, c))
 
-    return [ring.zero] + [ring.dot(pairs(e)) for e in range(1, len(up))]
-
-
-def phi_at_minus_z(qorder, ring, y):
+def phi_at_minus_z(qorder, mode="formal"):
     """Phi(tau, -z) = (1+y) prod (1+y q^n)(1+y^{-1} q^n)/(1-q^n)^2.
 
-    The log of the product is sum_e q^e sum_{m|e}
-    ((-1)^(m+1) (y^m + y^-m) + 2) / m.
+    By the Jacobi triple product it is y sum_{n in Z} y^n q^(n(n+1)/2)
+    over prod (1-q^n)^3 = sum_{k>=0} (-1)^k (2k+1) q^(k(k+1)/2): a series
+    with two powers of y at each triangular exponent, times the inverse
+    of a rational series.
     """
-    log = _divisor_sums(ring, _y_powers(ring, y, qorder), lambda m: (
-        Fraction((-1) ** (m + 1), m), Fraction((-1) ** (m + 1), m),
-        Fraction(2, m)))
-    return TruncatedSeries(ring, 0, log, qorder).exp() * (ring.one + y)
+    qs = QSeriesRing(mode, qorder)
+    y = qs.base.gen()
+    theta, cube = [0] * (qorder + 1), [Fraction(0)] * (qorder + 1)
+    for k in range(qorder + 1):
+        t = k * (k + 1) // 2
+        if t <= qorder:
+            theta[t] = y ** (k + 1) + y ** -k
+            cube[t] = Fraction((-1) ** k * (2 * k + 1))
+    inverse = TruncatedSeries(QQ, 0, cube, qorder).inverse()
+    return qs.series(theta) * qs.series(inverse.coeffs)
 
 
 def phi_ell_q(qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER, mode="formal"):
@@ -232,29 +430,36 @@ def phi_ell_q(qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER, mode="formal"):
 
     mode: "formal" (coefficients in Q[y, 1/y, 1/(1+y)]) or an integer N
     (coefficients in the cyclotomic model where -y is a primitive N-th
-    root of unity).  Each l_k is a q-series through q^qorder; its q^0
-    term is log(x/(1-u)) + log(1 + y(u-1)/(1+y)) at x^k, and its q^e
-    terms are the divisor sums of the module docstring.  The overall
-    e^{kx} factor is dropped, so evaluation is only meaningful on SU
-    classes.
+    root of unity).  Each l_k is a q-series through q^qorder in
+    QSeriesRing(mode, qorder); its q^0 term is log(x/(1-u)) +
+    log(1 + y(u-1)/(1+y)) at x^k, and its q^e terms are the divisor sums
+    of the module docstring.  The overall e^{kx} factor is dropped, so
+    evaluation is only meaningful on SU classes.
     """
-    ring, y = y_model(mode)
-    powers = _y_powers(ring, y, qorder)
+    qs = QSeriesRing(mode, qorder)
+    ring = qs.base
+    y = ring.gen()
     todd = classical_genus("todd", order=xorder).log_coeffs
-    w = y * (ring.one + y) ** (-1)
-    unit = TruncatedSeries(ring, 0, [ring.one] + [
-        w * Fraction((-1) ** k, factorial(k)) for k in range(1, xorder + 1)
-    ], xorder).log()
-    nested = SeriesRing(ring, qorder)
-    logs = [nested.zero]
+    # log(1 + w (u - 1)) with w = y/(1+y) is sum_n (-1)^(n+1) w^n (u-1)^n / n,
+    # and (u - 1)^n = n! sum_k S(k, n) (-x)^k / k! with the Stirling
+    # numbers S(k, n) of the second kind
+    w = [ring.one, y * (ring.one + y) ** (-1)]
+    stirling = [1]
+    powers = _y_powers(qs)
+    logs = [qs.zero]
     for k in range(1, xorder + 1):
-        sums = _divisor_sums(ring, powers, lambda m, k=k: (
+        w.append(w[-1] * w[1])
+        stirling = [0] + [n * stirling[n] + stirling[n - 1]
+                          for n in range(1, k)] + [1]
+        unit = ring.dot((w[n], Fraction((-1) ** (n + 1 + k) * stirling[n]
+                                        * factorial(n - 1), factorial(k)))
+                        for n in range(1, k + 1))
+        logs.append(_divisor_sums(qs, powers, lambda m, k=k: (
             Fraction((-1) ** (m + 1) * (-m) ** k, m * factorial(k)),
             Fraction((-1) ** (m + 1) * m ** k, m * factorial(k)),
-            Fraction((-m) ** k + m ** k, m * factorial(k))))
-        sums[0] = unit.coeff(k) + todd[k]
-        logs.append(TruncatedSeries(ring, 0, sums, qorder))
-    return GenusSpec(nested, logs, name=f"phi_ell(q; {mode})")
+            Fraction((-m) ** k + m ** k, m * factorial(k))),
+            unit + todd[k]))
+    return GenusSpec(qs, logs, name=f"phi_ell(q; {mode})")
 
 
 # The benchmark's tracer (bench/tracer.py) times the q-side build under
@@ -275,21 +480,18 @@ def chi_y_loop(X, qorder=DEFAULT_QORDER):
     if not X.is_su():
         raise NotSU("chi_y(q, LX) needs an SU class")
     spec = phi_ell_q(qorder, max(X.dim, 2), "formal")
-    v = evaluate(spec, X)
-    ring, y = y_model("formal")
-    norm = phi_at_minus_z(qorder, ring, y)
-    return v * norm ** X.dim
+    return evaluate(spec, X) * phi_at_minus_z(qorder) ** X.dim
 
 
 def weierstrass_p(qorder=DEFAULT_QORDER):
     """The Weierstrass series: -y/(1+y)^2
     + sum_n q^n sum_{d|n} d((-y)^d + (-y)^{-d}) + (1/12)(1 - 24 sum sigma_1 q^n)."""
-    ring, y = y_model("formal")
-    coeffs = _divisor_sums(ring, _y_powers(ring, y, qorder), lambda d: (
-        (-1) ** d * d, (-1) ** d * d, -2 * d))
-    coeffs[0] = (-y * (ring.one + y) ** (-2)
-                 + ring.from_fraction(Fraction(1, 12)))
-    return TruncatedSeries(ring, 0, coeffs, qorder)
+    qs = QSeriesRing("formal", qorder)
+    ring = qs.base
+    y = ring.gen()
+    return _divisor_sums(qs, _y_powers(qs), lambda d: (
+        (-1) ** d * d, (-1) ** d * d, -2 * d),
+        -y * (ring.one + y) ** (-2) + ring.from_fraction(Fraction(1, 12)))
 
 
 # ---------------------------------------------------------------------------
@@ -302,42 +504,43 @@ def match_quartic(h):
 
     h is a Laurent series 1/x + O(1); extract_qi reads it off log Q,
     since h = 1/x - sum_k k l_k x^(k-1) for f = x/Q.  The coefficients of
-    (h')^2 - h^4 at x^{-3}..x^0 determine q_1..q_4 sequentially; the
-    remaining Laurent coefficients must then vanish, which is checked —
-    raises InconsistentSystem if the genus does not satisfy a quartic
-    differential equation.
+    (h')^2 - h^4 at x^{-3}..x^0, which read h only through x^3, determine
+    q_1..q_4 one after another.  The quartic closes when h is, over its
+    whole window, the solution of (h')^2 = S(h) that
+    elliptic_ode.solve_h builds: its coefficient at x^e is fixed by that
+    of (h')^2 - S(h) at x^(e-3), which a change d of it moves by
+    -(2e + 4) d.  Raises InconsistentSystem, naming that x^(e-3) and the
+    residual, if the genus does not satisfy a quartic differential
+    equation.
     """
-    from .elliptic_ode import QuarticData
+    from .elliptic_ode import QuarticData, solve_h
 
     ring = h.ring
-    hp = h.derivative()
-    h2 = h * h
-    h3 = h2 * h
-    h4 = h2 * h2
-    rem = (hp * hp - h4).truncate(h4.order)
-    powers = {3: h3.truncate(rem.order), 2: h2.truncate(rem.order),
-              1: h.truncate(rem.order)}
+    head = h.truncate(3)
+    h2 = head * head
+    h3 = h2 * head
+    hp = head.derivative()
+    rem = hp * hp - h2 * h2
     qs = []
-    for pw in (3, 2, 1, 0):
-        c = rem.coeff(-pw)
-        qs.append(c)
-        if pw:
-            rem = rem - xscale(powers[pw], c)
-        else:
-            rem = rem - TruncatedSeries(ring, 0, [c], rem.order)
-    for e in range(rem.low, rem.order + 1):
-        if not coeff_is_zero(rem.coeff(e)):
+    for e in (-3, -2, -1, 0):
+        # the coefficient of (h')^2 - S(h) at x^e fixes q_(e+4)
+        qs.append(ring.dot([(rem.coeff(e), 1)] + [
+            (q, -hk.coeff(e)) for q, hk in zip(qs, (h3, h2, head))]))
+    quartic = QuarticData(*qs, ring=ring)
+    solved = solve_h(quartic, h.order + 1)
+    for e in range(h.low, h.order + 1):
+        d = h.coeff(e) - solved.coeff(e)
+        if not coeff_is_zero(d):
             raise InconsistentSystem(
-                f"quartic does not close at x^{e}: {rem.coeff(e)}"
-            )
-    return QuarticData(*qs, ring=ring)
+                f"quartic does not close at x^{e - 3}: {d * -(2 * e + 4)}")
+    return quartic
 
 
 def extract_qi(mode="formal", qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER):
     """The q-expansions of q_1..q_4 (and of A, B, C, D).
 
-    Returns (QuarticData, ABCDPoint) over the q-series ring, recovered
-    from h = f'/f = 1/x - sum_k k l_k x^(k-1), read off the log
+    Returns (QuarticData, ABCDPoint) over QSeriesRing(mode, qorder),
+    recovered from h = f'/f = 1/x - sum_k k l_k x^(k-1), read off the log
     coefficients l_k of the genus, via its quartic differential
     equation.  h is known through x^(xorder-3), the window that
     (f' * f^-1) of the truncated f = x/Q(x) would have: Q, f and its

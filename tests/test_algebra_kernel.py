@@ -24,7 +24,7 @@ from ellgenus.dense_poly import (
     poly_eval,
     poly_mul,
 )
-from ellgenus.jacobi_q import FORMAL_RING, SeriesRing, y_model
+from ellgenus.jacobi_q import FORMAL_RING, QSeries, QSeriesRing, y_model
 from ellgenus.weighted_poly import (
     PolyRing,
     WeightedPoly,
@@ -389,12 +389,14 @@ def test_nested_zero_terms_dropped_without_coercion(kind, monkeypatch):
         s = base.gen("s")
         nonzero, zero = s * 2 + 1, s - s
     else:
-        base = SeriesRing(QuotientRing([1, -1, 1]), 2)
-        nonzero = base.from_function(lambda e: base.base.from_fraction(e + 1))
+        # Q(zeta_3)[[q]]: the modulus of y_model(3) is y^2 - y + 1
+        base = QSeriesRing(3, 2)
+        nonzero = base.series([base.base.from_fraction(e + 1)
+                               for e in range(3)])
         zero = base.zero
     ring = PolyRing("x", "z", base=base)
     calls = []
-    for cls in (PolyRing, SeriesRing, QuotientRing):
+    for cls in (PolyRing, QSeriesRing, QuotientRing):
         def counted(self, fr, original=cls.from_fraction):
             calls.append(fr)
             return original(self, fr)
@@ -538,11 +540,11 @@ def test_compose_inverse_matches_loop_oracle_over_q(tail, lead):
 def test_series_times_polynomial_over_series_is_polynomial():
     # a q-series c and a polynomial p over the q-series ring: both orders
     # of the product are the polynomial p * c
-    base = QuotientRing([1, -1, 1])
-    qs = SeriesRing(base, 2)
+    qs = QSeriesRing(3, 2)
+    base = qs.base
     x = PolyRing("x", base=qs).gen("x")
     p = x * x + x * 3
-    c = qs.from_function(lambda e: base.from_fraction(e + 1))
+    c = qs.series([base.from_fraction(e + 1) for e in range(3)])
     expected = p * c
     assert type(expected) is WeightedPoly
     for prod in (c * p, p * c):
@@ -930,9 +932,22 @@ def _series_product(a, b):
     return TruncatedSeries(a.ring, low, cs, order)
 
 
+def _nested(a):
+    """A q-series as the nested oracle: a TruncatedSeries over its base."""
+    order = a.ring.qorder
+    return TruncatedSeries(a.ring.base, 0,
+                           [a.coeff(n) for n in range(order + 1)], order)
+
+
+def _q_series_product(a, b):
+    """a * b convolved over the base ring, then read back."""
+    return a.ring.series(_series_product(_nested(a), _nested(b)).coeffs)
+
+
 def _fold_product(a, b):
     for cls, product in ((WeightedPoly, _poly_product),
-                         (TruncatedSeries, _series_product)):
+                         (TruncatedSeries, _series_product),
+                         (QSeries, _q_series_product)):
         if isinstance(a, cls) and isinstance(b, cls):
             return product(a, b)
     return a * b
@@ -953,7 +968,9 @@ def _assert_identical(x, y):
         for a, b in zip(x.coeffs, y.coeffs):
             _assert_identical(a, b)
         return
-    if isinstance(y, WeightedPoly):
+    if isinstance(y, QSeries):
+        assert (x.rows, x.den, x.exps) == (y.rows, y.den, y.exps)
+    elif isinstance(y, WeightedPoly):
         assert x.cap == y.cap and x.terms.keys() == y.terms.keys()
         for e, c in y.terms.items():
             _assert_identical(x.terms[e], c)
@@ -989,15 +1006,12 @@ def _poly_elements(ring, caps):
 
 
 def _series_elements(ring, coefficients):
-    # Laurent windows and unequal orders, some above the ring's qorder
-    return st.tuples(
-        st.integers(min_value=-1, max_value=1),
-        st.lists(coefficients, min_size=1, max_size=ring.qorder + 2),
-    ).map(lambda t: TruncatedSeries(ring.base, t[0], t[1]))
+    # short and full coefficient lists, and some past the ring's qorder
+    return st.lists(coefficients, max_size=ring.qorder + 2).map(ring.series)
 
 
-NESTED_ZETA5 = SeriesRing(ZETA5, 3)
-NESTED_FORMAL = SeriesRing(FORMAL_RING, 2)
+Q_ZETA5 = QSeriesRing(5, 3)
+Q_FORMAL = QSeriesRing("formal", 2)
 
 DOT_CASES = {
     "QQ": (QQ, small_fractions_kernel),
@@ -1006,10 +1020,10 @@ DOT_CASES = {
     "zeta5": (ZETA5, _quot_elements(ZETA5)),
     "formal": (FORMAL_RING, _local_elements(FORMAL_RING)),
     "cyclotomic-local": (CYCLO, _local_elements(CYCLO)),
-    "series-zeta5": (NESTED_ZETA5,
-                     _series_elements(NESTED_ZETA5, _quot_elements(ZETA5))),
-    "series-formal": (NESTED_FORMAL,
-                      _series_elements(NESTED_FORMAL,
+    "series-zeta5": (Q_ZETA5,
+                     _series_elements(Q_ZETA5, _quot_elements(ZETA5))),
+    "series-formal": (Q_FORMAL,
+                      _series_elements(Q_FORMAL,
                                        _local_elements(FORMAL_RING))),
 }
 
@@ -1025,7 +1039,7 @@ def test_dot_matches_fold(name, data):
     pairs = data.draw(st.lists(st.tuples(factor, factor), max_size=5))
     for a, b in pairs:
         # products of series and of polynomials are one-pair dots
-        if isinstance(a, (WeightedPoly, TruncatedSeries)) and (
+        if isinstance(a, (WeightedPoly, TruncatedSeries, QSeries)) and (
                 type(a) is type(b)):
             _assert_identical(a * b, _fold_product(a, b))
     want = _fold(ring, pairs)

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -12,7 +13,11 @@ from hypothesis import strategies as st
 
 from ellgenus.cli import (
     BLOWUP_MAX_N,
+    BLOWUP_MAX_WORK,
+    GENUS_MAX_DIM,
     LEVELN_MAX_N,
+    QEXPAND_MAX_DIM,
+    QEXPAND_MAX_WORK,
     UNIVERSAL_MAX_ORDER,
     Opt,
     UsageError,
@@ -21,8 +26,8 @@ from ellgenus.cli import (
 )
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import evaluate
-from ellgenus import (blowup, level_n, manifold_json, twisted_bundles,
-                     universal_elliptic)
+from ellgenus import (blowup, cli, jacobi_q, level_n, manifold_json,
+                     twisted_bundles, universal_elliptic)
 from ellgenus.manifold_json import COUNT_LIMITS, MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
@@ -258,6 +263,54 @@ def test_level_over_its_limit_exits_2_at_once(argv, limit, module, name,
     error = (json.loads(text)["error"] if fmt == "json"
              else text.removeprefix("error: ").rstrip("\n"))
     assert error == f"{argv[-2]} must be at most {limit}, got {argv[-1]}"
+
+
+CP30_SQUARED = json.dumps({"type": "product", "factors": [
+    {"type": "cp", "n": 30}, {"type": "cp", "n": 30}]})
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv, error, module, name", [
+    (("qexpand", "--manifold", "catalog:K3", "--qorder", "100000"),
+     f"--qorder in dimension 2 must be at most {QEXPAND_MAX_WORK // 2}, "
+     "got 100000", jacobi_q, "chi_y_loop"),
+    (("qexpand", "--manifold", "catalog:W32", "--qorder", "16"),
+     "--qorder in dimension 32 must be at most 15, got 16", jacobi_q,
+     "chi_y_loop"),
+    (("qexpand", "--manifold", "catalog:W33", "--qorder", "1"),
+     f"the manifold's dimension must be at most {QEXPAND_MAX_DIM}, got 33",
+     jacobi_q, "chi_y_loop"),
+    (("blowup", "verify", "--N", "2", "--qorder", "100000"),
+     f"--qorder at level 2 must be at most {BLOWUP_MAX_WORK - 1}, "
+     "got 100000", blowup, "verify_blowup_invariance"),
+    (("blowup", "verify", "--N", "61", "--qorder", "3"),
+     "--qorder at level 61 must be at most 2, got 3", blowup,
+     "verify_blowup_invariance"),
+    (("genus", "eval", "--genus", "chi_y", "--manifold", "catalog:CP60"),
+     f"the manifold's dimension must be at most {GENUS_MAX_DIM}, got 60",
+     cli, "evaluate"),
+    (("genus", "eval", "--genus", "chi_y", "--manifold", CP30_SQUARED),
+     f"the manifold's dimension must be at most {GENUS_MAX_DIM}, got 60",
+     cli, "evaluate"),
+], ids=["qexpand-k3", "qexpand-w32", "qexpand-dim", "blowup-n2",
+        "blowup-n61", "genus-cp60", "genus-product"])
+def test_work_over_its_limit_exits_2_at_once(argv, error, module, name, fmt,
+                                             monkeypatch):
+    # each limit is checked on the built manifold or the level before any
+    # algebra runs, and one less than the rejected value is admitted
+    def ran(*args, **kwargs):
+        raise AssertionError("the algebra ran")
+
+    monkeypatch.setattr(module, name, ran)
+    rc, text = run(*argv, "--format", fmt)
+    assert rc == 2
+    assert text.count("\n") == 1
+    assert (json.loads(text)["error"] if fmt == "json"
+            else text.removeprefix("error: ").rstrip("\n")) == error
+    if error.startswith("--qorder"):
+        limit = int(error.split("at most ")[1].split(",")[0])
+        with pytest.raises(AssertionError, match="the algebra ran"):
+            main([*argv[:-1], str(limit)], out=io.StringIO())
 
 
 def test_unknown_genus_exits_2():
@@ -573,7 +626,7 @@ def test_deeply_nested_manifold_json_exits_2(source, fmt, tmp_path):
 
 _CATALOG_NAMES = ["W1", "W2", "W3", "W4", "W5", "W6", "K3", "CP0", "CP1",
                   "CP3", "CP-1", "CP", "TwCP(0,0)", "TwCP(2,1)", "TwCP(1,x)",
-                  "TwCP(3)", "W0", "Wx", "", " CP2", "X"]
+                  "TwCP(3)", "W0", "Wx", "", " CP2", "X", "CP60", "W60"]
 _JSON_KEYS = ["type", "n", "name", "factors", "ambient", "c1", "base", "E",
               "F", "lines", "trivial", "dim", "numbers", "1,1", "2", "0,x"]
 # small leaves only, so no drawn manifold is expensive
@@ -607,9 +660,13 @@ def _manifold_args(draw):
     return text
 
 
+# values far over every limit, which must exit 2 before any algebra runs
+_HUGE = st.integers(1000, 10 ** 6)
+
+
 @st.composite
 def _argvs(draw):
-    size = st.integers(-1, 4).map(str)
+    size = st.one_of(st.integers(-1, 4), _HUGE).map(str)
     command = draw(st.sampled_from(
         ["genus", "universal", "leveln", "qexpand", "blowup"]))
     if command == "genus":
@@ -620,15 +677,18 @@ def _argvs(draw):
                 "--manifold", draw(_manifold_args()), "--order", draw(size)]
     elif command == "universal":
         argv = ["universal", "coeffs", "--order",
-                draw(st.integers(-2, 8).map(str))]
+                draw(st.one_of(st.integers(-2, 8), _HUGE).map(str))]
     elif command == "leveln":
         argv = ["leveln", "relations", "--N", draw(size)]
     elif command == "qexpand":
         argv = ["qexpand", "--manifold", draw(_manifold_args()),
-                "--qorder", draw(st.integers(-1, 2).map(str))]
+                "--qorder", draw(st.one_of(st.integers(-1, 2), _HUGE)
+                                 .map(str))]
     else:
-        argv = ["blowup", "verify", "--N", draw(st.integers(-1, 3).map(str)),
-                "--qorder", draw(st.integers(-1, 2).map(str))]
+        argv = ["blowup", "verify",
+                "--N", draw(st.one_of(st.integers(-1, 3), _HUGE).map(str)),
+                "--qorder", draw(st.one_of(st.integers(-1, 2), _HUGE)
+                                 .map(str))]
     return argv + draw(st.sampled_from(
         [[], [], ["--format", "json"], ["--format", "xml"]]))
 
@@ -638,4 +698,14 @@ def _argvs(draw):
 @given(argv=_argvs())
 def test_cli_fuzz_exits_0_1_or_2(argv):
     out = io.StringIO()
-    assert main(argv, out=out) in (0, 1, 2)
+    start = time.perf_counter()
+    status = main(argv, out=out)
+    assert status in (0, 1, 2)
+    # a value over its limit (genus eval reads --order only up to the
+    # dimension, so it has none) is rejected at once
+    values = [int(v) for opt, v in zip(argv, argv[1:])
+              if opt in ("--N", "--order", "--qorder")
+              and v.lstrip("-").isdigit()]
+    if argv[0] != "genus" and max(values) >= 1000:
+        assert status == 2
+        assert time.perf_counter() - start < 5
