@@ -482,10 +482,25 @@ def quartic_surface():
     return m
 
 
+# The largest dimension of a catalog manifold, the largest that any
+# command admits: a larger one is rejected by name, before it is built.
+CATALOG_MAX_DIM = 40
+
+
+def _catalog_dim(dim):
+    """dim, checked against CATALOG_MAX_DIM."""
+    if dim > CATALOG_MAX_DIM:
+        raise ValueError(f"the manifold's dimension must be at most "
+                         f"{CATALOG_MAX_DIM}, got {dim}")
+    return dim
+
+
 def catalog(name):
     """Look up a manifold (model or Chern-number vector) by name.
 
-    Supported: W1, W2, ... (all n), CPn, TwCP(p,q), K3.
+    Supported: Wn, CPn, TwCP(p,q) and K3, each of dimension at most
+    CATALOG_MAX_DIM, which a larger name is checked against before any
+    model is built (Wn and CPn have dimension n, TwCP(p,q) p + q - 1).
     """
     name = name.strip()
     if name == "W1":
@@ -501,15 +516,19 @@ def catalog(name):
     if name.startswith("W") and name[1:].isdigit():
         k = int(name[1:])
         if k >= 5:
+            _catalog_dim(k)
             from .twisted_bundles import w_even, w_odd
             if k % 2 == 1:
                 return w_odd((k - 1) // 2)
             return w_even((k - 2) // 2)
     if name.startswith("CP") and name[2:].isdigit():
-        return cp_model(int(name[2:]))
+        return cp_model(_catalog_dim(int(name[2:])))
     if name.startswith("TwCP(") and name.endswith(")"):
         inner = name[5:-1]
         p, q = (int(s) for s in inner.split(","))
+        if p < 0 or q < 0:
+            raise ValueError(f"TwCP(p,q) needs p, q >= 0, got {name}")
+        _catalog_dim(p + q - 1)
         from .twisted_bundles import tw_cp
         return tw_cp(p, q)
     raise UnknownName(name)

@@ -207,8 +207,10 @@ def _integer_coeffs(p):
     """(L, rows) for L the common denominator of p, a polynomial over QQ:
     rows[k] lists the terms (integer, exponent of C, exponent of D) of
     the coefficient of A^(deg - k) in L p, for p's variables A, B, C, D."""
-    rows = [[] for _ in range(max(e[0] for e in p.num) + 1)]
-    for (a, _, c, d), x in p.num.items():
+    exponents = p.ring.exponents
+    terms = [(exponents(k), x) for k, x in p.num.items()]
+    rows = [[] for _ in range(max(e[0] for e, _ in terms) + 1)]
+    for (a, _, c, d), x in terms:
         rows[-1 - a].append((x, c, d))
     return p.den, rows
 

@@ -3,20 +3,50 @@ coefficients, optional weighted-degree cap.
 
 One type, WeightedPoly, in a PolyRing over any ring context (see
 algebra_kernel); horner evaluation; the fraction-free determinant and
-the Sylvester resultant.  Over QQ the coefficients are int numerators
-over one denominator, so arithmetic runs on ints with one gcd per result;
-the rationals that terms, coeff and printing show are built on read.
+the Sylvester resultant.
+
+A monomial is stored as one int, its key (packed exponent vectors:
+Monagan and Pearce, CASC 2007).  Each exponent has a 16-bit field whose
+top bit is a guard, the first variable in the highest field, and the
+weighted degree lies above all of them.  So a monomial product is one
+int addition, the cap test is one comparison, and the graded
+lexicographic order is the order of the keys.  An exponent stays below
+EXPONENT_BOUND = 2^15: a product that reaches it sets a guard bit and
+raises ExponentOverflow, and never wraps.  terms, coeff, leading and
+substitute show exponent tuples.
+
+Over QQ the coefficients are int numerators over one denominator, so
+arithmetic runs on ints with one gcd per result; the rationals that
+terms, coeff and printing show are built on read.  A ring whose base is
+a PolyRing over QQ stores its elements flat, in the same form: a key is
+the weight and exponents of the ring's own variables above the
+coefficient monomial's weight and key, and the cap counts the ring's own
+weight only.  So its products run the same integer convolution, and
+terms and coeff rebuild the coefficients in the base.  Over any other
+base a coefficient is a base element, and a product collects the
+coefficient pairs of every monomial for one base dot each.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from math import gcd, lcm
-from operator import add, floordiv, mul
+from operator import floordiv, mul, or_
 
 from .algebra_kernel import (QQ, ExactDivisionError, NonUnitLeadingCoefficient,
                              VariableNotPresent, _fr, coeff_is_zero,
                              ring_invert)
+
+# The width of an exponent field; its top bit is the guard, so an
+# exponent is at most 2^(_BITS - 1) - 1.
+_BITS = 16
+_FIELD = (1 << _BITS) - 1
+EXPONENT_BOUND = 1 << (_BITS - 1)
+
+
+class ExponentOverflow(ValueError):
+    """An exponent reached EXPONENT_BOUND, the width of its key field."""
 
 
 def _mincap(a, b):
@@ -27,22 +57,46 @@ def _mincap(a, b):
     return min(a, b)
 
 
+def _make(ring, num, den, cap):
+    p = WeightedPoly.__new__(WeightedPoly)
+    p.ring, p.num, p.den, p.cap, p._terms = ring, num, den, cap, None
+    return p
+
+
 def _normal(ring, num, den, cap):
-    """The element num / den of a ring over QQ, num a dict exps -> int,
-    in normal form: zero terms and terms above cap dropped, den > 0 and
-    gcd(den, content) = 1."""
-    weights = ring.weights
-    num = {e: c for e, c in num.items() if c and (
-        cap is None or sum(map(mul, e, weights)) <= cap)}
+    """The element num / den of a ring over QQ or of a flat ring, num a
+    dict key -> int, in normal form: zero terms and terms above cap
+    dropped, den > 0 and gcd(den, content) = 1."""
+    if cap is None:
+        num = {k: c for k, c in num.items() if c}
+    else:
+        top = (cap + 1) << ring._shift
+        num = {k: c for k, c in num.items() if c and k < top}
     g = gcd(den, *num.values())
     if den < 0:
         g = -g
     if g != 1:
-        num = {e: c // g for e, c in num.items()}
+        num = {k: c // g for k, c in num.items()}
         den //= g
-    p = WeightedPoly.__new__(WeightedPoly)
-    p.ring, p.num, p.den, p.cap, p._terms = ring, num, den, cap, None
-    return p
+    return _make(ring, num, den, cap)
+
+
+def _nonzero(ring, num, cap):
+    """The element with base coefficients num (a dict key -> base
+    element) of a ring over another base, zero terms and terms above cap
+    dropped."""
+    # coeff_is_zero builds nothing, where c != 0 on a ring element would
+    # coerce 0 into the base
+    top = None if cap is None else (cap + 1) << ring._shift
+    return _make(ring, {k: c for k, c in num.items()
+                        if not coeff_is_zero(c) and (top is None or k < top)},
+                 None, cap)
+
+
+def _check_guards(ring, keys):
+    if reduce(or_, keys, 0) & ring._guard:
+        raise ExponentOverflow(
+            f"an exponent in {ring!r} reached {EXPONENT_BOUND}")
 
 
 class PolyRing:
@@ -72,22 +126,73 @@ class PolyRing:
         if len(set(self.names)) != self.nvars:
             raise ValueError("duplicate variable names")
         self.base = base
+        # coefficients are ints over one denominator over QQ and in the
+        # flat form, over a polynomial ring over QQ
+        self._flat = isinstance(base, PolyRing) and base.base is QQ
+        self._ints = base is QQ or self._flat
+        # the key's fields from the top: the weight, the exponents, and
+        # in the flat form the base weight's field and the base key below
+        # bit _low
+        low = self._low = base._shift + _BITS if self._flat else 0
+        self._shift = low + self.nvars * _BITS
+        self._pos = tuple(range(self._shift - _BITS, low - 1, -_BITS))
+        self._units = tuple((w << self._shift) + (1 << p)
+                            for w, p in zip(self.weights, self._pos))
+        self._guard = sum(1 << (p + _BITS - 1) for p in self._pos) | (
+            base._guard | 1 << (low - 1) if self._flat else 0)
         self.zero = WeightedPoly(self, {})
         self.one = self.constant(base.one)
 
+    def key(self, exps):
+        """The key of an exponent tuple, which has one entry per
+        variable, each at least 0 and below EXPONENT_BOUND."""
+        exps = tuple(exps)
+        if len(exps) != self.nvars or (exps and min(exps) < 0):
+            raise ValueError(f"{exps!r} is not an exponent tuple of {self!r}")
+        if exps and max(exps) >= EXPONENT_BOUND:
+            raise ExponentOverflow(
+                f"an exponent in {self!r} reached {EXPONENT_BOUND}")
+        return sum(map(mul, exps, self._units))
+
+    def exponents(self, key):
+        """The exponent tuple of a key."""
+        return tuple((key >> p) & _FIELD for p in self._pos)
+
+    def _coefficient(self, c):
+        """(num, den) of a coefficient c, rational or, in the flat form,
+        an uncapped element of the base, num keyed below bit _low."""
+        if isinstance(c, (int, Fraction)):
+            return ({0: c.numerator} if c else {}), c.denominator
+        if not (self._flat and isinstance(c, WeightedPoly)
+                and c.ring == self.base):
+            raise TypeError(f"{c!r} is not a coefficient of {self!r}")
+        if c.cap is not None:
+            raise ValueError(f"a coefficient of {self!r} carries no cap")
+        if c.num and max(c.num) >> (self._low - 1):
+            raise ExponentOverflow(
+                f"the weight of a coefficient of {self!r} reached "
+                f"{EXPONENT_BOUND}")
+        return c.num, c.den
+
     def gen(self, name):
-        i = self.names.index(name)
-        exps = tuple(1 if j == i else 0 for j in range(self.nvars))
-        return WeightedPoly(self, {exps: self.base.one})
+        unit = self._units[self.names.index(name)]
+        if self._ints:
+            return _make(self, {unit: 1}, 1, None)
+        return _make(self, {unit: self.base.one}, None, None)
 
     def gens(self):
         return tuple(self.gen(n) for n in self.names)
 
     def constant(self, c):
         """The constant polynomial with value c, an element of base."""
-        return WeightedPoly(self, {(0,) * self.nvars: c})
+        if self._ints:
+            # a constant's keys are those of its coefficient
+            return _make(self, *self._coefficient(c), None)
+        return _nonzero(self, {0: c}, None)
 
     def from_fraction(self, fr):
+        if self._ints:
+            return self.constant(_fr(fr))
         return self.constant(self.base.from_fraction(fr))
 
     def monomial(self, exps, coeff=1):
@@ -95,14 +200,14 @@ class PolyRing:
         return WeightedPoly(self, {tuple(exps): coeff})
 
     def dot(self, pairs):
-        """Sum of the products.  Over QQ the numerators are convolved
-        over the least common denominator so far and normalised once;
-        over another base the coefficient pairs of every product monomial
-        are collected first, then summed by one base dot each.  A pair
-        multiplies to the smaller cap of its factors and the sum keeps
-        the smallest cap of all."""
-        weights = self.weights
-        ints = self.base is QQ
+        """Sum of the products.  Over QQ and in the flat form the
+        numerators are convolved over the least common denominator so
+        far and normalised once; over another base the coefficient pairs
+        of every product monomial are collected first, then summed by one
+        base dot each.  A pair multiplies to the smaller cap of its
+        factors and the sum keeps the smallest cap of all."""
+        if not self._ints:
+            return self._bucket_dot(pairs)
         acc, d, cap = {}, 1, None
         for a, b in pairs:
             a, b = self._element(a), self._element(b)
@@ -110,41 +215,61 @@ class PolyRing:
             cap = _mincap(cap, pair_cap)
             if not (a.num and b.num):
                 continue
-            right = [(0 if pair_cap is None else sum(map(mul, e2, weights)),
-                      e2, c2) for e2, c2 in b.num.items()]
-            if ints:
-                # acc / d and the pair over their least common denominator
-                pd = a.den * b.den
-                m = pd // gcd(d, pd)
-                if m != 1:
-                    acc = {e: c * m for e, c in acc.items()}
-                    d *= m
-                f = d // pd
-            for e1, c1 in a.num.items():
-                room = 0 if pair_cap is None else (
-                    pair_cap - sum(map(mul, e1, weights)))
-                if not ints:
-                    for w2, e2, c2 in right:
-                        if w2 <= room:
-                            e = tuple(map(add, e1, e2))
-                            bucket = acc.get(e)
-                            if bucket is None:
-                                acc[e] = [c1, c2]
-                            else:
-                                bucket += c1, c2
-                    continue
+            # acc / d and the pair over their least common denominator
+            pd = a.den * b.den
+            m = pd // gcd(d, pd)
+            if m != 1:
+                acc = {k: c * m for k, c in acc.items()}
+                d *= m
+            f = d // pd
+            get = acc.get
+            if pair_cap is None:
+                right = list(b.num.items())
+                for k1, c1 in a.num.items():
+                    c1 *= f
+                    for k2, c2 in right:
+                        k = k1 + k2
+                        acc[k] = get(k, 0) + c1 * c2
+                continue
+            # the keys of b in increasing weight: a product is under the
+            # cap while k1 + k2 < top
+            top = (pair_cap + 1) << self._shift
+            right = sorted(b.num.items())
+            for k1, c1 in a.num.items():
+                room = top - k1
                 c1 *= f
-                for w2, e2, c2 in right:
-                    if w2 <= room:
-                        e = tuple(map(add, e1, e2))
-                        acc[e] = acc.get(e, 0) + c1 * c2
-        if ints:
-            # a pair of a larger cap may have left terms above the sum's
-            return _normal(self, acc, d, cap)
+                for k2, c2 in right:
+                    if k2 >= room:
+                        break
+                    k = k1 + k2
+                    acc[k] = get(k, 0) + c1 * c2
+        _check_guards(self, acc)
+        # a pair of a larger cap may have left terms above the sum's
+        return _normal(self, acc, d, cap)
+
+    def _bucket_dot(self, pairs):
+        acc, cap = {}, None
+        for a, b in pairs:
+            a, b = self._element(a), self._element(b)
+            pair_cap = _mincap(a.cap, b.cap)
+            cap = _mincap(cap, pair_cap)
+            top = None if pair_cap is None else (pair_cap + 1) << self._shift
+            right = sorted(b.num.items())
+            for k1, c1 in a.num.items():
+                for k2, c2 in right:
+                    k = k1 + k2
+                    if top is not None and k >= top:
+                        break
+                    bucket = acc.get(k)
+                    if bucket is None:
+                        acc[k] = [c1, c2]
+                    else:
+                        bucket += c1, c2
+        _check_guards(self, acc)
         # a bucket holds its pairs flat: c1, c2, c1', c2', ...
         base_dot = self.base.dot
-        return WeightedPoly(self, {e: base_dot(zip(cs[::2], cs[1::2]))
-                                   for e, cs in acc.items()}, cap)
+        return _nonzero(self, {k: base_dot(zip(cs[::2], cs[1::2]))
+                               for k, cs in acc.items()}, cap)
 
     def _element(self, x):
         # x as an element of this ring: rationals and base elements are
@@ -193,46 +318,60 @@ class WeightedPoly:
     """Element of a PolyRing; terms map exponent tuples to nonzero
     coefficients in ring.base.
 
-    Over QQ it is num / den, num mapping the same exponents to ints, in
-    normal form: den > 0 and gcd(den, content) = 1.  Over another base
-    den is None and num is terms.
+    num maps the keys of the terms (see the module docstring) to their
+    coefficients.  Over QQ and in the flat form it is num / den, the
+    coefficients ints, in normal form: den > 0 and gcd(den, content) = 1.
+    Over another base den is None and num holds the base elements.
 
     cap, if not None, bounds the weighted degree (term_weight, the sum of
     the exponents times the variable weights): terms above it are
     dropped, which makes the element a truncated multivariate series, and
     binary operations keep the smaller cap of their operands.
+
+    The constructor takes terms keyed by exponent tuples, each with one
+    entry per variable, each at least 0 and below EXPONENT_BOUND.
     """
 
     __slots__ = ("ring", "num", "den", "cap", "_terms")
 
     def __init__(self, ring, terms, cap=None):
-        self.ring = ring
-        self.cap = cap
-        # coeff_is_zero builds nothing, where c != 0 on a ring element
-        # would coerce 0 into the base
-        terms = {e: c for e, c in terms.items()
-                 if not coeff_is_zero(c)
-                 and (cap is None or self.term_weight(e) <= cap)}
-        self.num, self.den, self._terms = terms, None, terms
-        if ring.base is QQ:
-            # over the least common denominator the content is prime to it
-            self.den = lcm(*(c.denominator for c in terms.values()))
-            self.num = {e: c.numerator * (self.den // c.denominator)
-                        for e, c in terms.items()}
-            self._terms = None
+        num = {ring.key(e): c for e, c in terms.items()}
+        if ring._ints:
+            # each coefficient as ints over the least common denominator
+            parts = [(k, *ring._coefficient(c)) for k, c in num.items()]
+            den = lcm(*(d for _, _, d in parts))
+            p = _normal(ring, {k + inner: c * (den // d) for k, n, d in parts
+                               for inner, c in n.items()}, den, cap)
+        else:
+            p = _nonzero(ring, num, cap)
+        self.ring, self.num, self.den, self.cap = ring, p.num, p.den, cap
+        self._terms = None
 
     @property
     def terms(self):
         if self._terms is None:
-            self._terms = {e: Fraction(c, self.den)
-                           for e, c in self.num.items()}
+            ring, num, den = self.ring, self.num, self.den
+            exponents = ring.exponents
+            if ring._flat:
+                groups, low = {}, ring._low
+                mask = (1 << low) - 1
+                for k, c in num.items():
+                    groups.setdefault(k >> low, {})[k & mask] = c
+                self._terms = {
+                    exponents(o << low): _normal(ring.base, g, den, None)
+                    for o, g in groups.items()}
+            elif den is None:
+                self._terms = {exponents(k): c for k, c in num.items()}
+            else:
+                self._terms = {exponents(k): Fraction(c, den)
+                               for k, c in num.items()}
         return self._terms
 
     def truncate(self, cap):
         """Drop the terms of weight above cap, which becomes the cap."""
         cap = _mincap(self.cap, cap)
         if self.den is None:
-            return WeightedPoly(self.ring, self.num, cap)
+            return _nonzero(self.ring, self.num, cap)
         return _normal(self.ring, self.num, self.den, cap)
 
     # -- basic structure ----------------------------------------------------
@@ -246,13 +385,15 @@ class WeightedPoly:
     def weight(self):
         """Weight if homogeneous, else None.  Zero returns None as well
         (it is homogeneous of every weight)."""
-        ws = {self.term_weight(e) for e in self.num}
+        shift = self.ring._shift
+        ws = {k >> shift for k in self.num}
         if len(ws) == 1:
             return ws.pop()
         return None
 
     def is_homogeneous(self, w=None):
-        ws = {self.term_weight(e) for e in self.num}
+        shift = self.ring._shift
+        ws = {k >> shift for k in self.num}
         if not ws:
             return True
         if w is None:
@@ -260,9 +401,16 @@ class WeightedPoly:
         return ws == {w}
 
     def coeff(self, exps):
-        c = self.num.get(tuple(exps))
+        exps = tuple(exps)
+        ring = self.ring
+        if ring._flat:
+            return self.terms.get(exps, ring.base.zero)
+        try:
+            c = self.num.get(ring.key(exps))
+        except ValueError:  # no term has these exponents
+            c = None
         if c is None:
-            return self.ring.base.zero
+            return ring.base.zero
         return c if self.den is None else Fraction(c, self.den)
 
     def constant_term(self):
@@ -278,10 +426,10 @@ class WeightedPoly:
         """other as a coefficient multiplying every term, or None.
 
         Rationals are scalars over every base, and so is a WeightedPoly
-        of the base ring.  Over a base other than QQ any value that is
-        not a WeightedPoly is taken to be a base element.  None means
-        other belongs to a ring over this one, whose reflected operation
-        Python tries next.
+        of the base ring.  Over a base other than QQ or a polynomial ring
+        over QQ any value that is not a WeightedPoly is taken to be a
+        base element.  None means other belongs to a ring over this one,
+        whose reflected operation Python tries next.
         """
         if isinstance(other, (int, Fraction)):
             return other
@@ -291,7 +439,7 @@ class WeightedPoly:
             if other.ring.base != self.ring:
                 raise ValueError("mixed polynomial rings")
             return None
-        return None if self.ring.base is QQ else other
+        return None if self.ring._ints else other
 
     def _coerce(self, other):
         if self._same_ring(other):
@@ -311,23 +459,21 @@ class WeightedPoly:
         a, b, d = self.num, o.num, self.den
         if d is not None and d != o.den:
             d = lcm(d, o.den)
-            a = {e: c * (d // self.den) for e, c in a.items()}
-            b = {e: c * (d // o.den) for e, c in b.items()}
+            a = {k: c * (d // self.den) for k, c in a.items()}
+            b = {k: c * (d // o.den) for k, c in b.items()}
         terms = dict(a)
-        for e, c in b.items():
-            prev = terms.get(e)
-            terms[e] = c if prev is None else prev + c
+        for k, c in b.items():
+            prev = terms.get(k)
+            terms[k] = c if prev is None else prev + c
         if d is None:
-            return WeightedPoly(self.ring, terms, cap)
+            return _nonzero(self.ring, terms, cap)
         return _normal(self.ring, terms, d, cap)
 
     __radd__ = __add__
 
     def __neg__(self):
-        num = {e: -c for e, c in self.num.items()}
-        if self.den is None:
-            return WeightedPoly(self.ring, num, self.cap)
-        return _normal(self.ring, num, self.den, self.cap)
+        return _make(self.ring, {k: -c for k, c in self.num.items()},
+                     self.den, self.cap)
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -344,12 +490,16 @@ class WeightedPoly:
             if c is None:
                 return NotImplemented
             if self.den is None:
-                return WeightedPoly(
-                    self.ring, {e: a * c for e, a in self.num.items()},
-                    self.cap)
-            return _normal(self.ring,
-                           {e: a * c.numerator for e, a in self.num.items()},
-                           self.den * c.denominator, self.cap)
+                return _nonzero(self.ring,
+                                {k: a * c for k, a in self.num.items()},
+                                self.cap)
+            if isinstance(c, (int, Fraction)):
+                return _normal(self.ring,
+                               {k: a * c.numerator
+                                for k, a in self.num.items()},
+                               self.den * c.denominator, self.cap)
+            # in the flat form a base element is a constant of the ring
+            other = self.ring.constant(c)
         return self.ring.dot([(self, other)])
 
     __rmul__ = __mul__
@@ -396,27 +546,35 @@ class WeightedPoly:
         return (self.term_weight(exps), exps)
 
     def leading(self):
-        """(exps, coeff) of the graded-lex leading term; None for zero."""
+        """(exps, coeff) of the graded-lex leading term, the largest key;
+        None for zero."""
         if not self.num:
             return None
-        e = max(self.num, key=self._grlex_key)
+        e = self.ring.exponents(max(self.num))
         return e, self.coeff(e)
 
     def monic(self):
         """Scale so the graded-lex leading coefficient is 1 (over QQ)."""
-        lt = self.leading()
-        if lt is None:
+        if not self.num:
             return self
-        return _normal(self.ring, self.num, self.num[lt[0]], self.cap)
+        return _normal(self.ring, self.num, self.num[max(self.num)],
+                       self.cap)
 
     def __str__(self):
-        # over QQ each coefficient is num[e] / den, reduced here by one gcd
-        num, den, names = self.num, self.den, self.ring.names
+        ring, den = self.ring, self.den
+        if den is not None and not ring._flat:
+            # the terms by falling keys; each coefficient is num[k] / den,
+            # reduced here by one gcd
+            items = [(ring.exponents(k), self.num[k])
+                     for k in sorted(self.num, reverse=True)]
+        else:
+            den = None
+            items = [(e, self.terms[e]) for e in sorted(
+                self.terms, key=self._grlex_key, reverse=True)]
         out = []
-        for e in sorted(num, key=self._grlex_key, reverse=True):
-            c = num[e]
+        for e, c in items:
             mon = "*".join(n if k == 1 else f"{n}^{k}"
-                           for n, k in zip(names, e) if k)
+                           for n, k in zip(ring.names, e) if k)
             if den is not None:
                 g = gcd(c, den)
                 p, q = c // g, den // g
@@ -448,10 +606,11 @@ class WeightedPoly:
         of an image is formed once; the terms are grouped by the power of
         one variable after another, each group summed by one ring.dot.
         """
+        terms = self.terms
         levels = []  # (variable index, [1, image, image^2, ...])
         for i, name in enumerate(self.ring.names):
-            top = max((e[i] for e in self.num), default=0)
-            if not top:
+            top = self.degree_in(name)
+            if top <= 0:
                 continue
             if name not in mapping:
                 raise VariableNotPresent(f"no image for variable {name}")
@@ -476,14 +635,14 @@ class WeightedPoly:
                             for k, g in groups.items())
 
         if not levels:
-            return ring.dot((ring.one, c) for c in self.terms.values())
-        return fold(list(self.terms.items()), 0)
+            return ring.dot((ring.one, c) for c in terms.values())
+        return fold(list(terms.items()), 0)
 
     # -- univariate views ---------------------------------------------------
 
     def degree_in(self, name):
-        i = self.ring.names.index(name)
-        return max((e[i] for e in self.num), default=-1)
+        pos = self.ring._pos[self.ring.names.index(name)]
+        return max(((k >> pos) & _FIELD for k in self.num), default=-1)
 
     def as_univariate(self, name):
         """dict exponent-of-name -> WeightedPoly not involving name."""

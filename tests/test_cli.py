@@ -26,8 +26,8 @@ from ellgenus.cli import (
 )
 from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import evaluate
-from ellgenus import (blowup, cli, jacobi_q, level_n, manifold_json,
-                     twisted_bundles, universal_elliptic)
+from ellgenus import (blowup, cli, cohomology_models, jacobi_q, level_n,
+                      manifold_json, twisted_bundles, universal_elliptic)
 from ellgenus.manifold_json import COUNT_LIMITS, MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
@@ -311,6 +311,32 @@ def test_work_over_its_limit_exits_2_at_once(argv, error, module, name, fmt,
         limit = int(error.split("at most ")[1].split(",")[0])
         with pytest.raises(AssertionError, match="the algebra ran"):
             main([*argv[:-1], str(limit)], out=io.StringIO())
+
+
+@pytest.mark.parametrize("name, dim", [("CP100000", 100000),
+                                       ("W100000", 100000),
+                                       ("TwCP(60000,1)", 60000)])
+def test_huge_catalog_names_exit_2_before_any_model(name, dim):
+    # the catalog bounds a name's dimension by the largest that any
+    # command admits, before it builds the model
+    assert cohomology_models.CATALOG_MAX_DIM == GENUS_MAX_DIM
+    start = time.perf_counter()
+    rc, text = run("genus", "eval", "--genus", "todd",
+                   "--manifold", f"catalog:{name}")
+    assert time.perf_counter() - start < 1
+    assert rc == 2
+    assert text == ("error: the manifold's dimension must be at most "
+                    f"{GENUS_MAX_DIM}, got {dim}\n")
+    assert catalog(f"CP{GENUS_MAX_DIM}").dim == GENUS_MAX_DIM
+    with pytest.raises(ValueError):
+        catalog(f"CP{GENUS_MAX_DIM + 1}")
+
+
+def test_negative_twisted_projective_space_exits_2():
+    rc, text = run("genus", "eval", "--genus", "todd",
+                   "--manifold", "catalog:TwCP(-1,3)")
+    assert rc == 2
+    assert text == "error: TwCP(p,q) needs p, q >= 0, got TwCP(-1,3)\n"
 
 
 def test_unknown_genus_exits_2():
