@@ -148,11 +148,12 @@ class InputError(ValueError):
     pass
 
 
-def resolve_manifold(sel):
+def resolve_manifold(sel, max_dim):
     """catalog:NAME, inline JSON (a value starting with { or [), or a
-    path to a JSON file."""
+    path to a JSON file, refused before it is built if its dimension is
+    above max_dim, the command's limit (cohomology_models.check_size)."""
     if sel.startswith("catalog:"):
-        return cohomology_models.catalog(sel[len("catalog:"):])
+        return cohomology_models.catalog(sel[len("catalog:"):], max_dim)
     import json
     from .manifold_json import model_from_json
     inline = sel.lstrip().startswith(("{", "["))
@@ -169,7 +170,7 @@ def resolve_manifold(sel):
         raise InputError(f"bad {where}: {exc}") from exc
     except RecursionError:  # the decoder recurses once per nesting level
         raise InputError(f"bad {where}: nested too deeply") from None
-    return model_from_json(obj)
+    return model_from_json(obj, max_dim)
 
 
 def resolve_genus(sel, order):
@@ -208,15 +209,14 @@ def _manifold_label(m, sel):
 
 
 def cmd_genus_eval(args, out):
-    m = resolve_manifold(args.manifold)
-    dim = _at_most("the manifold's dimension", m.dim, GENUS_MAX_DIM)
+    m = resolve_manifold(args.manifold, GENUS_MAX_DIM)
     # the value reads Q only through x^dim, so --order beyond it changes
     # nothing; a genus needs order >= 1 even on a point
-    spec = resolve_genus(args.genus, max(dim, 1))
+    spec = resolve_genus(args.genus, max(m.dim, 1))
     v = evaluate(spec, m)
     if args.format == "json":
         _write_json({"genus": spec.name, "manifold": _manifold_label(m, args.manifold),
-                     "dim": dim, "value": value_json(v)}, out)
+                     "dim": m.dim, "value": value_json(v)}, out)
     else:
         out.write(f"{spec.name}({_manifold_label(m, args.manifold)}) = {value_str(v)}\n")
     return 0
@@ -238,8 +238,10 @@ def cmd_universal_coeffs(args, out):
 # The largest --N or --order of each command: the largest value it runs
 # in about 10 s cold (BENCH_pr24.json, BENCH_pr25.json).  The time grows
 # steeply above it.  So do the limits on the manifold's dimension and on
-# --qorder times the cost of one q-coefficient (BENCH_pr26.json);
-# QEXPAND_MAX_DIM is the largest dimension of a JSON SU class.
+# --qorder times the cost of one q-coefficient (BENCH_pr26.json).  A
+# manifold is checked against its command's limit before it is built
+# (resolve_manifold); QEXPAND_MAX_DIM is the largest dimension of a JSON
+# SU class.
 LEVELN_MAX_N = 14
 BLOWUP_MAX_N = 66
 UNIVERSAL_MAX_ORDER = 92
@@ -289,10 +291,9 @@ def cmd_leveln_relations(args, out):
 
 
 def cmd_qexpand(args, out):
-    m = resolve_manifold(args.manifold)
-    dim = _at_most("the manifold's dimension", m.dim, QEXPAND_MAX_DIM)
-    _at_most(f"--qorder in dimension {dim}", args.qorder,
-             QEXPAND_MAX_WORK // max(dim, 2))
+    m = resolve_manifold(args.manifold, QEXPAND_MAX_DIM)
+    _at_most(f"--qorder in dimension {m.dim}", args.qorder,
+             QEXPAND_MAX_WORK // max(m.dim, 2))
     v = jacobi_q.chi_y_loop(m, args.qorder)
     if args.format == "json":
         _write_json({"manifold": _manifold_label(m, args.manifold), "qorder": args.qorder,

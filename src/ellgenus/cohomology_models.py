@@ -14,8 +14,10 @@ genus-valued characteristic classes live in the same machinery.
 
 Constructors here cover complex projective spaces, products and smooth
 hypersurfaces; the catalog exposes the standard generator manifolds used
-throughout.  Structure constants are filled on first use: each model's
-table computes an entry when a product first asks for it.  Chern numbers
+throughout.  check_size holds the size bounds of a manifold built for a
+command, which the catalog and manifold_json apply before they build.
+Structure constants are filled on first use: each model's table
+computes an entry when a product first asks for it.  Chern numbers
 share the monomials c_{p_1}...c_{p_k} of common prefixes.  The twisted
 projective bundles (catalog W5, W6, ... and TwCP(p,q)) are in
 twisted_bundles and manifolds read from JSON in manifold_json; each is
@@ -232,9 +234,14 @@ class CohomologyModel:
 
     def is_su(self):
         """True if every Chern number involving c_1 vanishes; c_1 = 0 in
-        the ring answers without the Chern numbers."""
-        return not any(self.chern_class(1).values()) or \
-            chern_vector(self).is_su()
+        the ring answers without the Chern numbers.  Otherwise, as c_1 =
+        p_1, exactly when every power-sum number with a part 1 vanishes:
+        power_sum_numbers gives only the nonzero ones, and follows no
+        zero class, where the Chern numbers would all be formed."""
+        if not any(self.chern_class(1).values()):
+            return True
+        numbers = power_sum_numbers(self, range(1, self.dim + 1))
+        return not any(1 in part for part in numbers)
 
     def __repr__(self):
         return f"<CohomologyModel {self.name}, dim {self.dim}>"
@@ -395,6 +402,37 @@ def milnor_number(m):
 # ---------------------------------------------------------------------------
 
 
+# The size of a manifold built for a command, which passes its own
+# dimension limit as max_dim; a library caller passes none and gets no
+# bound.  A part (a product factor, a hypersurface's ambient or a bundle's
+# base) has dimension at most PART_MAX_DIM, above every command's limit,
+# as the ambient of a complete intersection must be.  Chern numbers, one
+# per partition of the dimension, go up to CHERN_NUMBERS_MAX_DIM, where
+# chi_y on dense ones takes about 10 s cold (BENCH_pr23.json).  A
+# product's or a bundle's rank, its number of basis classes, is at most
+# MAX_RANK: chi_y, the slowest command, took at most 6.5 s cold at it on
+# products of CP1, CP2 or CP3 and on bundles of trivial lines over
+# CP1^10, and 11 to 13 s on CP1^15 and on 20 lines over CP1^10, just
+# above it (BENCH_pr28.json).
+PART_MAX_DIM = 42
+CHERN_NUMBERS_MAX_DIM = 32
+MAX_RANK = 2 ** 14
+
+
+def check_size(what, dim, max_dim, rank=1):
+    """Refuse a manifold, called what, before it is built: ValueError if
+    its dimension is above max_dim or its rank above MAX_RANK.  No bound
+    if max_dim is None."""
+    if max_dim is None:
+        return
+    if dim > max_dim:
+        raise ValueError(f"{what}'s dimension must be at most {max_dim}, "
+                         f"got {dim}")
+    if rank > MAX_RANK:
+        raise ValueError(f"{what}'s cohomology rank must be at most "
+                         f"{MAX_RANK}, got {rank}")
+
+
 def cp_model(n):
     """CP_n: Z[g]/(g^{n+1}), c = (1+g)^{n+1}, integral of g^n is 1."""
     if n < 0:
@@ -482,25 +520,13 @@ def quartic_surface():
     return m
 
 
-# The largest dimension of a catalog manifold, the largest that any
-# command admits: a larger one is rejected by name, before it is built.
-CATALOG_MAX_DIM = 40
-
-
-def _catalog_dim(dim):
-    """dim, checked against CATALOG_MAX_DIM."""
-    if dim > CATALOG_MAX_DIM:
-        raise ValueError(f"the manifold's dimension must be at most "
-                         f"{CATALOG_MAX_DIM}, got {dim}")
-    return dim
-
-
-def catalog(name):
+def catalog(name, max_dim=None, what="the manifold"):
     """Look up a manifold (model or Chern-number vector) by name.
 
-    Supported: Wn, CPn, TwCP(p,q) and K3, each of dimension at most
-    CATALOG_MAX_DIM, which a larger name is checked against before any
-    model is built (Wn and CPn have dimension n, TwCP(p,q) p + q - 1).
+    Supported: Wn, CPn, TwCP(p,q) and K3 (Wn and CPn have dimension n,
+    TwCP(p,q) p + q - 1).  A command passes its dimension limit as
+    max_dim: check_size then refuses a larger name, called what, before
+    any model is built.  Without max_dim the catalog has no bound.
     """
     name = name.strip()
     if name == "W1":
@@ -516,19 +542,21 @@ def catalog(name):
     if name.startswith("W") and name[1:].isdigit():
         k = int(name[1:])
         if k >= 5:
-            _catalog_dim(k)
+            check_size(what, k, max_dim)
             from .twisted_bundles import w_even, w_odd
             if k % 2 == 1:
                 return w_odd((k - 1) // 2)
             return w_even((k - 2) // 2)
     if name.startswith("CP") and name[2:].isdigit():
-        return cp_model(_catalog_dim(int(name[2:])))
+        n = int(name[2:])
+        check_size(what, n, max_dim)
+        return cp_model(n)
     if name.startswith("TwCP(") and name.endswith(")"):
         inner = name[5:-1]
         p, q = (int(s) for s in inner.split(","))
         if p < 0 or q < 0:
             raise ValueError(f"TwCP(p,q) needs p, q >= 0, got {name}")
-        _catalog_dim(p + q - 1)
+        check_size(what, p + q - 1, max_dim)
         from .twisted_bundles import tw_cp
         return tw_cp(p, q)
     raise UnknownName(name)

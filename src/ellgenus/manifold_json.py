@@ -2,18 +2,23 @@
 
 A JSON object names a model type and its fields; model_from_json builds
 the model from the constructors of cohomology_models (and of
-twisted_bundles for a twisted bundle), checking every field it reads.
-Only a manifold given as JSON imports this module.
+twisted_bundles for a twisted bundle), checking every field it reads,
+and, for a command, the size of each model with check_size before the
+model is built.  Only a manifold given as JSON imports this module.
 """
 
 from __future__ import annotations
 
 import json
 from fractions import Fraction
+from math import prod
 
 from .cohomology_models import (
+    CHERN_NUMBERS_MAX_DIM,
+    PART_MAX_DIM,
     ChernVector,
     catalog,
+    check_size,
     cp_model,
     hypersurface_model,
     point_model,
@@ -29,20 +34,12 @@ MANIFOLD_TYPES = ("cp", "catalog", "product", "hypersurface",
                   "twisted_bundle", "chern_numbers")
 _KIND_NAMES = {int: "a nonnegative integer", str: "a string", list: "a list",
                dict: "an object"}
-# The largest value of each count field: at it the slowest named genus,
-# chi_y, takes about 10 s cold on CP^n, on dense Chern numbers of that
-# dimension and on the projective bundle of that many trivial lines over
-# a point (the curve is in BENCH_pr23.json).  The counts of a composite
-# manifold (a product, or a bundle over a large base) are bounded one by
-# one, not their sum.
-COUNT_LIMITS = {"n": 42, "dim": 32, "trivial": 43}
 
 
 def _field(obj, key, kind, default=None):
     """obj[key], which must be a kind (int, str, list or dict); default,
     if given, stands in for a missing field.  The int fields are counts:
-    a nonnegative integer or integral float, never a boolean, and at most
-    the field's entry in COUNT_LIMITS."""
+    a nonnegative integer or integral float, never a boolean."""
     if key not in obj:
         if default is None:
             raise BadManifold(f"manifold JSON: missing field {key!r}")
@@ -54,13 +51,10 @@ def _field(obj, key, kind, default=None):
             kind is int and (isinstance(v, bool) or v < 0)):
         raise BadManifold(f"manifold JSON: field {key!r} must be "
                           f"{_KIND_NAMES[kind]}, got {json.dumps(v)}")
-    if kind is int and v > COUNT_LIMITS.get(key, v):
-        raise BadManifold(f"manifold JSON: field {key!r} must be at most "
-                          f"{COUNT_LIMITS[key]}, got {v}")
     return v
 
 
-def model_from_json(obj):
+def model_from_json(obj, max_dim=None):
     """Build a manifold from the JSON schema used by the CLI.
 
     {"type":"cp","n":...}
@@ -71,8 +65,35 @@ def model_from_json(obj):
     {"type":"chern_numbers","dim":n,"numbers":{"1,1":"2",...}}
     {"type":"catalog","name":"W5"}
 
-    A missing or malformed field raises BadManifold naming it.
+    A command passes its dimension limit as max_dim.  Before anything
+    is built, check_size holds the manifold to it, each part (a product
+    factor, a hypersurface's ambient, a bundle's base) to PART_MAX_DIM,
+    Chern numbers to CHERN_NUMBERS_MAX_DIM and a product's or bundle's
+    rank to MAX_RANK.  Without max_dim nothing is bounded.
+
+    A missing or malformed field raises BadManifold naming it, and so
+    does a part given as Chern numbers.
     """
+    return _model(obj, max_dim, "the manifold")
+
+
+def _bound(max_dim, limit):
+    """limit if the manifold is bounded (max_dim given), else None."""
+    return None if max_dim is None else limit
+
+
+def _part(obj, max_dim, what):
+    """A product factor, a hypersurface's ambient or a bundle's base: a
+    cohomology model of dimension at most PART_MAX_DIM."""
+    m = _model(obj, _bound(max_dim, PART_MAX_DIM), what)
+    if isinstance(m, ChernVector):
+        raise BadManifold(f"manifold JSON: {what} must be a cohomology "
+                          "model, not Chern numbers")
+    return m
+
+
+def _model(obj, max_dim, what):
+    """model_from_json for a manifold called what, bounded by max_dim."""
     if not isinstance(obj, dict):
         raise BadManifold(f"manifold JSON: expected an object, got "
                           f"{json.dumps(obj)}")
@@ -83,19 +104,26 @@ def model_from_json(obj):
         raise BadManifold(f"manifold JSON: field 'type' must be one of "
                           f"{', '.join(MANIFOLD_TYPES)}, got {json.dumps(t)}")
     if t == "cp":
-        return cp_model(_field(obj, "n", int))
+        n = _field(obj, "n", int)
+        check_size(what, n, max_dim)
+        return cp_model(n)
     if t == "catalog":
-        return catalog(_field(obj, "name", str))
+        return catalog(_field(obj, "name", str), max_dim, what)
     if t == "product":
-        factors = [model_from_json(f) for f in _field(obj, "factors", list)]
-        if not factors:
-            return point_model()
+        objs = _field(obj, "factors", list)
+        if len(objs) < 2:  # no factor is a point, one is itself
+            return _model(objs[0], max_dim, what) if objs else point_model()
+        factors = [_part(f, max_dim, "a product factor") for f in objs]
+        check_size(what, sum(f.dim for f in factors), max_dim,
+                   prod(len(f.labels) for f in factors))
         m = factors[0]
         for f in factors[1:]:
             m = product_model(m, f)
         return m
     if t == "hypersurface":
-        amb = model_from_json(_field(obj, "ambient", dict))
+        amb = _part(_field(obj, "ambient", dict), max_dim,
+                    "a hypersurface ambient")
+        check_size(what, amb.dim - 1, max_dim)
         c1 = _element_from_list(amb, _field(obj, "c1", list))
         return hypersurface_model(amb, c1)
     if t == "twisted_bundle":
@@ -103,20 +131,24 @@ def model_from_json(obj):
         base_obj = _field(obj, "base", dict)
         e = _field(obj, "E", dict, {})
         f = _field(obj, "F", dict, {})
-        # the counts are checked before the base is built
         e_trivial = _field(e, "trivial", int, 0)
         f_trivial = _field(f, "trivial", int, 0)
-        base = model_from_json(base_obj)
-        e_lines = [_element_from_list(base, v)
-                   for v in _field(e, "lines", list, [])]
-        f_lines = [_element_from_list(base, v)
-                   for v in _field(f, "lines", list, [])]
+        e_lines = _field(e, "lines", list, [])
+        f_lines = _field(f, "lines", list, [])
+        base = _part(base_obj, max_dim, "a bundle base")
+        r = len(e_lines) + e_trivial + len(f_lines) + f_trivial
+        check_size(what, base.dim + r - 1, max_dim, len(base.labels) * r)
         return twisted_proj_bundle_model(
-            base, e_lines=e_lines, e_trivial=e_trivial,
-            f_lines=f_lines, f_trivial=f_trivial,
+            base, e_lines=[_element_from_list(base, v) for v in e_lines],
+            e_trivial=e_trivial,
+            f_lines=[_element_from_list(base, v) for v in f_lines],
+            f_trivial=f_trivial,
         )
     # the one type left: chern_numbers
     dim = _field(obj, "dim", int)
+    check_size(what, dim, max_dim)
+    check_size("a Chern-number vector", dim,
+               _bound(max_dim, CHERN_NUMBERS_MAX_DIM))
     numbers = {}
     for key, val in _field(obj, "numbers", dict, {}).items():
         try:

@@ -28,7 +28,7 @@ from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import evaluate
 from ellgenus import (blowup, cli, cohomology_models, jacobi_q, level_n,
                       manifold_json, twisted_bundles, universal_elliptic)
-from ellgenus.manifold_json import COUNT_LIMITS, MANIFOLD_TYPES
+from ellgenus.manifold_json import MANIFOLD_TYPES
 from ellgenus.universal_elliptic import ABCDPoint, phi_ell, specialize
 
 F = Fraction
@@ -313,23 +313,190 @@ def test_work_over_its_limit_exits_2_at_once(argv, error, module, name, fmt,
             main([*argv[:-1], str(limit)], out=io.StringIO())
 
 
-@pytest.mark.parametrize("name, dim", [("CP100000", 100000),
-                                       ("W100000", 100000),
-                                       ("TwCP(60000,1)", 60000)])
-def test_huge_catalog_names_exit_2_before_any_model(name, dim):
-    # the catalog bounds a name's dimension by the largest that any
-    # command admits, before it builds the model
-    assert cohomology_models.CATALOG_MAX_DIM == GENUS_MAX_DIM
+def _product(*factors):
+    return {"type": "product", "factors": list(factors)}
+
+
+CP1, CP40 = {"type": "cp", "n": 1}, {"type": "cp", "n": 40}
+K3 = {"type": "catalog", "name": "K3"}
+
+
+def _manifold_error(dim):
+    return lambda limit: (f"the manifold's dimension must be at most "
+                          f"{limit}, got {dim}")
+
+
+def _chern_numbers_error(limit):
+    # a command limit above 32 leaves the Chern-number bound to refuse
+    if limit < 33:
+        return _manifold_error(33)(limit)
+    return "a Chern-number vector's dimension must be at most 32, got 33"
+
+
+# Each form is over a size bound for both commands: (--manifold, the
+# error line for a command of dimension limit L, the constructors that
+# may build its parts).
+OVER_LIMIT = {
+    "catalog-CP41": ("catalog:CP41", _manifold_error(41), ()),
+    "catalog-CP100000": ("catalog:CP100000", _manifold_error(100000), ()),
+    "catalog-W41": ("catalog:W41", _manifold_error(41), ()),
+    "catalog-W100000": ("catalog:W100000", _manifold_error(100000), ()),
+    "catalog-TwCP": ("catalog:TwCP(21,21)", _manifold_error(41), ()),
+    "catalog-TwCP-huge": ("catalog:TwCP(60000,1)", _manifold_error(60000),
+                          ()),
+    "cp-41": ({"type": "cp", "n": 41}, _manifold_error(41), ()),
+    "cp-42": ({"type": "cp", "n": 42}, _manifold_error(42), ()),
+    "cp-43": ({"type": "cp", "n": 43}, _manifold_error(43), ()),
+    "cp-100000": ({"type": "cp", "n": 100000}, _manifold_error(100000), ()),
+    "CP40^5": (_product(*[CP40] * 5), _manifold_error(200), ("cp_model",)),
+    "bundle-over-CP40^3": (
+        {"type": "twisted_bundle", "base": _product(*[CP40] * 3),
+         "E": {"trivial": 43}},
+        lambda limit: "a bundle base's dimension must be at most 42, got 120",
+        ("cp_model",)),
+    "bundle-huge-rank": (
+        {"type": "twisted_bundle", "base": CP1, "F": {"trivial": 10 ** 6}},
+        _manifold_error(10 ** 6), ("cp_model",)),
+    "chern-numbers-33": ({"type": "chern_numbers", "dim": 33},
+                         _chern_numbers_error, ()),
+    "factor-43": (
+        _product({"type": "cp", "n": 43}, CP1),
+        lambda limit: "a product factor's dimension must be at most 42, "
+                      "got 43", ()),
+    "ambient-43": (
+        {"type": "hypersurface", "ambient": {"type": "cp", "n": 43},
+         "c1": [1]},
+        lambda limit: "a hypersurface ambient's dimension must be at most "
+                      "42, got 43", ()),
+    "CP1^15": (_product(*[CP1] * 15),
+               lambda limit: "the manifold's cohomology rank must be at most "
+                             "16384, got 32768", ("cp_model",)),
+    "bundle-over-CP1^10": (
+        {"type": "twisted_bundle", "base": _product(*[CP1] * 10),
+         "E": {"trivial": 20}},
+        lambda limit: "the manifold's cohomology rank must be at most "
+                      "16384, got 20480", ("cp_model", "product_model")),
+}
+
+
+def _constructors():
+    # where each constructor the catalog and the JSON schema call is bound
+    return {
+        "cp_model": [(cohomology_models, "cp_model"),
+                     (manifold_json, "cp_model")],
+        "product_model": [(manifold_json, "product_model")],
+        "hypersurface_model": [(manifold_json, "hypersurface_model")],
+        "twisted_proj_bundle_model": [
+            (twisted_bundles, "twisted_proj_bundle_model")],
+        "ChernVector": [(cohomology_models.ChernVector, "__init__")],
+    }
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, limit", [
+    (("genus", "eval", "--genus", "chi_y"), GENUS_MAX_DIM),
+    (("qexpand", "--qorder", "1"), QEXPAND_MAX_DIM),
+], ids=["genus", "qexpand"])
+@pytest.mark.parametrize("form", list(OVER_LIMIT))
+def test_over_limit_manifold_exits_2_before_it_is_built(form, command, limit,
+                                                        fmt, monkeypatch):
+    # the size is checked before the constructor runs, and the line names
+    # the bound exceeded: for the manifold itself, the command's own
+    manifold, error, allowed = OVER_LIMIT[form]
+
+    def built(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    for name, places in _constructors().items():
+        if name not in allowed:
+            for owner, attr in places:
+                monkeypatch.setattr(owner, attr, built)
+    if not isinstance(manifold, str):
+        manifold = json.dumps(manifold)
     start = time.perf_counter()
-    rc, text = run("genus", "eval", "--genus", "todd",
-                   "--manifold", f"catalog:{name}")
+    rc, text = run(*command, "--manifold", manifold, "--format", fmt)
     assert time.perf_counter() - start < 1
     assert rc == 2
-    assert text == ("error: the manifold's dimension must be at most "
-                    f"{GENUS_MAX_DIM}, got {dim}\n")
-    assert catalog(f"CP{GENUS_MAX_DIM}").dim == GENUS_MAX_DIM
-    with pytest.raises(ValueError):
-        catalog(f"CP{GENUS_MAX_DIM + 1}")
+    assert text.count("\n") == 1
+    assert (json.loads(text)["error"] if fmt == "json"
+            else text.removeprefix("error: ").rstrip("\n")) == error(limit)
+
+
+@pytest.mark.parametrize("command, manifold, dim, module, name", [
+    (("genus", "eval", "--genus", "todd"),
+     {"type": "hypersurface", "c1": [1], "ambient": {
+         "type": "hypersurface", "ambient": {"type": "cp", "n": 42},
+         "c1": [1]}}, 40, cli, "evaluate"),
+    (("genus", "eval", "--genus", "todd"),
+     {"type": "twisted_bundle", "base": CP1, "E": {"trivial": 40}}, 40, cli,
+     "evaluate"),
+    (("genus", "eval", "--genus", "todd"), _product(*[CP1] * 14), 14, cli,
+     "evaluate"),
+    (("qexpand", "--qorder", "1"), "catalog:CP32", 32, jacobi_q,
+     "chi_y_loop"),
+    (("qexpand", "--qorder", "1"), {"type": "cp", "n": 32}, 32, jacobi_q,
+     "chi_y_loop"),
+    (("qexpand", "--qorder", "1"), _product(*[K3] * 7), 14, jacobi_q,
+     "chi_y_loop"),
+], ids=["H(H(CP42))", "bundle-of-40-lines", "CP1^14", "catalog-CP32",
+        "cp-32", "K3^7"])
+def test_manifold_at_its_limits_reaches_the_algebra(command, manifold, dim,
+                                                    module, name,
+                                                    monkeypatch):
+    def ran(*args):
+        dim, = (a.dim for a in args if hasattr(a, "dim"))
+        raise AssertionError(f"the algebra ran in dimension {dim}")
+
+    monkeypatch.setattr(module, name, ran)
+    if not isinstance(manifold, str):
+        manifold = json.dumps(manifold)
+    with pytest.raises(AssertionError, match=f"ran in dimension {dim}$"):
+        main([*command, "--manifold", manifold], out=io.StringIO())
+
+
+W3, W4 = {"type": "catalog", "name": "W3"}, {"type": "catalog", "name": "W4"}
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("command, manifold, what", [
+    (("genus", "eval", "--genus", "todd"), _product(CP1, W3),
+     "a product factor"),
+    (("qexpand",), _product(K3, W4), "a product factor"),
+    (("genus", "eval", "--genus", "todd"),
+     _product({"type": "chern_numbers", "dim": 2}, CP1), "a product factor"),
+    (("genus", "eval", "--genus", "todd"),
+     {"type": "hypersurface", "ambient": W3, "c1": []},
+     "a hypersurface ambient"),
+    (("qexpand",), {"type": "twisted_bundle", "base": W4,
+                    "E": {"trivial": 2}}, "a bundle base"),
+], ids=["factor-W3", "factor-W4", "factor-chern-numbers", "ambient-W3",
+        "base-W4"])
+def test_chern_numbers_as_a_part_exit_2(command, manifold, what, fmt):
+    rc, text = run(*command, "--manifold", json.dumps(manifold),
+                   "--format", fmt)
+    assert rc == 2
+    assert text.count("\n") == 1
+    assert (json.loads(text)["error"] if fmt == "json"
+            else text.removeprefix("error: ").rstrip("\n")) == (
+        f"manifold JSON: {what} must be a cohomology model, not Chern "
+        "numbers")
+
+
+def test_product_of_one_factor_is_that_factor():
+    assert manifold_json.model_from_json(_product(W3)) == catalog("W3")
+    rc, text = run("genus", "eval", "--genus", "euler", "--manifold",
+                   json.dumps(_product(W3)))
+    assert rc == 0 and text.endswith(" = 2\n")
+
+
+def test_qexpand_refuses_a_product_of_twelve_cp1_quickly():
+    # c_1 is nonzero in the ring, so the SU test reads the power-sum
+    # numbers, where only p_1^12 is nonzero
+    start = time.perf_counter()
+    rc, text = run("qexpand", "--qorder", "1", "--manifold",
+                   json.dumps(_product(*[CP1] * 12)))
+    assert time.perf_counter() - start < 10
+    assert (rc, text) == (2, "error: chi_y(q, LX) needs an SU class\n")
 
 
 def test_negative_twisted_projective_space_exits_2():
@@ -557,67 +724,6 @@ def test_bad_manifold_json_exits_2(command, manifold, message, fmt):
         error = text[len("error: "):]
     assert error.startswith("manifold JSON: ")
     assert message in error
-
-
-# One case per count field of the schema, each over its limit.
-OVER_LIMIT = [
-    ("n", {"type": "cp", "n": COUNT_LIMITS["n"] + 1}),
-    ("n", {"type": "cp", "n": 100000}),
-    ("dim", {"type": "chern_numbers", "dim": COUNT_LIMITS["dim"] + 1}),
-    ("trivial", {"type": "twisted_bundle", "base": {"type": "cp", "n": 1},
-                 "E": {"trivial": COUNT_LIMITS["trivial"] + 1}}),
-    ("trivial", {"type": "twisted_bundle", "base": {"type": "cp", "n": 1},
-                 "F": {"trivial": 10 ** 6}}),
-]
-
-
-def _forbid_models(monkeypatch):
-    # every constructor a count field reaches fails the test if it runs
-    def built(*args, **kwargs):
-        raise AssertionError("a model was built")
-
-    for module, name in ((manifold_json, "cp_model"),
-                         (manifold_json, "ChernVector"),
-                         (twisted_bundles, "twisted_proj_bundle_model")):
-        monkeypatch.setattr(module, name, built)
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("field,manifold", OVER_LIMIT)
-def test_json_count_over_its_limit_exits_2_before_any_algebra(
-        field, manifold, fmt, monkeypatch):
-    _forbid_models(monkeypatch)
-    rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
-                   json.dumps(manifold), "--format", fmt)
-    assert rc == 2
-    assert text.count("\n") == 1
-    error = (json.loads(text)["error"] if fmt == "json"
-             else text.removeprefix("error: ").rstrip("\n"))
-    value = (manifold.get(field) or manifold.get("E", {}).get(field)
-             or manifold["F"][field])
-    assert error == (f"manifold JSON: field {field!r} must be at most "
-                     f"{COUNT_LIMITS[field]}, got {value}")
-
-
-@pytest.mark.parametrize("field", sorted(COUNT_LIMITS))
-def test_json_count_at_its_limit_is_read(field, monkeypatch):
-    # the limit itself passes the check and reaches the constructor
-    reached = []
-    monkeypatch.setattr(manifold_json, "cp_model",
-                        lambda n: reached.append(("n", n)) or cp_model(1))
-    monkeypatch.setattr(manifold_json, "ChernVector",
-                        lambda dim, numbers: reached.append(("dim", dim)))
-    monkeypatch.setattr(
-        twisted_bundles, "twisted_proj_bundle_model",
-        lambda base, **kw: reached.append(("trivial", kw["e_trivial"])))
-    limit = COUNT_LIMITS[field]
-    obj = {"n": {"type": "cp", "n": limit},
-           "dim": {"type": "chern_numbers", "dim": limit},
-           "trivial": {"type": "twisted_bundle", "base": {"type": "cp",
-                                                          "n": 1},
-                       "E": {"trivial": limit}}}[field]
-    manifold_json.model_from_json(obj)
-    assert (field, limit) in reached
 
 
 def test_integral_float_count_is_accepted():

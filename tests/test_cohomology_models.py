@@ -504,6 +504,40 @@ def test_chern_numbers_fill_part_of_the_table():
         assert 0 < len(m.mul_table) < len(m.labels) ** 2
 
 
+def test_is_su_agrees_with_the_chern_numbers():
+    # is_su reads the power-sum numbers when c_1 is nonzero in the ring
+    rng = random.Random(20261020)
+    models = [catalog(name) for name in (
+        "CP0", "CP1", "CP2", "CP3", "W1", "W2", "W5", "W6", "W7",
+        "TwCP(1,1)", "TwCP(2,1)", "TwCP(2,2)", "TwCP(3,1)")]
+    models += [product_model(cp_model(1), cp_model(1)),
+               product_model(catalog("K3"), catalog("K3")),
+               product_model(cp_model(1), catalog("K3")),
+               product_model(tw_cp(1, 1), cp_model(2))]
+    cp1xcp2 = product_model(cp_model(1), cp_model(2))
+    models += [hypersurface_model(cp_model(4), {1: 5}),
+               hypersurface_model(cp_model(3), {1: 2}),
+               # L trivial: every number is 0 though c_1 = 4g is not
+               hypersurface_model(cp_model(3), {}),
+               # c_1 = h_1 with h_1^2 = 0, so SU though nonzero
+               hypersurface_model(cp1xcp2, {(1, 0): 1, (0, 1): 3}),
+               hypersurface_model(cp1xcp2, {(1, 0): 2, (0, 1): 1})]
+    for name in ("CP1", "CP2", "quartic", "CP1xCP1"):
+        base = BASES[name]()
+        for _ in range(3):
+            ne, et, nf, ft = (rng.randint(0, 2) for _ in range(4))
+            models.append(twisted_proj_bundle_model(
+                base, [_random_line(rng, base) for _ in range(ne)],
+                et or not (ne or nf or ft),
+                [_random_line(rng, base) for _ in range(nf)], ft))
+    su = [m.is_su() for m in models]
+    assert su == [chern_vector(m).is_su() for m in models]
+    assert True in su and False in su
+    # the power-sum route decides both ways
+    assert {m.is_su() for m in models if any(m.chern_class(1).values())} \
+        == {True, False}
+
+
 # ---------------------------------------------------------------------------
 # catalog and JSON schema
 # ---------------------------------------------------------------------------
@@ -524,6 +558,22 @@ def test_catalog_w1_w4():
 def test_catalog_unknown():
     with pytest.raises(UnknownName):
         catalog("nonsense")
+
+
+def test_library_calls_have_no_size_bound():
+    # only a command passes max_dim; without it nothing is bounded
+    assert catalog("CP60").dim == 60
+    assert catalog("W45").dim == 45
+    assert catalog("TwCP(30,20)").dim == 49
+    assert model_from_json({"type": "cp", "n": 100}).dim == 100
+    big = model_from_json({"type": "product", "factors": [
+        {"type": "cp", "n": 200}, {"type": "cp", "n": 200}]})
+    assert (big.dim, len(big.labels)) == (400, 201 ** 2)
+    assert model_from_json({"type": "hypersurface", "c1": [1], "ambient": {
+        "type": "cp", "n": 50}}).dim == 49
+    assert model_from_json({"type": "twisted_bundle", "base": {
+        "type": "cp", "n": 1}, "E": {"trivial": 50}}).dim == 50
+    assert model_from_json({"type": "chern_numbers", "dim": 34}).dim == 34
 
 
 def test_model_from_json_roundtrip():
