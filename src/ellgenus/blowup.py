@@ -292,10 +292,13 @@ def verify_blowup_invariance(N, qorder=2):
     """
     if N < 2:
         raise ValueError("N must be >= 2")
+    cases = default_cases(N)
+    # one genus for every case, at the largest truncation any case needs
+    spec = phi_ell_q(qorder, max(4, *(_defect_cap(len(roots), center.dim)
+                                      for _, center, roots, _ in cases)), N)
     report = []
-    for label, center, roots, expect_zero in default_cases(N):
+    for label, center, roots, expect_zero in cases:
         q = len(roots)
-        spec = phi_ell_q(qorder, max(_defect_cap(q, center.dim), 4), N)
         defect = genus_defect(BlowupInput(center, roots, spec))
         is_zero = defect.is_zero()
         lowest = None if is_zero else _first_nonzero(defect)

@@ -13,33 +13,31 @@ weighted homogeneous, so each is fixed by its values on a slice where
 one variable is 1, and there its support is a lower set of exponents.
 One exact kernel, tensor Newton interpolation on a lower set, recovers
 each from values at integer nodes: the relations from the ODE solved
-over QQ at points (1, b, c, d), the eliminants from integer Sylvester
-determinants.  The module also
-provides weighted Poincare series with their degree h_0, the C = D = 0
-relation T_{N-1}, kernel membership tests, and the two level-2 modular
-forms delta and epsilon.
+on ints at the rescaled points (4, 16b, 64c, 256d), the eliminants
+from Sylvester resultants of int coefficient lists by a subresultant
+remainder sequence.  The module also provides weighted Poincare series
+with their degree h_0, the C = D = 0 relation T_{N-1}, kernel
+membership tests, and the two level-2 modular forms delta and epsilon.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import prod
+from itertools import zip_longest
+from math import factorial, gcd, prod
+from operator import mul
 
 from .algebra_kernel import QQ, TruncatedSeries
 from .dense_poly import Localization, cyclotomic_polynomial
 from .genus_engine import classical_genus, evaluate
 from .universal_elliptic import (
     ABCD_RING,
-    ABCDPoint,
     Q_RING,
     QuarticData,
-    abcd_to_q,
     phi_ell,
-    q_of_h,
     q_to_abcd,
-    solve_h,
 )
-from .weighted_poly import PolyRing, WeightedPoly, bareiss_determinant
+from .weighted_poly import PolyRing, WeightedPoly
 
 AB_RING = PolyRing(("A", 1), ("B", 2))
 
@@ -124,33 +122,56 @@ def newton_interpolate(lower, nodes, values):
     return coef
 
 
+def _square_at(a, i, lo):
+    """sum a_j a_(i-j) over lo <= j <= i - lo, by symmetric halves."""
+    s = 2 * sum(map(mul, a[lo:(i + 1) // 2], a[i - lo:i // 2:-1]))
+    return s + a[i // 2] ** 2 if i % 2 == 0 and i >= 2 * lo else s
+
+
 def _point_values(N, point):
     """d_{N-1} and the x^1 coefficient of P_N(h) - f^-N - sum d_i h^(N-i)
-    at the rational point (A, B, C, D) = (1, b, c, d), solved over QQ.
+    at (A, B, C, D) = (1, b, c, d) for ints b, c, d, on ints.
 
-    The Laurent coefficient at x^{-N+i} defines d_i because h^{N-i} =
-    x^{-(N-i)} + ...; f^N = x^N + ... has no x^1 term for N >= 2, so the
-    x^1 coefficient is the first constraint without d_2N.  Only
-    x^(1-N)..x^1 are read, so the ODE is solved through N + 1, the least
-    order whose window, under the minimum rule of the series products,
-    still holds h^N at x^1.  The powers start at h itself, so h^k holds
-    x^-k..x^(N + 1 - k).
+    The d_i are the coefficients a_i of F = f^-N = sum_k a_k u^(k-N) in
+    u = 1/h = x + ..., and the x^1 coefficient is -a_(N+1).  By Lagrange
+    inversion a_(N+n) = [x^-1] F' h^n / n for n != 0, and F' = -N h F, so
+    d_{N-1} = N [x^-1] F and -a_(N+1) = N [x^-1] h^2 F, which read h
+    through c_(N+1) and need no power of h and no loop over the d_i.
+    Both are weighted homogeneous (weights N -/+ 1), so they are taken at
+    (4, 16b, 64c, 256d), where solve_h's depressed quartic is integral
+    (s = 2, p2 = -4b, p3 = 256c, p4 = 4b^2 - 512d), and divided by 4^(N-1)
+    and 4^(N+1).  solve_h's recurrence runs on x h0 = sum_i C_i
+    (x/delta)^i with int C_i; delta grows, rescaling the node again, when
+    a division by 2i + 2 is not exact.  F = x^-N exp(-N integral(h -
+    1/x)) = x^-N sum_n psi_n (x/delta)^n / (N+1)!, as n phi_n = -N sum_k
+    c_k phi_(n-k), and h^2 F shares these denominators.
     """
-    h = solve_h(abcd_to_q(ABCDPoint(Fraction(1), *map(Fraction, point))),
-                N + 1)
-    # f^-N = (Q/x)^N = x^-N exp(N log Q)
-    log_q = q_of_h(h).log_coeffs
-    f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
-    hp = [1, h]
-    for _ in range(N - 1):
-        hp.append(hp[-1] * h)
-    acc = hp[N] - f_minus_n
-    for i in range(1, N + 1):
-        di = -acc.coeff(i - N)
-        if i == N - 1:
-            d_lower = di
-        acc = acc + hp[N - i] * di
-    return d_lower, acc.coeff(1)
+    b, c, d = point
+    p2, p3, p4 = -4 * b, 256 * c, 4 * b * b - 512 * d
+    top = N + 1
+    C, G, delta = [1], [1], 1  # G = (x h0)^2
+    for i in range(1, top + 1):
+        G.append(_square_at(C, i, 1))  # at c_i = 0
+        r = (_square_at([(j - 1) * x for j, x in enumerate(C)], i, 1)
+             - _square_at(G, i, 0)
+             - sum(pk * S[i - k] * delta ** k for k, pk, S in
+                   ((2, p2, G), (3, p3, C), (4, p4, [1]))  # p4 at i = 4
+                   if 0 <= i - k < len(S)))
+        k = (2 * i + 2) // gcd(r, 2 * i + 2)
+        if k > 1:
+            delta, r = delta * k, r * k ** i
+            C, G = ([x * k ** j for j, x in enumerate(s)] for s in (C, G))
+        C.append(r // (2 * i + 2))
+        G[i] += 2 * C[i]
+    C[1] -= 2 * delta  # h = h0 - s
+    psi = [factorial(top)]
+    for n in range(1, top + 1):
+        psi.append(-N * sum(map(mul, C[1:n + 1], psi[::-1])) // n)
+    upper = sum(map(mul, (_square_at(C, i, 0) for i in range(top + 1)),
+                    psi[::-1]))
+    scale = 4 * delta
+    return (Fraction(N * psi[N - 1], psi[0] * scale ** (N - 1)),
+            Fraction(N * upper, psi[0] * scale ** top))
 
 
 def _relation(w, nodes, values):
@@ -170,7 +191,7 @@ def compute_level_data(N):
     Both relations are weighted homogeneous (weights N-1 and N+1), so
     their values on the slice A = 1 fix them, where their supports are
     the lower sets 2b + 3c + 4d <= N -/+ 1, one inside the other.  The
-    ODE is solved over QQ at each node (1, b, c, d) of the larger, with
+    ODE is solved on ints at each node (1, b, c, d) of the larger, with
     b, c, d among 0, -1, 1, -2, 2, ..., and newton_interpolate reads each
     relation off the values on its own lower set.  Each node reads its
     values through x^1 only, so it is solved through N + 1 (see
@@ -220,6 +241,43 @@ def _at(rows, c, d):
     return [sum(a * c ** i * d ** j for a, i, j in t) for t in rows]
 
 
+def _resultant(p, q):
+    """The determinant of the Sylvester matrix of int coefficient lists p
+    and q, highest first, of the formal degrees len(p) - 1, len(q) - 1.
+
+    A vanishing leading coefficient is expanded along the first column,
+    which is zero if both vanish.  Otherwise the subresultant remainder
+    sequence (Collins, J. ACM 14, 1967; Brown & Traub, J. ACM 18, 1971)
+    takes O(mn) products, each division exact over Z.
+    """
+    m, n = len(p) - 1, len(q) - 1
+    if m == 0 or n == 0:
+        return p[0] ** n * q[0] ** m
+    if p[0] == 0:
+        return 0 if q[0] == 0 else (-1) ** n * q[0] * _resultant(p[1:], q)
+    if q[0] == 0:
+        return p[0] * _resultant(p, q[1:])
+    if m < n:
+        return (-1) ** (m * n) * _resultant(q, p)
+    sign = g = h = 1
+    while True:
+        delta = m - n
+        sign *= (-1) ** (m * n)
+        r = p
+        for _ in range(delta + 1):  # r = q[0]^(delta+1) p mod q
+            r = [x * q[0] - r[0] * y
+                 for x, y in zip_longest(r[1:], q[1:], fillvalue=0)]
+        while r and r[0] == 0:
+            del r[0]
+        if not r:
+            return 0
+        p, q, m, n = q, [x // (g * h ** delta) for x in r], n, len(r) - 1
+        g = p[0]
+        h = g ** delta // h ** (delta - 1) if delta else h
+        if n == 0:
+            return sign * q[0] ** m // h ** (m - 1)
+
+
 def eliminant(p, q):
     """res_A(p, q), the Sylvester resultant eliminating the first variable
     A of a ring with weights 1, 2, 3, 4 (A, B, C, D or q1..q4), for
@@ -228,9 +286,9 @@ def eliminant(p, q):
     For degrees m, n in A it has weight W = n wt(p) + m wt(q) - m n, so
     on the slice B = 1 it is C^(W mod 2) S(C^2, D), with S supported on
     the lower set 3(W mod 2 + 2k) + 4l <= W of exponents of (C^2, D).  At
-    each node c = 1, 2, ..., d = 0, -1, 1, ... the determinant of the
-    (m + n)-square Sylvester matrix of the values, denominators cleared,
-    is taken over Z; its size stays where a leading coefficient vanishes.
+    each node c = 1, 2, ..., d = 0, -1, 1, ... the values, denominators
+    cleared, are two int lists of the formal degrees m and n, and
+    _resultant takes their Sylvester determinant over Z.
     """
     dp, dq = p.weight(), q.weight()
     if p.ring.weights != (1, 2, 3, 4) or None in (dp, dq):
@@ -248,10 +306,8 @@ def eliminant(p, q):
     values = {}
     for k, j in lower:
         c, d = cs[k], ds[j]
-        pv, qv = _at(pc, c, d), _at(qc, c, d)
-        rows = [[0] * r + pv + [0] * (n - 1 - r) for r in range(n)]
-        rows += [[0] * r + qv + [0] * (m - 1 - r) for r in range(m)]
-        values[k, j] = Fraction(bareiss_determinant(rows, 0, 1), c ** odd)
+        values[k, j] = Fraction(_resultant(_at(pc, c, d), _at(qc, c, d)),
+                                c ** odd)
     coef = newton_interpolate(lower, ([c * c for c in cs], ds), values)
     scale = Fraction(1, lp ** n * lq ** m)
     return WeightedPoly(p.ring, {

@@ -4,7 +4,7 @@ from itertools import count, product
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus import cohomology_models, criteria, genus_engine, level_n
@@ -21,6 +21,7 @@ from ellgenus.level_n import (
     _echelon_insert,
     _lower_set,
     _point_values,
+    _resultant,
     _zigzag,
     compute_level_data,
     degree_h0,
@@ -44,7 +45,11 @@ from ellgenus.universal_elliptic import (
     q_of_h,
     solve_h,
 )
-from ellgenus.weighted_poly import WeightedPoly, resultant_in
+from ellgenus.weighted_poly import (
+    WeightedPoly,
+    bareiss_determinant,
+    resultant_in,
+)
 
 F = Fraction
 A, B, C, D = ABCD_RING.gens()
@@ -181,7 +186,7 @@ def _slice_points():
     for height in count():
         for p in product(range(-height, height + 1), repeat=3):
             if max(map(abs, p)) == height:
-                yield tuple(F(x) for x in p)
+                yield p
 
 
 def _slice_row(support, point):
@@ -235,9 +240,13 @@ def _level_data_gauss_jordan(N):
     return r_lower, r_upper.monic()
 
 
-def _point_values_full_window(N, order, point):
-    """_point_values with the ODE solved through the whole order given."""
-    h = solve_h(abcd_to_q(ABCDPoint(F(1), *map(F, point))), order)
+def _point_values_full_window(N, order, point, lam=1):
+    """_point_values with the ODE solved through the whole order given, by
+    the triangular d_i loop over QQ, at (A, B, C, D) = (lam, lam^2 b,
+    lam^3 c, lam^4 d) for point = (b, c, d)."""
+    b, c, d = point
+    h = solve_h(abcd_to_q(ABCDPoint(F(lam), F(lam ** 2 * b),
+                                    F(lam ** 3 * c), F(lam ** 4 * d))), order)
     log_q = q_of_h(h).log_coeffs
     f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
     hp = [TruncatedSeries.one_series(QQ, h.order)]
@@ -252,7 +261,7 @@ def _point_values_full_window(N, order, point):
     return d_lower, acc.coeff(1)
 
 
-@pytest.mark.parametrize("N", range(2, 9))
+@pytest.mark.parametrize("N", range(2, 11))
 def test_point_values_match_full_window(N):
     # the values read through x^1 do not depend on solving further
     nodes = [_zigzag(i) for i in range((N + 1) // 2 + 1)]
@@ -263,6 +272,19 @@ def test_point_values_match_full_window(N):
         # N + 1 is the least order that reaches x^1
         with pytest.raises(IndexError):
             _point_values_full_window(N, N, point)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_point_values_scale_with_the_weights(N):
+    # the values are weighted homogeneous of weights N - 1 and N + 1, which
+    # lets _point_values take them at lam = 4, where the quartic is integral
+    nodes = [_zigzag(i) for i in range((N + 1) // 2 + 1)]
+    for e in _lower_set((2, 3, 4), N + 1):
+        point = [nodes[i] for i in e]
+        lower, upper = _point_values_full_window(N, 2 * N + 4, point)
+        for lam in (2, 3, 4):
+            assert _point_values_full_window(N, 2 * N + 4, point, lam) == (
+                lam ** (N - 1) * lower, lam ** (N + 1) * upper)
 
 
 @lru_cache(maxsize=None)
@@ -319,6 +341,40 @@ def test_newton_interpolate_recovers_a_random_polynomial(lower, data):
 
     coef = newton_interpolate(lower, nodes, {e: value(e) for e in lower})
     assert coef == poly
+
+
+def _sylvester_determinant(p, q):
+    """The determinant of the (m + n)-square Sylvester matrix of p and q,
+    of the formal degrees m and n, by fraction-free Bareiss elimination."""
+    m, n = len(p) - 1, len(q) - 1
+    rows = [[0] * r + p + [0] * (n - 1 - r) for r in range(n)]
+    rows += [[0] * r + q + [0] * (m - 1 - r) for r in range(m)]
+    return bareiss_determinant(rows, 0, 1)
+
+
+@st.composite
+def _int_polys(draw):
+    """An int coefficient list, highest first, of formal degree 0..16, whose
+    first few coefficients (at times all of them) are zero."""
+    deg = draw(st.integers(0, 16))
+    coeffs = draw(st.lists(st.integers(-60, 60), min_size=deg + 1,
+                           max_size=deg + 1))
+    zeros = draw(st.sampled_from([0, 0, 1, 2, deg + 1]))
+    return [0] * zeros + coeffs[zeros:]
+
+
+@settings(max_examples=300, deadline=None)
+@seed(20261020)
+@given(p=_int_polys(), q=_int_polys())
+@example(p=[0, 3, 1], q=[0, 0, 2, 5])  # both leading coefficients vanish
+@example(p=[0, 0, 0], q=[1, 2, 3, 4])  # a zero polynomial
+@example(p=[0, 0], q=[0])
+@example(p=[7], q=[2, 0, 1])  # degree 0
+@example(p=[0], q=[5])
+@example(p=[0, 5], q=[3, 1, 4])  # p's leading coefficient vanishes
+@example(p=[2, 1, 1, 3], q=[0, 0, 4])  # q's leading coefficients vanish
+def test_resultant_equals_bareiss_on_the_sylvester_matrix(p, q):
+    assert _resultant(p, q) == _sylvester_determinant(p, q)
 
 
 def test_eliminant_level3():
