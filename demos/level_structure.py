@@ -9,6 +9,7 @@ from ellgenus.level_n import (
     GradedIdealPresentation,
     compute_level_data,
     degree_h0,
+    eliminant,
     eliminate,
 )
 
@@ -20,7 +21,8 @@ for N in (2, 3, 4):
     print(f"  in quartic coordinates: {data.r_lower_q()}  ;  "
           f"{data.r_upper_q()}")
     print(f"  eliminant (A removed): {eliminate(data).monic()}")
-    print(f"  eliminant (q-coords):  {eliminate(data, coords='q').monic()}")
+    res_q = eliminant(data.r_lower_q(), data.r_upper_q())
+    print(f"  eliminant (q-coords):  {res_q.monic()}")
     pres = GradedIdealPresentation((1, 2, 3, 4), (N - 1, N + 1))
     h0 = degree_h0(pres)
     print(f"  h0 = {h0} (expect N^2 - 1 = {N * N - 1})")

@@ -13,9 +13,10 @@ so values can be shared freely.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from importlib import import_module
-from math import gcd
+from math import gcd, inf, isfinite
 
 
 class NonUnitLeadingCoefficient(ArithmeticError):
@@ -40,6 +41,39 @@ def _fr(x):
     if isinstance(x, int):
         return Fraction(x)
     raise TypeError(f"expected rational, got {x!r}")
+
+
+def _max_str_digits():
+    """The most digits Python converts between an int and a str, as
+    sys.get_int_max_str_digits() sets it (its default if unlimited)."""
+    return sys.get_int_max_str_digits() or sys.int_info.default_max_str_digits
+
+
+def literal_digits(text):
+    """The decimal digits of a rational literal such as "-3/2" or
+    "1.5e-3" plus the size of its exponent: about as many digits as the
+    number has written out."""
+    mantissa, _, exponent = text.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    digits = sum(ch.isdecimal() for ch in mantissa)
+    if not exponent.isdecimal():
+        return digits
+    return digits + (int(exponent) if len(exponent) <= _max_str_digits()
+                     else inf)
+
+
+def parse_rational(value):
+    """A Fraction from a rational read from outside: a str such as "-3/2"
+    or "1.5e3", an int or a float.  ValueError where Fraction would
+    overflow or run long: a float that is not finite, or a literal of
+    more than _max_str_digits() digits with its exponent (literal_digits).
+    """
+    if isinstance(value, float) and not isfinite(value):
+        raise ValueError(f"{value} is not a finite number")
+    if isinstance(value, str) and literal_digits(value) > _max_str_digits():
+        raise ValueError(f"{value!r} has more than {_max_str_digits()} "
+                         "digits written out")
+    return Fraction(value)
 
 
 # ---------------------------------------------------------------------------

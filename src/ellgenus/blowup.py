@@ -13,9 +13,11 @@ Q(0) = 1 the integrand is G(v) = Q(v) prod_{i=1..q} Q(x_i - v), which is
 symmetric in all the roots, so the computation runs in the Chern classes
 e_1..e_q of E and never forms the roots: log G is linear in the power
 sums, G is its graded exponential, and p_* sends v^(q-1+k) to
-(-1)^(q-1) h_k(E), a Segre class.  No model of the blown-up space is
-ever built.  The module also verifies the two residue identities behind
-level-N invariance: the rational identity
+(-1)^(q-1) h_k(E), a Segre class.  The pushed class is paired with
+K_phi(TY) by genus_engine.evaluate, in power sums, as every genus value
+is.  No model of the blown-up space is ever built.  The module also
+verifies the two residue identities behind level-N invariance: the
+rational identity
 sum_i prod_{j != i} x_j/(x_j - x_i) = 1, and its elliptic analogue for
 the level-N series when q = 1 mod N, which says that the same
 pushforward vanishes identically.
@@ -33,7 +35,7 @@ from .cohomology_models import (
     point_model,
     power_sums_in_chern,
 )
-from .genus_engine import multiplicative_class
+from .genus_engine import evaluate
 from .jacobi_q import phi_ell_q
 from .weighted_poly import PolyRing, WeightedPoly
 
@@ -171,28 +173,22 @@ def pushed_defect(spec, q, dim):
 def genus_defect(inp):
     """phi(blow-up of X along the center) - phi(X), computed over the center.
 
-    The pushed defect is a polynomial in the Chern classes of the normal
-    bundle E; each monomial e_1^a_1...e_q^a_q is the Chern monomial of the
-    partition with a_i parts i, evaluated at c(E) = prod_i (1 + x_i).
+    It is <K(TY) D, [Y]> (evaluate), D the pushed defect at the normal
+    bundle E: each monomial e_1^a_1...e_q^a_q of pushed_defect is the
+    Chern monomial of the partition with a_i parts i, evaluated at
+    c(E) = prod_i (1 + x_i).
     """
-    model = inp.center
-    spec = inp.spec
-    q = inp.codim
-    pushed = pushed_defect(spec, q, model.dim)
+    model, q = inp.center, inp.codim
+    pushed = pushed_defect(inp.spec, q, model.dim)
     chern_e = model.one_elt()
     for r in inp.roots:
         chern_e = model.mul(chern_e, model.add(model.one_elt(), r))
     monomial = chern_monomials(model, chern_e, q)
-    total = model.zero_elt()
+    defect = model.zero_elt()
     for expo, c in pushed.terms.items():
         part = tuple(i for i in range(q, 0, -1) for _ in range(expo[i - 1]))
-        total = model.add(total, model.scale(monomial(part), c))
-
-    kclass = multiplicative_class(spec, model)
-    value = model.integrate(model.mul(kclass, total))
-    if isinstance(value, (int, Fraction)):  # empty integrand
-        value = spec.ring.from_fraction(Fraction(value))
-    return value
+        defect = model.add(defect, model.scale(monomial(part), c))
+    return evaluate(inp.spec, model, defect)
 
 
 # ---------------------------------------------------------------------------

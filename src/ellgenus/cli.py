@@ -20,6 +20,7 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
+from .algebra_kernel import literal_digits, parse_rational
 from .genus_engine import classical_genus, evaluate
 
 
@@ -174,15 +175,19 @@ def resolve_manifold(sel, max_dim):
 
 
 def resolve_genus(sel, order):
-    """A genus name, or an explicit point 'A,B,C,D' of rationals."""
+    """A genus name, or an explicit point 'A,B,C,D' of rationals, whose
+    components have at most GENUS_POINT_MAX_WORK // order digits."""
     if "," in sel:
         parts = sel.split(",")
         if len(parts) != 4:
             raise InputError("genus point needs four components A,B,C,D")
         try:
-            vals = [Fraction(p.strip()) for p in parts]
+            vals = [parse_rational(p.strip()) for p in parts]
         except (ValueError, ZeroDivisionError) as exc:
             raise InputError(f"bad genus point {sel!r}: {exc}") from exc
+        _at_most(f"--genus digits per component at order {order}",
+                 max(literal_digits(p) for p in parts),
+                 GENUS_POINT_MAX_WORK // order)
         # at the point first: the same exact value as specialising phi_ell
         ode = elliptic_ode
         h = ode.solve_h(ode.abcd_to_q(ode.ABCDPoint(*vals)), order)
@@ -235,19 +240,37 @@ def cmd_universal_coeffs(args, out):
     return 0
 
 
-# The largest --N or --order of each command: the largest value it runs
-# in about 10 s cold (BENCH_pr24.json, BENCH_pr25.json).  The time grows
-# steeply above it.  So do the limits on the manifold's dimension and on
-# --qorder times the cost of one q-coefficient (BENCH_pr26.json).  A
-# manifold is checked against its command's limit before it is built
-# (resolve_manifold); QEXPAND_MAX_DIM is the largest dimension of a JSON
-# SU class.
+# Each limit with the cold runs it was set at, in raw seconds on a shared
+# 2-CPU host; the time grows steeply above each one.
+# - LEVELN_MAX_N: leveln relations --N 14 took 8.0 to 12.1 s and 15 took
+#   22.5 s (BENCH_pr24.json).  The integer eliminants have since brought
+#   14 to 0.87 to 0.98 s (BENCH_pr29.json); no larger N has been timed.
+# - BLOWUP_MAX_N: every level up to 66 took at most about 10 s, the
+#   slowest 61 at 6.4 to 9.6 s, and 67 took 12.7 to 15.0 s
+#   (BENCH_pr25.json).
+# - UNIVERSAL_MAX_ORDER: universal coeffs --order 92 took 8.1 to 9.9 s and
+#   94 took 11.3 s (BENCH_pr25.json); 92 now takes 5.4 to 6.1 s
+#   (BENCH_pr27.json).
+# - GENUS_MAX_DIM, QEXPAND_MAX_DIM, QEXPAND_MAX_WORK (--qorder times the
+#   dimension, at least 2) and BLOWUP_MAX_WORK ((--qorder + 1) phi(N)):
+#   chi_y on catalog:CP40 took 7.5 s and on CP42 10.1 to 11.1 s; qexpand
+#   of W32 at --qorder 15 took 9.9 s; blowup verify --N 61 --qorder 2 and
+#   --N 66 --qorder 8 took 9.4 s each (BENCH_pr26.json).  QEXPAND_MAX_DIM
+#   is also the largest dimension of a JSON SU class.
+# - GENUS_POINT_MAX_WORK (the digits of a genus point's largest component
+#   times the order, the dimension but at least 1): 100-digit components
+#   took 1.0 to 1.3 s on catalog:CP40 and at most 3.8 s as fractions on
+#   CP20 x CP20; on CP40 integer points print up to 106 digits, and 107
+#   exceed Python's 4300-digit conversion of the value (BENCH_pr30.json).
+# A manifold is checked against its command's limit before it is built
+# (resolve_manifold).
 LEVELN_MAX_N = 14
 BLOWUP_MAX_N = 66
 UNIVERSAL_MAX_ORDER = 92
 GENUS_MAX_DIM = 40
 QEXPAND_MAX_DIM = 32
 QEXPAND_MAX_WORK = 480
+GENUS_POINT_MAX_WORK = 4000
 BLOWUP_MAX_WORK = 180
 
 
@@ -387,7 +410,8 @@ MANIFOLD = Opt("--manifold", "catalog:NAME, a JSON file path, or inline JSON",
 # (args.<option name>) all come from this table.
 COMMANDS = (
     ("genus", "eval", cmd_genus_eval, "evaluate a genus on a manifold", (
-        Opt("--genus", "name (phi_ell, todd, ...) or point A,B,C,D",
+        Opt("--genus", "name (phi_ell, todd, ...) or point A,B,C,D of "
+            f"rationals, each of at most {GENUS_POINT_MAX_WORK}/dim digits",
             required=True),
         MANIFOLD,
         Opt("--order", "series order; read only up to the manifold's "

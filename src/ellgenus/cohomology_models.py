@@ -108,15 +108,6 @@ class ChernVector:
             {p: self.numbers[p] + other.numbers[p] for p in self.numbers},
         )
 
-    def __sub__(self, other):
-        return self + (other * Fraction(-1))
-
-    def __mul__(self, scalar):
-        s = _fr(scalar)
-        return ChernVector(self.dim, {p: v * s for p, v in self.numbers.items()})
-
-    __rmul__ = __mul__
-
     def is_su(self):
         """True if every Chern number involving c_1 vanishes."""
         return all(v == 0 for p, v in self.numbers.items() if 1 in p)
@@ -301,10 +292,11 @@ def power_sums_in_chern(n, top=None):
     return ps
 
 
-def _model_caps(model, top):
-    """The state and the step of power_sum_numbers on a model: the class
-    p_{lambda_1}...p_{lambda_k}, times p_m(TX) from Newton's identities
-    in the model."""
+def _model_caps(model, top, u):
+    """The starts and the step of power_sum_numbers on a model: the class
+    u_d p_{lambda_1}...p_{lambda_k}, from each homogeneous part u_d of u
+    with dim - d left, times p_m(TX) from Newton's identities in the
+    model."""
     cs = [model.degree_part(model.chern, k) for k in range(top + 1)]
     ps = [None]
     for k in range(1, top + 1):
@@ -313,12 +305,13 @@ def _model_caps(model, top):
             acc = model.add(acc, model.scale(model.mul(cs[i], ps[k - i]),
                                              (-1) ** (i - 1)))
         ps.append(acc)
-    return model.one_elt(), lambda u, m, rest: model.mul(u, ps[m]), \
-        model.integrate
+    starts = [(model.degree_part(u, d), model.dim - d)
+              for d in range(model.dim + 1)]
+    return starts, lambda v, m, rest: model.mul(v, ps[m]), model.integrate
 
 
 def _vector_caps(cv, top):
-    """The state and the step of power_sum_numbers on Chern numbers: F,
+    """The start and the step of power_sum_numbers on Chern numbers: F,
     with F[mu] = <c_mu p_{lambda_1}...p_{lambda_k}, [X]>, capped by p_m
     as mu -> sum_nu c_nu F[mu + nu] over the terms c_nu c^nu of p_m."""
     table = power_sums_in_chern(top)
@@ -341,16 +334,19 @@ def _vector_caps(cv, top):
 
     # the numbers as int numerators over one denominator
     den = lcm(*(v.denominator for v in cv.numbers.values()))
-    return ({p: v.numerator * (den // v.denominator)
-             for p, v in cv.numbers.items() if v}, cap,
+    return ([({p: v.numerator * (den // v.denominator)
+              for p, v in cv.numbers.items() if v}, cv.dim)], cap,
             lambda f: Fraction(f.get((), 0), den))
 
 
-def power_sum_numbers(x, parts):
-    """The nonzero power-sum Chern numbers s_lambda(X) =
-    <p_{lambda_1}...p_{lambda_k}, [X]> of a model or ChernVector, for
-    the partitions lambda of its dimension into the given parts: a dict
-    lambda -> rational, lambda a non-increasing tuple.
+def power_sum_numbers(x, parts, u=None):
+    """The nonzero power-sum numbers s_lambda =
+    <u_d p_{lambda_1}...p_{lambda_k}, [X]> of a model or ChernVector,
+    for the partitions lambda of dim - d into the given parts: a dict
+    lambda -> coefficient, lambda a non-increasing tuple.  u_d is the
+    degree-d part of u, a class of the model whose coefficients may lie
+    in any ring; without u, u = 1 and the s_lambda are the power-sum
+    Chern numbers, rationals.  A partition's size gives its d.
 
     lambda is built from its smallest part up, and each tail
     (lambda_j, ..., lambda_k) is one step from the next shorter one: a
@@ -360,8 +356,10 @@ def power_sum_numbers(x, parts):
     """
     n = x.dim
     parts = sorted({m for m in parts if 1 <= m <= n})
-    state, cap, value = (_vector_caps if isinstance(x, ChernVector)
-                         else _model_caps)(x, parts[-1] if parts else 0)
+    top = parts[-1] if parts else 0
+    starts, cap, value = (
+        _vector_caps(x, top) if isinstance(x, ChernVector)
+        else _model_caps(x, top, x.one_elt() if u is None else u))
     # fits[t][r]: r is a sum of the parts, each at least t
     fits = [None] * (n + 1) + [[r == 0 for r in range(n + 1)]]
     for t in range(n, 0, -1):
@@ -371,12 +369,12 @@ def power_sum_numbers(x, parts):
                 row[r] = row[r] or row[r - t]
     steps = {}  # (t, r) -> the parts m >= t with r - m a sum of parts >= m
     out = {}
-    stack = [((), state, n)] if fits[1][n] and state else []
+    stack = [((), v, rest) for v, rest in starts if v and fits[1][rest]]
     while stack:
-        tail, u, rest = stack.pop()
+        tail, v, rest = stack.pop()
         if rest == 0:
-            s = value(u)
-            if s:
+            s = value(v)
+            if not coeff_is_zero(s):
                 out[tail] = s
             continue
         key = tail[0] if tail else 1, rest
@@ -384,9 +382,9 @@ def power_sum_numbers(x, parts):
             steps[key] = [m for m in parts
                           if key[0] <= m <= rest and fits[m][rest - m]]
         for m in steps[key]:
-            v = cap(u, m, rest - m)
-            if v:
-                stack.append(((m,) + tail, v, rest - m))
+            w = cap(v, m, rest - m)
+            if w:
+                stack.append(((m,) + tail, w, rest - m))
     return out
 
 

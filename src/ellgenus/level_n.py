@@ -315,14 +315,10 @@ def eliminant(p, q):
         for (k, j), s in coef.items()})
 
 
-def eliminate(data, coords="abcd"):
-    """res_A(R_{N-1}, R_{N+1}) in Q[B,C,D] (or the q-coordinate analogue,
-    eliminating q1); see eliminant."""
-    if coords == "abcd":
-        return eliminant(data.r_lower, data.r_upper)
-    if coords == "q":
-        return eliminant(data.r_lower_q(), data.r_upper_q())
-    raise ValueError("coords must be 'abcd' or 'q'")
+def eliminate(data):
+    """res_A(R_{N-1}, R_{N+1}) in Q[B,C,D]; see eliminant, which the
+    q-coordinate relations take directly, eliminating q1."""
+    return eliminant(data.r_lower, data.r_upper)
 
 
 # ---------------------------------------------------------------------------

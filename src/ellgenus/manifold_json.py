@@ -10,9 +10,9 @@ model is built.  Only a manifold given as JSON imports this module.
 from __future__ import annotations
 
 import json
-from fractions import Fraction
 from math import prod
 
+from .algebra_kernel import parse_rational
 from .cohomology_models import (
     CHERN_NUMBERS_MAX_DIM,
     PART_MAX_DIM,
@@ -152,7 +152,8 @@ def _model(obj, max_dim, what):
     numbers = {}
     for key, val in _field(obj, "numbers", dict, {}).items():
         try:
-            numbers[tuple(int(s) for s in key.split(","))] = Fraction(val)
+            numbers[tuple(int(s) for s in key.split(","))] = (
+                parse_rational(val))
         except (TypeError, ValueError, ZeroDivisionError):
             raise BadManifold(f"manifold JSON: bad Chern number "
                               f"{key!r}: {json.dumps(val)}") from None
@@ -169,7 +170,7 @@ def _element_from_list(model, coeffs):
     out = {}
     for l, c in zip(deg1, coeffs):
         try:
-            c = Fraction(c)
+            c = parse_rational(c)
         except (TypeError, ValueError, ZeroDivisionError):
             raise BadManifold(f"manifold JSON: bad coefficient "
                               f"{json.dumps(c)}") from None

@@ -77,10 +77,11 @@ def test_vectors_Q3_Q4(order=6):
 
     xi_3 = P(K + K^2) and xi_4 = P(K + 1 + 1) over CP2, with K the
     determinant of the tangent bundle (c_1 = 3g); the classes are
-    [E(xi)] - [CP2] * [fiber].  Their genus values generate the relations
+    [E(xi)] - [CP2] * [fiber], so each value is the genus of the bundle's
+    model less that of the product's.  The values generate the relations
     that force chi_y-type multiplicativity.
     """
-    from .cohomology_models import chern_vector, cp_model, product_model
+    from .cohomology_models import cp_model, product_model
     from .twisted_bundles import twisted_proj_bundle_model
 
     base = cp_model(2)
@@ -90,15 +91,10 @@ def test_vectors_Q3_Q4(order=6):
     spec = phi_ell(order)
 
     xi3 = twisted_proj_bundle_model(base, e_lines=[K, K2])
-    q3_class = chern_vector(xi3) - chern_vector(
-        product_model(base, cp_model(1))
-    )
     xi4 = twisted_proj_bundle_model(base, e_lines=[K], e_trivial=2)
-    q4_class = chern_vector(xi4) - chern_vector(
-        product_model(base, cp_model(2))
-    )
     images = dict(zip(("A", "B", "C", "D"), q_to_abcd(QuarticData.generic())))
     return tuple(
-        evaluate(spec, cls).substitute(images, ring=Q_RING)
-        for cls in (q3_class, q4_class)
-    )
+        (evaluate(spec, bundle) - evaluate(
+            spec, product_model(base, cp_model(r)))).substitute(
+                images, ring=Q_RING)
+        for bundle, r in ((xi3, 1), (xi4, 2)))

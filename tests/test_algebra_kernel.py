@@ -13,6 +13,8 @@ from ellgenus.algebra_kernel import (
     NonUnitLeadingCoefficient,
     TruncatedSeries,
     VariableNotPresent,
+    literal_digits,
+    parse_rational,
     ring_invert,
 )
 from ellgenus.dense_poly import (
@@ -41,6 +43,28 @@ ABCD = PolyRing(("A", 1), ("B", 2), ("C", 3), ("D", 4))
 # ---------------------------------------------------------------------------
 # series inverse
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("text, digits", [
+    ("-3/2", 2), (" 7 ", 1), ("1.5e-3", 5), ("1_000", 4), ("2E+10", 11),
+    ("1e0005", 6), ("1e99999999", 100000000), ("x", 0), ("1e", 1),
+    ("1e" + "9" * 5000, float("inf"))])
+def test_literal_digits_counts_the_exponent(text, digits):
+    assert literal_digits(text) == digits
+
+
+def test_parse_rational_refuses_what_fraction_cannot_read_quickly():
+    assert parse_rational("1e4299") == 10 ** 4299  # 4300 digits
+    assert parse_rational("-1e-4299") == F(-1, 10 ** 4299)
+    assert parse_rational(" 3/4 ") == F(3, 4)
+    assert parse_rational(0.5) == F(1, 2)
+    assert parse_rational(-7) == -7
+    for bad in ("1e4300", "12e4299", "1" * 4301, "1e99999999",
+                float("inf"), float("-inf"), float("nan")):
+        with pytest.raises(ValueError):
+            parse_rational(bad)
+    with pytest.raises(ValueError):
+        parse_rational("1/x")
 
 
 def test_series_inverse_geometric():

@@ -8,13 +8,14 @@ from functools import lru_cache
 from pathlib import Path
 
 import pytest
-from hypothesis import given, seed, settings
+from hypothesis import example, given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus.cli import (
     BLOWUP_MAX_N,
     BLOWUP_MAX_WORK,
     GENUS_MAX_DIM,
+    GENUS_POINT_MAX_WORK,
     LEVELN_MAX_N,
     QEXPAND_MAX_DIM,
     QEXPAND_MAX_WORK,
@@ -526,6 +527,93 @@ def test_bad_point_exits_2():
     assert rc == 2
 
 
+def _one_line_error(text, fmt):
+    assert text.count("\n") == 1
+    return (json.loads(text)["error"] if fmt == "json"
+            else text.removeprefix("error: ").rstrip("\n"))
+
+
+# Fraction("1e99999999") runs for minutes; Fraction(float("inf")) raises
+# OverflowError.  Each is refused with one line, at once.
+_LONG_LITERALS = ["1e99999999", "-1e-99999999", "1.5E+99999999",
+                  "1e" + "9" * 5000, "1" * 4301, "1/" + "1" * 4301]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("literal", _LONG_LITERALS)
+def test_genus_point_component_too_long_exits_2(literal, fmt):
+    point = f"1,{literal},1,1"
+    start = time.perf_counter()
+    rc, text = run("genus", "eval", f"--genus={point}", "--manifold",
+                   "catalog:CP2", "--format", fmt)
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert _one_line_error(text, fmt) == (
+        f"bad genus point {point!r}: {literal!r} has more than 4300 digits "
+        "written out")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value", [json.dumps(v) for v in _LONG_LITERALS]
+                         + ["1e400", "-1e400", "Infinity", "-Infinity",
+                            "NaN"])
+def test_chern_number_too_long_or_not_finite_exits_2(value, fmt):
+    manifold = ('{"type": "chern_numbers", "dim": 2, "numbers": {"2": '
+                + value + '}}')
+    start = time.perf_counter()
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                   manifold, "--format", fmt)
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert _one_line_error(text, fmt) == (
+        f"manifold JSON: bad Chern number '2': "
+        f"{json.dumps(json.loads(value))}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("value", [json.dumps(v) for v in _LONG_LITERALS]
+                         + ["1e400", "-Infinity", "NaN"])
+@pytest.mark.parametrize("where", ["c1", "lines"])
+def test_line_coefficient_too_long_or_not_finite_exits_2(where, value, fmt):
+    base = '{"type": "cp", "n": 3}'
+    manifold = (
+        f'{{"type": "hypersurface", "ambient": {base}, "c1": [{value}]}}'
+        if where == "c1" else
+        f'{{"type": "twisted_bundle", "base": {base}, '
+        f'"E": {{"trivial": 1, "lines": [[{value}]]}}}}')
+    start = time.perf_counter()
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                   manifold, "--format", fmt)
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert _one_line_error(text, fmt) == (
+        f"manifold JSON: bad coefficient {json.dumps(json.loads(value))}")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("manifold, order", [
+    ("catalog:CP40", 40), ("catalog:CP3", 3), ("catalog:W2", 2),
+    ("catalog:CP1", 1), ("catalog:CP0", 1)])
+def test_genus_point_digits_times_the_order_is_bounded(manifold, order, fmt):
+    # the digits of the largest component times the order the genus is
+    # built at (the dimension, at least 1) is at most GENUS_POINT_MAX_WORK
+    digits = GENUS_POINT_MAX_WORK // order
+    at_limit = ",".join(["7" * digits, "-1", "1/3", "2"])
+    over = ",".join(["2", "1e" + str(digits), "1", "1"])
+    start = time.perf_counter()
+    rc, text = run("genus", "eval", "--genus", over, "--manifold", manifold,
+                   "--format", fmt)
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert _one_line_error(text, fmt) == (
+        f"--genus digits per component at order {order} must be at most "
+        f"{digits}, got {digits + 1}")
+    if order < 40:  # the value at the limit prints; CP40 takes a second
+        rc, text = run("genus", "eval", "--genus", at_limit, "--manifold",
+                       manifold, "--format", fmt)
+        assert rc == 0
+
+
 def test_bad_subcommand_exits_2(capsys):
     rc, _ = run("bogus")
     assert rc == 2
@@ -764,7 +852,8 @@ _JSON_KEYS = ["type", "n", "name", "factors", "ambient", "c1", "base", "E",
 # small leaves only, so no drawn manifold is expensive
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 2)
-    | st.sampled_from([0.5, 2.0, -1.0, "", "cp", "W2", "1/0", "3/2"]),
+    | st.sampled_from([0.5, 2.0, -1.0, "", "cp", "W2", "1/0", "3/2",
+                       "1e99999999", float("inf")]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=3),
     max_leaves=6)
@@ -804,7 +893,8 @@ def _argvs(draw):
     if command == "genus":
         genus = draw(st.sampled_from(
             ["todd", "phi_ell", "chi_y", "a_tilde", "euler", "0,-16,0,2",
-             "1,2", "1/0,0,0,0", "x,1,2,3", "nope"]))
+             "1,2", "1/0,0,0,0", "x,1,2,3", "nope", "1e99999999,1,1,1",
+             "1,2,3," + "9" * 4299]))
         argv = ["genus", "eval", "--genus", genus,
                 "--manifold", draw(_manifold_args()), "--order", draw(size)]
     elif command == "universal":
@@ -825,9 +915,26 @@ def _argvs(draw):
         [[], [], ["--format", "json"], ["--format", "xml"]]))
 
 
+def _genus_eval(genus, manifold):
+    return ["genus", "eval", "--genus", genus, "--manifold", manifold]
+
+
 @settings(max_examples=80, deadline=None)
 @seed(20261018)
 @given(argv=_argvs())
+# the literals at each site where a rational is parsed
+@example(argv=_genus_eval("1e99999999,1,1,1", "catalog:CP2"))
+@example(argv=_genus_eval("1,2,3," + "9" * 4299, "catalog:CP3"))
+@example(argv=_genus_eval("todd", json.dumps(
+    {"type": "chern_numbers", "dim": 2, "numbers": {"2": "1e99999999"}})))
+@example(argv=_genus_eval("todd", json.dumps(
+    {"type": "chern_numbers", "dim": 2, "numbers": {"1,1": float("inf")}})))
+@example(argv=_genus_eval("todd", json.dumps(
+    {"type": "hypersurface", "ambient": {"type": "cp", "n": 3},
+     "c1": ["1e99999999"]})))
+@example(argv=_genus_eval("todd", json.dumps(
+    {"type": "twisted_bundle", "base": {"type": "cp", "n": 1},
+     "E": {"lines": [[float("inf")]]}})))
 def test_cli_fuzz_exits_0_1_or_2(argv):
     out = io.StringIO()
     start = time.perf_counter()
@@ -840,4 +947,9 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
               and v.lstrip("-").isdigit()]
     if argv[0] != "genus" and max(values) >= 1000:
         assert status == 2
+        assert time.perf_counter() - start < 5
+    # so is a rational too long to parse or to evaluate, or not finite
+    # (json.dumps writes float("inf") as Infinity)
+    if any(big in arg for arg in argv
+           for big in ("1e99999999", "9" * 4299, "Infinity")):
         assert time.perf_counter() - start < 5

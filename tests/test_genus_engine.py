@@ -8,7 +8,12 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus import criteria
-from ellgenus.algebra_kernel import BadValuation, QQ, TruncatedSeries
+from ellgenus.algebra_kernel import (
+    BadValuation,
+    QQ,
+    TruncatedSeries,
+    coeff_is_zero,
+)
 from ellgenus.cohomology_models import (
     ChernVector,
     catalog,
@@ -30,7 +35,6 @@ from ellgenus.genus_engine import (
     classical_genus,
     evaluate,
     formal_group_law,
-    multiplicative_class,
     multiplicative_sequence,
 )
 from ellgenus.jacobi_q import phi_ell_q
@@ -565,24 +569,8 @@ def test_criterion_10_inverts_f_once(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# total multiplicative class
+# evaluation against a class u: <K(TX) u, [X]>
 # ---------------------------------------------------------------------------
-
-
-def test_multiplicative_class_integrates_to_genus():
-    for name in ("todd", "signature", "a_hat"):
-        spec = classical_genus(name, order=8)
-        for m in (cp_model(2), cp_model(3), quartic_surface()):
-            K = multiplicative_class(spec, m)
-            assert m.integrate(m.degree_part(K, m.dim)) == evaluate(spec, m)
-
-
-def test_multiplicative_class_todd_cp2():
-    todd = classical_genus("todd", order=4)
-    m = cp_model(2)
-    K = multiplicative_class(todd, m)
-    # 1 + (3/2) g + g^2
-    assert K == {0: F(1), 1: F(3, 2), 2: F(1)}
 
 
 def _multiplicative_class_by_newton(spec, model):
@@ -615,21 +603,75 @@ def _class_models():
             product_model(cp_model(2), cp_model(1)), catalog("W5")]
 
 
-@pytest.mark.parametrize(
-    "name", ["todd", "signature", "a_hat", "euler", "chi_y", "a_tilde"])
-def test_multiplicative_class_matches_newton_oracle(name):
-    spec = classical_genus(name, order=8)
+# the classical genera, and one with coefficients in Q(zeta_3)[[q]]
+_CLASS_GENERA = ["todd", "signature", "a_hat", "euler", "chi_y", "a_tilde",
+                 "theta"]
+
+
+@lru_cache(maxsize=None)
+def _class_spec(name):
+    if name == "theta":
+        return phi_ell_q(2, 6, 3)
+    return classical_genus(name, order=8)
+
+
+def _integral_against(spec, m, u):
+    """Oracle: <K u, [X]> as an element of spec.ring, K by Newton."""
+    K = _multiplicative_class_by_newton(spec, m)
+    return spec.ring.dot([(spec.ring.one, m.integrate(m.mul(K, u)))])
+
+
+@pytest.mark.parametrize("name", _CLASS_GENERA)
+def test_evaluate_against_one_and_a_full_class(name):
+    # u = 1 is the genus, the top-degree part of K; u with every basis
+    # coefficient nonzero reads every degree of K
+    spec = _class_spec(name)
     for m in _class_models():
-        assert multiplicative_class(spec, m) == (
-            _multiplicative_class_by_newton(spec, m))
+        one = evaluate(spec, m, m.one_elt())
+        assert one == evaluate(spec, m) == _integral_against(
+            spec, m, m.one_elt())
+        full = {l: F(i + 1, 2) for i, l in enumerate(m.labels)}
+        assert evaluate(spec, m, full) == _integral_against(spec, m, full)
 
 
-def test_multiplicative_class_of_the_theta_product():
-    # coefficients in Q(zeta_3)[[q]]
-    spec = phi_ell_q(2, 6, 3)
-    for m in (cp_model(2), cp_model(3), quartic_surface()):
-        assert multiplicative_class(spec, m) == (
-            _multiplicative_class_by_newton(spec, m))
+def test_evaluate_against_powers_of_g_reads_the_todd_class_of_cp2():
+    # K(T CP2) = 1 + (3/2) g + g^2, and <K g^(2-j), [CP2]> is its g^j term
+    todd, m = classical_genus("todd", order=4), cp_model(2)
+    assert [evaluate(todd, m, {2 - j: 1}) for j in range(3)] == [
+        1, F(3, 2), 1]
+    assert evaluate(todd, m, {0: 1, 1: 1, 2: 1}) == F(7, 2)
+    # a walk that dropped the degree-1 part of u would give 2
+    assert evaluate(todd, m, {0: 1, 2: 1}) == 2
+
+
+@st.composite
+def _classes(draw, spec, m):
+    """A class on m whose coefficients are small rationals, each times 1
+    or times a log coefficient of the genus (an element of its ring)."""
+    scales = [spec.ring.one] + spec.log_coeffs[1:]
+    u = {}
+    for label in m.labels:
+        c = draw(st.just(0) | _small_fractions)
+        if c:
+            u[label] = draw(st.sampled_from(scales)) * c
+    return u
+
+
+@settings(max_examples=80, deadline=None)
+@seed(20261025)
+@given(name=st.sampled_from(_CLASS_GENERA),
+       index=st.integers(0, len(_class_models()) - 1), data=st.data())
+def test_evaluate_against_a_class_matches_the_newton_oracle(name, index, data):
+    spec, m = _class_spec(name), _class_models()[index]
+    u = data.draw(_classes(spec, m))
+    want = _integral_against(spec, m, u)
+    assert evaluate(spec, m, u) == want
+    # negative control: without a homogeneous part that contributes, the
+    # value changes
+    for d in range(m.dim + 1):
+        if not coeff_is_zero(_integral_against(spec, m, m.degree_part(u, d))):
+            rest = {l: c for l, c in u.items() if m.degree[l] != d}
+            assert evaluate(spec, m, rest) != want
 
 
 # ---------------------------------------------------------------------------

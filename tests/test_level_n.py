@@ -381,7 +381,7 @@ def test_eliminant_level3():
     data = compute_level_data(3)
     res = eliminate(data)
     assert res.monic() == (B * C * C - 2 * (D * D)).monic()
-    res_q = eliminate(data, coords="q")
+    res_q = eliminant(data.r_lower_q(), data.r_upper_q())
     assert res_q.monic() == (q2 * q3 * q3 + 3 * (q4 * q4)).monic()
 
 
@@ -404,7 +404,7 @@ def test_eliminant_equals_sylvester_resultant(N):
     # the symbolic Bareiss over Q[B, C, D] (or Q[q2, q3, q4]) is the oracle
     data = _data(N)
     assert eliminate(data) == resultant_in(data.r_lower, data.r_upper, "A")
-    assert eliminate(data, coords="q") == resultant_in(
+    assert eliminant(data.r_lower_q(), data.r_upper_q()) == resultant_in(
         data.r_lower_q(), data.r_upper_q(), "q1")
 
 
