@@ -4,8 +4,10 @@ Rationals (stdlib Fraction) and their ring context QQ; zero tests and
 inverses of coefficients in any ring; the errors; and truncated series
 in one variable over any ring context.  Each other representation has a
 module of its own, so a command compiles only those it runs: sparse
-weighted polynomials in weighted_poly, the dense one-variable rings
-Q[y]/(m) and localisations of Q[t] in dense_poly.
+weighted polynomials in weighted_poly, dense one-variable coefficient
+lists in dense_poly, and the flat ring of q-series, whose truncation at
+q^0 is the coefficient ring Q(zeta_N) or Q[y, 1/y, 1/(1+y)], in
+jacobi_q.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -82,18 +84,18 @@ def parse_rational(value):
 # A "ring context" is any object with attributes/methods
 #     zero, one, from_fraction(fr), dot(pairs)
 # whose elements support +, -, unary -, *, == and multiplication by Fraction.
-# Fraction itself is the base case.  PolyRing (weighted_poly), QuotientRing
-# and Localization (dense_poly) and the flat q-series ring QSeriesRing
-# (jacobi_q) are ring contexts too, so coefficient rings nest.
+# Fraction itself is the base case.  PolyRing (weighted_poly) and the flat
+# q-series ring QSeriesRing (jacobi_q), which at q^0 is the coefficient
+# ring of the q-series, are ring contexts too, so coefficient rings nest.
 #
 # dot(pairs) is the sum of a * b over an iterable of pairs, each factor an
 # element of the ring or a rational.  It equals the fold s = zero; s = s +
 # a * b, with the same truncation, but accumulates in the unnormalised
 # representation and normalises once, at the end: one Fraction for QQ, one
 # gcd for a polynomial over QQ (int numerators over one denominator), one
-# reduction mod m in a QuotientRing, one _strip in a Localization, one
-# integer convolution in a QSeriesRing, and over any other nested ring one
-# base dot per coefficient of the result.
+# integer convolution in a QSeriesRing (then one reduction mod m, or one
+# stripping of y and 1 + y), and over any other nested ring one base dot
+# per coefficient of the result.
 # Products of polynomials and of series, and the convolutions of the
 # builders, are built on it.  It reads the pairs once.
 # ---------------------------------------------------------------------------
@@ -427,8 +429,8 @@ class TruncatedSeries:
 # bench/tracer.py reads these names from this module; each is forwarded to
 # the module it lives in.
 _MOVED = {"WeightedPoly": "weighted_poly", "MultiPoly": "weighted_poly",
-          "resultant_in": "weighted_poly", "RationalFunction": "dense_poly",
-          "QuotElt": "dense_poly", "poly_gcd": "dense_poly",
+          "resultant_in": "weighted_poly", "RationalFunction": "jacobi_q",
+          "QuotElt": "jacobi_q", "poly_gcd": "dense_poly",
           "poly_divmod": "dense_poly"}
 
 

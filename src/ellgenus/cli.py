@@ -20,7 +20,7 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
-from .algebra_kernel import literal_digits, parse_rational
+from .algebra_kernel import _max_str_digits, literal_digits, parse_rational
 from .genus_engine import classical_genus, evaluate
 
 
@@ -32,8 +32,9 @@ def _lazy(name):
     representation too.  The module is registered in ``sys.modules`` and
     bound on the package at once, as an import does, because
     bench/traced_cli.py finds the modules it traces there right after
-    ``import ellgenus.cli``.  weighted_poly is bound for that alone: cli
-    reads none of its names.
+    ``import ellgenus.cli``.  weighted_poly and dense_poly are bound for
+    that tracer alone: cli reads none of their names, and without the
+    dense_poly binding the traced poly_divmod.calls would read 0.
     """
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
@@ -78,8 +79,12 @@ GENUS_NAMES = ("phi_ell", "todd", "signature", "a_hat", "euler", "chi_y",
 
 def fr_str(fr):
     fr = Fraction(fr)
-    return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 else str(
-        fr.numerator)
+    try:
+        return f"{fr.numerator}/{fr.denominator}" if fr.denominator != 1 \
+            else str(fr.numerator)
+    except ValueError:  # Python converts at most _max_str_digits() digits
+        raise InputError(f"the value has more than {_max_str_digits()} "
+                         "digits to print") from None
 
 
 def poly_pairs(p):
@@ -118,7 +123,7 @@ def value_json(v):
         return fr_str(v)
     if hasattr(v, "terms") and hasattr(v, "ring"):
         return poly_pairs(v)
-    if isinstance(v, dense_poly.RationalFunction):
+    if isinstance(v, jacobi_q.RationalFunction):
         return laurent_pairs(v)
     if hasattr(v, "low"):  # a series: a TruncatedSeries or a QSeries
         return {str(n): value_json(v.coeff(n))
@@ -127,17 +132,8 @@ def value_json(v):
 
 
 def value_str(v):
-    if isinstance(v, (int, Fraction)):
-        return fr_str(v)
-    if hasattr(v, "terms") and hasattr(v, "ring"):
-        return str(v)
-    if isinstance(v, dense_poly.RationalFunction):
-        return laurent_str(v)
-    if hasattr(v, "low"):  # a series: a TruncatedSeries or a QSeries
-        rows = [f"q^{n}: {value_str(v.coeff(n))}"
-                for n in range(max(v.low, 0), v.order + 1)]
-        return "\n".join(rows)
-    return str(v)
+    """A value of genus eval, a rational or a WeightedPoly, as text."""
+    return fr_str(v) if isinstance(v, (int, Fraction)) else str(v)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb, lcm
 
-from .algebra_kernel import QQ, _fr, coeff_is_zero
+from .algebra_kernel import _fr, coeff_is_zero
 
 
 def _integral(c):

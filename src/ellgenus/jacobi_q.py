@@ -34,10 +34,13 @@ is a primitive N-th root of unity.  It is an element of one flat ring,
 QSeriesRing: the numerators of all its q-coefficients are Python ints
 over one denominator, so a sum of products is one integer convolution
 followed by one reduction and one normalisation, with no ring of series
-nested over the coefficient ring.  The module also provides the
-loop-space expansion chi_y(q, LX), the Weierstrass series, recovery of
-the quartic coefficients q_1..q_4 as q-series, and the integrality
-check.
+nested over the coefficient ring.  The coefficient models are that ring
+truncated at q^0: one normal form, one dot and one normalisation serve
+the series and their coefficients, whose element classes QuotElt and
+RationalFunction add only inverses and printing.  The module also
+provides the loop-space expansion chi_y(q, LX), the Weierstrass series,
+recovery of the quartic coefficients q_1..q_4 as q-series, and the
+integrality check.
 """
 
 from __future__ import annotations
@@ -50,20 +53,17 @@ from operator import add
 
 from .algebra_kernel import (
     QQ,
+    NonUnitLeadingCoefficient,
     TruncatedSeries,
     coeff_is_zero,
     ring_invert,
 )
 from .dense_poly import (
-    Localization,
-    QuotElt,
-    QuotientRing,
+    _combine,
     _divmod_monic,
-    _normal,
     _poly_trim,
     cyclotomic_polynomial,
     poly_mul,
-    poly_mul_power,
 )
 from .genus_engine import GenusSpec, classical_genus, evaluate
 
@@ -84,30 +84,18 @@ class NotLaurent(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# coefficient models for y
+# the flat ring of q-series, and at q^0 the coefficient models for y
 # ---------------------------------------------------------------------------
 
 
-# Q[y] localised at y and 1 + y.  The only non-monomial factor the q-side
-# ever inverts is Phi(tau, -z), whose q^0 term is 1 + y, so every
-# denominator met is y^a (1+y)^b.
-FORMAL_RING = Localization(([0, 1], [1, 1]), "y")
-
-
-def y_model(mode):
-    """(ring, y) for mode 'formal' or an integer N (cyclotomic).
-
-    In formal mode y is a variable and y, 1 + y are invertible.  In
-    cyclotomic mode -y is a primitive N-th root of unity: the modulus
-    is the monic minimal polynomial of y, +-Phi_N(-y).
-    """
+def _modulus(mode):
+    """The monic minimal polynomial +-Phi_N(-y) of y for mode N, as ints;
+    None for mode 'formal'."""
     if mode == "formal":
-        return FORMAL_RING, FORMAL_RING.gen()
-    N = int(mode)
-    phi = cyclotomic_polynomial(N)
-    m = [c * Fraction((-1) ** i) for i, c in enumerate(phi)]
-    ring = QuotientRing(m)
-    return ring, ring.gen()
+        return None
+    phi = cyclotomic_polynomial(int(mode))
+    sign = (-1) ** (len(phi) - 1)
+    return tuple(int(c) * (-1) ** i * sign for i, c in enumerate(phi))
 
 
 def as_y_laurent(value):
@@ -121,29 +109,42 @@ def as_y_laurent(value):
     ey, e1 = value.exps
     if e1 > 0:
         raise NotLaurent(f"denominator is not a monomial: {value}")
-    num = poly_mul_power(value.ints, (1, 1), -e1)
+    num = QSeriesRing._lift(value.ints, (0, e1), (0, 0))
     return {e - ey: Fraction(c, value.den) for e, c in enumerate(num) if c}
 
 
 class QSeriesRing:
-    """Ring context of the q-series through q^qorder over y_model(mode).
+    """Ring context of the q-series through q^qorder over the coefficient
+    model of mode: an integer N for Q(zeta_N), where -y is a primitive
+    N-th root of unity, or 'formal' for Q[y, 1/y, 1/(1+y)].
 
     An element (QSeries) is flat: the numerators of its q^0..q^qorder
     coefficients as rows of ints, one tuple per power of q, trailing zero
     rows dropped, over one denominator den > 0 prime to their content.
-    Cyclotomic rows are reduced modulo the modulus.  Formal rows share one
-    exponent tuple (a, b): the series is sum_n q^n rows[n](y) / den *
-    y^-a (1+y)^-b, and neither y nor 1 + y divides every row.  This normal
-    form is unique; coeff(n) returns the base ring's own normal form.
+    Cyclotomic rows are reduced modulo the modulus, the minimal polynomial
+    of y.  Formal rows share one exponent tuple (a, b): the series is
+    sum_n q^n rows[n](y) / den * y^-a (1+y)^-b, and neither y nor 1 + y
+    divides every row.  This normal form is unique.
+
+    At qorder 0 the ring is the coefficient model itself and its own
+    base; its elements are QuotElt (cyclotomic) or RationalFunction
+    (formal).  The base of any other ring is the ring of its mode at
+    qorder 0, and coeff(n) is an element of it.
     """
 
     def __init__(self, mode, qorder):
-        self.base = y_model(mode)[0]
         self.qorder = qorder
-        # the cyclotomic modulus, None over the formal ring
-        self.modulus = getattr(self.base, "modulus", None)
-        self.zero = QSeries(self, (), 1, () if self.modulus else (0, 0))
-        self.one = self.constant(self.base.one)
+        if qorder:
+            self.base = QSeriesRing(mode, 0)
+            self.modulus = self.base.modulus
+        else:
+            self.base = self
+            # the cyclotomic modulus, None over the formal ring
+            self.modulus = _modulus(mode)
+        self._element = QSeries if qorder else (
+            QuotElt if self.modulus else RationalFunction)
+        self.zero = self._element(self, (), 1, () if self.modulus else (0, 0))
+        self.one = self.constant(1)
 
     def constant(self, c):
         """The constant series c, c rational or in the base ring."""
@@ -151,11 +152,19 @@ class QSeriesRing:
 
     from_fraction = constant
 
+    def gen(self):
+        """y, in the base ring; where the modulus has degree 1 (N = 1, 2)
+        y is congruent to a rational."""
+        base, m = self.base, self.modulus
+        if m and len(m) == 2:
+            return base.constant(-m[0])
+        return base._finish([[0, 1]], 1, base.zero.exps)
+
     def series(self, coeffs):
         """sum_n coeffs[n] q^n through q^qorder, each rational or in the
         base ring."""
         exps = self.zero.exps
-        return self.dot((c, QSeries(self, ((),) * n + ((1,),), 1, exps))
+        return self.dot((c, self._element(self, ((),) * n + ((1,),), 1, exps))
                         for n, c in enumerate(coeffs[:self.qorder + 1]))
 
     @staticmethod
@@ -168,14 +177,13 @@ class QSeriesRing:
                         + [comb(k, j) for j in range(k + 1)])
 
     def _parts(self, x):
-        # (rows, den, exps) of a series, a base element or a rational
+        # (rows, den, exps) of a series of the ring or of its base, or of
+        # a rational
         if isinstance(x, (int, Fraction)):
             return ((x.numerator,),) if x else (), x.denominator, \
                 self.zero.exps
-        if x.ring is not self and x.ring != self:
-            if x.ring != self.base:
-                raise ValueError("mixed rings")
-            return (x.ints,) if x.ints else (), x.den, getattr(x, "exps", ())
+        if x.ring is not self and x.ring != self and x.ring != self.base:
+            raise ValueError("mixed rings")
         return x.rows, x.den, x.exps
 
     def dot(self, pairs):
@@ -244,17 +252,22 @@ class QSeriesRing:
         g = gcd(den, *chain.from_iterable(rows))
         if g > 1:
             rows = [list(map(g.__rfloordiv__, r)) for r in rows]
-        return QSeries(self, tuple(map(tuple, rows)), den // g, exps)
+        return self._element(self, tuple(map(tuple, rows)), den // g, exps)
 
     def __eq__(self, other):
-        return (isinstance(other, QSeriesRing) and self.base == other.base
+        return (isinstance(other, QSeriesRing)
+                and self.modulus == other.modulus
                 and self.qorder == other.qorder)
 
     def __hash__(self):
-        return hash(("QSeriesRing", self.base, self.qorder))
+        return hash(("QSeriesRing", self.modulus, self.qorder))
 
     def __repr__(self):
-        return f"{self.base!r}[[q]]/q^{self.qorder + 1}"
+        if self.qorder:
+            return f"{self.base!r}[[q]]/q^{self.qorder + 1}"
+        if self.modulus:
+            return f"Q[y]/(m), m degree {len(self.modulus) - 1}"
+        return "Q[y] localised at 2 primes"
 
 
 class QSeries:
@@ -274,27 +287,26 @@ class QSeries:
         return self.ring.qorder
 
     def coeff(self, n):
-        """The q^n coefficient, in the base ring's normal form."""
+        """The q^n coefficient, an element of the base ring."""
         if n > self.ring.qorder:
             raise IndexError(f"coefficient q^{n} beyond truncation "
                              f"{self.ring.qorder}")
         base = self.ring.base
         if not 0 <= n < len(self.rows):
             return base.zero
-        if self.ring.modulus:
-            return QuotElt(base, *_normal(list(self.rows[n]), self.den))
-        return base._strip(list(self.rows[n]), self.den, list(self.exps),
-                           range(2))
+        return base._finish([self.rows[n]], self.den, self.exps)
 
     def is_zero(self):
         return not self.rows
 
     def _dot(self, pairs, other):
-        # ring.dot(pairs) if other is a series of the ring, a rational or
-        # a base element; a polynomial or an x-series over the ring
-        # applies its own operation
-        if isinstance(other, (QSeries, int, Fraction)) or (
-                getattr(other, "ring", None) == self.ring.base):
+        # ring.dot(pairs) if other is a rational or a series of the ring
+        # or of its base.  A deeper series over this ring of coefficients,
+        # a polynomial or an x-series over the ring applies its own
+        # operation: Python tries it only where the types differ.
+        if isinstance(other, (int, Fraction)) or (
+                isinstance(other, QSeries)
+                and (self.ring.qorder or not other.ring.qorder)):
             return self.ring.dot(pairs)
         return NotImplemented
 
@@ -357,6 +369,118 @@ class QSeries:
                           + [f"O(q^{self.ring.qorder + 1})"])
 
     __repr__ = __str__
+
+
+class QuotElt(QSeries):
+    """Element of Q(zeta_N) = QSeriesRing(N, 0): ints / den with ints
+    reduced modulo the modulus.  coeffs gives its Fraction coefficients,
+    low -> high, padded to the degree of the modulus."""
+
+    __slots__ = ()
+
+    @property
+    def ints(self):
+        return self.rows[0] if self.rows else ()
+
+    @property
+    def coeffs(self):
+        c = tuple(Fraction(a, self.den) for a in self.ints)
+        return c + (Fraction(0),) * (len(self.ring.modulus) - 1 - len(c))
+
+    def inverse(self):
+        """Inverse by the extended Euclidean algorithm in Z[y].
+
+        Each pair (r, s) of integer lists keeps r = s * self (mod m);
+        reducing one pair by the other scales it by a leading
+        coefficient instead of dividing, and each pair is divided by its
+        content.  A nonzero constant r ends it: the inverse is s / r.
+        """
+        if not self.rows:
+            raise NonUnitLeadingCoefficient("zero is not invertible")
+        m = self.ring.modulus
+        r0, s0 = list(m), []
+        r1, s1 = list(self.ints), [self.den]
+        while len(r1) > 1:
+            while len(r0) >= len(r1):
+                k, a, b = len(r0) - len(r1), r1[-1], r0[-1]
+                r0 = _combine(a, r0, b, r1, k)
+                s0 = _combine(a, s0, b, s1, k)
+                g = gcd(*r0, *s0)
+                if g > 1:
+                    r0 = [c // g for c in r0]
+                    s0 = [c // g for c in s0]
+            r0, s0, r1, s1 = r1, s1, r0, s0
+        if not r1:
+            raise NonUnitLeadingCoefficient("element is a zero divisor")
+        r = r1[0]
+        if r < 0:
+            s1, r = [-c for c in s1], -r
+        return self.ring._finish([_divmod_monic(s1, m)[1]], r, ())
+
+    def __str__(self):
+        parts = []
+        for e, c in enumerate(self.ints):
+            c = Fraction(c, self.den)
+            if c == 0:
+                continue
+            if e == 0:
+                parts.append(str(c))
+            elif e == 1:
+                parts.append(f"{c}*y" if c != 1 else "y")
+            else:
+                parts.append(f"{c}*y^{e}" if c != 1 else f"y^{e}")
+        return " + ".join(parts) if parts else "0"
+
+    __repr__ = __str__
+
+
+class RationalFunction(QSeries):
+    """Element num(y) y^-a (1+y)^-b of Q[y, 1/y, 1/(1+y)] =
+    QSeriesRing('formal', 0): num = ints / den, divisible by neither y
+    nor 1 + y, and exps = (a, b).  num gives the Fraction coefficients of
+    num, low -> high.  The only non-monomial factor the q-side ever
+    inverts is Phi(tau, -z), whose q^0 term is 1 + y, so every
+    denominator met is y^a (1+y)^b."""
+
+    __slots__ = ()
+
+    @property
+    def ints(self):
+        return self.rows[0] if self.rows else ()
+
+    @property
+    def num(self):
+        return tuple(Fraction(c, self.den) for c in self.ints)
+
+    def inverse(self):
+        """Inverse of a unit c y^-a (1+y)^-b; anything else raises."""
+        if len(self.ints) != 1:
+            raise NonUnitLeadingCoefficient(f"not a unit: {self}")
+        c = self.ints[0]
+        sign = 1 if c > 0 else -1
+        return RationalFunction(self.ring, ((sign * self.den,),), sign * c,
+                                tuple(-e for e in self.exps))
+
+    def __repr__(self):
+        num = ", ".join(map(str, self.num))
+        return f"RationalFunction([{num}], exps={self.exps})"
+
+    __str__ = __repr__
+
+
+FORMAL_RING = QSeriesRing("formal", 0)
+
+
+def y_model(mode):
+    """(ring, y) for mode 'formal' or an integer N (cyclotomic): the
+    coefficient ring QSeriesRing(mode, 0) and its generator.
+
+    In formal mode y is a variable and y, 1 + y are invertible.  In
+    cyclotomic mode -y is a primitive N-th root of unity: the modulus
+    is the monic minimal polynomial of y, +-Phi_N(-y).
+    """
+    ring = FORMAL_RING if mode == "formal" else QSeriesRing(mode, 0)
+    return ring, ring.gen()
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from math import factorial, gcd, prod
 from operator import mul
 
 from .algebra_kernel import QQ, TruncatedSeries
-from .dense_poly import Localization, cyclotomic_polynomial
 from .genus_engine import classical_genus, evaluate
 from .universal_elliptic import (
     ABCD_RING,
@@ -335,38 +334,57 @@ class GradedIdealPresentation:
         self.degrees = tuple(int(r) for r in degrees)
 
 
-def poincare_series(pres):
-    """P_I(t) = prod (1 - t^{r_j}) / prod (1 - t^{d_i}).
-
-    It lives in Q[t] localised at Phi_d(t) for every d dividing a weight,
-    where each 1 - t^{d_i} is a unit; Phi_1 = t - 1 comes first.
-    """
-    ds = sorted({d for w in pres.weights for d in range(1, w + 1)
-                 if w % d == 0})
-    t = Localization([cyclotomic_polynomial(d) for d in ds], "t").gen()
-    out = t.ring.one
-    for r in pres.degrees:
-        out = out * (1 - t ** r)
-    for w in pres.weights:
-        out = out / (1 - t ** w)
+def _times_one_minus_power(p, r):
+    """p(t) (1 - t^r) for an int list p, low -> high, trimmed."""
+    out = p + [0] * r
+    for i, c in enumerate(p, r):
+        out[i] -= c
+    while out and not out[-1]:
+        out.pop()
     return out
+
+
+def poincare_series(pres):
+    """P_I(t) = prod (1 - t^{r_j}) / prod (1 - t^{d_i}) as (num, den),
+    two int coefficient lists, low -> high."""
+    num, den = [1], [1]
+    for r in pres.degrees:
+        num = _times_one_minus_power(num, r)
+    for w in pres.weights:
+        den = _times_one_minus_power(den, w)
+    return num, den
+
+
+def _split_at_one(p):
+    """(k, p / (t - 1)^k) for a nonzero int list p with a root of order k
+    at t = 1, by synthetic division: p(1) = sum(p) is the remainder."""
+    k = 0
+    while not sum(p):
+        acc, q = 0, []
+        for c in reversed(p[1:]):
+            acc += c
+            q.append(acc)
+        p, k = q[::-1], k + 1
+    return k, p
 
 
 def degree_h0(pres):
     """h_0 = Q~(1) with Q~(t) = P_I(t) (1-t)^kdim prod_i (1 + t + ... +
     t^{d_i - 1}); the multiplicity of the quotient ring.
 
-    P_I must have a pole of order kdim at t = 1, its exponent of
-    Phi_1 = t - 1, which (1-t)^kdim cancels up to (-1)^kdim; the rest of
-    P_I is regular at t = 1, where each 1 + ... + t^{d_i - 1} is d_i.
+    P_I must have a pole of order kdim at t = 1, which (1-t)^kdim cancels
+    up to (-1)^kdim; the rest of P_I is regular at t = 1, where each
+    1 + ... + t^{d_i - 1} is d_i.
     """
-    p = poincare_series(pres)
+    num, den = poincare_series(pres)
     kdim = len(pres.weights) - len(pres.degrees)
-    if p.exps[0] != kdim:
+    if num:
+        zeros, num = _split_at_one(num)
+        poles, den = _split_at_one(den)
+    if not num or poles - zeros != kdim:
         raise WrongPoleOrder("pole order at t=1 does not match the Krull "
                              "dimension")
-    rest = p.ring.element(p.num, (0,) + p.exps[1:])
-    return rest.evaluate(1) * (-1) ** kdim * prod(pres.weights)
+    return Fraction(sum(num), sum(den)) * (-1) ** kdim * prod(pres.weights)
 
 
 # ---------------------------------------------------------------------------

@@ -102,8 +102,8 @@ def _check_guards(ring, keys):
 class PolyRing:
     """base[x_1, ..., x_k] with a positive integer weight per variable.
 
-    base is a ring context (QQ by default, or e.g. a QuotientRing, a ring
-    of q-series or another PolyRing).  Variables are ordered; the first
+    base is a ring context (QQ by default, or e.g. Q(zeta_N), a ring of
+    q-series or another PolyRing).  Variables are ordered; the first
     variable is largest in the graded lexicographic term order used for
     display and leading terms.
     """

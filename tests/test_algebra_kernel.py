@@ -17,16 +17,15 @@ from ellgenus.algebra_kernel import (
     parse_rational,
     ring_invert,
 )
-from ellgenus.dense_poly import (
-    Localization,
-    QuotientRing,
+from ellgenus.dense_poly import cyclotomic_polynomial, poly_divmod, poly_mul
+from ellgenus.jacobi_q import (
+    FORMAL_RING,
+    QSeries,
+    QSeriesRing,
+    QuotElt,
     RationalFunction,
-    cyclotomic_polynomial,
-    poly_divmod,
-    poly_eval,
-    poly_mul,
+    y_model,
 )
-from ellgenus.jacobi_q import FORMAL_RING, QSeries, QSeriesRing, y_model
 from ellgenus.weighted_poly import (
     PolyRing,
     WeightedPoly,
@@ -329,29 +328,58 @@ def test_resultant_variable_not_present():
 
 
 # ---------------------------------------------------------------------------
-# quotient rings
+# the coefficient rings: QSeriesRing at q^0
 # ---------------------------------------------------------------------------
+
+# the formal ring inverts y and 1 + y
+INVERTED = ((0, 1), (1, 1))
+
+
+def _element(ring, coeffs, exps=(0, 0)):
+    """sum_i coeffs[i] y^i, over the formal ring times y^-a (1+y)^-b for
+    exps = (a, b), built from gen, from_fraction and dot."""
+    y = ring.gen()
+    x = ring.dot((c, y ** i) for i, c in enumerate(coeffs))
+    if ring.modulus is None:
+        x = x * y ** -exps[0] * (ring.one + y) ** -exps[1]
+    return x
 
 
 def test_quotient_ring_cyclotomic_sixth_root():
     # N=3: -y a primitive cube root of unity; minimal polynomial of y is
     # Phi_3(-y) = y^2 - y + 1 (monic already)
-    phi3 = cyclotomic_polynomial(3)
-    mod = [c * F((-1) ** i) for i, c in enumerate(phi3)]
-    if mod[-1] < 0:
-        mod = [-c for c in mod]
-    ring = QuotientRing(mod)
-    y = ring.gen()
-    # y satisfies y^2 = y - 1; y^6 = 1 since -y is a primitive 6th root? check y^3
+    ring, y = y_model(3)
+    assert ring.modulus == (1, -1, 1)
     assert y * y == y - 1
+    assert y ** 6 == ring.one and y ** 3 != ring.one
     # y is a unit
     assert y * y.inverse() == ring.one
 
 
 def test_quotient_ring_linear_modulus_is_rational():
-    ring = QuotientRing([F(-1), F(1)])  # y - 1
-    y = ring.gen()
-    assert y == ring.one
+    # N = 1, 2: the modulus y + 1, y - 1 has degree 1, and y is -1, 1
+    for N, value in ((1, -1), (2, 1)):
+        ring, y = y_model(N)
+        assert len(ring.modulus) == 2
+        assert y == ring.from_fraction(value) and y.ints == (value,)
+
+
+@pytest.mark.parametrize("mode", ["formal", 1, 2, 3, 12])
+def test_coefficient_ring_is_the_series_ring_at_q0(mode):
+    ring, y = y_model(mode)
+    assert ring == QSeriesRing(mode, 0) and ring.base is ring
+    cls = RationalFunction if mode == "formal" else QuotElt
+    assert type(ring.zero) is type(ring.one) is type(y) is cls
+    qs = QSeriesRing(mode, 3)
+    assert qs.base == ring and qs.base.base is qs.base
+    assert qs != ring and hash(qs.base) == hash(ring)
+    s = qs.series([1, y, 0, y * y + 2])
+    for n in range(4):
+        assert type(s.coeff(n)) is cls
+    assert s.coeff(1) == y and s.coeff(2) == ring.zero
+    # a coefficient times a series is the series times the coefficient
+    assert type(y * s) is type(s * y) is QSeries
+    assert y * s == s * y
 
 
 def test_cyclotomic_polynomials():
@@ -366,29 +394,22 @@ def test_cyclotomic_polynomials():
 # ---------------------------------------------------------------------------
 
 
-CYCLO = Localization([cyclotomic_polynomial(d) for d in (1, 2, 3, 4)], "t")
-
-
 def test_rational_function_cancellation():
-    # (1-t^2)/(1-t) = 1+t, and 1 + t = Phi_2 is a unit
-    r = CYCLO.element([1, 0, -1]) / CYCLO.element([1, -1])
-    assert r == CYCLO.element([1, 1])
-    assert r.num == (F(1),) and r.exps == (0, -1, 0, 0)
+    # (1-y^2)/(1+y) = 1-y, and y^2 (1+y) is y^-(-2) (1+y)^-(-1)
+    y = FORMAL_RING.gen()
+    r = (1 - y * y) * (1 + y).inverse()
+    assert r == 1 - y
+    assert r.num == (F(1), F(-1)) and r.exps == (0, 0)
+    s = y * y * (1 + y) * F(1, 2)
+    assert s.num == (F(1, 2),) and s.exps == (-2, -1)
 
 
 def test_rational_function_arithmetic():
-    t = CYCLO.gen()
-    a = (1 - t).inverse()       # 1/(1-t)
-    b = t * (1 - t).inverse()   # t/(1-t)
-    assert a - b == CYCLO.element([1, -1]) / (1 - t) * CYCLO.one
-    assert a - b == CYCLO.one
-
-
-def test_rational_function_evaluate():
-    r = CYCLO.element([1, 1]) / 2
-    assert r.evaluate(F(3)) == F(2)
-    with pytest.raises(ZeroDivisionError):
-        (1 - CYCLO.gen()).inverse().evaluate(1)
+    y = FORMAL_RING.gen()
+    a = (1 + y).inverse()       # 1/(1+y)
+    b = y * (1 + y).inverse()   # y/(1+y)
+    assert a + b == FORMAL_RING.one
+    assert a - b == _element(FORMAL_RING, [1, -1], (0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +441,7 @@ def test_nested_zero_terms_dropped_without_coercion(kind, monkeypatch):
         zero = base.zero
     ring = PolyRing("x", "z", base=base)
     calls = []
-    for cls in (PolyRing, QSeriesRing, QuotientRing):
+    for cls in (PolyRing, QSeriesRing):
         def counted(self, fr, original=cls.from_fraction):
             calls.append(fr)
             return original(self, fr)
@@ -540,7 +561,7 @@ def test_nested_base_agrees_with_rationals(p, q):
     # the same integer polynomials over Q and over a nested base, whose
     # coefficients are the images of the rational ones
     plain = [p + q, p * q - q * 3, p ** 2, horner([1, -2, 3], p)]
-    for base in (QuotientRing([1, -1, 1]), PolyRing("t")):
+    for base in (y_model(3)[0], PolyRing("t")):
         ring = PolyRing("x", "y", "z", base=base)
         P, Q = (WeightedPoly(ring, {e: base.from_fraction(c)
                                     for e, c in r.terms.items()})
@@ -578,72 +599,70 @@ def test_series_times_polynomial_over_series_is_polynomial():
 
 
 # ---------------------------------------------------------------------------
-# localisations: Q[y, 1/y, 1/(1+y)] and Q[t] at Phi_1..Phi_4
+# the formal ring Q[y, 1/y, 1/(1+y)]
 # ---------------------------------------------------------------------------
-
-Y_LOCAL = Localization([[0, 1], [1, 1]], "y")
 
 local_parts = st.tuples(
     st.lists(st.integers(min_value=-4, max_value=4), min_size=1, max_size=4),
-    st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=2, max_size=2),
 )
-# no root of y, 1 + y or Phi_1..Phi_4 is a rational other than 0, 1, -1
+# no root of y or 1 + y is a rational other than 0, -1
 local_points = st.fractions(min_value=-3, max_value=3,
                             max_denominator=5).filter(
     lambda t: t not in (0, 1, -1))
 
 
-def _local(ring, part):
-    num, exps = part
-    return ring.element(num, exps[:len(ring.inverted)])
+def _poly_value(coeffs, t):
+    return sum(F(c) * t ** i for i, c in enumerate(coeffs))
 
 
-def _local_value(ring, part, t):
-    """num(t) * prod s(t)^(-e_s) straight from the data."""
-    num, exps = part
-    out = poly_eval(num, t)
-    for s, e in zip(ring.inverted, exps):
-        out *= poly_eval(s, t) ** -e
-    return out
+def _local_value(part, t):
+    """num(t) t^-a (1+t)^-b straight from the data."""
+    num, (a, b) = part
+    return _poly_value(num, t) * t ** -a * (1 + t) ** -b
+
+
+def _evaluate(x, t):
+    """An element of the formal ring at y = t, from its normal form."""
+    return _local_value((x.num, x.exps), t)
 
 
 @seed(20261021)
 @settings(max_examples=60, deadline=None)
 @given(local_parts, local_parts, local_parts, local_points)
 def test_localization_evaluation_is_a_homomorphism(pa, pb, pc, t):
-    for ring in (Y_LOCAL, CYCLO):
-        a, b, c = (_local(ring, p) for p in (pa, pb, pc))
-        va, vb = _local_value(ring, pa, t), _local_value(ring, pb, t)
-        assert a.evaluate(t) == va
-        assert (a + b).evaluate(t) == va + vb
-        assert (a - b).evaluate(t) == va - vb
-        assert (a * b).evaluate(t) == va * vb
-        # units c * prod s^k invert; t - 2 is prime to every s
-        unit = ring.element([pa[0][0] or 1], pa[1][:len(ring.inverted)])
-        assert unit.inverse().evaluate(t) == 1 / unit.evaluate(t)
-        assert unit * unit.inverse() == ring.one
-        if not a.is_zero():
-            with pytest.raises(NonUnitLeadingCoefficient):
-                (a * ring.element([-2, 1])).inverse()
-        # two routes to one function: equal, with equal hashes
-        for x, y in (((a + b) * c, a * c + b * c),
-                     (a * b - c, b * a + (-c)),
-                     ((a * unit) / unit, a)):
-            assert x == y
-            assert hash(x) == hash(y)
-        # the normal form strips a factor s written into the numerator
-        s0 = ring.inverted[0]
-        lifted = ring.element(poly_mul(a.num, s0), (a.exps[0] + 1,) + a.exps[1:])
-        assert lifted == a and hash(lifted) == hash(a)
+    ring = FORMAL_RING
+    a, b, c = (_element(ring, *p) for p in (pa, pb, pc))
+    va, vb = _local_value(pa, t), _local_value(pb, t)
+    assert _evaluate(a, t) == va
+    assert _evaluate(a + b, t) == va + vb
+    assert _evaluate(a - b, t) == va - vb
+    assert _evaluate(a * b, t) == va * vb
+    # units c y^-a (1+y)^-b invert; y - 2 is prime to y and 1 + y
+    unit = _element(ring, [pa[0][0] or 1], pa[1])
+    assert _evaluate(unit.inverse(), t) == 1 / _evaluate(unit, t)
+    assert unit * unit.inverse() == ring.one
+    if not a.is_zero():
+        with pytest.raises(NonUnitLeadingCoefficient):
+            (a * _element(ring, [-2, 1])).inverse()
+    # two routes to one function: equal, with equal hashes
+    for x, y in (((a + b) * c, a * c + b * c),
+                 (a * b - c, b * a + (-c)),
+                 ((a * unit) * unit.inverse(), a)):
+        assert x == y
+        assert hash(x) == hash(y)
+    # the normal form strips a factor y written into the numerator
+    lifted = _element(ring, [0] + list(a.num), (a.exps[0] + 1, a.exps[1]))
+    assert lifted == a and hash(lifted) == hash(a)
 
 
 def test_localization_rejects_non_unit_inverse():
-    for ring in (Y_LOCAL, CYCLO):
-        with pytest.raises(NonUnitLeadingCoefficient):
-            ring.zero.inverse()
-        with pytest.raises(NonUnitLeadingCoefficient):
-            ring.element([3, 0, 1]).inverse()
-    y = Y_LOCAL.gen()
+    ring = FORMAL_RING
+    with pytest.raises(NonUnitLeadingCoefficient):
+        ring.zero.inverse()
+    with pytest.raises(NonUnitLeadingCoefficient):
+        _element(ring, [3, 0, 1]).inverse()
+    y = ring.gen()
     assert (y * (1 + y) ** 2).inverse() == y ** -1 * (1 + y) ** -2
 
 
@@ -651,10 +670,9 @@ def test_localization_rejects_non_unit_inverse():
 # the integer kernel against the Fraction kernel it replaced
 # ---------------------------------------------------------------------------
 #
-# The oracle is the former QuotientRing/QuotElt and Localization/
-# RationalFunction: Fraction coefficients, reduction and trial division by
-# generic polynomial division, inverses by the extended Euclidean
-# algorithm over Q.
+# The oracle is Q[y]/(m) and Q[y] localised at y and 1 + y on Fraction
+# coefficients: reduction and trial division by generic polynomial
+# division, inverses by the extended Euclidean algorithm over Q.
 
 
 def _frac_trim(p):
@@ -808,12 +826,13 @@ class _FracRationalFunction(_FracElement):
         return self.num == o.num and self.exps == o.exps
 
 
-KERNEL_RINGS = [FORMAL_RING, CYCLO] + [y_model(N)[0] for N in (3, 5, 7, 12)]
+# N = 1 and 2 have moduli of degree 1, where y is a rational
+KERNEL_RINGS = [FORMAL_RING] + [y_model(N)[0] for N in (1, 2, 3, 5, 7, 12)]
 
 
 def _oracle_ring(ring):
-    if isinstance(ring, Localization):
-        return _FracLocalization(ring.inverted)
+    if ring.modulus is None:
+        return _FracLocalization(INVERTED)
     return _FracQuotientRing(ring.modulus)
 
 
@@ -825,33 +844,34 @@ def _same(x, o):
 
 
 def _check_normal_form(x):
+    assert len(x.rows) <= 1 and x.rows != ((),)
     assert all(type(c) is int for c in x.ints) and type(x.den) is int
     assert x.den > 0
     assert gcd(x.den, *x.ints) == 1
     assert not x.ints or x.ints[-1] != 0
     if isinstance(x, RationalFunction):
-        for s in x.ring.inverted:
+        for s in INVERTED:
             assert not x.ints or poly_divmod(x.ints, s)[1], (x, s)
         assert x.ints or x.exps == x.ring.zero.exps
     else:
-        assert len(x.ints) <= x.ring.degree
+        assert len(x.ints) < len(x.ring.modulus)
 
 
 small_fractions_kernel = st.fractions(min_value=-3, max_value=3,
                                       max_denominator=4)
 kernel_parts = st.tuples(
     st.lists(small_fractions_kernel, min_size=0, max_size=8),
-    st.lists(st.integers(min_value=-2, max_value=2), min_size=4, max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=2), min_size=2, max_size=2),
 )
 
 
 def _pair(ring, oracle, part):
     """The same element in the integer ring and in the oracle."""
     coeffs, exps = part
-    if isinstance(ring, Localization):
-        n = len(ring.inverted)
-        return ring.element(coeffs, exps[:n]), oracle.element(coeffs, exps[:n])
-    return ring.element(coeffs), oracle.element(coeffs)
+    if ring.modulus is None:
+        return (_element(ring, coeffs, exps),
+                oracle.element(coeffs, exps))
+    return _element(ring, coeffs), oracle.element(coeffs)
 
 
 @seed(20261101)
@@ -867,8 +887,8 @@ def test_integer_kernel_matches_fraction_oracle(pa, pb, c, n):
                    (a + c, oa + c), (c - b, -(ob - c)), (-a, -oa),
                    (a ** n, oa ** n)]
         # units: every nonzero element of a field Q[y]/(m), and the
-        # constants times powers of the s in a localisation
-        if isinstance(ring, Localization):
+        # constants times powers of y and 1 + y in the formal ring
+        if ring.modulus is None:
             unit_part = ([pa[0][0] if pa[0] and pa[0][0] else 1], pa[1])
             u, ou = _pair(ring, oracle, unit_part)
         else:
@@ -884,10 +904,10 @@ def test_integer_kernel_matches_fraction_oracle(pa, pb, c, n):
                      (u * u.inverse(), ring.one), (a - a, ring.zero),
                      ((a * u) * u.inverse(), a)):
             assert x == y and hash(x) == hash(y)
-        if isinstance(ring, Localization) and not a.is_zero():
-            # a non-constant numerator prime to every s is not a unit
+        if ring.modulus is None and not a.is_zero():
+            # a non-constant numerator prime to y and 1 + y is not a unit
             with pytest.raises(NonUnitLeadingCoefficient):
-                (a * ring.element([-2, 1])).inverse()
+                (a * _element(ring, [-2, 1])).inverse()
 
 
 def test_localization_strip_linear_matches_division():
@@ -895,11 +915,11 @@ def test_localization_strip_linear_matches_division():
     # generic division, for multiplicities 0..3
     for k in range(4):
         for body in ([3, 1], [2, 0, 5], [-1, 4, 0, 2]):
-            for i, s in enumerate(FORMAL_RING.inverted):
+            for i, s in enumerate(INVERTED):
                 num = body
                 for _ in range(k):
                     num = poly_mul(num, s)
-                x = FORMAL_RING.element(num)
+                x = _element(FORMAL_RING, num)
                 exps = [0, 0]
                 exps[i] = -k
                 q = list(num)
@@ -910,16 +930,6 @@ def test_localization_strip_linear_matches_division():
                 assert x.exps == tuple(exps)
                 assert x.num == tuple(q)
                 _check_normal_form(x)
-
-
-def test_integral_monic_required():
-    with pytest.raises(ValueError):
-        QuotientRing([1, 2])
-    with pytest.raises(ValueError):
-        Localization([[1, 2]])
-    # monic over Z up to a unit: scaled moduli are accepted and stored monic
-    assert QuotientRing([F(-2), F(0), F(2)]).modulus == (-1, 0, 1)
-    assert Localization([[-3, -3]]).inverted == ((1, 1),)
 
 
 # ---------------------------------------------------------------------------
@@ -998,10 +1008,6 @@ def _assert_identical(x, y):
         assert x.cap == y.cap and x.terms.keys() == y.terms.keys()
         for e, c in y.terms.items():
             _assert_identical(x.terms[e], c)
-    elif isinstance(y, RationalFunction):
-        assert (x.ints, x.den, x.exps) == (y.ints, y.den, y.exps)
-    elif not isinstance(y, Fraction):
-        assert (x.ints, x.den) == (y.ints, y.den)
     assert x == y and hash(x) == hash(y)
 
 
@@ -1009,19 +1015,19 @@ small_ints = st.integers(min_value=-3, max_value=3)
 
 
 def _quot_elements(ring):
-    return st.lists(small_fractions_kernel, max_size=6).map(ring.element)
+    return st.lists(small_fractions_kernel, max_size=6).map(
+        lambda c: _element(ring, c))
 
 
 def _local_elements(ring):
-    # numerators of every degree, and units c prod s^(-e_s), whose sums
-    # often have a factor s left to strip
-    n = len(ring.inverted)
-    exps = st.lists(st.integers(min_value=-2, max_value=2), min_size=n,
-                    max_size=n)
+    # numerators of every degree, and units c y^-a (1+y)^-b, whose sums
+    # often have a factor y or 1 + y left to strip
+    exps = st.lists(st.integers(min_value=-2, max_value=2), min_size=2,
+                    max_size=2)
     return st.one_of(
         st.tuples(st.lists(small_fractions_kernel, max_size=4), exps),
         st.tuples(st.sampled_from([[1], [-1], [2]]), exps),
-    ).map(lambda t: ring.element(*t))
+    ).map(lambda t: _element(ring, *t))
 
 
 def _poly_elements(ring, caps):
@@ -1043,7 +1049,6 @@ DOT_CASES = {
     "poly-capped": (WXYZ, _poly_elements(WXYZ, [None, 0, 2, 4, 6])),
     "zeta5": (ZETA5, _quot_elements(ZETA5)),
     "formal": (FORMAL_RING, _local_elements(FORMAL_RING)),
-    "cyclotomic-local": (CYCLO, _local_elements(CYCLO)),
     "series-zeta5": (Q_ZETA5,
                      _series_elements(Q_ZETA5, _quot_elements(ZETA5))),
     "series-formal": (Q_FORMAL,
@@ -1081,7 +1086,7 @@ def test_dot_of_nothing_is_zero(name):
 
 def test_dot_rejects_mixed_rings():
     for ring in (ZETA5, FORMAL_RING):
-        other = y_model(7)[0] if ring is ZETA5 else CYCLO
+        other = y_model(7)[0] if ring is ZETA5 else ZETA5
         with pytest.raises(ValueError):
             ring.dot([(ring.one, other.one)])
     with pytest.raises(TypeError):
@@ -1100,7 +1105,7 @@ SOUNDNESS_RINGS = {
                st.tuples(small_fractions_kernel.filter(bool),
                          st.lists(st.integers(min_value=-2, max_value=2),
                                   min_size=2, max_size=2)).map(
-                   lambda t: FORMAL_RING.element([t[0]], t[1]))),
+                   lambda t: _element(FORMAL_RING, [t[0]], t[1]))),
     "zeta5": (ZETA5, _quot_elements(ZETA5),
               _quot_elements(ZETA5).filter(lambda c: not c.is_zero())),
 }

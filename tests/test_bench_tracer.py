@@ -3,8 +3,9 @@
 The tracer looks the package's functions and classes up by name, among
 them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward and
 algebra_kernel.poly_gcd, which nothing in the package calls.  The names
-it reads from algebra_kernel that live in weighted_poly or dense_poly are
-forwarded by algebra_kernel.__getattr__, and no other name is.
+it reads from algebra_kernel that live in weighted_poly, dense_poly or
+jacobi_q are forwarded by algebra_kernel.__getattr__, and no other name
+is.
 The tier-1 suite does not run a traced benchmark, so a renamed or deleted
 name would show nowhere else, and neither would a blow-up kernel that no
 longer goes through the traced pushforward.
@@ -27,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from ellgenus import (algebra_kernel, dense_poly, elliptic_ode,
+from ellgenus import (algebra_kernel, dense_poly, elliptic_ode, jacobi_q,
                      universal_elliptic, weighted_poly)
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -49,8 +50,9 @@ def test_algebra_kernel_forwards_exactly_the_traced_names():
     for name, home in algebra_kernel._MOVED.items():
         module = importlib.import_module(f"ellgenus.{home}")
         assert getattr(algebra_kernel, name) is getattr(module, name)
-    others = (set(vars(weighted_poly)) | set(vars(dense_poly))) - set(
-        vars(algebra_kernel)) - set(algebra_kernel._MOVED)
+    others = (set(vars(weighted_poly)) | set(vars(dense_poly))
+              | set(vars(jacobi_q))) - set(vars(algebra_kernel)) - set(
+        algebra_kernel._MOVED)
     for name in sorted(others) + ["no_such_name"]:
         with pytest.raises(AttributeError):
             getattr(algebra_kernel, name)

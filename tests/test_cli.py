@@ -25,7 +25,7 @@ from ellgenus.cli import (
     _parse_options,
     main,
 )
-from ellgenus.cohomology_models import catalog, cp_model
+from ellgenus.cohomology_models import catalog
 from ellgenus.genus_engine import evaluate
 from ellgenus import (blowup, cli, cohomology_models, jacobi_q, level_n,
                       manifold_json, twisted_bundles, universal_elliptic)
@@ -614,6 +614,22 @@ def test_genus_point_digits_times_the_order_is_bounded(manifold, order, fmt):
         assert rc == 0
 
 
+# a point within GENUS_POINT_MAX_WORK on CP3 whose value has more digits
+# than Python converts to a str
+_LONG_VALUE_POINT = ",".join(["7" * 1333, "-1", "1/" + "3" * 1332, "2"])
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_genus_value_too_long_to_print_exits_2(fmt):
+    start = time.perf_counter()
+    rc, text = run("genus", "eval", "--genus", _LONG_VALUE_POINT,
+                   "--manifold", "catalog:CP3", "--format", fmt)
+    assert time.perf_counter() - start < 5
+    assert rc == 2
+    assert _one_line_error(text, fmt) == (
+        "the value has more than 4300 digits to print")
+
+
 def test_bad_subcommand_exits_2(capsys):
     rc, _ = run("bogus")
     assert rc == 2
@@ -925,6 +941,7 @@ def _genus_eval(genus, manifold):
 # the literals at each site where a rational is parsed
 @example(argv=_genus_eval("1e99999999,1,1,1", "catalog:CP2"))
 @example(argv=_genus_eval("1,2,3," + "9" * 4299, "catalog:CP3"))
+@example(argv=_genus_eval(_LONG_VALUE_POINT, "catalog:CP3"))
 @example(argv=_genus_eval("todd", json.dumps(
     {"type": "chern_numbers", "dim": 2, "numbers": {"2": "1e99999999"}})))
 @example(argv=_genus_eval("todd", json.dumps(
@@ -948,8 +965,10 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
     if argv[0] != "genus" and max(values) >= 1000:
         assert status == 2
         assert time.perf_counter() - start < 5
-    # so is a rational too long to parse or to evaluate, or not finite
+    # so is a rational too long to parse, to evaluate or to print, or not
+    # finite
     # (json.dumps writes float("inf") as Infinity)
     if any(big in arg for arg in argv
-           for big in ("1e99999999", "9" * 4299, "Infinity")):
+           for big in ("1e99999999", "9" * 4299, "Infinity",
+                       _LONG_VALUE_POINT)):
         assert time.perf_counter() - start < 5

@@ -74,9 +74,9 @@ def _seeded_point(seed):
      {"cohomology_models", "twisted_bundles"}),
     (["genus", "eval", "--genus", "todd", "--manifold",
       '{"type": "cp", "n": 3}'], {"cohomology_models", "manifold_json"}),
+    # the Poincare series is two int lists: no dense_poly
     (["leveln", "relations", "--N", "6"],
-     {"level_n", "elliptic_ode", "universal_elliptic", "weighted_poly",
-      "dense_poly"}),
+     {"level_n", "elliptic_ode", "universal_elliptic", "weighted_poly"}),
     (["qexpand", "--manifold", "catalog:K3", "--qorder", "8"],
      {"jacobi_q", "cohomology_models", "dense_poly"}),
     (["qexpand", "--manifold", "catalog:W2", "--qorder", "6",

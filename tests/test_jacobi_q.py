@@ -652,6 +652,16 @@ Q_MODES = [3, 4, 5, 6, 7, 8, "formal"]
 small_rationals = st.fractions(min_value=-3, max_value=3, max_denominator=4)
 
 
+def _element(ring, coeffs, exps=(0, 0)):
+    """sum_i coeffs[i] y^i, over the formal ring times y^-a (1+y)^-b for
+    exps = (a, b), built from gen, from_fraction and dot."""
+    y = ring.gen()
+    x = ring.dot((c, y ** i) for i, c in enumerate(coeffs))
+    if ring.modulus is None:
+        x = x * y ** -exps[0] * (ring.one + y) ** -exps[1]
+    return x
+
+
 def base_elements(mode):
     """Elements of y_model(mode): any numerator, and over the formal ring
     any powers of y and 1 + y in the denominator."""
@@ -660,8 +670,9 @@ def base_elements(mode):
         exps = st.lists(st.integers(min_value=-2, max_value=2), min_size=2,
                         max_size=2)
         return st.tuples(st.lists(small_rationals, max_size=4), exps).map(
-            lambda t: ring.element(*t))
-    return st.lists(small_rationals, max_size=6).map(ring.element)
+            lambda t: _element(ring, *t))
+    return st.lists(small_rationals, max_size=6).map(
+        lambda c: _element(ring, c))
 
 
 def _agree(flat, oracle):

@@ -1,13 +1,15 @@
-"""Differential oracle: the dense kernel against sympy.
+"""Differential oracle: the exact kernel against sympy.
 
-An element num * prod_s s^(-e_s) of a Localization in normal form,
-written as a fraction, is in lowest terms with a monic denominator, which
-is what sympy.cancel gives once its denominator is made monic.  An
-element of the cyclotomic ring Q[y]/(+-Phi_N(-y)) is its remainder
-modulo the minimal polynomial of y, which sympy.rem gives, and its
-inverse is sympy.invert.  The series operations exp, log, inverse and
-compose_inverse over QQ are checked against sympy's ring_series.
-Test-only: skipped when sympy is not installed.
+An element num * y^-a (1+y)^-b of the formal ring Q[y, 1/y, 1/(1+y)] in
+normal form, written as a fraction, is in lowest terms with a monic
+denominator, which is what sympy.cancel gives once its denominator is
+made monic.  An element of the cyclotomic ring Q[y]/(+-Phi_N(-y)) is its
+remainder modulo the minimal polynomial of y, which sympy.rem gives, and
+its inverse is sympy.invert.  The Poincare series of the level-N
+presentations and their degrees h_0 are checked against sympy's rational
+functions, and the series operations exp, log, inverse and
+compose_inverse over QQ against sympy's ring_series.  Test-only: skipped
+when sympy is not installed.
 """
 
 from fractions import Fraction
@@ -17,24 +19,34 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus.algebra_kernel import QQ, TruncatedSeries
-from ellgenus.dense_poly import Localization, cyclotomic_polynomial, poly_mul
-from ellgenus.jacobi_q import y_model
+from ellgenus.dense_poly import poly_mul
+from ellgenus.jacobi_q import FORMAL_RING, y_model
+from ellgenus.level_n import (GradedIdealPresentation, degree_h0,
+                              poincare_series)
 
 sympy = pytest.importorskip("sympy")
 
 F = Fraction
 T = sympy.Symbol("t")
 
-RINGS = (
-    Localization([[0, 1], [1, 1]], "y"),
-    Localization([cyclotomic_polynomial(d) for d in (1, 2, 3, 4)], "t"),
-)
+# the formal ring inverts y and 1 + y
+INVERTED = ((0, 1), (1, 1))
 
 parts = st.tuples(
     st.lists(st.fractions(min_value=-4, max_value=4, max_denominator=3),
              min_size=1, max_size=5),
-    st.lists(st.integers(min_value=-2, max_value=3), min_size=4, max_size=4),
+    st.lists(st.integers(min_value=-2, max_value=3), min_size=2, max_size=2),
 )
+
+
+def _element(ring, coeffs, exps=(0, 0)):
+    """sum_i coeffs[i] y^i, over the formal ring times y^-a (1+y)^-b for
+    exps = (a, b), built from gen, from_fraction and dot."""
+    y = ring.gen()
+    x = ring.dot((c, y ** i) for i, c in enumerate(coeffs))
+    if ring.modulus is None:
+        x = x * y ** -exps[0] * (ring.one + y) ** -exps[1]
+    return x
 
 
 def _sym(coeffs):
@@ -42,10 +54,10 @@ def _sym(coeffs):
                 for i, c in enumerate(coeffs)), sympy.Integer(0))
 
 
-def _sym_element(ring, part):
+def _sym_element(part):
     num, exps = part
     out = _sym(num)
-    for s, e in zip(ring.inverted, exps):
+    for s, e in zip(INVERTED, exps):
         out = out * _sym(s) ** -e
     return out
 
@@ -65,9 +77,9 @@ def _sympy_pair(expr):
 
 
 def _pair(x):
-    """The normal form num * prod_s s^(-e_s) as (numerator, denominator)."""
+    """The normal form num * y^-a (1+y)^-b as (numerator, denominator)."""
     num, den = list(x.num), [F(1)]
-    for s, e in zip(x.ring.inverted, x.exps):
+    for s, e in zip(INVERTED, x.exps):
         for _ in range(abs(e)):
             if e < 0:
                 num = poly_mul(num, s)
@@ -80,14 +92,26 @@ def _pair(x):
 @settings(max_examples=40, deadline=None)
 @given(parts, parts)
 def test_normal_form_matches_sympy_cancel(pa, pb):
-    for ring in RINGS:
-        n = len(ring.inverted)
-        pa_, pb_ = (pa[0], pa[1][:n]), (pb[0], pb[1][:n])
-        a, b = ring.element(*pa_), ring.element(*pb_)
-        sa, sb = _sym_element(ring, pa_), _sym_element(ring, pb_)
-        for ours, theirs in ((a, sa), (a + b, sa + sb), (a - b, sa - sb),
-                             (a * b, sa * sb)):
-            assert _pair(ours) == _sympy_pair(theirs), ring
+    a, b = _element(FORMAL_RING, *pa), _element(FORMAL_RING, *pb)
+    sa, sb = _sym_element(pa), _sym_element(pb)
+    for ours, theirs in ((a, sa), (a + b, sa + sb), (a - b, sa - sb),
+                         (a * b, sa * sb)):
+        assert _pair(ours) == _sympy_pair(theirs)
+
+
+@pytest.mark.parametrize("N", range(2, 9))
+def test_poincare_series_matches_sympy(N):
+    # the level-N presentation: weights 1..4, relations of degree N -+ 1
+    weights, degrees = (1, 2, 3, 4), (N - 1, N + 1)
+    num, den = poincare_series(GradedIdealPresentation(weights, degrees))
+    expected = sympy.Mul(*(1 - T ** r for r in degrees)) / sympy.Mul(
+        *(1 - T ** w for w in weights))
+    assert sympy.cancel(_sym(num) / _sym(den) - expected) == 0
+    # h_0: the Krull dimension 2 pole at t = 1 cancelled, then t = 1
+    regular = sympy.cancel(expected * (1 - T) ** 2 * sympy.Mul(
+        *(sum(T ** i for i in range(w)) for w in weights)))
+    assert degree_h0(GradedIdealPresentation(weights, degrees)) == F(
+        str(regular.subs(T, 1))) == N * N - 1
 
 
 Y = sympy.Symbol("y")
@@ -118,15 +142,16 @@ def test_cyclotomic_products_and_inverses_match_sympy(pa, pb):
         modulus = sympy.Poly(sympy.cyclotomic_poly(N, -Y), Y).monic()
         assert _coeffs(modulus) == list(ring.modulus)
         m = modulus.as_expr()
-        a, b = ring.element(pa), ring.element(pb)
+        degree = len(ring.modulus) - 1
+        a, b = _element(ring, pa), _element(ring, pb)
         sa, sb = _sym_y(pa), _sym_y(pb)
-        assert a.coeffs == _residue(sa, m, ring.degree)
-        assert (a * b).coeffs == _residue(sa * sb, m, ring.degree)
-        assert (a * y).coeffs == _residue(sa * Y, m, ring.degree)
+        assert a.coeffs == _residue(sa, m, degree)
+        assert (a * b).coeffs == _residue(sa * sb, m, degree)
+        assert (a * y).coeffs == _residue(sa * Y, m, degree)
         for x, sx in ((a, sa), (b, sb), (a * b, sa * sb)):
             if not x.is_zero():
                 inv = sympy.invert(sympy.rem(sx, m, Y), m, Y)
-                assert x.inverse().coeffs == _residue(inv, m, ring.degree)
+                assert x.inverse().coeffs == _residue(inv, m, degree)
 
 
 rs = pytest.importorskip("sympy.polys.ring_series")

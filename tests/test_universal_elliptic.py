@@ -5,7 +5,7 @@ from math import factorial
 import pytest
 
 from ellgenus.algebra_kernel import QQ, TruncatedSeries
-from ellgenus.cohomology_models import catalog, chern_vector, cp_model
+from ellgenus.cohomology_models import catalog, cp_model
 from ellgenus.genus_engine import (
     classical_genus,
     evaluate,
