@@ -4,10 +4,9 @@ Rationals (stdlib Fraction) and their ring context QQ; zero tests and
 inverses of coefficients in any ring; the errors; and truncated series
 in one variable over any ring context.  Each other representation has a
 module of its own, so a command compiles only those it runs: sparse
-weighted polynomials in weighted_poly, dense one-variable coefficient
-lists in dense_poly, and the flat ring of q-series, whose truncation at
-q^0 is the coefficient ring Q(zeta_N) or Q[y, 1/y, 1/(1+y)], in
-jacobi_q.
+weighted polynomials in weighted_poly, and the flat ring of q-series,
+whose truncation at q^0 is the coefficient ring Q(zeta_N) or
+Q[y, 1/y, 1/(1+y)], in jacobi_q with the int-list kernels it is built on.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -30,10 +29,6 @@ class BadValuation(ValueError):
 
 
 class VariableNotPresent(KeyError):
-    pass
-
-
-class ExactDivisionError(ArithmeticError):
     pass
 
 
@@ -427,11 +422,12 @@ class TruncatedSeries:
 
 
 # bench/tracer.py reads these names from this module; each is forwarded to
-# the module it lives in.
+# the module it lives in, where the three functions are aliases of the
+# integer kernels that module runs.
 _MOVED = {"WeightedPoly": "weighted_poly", "MultiPoly": "weighted_poly",
-          "resultant_in": "weighted_poly", "RationalFunction": "jacobi_q",
-          "QuotElt": "jacobi_q", "poly_gcd": "dense_poly",
-          "poly_divmod": "dense_poly"}
+          "resultant_in": "level_n", "RationalFunction": "jacobi_q",
+          "QuotElt": "jacobi_q", "poly_gcd": "jacobi_q",
+          "poly_divmod": "jacobi_q"}
 
 
 def __getattr__(name):

@@ -32,9 +32,7 @@ def _lazy(name):
     representation too.  The module is registered in ``sys.modules`` and
     bound on the package at once, as an import does, because
     bench/traced_cli.py finds the modules it traces there right after
-    ``import ellgenus.cli``.  weighted_poly and dense_poly are bound for
-    that tracer alone: cli reads none of their names, and without the
-    dense_poly binding the traced poly_divmod.calls would read 0.
+    ``import ellgenus.cli``.
     """
     fullname = f"{__package__}.{name}"
     module = sys.modules.get(fullname)
@@ -55,8 +53,6 @@ criteria = _lazy("criteria")
 cohomology_models = _lazy("cohomology_models")
 elliptic_ode = _lazy("elliptic_ode")
 universal_elliptic = _lazy("universal_elliptic")
-weighted_poly = _lazy("weighted_poly")
-dense_poly = _lazy("dense_poly")
 
 
 def __getattr__(name):

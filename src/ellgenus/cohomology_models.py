@@ -550,8 +550,11 @@ def catalog(name, max_dim=None, what="the manifold"):
         check_size(what, n, max_dim)
         return cp_model(n)
     if name.startswith("TwCP(") and name.endswith(")"):
-        inner = name[5:-1]
-        p, q = (int(s) for s in inner.split(","))
+        try:
+            p, q = map(int, name[5:-1].split(","))
+        except ValueError:
+            raise ValueError(f"TwCP(p,q) needs two integers p, q >= 0, "
+                             f"got {name}") from None
         if p < 0 or q < 0:
             raise ValueError(f"TwCP(p,q) needs p, q >= 0, got {name}")
         check_size(what, p + q - 1, max_dim)

@@ -31,7 +31,6 @@ from .cohomology_models import (
     point_model,
     product_model,
 )
-from .dense_poly import poly_mul
 from .genus_engine import (
     classical_genus,
     evaluate,
@@ -44,6 +43,7 @@ from .jacobi_q import (
     extract_qi,
     integrality_check,
     phi_at_minus_z,
+    poly_mul,
     weierstrass_p,
     y_model,
 )

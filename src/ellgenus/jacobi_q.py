@@ -37,10 +37,13 @@ followed by one reduction and one normalisation, with no ring of series
 nested over the coefficient ring.  The coefficient models are that ring
 truncated at q^0: one normal form, one dot and one normalisation serve
 the series and their coefficients, whose element classes QuotElt and
-RationalFunction add only inverses and printing.  The module also
-provides the loop-space expansion chi_y(q, LX), the Weierstrass series,
-recovery of the quartic coefficients q_1..q_4 as q-series, and the
-integrality check.
+RationalFunction add only inverses and printing.  The ring is built on
+a few kernels on int lists, defined here: products, synthetic division
+by a monic polynomial, the cross-multiplied step of the extended
+Euclidean algorithm in Z[y], and the cyclotomic modulus built from
+them.  The module also provides the loop-space expansion chi_y(q, LX),
+the Weierstrass series, recovery of the quartic coefficients q_1..q_4
+as q-series, and the integrality check.
 """
 
 from __future__ import annotations
@@ -57,13 +60,6 @@ from .algebra_kernel import (
     TruncatedSeries,
     coeff_is_zero,
     ring_invert,
-)
-from .dense_poly import (
-    _combine,
-    _divmod_monic,
-    _poly_trim,
-    cyclotomic_polynomial,
-    poly_mul,
 )
 from .genus_engine import GenusSpec, classical_genus, evaluate
 
@@ -84,6 +80,73 @@ class NotLaurent(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# polynomials in y as int lists, low -> high
+# ---------------------------------------------------------------------------
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def poly_mul(a, b):
+    """Product of int coefficient lists, trimmed."""
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b, i):
+                out[j] += x * y
+    return _poly_trim(out)
+
+
+def _divmod_monic(a, m):
+    """Quotient and remainder of the ints a by the monic ints m, by
+    synthetic division."""
+    k = len(m) - 1
+    r = list(a)
+    q = [0] * max(0, len(r) - k)
+    for i in range(len(r) - 1, k - 1, -1):
+        c = r[i]
+        if c:
+            q[i - k] = c
+            for j in range(k):
+                r[i - k + j] -= c * m[j]
+    del r[k:]
+    return q, _poly_trim(r)
+
+
+def _combine(a, x, b, y, k):
+    """a*x - b*t^k*y for int lists x, y and ints a, b, trimmed: the
+    cross-multiplied reduction step of the extended Euclidean algorithm
+    in Z[y]."""
+    out = [a * c for c in x]
+    out += [0] * (len(y) + k - len(out))
+    for i, c in enumerate(y, k):
+        out[i] -= b * c
+    return _poly_trim(out)
+
+
+# bench/tracer.py times the two kernels under these names.
+poly_divmod = _divmod_monic
+poly_gcd = _combine
+
+
+def _cyclotomic(n):
+    """Phi_n as ints: y^n - 1 divided exactly by Phi_d for each proper
+    divisor d of n."""
+    if n < 1:
+        raise ValueError("n must be positive")
+    phi = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            phi = _divmod_monic(phi, _cyclotomic(d))[0]
+    return phi
+
+
+# ---------------------------------------------------------------------------
 # the flat ring of q-series, and at q^0 the coefficient models for y
 # ---------------------------------------------------------------------------
 
@@ -93,9 +156,9 @@ def _modulus(mode):
     None for mode 'formal'."""
     if mode == "formal":
         return None
-    phi = cyclotomic_polynomial(int(mode))
+    phi = _cyclotomic(int(mode))
     sign = (-1) ** (len(phi) - 1)
-    return tuple(int(c) * (-1) ** i * sign for i, c in enumerate(phi))
+    return tuple(c * (-1) ** i * sign for i, c in enumerate(phi))
 
 
 def as_y_laurent(value):

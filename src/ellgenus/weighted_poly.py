@@ -2,8 +2,7 @@
 coefficients, optional weighted-degree cap.
 
 One type, WeightedPoly, in a PolyRing over any ring context (see
-algebra_kernel); horner evaluation; the fraction-free determinant and
-the Sylvester resultant.
+algebra_kernel), and horner evaluation.
 
 A monomial is stored as one int, its key (packed exponent vectors:
 Monagan and Pearce, CASC 2007).  Each exponent has a 16-bit field whose
@@ -32,9 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import reduce
 from math import gcd, lcm
-from operator import floordiv, mul, or_
+from operator import mul, or_
 
-from .algebra_kernel import (QQ, ExactDivisionError, NonUnitLeadingCoefficient,
+from .algebra_kernel import (QQ, NonUnitLeadingCoefficient,
                              VariableNotPresent, _fr, coeff_is_zero,
                              ring_invert)
 
@@ -638,40 +637,11 @@ class WeightedPoly:
             return ring.dot((ring.one, c) for c in terms.values())
         return fold(list(terms.items()), 0)
 
-    # -- univariate views ---------------------------------------------------
+    # -- degree in one variable ---------------------------------------------
 
     def degree_in(self, name):
         pos = self.ring._pos[self.ring.names.index(name)]
         return max(((k >> pos) & _FIELD for k in self.num), default=-1)
-
-    def as_univariate(self, name):
-        """dict exponent-of-name -> WeightedPoly not involving name."""
-        i = self.ring.names.index(name)
-        out = {}
-        for exps, c in self.terms.items():
-            out.setdefault(exps[i], {})[exps[:i] + (0,) + exps[i + 1:]] = c
-        return {k: WeightedPoly(self.ring, t) for k, t in out.items()}
-
-    # -- exact division (integral domain) -----------------------------------
-
-    def exact_div(self, other):
-        """Exact quotient self/other; raises ExactDivisionError otherwise."""
-        o = self._coerce(other)
-        if o is None or o.is_zero():
-            raise ExactDivisionError("division by zero polynomial")
-        lt = o.leading()
-        le, lc = lt
-        rem = self
-        qterms = {}
-        while not rem.is_zero():
-            re, rc = rem.leading()
-            qe = tuple(a - b for a, b in zip(re, le))
-            if any(k < 0 for k in qe):
-                raise ExactDivisionError("not exactly divisible")
-            qc = rc / lc
-            qterms[qe] = qterms.get(qe, Fraction(0)) + qc
-            rem = rem - WeightedPoly(self.ring, {qe: qc}) * o
-        return WeightedPoly(self.ring, qterms)
 
 
 def horner(coeffs, x):
@@ -686,73 +656,3 @@ def horner(coeffs, x):
 # The benchmark's tracer (bench/tracer.py) times products under this name
 # too.
 MultiPoly = WeightedPoly
-
-
-# ---------------------------------------------------------------------------
-# fraction-free determinant and Sylvester resultant
-# ---------------------------------------------------------------------------
-
-
-def bareiss_determinant(rows, zero, one):
-    """Fraction-free (Bareiss) determinant over an integral domain.
-
-    rows: square list-of-lists; entries support *, - and exact_div, or
-    are ints.  The division is chosen once: over Z (int zero and one)
-    every division is an exact //, so no Fraction is formed.
-    """
-    n = len(rows)
-    if n == 0:
-        return one
-    ints = type(zero) is int and type(one) is int
-    div = floordiv if ints else type(zero).exact_div
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = one
-    for k in range(n - 1):
-        if m[k][k] == zero:
-            piv = next((i for i in range(k + 1, n) if m[i][k] != zero), None)
-            if piv is None:
-                return zero
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                m[i][j] = div(num, prev)
-            m[i][k] = zero
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return det if sign == 1 else -det
-
-
-def resultant_in(p, q, var):
-    """Sylvester resultant of p and q with respect to one variable.
-
-    Both inputs live in the same PolyRing; the result does not involve var.
-    Nothing in the package calls it: level_n.eliminant interpolates the
-    resultant from integer determinants at points.  It is the tests'
-    symbolic oracle, kept here because the benchmark's tracer looks it up
-    by name, until the package carries its own trace spans.
-    """
-    if not isinstance(p, WeightedPoly) or not isinstance(q, WeightedPoly):
-        raise TypeError("resultant_in expects WeightedPoly inputs")
-    ring = p.ring
-    if var not in ring.names:
-        raise VariableNotPresent(var)
-    pu = p.as_univariate(var)
-    qu = q.as_univariate(var)
-    m = max(pu, default=-1)
-    n = max(qu, default=-1)
-    if m < 1 and n < 1:
-        raise VariableNotPresent(f"{var} appears in neither argument")
-    if m < 0 or n < 0:
-        raise ExactDivisionError("resultant with the zero polynomial")
-    pc = [pu.get(k, ring.zero) for k in range(m, -1, -1)]
-    qc = [qu.get(k, ring.zero) for k in range(n, -1, -1)]
-    size = m + n
-    rows = []
-    for i in range(n):
-        rows.append([ring.zero] * i + pc + [ring.zero] * (size - i - m - 1))
-    for i in range(m):
-        rows.append([ring.zero] * i + qc + [ring.zero] * (size - i - n - 1))
-    return bareiss_determinant(rows, ring.zero, ring.one)

@@ -17,20 +17,23 @@ from ellgenus.algebra_kernel import (
     parse_rational,
     ring_invert,
 )
-from ellgenus.dense_poly import cyclotomic_polynomial, poly_divmod, poly_mul
 from ellgenus.jacobi_q import (
     FORMAL_RING,
     QSeries,
     QSeriesRing,
     QuotElt,
     RationalFunction,
+    _cyclotomic,
     y_model,
 )
-from ellgenus.weighted_poly import (
-    PolyRing,
-    WeightedPoly,
+from ellgenus.weighted_poly import PolyRing, WeightedPoly, horner
+
+from _oracles import (
     bareiss_determinant,
-    horner,
+    cyclotomic_polynomial,
+    poly_divmod,
+    poly_gcd,
+    poly_mul,
     resultant_in,
 )
 
@@ -387,6 +390,17 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(2) == [F(1), F(1)]
     assert cyclotomic_polynomial(4) == [F(1), F(0), F(1)]
     assert cyclotomic_polynomial(6) == [F(1), F(-1), F(1)]
+    # the package's, on ints, against the Fraction oracle: Phi_n divides
+    # y^n - 1 and shares no factor with Phi_(n-1)
+    for n in range(1, 40):
+        phi = cyclotomic_polynomial(n)
+        assert _cyclotomic(n) == phi
+        assert poly_gcd(phi, [-1] + [0] * (n - 1) + [1]) == phi
+        if n > 1:
+            assert poly_gcd(phi, cyclotomic_polynomial(n - 1)) == [1]
+    for n in (0, -3):
+        with pytest.raises(ValueError):
+            _cyclotomic(n)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """The benchmark's tracer (bench/tracer.py) still finds every name it wraps.
 
 The tracer looks the package's functions and classes up by name, among
-them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward and
-algebra_kernel.poly_gcd, which nothing in the package calls.  The names
-it reads from algebra_kernel that live in weighted_poly, dense_poly or
-jacobi_q are forwarded by algebra_kernel.__getattr__, and no other name
-is.
+them the aliases algebra_kernel.MultiPoly and blowup.flag_pushforward.
+The names it reads from algebra_kernel that live in weighted_poly,
+jacobi_q or level_n are forwarded by algebra_kernel.__getattr__, and no
+other name is.  Its three function names there are aliases of the int
+kernels the package runs: poly_divmod and poly_gcd of jacobi_q's
+synthetic division and Euclidean step, resultant_in of level_n's node
+resultant, so each is timed in the commands that run it.
 The tier-1 suite does not run a traced benchmark, so a renamed or deleted
 name would show nowhere else, and neither would a blow-up kernel that no
 longer goes through the traced pushforward.
@@ -28,8 +30,8 @@ from pathlib import Path
 
 import pytest
 
-from ellgenus import (algebra_kernel, dense_poly, elliptic_ode, jacobi_q,
-                     universal_elliptic, weighted_poly)
+from ellgenus import (algebra_kernel, elliptic_ode, jacobi_q, level_n,
+                     universal_elliptic)
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -50,12 +52,19 @@ def test_algebra_kernel_forwards_exactly_the_traced_names():
     for name, home in algebra_kernel._MOVED.items():
         module = importlib.import_module(f"ellgenus.{home}")
         assert getattr(algebra_kernel, name) is getattr(module, name)
-    others = (set(vars(weighted_poly)) | set(vars(dense_poly))
-              | set(vars(jacobi_q))) - set(vars(algebra_kernel)) - set(
+    homes = {importlib.import_module(f"ellgenus.{home}")
+             for home in set(algebra_kernel._MOVED.values())}
+    others = set().union(*map(vars, homes)) - set(vars(algebra_kernel)) - set(
         algebra_kernel._MOVED)
     for name in sorted(others) + ["no_such_name"]:
         with pytest.raises(AttributeError):
             getattr(algebra_kernel, name)
+
+
+def test_traced_function_names_alias_live_kernels():
+    assert algebra_kernel.poly_divmod is jacobi_q._divmod_monic
+    assert algebra_kernel.poly_gcd is jacobi_q._combine
+    assert algebra_kernel.resultant_in is level_n._resultant
 
 
 def test_universal_elliptic_reexports_the_ode():
@@ -69,8 +78,8 @@ SCRIPT = """
 import importlib, json
 import tracer
 names = ("algebra_kernel", "blowup", "cli", "cohomology_models",
-         "dense_poly", "genus_engine", "jacobi_q", "level_n",
-         "universal_elliptic", "weighted_poly")
+         "genus_engine", "jacobi_q", "level_n", "universal_elliptic",
+         "weighted_poly")
 modules = [importlib.import_module("ellgenus." + n) for n in names]
 tr = tracer.Tracer()
 tracer.install(tr, modules)
@@ -104,12 +113,14 @@ CRITERION_SPANS = {f"cli.criterion_{i}" for i in range(1, 11)}
 
 @pytest.mark.parametrize("argv,spans", [
     (["qexpand", "--manifold", "catalog:K3", "--qorder", "8"],
-     {"jacobi_q.chi_y_loop"}),
-    (["leveln", "relations", "--N", "3"], {"level_n.compute_level_data"}),
+     {"jacobi_q.chi_y_loop", "algebra_kernel.poly_divmod"}),
+    (["leveln", "relations", "--N", "3"],
+     {"level_n.compute_level_data", "algebra_kernel.resultant_in"}),
     (["genus", "eval", "--genus=1/2,-3,2/7,5", "--manifold", "catalog:CP6",
       "--order", "14"], {"universal_elliptic.solve_h"}),
     (["verify", "all"], CRITERION_SPANS
-     | {"jacobi_q.chi_y_loop", "level_n.compute_level_data"}),
+     | {"jacobi_q.chi_y_loop", "level_n.compute_level_data",
+        "algebra_kernel.poly_gcd"}),
 ], ids=["qexpand", "leveln", "genus-eval-point", "verify"])
 def test_traced_cli_matches_untraced_stdout(argv, spans, tmp_path):
     env = _env(ROOT / "src")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import QQ, ExactDivisionError, TruncatedSeries
+from ellgenus.algebra_kernel import QQ, TruncatedSeries
 from ellgenus.blowup import (
     BlowupInput,
     DegenerateSample,
@@ -28,6 +28,8 @@ from ellgenus.genus_engine import GenusSpec, classical_genus, evaluate
 from ellgenus.jacobi_q import phi_ell_q
 from ellgenus.twisted_bundles import twisted_proj_bundle_model
 from ellgenus.weighted_poly import PolyRing, WeightedPoly, horner
+
+from _oracles import ExactDivisionError, as_univariate
 
 F = Fraction
 
@@ -75,7 +77,7 @@ def _divide_linear(p, i, j):
     """Exact division by (x_i - x_j), by synthetic division in x_i;
     raises ExactDivisionError if a remainder survives.  A capped dividend
     gives a quotient whose cap is one lower."""
-    parts = p.as_univariate(p.ring.names[i])
+    parts = as_univariate(p, p.ring.names[i])
     zero = p.ring.zero
     xj = p.ring.gen(p.ring.names[j]).truncate(p.cap)
     quotient = {}

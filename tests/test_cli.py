@@ -507,6 +507,17 @@ def test_negative_twisted_projective_space_exits_2():
     assert text == "error: TwCP(p,q) needs p, q >= 0, got TwCP(-1,3)\n"
 
 
+@pytest.mark.parametrize("source", ["catalog", "json"])
+@pytest.mark.parametrize("name", ["TwCP(a,b)", "TwCP(1,2,3)", "TwCP(1,x)",
+                                  "TwCP(3)", "TwCP()", "TwCP(1,)"])
+def test_malformed_twisted_projective_space_exits_2(name, source):
+    manifold = (f"catalog:{name}" if source == "catalog" else
+                json.dumps({"type": "catalog", "name": name}))
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold", manifold)
+    assert (rc, text) == (
+        2, f"error: TwCP(p,q) needs two integers p, q >= 0, got {name}\n")
+
+
 def test_unknown_genus_exits_2():
     rc, text = run("genus", "eval", "--genus", "nope",
                    "--manifold", "catalog:W2")

@@ -74,13 +74,14 @@ def _seeded_point(seed):
      {"cohomology_models", "twisted_bundles"}),
     (["genus", "eval", "--genus", "todd", "--manifold",
       '{"type": "cp", "n": 3}'], {"cohomology_models", "manifold_json"}),
-    # the Poincare series is two int lists: no dense_poly
+    # the Poincare series is two int lists
     (["leveln", "relations", "--N", "6"],
      {"level_n", "elliptic_ode", "universal_elliptic", "weighted_poly"}),
+    # the coefficient rings run on int lists in jacobi_q itself
     (["qexpand", "--manifold", "catalog:K3", "--qorder", "8"],
-     {"jacobi_q", "cohomology_models", "dense_poly"}),
+     {"jacobi_q", "cohomology_models"}),
     (["qexpand", "--manifold", "catalog:W2", "--qorder", "6",
-      "--format", "json"], {"jacobi_q", "cohomology_models", "dense_poly"}),
+      "--format", "json"], {"jacobi_q", "cohomology_models"}),
     (["verify", "all"], DEFERRED - {"manifold_json"}),
 ], ids=["import", "universal", "genus-eval", "genus-eval-phi-ell",
         "genus-eval-bundle", "genus-eval-inline-json", "leveln", "qexpand",

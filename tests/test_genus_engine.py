@@ -42,6 +42,8 @@ from ellgenus.manifold_json import model_from_json
 from ellgenus.universal_elliptic import phi_ell
 from ellgenus.weighted_poly import PolyRing, horner
 
+from _oracles import exact_div
+
 F = Fraction
 
 
@@ -237,7 +239,7 @@ def _chi_y_series_by_division(order):
     for n in range(1, order + 1):
         # a_{n+1-k} lhs_k for k = 2..n+1
         acc = rhs(n) - ring.dot(zip(reversed(a), lhs_c[2:]))
-        a.append(acc.exact_div(one_plus_y))
+        a.append(exact_div(acc, one_plus_y))
     return TruncatedSeries(ring, 0, a, order)
 
 

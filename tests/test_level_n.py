@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from ellgenus import cohomology_models, criteria, genus_engine, level_n
 from ellgenus.algebra_kernel import QQ, TruncatedSeries
 from ellgenus.cohomology_models import catalog, cp_model
-from ellgenus.dense_poly import poly_mul
 from ellgenus.genus_engine import classical_genus, evaluate
 from ellgenus.jacobi_q import y_model
 from ellgenus.level_n import (
@@ -44,11 +43,9 @@ from ellgenus.universal_elliptic import (
     q_of_h,
     solve_h,
 )
-from ellgenus.weighted_poly import (
-    WeightedPoly,
-    bareiss_determinant,
-    resultant_in,
-)
+from ellgenus.weighted_poly import WeightedPoly
+
+from _oracles import bareiss_determinant, poly_mul, resultant_in
 
 F = Fraction
 A, B, C, D = ABCD_RING.gens()

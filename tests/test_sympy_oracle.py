@@ -19,10 +19,11 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from ellgenus.algebra_kernel import QQ, TruncatedSeries
-from ellgenus.dense_poly import poly_mul
-from ellgenus.jacobi_q import FORMAL_RING, y_model
+from ellgenus.jacobi_q import FORMAL_RING, _modulus, y_model
 from ellgenus.level_n import (GradedIdealPresentation, degree_h0,
                               poincare_series)
+
+from _oracles import poly_mul
 
 sympy = pytest.importorskip("sympy")
 
@@ -152,6 +153,16 @@ def test_cyclotomic_products_and_inverses_match_sympy(pa, pb):
             if not x.is_zero():
                 inv = sympy.invert(sympy.rem(sx, m, Y), m, Y)
                 assert x.inverse().coeffs == _residue(inv, m, degree)
+
+
+def test_modulus_matches_sympy_cyclotomic_poly():
+    # every level blowup verify accepts (N <= 66), and more
+    for N in range(1, 211):
+        modulus = sympy.Poly(sympy.cyclotomic_poly(N, -Y), Y).monic()
+        assert _modulus(N) == tuple(int(c) for c in _coeffs(modulus)), N
+    for N in (0, -1):
+        with pytest.raises(ValueError):
+            _modulus(N)
 
 
 rs = pytest.importorskip("sympy.polys.ring_series")
