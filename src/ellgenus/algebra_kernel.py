@@ -18,6 +18,7 @@ import sys
 from fractions import Fraction
 from importlib import import_module
 from math import gcd, inf, isfinite
+from operator import add, sub
 
 
 class NonUnitLeadingCoefficient(ArithmeticError):
@@ -239,7 +240,8 @@ class TruncatedSeries:
             )
         return None
 
-    def __add__(self, other):
+    def _zip(self, other, op):
+        # op on the coefficients at each exponent of the common window
         o = self._coerce(other)
         if o is None:
             return NotImplemented
@@ -249,8 +251,11 @@ class TruncatedSeries:
         for e in range(low, order + 1):
             a = self.coeffs[e - self.low] if self.low <= e <= self.order else self.ring.zero
             b = o.coeffs[e - o.low] if o.low <= e <= o.order else self.ring.zero
-            cs.append(a + b)
+            cs.append(op(a, b))
         return TruncatedSeries(self.ring, low, cs, order)
+
+    def __add__(self, other):
+        return self._zip(other, add)
 
     __radd__ = __add__
 
@@ -258,10 +263,7 @@ class TruncatedSeries:
         return TruncatedSeries(self.ring, self.low, [-c for c in self.coeffs], self.order)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self + (-o)
+        return self._zip(other, sub)
 
     def __rsub__(self, other):
         return -(self - other)

@@ -557,6 +557,8 @@ def catalog(name, max_dim=None, what="the manifold"):
                              f"got {name}") from None
         if p < 0 or q < 0:
             raise ValueError(f"TwCP(p,q) needs p, q >= 0, got {name}")
+        if p + q < 1:
+            raise ValueError(f"TwCP(p,q) needs p + q >= 1, got {name}")
         check_size(what, p + q - 1, max_dim)
         from .twisted_bundles import tw_cp
         return tw_cp(p, q)

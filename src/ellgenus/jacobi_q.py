@@ -52,7 +52,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain
 from math import comb, factorial, gcd, lcm
-from operator import add
+from operator import add, neg
 
 from .algebra_kernel import (
     QQ,
@@ -245,38 +245,64 @@ class QSeriesRing:
         if isinstance(x, (int, Fraction)):
             return ((x.numerator,),) if x else (), x.denominator, \
                 self.zero.exps
-        if x.ring is not self and x.ring != self and x.ring != self.base:
+        r = x.ring
+        if not (r is self or r is self.base or r == self or r == self.base):
             raise ValueError("mixed rings")
         return x.rows, x.den, x.exps
 
     def dot(self, pairs):
-        """Sum of the products.  Over the formal ring the second factor of
-        each pair, which callers make the smaller, is first lifted to the
-        largest exponent sum of the pairs.  The rows of every pair are then
+        """Sum of the products.  A single product of one-row operands
+        (elements of the ring at q^0, rationals) is one row product.
+        Otherwise, over the formal ring, the second factor of each pair,
+        which callers make the smaller, is first lifted to the largest
+        exponent sum of the pairs.  The rows of every pair are then
         convolved into one int array over one denominator, row e of the sum
-        being its slice e * width .. (e + 1) * width, and each pair visits
-        only the nonzero ints of its second factor, which over the formal
-        ring are often few.  Each q-slot is reduced modulo the cyclotomic
-        modulus, and the sum is put in normal form once."""
+        being its slice e * width .. (e + 1) * width: a second factor of one
+        int scales the first one's rows, and any other visits only its
+        nonzero ints, which over the formal ring are often few.  Each
+        q-slot is reduced modulo the cyclotomic modulus, and the sum is put
+        in normal form once."""
+        formal = not self.modulus
         items, sums = [], []
         for x, z in pairs:
             a, b = self._parts(x), self._parts(z)
             if a[0] and b[0]:
                 items.append((a, b))
-                sums.append(tuple(map(add, a[2], b[2])))
+                if formal:
+                    sums.append(tuple(map(add, a[2], b[2])))
         if not items:
             return self.zero
-        top = tuple(map(max, *sums, sums[0]))
+        top = tuple(map(max, *sums, sums[0])) if formal else ()
+        (ra, da, _), (rb, db, _) = items[0]
+        if len(items) == 1 and len(ra) == len(rb) == 1:
+            rows, den = [poly_mul(ra[0], rb[0])], da * db
+        else:
+            rows, den = self._convolve(items, sums, top)
+        m = self.modulus
+        if m:
+            rows = [_divmod_monic(r, m)[1] if len(r) >= len(m) else r
+                    for r in rows]
+        return self._finish(rows, den, top)
+
+    def _convolve(self, items, sums, top):
+        # the trimmed rows and the denominator of the sum of the pairs
         n, den, width = self.qorder + 1, 1, 1
-        for i, ((a, b), e) in enumerate(zip(items, sums)):
-            if e != top:
-                b = [self._lift(r, e, top) for r in b[0]], b[1]
+        for i, (a, b) in enumerate(items):
+            if sums and sums[i] != top:
+                b = [self._lift(r, sums[i], top) for r in b[0]], b[1]
                 items[i] = a, b
             den = lcm(den, a[1] * b[1])
             width = max(width, max(map(len, a[0])) + max(map(len, b[0])) - 1)
         flat = [0] * (n * width)
         for (ra, da, *_), (rb, db, *_) in items:
             f = den // (da * db)
+            if len(rb) == 1 and len(rb[0]) == 1:
+                # a scalar: a's rows, scaled, into the sum
+                f *= rb[0][0]
+                for i, r in enumerate(ra[:n]):
+                    for k, x in enumerate(r, i * width):
+                        flat[k] += x * f
+                continue
             # b's nonzero ints at their offsets in the sum, in order
             nz = [(i * width + j, z) for i, row in enumerate(rb[:n])
                   for j, z in enumerate(row) if z]
@@ -288,13 +314,8 @@ class QSeriesRing:
                         x *= f
                         for j, z in nzi:
                             flat[k + j] += x * z
-        rows = [_poly_trim(flat[i:i + width]) for i in range(0, n * width,
-                                                              width)]
-        m = self.modulus
-        if m:
-            rows = [_divmod_monic(r, m)[1] if len(r) >= len(m) else r
-                    for r in rows]
-        return self._finish(rows, den, top)
+        return [_poly_trim(flat[i:i + width])
+                for i in range(0, n * width, width)], den
 
     def _finish(self, rows, den, exps):
         """The series of the trimmed int lists rows over den in normal
@@ -385,7 +406,10 @@ class QSeries:
         return self._dot(((self, -1), (other, 1)), other)
 
     def __neg__(self):
-        return self * -1
+        # negation keeps the normal form
+        return type(self)(self.ring, tuple(tuple(map(neg, r))
+                                           for r in self.rows),
+                          self.den, self.exps)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):

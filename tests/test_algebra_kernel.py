@@ -1004,6 +1004,11 @@ def _fold_product(a, b):
 def _fold(ring, pairs):
     s = ring.zero
     for a, b in pairs:
+        if isinstance(ring, QSeriesRing) and ring.qorder:
+            # an element of the base as a constant series, so that its
+            # product with a series is convolved over the base
+            a, b = (ring.series([x]) if isinstance(x, QSeries)
+                    and x.ring is not ring else x for x in (a, b))
         s = s + _fold_product(a, b)
     return s
 
@@ -1054,8 +1059,15 @@ def _series_elements(ring, coefficients):
     return st.lists(coefficients, max_size=ring.qorder + 2).map(ring.series)
 
 
+def _series_case(ring, coefficients):
+    # the ring and its factors: its series and the elements of its base
+    return ring, st.one_of(_series_elements(ring, coefficients), coefficients)
+
+
 Q_ZETA5 = QSeriesRing(5, 3)
 Q_FORMAL = QSeriesRing("formal", 2)
+# criteria 7 and 9 run over Q(zeta_2) and Q(zeta_3), moduli of degree 1, 2
+Q_ZETA2, Q_ZETA3 = QSeriesRing(2, 3), QSeriesRing(3, 2)
 
 DOT_CASES = {
     "QQ": (QQ, small_fractions_kernel),
@@ -1063,12 +1075,40 @@ DOT_CASES = {
     "poly-capped": (WXYZ, _poly_elements(WXYZ, [None, 0, 2, 4, 6])),
     "zeta5": (ZETA5, _quot_elements(ZETA5)),
     "formal": (FORMAL_RING, _local_elements(FORMAL_RING)),
-    "series-zeta5": (Q_ZETA5,
-                     _series_elements(Q_ZETA5, _quot_elements(ZETA5))),
-    "series-formal": (Q_FORMAL,
-                      _series_elements(Q_FORMAL,
-                                       _local_elements(FORMAL_RING))),
+    "series-zeta2": _series_case(Q_ZETA2, _quot_elements(Q_ZETA2.base)),
+    "series-zeta3": _series_case(Q_ZETA3, _quot_elements(Q_ZETA3.base)),
+    "series-zeta5": _series_case(Q_ZETA5, _quot_elements(ZETA5)),
+    "series-formal": _series_case(Q_FORMAL, _local_elements(FORMAL_RING)),
 }
+
+
+def _oracle_coeffs(ring, oracle, x):
+    """The q^0..q^qorder coefficients of x, a rational or an element of
+    the q-series ring or of its base, in the Fraction oracle."""
+    if isinstance(x, (int, F)):
+        return [oracle.from_fraction(x)] + [oracle.from_fraction(0)] * (
+            ring.qorder)
+    out = []
+    for n in range(ring.qorder + 1):
+        c = x.coeff(n) if n <= x.ring.qorder else x.ring.base.zero
+        out.append(oracle.element(c.num, c.exps)
+                   if isinstance(c, RationalFunction)
+                   else oracle.element(c.coeffs))
+    return out
+
+
+def _oracle_dot(ring, pairs):
+    """ring.dot(pairs) as coefficients in the Fraction oracle, convolved
+    there: no sum or product of the integer kernel takes part."""
+    oracle = _oracle_ring(ring)
+    n = ring.qorder + 1
+    out = [oracle.from_fraction(0)] * n
+    for a, b in pairs:
+        a, b = (_oracle_coeffs(ring, oracle, x) for x in (a, b))
+        for i in range(n):
+            for j in range(n - i):
+                out[i + j] = out[i + j] + a[i] * b[j]
+    return out
 
 
 @pytest.mark.parametrize("name", sorted(DOT_CASES))
@@ -1085,8 +1125,16 @@ def test_dot_matches_fold(name, data):
         if isinstance(a, (WeightedPoly, TruncatedSeries, QSeries)) and (
                 type(a) is type(b)):
             _assert_identical(a * b, _fold_product(a, b))
+        for x in (a, b):
+            if isinstance(x, QSeries):
+                _assert_identical(-x, x * -1)
     want = _fold(ring, pairs)
     _assert_identical(ring.dot(pairs), want)
+    if isinstance(ring, QSeriesRing):
+        # _fold adds with the ring's own dot; the oracle does not
+        got = ring.dot(pairs)
+        for n, o in enumerate(_oracle_dot(ring, pairs)):
+            assert _same(got.coeff(n), o), n
     # the pairs are read once, so a generator serves as well as a list
     _assert_identical(ring.dot(iter(pairs)), want)
 
@@ -1096,6 +1144,35 @@ def test_dot_of_nothing_is_zero(name):
     ring, _ = DOT_CASES[name]
     _assert_identical(ring.dot([]), ring.zero)
     _assert_identical(ring.dot([(0, 0), (F(1, 2), 0)]), ring.zero)
+
+
+SUB_CASES = {
+    "QQ": (QQ, small_fractions_kernel),
+    "poly": (XYZ, _poly_elements(XYZ, [None])),
+    "series-formal": (Q_FORMAL, _series_elements(
+        Q_FORMAL, _local_elements(FORMAL_RING))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUB_CASES))
+@seed(20261203)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_series_difference_is_sum_with_negation(name, data):
+    ring, elements = SUB_CASES[name]
+
+    def series():
+        low = data.draw(st.integers(min_value=-1, max_value=1))
+        coeffs = data.draw(st.lists(elements, max_size=4))
+        return TruncatedSeries(
+            ring, low, coeffs,
+            low + data.draw(st.integers(min_value=0, max_value=3)))
+
+    a, b = series(), series()
+    _assert_identical(a - b, a + (-b))
+    c = data.draw(small_fractions_kernel)
+    _assert_identical(a - c, a + (-c))
+    _assert_identical(c - a, c + (-a))
 
 
 def test_dot_rejects_mixed_rings():

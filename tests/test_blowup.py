@@ -301,18 +301,23 @@ def test_projective_bundle_chain_oracle():
                 assert projective_pushforward(t, q).terms == want, (q, k, j)
 
 
-def test_pushed_defect_truncation_sound():
+@pytest.mark.parametrize("which", ["todd", "signature", "euler", "a_hat",
+                                   2, 3, "formal"])
+def test_pushed_defect_truncation_sound(which):
     # the result through weight dim does not depend on how far past dim
-    # it was computed
-    for name in ("todd", "signature", "euler", "a_hat"):
-        spec = classical_genus(name, order=10)
-        for q in range(1, 5):
-            for dim in range(4):
-                low = pushed_defect(spec, q, dim)
-                high = pushed_defect(spec, q, dim + 2)
-                assert low.terms == high.truncate(dim).terms, (name, q, dim)
-                assert all(high.term_weight(e) <= dim + 2
-                           for e in high.terms), (name, q, dim)
+    # it was computed, nor on the terms of e-weight above dim left out
+    # of the integrand
+    if isinstance(which, int) or which == "formal":
+        spec = phi_ell_q(2, 12, which)
+    else:
+        spec = classical_genus(which, order=10)
+    for q in range(1, 5):
+        for dim in range(4):
+            low = pushed_defect(spec, q, dim)
+            high = pushed_defect(spec, q, dim + 2)
+            assert low.terms == high.truncate(dim).terms, (q, dim)
+            assert all(high.term_weight(e) <= dim + 2
+                       for e in high.terms), (q, dim)
 
 
 @pytest.mark.parametrize("which", ["todd", "signature", "euler", "a_hat",

@@ -509,13 +509,15 @@ def test_negative_twisted_projective_space_exits_2():
 
 @pytest.mark.parametrize("source", ["catalog", "json"])
 @pytest.mark.parametrize("name", ["TwCP(a,b)", "TwCP(1,2,3)", "TwCP(1,x)",
-                                  "TwCP(3)", "TwCP()", "TwCP(1,)"])
+                                  "TwCP(3)", "TwCP()", "TwCP(1,)",
+                                  "TwCP(0,0)"])
 def test_malformed_twisted_projective_space_exits_2(name, source):
     manifold = (f"catalog:{name}" if source == "catalog" else
                 json.dumps({"type": "catalog", "name": name}))
     rc, text = run("genus", "eval", "--genus", "todd", "--manifold", manifold)
-    assert (rc, text) == (
-        2, f"error: TwCP(p,q) needs two integers p, q >= 0, got {name}\n")
+    need = ("p + q >= 1" if name == "TwCP(0,0)" else
+            "two integers p, q >= 0")
+    assert (rc, text) == (2, f"error: TwCP(p,q) needs {need}, got {name}\n")
 
 
 def test_unknown_genus_exits_2():
