@@ -1,12 +1,13 @@
 """Exact arithmetic foundation.
 
 Rationals (stdlib Fraction) and their ring context QQ; zero tests and
-inverses of coefficients in any ring; the errors; and truncated series
-in one variable over any ring context.  Each other representation has a
-module of its own, so a command compiles only those it runs: sparse
-weighted polynomials in weighted_poly, and the flat ring of q-series,
-whose truncation at q^0 is the coefficient ring Q(zeta_N) or
-Q[y, 1/y, 1/(1+y)], in jacobi_q with the int-list kernels it is built on.
+inverses of coefficients in any ring; the errors; and truncated power
+series in one variable, known from x^0 up to an order, over any ring
+context.  Each other representation has a module of its own, so a
+command compiles only those it runs: sparse weighted polynomials in
+weighted_poly, and the flat ring of q-series, whose truncation at q^0
+is the coefficient ring Q(zeta_N) or Q[y, 1/y, 1/(1+y)], in jacobi_q
+with the int-list kernels it is built on.
 
 Everything here is immutable after construction and all operations are pure,
 so values can be shared freely.
@@ -157,64 +158,57 @@ def ring_invert(c):
         raise NonUnitLeadingCoefficient(str(exc)) from exc
 
 # ---------------------------------------------------------------------------
-# truncated series in one variable, generic coefficients
+# truncated power series in one variable, generic coefficients
 # ---------------------------------------------------------------------------
 
 
 class TruncatedSeries:
-    """Laurent/power series known exactly for exponents low..order.
+    """Power series known exactly for exponents 0..order.
 
     Coefficients live in an arbitrary ring context (see module docstring).
-    Binary operations keep only the provably correct range (minimum rule).
+    Binary operations keep only the provably correct range: the smaller
+    order.
     """
 
-    __slots__ = ("ring", "low", "coeffs", "order")
+    __slots__ = ("ring", "coeffs", "order")
 
-    def __init__(self, ring, low, coeffs, order=None):
+    def __init__(self, ring, coeffs, order=None):
         if order is None:
-            order = low + len(coeffs) - 1
-        length = order - low + 1
-        if length < 0:
+            order = len(coeffs) - 1
+        if order < -1:
             raise ValueError("empty coefficient window")
-        cs = list(coeffs[:length])
-        cs += [ring.zero] * (length - len(cs))
+        cs = list(coeffs[:order + 1])
+        cs += [ring.zero] * (order + 1 - len(cs))
         self.ring = ring
-        self.low = low
         self.coeffs = cs
         self.order = order
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero_series(cls, ring, order, low=0):
-        return cls(ring, low, [], order)
-
-    @classmethod
     def one_series(cls, ring, order):
-        return cls(ring, 0, [ring.one], order)
+        return cls(ring, [ring.one], order)
 
     @classmethod
     def x_series(cls, ring, order):
-        return cls(ring, 1, [ring.one], order)
+        return cls(ring, [ring.zero, ring.one], order)
 
     @classmethod
-    def from_function(cls, ring, fn, order, low=0):
-        """Coefficients fn(e) for low <= e <= order."""
-        return cls(ring, low, [fn(e) for e in range(low, order + 1)], order)
+    def from_function(cls, ring, fn, order):
+        """Coefficients fn(e) for 0 <= e <= order."""
+        return cls(ring, [fn(e) for e in range(order + 1)], order)
 
     # -- access -------------------------------------------------------------
 
     def coeff(self, e):
-        if e < self.low:
-            return self.ring.zero
         if e > self.order:
             raise IndexError(f"coefficient x^{e} beyond truncation {self.order}")
-        return self.coeffs[e - self.low]
+        return self.coeffs[e] if e >= 0 else self.ring.zero
 
     def valuation(self):
         for i, c in enumerate(self.coeffs):
             if c != self.ring.zero:
-                return self.low + i
+                return i
         return None
 
     def is_zero(self):
@@ -223,11 +217,7 @@ class TruncatedSeries:
     def truncate(self, order):
         if order >= self.order:
             return self
-        return TruncatedSeries(self.ring, self.low, self.coeffs, order)
-
-    def shift(self, k):
-        """Multiply by x^k."""
-        return TruncatedSeries(self.ring, self.low + k, self.coeffs, self.order + k)
+        return TruncatedSeries(self.ring, self.coeffs, order)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -236,23 +226,18 @@ class TruncatedSeries:
             return other
         if isinstance(other, (int, Fraction)):
             return TruncatedSeries(
-                self.ring, 0, [self.ring.from_fraction(other)], self.order
+                self.ring, [self.ring.from_fraction(other)], self.order
             )
         return None
 
     def _zip(self, other, op):
-        # op on the coefficients at each exponent of the common window
+        # op on the coefficients at each exponent of the common prefix
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        low = min(self.low, o.low)
         order = min(self.order, o.order)
-        cs = []
-        for e in range(low, order + 1):
-            a = self.coeffs[e - self.low] if self.low <= e <= self.order else self.ring.zero
-            b = o.coeffs[e - o.low] if o.low <= e <= o.order else self.ring.zero
-            cs.append(op(a, b))
-        return TruncatedSeries(self.ring, low, cs, order)
+        return TruncatedSeries(self.ring, list(map(op, self.coeffs, o.coeffs)),
+                               order)
 
     def __add__(self, other):
         return self._zip(other, add)
@@ -260,7 +245,8 @@ class TruncatedSeries:
     __radd__ = __add__
 
     def __neg__(self):
-        return TruncatedSeries(self.ring, self.low, [-c for c in self.coeffs], self.order)
+        return TruncatedSeries(self.ring, [-c for c in self.coeffs],
+                               self.order)
 
     def __sub__(self, other):
         return self._zip(other, sub)
@@ -270,21 +256,18 @@ class TruncatedSeries:
 
     def __mul__(self, other):
         if isinstance(other, TruncatedSeries):
-            # product provably correct to min(o1 + low2, o2 + low1); the
-            # coefficient k places above low pairs a[i] with b[k - i], and
-            # k never passes the end of either window
-            low = self.low + other.low
-            order = min(self.order + other.low, other.order + self.low)
+            # the coefficient at x^k pairs a[i] with b[k - i]
+            order = min(self.order, other.order)
             a, b, dot = self.coeffs, other.coeffs, self.ring.dot
-            cs = [dot(zip(a, b[k::-1])) for k in range(order - low + 1)]
-            return TruncatedSeries(self.ring, low, cs, order)
+            cs = [dot(zip(a, b[k::-1])) for k in range(order + 1)]
+            return TruncatedSeries(self.ring, cs, order)
         if hasattr(other, "terms") and other.ring != self.ring:
             # a polynomial (weighted_poly.WeightedPoly) over a ring of
             # series: its product applies
             return NotImplemented
         # a rational or a scalar from the coefficient ring
         return TruncatedSeries(
-            self.ring, self.low, [c * other for c in self.coeffs], self.order
+            self.ring, [c * other for c in self.coeffs], self.order
         )
 
     def __rmul__(self, other):
@@ -295,8 +278,7 @@ class TruncatedSeries:
             return self.inverse() ** (-n)
         if n == 0:
             return TruncatedSeries.one_series(self.ring, self.order)
-        # the first factor is taken as is, not multiplied into 1, so the
-        # window of a Laurent series does not shrink
+        # the first factor is taken as is, not multiplied into 1
         result, base = None, self
         while n:
             if n & 1:
@@ -310,63 +292,44 @@ class TruncatedSeries:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        order = min(self.order, o.order)
-        low = min(self.low, o.low)
-        for e in range(low, order + 1):
-            a = self.coeffs[e - self.low] if self.low <= e <= self.order else self.ring.zero
-            b = o.coeffs[e - o.low] if o.low <= e <= o.order else self.ring.zero
-            if not (a == b):
-                return False
-        return True
+        return all(a == b for a, b in zip(self.coeffs, o.coeffs))
 
     # -- series operations --------------------------------------------------
 
     def inverse(self):
-        v = self.valuation()
-        if v is None:
-            raise NonUnitLeadingCoefficient("inverse of zero series")
-        n = self.order - v
-        a = [self.coeff(v + k) for k in range(n + 1)]
+        """1/self; the constant term must be a unit of the ring."""
+        a, dot = self.coeffs, self.ring.dot
         b0 = ring_invert(a[0])
         b = [b0]
-        tail, dot = a[1:], self.ring.dot
-        for _ in range(n):
+        tail = a[1:]
+        for _ in range(self.order):
             # b_k = -b_0 sum_{i=1..k} a_i b_{k-i}
             b.append(-(b0 * dot(zip(tail, reversed(b)))))
-        return TruncatedSeries(self.ring, -v, b, -v + n)
+        return TruncatedSeries(self.ring, b, self.order)
 
     def derivative(self):
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.low + i
-            out.append(c * Fraction(e) if e != 0 else self.ring.zero)
-        return TruncatedSeries(self.ring, self.low - 1, out, self.order - 1)
+        return TruncatedSeries(self.ring, [
+            c * Fraction(e) for e, c in enumerate(self.coeffs[1:], 1)],
+            self.order - 1)
 
     def integrate(self):
-        """Antiderivative with zero constant term; requires no x^{-1} term."""
-        if self.low <= -1 <= self.order and self.coeff(-1) != self.ring.zero:
-            raise BadValuation("cannot integrate an x^{-1} term")
-        out = []
-        for i, c in enumerate(self.coeffs):
-            e = self.low + i
-            if e == -1:
-                out.append(self.ring.zero)
-            else:
-                out.append(c * Fraction(1, e + 1))
-        return TruncatedSeries(self.ring, self.low + 1, out, self.order + 1)
+        """Antiderivative with zero constant term."""
+        return TruncatedSeries(
+            self.ring, [self.ring.zero] + [
+                c * Fraction(1, e) for e, c in enumerate(self.coeffs, 1)],
+            self.order + 1)
 
     def compose(self, g):
-        """self(g); requires self.low >= 0 and g of positive valuation."""
-        if self.low < 0:
-            raise BadValuation("cannot compose a Laurent series")
-        if g.low < 1:
+        """self(g); requires g of positive valuation."""
+        v = g.valuation()
+        if v == 0:
             raise BadValuation("composition argument needs positive valuation")
-        work = g.order
         # coefficients of self beyond self.order would first matter at
         # y^((self.order + 1) * val(g))
-        valid = min(g.order, (self.order + 1) * g.low - 1)
-        result = TruncatedSeries.zero_series(self.ring, work)
-        one = TruncatedSeries.one_series(self.ring, work)
+        valid = g.order if v is None else min(g.order,
+                                              (self.order + 1) * v - 1)
+        result = TruncatedSeries(self.ring, [], g.order)
+        one = TruncatedSeries.one_series(self.ring, g.order)
         for e in range(self.order, -1, -1):
             result = result * g + one * self.coeff(e)
         return result.truncate(valid)
@@ -377,46 +340,41 @@ class TruncatedSeries:
         Requires valuation exactly 1 with unit linear coefficient.  By
         Lagrange inversion [y^k] g = (1/k) [x^(k-1)] (x/self)^k.
         """
-        if self.low > 1 or self.valuation() != 1:
+        if self.valuation() != 1:
             raise BadValuation("compositional inverse needs valuation exactly 1")
-        x_over_f = self.shift(-1).inverse()
+        x_over_f = TruncatedSeries(self.ring, self.coeffs[1:],
+                                   self.order - 1).inverse()
         power = x_over_f
-        g = []
+        g = [self.ring.zero]
         for k in range(1, self.order + 1):
             g.append(power.coeff(k - 1) * Fraction(1, k))
             power = power * x_over_f
-        return TruncatedSeries(self.ring, 1, g, self.order)
+        return TruncatedSeries(self.ring, g, self.order)
 
     def exp(self):
         """exp of a series with valuation >= 1."""
-        if self.low < 1 and not all(
-            c == self.ring.zero for c in self.coeffs[: max(0, 1 - self.low)]
-        ):
+        if self.coeff(0) != self.ring.zero:
             raise BadValuation("exp needs positive valuation")
         order = self.order
         # j a_j for j = 1..order
-        ja = [self.coeff(j) * Fraction(j) for j in range(1, order + 1)]
+        ja = [c * Fraction(j) for j, c in enumerate(self.coeffs[1:], 1)]
         b = [self.ring.one]
         dot = self.ring.dot
         for k in range(1, order + 1):
             # k b_k = sum_{j=1..k} j a_j b_{k-j}
             b.append(dot(zip(ja, reversed(b))) * Fraction(1, k))
-        return TruncatedSeries(self.ring, 0, b, order)
+        return TruncatedSeries(self.ring, b, order)
 
     def log(self):
         """log of a series with constant term 1."""
-        if self.low > 0 or self.coeff(0) != self.ring.one:
+        if self.coeff(0) != self.ring.one:
             raise BadValuation("log needs constant term 1")
         d = self.derivative()
         return (d * self.inverse()).truncate(self.order - 1).integrate()
 
     def __str__(self):
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == self.ring.zero:
-                continue
-            e = self.low + i
-            parts.append(f"({c})*x^{e}" if e else f"({c})")
+        parts = [f"({c})*x^{e}" if e else f"({c})"
+                 for e, c in enumerate(self.coeffs) if c != self.ring.zero]
         body = " + ".join(parts) if parts else "0"
         return f"{body} + O(x^{self.order + 1})"
 

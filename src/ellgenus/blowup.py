@@ -262,7 +262,7 @@ def verify_elliptic_identity(N, q, qorder=2, xorder=4):
 
 def _first_nonzero(series):
     """(q-power, coefficient) of the lowest nonzero term, or None."""
-    for n in range(series.low, series.order + 1):
+    for n in range(series.order + 1):
         c = series.coeff(n)
         if not coeff_is_zero(c):
             return n, c

@@ -121,9 +121,8 @@ def value_json(v):
         return poly_pairs(v)
     if isinstance(v, jacobi_q.RationalFunction):
         return laurent_pairs(v)
-    if hasattr(v, "low"):  # a series: a TruncatedSeries or a QSeries
-        return {str(n): value_json(v.coeff(n))
-                for n in range(max(v.low, 0), v.order + 1)}
+    if isinstance(v, jacobi_q.QSeries):
+        return {str(n): value_json(v.coeff(n)) for n in range(v.order + 1)}
     return str(v)
 
 
@@ -182,8 +181,8 @@ def resolve_genus(sel, order):
                  GENUS_POINT_MAX_WORK // order)
         # at the point first: the same exact value as specialising phi_ell
         ode = elliptic_ode
-        h = ode.solve_h(ode.abcd_to_q(ode.ABCDPoint(*vals)), order)
-        return ode.q_of_h(h, name=f"phi_ell|({sel})")
+        H = ode.solve_h(ode.abcd_to_q(ode.ABCDPoint(*vals)), order)
+        return ode.q_of_h(H, name=f"phi_ell|({sel})")
     name = sel.strip().lower()
     if name == "phi_ell":
         return universal_elliptic.phi_ell(order)

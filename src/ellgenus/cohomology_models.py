@@ -88,6 +88,8 @@ class ChernVector:
                 key = tuple(sorted(p, reverse=True))
                 if sum(key) != dim:
                     raise ValueError(f"partition {p} does not sum to {dim}")
+                if key and key[-1] < 1:
+                    raise ValueError(f"partition {p} has a part below 1")
                 self.numbers[key] = _fr(v)
 
     def __getitem__(self, part):

@@ -1,12 +1,14 @@
 """The elliptic differential equation over any exact coefficient ring.
 
-The genus is determined by the unique Laurent solution h(x) = 1/x + c_1 +
+The genus is determined by the unique solution h(x) = 1/x + c_1 +
 c_2 x + ... of the differential equation (h')^2 = S(h) for the quartic
 S(y) = y^4 + q_1 y^3 + q_2 y^2 + q_3 y + q_4; with f defined by f'/f = h
-and f = x + O(x^2), the characteristic series is Q(x) = x/f(x).  The
-quartic is given by q_1..q_4 (QuarticData) or, after the standard
-coordinate change, by A, B, C, D (ABCDPoint).  The ODE is solved with the
-quartic depressed by q_1/4 = A/2, which leaves it free of A.
+and f = x + O(x^2), the characteristic series is Q(x) = x/f(x).  h is
+carried as the power series H = x h = 1 + c_1 x + c_2 x^2 + ..., from
+which log Q = -sum_k (c_k/k) x^k is read directly.  The quartic is given
+by q_1..q_4 (QuarticData) or, after the standard coordinate change, by
+A, B, C, D (ABCDPoint).  The ODE is solved with the quartic depressed by
+q_1/4 = A/2, which leaves it free of A.
 
 Everything here is generic over the coefficient ring, so rational point
 values and symbolic generators share one code path, and nothing here
@@ -123,10 +125,8 @@ def _square_coeff(ring, a, n, lo):
 
 
 def solve_h(S, order):
-    """The unique h = 1/x + c_1 + c_2 x + ... with (h')^2 = S(h).
-
-    Returns a Laurent TruncatedSeries with low = -1 carrying c_1..c_order
-    (exponents 0..order-1).
+    """H = x h = 1 + c_1 x + ... + c_order x^order for the unique
+    h = 1/x + c_1 + c_2 x + ... with (h')^2 = S(h), a TruncatedSeries.
 
     The equation is solved in its depressed form.  With s = q1/4,
     S(z - s) = z^4 + p2 z^2 + p3 z + p4, where p2 = q2 - (3/8) q1^2,
@@ -138,19 +138,18 @@ def solve_h(S, order):
     every c_i with i >= 2 lies in Q[B, C, D].
 
     The coefficients of h0 come from the first-order equation by a
-    recurrence.  Write H = x h0 = sum_i c_i x^i (c_0 = 1), G = H^2 =
-    sum_j g_j x^j and P = x H' - H = sum_i (i-1) c_i x^i; times x^4 the
-    equation reads P^2 = G^2 + p2 x^2 G + p3 x^3 H + p4 x^4.  At x^i the
+    recurrence.  Write H0 = x h0 = sum_i c_i x^i (c_0 = 1), G = H0^2 =
+    sum_j g_j x^j and P = x H0' - H0 = sum_i (i-1) c_i x^i; times x^4 the
+    equation reads P^2 = G^2 + p2 x^2 G + p3 x^3 H0 + p4 x^4.  At x^i the
     unknown c_i enters only through 2 (-1) (i-1) c_i in P^2 and
     2 g_0 g_i = 4 c_i + (terms in c_1..c_{i-1}) in G^2.  So with c_i set
     to 0, the residual r at x^i, which is the coefficient of
-    (h0')^2 - S(h0 - s) at x^(e-3) for the exponent e = i - 1 of c_i,
-    gives c_i = r / (2e + 4).  The divisor 2e + 4 is never zero (the
-    second-order equation 2h'' = S'(h) would divide by (e-3)(e+2),
-    which vanishes at e = 3).  The g_j are kept as they become known,
-    so each step costs O(e) ring products: one convolution coefficient
-    each of P^2, G (at c_i = 0) and G^2, the squares by symmetric
-    halves.
+    (h0')^2 - S(h0 - s) at x^(i-4), gives c_i = r / (2i + 2).  The
+    divisor 2i + 2 is never zero (the second-order equation
+    2h'' = S'(h) would divide by (i-4)(i+1), which vanishes at i = 4).
+    The g_j are kept as they become known, so each step costs O(i) ring
+    products: one convolution coefficient each of P^2, G (at c_i = 0)
+    and G^2, the squares by symmetric halves.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
@@ -160,9 +159,9 @@ def solve_h(S, order):
     p2 = q2 - q1 * s * Fraction(3, 2)
     p3 = q3 - s * (q2 - q1 * s) * Fraction(2)
     p4 = q4 - s * (q3 - s * (q2 - s * s * Fraction(3)))
-    c = [ring.one]   # c_i, coefficients of H = x h0
+    c = [ring.one]   # c_i, coefficients of H0 = x h0
     p = [-ring.one]  # (i - 1) c_i, coefficients of P
-    g = [ring.one]   # g_j, coefficients of G = H^2
+    g = [ring.one]   # g_j, coefficients of G = H0^2
     for i in range(1, order + 1):
         g.append(_square_coeff(ring, c, i, 1))  # g_i at c_i = 0
         r = _square_coeff(ring, p, i, 1) - _square_coeff(ring, g, i, 0)
@@ -172,17 +171,16 @@ def solve_h(S, order):
             r = r - c[i - 3] * p3
         if i == 4:
             r = r - p4
-        ci = r * Fraction(1, 2 * i + 2)  # 2e + 4 with e = i - 1
+        ci = r * Fraction(1, 2 * i + 2)
         c.append(ci)
         p.append(ci * Fraction(i - 1))
         g[i] = g[i] + ci * Fraction(2)
-    c[1] = c[1] - s  # h = h0 - s
-    return TruncatedSeries(ring, -1, c, order - 1)
+    c[1] = c[1] - s  # H = H0 - s x
+    return TruncatedSeries(ring, c, order)
 
 
-def q_of_h(h, name="genus"):
-    """GenusSpec with f'/f = h: log Q(x) = log(x/f) = -integral(h - 1/x)."""
-    ring = h.ring
-    one_over_x = TruncatedSeries(ring, -1, [ring.one], h.order)
-    log_q = -(h - one_over_x).integrate()
-    return GenusSpec(ring, log_q.coeffs, name=name)
+def q_of_h(H, name="genus"):
+    """GenusSpec with f'/f = h = H/x for H = 1 + c_1 x + c_2 x^2 + ...:
+    log Q(x) = log(x/f) = -integral(h - 1/x), so l_k = -c_k/k."""
+    return GenusSpec(H.ring, [H.ring.zero] + [
+        c * Fraction(-1, k) for k, c in enumerate(H.coeffs[1:], 1)], name=name)

@@ -71,17 +71,17 @@ class GenusSpec:
         e = [ring.one]
         for j in range(1, order + 1):
             e.append(e[-1] * logs[1] * Fraction(1, j))
-        tail = TruncatedSeries(ring, 0, [ring.zero] * 2 + logs[2:],
-                               order).exp()
-        return TruncatedSeries(ring, 0, e, order) * tail
+        tail = TruncatedSeries(ring, [ring.zero] * 2 + logs[2:], order).exp()
+        return TruncatedSeries(ring, e, order) * tail
 
     # -- derived series -----------------------------------------------------
 
     @cached_property
     def f_series(self):
-        """f(x) = x / Q(x), the inverse of the genus logarithm."""
-        x = TruncatedSeries.x_series(self.ring, self.order)
-        return (x * self.q.inverse()).truncate(self.order)
+        """f(x) = x / Q(x), the inverse of the genus logarithm: 1/Q
+        moved up one place."""
+        return TruncatedSeries(self.ring, [self.ring.zero]
+                               + self.q.inverse().coeffs, self.order)
 
     @cached_property
     def log_series(self):
@@ -115,7 +115,7 @@ def multiplicative_sequence(spec, n):
         for lm, pm in zip(spec.log_coeffs[1:], power_sums_in_chern(n)[1:])]
     return [{tuple(i for i in range(n, 0, -1) for _ in range(e[i - 1])): c
              for e, c in km.terms.items()}
-            for km in TruncatedSeries(ring, 0, logs, n).exp().coeffs]
+            for km in TruncatedSeries(ring, logs, n).exp().coeffs]
 
 
 def evaluate(spec, x, u=None):
@@ -206,7 +206,7 @@ def _chi_y_genus(ring, y, order, name):
     for n in range(2, order + 1):
         power = power * one_plus_y
         coeffs.append(power * b[n])
-    return GenusSpec(ring, TruncatedSeries(ring, 0, coeffs, order).log().coeffs,
+    return GenusSpec(ring, TruncatedSeries(ring, coeffs, order).log().coeffs,
                      name)
 
 

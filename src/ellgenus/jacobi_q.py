@@ -24,9 +24,10 @@ Phi(tau, -z), the one factor of Q(x) free of x, comes from the Jacobi
 triple product.  The
 GenusSpec is built from the l_k; Q(x) is their exponential, formed only
 when a caller reads it.  The quartic coefficients never need Q: with
-f = x/Q, h = f'/f = 1/x - sum_k k l_k x^(k-1) is read off the l_k,
-q_1..q_4 are read from (h')^2 = h^4 + q_1 h^3 + ... + q_4 through x^0,
-and the rest of h is compared with the solution of that equation.
+f = x/Q, h = f'/f is carried as the power series
+H = x h = 1 - sum_k k l_k x^k, read off the l_k; q_1..q_4 are read from
+(h')^2 = h^4 + q_1 h^3 + ... + q_4 times x^4 through x^4, and the rest
+of H is compared with the solution of that equation.
 
 Every q-series is exact over one of two coefficient models for y: a
 formal y in Q[y, 1/y, 1/(1+y)], or a cyclotomic quotient ring where -y
@@ -358,7 +359,6 @@ class QSeries:
     """Element of a QSeriesRing (see there): rows, den and exps."""
 
     __slots__ = ("ring", "rows", "den", "exps")
-    low = 0
 
     def __init__(self, ring, rows, den, exps):
         self.ring = ring
@@ -632,7 +632,7 @@ def phi_at_minus_z(qorder, mode="formal"):
         if t <= qorder:
             theta[t] = y ** (k + 1) + y ** -k
             cube[t] = Fraction((-1) ** k * (2 * k + 1))
-    inverse = TruncatedSeries(QQ, 0, cube, qorder).inverse()
+    inverse = TruncatedSeries(QQ, cube, qorder).inverse()
     return qs.series(theta) * qs.series(inverse.coeffs)
 
 
@@ -710,40 +710,45 @@ def weierstrass_p(qorder=DEFAULT_QORDER):
 # ---------------------------------------------------------------------------
 
 
-def match_quartic(h):
+def match_quartic(H):
     """q_1..q_4 with (h')^2 = h^4 + q_1 h^3 + ... + q_4 for h = f'/f.
 
-    h is a Laurent series 1/x + O(1); extract_qi reads it off log Q,
-    since h = 1/x - sum_k k l_k x^(k-1) for f = x/Q.  The coefficients of
-    (h')^2 - h^4 at x^{-3}..x^0, which read h only through x^3, determine
-    q_1..q_4 one after another.  The quartic closes when h is, over its
-    whole window, the solution of (h')^2 = S(h) that
-    elliptic_ode.solve_h builds: its coefficient at x^e is fixed by that
-    of (h')^2 - S(h) at x^(e-3), which a change d of it moves by
-    -(2e + 4) d.  Raises InconsistentSystem, naming that x^(e-3) and the
+    H = x h = 1 + c_1 x + c_2 x^2 + ... is a power series; extract_qi
+    reads it off log Q, since H = 1 - sum_k k l_k x^k for f = x/Q.
+    Times x^4 the equation reads
+    P^2 = H^4 + q_1 x H^3 + q_2 x^2 H^2 + q_3 x^3 H + q_4 x^4 with
+    P = x H' - H = sum_i (i-1) c_i x^i, the form elliptic_ode.solve_h's
+    recurrence uses.  The coefficients of P^2 - H^4 at x^1..x^4, which
+    read H only through x^4, determine q_1..q_4 one after another.  The
+    quartic closes when H is, through its order, the solution of
+    (h')^2 = S(h) that solve_h builds: c_i is fixed by the coefficient
+    of (h')^2 - S(h) at x^(i-4), which a change d of c_i moves by
+    -(2i + 2) d.  Raises InconsistentSystem, naming that x^(i-4) and the
     residual, if the genus does not satisfy a quartic differential
     equation.
     """
     from .elliptic_ode import QuarticData, solve_h
 
-    ring = h.ring
-    head = h.truncate(3)
-    h2 = head * head
-    h3 = h2 * head
-    hp = head.derivative()
-    rem = hp * hp - h2 * h2
+    ring = H.ring
+    head = H.truncate(4)
+    H2 = head * head
+    H3 = H2 * head
+    P = TruncatedSeries(ring, [c * Fraction(i - 1)
+                               for i, c in enumerate(head.coeffs)])
+    rem = P * P - H2 * H2
     qs = []
-    for e in (-3, -2, -1, 0):
-        # the coefficient of (h')^2 - S(h) at x^e fixes q_(e+4)
-        qs.append(ring.dot([(rem.coeff(e), 1)] + [
-            (q, -hk.coeff(e)) for q, hk in zip(qs, (h3, h2, head))]))
+    for i in (1, 2, 3, 4):
+        # the coefficient of P^2 - H^4 - q_1 x H^3 - ... at x^i fixes q_i
+        qs.append(ring.dot([(rem.coeff(i), 1)] + [
+            (q, -Hk.coeff(i - j))
+            for j, (q, Hk) in enumerate(zip(qs, (H3, H2, head)), 1)]))
     quartic = QuarticData(*qs, ring=ring)
-    solved = solve_h(quartic, h.order + 1)
-    for e in range(h.low, h.order + 1):
-        d = h.coeff(e) - solved.coeff(e)
+    solved = solve_h(quartic, H.order)
+    for i, (a, b) in enumerate(zip(H.coeffs, solved.coeffs)):
+        d = a - b
         if not coeff_is_zero(d):
             raise InconsistentSystem(
-                f"quartic does not close at x^{e - 3}: {d * -(2 * e + 4)}")
+                f"quartic does not close at x^{i - 4}: {d * -(2 * i + 2)}")
     return quartic
 
 
@@ -751,19 +756,19 @@ def extract_qi(mode="formal", qorder=DEFAULT_QORDER, xorder=DEFAULT_XORDER):
     """The q-expansions of q_1..q_4 (and of A, B, C, D).
 
     Returns (QuarticData, ABCDPoint) over QSeriesRing(mode, qorder),
-    recovered from h = f'/f = 1/x - sum_k k l_k x^(k-1), read off the log
+    recovered from H = x f'/f = 1 - sum_k k l_k x^k, read off the log
     coefficients l_k of the genus, via its quartic differential
-    equation.  h is known through x^(xorder-3), the window that
-    (f' * f^-1) of the truncated f = x/Q(x) would have: Q, f and its
+    equation.  H is known through x^(xorder-2), the order that
+    x (f' * f^-1) of the truncated f = x/Q(x) would have: Q, f and its
     inverse are never formed.
     """
     from .elliptic_ode import q_to_abcd
 
     spec = phi_ell_q(qorder, xorder, mode)
     ring, logs = spec.ring, spec.log_coeffs
-    h = TruncatedSeries(ring, -1, [ring.one] + [
-        logs[k] * (-k) for k in range(1, xorder - 1)], xorder - 3)
-    quartic = match_quartic(h)
+    H = TruncatedSeries(ring, [ring.one] + [
+        logs[k] * (-k) for k in range(1, xorder - 1)], xorder - 2)
+    quartic = match_quartic(H)
     return quartic, q_to_abcd(quartic)
 
 
@@ -777,7 +782,7 @@ def integrality_check(series):
 
     violation is None or (q-power, y-exponent, value).
     """
-    for n in range(series.low, series.order + 1):
+    for n in range(series.order + 1):
         lau = as_y_laurent(series.coeff(n))
         for e, c in sorted(lau.items()):
             if c.denominator != 1:

@@ -149,14 +149,19 @@ def _model(obj, max_dim, what):
     check_size(what, dim, max_dim)
     check_size("a Chern-number vector", dim,
                _bound(max_dim, CHERN_NUMBERS_MAX_DIM))
-    numbers = {}
+    numbers, keys = {}, {}
     for key, val in _field(obj, "numbers", dict, {}).items():
         try:
-            numbers[tuple(int(s) for s in key.split(","))] = (
-                parse_rational(val))
+            part = tuple(sorted((int(s) for s in key.split(",")),
+                                reverse=True))
+            numbers[part] = parse_rational(val)
         except (TypeError, ValueError, ZeroDivisionError):
             raise BadManifold(f"manifold JSON: bad Chern number "
                               f"{key!r}: {json.dumps(val)}") from None
+        if part in keys:
+            raise BadManifold(f"manifold JSON: Chern numbers {keys[part]!r} "
+                              f"and {key!r} name one partition")
+        keys[part] = key
     return ChernVector(dim, numbers)
 
 

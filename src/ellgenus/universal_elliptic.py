@@ -42,8 +42,8 @@ def phi_ell(order=DEFAULT_ORDER):
     log Q = (A/2) x + sum_{k>=2} l_k x^k with the l_k free of A, so
     GenusSpec.q runs its exponential over Q[B, C, D].
     """
-    h = solve_h(abcd_to_q(ABCDPoint.generic()), order)
-    return q_of_h(h, name="phi_ell")
+    H = solve_h(abcd_to_q(ABCDPoint.generic()), order)
+    return q_of_h(H, name="phi_ell")
 
 
 def specialize(spec, point, name=None):

@@ -6,18 +6,26 @@ polynomials by their divisor recursion), and a symbolic Sylvester
 resultant of WeightedPoly values by fraction-free (Bareiss) elimination,
 with the exact division it needs.  None of this runs in the package: it
 computes on ints (jacobi_q's modulus and Euclidean steps, level_n's
-subresultant at integer nodes) and is compared with these here.
+subresultant at integer nodes) and is compared with these here.  Also
+times_x, the shift by a power of x that the oracles of the elliptic ODE
+in its power-series form H = x h use.
 """
 
 from fractions import Fraction
 from operator import floordiv
 
-from ellgenus.algebra_kernel import VariableNotPresent
+from ellgenus.algebra_kernel import TruncatedSeries, VariableNotPresent
 from ellgenus.weighted_poly import WeightedPoly
 
 
 class ExactDivisionError(ArithmeticError):
     pass
+
+
+def times_x(s, k, order=None):
+    """x^k s, a TruncatedSeries, through x^order (default: s's order)."""
+    return TruncatedSeries(s.ring, [s.ring.zero] * k + s.coeffs,
+                           s.order if order is None else order)
 
 
 # ---------------------------------------------------------------------------

@@ -71,48 +71,46 @@ def test_parse_rational_refuses_what_fraction_cannot_read_quickly():
 
 def test_series_inverse_geometric():
     # 1/(1+x) = 1 - x + x^2 - ...
-    s = TruncatedSeries(QQ, 0, [F(1), F(1)], 8)
+    s = TruncatedSeries(QQ, [F(1), F(1)], 8)
     inv = s.inverse()
     for e in range(0, 9):
         assert inv.coeff(e) == F((-1) ** e)
 
 
-def test_series_inverse_laurent():
-    # f = x + x^2, 1/f = x^{-1} (1 - x + x^2 - ...)
-    f = TruncatedSeries(QQ, 1, [F(1), F(1)], 8)
-    inv = f.inverse()
-    assert inv.low == -1
-    for k in range(0, 8):
-        assert inv.coeff(-1 + k) == F((-1) ** k)
+def test_series_inverse_needs_a_unit_constant_term():
+    # f = x + x^2 has no power-series inverse
+    f = TruncatedSeries(QQ, [F(0), F(1), F(1)], 8)
+    with pytest.raises(NonUnitLeadingCoefficient):
+        f.inverse()
 
 
-def test_power_of_a_laurent_series_keeps_the_product_window():
+def test_power_of_a_series_is_the_repeated_product():
     # s^n is the product s * s * ... * s: the first factor is taken as is,
-    # so s^1 keeps the window of s and no power loses a coefficient to a
-    # product with the series 1
-    s = TruncatedSeries(QQ, -1, [F(1), F(2), F(-3), F(0), F(5)], 4)
+    # so s^1 is s, and s^0 is the series 1 at the order of s
+    s = TruncatedSeries(QQ, [F(1), F(2), F(-3), F(0), F(5)], 4)
     p1 = s ** 1
-    assert (p1.low, p1.order, p1.coeffs) == (s.low, s.order, s.coeffs)
+    assert (p1.order, p1.coeffs) == (s.order, s.coeffs)
     by_hand = s
     for n in range(2, 6):
         by_hand = by_hand * s
         p = s ** n
-        assert (p.low, p.order) == (by_hand.low, by_hand.order) == (-n, 5 - n)
-        assert p.coeffs == by_hand.coeffs
+        assert (p.order, p.coeffs) == (by_hand.order, by_hand.coeffs)
+        assert p.order == 4
     p0 = s ** 0
-    assert (p0.low, p0.order) == (0, 4) and p0 == 1
+    assert p0.order == 4 and p0 == 1
+    assert s ** -2 * s ** 2 == 1
 
 
 def test_series_inverse_universal_leading_coefficient():
     # Q = 1 + (A/2) x + ..., then 1/Q has linear coefficient -A/2.
     A = ABCD.gen("A")
-    Q = TruncatedSeries(ABCD, 0, [ABCD.one, A * F(1, 2)], 3)
+    Q = TruncatedSeries(ABCD, [ABCD.one, A * F(1, 2)], 3)
     inv = Q.inverse()
     assert inv.coeff(1) == -A * F(1, 2)
 
 
 def test_series_inverse_times_self_is_one():
-    s = TruncatedSeries(QQ, 0, [F(3), F(1), F(-2), F(5)], 7)
+    s = TruncatedSeries(QQ, [F(3), F(1), F(-2), F(5)], 7)
     prod = s * s.inverse()
     assert prod.coeff(0) == 1
     for e in range(1, 8):
@@ -120,7 +118,7 @@ def test_series_inverse_times_self_is_one():
 
 
 def test_series_inverse_zero_raises():
-    z = TruncatedSeries.zero_series(QQ, 5)
+    z = TruncatedSeries(QQ, [], 5)
     with pytest.raises(NonUnitLeadingCoefficient):
         z.inverse()
 
@@ -138,7 +136,7 @@ def test_compose_inverse_identity():
 
 def test_compose_inverse_catalan():
     # f = x - x^2 has inverse y + y^2 + 2 y^3 + 5 y^4 + 14 y^5 (Catalan numbers)
-    f = TruncatedSeries(QQ, 1, [F(1), F(-1)], 6)
+    f = TruncatedSeries(QQ, [F(0), F(1), F(-1)], 6)
     g = f.compose_inverse()
     catalan = [1, 1, 2, 5, 14, 42]
     for k, c in enumerate(catalan, start=1):
@@ -162,17 +160,17 @@ def test_compose_inverse_artanh():
 
 
 def test_compose_inverse_roundtrip():
-    f = TruncatedSeries(QQ, 1, [F(2), F(1), F(-3), F(1, 2)], 7)
+    f = TruncatedSeries(QQ, [F(0), F(2), F(1), F(-3), F(1, 2)], 7)
     g = f.compose_inverse()
     assert g.compose_inverse() == f
     assert f.compose(g) == TruncatedSeries.x_series(QQ, 7)
 
 
 def test_compose_inverse_bad_valuation():
-    s = TruncatedSeries(QQ, 0, [F(1), F(1)], 5)
+    s = TruncatedSeries(QQ, [F(1), F(1)], 5)
     with pytest.raises(BadValuation):
         s.compose_inverse()
-    s2 = TruncatedSeries(QQ, 2, [F(1)], 5)
+    s2 = TruncatedSeries(QQ, [F(0), F(0), F(1)], 5)
     with pytest.raises(BadValuation):
         s2.compose_inverse()
 
@@ -183,16 +181,16 @@ def _compose_inverse_by_loop(f):
     inv_a1 = ring_invert(f.coeff(1))
     g = [f.ring.zero, inv_a1]
     for k in range(2, f.order + 1):
-        gk = TruncatedSeries(f.ring, 1, g[1:] + [f.ring.zero], k)
+        gk = TruncatedSeries(f.ring, g, k)
         err = f.truncate(k).compose(gk).coeff(k)
         g.append(-(inv_a1 * err))
-    return TruncatedSeries(f.ring, 1, g[1:], f.order)
+    return TruncatedSeries(f.ring, g, f.order)
 
 
 def test_compose_inverse_matches_loop_oracle_over_abcd():
     A, B, C, D = ABCD.gens()
     tail = [A, B, A * C - D, D * B, A ** 3]
-    f = TruncatedSeries(ABCD, 1, [ABCD.from_fraction(F(2))] + tail, 8)
+    f = TruncatedSeries(ABCD, [ABCD.zero, ABCD.from_fraction(F(2))] + tail, 8)
     g = f.compose_inverse()
     assert g.order == 8
     assert g == _compose_inverse_by_loop(f)
@@ -205,7 +203,7 @@ def test_compose_inverse_matches_loop_oracle_over_abcd():
 
 
 def test_exp_log_roundtrip():
-    s = TruncatedSeries(QQ, 1, [F(1), F(-2), F(1, 3)], 8)
+    s = TruncatedSeries(QQ, [F(0), F(1), F(-2), F(1, 3)], 8)
     assert s.exp().log() == s
 
 
@@ -215,7 +213,7 @@ def test_log_of_exp_x_is_x():
 
 
 def test_integrate_derivative():
-    s = TruncatedSeries(QQ, 1, [F(3), F(5), F(-1)], 6)
+    s = TruncatedSeries(QQ, [F(0), F(3), F(5), F(-1)], 6)
     assert s.derivative().integrate() == s
 
 
@@ -484,9 +482,9 @@ small_fractions = st.fractions(
        st.lists(small_fractions, min_size=1, max_size=6))
 def test_series_ring_axioms(a, b, c):
     order = 6
-    sa = TruncatedSeries(QQ, 0, a, order)
-    sb = TruncatedSeries(QQ, 0, b, order)
-    sc = TruncatedSeries(QQ, 0, c, order)
+    sa = TruncatedSeries(QQ, a, order)
+    sb = TruncatedSeries(QQ, b, order)
+    sc = TruncatedSeries(QQ, c, order)
     assert (sa + sb) + sc == sa + (sb + sc)
     assert sa * sb == sb * sa
     assert sa * (sb + sc) == sa * sb + sa * sc
@@ -499,7 +497,7 @@ def test_series_ring_axioms(a, b, c):
 def test_series_inverse_property(coeffs):
     order = 7
     lead = coeffs[0] if coeffs[0] != 0 else F(1)
-    s = TruncatedSeries(QQ, 0, [lead] + coeffs[1:], order)
+    s = TruncatedSeries(QQ, [lead] + coeffs[1:], order)
     prod = s * s.inverse()
     assert prod == TruncatedSeries.one_series(QQ, order)
 
@@ -509,7 +507,7 @@ def test_series_inverse_property(coeffs):
 @given(st.lists(small_fractions, min_size=0, max_size=4))
 def test_compose_inverse_involution(tail):
     order = 6
-    f = TruncatedSeries(QQ, 1, [F(1)] + tail, order)
+    f = TruncatedSeries(QQ, [F(0), F(1)] + tail, order)
     g = f.compose_inverse()
     assert g.compose_inverse() == f
 
@@ -592,7 +590,7 @@ def test_nested_base_agrees_with_rationals(p, q):
 @given(st.lists(small_fractions, min_size=0, max_size=7),
        small_fractions.filter(bool))
 def test_compose_inverse_matches_loop_oracle_over_q(tail, lead):
-    f = TruncatedSeries(QQ, 1, [lead] + tail, 7)
+    f = TruncatedSeries(QQ, [F(0), lead] + tail, 7)
     assert f.compose_inverse() == _compose_inverse_by_loop(f)
 
 
@@ -970,20 +968,19 @@ def _poly_product(p, q):
 
 def _series_product(a, b):
     """a * b by the double loop, under the minimum truncation rule."""
-    low = a.low + b.low
-    order = min(a.order + b.low, b.order + a.low)
-    cs = [a.ring.zero] * (order - low + 1)
+    order = min(a.order, b.order)
+    cs = [a.ring.zero] * (order + 1)
     for i, x in enumerate(a.coeffs):
         for j, y in enumerate(b.coeffs):
-            if i + j <= order - low:
+            if i + j <= order:
                 cs[i + j] = cs[i + j] + x * y
-    return TruncatedSeries(a.ring, low, cs, order)
+    return TruncatedSeries(a.ring, cs, order)
 
 
 def _nested(a):
     """A q-series as the nested oracle: a TruncatedSeries over its base."""
     order = a.ring.qorder
-    return TruncatedSeries(a.ring.base, 0,
+    return TruncatedSeries(a.ring.base,
                            [a.coeff(n) for n in range(order + 1)], order)
 
 
@@ -1017,7 +1014,7 @@ def _assert_identical(x, y):
     """x and y are one element in one normal form, with equal hashes."""
     assert type(x) is type(y), (x, y)
     if isinstance(y, TruncatedSeries):
-        assert (x.low, x.order) == (y.low, y.order)
+        assert x.order == y.order
         for a, b in zip(x.coeffs, y.coeffs):
             _assert_identical(a, b)
         return
@@ -1162,11 +1159,11 @@ def test_series_difference_is_sum_with_negation(name, data):
     ring, elements = SUB_CASES[name]
 
     def series():
-        low = data.draw(st.integers(min_value=-1, max_value=1))
+        zeros = data.draw(st.integers(min_value=0, max_value=2))
         coeffs = data.draw(st.lists(elements, max_size=4))
         return TruncatedSeries(
-            ring, low, coeffs,
-            low + data.draw(st.integers(min_value=0, max_value=3)))
+            ring, [ring.zero] * zeros + coeffs,
+            zeros + data.draw(st.integers(min_value=0, max_value=3)))
 
     a, b = series(), series()
     _assert_identical(a - b, a + (-b))
@@ -1205,7 +1202,7 @@ SOUNDNESS_RINGS = {
 def _assert_sound(short, long):
     """Every coefficient of short equals long's at the same exponent."""
     assert short.order <= long.order
-    for e in range(short.low, short.order + 1):
+    for e in range(short.order + 1):
         assert short.coeff(e) == long.coeff(e), e
 
 
@@ -1217,25 +1214,26 @@ def test_series_ops_are_truncation_sound(name, data):
     ring, elements, units = SOUNDNESS_RINGS[name]
     n = data.draw(st.integers(min_value=0, max_value=4), label="n")
 
-    def series(low, lead, extra=0):
-        # known through order n + 3 + extra, leading coefficient from lead
+    def series(zeros, lead, extra=0):
+        # zeros leading zeros, then a coefficient from lead, known through
+        # order zeros + n + 3 + extra
         size = n + 3 + extra
         body = data.draw(st.lists(elements, min_size=size, max_size=size))
-        return TruncatedSeries(ring, low, [data.draw(lead)] + body,
-                               low + size)
+        return TruncatedSeries(
+            ring, [ring.zero] * zeros + [data.draw(lead)] + body,
+            zeros + size)
 
     def check(op, *args):
         _assert_sound(op(*(s.truncate(s.order - 3) for s in args)),
                       op(*args))
 
-    a = series(data.draw(st.integers(min_value=-1, max_value=1)), elements)
-    b = series(data.draw(st.integers(min_value=-1, max_value=1)), elements,
+    a = series(data.draw(st.integers(min_value=0, max_value=2)), elements)
+    b = series(data.draw(st.integers(min_value=0, max_value=2)), elements,
                data.draw(st.integers(min_value=0, max_value=2)))
     check(lambda s, t: s * t, a, b)
     check(lambda s: s * b, a)
     check(lambda s: b * s, a)
-    u = series(data.draw(st.integers(min_value=-1, max_value=1)), units)
-    check(TruncatedSeries.inverse, u)
+    check(TruncatedSeries.inverse, series(0, units))
     check(TruncatedSeries.exp, series(1, elements))
     check(TruncatedSeries.log, series(0, st.just(ring.one)))
     check(TruncatedSeries.compose_inverse, series(1, units))

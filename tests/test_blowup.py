@@ -343,7 +343,7 @@ def test_pushed_defect_matches_root_oracle(which):
        st.integers(min_value=1, max_value=4),
        st.integers(min_value=0, max_value=3))
 def test_pushed_defect_matches_root_oracle_random_series(tail, q, dim):
-    series = TruncatedSeries(QQ, 0, [F(1)] + tail, 7)
+    series = TruncatedSeries(QQ, [F(1)] + tail, 7)
     spec = GenusSpec(series.ring, series.log().coeffs)
     assert pushed_defect(spec, q, dim).terms == _root_defect(spec, q, dim)
 
@@ -359,7 +359,7 @@ def test_pushed_defect_point_center_oracle(which):
     else:
         spec = classical_genus(which, order=12)
     qv = spec.q
-    q_minus = TruncatedSeries(spec.ring, 0, [
+    q_minus = TruncatedSeries(spec.ring, [
         c if k % 2 == 0 else -c for k, c in enumerate(qv.coeffs)], qv.order)
     for q in range(1, spec.order + 1):
         want = (-1) ** (q - 1) * (qv * q_minus ** q).coeff(q)
@@ -423,7 +423,7 @@ def test_defect_of_a_linear_center_matches_the_blown_up_space(n, k):
     # the blow-up of CP^n along a linear CP^k is the projective bundle
     # P(O^(k+1) + O(-1)) over CP^(n-k-1); a genus with odd terms makes the
     # pushed defect carry e-monomials, so their Chern evaluation is tested
-    q = TruncatedSeries(QQ, 0, [
+    q = TruncatedSeries(QQ, [
         F(1), F(2, 3), F(-1, 5), F(3, 7), F(1, 2), F(-2, 3), F(5, 4),
         F(1, 9)], 7)
     spec = GenusSpec(q.ring, q.log().coeffs)

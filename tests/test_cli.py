@@ -802,6 +802,33 @@ def test_output_is_deterministic():
     assert a == b
 
 
+# A Chern-number key with a part below 1 was stored and ignored, and of two
+# keys that name one partition the later won; each now exits 2 with one line.
+MALFORMED_CHERN_KEYS = [
+    pytest.param(2, {"3,-1": "5", "1,1": "8", "2": "4"},
+                 "partition (3, -1) has a part below 1", id="negative-part"),
+    pytest.param(2, {"2,0": "1"}, "partition (2, 0) has a part below 1",
+                 id="zero-part"),
+    pytest.param(3, {"2,1": "24", "1,2": "0"},
+                 "manifold JSON: Chern numbers '2,1' and '1,2' name one "
+                 "partition", id="one-partition-twice"),
+    pytest.param(3, {"1,2": "0", "2,1": "24"},
+                 "manifold JSON: Chern numbers '1,2' and '2,1' name one "
+                 "partition", id="one-partition-twice-reversed"),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("dim, numbers, message", MALFORMED_CHERN_KEYS)
+def test_malformed_chern_number_keys_exit_2(dim, numbers, message, fmt):
+    manifold = json.dumps({"type": "chern_numbers", "dim": dim,
+                           "numbers": numbers})
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                   manifold, "--format", fmt)
+    assert rc == 2
+    assert _one_line_error(text, fmt) == message
+
+
 # One case per fault of the inline-manifold reader: each exits 2 with one
 # line that names the missing or bad field, in text and in json.
 BAD_MANIFOLDS = [

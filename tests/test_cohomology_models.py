@@ -22,7 +22,7 @@ from ellgenus.cohomology_models import (
     product_model,
     quartic_surface,
 )
-from ellgenus.manifold_json import model_from_json
+from ellgenus.manifold_json import BadManifold, model_from_json
 from ellgenus.twisted_bundles import (
     tw_cp,
     twisted_proj_bundle_model,
@@ -178,6 +178,29 @@ def test_is_su_in_low_dimensions():
     assert ChernVector(1).is_su()
     assert ChernVector(2, {(2,): 24}).is_su()
     assert not ChernVector(2, {(1, 1): 1}).is_su()
+
+
+def test_chern_vector_refuses_a_part_below_1():
+    # (3, -1) sums to 2 but is no partition; it was stored and ignored
+    for part in ((3, -1), (2, 0), (-1, 3)):
+        with pytest.raises(ValueError, match="has a part below 1"):
+            ChernVector(2, {part: 5})
+    with pytest.raises(ValueError, match="does not sum to 2"):
+        ChernVector(2, {(3,): 5})
+    assert ChernVector(0, {(): 1})[()] == 1
+
+
+@pytest.mark.parametrize("keys", [("2,1", "1,2"), ("1,2", "2,1"),
+                                  ("1,1,1", "1, 1,1")])
+def test_chern_numbers_naming_one_partition_twice_are_refused(keys):
+    # the value kept depended on the order of the keys
+    first, second = keys
+    obj = {"type": "chern_numbers", "dim": 3,
+           "numbers": {first: "24", second: "0"}}
+    with pytest.raises(BadManifold) as err:
+        model_from_json(obj)
+    assert str(err.value) == (f"manifold JSON: Chern numbers {first!r} and "
+                              f"{second!r} name one partition")
 
 
 def test_w_family_milnor_numbers():

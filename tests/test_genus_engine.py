@@ -177,7 +177,7 @@ def _todd_series(order, shift=F(0)):
     expm = (-x).exp()  # e^{-x}
     one = TruncatedSeries.one_series(QQ, order + 1)
     denom = (one - expm).truncate(order + 1)  # valuation 1
-    q = (x * denom.inverse()).truncate(order)
+    q = TruncatedSeries(QQ, denom.coeffs[1:], order).inverse()  # x/denom
     if shift:
         sh = TruncatedSeries.from_function(
             QQ, lambda e: shift ** e / factorial(e), order
@@ -240,7 +240,7 @@ def _chi_y_series_by_division(order):
         # a_{n+1-k} lhs_k for k = 2..n+1
         acc = rhs(n) - ring.dot(zip(reversed(a), lhs_c[2:]))
         a.append(exact_div(acc, one_plus_y))
-    return TruncatedSeries(ring, 0, a, order)
+    return TruncatedSeries(ring, a, order)
 
 
 def _a_tilde_series(order):
@@ -264,7 +264,7 @@ def _a_tilde_series(order):
                 F(1, 2 ** j * factorial(j)) * zc * F(1, 8 ** k)
             )
         coeffs.append(c)
-    return TruncatedSeries(ring, 0, coeffs, order)
+    return TruncatedSeries(ring, coeffs, order)
 
 
 def _q_oracle(name, params, order):
@@ -278,12 +278,12 @@ def _q_oracle(name, params, order):
     if name == "a_hat":
         return _a_hat_series(order)
     if name == "euler":
-        return TruncatedSeries(QQ, 0, [F(1), F(1)], order)
+        return TruncatedSeries(QQ, [F(1), F(1)], order)
     if name == "chi_y":
         q = _chi_y_series_by_division(order)
         if params:
-            return TruncatedSeries(QQ, 0, [c.substitute({"y": params["y"]})
-                                           for c in q.coeffs], order)
+            return TruncatedSeries(QQ, [c.substitute({"y": params["y"]})
+                                        for c in q.coeffs], order)
         return q
     return _a_tilde_series(order)
 
@@ -305,7 +305,7 @@ def test_classical_genus_matches_series_oracle(name, params):
     oracle_log = oracle.log()
     for order in range(31):
         spec = classical_genus(name, params, order)
-        assert (spec.order, spec.q.low, spec.q.order) == (order, 0, order)
+        assert (spec.order, spec.q.order) == (order, order)
         assert spec.q.coeffs == oracle.coeffs[:order + 1]
         assert spec.log_coeffs == [spec.ring.zero] + [
             oracle_log.coeff(m) for m in range(1, order + 1)]
@@ -344,9 +344,8 @@ def test_scaling_action():
     ring = PolyRing(("s", 1))
     s = ring.gen("s")
     q = TruncatedSeries(
-        ring, 0,
-        [ring.from_fraction(todd.q.coeff(e)) * s ** e for e in range(7)], 6,
-    )
+        ring, [ring.from_fraction(todd.q.coeff(e)) * s ** e
+               for e in range(7)], 6)
     scaled = GenusSpec(q.ring, q.log().coeffs)
     for m in (cp_model(2), cp_model(3), quartic_surface()):
         assert evaluate(scaled, m) == s ** m.dim * evaluate(todd, m)
@@ -392,9 +391,9 @@ def test_trivial_genus():
 
 
 def test_bad_constant_term_raises_at_construction():
-    for q in (TruncatedSeries(QQ, 0, [F(2), F(1)], 4),
-              TruncatedSeries(QQ, 1, [F(1)], 4),
-              TruncatedSeries.zero_series(QQ, 4)):
+    for q in (TruncatedSeries(QQ, [F(2), F(1)], 4),
+              TruncatedSeries(QQ, [F(0), F(1)], 4),
+              TruncatedSeries(QQ, [], 4)):
         with pytest.raises(BadValuation):
             GenusSpec(q.ring, q.log().coeffs)
 
@@ -475,8 +474,7 @@ def genus_from_log(g, name="genus"):
     if g.valuation() != 1:
         raise BadValuation("genus logarithm needs valuation exactly 1")
     f = g.compose_inverse()
-    x = TruncatedSeries.x_series(g.ring, f.order)
-    q = (x * f.inverse()).truncate(f.order)
+    q = TruncatedSeries(f.ring, f.coeffs[1:], f.order - 1).inverse()
     return GenusSpec(q.ring, q.log().coeffs, name=name)
 
 
@@ -554,6 +552,24 @@ def test_formal_group_law_matches_rebuilt_series(build):
     ours, oracle = formal_group_law(build(), 6), \
         _formal_group_law_rebuilt(build(), 6)
     assert (ours.terms, ours.cap) == (oracle.terms, oracle.cap)
+
+
+@pytest.mark.parametrize("build", [
+    *(lambda n=name, p=params: classical_genus(n, p, 8)
+      for name, params in CLASSICAL),
+    lambda: phi_ell(8),
+    lambda: phi_ell_q(3, 8, "formal"),
+    lambda: phi_ell_q(3, 8, 3),
+], ids=[*CLASSICAL_IDS, "phi_ell", "phi_ell_q-formal", "phi_ell_q-zeta3"])
+def test_f_series_is_x_times_the_inverse_of_q(build):
+    # f = x/Q is built as 1/Q moved up one place, not as a product by x
+    spec = build()
+    f = spec.f_series
+    oracle = (TruncatedSeries.x_series(spec.ring, spec.order)
+              * spec.q.inverse()).truncate(spec.order)
+    assert f.order == oracle.order == spec.order
+    assert f.coeffs == oracle.coeffs
+    assert list(map(repr, f.coeffs)) == list(map(repr, oracle.coeffs))
 
 
 def test_criterion_10_inverts_f_once(monkeypatch):

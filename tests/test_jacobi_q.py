@@ -38,6 +38,8 @@ from ellgenus.universal_elliptic import (
     specialize,
 )
 
+from _oracles import times_x
+
 F = Fraction
 
 QORDER = 3
@@ -57,14 +59,14 @@ class NestedSeriesRing:
     def __init__(self, base, qorder):
         self.base = base
         self.qorder = qorder
-        self.zero = TruncatedSeries.zero_series(base, qorder)
+        self.zero = TruncatedSeries(base, [], qorder)
         self.one = TruncatedSeries.one_series(base, qorder)
 
     def from_fraction(self, fr):
         return self.one * Fraction(fr)
 
     def constant(self, c):
-        return TruncatedSeries(self.base, 0, [c], self.qorder)
+        return TruncatedSeries(self.base, [c], self.qorder)
 
     def from_function(self, fn):
         return TruncatedSeries.from_function(self.base, fn, self.qorder)
@@ -80,14 +82,13 @@ class NestedSeriesRing:
 
 def xscale(xs, c):
     """Multiply an x-series by one coefficient that is not an x-series."""
-    return TruncatedSeries(xs.ring, xs.low, [a * c for a in xs.coeffs],
-                           xs.order)
+    return TruncatedSeries(xs.ring, [a * c for a in xs.coeffs], xs.order)
 
 
 def nested(a):
     """A QSeries as the oracle's TruncatedSeries over its base."""
     order = a.ring.qorder
-    return TruncatedSeries(a.ring.base, 0,
+    return TruncatedSeries(a.ring.base,
                            [a.coeff(n) for n in range(order + 1)], order)
 
 
@@ -171,7 +172,7 @@ class UXSeries:
                 p = value ** e if e >= 0 else inv ** (-e)
                 total = total + term * p
             coeffs.append(total)
-        return TruncatedSeries(ring, 0, coeffs, self.qorder)
+        return TruncatedSeries(ring, coeffs, self.qorder)
 
     def to_x_series(self, xorder, nested):
         """Expand u = e^{-x}; x-series over a NestedSeriesRing."""
@@ -190,7 +191,7 @@ class UXSeries:
                 return total
 
             coeffs.append(nested.from_function(qc))
-        return TruncatedSeries(nested, 0, coeffs, xorder)
+        return TruncatedSeries(nested, coeffs, xorder)
 
     def __eq__(self, other):
         return (
@@ -245,7 +246,7 @@ def phi_product(qorder, uwindow=None):
 def _phi_at_minus_z_product(qorder, ring, y):
     """Phi(tau, -z) = (1+y) prod (1+y q^n)(1+y^{-1} q^n)/(1-q^n)^2."""
     y_inv = y ** (-1)
-    out = TruncatedSeries(ring, 0, [ring.one + y], qorder)
+    out = TruncatedSeries(ring, [ring.one + y], qorder)
     for n in range(1, qorder + 1):
         f1 = TruncatedSeries.from_function(
             ring, lambda e, n=n: ring.one if e == 0 else
@@ -267,11 +268,11 @@ def _product_genus(qorder, xorder, mode):
     y_inv = y ** (-1)
     x = TruncatedSeries.x_series(QQ, xorder + 1)
     denom = TruncatedSeries.one_series(QQ, xorder + 1) - (-x).exp()
-    todd = (x * denom.inverse()).truncate(xorder)
-    q_of_x = TruncatedSeries(nested, 0, [
+    todd = TruncatedSeries(QQ, denom.coeffs[1:], xorder).inverse()  # x/denom
+    q_of_x = TruncatedSeries(nested, [
         nested.from_fraction(todd.coeff(k)) for k in range(xorder + 1)
     ], xorder)
-    q_of_x = q_of_x * TruncatedSeries(nested, 0, [
+    q_of_x = q_of_x * TruncatedSeries(nested, [
         nested.constant(ring.one + y)] + [
         nested.constant(y * F((-1) ** k, factorial(k)))
         for k in range(1, xorder + 1)], xorder)
@@ -287,7 +288,7 @@ def _product_genus(qorder, xorder, mode):
 
                 col = nested.from_function(qc)
                 coeffs.append(col + nested.one if k == 0 else col)
-            q_of_x = q_of_x * TruncatedSeries(nested, 0, coeffs, xorder)
+            q_of_x = q_of_x * TruncatedSeries(nested, coeffs, xorder)
     norm_inv = _phi_at_minus_z_product(qorder, ring, y).inverse()
     q = xscale(q_of_x, norm_inv)
     return GenusSpec(q.ring, q.log().coeffs)
@@ -458,7 +459,7 @@ def weierstrass_p_prime(qorder):
                 total = total + (minus_y ** d - minus_y_inv ** d) * (d * d)
         return total
 
-    return TruncatedSeries(ring, 0, [coeff(n) for n in range(qorder + 1)],
+    return TruncatedSeries(ring, [coeff(n) for n in range(qorder + 1)],
                            qorder)
 
 
@@ -484,45 +485,42 @@ def test_bcd_are_weierstrass_expansions():
 
 
 def _log_derivative(f):
-    """Oracle: h = f'/f, through the window f' * f^-1 provably has."""
-    return (f.derivative() * f.inverse()).truncate(f.order - 3)
+    """Oracle: H = x f'/f = f' (f/x)^-1, through x^(f.order - 2), the
+    order extract_qi reads it to."""
+    f_over_x = TruncatedSeries(f.ring, f.coeffs[1:], f.order - 1)
+    return (f.derivative() * f_over_x.inverse()).truncate(f.order - 2)
 
 
-def match_quartic_by_products(h):
-    """Oracle: q_1..q_4 read off (h')^2 - h^4 - q_1 h^3 - ... formed as
-    x-series products over the whole window, which must then vanish."""
-    ring = h.ring
-    hp = h.derivative()
-    h2 = h * h
-    h3 = h2 * h
-    h4 = h2 * h2
-    rem = (hp * hp - h4).truncate(h4.order)
-    powers = {3: h3.truncate(rem.order), 2: h2.truncate(rem.order),
-              1: h.truncate(rem.order)}
+def match_quartic_by_products(H):
+    """Oracle: q_1..q_4 read off x^4 ((h')^2 - S(h)) for h = H/x, that is
+    P^2 - H^4 - q_1 x H^3 - ... - q_4 x^4 with P = x H' - H, formed as
+    x-series products through the order of H, which must then vanish;
+    its x^i is (h')^2 - S(h) at x^(i-4)."""
+    ring, n = H.ring, H.order
+    P = times_x(H.derivative(), 1, n) - H
+    H2 = H * H
+    rem = P * P - H2 * H2
+    powers = (H2 * H, H2, H, TruncatedSeries.one_series(ring, n))
     qs = []
-    for pw in (3, 2, 1, 0):
-        c = rem.coeff(-pw)
+    for i, power in enumerate(powers, 1):
+        c = rem.coeff(i)
         qs.append(c)
-        if pw:
-            rem = rem - xscale(powers[pw], c)
-        else:
-            rem = rem - TruncatedSeries(
-                ring, 0, [ring.dot([(c, 1)])], rem.order)
-    for e in range(rem.low, rem.order + 1):
-        if not coeff_is_zero(rem.coeff(e)):
+        rem = rem - times_x(xscale(power, c), i)  # q_i x^i H^(4-i)
+    for i, c in enumerate(rem.coeffs):
+        if not coeff_is_zero(c):
             raise InconsistentSystem(
-                f"quartic does not close at x^{e}: {rem.coeff(e)}")
+                f"quartic does not close at x^{i - 4}: {c}")
     return QuarticData(*qs, ring=ring)
 
 
 def test_match_quartic_rejects_non_elliptic_series():
     # f = x + x^2 does not satisfy any quartic differential equation
-    f = TruncatedSeries(QQ, 1, [F(1), F(1)], 10)
-    h = _log_derivative(f)
+    f = TruncatedSeries(QQ, [F(0), F(1), F(1)], 10)
+    H = _log_derivative(f)
     with pytest.raises(InconsistentSystem) as new:
-        match_quartic(h)
+        match_quartic(H)
     with pytest.raises(InconsistentSystem) as old:
-        match_quartic_by_products(h)
+        match_quartic_by_products(H)
     assert str(new.value) == str(old.value)
 
 
@@ -530,28 +528,29 @@ def test_match_quartic_rejects_non_elliptic_series():
     ("formal", 2, 8), (2, 2, 10), (3, 2, 9)])
 def test_match_quartic_closure_catches_every_changed_coefficient(
         mode, qorder, xorder):
-    # the ODE closure and the product closure agree on an elliptic h, and
-    # both reject h with any one coefficient of its window changed, at the
-    # same x^k with the same residual; the x^0 coefficient is the exception,
-    # since h + c solves the equation of the shifted quartic S(y - c)
+    # the ODE closure and the product closure agree on an elliptic H = x h,
+    # and both reject H with any one coefficient changed, at the same x^k
+    # with the same residual; the x^1 coefficient of H (x^0 of h) is the
+    # exception, since h + c solves the equation of the shifted quartic
+    # S(y - c)
     spec = phi_ell_q(qorder, xorder, mode)
     ring, logs = spec.ring, spec.log_coeffs
     coeffs = [ring.one] + [logs[k] * (-k) for k in range(1, xorder - 1)]
-    h = TruncatedSeries(ring, -1, coeffs, xorder - 3)
-    assert list(match_quartic(h)) == list(match_quartic_by_products(h))
+    H = TruncatedSeries(ring, coeffs, xorder - 2)
+    assert list(match_quartic(H)) == list(match_quartic_by_products(H))
     bump = ring.series([0] * qorder + [1])  # q^qorder
     for i in range(len(coeffs)):
         changed = list(coeffs)
         changed[i] = changed[i] + bump
-        h = TruncatedSeries(ring, -1, changed, xorder - 3)
+        H = TruncatedSeries(ring, changed, xorder - 2)
         if i == 1:
-            assert list(match_quartic(h)) == list(
-                match_quartic_by_products(h))
+            assert list(match_quartic(H)) == list(
+                match_quartic_by_products(H))
             continue
         with pytest.raises(InconsistentSystem) as new:
-            match_quartic(h)
+            match_quartic(H)
         with pytest.raises(InconsistentSystem) as old:
-            match_quartic_by_products(h)
+            match_quartic_by_products(H)
         assert str(new.value) == str(old.value), i
 
 
@@ -559,24 +558,24 @@ def test_match_quartic_closure_catches_every_changed_coefficient(
     (2, 4, 10), (3, 4, 12), (4, 3, 14), (5, 2, 16), ("formal", 3, 8)])
 def test_extract_qi_matches_log_derivative_of_f(mode, qorder, xorder,
                                                 monkeypatch):
-    # h read off log Q equals f'/f of f = x/Q(x), with the same x- and
-    # q-windows, so the closing check covers the same range and q_1..q_4
+    # H read off log Q equals x f'/f of f = x/Q(x), with the same x- and
+    # q-orders, so the closing check covers the same range and q_1..q_4
     # agree coefficient by coefficient
     seen = []
 
-    def recording(h):
-        seen.append(h)
-        return match_quartic(h)
+    def recording(H):
+        seen.append(H)
+        return match_quartic(H)
 
     monkeypatch.setattr(jacobi_q, "match_quartic", recording)
     quartic, _ = extract_qi(mode, qorder, xorder)
-    h = _log_derivative(phi_ell_q(qorder, xorder, mode).f_series)
-    (h_read,) = seen
-    assert (h_read.low, h_read.order) == (h.low, h.order) == (-1, xorder - 3)
-    assert h_read.coeffs == h.coeffs
-    oracle = match_quartic_by_products(h)
+    H = _log_derivative(phi_ell_q(qorder, xorder, mode).f_series)
+    (H_read,) = seen
+    assert H_read.order == H.order == xorder - 2
+    assert H_read.coeffs == H.coeffs
+    oracle = match_quartic_by_products(H)
     for a, b in zip(quartic, oracle):
-        assert (a.low, a.order) == (b.low, b.order) == (0, qorder)
+        assert a.order == b.order == qorder
         assert a == b
 
 
@@ -677,7 +676,7 @@ def base_elements(mode):
 
 def _agree(flat, oracle):
     assert isinstance(flat, QSeries)
-    assert (flat.low, flat.order) == (0, oracle.order)
+    assert flat.order == oracle.order
     for n in range(oracle.order + 1):
         assert flat.coeff(n) == oracle.coeff(n), n
 
@@ -695,7 +694,7 @@ def test_q_series_ring_matches_nested_oracle(mode, data):
     lists = st.lists(base_elements(mode), max_size=qorder + 1)
     a, b, c, d = (data.draw(lists) for _ in range(4))
     A, B, C, D = (qs.series(x) for x in (a, b, c, d))
-    oa, ob, oc, od = (TruncatedSeries(qs.base, 0, x, qorder)
+    oa, ob, oc, od = (TruncatedSeries(qs.base, x, qorder)
                       for x in (a, b, c, d))
     _agree(A, oa)
     c0 = c[0] if c else 0  # a base element or a rational
@@ -707,9 +706,9 @@ def test_q_series_ring_matches_nested_oracle(mode, data):
     k = data.draw(st.integers(min_value=0, max_value=3), label="k")
     _agree(A ** k, oa ** k)
     # the exponential of an x-series with q-series coefficients
-    flat_x = TruncatedSeries(qs, 1, [A, B, C], 3).exp()
-    nested_x = TruncatedSeries(NestedSeriesRing(qs.base, qorder), 1,
-                               [oa, ob, oc], 3).exp()
+    flat_x = TruncatedSeries(qs, [qs.zero, A, B, C]).exp()
+    nested = NestedSeriesRing(qs.base, qorder)
+    nested_x = TruncatedSeries(nested, [nested.zero, oa, ob, oc]).exp()
     for e in range(4):
         _agree(flat_x.coeff(e), nested_x.coeff(e))
     # a unit constant term: any nonzero element of Q(zeta_N), and
@@ -722,7 +721,7 @@ def test_q_series_ring_matches_nested_oracle(mode, data):
         unit = unit * (qs.base.one + y) ** data.draw(
             st.integers(min_value=-2, max_value=2))
     u = [unit] + a[1:]
-    _agree(qs.series(u).inverse(), TruncatedSeries(qs.base, 0, u,
+    _agree(qs.series(u).inverse(), TruncatedSeries(qs.base, u,
                                                    qorder).inverse())
 
 
@@ -741,7 +740,7 @@ def test_q_series_ring_is_truncation_sound(mode, data):
         lambda R, x, z: R.dot([(x, z), (z, F(1, 3)), (x, x)]),
         lambda R, x, z: x * z,
         lambda R, x, z: x ** 3,
-        lambda R, x, z: TruncatedSeries(R, 1, [x, z], 2).exp().coeff(2),
+        lambda R, x, z: TruncatedSeries(R, [R.zero, x, z]).exp().coeff(2),
     ]
     short, long = QSeriesRing(mode, n), QSeriesRing(mode, n + k)
     for op in ops:
@@ -760,7 +759,7 @@ def test_q_series_oracle_catches_one_changed_slot(mode):
     ring = qs.base
     y = ring.gen()
     a = [ring.one, y, y * y + 1, y ** (-1) * F(1, 2)]
-    oracle = TruncatedSeries(ring, 0, a, 3) ** 2
+    oracle = TruncatedSeries(ring, a, 3) ** 2
     _agree(qs.series(a) ** 2, oracle)
     for slot in range(4):
         changed = list(a)
@@ -888,6 +887,6 @@ def test_cyclotomic_f_is_shifted_phi_quotient():
         const = phi.eval_u(-y, ring)
         f_cmp = xscale(num_x, const) * shifted_x.inverse()
         f = phi_ell_q(qorder, xorder, N).f_series
-        assert (f.low, f.order) == (1, xorder)
-        for k in range(f.low, f.order + 1):
+        assert f.order == xorder
+        for k in range(f.order + 1):
             _assert_q_series_agree(f.coeff(k), f_cmp.coeff(k), qorder)

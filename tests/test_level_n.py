@@ -45,7 +45,7 @@ from ellgenus.universal_elliptic import (
 )
 from ellgenus.weighted_poly import WeightedPoly
 
-from _oracles import bareiss_determinant, poly_mul, resultant_in
+from _oracles import bareiss_determinant, poly_mul, resultant_in, times_x
 
 F = Fraction
 A, B, C, D = ABCD_RING.gens()
@@ -66,27 +66,27 @@ def _to_abcd_coords(poly):
 def _level_data_symbolic(N, order):
     """Solve 1/f^N + d_2N f^N = P_N(f'/f) over Q[q1..q4].
 
+    Times x^N, with H = x f'/f and Q = x/f, the equation reads
+    H^N + sum_i d_i x^i H^(N-i) = Q^N + d_2N x^N f^N.
     d: dict i -> d_i (weight i), i = 1..N; d2N of weight 2N;
-    constraints: (k, poly) for the Laurent coefficient at every x^k, k != N,
-    that is not zero, each of weight N + k; r_lower, r_upper normalized as
-    in compute_level_data.
+    constraints: (k, poly) for the coefficient of the equation at every
+    x^k, k != N, that is not zero, each of weight N + k; r_lower, r_upper
+    normalized as in compute_level_data.
     """
-    h = solve_h(QuarticData.generic(), order)
-    f = q_of_h(h).f_series
-    fN = f ** N
-    fmN = f.inverse() ** N
-    hp = [TruncatedSeries.one_series(Q_RING, h.order)]
+    H = solve_h(QuarticData.generic(), order)
+    spec = q_of_h(H)
+    Hp = [TruncatedSeries.one_series(Q_RING, H.order)]
     for _ in range(N):
-        hp.append(hp[-1] * h)
-    acc = hp[N] - fmN
+        Hp.append(Hp[-1] * H)
+    acc = Hp[N] - spec.q ** N
     d = {}
     for i in range(1, N + 1):
-        d[i] = -acc.coeff(-N + i)
-        acc = acc + hp[N - i] * d[i]
-    d2N = acc.coeff(N)
-    E = acc - fN * d2N
-    constraints = [(k, E.coeff(k)) for k in range(1, E.order + 1)
-                   if k != N and not E.coeff(k).is_zero()]
+        d[i] = -acc.coeff(i)
+        acc = acc + times_x(Hp[N - i] * d[i], i)
+    d2N = acc.coeff(2 * N)
+    E = acc - times_x(spec.f_series ** N, N) * d2N
+    constraints = [(k, E.coeff(N + k)) for k in range(1, E.order - N + 1)
+                   if k != N and not E.coeff(N + k).is_zero()]
 
     r_lower = _to_abcd_coords(d[N - 1])
     r_lower = r_lower * (1 / r_lower.coeff((N - 1, 0, 0, 0)))
@@ -241,20 +241,21 @@ def _point_values_full_window(N, order, point, lam=1):
     the triangular d_i loop over QQ, at (A, B, C, D) = (lam, lam^2 b,
     lam^3 c, lam^4 d) for point = (b, c, d)."""
     b, c, d = point
-    h = solve_h(abcd_to_q(ABCDPoint(F(lam), F(lam ** 2 * b),
+    H = solve_h(abcd_to_q(ABCDPoint(F(lam), F(lam ** 2 * b),
                                     F(lam ** 3 * c), F(lam ** 4 * d))), order)
-    log_q = q_of_h(h).log_coeffs
-    f_minus_n = TruncatedSeries(QQ, 0, [c * N for c in log_q]).exp().shift(-N)
-    hp = [TruncatedSeries.one_series(QQ, h.order)]
+    log_q = q_of_h(H).log_coeffs
+    q_to_n = TruncatedSeries(QQ, [c * N for c in log_q]).exp()  # x^N / f^N
+    Hp = [TruncatedSeries.one_series(QQ, H.order)]
     for _ in range(N):
-        hp.append(hp[-1] * h)
-    acc = hp[N] - f_minus_n
+        Hp.append(Hp[-1] * H)
+    # x^N times the equation of _level_data_symbolic
+    acc = Hp[N] - q_to_n
     for i in range(1, N + 1):
-        di = -acc.coeff(i - N)
+        di = -acc.coeff(i)
         if i == N - 1:
             d_lower = di
-        acc = acc + hp[N - i] * di
-    return d_lower, acc.coeff(1)
+        acc = acc + times_x(Hp[N - i] * di, i)
+    return d_lower, acc.coeff(N + 1)
 
 
 @pytest.mark.parametrize("N", range(2, 11))

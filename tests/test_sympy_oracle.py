@@ -175,10 +175,9 @@ units = st.fractions(min_value=-4, max_value=4,
 
 
 def _rs(series):
-    """A TruncatedSeries over QQ with low >= 0 as a sympy ring element."""
+    """A TruncatedSeries over QQ as a sympy ring element."""
     return sum((sympy.QQ(c.numerator, c.denominator) * RS_X ** e
-                for e, c in zip(range(series.low, series.order + 1),
-                                series.coeffs)), RS_RING.zero)
+                for e, c in enumerate(series.coeffs)), RS_RING.zero)
 
 
 def _rs_coeffs(p, var, n):
@@ -202,19 +201,19 @@ def test_series_ops_over_qq_match_sympy_ring_series(tail, lead):
     n = len(tail)
     # valuation >= 1 for exp; constant term 1 for log; a unit constant
     # term for inverse; a unit linear term for compose_inverse
-    shifted = TruncatedSeries(QQ, 1, tail, n)
+    shifted = TruncatedSeries(QQ, [F(0)] + tail, n)
     assert _coeffs_through(shifted.exp(), n) == _rs_coeffs(
         rs.rs_exp(_rs(shifted), RS_X, n + 1), RS_X, n)
-    one_plus = TruncatedSeries(QQ, 0, [F(1)] + tail, n)
+    one_plus = TruncatedSeries(QQ, [F(1)] + tail, n)
     assert _coeffs_through(one_plus.log(), n) == _rs_coeffs(
         rs.rs_log(_rs(one_plus), RS_X, n + 1), RS_X, n)
-    unit = TruncatedSeries(QQ, 0, [lead] + tail, n)
+    unit = TruncatedSeries(QQ, [lead] + tail, n)
     inv = unit.inverse()
-    assert (inv.low, inv.order) == (0, n)
+    assert inv.order == n
     assert _coeffs_through(inv, n) == _rs_coeffs(
         rs.rs_series_inversion(_rs(unit), RS_X, n + 1), RS_X, n)
-    f = TruncatedSeries(QQ, 1, [lead] + tail, n + 1)
+    f = TruncatedSeries(QQ, [F(0), lead] + tail, n + 1)
     g = f.compose_inverse()
-    assert (g.low, g.order) == (1, n + 1)
+    assert g.order == n + 1
     assert _coeffs_through(g, n + 1) == _rs_coeffs(
         rs.rs_series_reversion(_rs(f), RS_X, n + 2, RS_Y), RS_Y, n + 1)

@@ -26,6 +26,8 @@ from ellgenus.universal_elliptic import (
 from ellgenus.universal_elliptic import test_vectors_Q3_Q4 as fiber_vectors
 from ellgenus.weighted_poly import PolyRing
 
+from _oracles import times_x
+
 F = Fraction
 
 A, B, C, D = ABCD_RING.gens()
@@ -50,31 +52,31 @@ def discriminant(p):
 # ---------------------------------------------------------------------------
 
 
-def ode_residual(h, S):
-    """(h')^2 - S(h), valid where the truncated products are exact."""
+def ode_residual(H, S):
+    """x^4 ((h')^2 - S(h)) for h = H/x, through the order of H: with
+    P = x H' - H = x^2 h', it is
+    P^2 - H^4 - q1 x H^3 - q2 x^2 H^2 - q3 x^3 H - q4 x^4."""
     q1, q2, q3, q4 = S
-    hp = h.derivative()
-    h2 = h * h
-    h3 = h2 * h
-    h4 = h2 * h2
-    q4_series = TruncatedSeries(h.ring, 0, [q4], max(h4.order, 0))
-    rhs = h4 + h3 * q1 + h2 * q2 + h * q3 + q4_series
-    return (hp * hp - rhs).truncate(h4.order)
+    n = H.order
+    P = times_x(H.derivative(), 1, n) - H
+    H2 = H * H
+    rhs = (H2 * H2 + times_x(H2 * H * q1, 1) + times_x(H2 * q2, 2)
+           + times_x(H * q3, 3) + times_x(TruncatedSeries(H.ring, [q4], n), 4))
+    return P * P - rhs
 
 
 def _solve_h_by_residual(S, order):
     """Oracle for solve_h: rebuild the whole residual for each coefficient.
 
-    The coefficient at x^e (trial value 0) is the residual at x^(e-3)
-    divided by 2e + 4.
+    The coefficient c_i of H = x h (trial value 0) is the residual at x^i
+    divided by 2i + 2.
     """
     ring = S.ring
-    coeffs = [ring.one] + [ring.zero] * order  # exponents -1 .. order-1
-    for e in range(order):
-        h = TruncatedSeries(ring, -1, coeffs, order - 1)
-        r = ode_residual(h, S).coeff(e - 3)
-        coeffs[e + 1] = r * F(1, 2 * e + 4)
-    return TruncatedSeries(ring, -1, coeffs, order - 1)
+    coeffs = [ring.one] + [ring.zero] * order  # c_0 .. c_order
+    for i in range(1, order + 1):
+        r = ode_residual(TruncatedSeries(ring, coeffs), S).coeff(i)
+        coeffs[i] = r * F(1, 2 * i + 2)
+    return TruncatedSeries(ring, coeffs)
 
 
 def _seeded_points(seed, count):
@@ -85,7 +87,7 @@ def _seeded_points(seed, count):
 
 
 def _same_series(a, b):
-    return (a.low, a.order, a.coeffs) == (b.low, b.order, b.coeffs)
+    return (a.order, a.coeffs) == (b.order, b.coeffs)
 
 
 @pytest.mark.parametrize("order", range(1, 13))
@@ -120,8 +122,8 @@ _SOUNDNESS_QUARTICS = [QuarticData.generic(), abcd_to_q(_POINT)]
 @pytest.mark.parametrize("S", _SOUNDNESS_QUARTICS, ids=["generic", "point"])
 def test_solve_h_truncation_soundness(S):
     for n in (1, 2, 5, 9):
-        h, longer = solve_h(S, n), solve_h(S, n + 3)
-        assert _same_series(h, longer.truncate(h.order))
+        H, longer = solve_h(S, n), solve_h(S, n + 3)
+        assert _same_series(H, longer.truncate(H.order))
 
 
 @pytest.mark.parametrize("build", [
@@ -150,7 +152,7 @@ def test_phi_ell_q_equals_exp_of_full_log(n):
     # Q built as exp((A/2) x) exp(sum_{k>=2} l_k x^k) equals the
     # exponential of the whole log over Q[A, B, C, D]
     spec = phi_ell(n)
-    oracle = TruncatedSeries(ABCD_RING, 0, spec.log_coeffs, n).exp()
+    oracle = TruncatedSeries(ABCD_RING, spec.log_coeffs, n).exp()
     assert _same_series(spec.q, oracle)
 
 
@@ -162,41 +164,42 @@ def test_phi_ell_log_coefficients_beyond_first_avoid_A():
 
 
 def test_first_coefficient():
-    h = solve_h(QuarticData.generic(), 6)
-    assert h.coeff(-1) == Q_RING.one
-    assert h.coeff(0) == -q1 * F(1, 4)
+    H = solve_h(QuarticData.generic(), 6)
+    assert H.coeff(0) == Q_RING.one
+    assert H.coeff(1) == -q1 * F(1, 4)
 
 
 def test_trivial_quartic_gives_1_over_x():
     S = QuarticData(F(0), F(0), F(0), F(0))
-    h = solve_h(S, 10)
-    assert h.coeff(-1) == 1
-    for e in range(0, 10):
-        assert h.coeff(e) == 0
+    H = solve_h(S, 10)
+    assert H.coeff(0) == 1
+    for i in range(1, 11):
+        assert H.coeff(i) == 0
 
 
 def test_ode_residual_vanishes():
     S = QuarticData.generic()
-    h = solve_h(S, 10)
-    res = ode_residual(h, S)
-    for e in range(res.low, res.order + 1):
-        assert res.coeff(e).is_zero()
+    res = ode_residual(solve_h(S, 10), S)
+    assert res.order == 10
+    for c in res.coeffs:
+        assert c.is_zero()
 
 
 def test_coefficients_are_homogeneous():
-    h = solve_h(QuarticData.generic(), 8)
+    H = solve_h(QuarticData.generic(), 8)
     for n in range(1, 9):
-        c = h.coeff(n - 1)
+        c = H.coeff(n)
         if not c.is_zero():
             assert c.is_homogeneous(n)
 
 
 def test_q_of_h_defining_relation():
-    h = solve_h(QuarticData.generic(), 8)
-    spec = q_of_h(h)
-    f = spec.f_series
-    lhs = f.derivative() * f.inverse()
-    assert lhs == h.truncate(lhs.order)
+    # f'/f = h = H/x, that is x f' = H f
+    H = solve_h(QuarticData.generic(), 8)
+    f = q_of_h(H).f_series
+    x_fp = times_x(f.derivative(), 1, f.order)
+    assert f.order == 8
+    assert x_fp == H * f
 
 
 # ---------------------------------------------------------------------------
