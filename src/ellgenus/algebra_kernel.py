@@ -63,10 +63,13 @@ def literal_digits(text):
 
 def parse_rational(value):
     """A Fraction from a rational read from outside: a str such as "-3/2"
-    or "1.5e3", an int or a float.  ValueError where Fraction would
-    overflow or run long: a float that is not finite, or a literal of
-    more than _max_str_digits() digits with its exponent (literal_digits).
+    or "1.5e3", an int or a float.  ValueError for a bool, which Fraction
+    would read as 0 or 1, and where Fraction would overflow or run long:
+    a float that is not finite, or a literal of more than
+    _max_str_digits() digits with its exponent (literal_digits).
     """
+    if isinstance(value, bool):
+        raise ValueError(f"{value} is not a number")
     if isinstance(value, float) and not isfinite(value):
         raise ValueError(f"{value} is not a finite number")
     if isinstance(value, str) and literal_digits(value) > _max_str_digits():

@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import comb
 
-from .algebra_kernel import coeff_is_zero
+from .algebra_kernel import TruncatedSeries, coeff_is_zero
 from .cohomology_models import (
     chern_monomials,
     cp_model,
@@ -37,7 +37,7 @@ from .cohomology_models import (
 )
 from .genus_engine import evaluate
 from .jacobi_q import phi_ell_q
-from .weighted_poly import _FIELD, PolyRing, WeightedPoly, _make, _normal
+from .weighted_poly import PolyRing, WeightedPoly
 
 
 class DegenerateSample(ValueError):
@@ -131,55 +131,46 @@ def pushed_defect(spec, q, dim):
 
     G(v) = Q(v) prod_{i=1..q} Q(x_i - v) is the blow-up integrand, since
     Q(x_1 - v) = Q(0) = 1 at v = x_1, and G(0) = prod_i Q(x_i).  It is
-    built in spec.ring[v, e_1..e_q], e_i of weight i, through weight
-    dim + q as the exponential of log G: with p_j the power sums of the
-    roots in the e's (p_0 = q),
+    built through weight dim + q as the exponential of log G: with p_j
+    the power sums of the roots in the e's (p_0 = q),
 
         log G = sum_m l_m (v^m + sum_j C(m, j) (-v)^(m-j) p_j),
 
-    by k G_k = sum_j j L_j G_(k-j) on its weight-k parts.  Only the terms
-    v^a e^b of e-weight |b| <= dim are formed.  The e-weight is additive,
-    so a term above dim only makes terms above dim; and within weight
-    dim + q such a term has a < q, which p_* after the division by v sends
-    to 0.  The classes e_i with i > dim thus never appear, the result
-    through weight dim is exact in e_1..e_q, and a point centre's
-    integrand is a series in v alone.
+    whose weight-m parts L_m are the coefficients of a TruncatedSeries,
+    G_k = [t^k] exp(sum_m L_m t^m).  The ring is spec.ring[v, e_1..e_q]
+    with v of weight 0 and e_i of weight i, so a weight there is the
+    e-weight, and each L_m carries the cap dim: every product in the
+    exponential drops the terms v^a e^b of e-weight |b| > dim before
+    forming them.  The e-weight is additive, so a term above dim only
+    makes terms above dim; and within weight dim + q such a term has
+    a < q, which p_* after the division by v sends to 0.  The classes e_i
+    with i > dim thus never appear, the result through weight dim is
+    exact in e_1..e_q, and a point centre's integrand is a series in v
+    alone.
     """
     cap = _defect_cap(q, dim)
     if spec.order < cap:
         raise TruncationTooLow(
             f"genus truncation {spec.order} < required {cap}"
         )
-    ring = PolyRing("v", *((f"e{i}", i) for i in range(1, q + 1)),
+    ring = PolyRing(("v", 0), *((f"e{i}", i) for i in range(1, q + 1)),
                     base=spec.ring)
     zeros = (0,) * q
     powers = [{zeros: q}] + [
         {tuple(part.count(i) for i in range(1, q + 1)): c
          for part, c in pj.items()}
         for pj in power_sums_in_chern(dim, min(q, dim))[1:]]
-    jlogs = [ring.zero]  # jlogs[m] = m L_m, L_m the weight-m part of log G
+    logs = [ring.zero]
     for n in range(1, cap + 1):
-        ints = {(n,) + zeros: n}  # from log Q(v)
+        ints = {(n,) + zeros: 1}  # from log Q(v)
         for j in range(min(n, dim) + 1):
-            k = comb(n, j) * (-1) ** (n - j) * n
+            k = comb(n, j) * (-1) ** (n - j)
             for a, c in powers[j].items():
                 ints[(n - j,) + a] = ints.get((n - j,) + a, 0) + k * c
         l_n = spec.log_coeffs[n]
-        jlogs.append(WeightedPoly(ring, {e: l_n * k for e, k in ints.items()}))
-    # the e-weight of a key: its weight field less v's exponent field
-    shift, pos = ring._shift, ring._pos[0]
-    graded = [ring.one]
-    for k in range(1, cap + 1):
-        g = ring.dot(zip(jlogs[1:k + 1], reversed(graded)))
-        num = {key: c for key, c in g.num.items()
-               if (key >> shift) - (key >> pos & _FIELD) <= dim}
-        if g.den is None:
-            g = _make(ring, {key: c * Fraction(1, k)
-                             for key, c in num.items()}, None, None)
-        else:
-            # dropping terms can leave a factor common with the denominator
-            g = _normal(ring, num, g.den * k, None)
-        graded.append(g)
+        logs.append(WeightedPoly(ring, {e: l_n * k for e, k in ints.items()},
+                                 cap=dim))
+    graded = TruncatedSeries(ring, logs).exp().coeffs
     # (G - G(0)) / v: drop the v-free terms, lower the power of v
     over_v = {(e[0] - 1,) + e[1:]: c
               for gn in graded for e, c in gn.terms.items() if e[0]}
@@ -252,8 +243,7 @@ def verify_elliptic_identity(N, q, qorder=2, xorder=4):
     dim = xorder - 1
     spec = phi_ell_q(qorder, _defect_cap(q, dim), N)
     pushed = pushed_defect(spec, q, dim)
-    for e in sorted(pushed.terms,
-                    key=lambda t: (pushed.term_weight(t), t)):
+    for e in sorted(pushed.terms, key=pushed.ring.key):
         lowest = _first_nonzero(pushed.terms[e])
         if lowest is not None:
             return False, (e, *lowest)

@@ -86,7 +86,7 @@ def fr_str(fr):
 def poly_pairs(p):
     """WeightedPoly -> ordered [monomial-text, coefficient] pairs."""
     out = []
-    for e in sorted(p.terms, key=p._grlex_key, reverse=True):
+    for e in sorted(p.terms, key=p.ring.key, reverse=True):
         mon = "*".join(
             n if k == 1 else f"{n}^{k}"
             for n, k in zip(p.ring.names, e) if k

@@ -539,7 +539,7 @@ def catalog(name, max_dim=None, what="the manifold"):
         return ChernVector(3, {(3,): Fraction(2)})
     if name == "W4":
         return ChernVector(4, {(2, 2): Fraction(2), (4,): Fraction(6)})
-    if name.startswith("W") and name[1:].isdigit():
+    if name.startswith("W") and name[1:].isdecimal():
         k = int(name[1:])
         if k >= 5:
             check_size(what, k, max_dim)
@@ -547,7 +547,7 @@ def catalog(name, max_dim=None, what="the manifold"):
             if k % 2 == 1:
                 return w_odd((k - 1) // 2)
             return w_even((k - 2) // 2)
-    if name.startswith("CP") and name[2:].isdigit():
+    if name.startswith("CP") and name[2:].isdecimal():
         n = int(name[2:])
         check_size(what, n, max_dim)
         return cp_model(n)

@@ -419,9 +419,12 @@ def t_poly(N):
 def reduce_mod_ideal(v, gens):
     """Canonical normal form of v modulo the graded ideal spanned by gens.
 
-    Works weight by weight: in each weight the ideal's span over monomial
-    multipliers is row-reduced exactly over Q and v's coefficient vector
-    is reduced against it.  v need not be homogeneous.
+    Works weight by weight, on the polynomials themselves: in each weight
+    the products of the homogeneous gens with every monomial multiplier
+    are brought to reduced echelon form exactly over Q (_echelon_insert),
+    each row led by the graded-lex largest term it keeps, and v's part of
+    that weight is reduced against them (_reduce).  v need not be
+    homogeneous.
     """
     ring = v.ring
     by_weight = {}
@@ -430,65 +433,41 @@ def reduce_mod_ideal(v, gens):
         by_weight.setdefault(w, {})[exps] = c
     out = ring.zero
     for w, part in by_weight.items():
-        monoms = ring.monomials_of_weight(w)
-        # graded-lex descending so normal forms drop leading monomials
-        monoms.sort(key=lambda e: e, reverse=True)
-        index = {e: i for i, e in enumerate(monoms)}
-        rows = []
+        basis = {}
         for g in gens:
             gw = g.weight()
             if gw is None or gw > w:
                 continue
             for me in ring.monomials_of_weight(w - gw):
-                prod = g * ring.monomial(me)
-                row = [Fraction(0)] * len(monoms)
-                for e, c in prod.terms.items():
-                    row[index[e]] = c
-                rows.append(row)
-        vec = [Fraction(0)] * len(monoms)
-        for e, c in part.items():
-            vec[index[e]] = c
-        vec = _reduce_vector(rows, vec)
-        for i, c in enumerate(vec):
-            if c:
-                out = out + ring.monomial(monoms[i], c)
+                _echelon_insert(basis, g * ring.monomial(me))
+        out = out + _reduce(basis, WeightedPoly(ring, part))
     return out
 
 
-def _echelon_insert(basis, vec):
-    """Exact Gauss-Jordan step: add vec to basis, a reduced row echelon
-    form kept as a list of (pivot column, row with 1 there).  Returns
-    False, leaving basis as it was, if vec lies in its span."""
-    vec = _reduce(basis, vec)
-    c = next((i for i, x in enumerate(vec) if x != 0), None)
-    if c is None:
-        return False
-    inv = Fraction(1) / vec[c]
-    vec = [x * inv for x in vec]
-    for k, (pc, row) in enumerate(basis):
-        if row[c] != 0:
-            fct = row[c]
-            basis[k] = (pc, [a - fct * b for a, b in zip(row, vec)])
-    basis.append((c, vec))
-    return True
+def _echelon_insert(basis, p):
+    """Exact Gauss-Jordan step: add p to basis, a reduced echelon form
+    kept as a dict leading exponents -> monic row, each row zero at every
+    other row's lead.  Leaves basis as it was if p lies in its span."""
+    p = _reduce(basis, p)
+    if p.is_zero():
+        return
+    lead, _ = p.leading()
+    p = p.monic()
+    for e, row in basis.items():
+        c = row.coeff(lead)
+        if c:
+            basis[e] = row - p * c
+    basis[lead] = p
 
 
-def _reduce(basis, vec):
-    """vec minus the combination of basis rows that clears every pivot
-    column: its canonical normal form modulo their span."""
-    for c, row in basis:
-        if vec[c] != 0:
-            fct = vec[c]
-            vec = [a - fct * b for a, b in zip(vec, row)]
-    return vec
-
-
-def _reduce_vector(rows, vec):
-    """Reduce vec against the row space of rows (exact Gauss-Jordan)."""
-    basis = []
-    for row in rows:
-        _echelon_insert(basis, row)
-    return _reduce(basis, list(vec))
+def _reduce(basis, p):
+    """p minus the combination of basis rows that clears every lead: its
+    canonical normal form modulo their span."""
+    for lead, row in basis.items():
+        c = p.coeff(lead)
+        if c:
+            p = p - row * c
+    return p
 
 
 def in_ideal(v, gens):

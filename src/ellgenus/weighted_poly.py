@@ -99,12 +99,16 @@ def _check_guards(ring, keys):
 
 
 class PolyRing:
-    """base[x_1, ..., x_k] with a positive integer weight per variable.
+    """base[x_1, ..., x_k] with an integer weight at least 0 per variable.
 
     base is a ring context (QQ by default, or e.g. Q(zeta_N), a ring of
     q-series or another PolyRing).  Variables are ordered; the first
     variable is largest in the graded lexicographic term order used for
-    display and leading terms.
+    display and leading terms, which is the order of the keys.  A
+    variable of weight 0 is not counted by the weight, so a cap leaves
+    every power of it and bounds the others only; such a ring has
+    infinitely many monomials of each weight, and monomials_of_weight
+    refuses it.
     """
 
     def __init__(self, *variables, base=QQ):
@@ -115,8 +119,8 @@ class PolyRing:
             else:
                 name, w = v
                 w = int(w)
-                if w <= 0:
-                    raise ValueError("variable weights must be positive")
+                if w < 0:
+                    raise ValueError("variable weights must be at least 0")
                 spec.append((str(name), w))
         self.variables = tuple(spec)
         self.names = tuple(n for n, _ in spec)
@@ -282,6 +286,9 @@ class PolyRing:
 
     def monomials_of_weight(self, w):
         """All exponent tuples of total weight exactly w."""
+        if 0 in self.weights:
+            raise ValueError(f"{self!r} has a variable of weight 0, so "
+                             "infinitely many monomials of each weight")
         out = []
 
         def rec(i, rem, acc):
@@ -540,10 +547,6 @@ class WeightedPoly:
 
     # -- term order / display ----------------------------------------------
 
-    def _grlex_key(self, exps):
-        # graded lex: higher weight first, then lex with variable 0 largest
-        return (self.term_weight(exps), exps)
-
     def leading(self):
         """(exps, coeff) of the graded-lex leading term, the largest key;
         None for zero."""
@@ -569,7 +572,7 @@ class WeightedPoly:
         else:
             den = None
             items = [(e, self.terms[e]) for e in sorted(
-                self.terms, key=self._grlex_key, reverse=True)]
+                self.terms, key=ring.key, reverse=True)]
         out = []
         for e, c in items:
             mon = "*".join(n if k == 1 else f"{n}^{k}"

@@ -2,13 +2,15 @@
 
 Dense polynomials in one variable over Q as coefficient lists, low ->
 high (products, division with remainder, the gcd and the cyclotomic
-polynomials by their divisor recursion), and a symbolic Sylvester
+polynomials by their divisor recursion), a symbolic Sylvester
 resultant of WeightedPoly values by fraction-free (Bareiss) elimination,
-with the exact division it needs.  None of this runs in the package: it
-computes on ints (jacobi_q's modulus and Euclidean steps, level_n's
-subresultant at integer nodes) and is compared with these here.  Also
-times_x, the shift by a power of x that the oracles of the elliptic ODE
-in its power-series form H = x h use.
+with the exact division it needs, and Gauss-Jordan elimination on dense
+Fraction rows.  None of this runs in the package: it computes on ints
+(jacobi_q's modulus and Euclidean steps, level_n's subresultant at
+integer nodes) and reduces modulo an ideal on the polynomials
+themselves, and is compared with these here.  Also times_x, the shift
+by a power of x that the oracles of the elliptic ODE in its power-series
+form H = x h use.
 """
 
 from fractions import Fraction
@@ -182,3 +184,66 @@ def resultant_in(p, q, var):
     for i in range(m):
         rows.append([ring.zero] * i + qc + [ring.zero] * (size - i - n - 1))
     return bareiss_determinant(rows, ring.zero, ring.one)
+
+
+# ---------------------------------------------------------------------------
+# dense Gauss-Jordan elimination over Q
+# ---------------------------------------------------------------------------
+
+
+def echelon_insert(basis, vec):
+    """Exact Gauss-Jordan step: add vec to basis, a reduced row echelon
+    form kept as a list of (pivot column, row with 1 there).  Returns
+    False, leaving basis as it was, if vec lies in its span."""
+    vec = echelon_reduce(basis, vec)
+    c = next((i for i, x in enumerate(vec) if x != 0), None)
+    if c is None:
+        return False
+    inv = Fraction(1) / vec[c]
+    vec = [x * inv for x in vec]
+    for k, (pc, row) in enumerate(basis):
+        if row[c] != 0:
+            fct = row[c]
+            basis[k] = (pc, [a - fct * b for a, b in zip(row, vec)])
+    basis.append((c, vec))
+    return True
+
+
+def echelon_reduce(basis, vec):
+    """vec minus the combination of basis rows that clears every pivot
+    column: its canonical normal form modulo their span."""
+    for c, row in basis:
+        if vec[c] != 0:
+            fct = vec[c]
+            vec = [a - fct * b for a, b in zip(vec, row)]
+    return vec
+
+
+def dense_reduce_mod_ideal(v, gens):
+    """The normal form of v modulo the ideal of the homogeneous gens, by
+    dense rows: per weight, the columns are the monomials of that weight
+    in falling exponent tuples, the rows the gens times every monomial."""
+    ring = v.ring
+    by_weight = {}
+    for exps, c in v.terms.items():
+        by_weight.setdefault(v.term_weight(exps), {})[exps] = c
+    out = {}
+    for w, part in by_weight.items():
+        monoms = sorted(ring.monomials_of_weight(w), reverse=True)
+        index = {e: i for i, e in enumerate(monoms)}
+        basis = []
+        for g in gens:
+            gw = g.weight()
+            if gw is None or gw > w:
+                continue
+            for me in ring.monomials_of_weight(w - gw):
+                row = [Fraction(0)] * len(monoms)
+                for e, c in (g * ring.monomial(me)).terms.items():
+                    row[index[e]] = c
+                echelon_insert(basis, row)
+        vec = [Fraction(0)] * len(monoms)
+        for e, c in part.items():
+            vec[index[e]] = c
+        out.update((monoms[i], c)
+                   for i, c in enumerate(echelon_reduce(basis, vec)) if c)
+    return WeightedPoly(ring, out)

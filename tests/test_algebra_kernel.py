@@ -61,8 +61,9 @@ def test_parse_rational_refuses_what_fraction_cannot_read_quickly():
     assert parse_rational(" 3/4 ") == F(3, 4)
     assert parse_rational(0.5) == F(1, 2)
     assert parse_rational(-7) == -7
+    # and a bool, which Fraction reads as 0 or 1
     for bad in ("1e4300", "12e4299", "1" * 4301, "1e99999999",
-                float("inf"), float("-inf"), float("nan")):
+                float("inf"), float("-inf"), float("nan"), True, False):
         with pytest.raises(ValueError):
             parse_rational(bad)
     with pytest.raises(ValueError):

@@ -829,6 +829,16 @@ def test_malformed_chern_number_keys_exit_2(dim, numbers, message, fmt):
     assert _one_line_error(text, fmt) == message
 
 
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["CP²", "W²", "CP¹2"])
+def test_superscript_digits_name_no_catalog_manifold(name, fmt):
+    # str.isdigit accepts superscripts, which int() then refuses
+    rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                   f"catalog:{name}", "--format", fmt)
+    assert rc == 2
+    assert _one_line_error(text, fmt) == f"unknown catalog manifold {name!r}"
+
+
 # One case per fault of the inline-manifold reader: each exits 2 with one
 # line that names the missing or bad field, in text and in json.
 BAD_MANIFOLDS = [
@@ -852,6 +862,17 @@ BAD_MANIFOLDS = [
      '"E":{"trivial":false}}',
      "field 'trivial' must be a nonnegative integer, got false"),
     (("genus", "eval", "--genus", "todd"), "[1]", "expected an object"),
+    # Fraction(True) is 1: a JSON boolean is no rational at any parse site
+    (("genus", "eval", "--genus", "todd"),
+     '{"type":"chern_numbers","dim":1,"numbers":{"1":true}}',
+     "bad Chern number '1': true"),
+    (("genus", "eval", "--genus", "todd"),
+     '{"type":"hypersurface","ambient":{"type":"cp","n":2},"c1":[true]}',
+     "bad coefficient true"),
+    (("genus", "eval", "--genus", "todd"),
+     '{"type":"twisted_bundle","base":{"type":"cp","n":1},'
+     '"E":{"lines":[[false]]}}',
+     "bad coefficient false"),
 ]
 
 
@@ -902,7 +923,8 @@ def test_deeply_nested_manifold_json_exits_2(source, fmt, tmp_path):
 
 _CATALOG_NAMES = ["W1", "W2", "W3", "W4", "W5", "W6", "K3", "CP0", "CP1",
                   "CP3", "CP-1", "CP", "TwCP(0,0)", "TwCP(2,1)", "TwCP(1,x)",
-                  "TwCP(3)", "W0", "Wx", "", " CP2", "X", "CP60", "W60"]
+                  "TwCP(3)", "W0", "Wx", "", " CP2", "X", "CP60", "W60",
+                  "CP²", "W²"]
 _JSON_KEYS = ["type", "n", "name", "factors", "ambient", "c1", "base", "E",
               "F", "lines", "trivial", "dim", "numbers", "1,1", "2", "0,x"]
 # small leaves only, so no drawn manifold is expensive

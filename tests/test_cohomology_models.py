@@ -579,8 +579,10 @@ def test_catalog_w1_w4():
 
 
 def test_catalog_unknown():
-    with pytest.raises(UnknownName):
-        catalog("nonsense")
+    # str.isdigit accepts the superscript digits, which int() refuses
+    for name in ("nonsense", "CP²", "W²", "CP1²"):
+        with pytest.raises(UnknownName):
+            catalog(name)
 
 
 def test_library_calls_have_no_size_bound():

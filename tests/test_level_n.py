@@ -16,7 +16,6 @@ from ellgenus.level_n import (
     AB_RING,
     GradedIdealPresentation,
     WrongPoleOrder,
-    _echelon_insert,
     _lower_set,
     _point_values,
     _resultant,
@@ -45,7 +44,8 @@ from ellgenus.universal_elliptic import (
 )
 from ellgenus.weighted_poly import WeightedPoly
 
-from _oracles import bareiss_determinant, poly_mul, resultant_in, times_x
+from _oracles import (bareiss_determinant, dense_reduce_mod_ideal,
+                      echelon_insert, poly_mul, resultant_in, times_x)
 
 F = Fraction
 A, B, C, D = ABCD_RING.gens()
@@ -196,7 +196,7 @@ def _unisolvent_points(support, points):
     until the square system on support is nonsingular."""
     basis, kept = [], []
     for p in points:
-        if _echelon_insert(basis, _slice_row(support, p)):
+        if echelon_insert(basis, _slice_row(support, p)):
             kept.append(p)
             if len(kept) == len(support):
                 return kept
@@ -208,7 +208,7 @@ def _solve(rows, values):
     rows of a nonsingular square system."""
     basis = []
     for row, v in zip(rows, values):
-        _echelon_insert(basis, list(row) + [v])
+        echelon_insert(basis, list(row) + [v])
     assert sorted(c for c, _ in basis) == list(range(len(rows)))
     return [row[-1] for _, row in sorted(basis, key=lambda cr: cr[0])]
 
@@ -586,6 +586,50 @@ def test_reduce_mod_ideal_basics():
     assert red == C
     assert in_ideal(A * A * B - A * D, [A])
     assert not in_ideal(B * B, [A])
+
+
+_coefficients = st.fractions(min_value=-6, max_value=6,
+                             max_denominator=5).filter(bool)
+
+
+@st.composite
+def _homogeneous(draw, ring, w):
+    """A nonzero polynomial of weight w in ring, up to four terms."""
+    support = draw(st.lists(st.sampled_from(ring.monomials_of_weight(w)),
+                            min_size=1, max_size=4, unique=True))
+    return WeightedPoly(ring, {e: draw(_coefficients) for e in support})
+
+
+@st.composite
+def _ideal_problems(draw):
+    """(gens, v): one to three homogeneous generators of weights 1..4 in
+    one of the rings with weights 1, 2, 3, 4 or 1, 2, and a polynomial
+    of up to three weights, 0..7, which is sometimes partly a
+    combination of the generators, so that parts of it reduce to 0."""
+    ring = draw(st.sampled_from((ABCD_RING, Q_RING, AB_RING)))
+    gens = [draw(_homogeneous(ring, draw(st.integers(1, 4))))
+            for _ in range(draw(st.integers(1, 3)))]
+    v = ring.zero
+    for w in draw(st.lists(st.integers(0, 7), max_size=3, unique=True)):
+        v = v + draw(_homogeneous(ring, w))
+        for g in gens:
+            if g.weight() <= w and draw(st.booleans()):
+                v = v + g * draw(_homogeneous(ring, w - g.weight()))
+    return gens, v
+
+
+@seed(20261035)
+@settings(max_examples=120, deadline=None)
+@given(_ideal_problems())
+def test_reduce_mod_ideal_matches_dense_gauss_jordan(problem):
+    # the rows are led by their largest key, the graded-lex largest
+    # exponents, as the dense rows are pivoted at their first column, so
+    # both reduce to the same normal form
+    gens, v = problem
+    red = reduce_mod_ideal(v, gens)
+    assert red == dense_reduce_mod_ideal(v, gens)
+    assert reduce_mod_ideal(red, gens) == red
+    assert reduce_mod_ideal(v - red, gens).is_zero()
 
 
 def test_phi_tilde_kernel_cp():

@@ -275,7 +275,8 @@ def test_exact_div_matches_oracle(p, q):
 def _oracle_str(p):
     """The text of the printer that formatted one Fraction per term."""
     parts = []
-    for e in sorted(p.terms, key=p._grlex_key, reverse=True):
+    for e in sorted(p.terms, key=lambda e: (p.term_weight(e), e),
+                    reverse=True):
         c = p.terms[e]
         mon = "*".join(n if k == 1 else f"{n}^{k}"
                        for n, k in zip(p.ring.names, e) if k)
@@ -524,3 +525,39 @@ def test_exponent_reaching_the_field_bound_raises():
     u = nested.gen("x") ** (EXPONENT_BOUND - 1)
     with pytest.raises(ExponentOverflow):
         u * nested.gen("x")
+
+
+# ---------------------------------------------------------------------------
+# a variable of weight 0
+# ---------------------------------------------------------------------------
+
+
+def test_a_variable_may_have_weight_0_but_not_below():
+    ring = PolyRing(("v", 0), ("e1", 1))
+    assert ring.weights == (0, 1)
+    assert (ring.gen("v") ** 5).weight() == 0
+    with pytest.raises(ValueError):
+        PolyRing(("v", -1), ("e1", 1))
+
+
+def test_a_cap_keeps_every_power_of_a_weight_0_variable():
+    # the cap bounds the weight of e1, e2 only, over QQ, in the flat form
+    # and over Q(zeta_3), each product against the full one filtered
+    for base in (QQ, AB, y_model(3)[0]):
+        ring = PolyRing(("v", 0), ("e1", 1), ("e2", 2), base=base)
+        v, e1, e2 = ring.gens()
+        p = 1 + v ** 9 + e1 * v * 3 - e2 * 2
+        q = v ** 20 - e1 * e1 + e2 * v ** 2 + 5
+        full = p * q
+        for cap in (0, 1, 2, 3):
+            got = p.truncate(cap) * q
+            assert got.cap == cap
+            assert got.terms == {e: c for e, c in full.terms.items()
+                                 if e[1] + 2 * e[2] <= cap}
+        assert (p.truncate(0) * q).coeff((29, 0, 0)) == base.one
+
+
+def test_monomials_of_weight_refuses_a_weight_0_variable():
+    ring = PolyRing(("v", 0), ("e1", 1))
+    with pytest.raises(ValueError, match="weight 0"):
+        ring.monomials_of_weight(2)
