@@ -210,14 +210,18 @@ def verify_rational_identity(q, samples):
         raise DegenerateSample("need exactly q sample points")
     if len(set(xs)) != q:
         raise DegenerateSample("sample points must be pairwise distinct")
-    total = Fraction(0)
-    for i in range(q):
-        prod = Fraction(1)
-        for j in range(q):
+    # for x = n/d, x_j/(x_j - x_i) = n_j d_i/(n_j d_i - n_i d_j): each
+    # term is an int ratio, and the sum is num/den over their product
+    nds = [(x.numerator, x.denominator) for x in xs]
+    num, den = 0, 1
+    for i, (ni, di) in enumerate(nds):
+        top = bottom = 1
+        for j, (nj, dj) in enumerate(nds):
             if j != i:
-                prod *= xs[j] / (xs[j] - xs[i])
-        total += prod
-    return total == 1
+                top *= nj * di
+                bottom *= nj * di - ni * dj
+        num, den = num * bottom + top * den, den * bottom
+    return num == den
 
 
 def verify_elliptic_identity(N, q, qorder=2, xorder=4):

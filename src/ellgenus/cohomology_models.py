@@ -1,9 +1,9 @@
-"""Finite exact models of cohomology rings with Chern class and integration.
+"""Finite exact models of cohomology rings with Chern roots and integration.
 
-A CohomologyModel is a finite graded commutative Q-algebra given by a basis,
-structure constants, a distinguished total Chern class and a top-degree
-integration functional.  Elements are dicts mapping basis labels to
-coefficients.  The data of a model (structure constants, Chern class,
+A CohomologyModel is a finite graded commutative Q-algebra given by a
+basis, structure constants, the Chern roots of its tangent bundle and a
+top-degree integration functional.  Elements are dicts mapping basis
+labels to coefficients.  The data of a model (structure constants, roots,
 integrals) are ints where they are integral, as for H*(X; Z), and
 Fractions only where a class is truly rational, such as c_1/3 on CP2:
 each integral Fraction is made an int where it enters a model, so
@@ -12,22 +12,26 @@ coefficients may also lie in any commutative ring that multiplies with
 ints (weighted polynomials, q-series, ...), which is what lets
 genus-valued characteristic classes live in the same machinery.
 
-Constructors here cover complex projective spaces, products and smooth
-hypersurfaces; the catalog exposes the standard generator manifolds used
-throughout.  check_size holds the size bounds of a manifold built for a
-command, which the catalog and manifold_json apply before they build.
-Structure constants are filled on first use: each model's table
-computes an entry when a product first asks for it.  Chern numbers
-share the monomials c_{p_1}...c_{p_k} of common prefixes.  The twisted
-projective bundles (catalog W5, W6, ... and TwCP(p,q)) are in
-twisted_bundles and manifolds read from JSON in manifold_json; each is
-imported only where such a manifold is built.
+By the splitting principle each constructor states TX as a sum of line
+bundles, the roots (x, k) with multiplicity k: CP_n has (g, n+1), and a
+hypersurface adds (c_1 L, -1) to its ambient's.  The power sums p_m =
+sum k x^m are root powers; c(TX) = prod (1 + x)^k is formed only when
+read.  Constructors here cover complex projective spaces, products and
+smooth hypersurfaces, and the catalog the standard generator manifolds;
+check_size holds the size bounds of a manifold built for a command,
+which the catalog and manifold_json apply before they build.  Structure
+constants are filled on first use, and Chern numbers share the monomials
+c_{p_1}...c_{p_k} of common prefixes.  The twisted projective bundles
+(catalog W5, W6, ... and TwCP(p,q)) are in twisted_bundles and manifolds
+read from JSON in manifold_json; each is imported only where such a
+manifold is built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import lcm
 
 from .algebra_kernel import _fr, coeff_is_zero
 
@@ -137,7 +141,7 @@ class StructureTable(dict):
 
 
 class CohomologyModel:
-    """Finite graded commutative algebra with Chern class and integration.
+    """Finite graded commutative algebra with Chern roots and integration.
 
     Parameters
     ----------
@@ -147,13 +151,15 @@ class CohomologyModel:
     unit : the degree-0 basis label.
     mul_table : StructureTable (label, label) -> dict label -> rational.
     integral : dict label -> rational (value of the integration functional).
-    chern : element dict (total Chern class, rational coefficients).
+    roots : list of (x, k), x a degree-1 element and k an integer: TX is
+        stably the sum of the line bundles of first Chern class x, each
+        k times (k < 0 subtracts it).
     name : display name.
 
     The constructors below store each integral rational as an int.
     """
 
-    def __init__(self, dim, labels, degree, unit, mul_table, integral, chern,
+    def __init__(self, dim, labels, degree, unit, mul_table, integral, roots,
                  name="X"):
         self.dim = dim
         self.labels = list(labels)
@@ -161,7 +167,7 @@ class CohomologyModel:
         self.unit = unit
         self.mul_table = mul_table
         self.integral = dict(integral)
-        self.chern = dict(chern)
+        self.roots = list(roots)
         self.name = name
 
     # -- element algebra (generic coefficients) ------------------------------
@@ -222,8 +228,28 @@ class CohomologyModel:
 
     # -- Chern data ----------------------------------------------------------
 
+    @cached_property
+    def chern(self):
+        """c(TX), the total Chern class, formed from the roots when read."""
+        return total_chern(self, self.roots)
+
     def chern_class(self, i):
+        """c_i(TX); c_1 = p_1, the sum of the roots, needs no c(TX)."""
+        if i == 1 and self.dim:
+            return self.power_sums(1)[1]
         return self.degree_part(self.chern, i)
+
+    def power_sums(self, top):
+        """[None, p_1, ..., p_top], p_m = sum k x^m over the roots."""
+        ps = [None] + [{} for _ in range(top)]
+        for x, k in self.roots:
+            power = x
+            for m in range(1, top + 1):
+                ps[m] = self.add(ps[m], self.scale(power, k))
+                power = self.mul(power, x) if m < top else {}
+                if not power:
+                    break
+        return ps
 
     def is_su(self):
         """True if every Chern number involving c_1 vanishes; c_1 = 0 in
@@ -238,6 +264,22 @@ class CohomologyModel:
 
     def __repr__(self):
         return f"<CohomologyModel {self.name}, dim {self.dim}>"
+
+
+def total_chern(model, roots):
+    """prod (1 + x)^k over the roots (x, k), through degree model.dim:
+    (1 + x)^k = sum_j binom(k, j) x^j, k < 0 too, and x is nilpotent."""
+    c = model.one_elt()
+    for x, k in roots:
+        rest, power, b = model.scale(x, k), x, k  # rest = (1 + x)^k - 1
+        for j in range(2, model.dim + 1):
+            b = b * (k - j + 1) // j  # exact: j binom(k, j)
+            power = model.mul(power, x) if b else {}
+            if not power:
+                break
+            rest = model.add(rest, model.scale(power, b))
+        c = model.add(c, model.mul(c, rest))
+    return {l: v for l, v in c.items() if model.degree[l] <= model.dim}
 
 
 def chern_monomials(model, chern_elt=None, top=None):
@@ -297,16 +339,8 @@ def power_sums_in_chern(n, top=None):
 def _model_caps(model, top, u):
     """The starts and the step of power_sum_numbers on a model: the class
     u_d p_{lambda_1}...p_{lambda_k}, from each homogeneous part u_d of u
-    with dim - d left, times p_m(TX) from Newton's identities in the
-    model."""
-    cs = [model.degree_part(model.chern, k) for k in range(top + 1)]
-    ps = [None]
-    for k in range(1, top + 1):
-        acc = model.scale(cs[k], (-1) ** (k - 1) * k)
-        for i in range(1, k):
-            acc = model.add(acc, model.scale(model.mul(cs[i], ps[k - i]),
-                                             (-1) ** (i - 1)))
-        ps.append(acc)
+    with dim - d left, times p_m(TX) from the root powers."""
+    ps = model.power_sums(top)
     starts = [(model.degree_part(u, d), model.dim - d)
               for d in range(model.dim + 1)]
     return starts, lambda v, m, rest: model.mul(v, ps[m]), model.integrate
@@ -434,15 +468,14 @@ def check_size(what, dim, max_dim, rank=1):
 
 
 def cp_model(n):
-    """CP_n: Z[g]/(g^{n+1}), c = (1+g)^{n+1}, integral of g^n is 1."""
+    """CP_n: Z[g]/(g^{n+1}), root g n+1 times, integral of g^n is 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
     labels = list(range(n + 1))
     degree = {i: i for i in labels}
     mul = StructureTable(lambda i, j: {i + j: 1} if i + j <= n else {})
-    integral = {n: 1}
-    chern = {i: comb(n + 1, i) for i in labels}
-    return CohomologyModel(n, labels, degree, 0, mul, integral, chern,
+    roots = [({1: 1}, n + 1)] if n else []
+    return CohomologyModel(n, labels, degree, 0, mul, {n: 1}, roots,
                            name=f"CP{n}")
 
 
@@ -451,7 +484,8 @@ def point_model():
 
 
 def product_model(x, y):
-    """X x Y with tensor basis and product Chern class / integration."""
+    """X x Y with tensor basis, both factors' roots and product
+    integration."""
     labels = [(a, b) for a in x.labels for b in y.labels]
     degree = {(a, b): x.degree[a] + y.degree[b] for a, b in labels}
 
@@ -461,48 +495,35 @@ def product_model(x, y):
         return {(a3, b3): s1 * s2
                 for a3, s1 in x.mul_table[a1, a2].items() for b3, s2 in ys}
 
-    mul = StructureTable(entry)
-    integral = {}
-    for a, b in labels:
-        v = x.integral.get(a, 0) * y.integral.get(b, 0)
-        if v != 0:
-            integral[(a, b)] = v
-    chern = {}
-    for a, ca in x.chern.items():
-        for b, cb in y.chern.items():
-            chern[(a, b)] = chern.get((a, b), 0) + ca * cb
-    chern = {l: c for l, c in chern.items() if c != 0}
-    m = CohomologyModel(x.dim + y.dim, labels, degree, (x.unit, y.unit), mul,
-                        integral, chern, name=f"{x.name}x{y.name}")
-    return m
+    integral = {(a, b): u * v for a, u in x.integral.items()
+                for b, v in y.integral.items() if u * v}
+    roots = ([({(a, y.unit): c for a, c in r.items()}, k) for r, k in x.roots]
+             + [({(x.unit, b): c for b, c in r.items()}, k)
+                for r, k in y.roots])
+    return CohomologyModel(x.dim + y.dim, labels, degree, (x.unit, y.unit),
+                           StructureTable(entry), integral, roots,
+                           name=f"{x.name}x{y.name}")
 
 
 def hypersurface_model(ambient, c1_L):
     """Smooth divisor dual to a line bundle L inside an ambient model.
 
-    The model reuses the ambient ring (restricted classes); integration is
-    u -> integral_ambient(u * c1(L)) and c = c(ambient)/(1 + c1(L)).
+    The model reuses the ambient basis (restricted classes), its products
+    without the classes above degree dim H, which restrict to 0;
+    integration is u -> integral_ambient(u * c1(L)), and TX = T(ambient)
+    - L adds the root (c1(L), -1).
     """
     if ambient.dim < 1:
         raise ValueError("ambient must have positive dimension")
     n = ambient.dim - 1
     c1_L = _integral_elt(c1_L)
-    # c(H) = c(ambient) * (1 + c1L)^{-1}; the inverse is a finite geometric
-    # series because c1L is nilpotent.
-    inv = ambient.one_elt()
-    term = ambient.one_elt()
-    for _ in range(ambient.dim):
-        term = ambient.scale(ambient.mul(term, c1_L), -1)
-        inv = ambient.add(inv, term)
-    chern = ambient.mul(ambient.chern, inv)
-    chern = {l: c for l, c in chern.items() if ambient.degree[l] <= n}
-    integral = {}
-    for l in ambient.labels:
-        v = ambient.integrate(ambient.mul({l: 1}, c1_L))
-        if v != 0:
-            integral[l] = v
+    integral = {l: v for l in ambient.labels
+                if (v := ambient.integrate(ambient.mul({l: 1}, c1_L)))}
+    mul = StructureTable(lambda l1, l2: {
+        l: c for l, c in ambient.mul_table[l1, l2].items()
+        if ambient.degree[l] <= n})
     return CohomologyModel(n, ambient.labels, ambient.degree, ambient.unit,
-                           ambient.mul_table, integral, chern,
+                           mul, integral, ambient.roots + [(c1_L, -1)],
                            name=f"H({ambient.name})")
 
 
@@ -513,9 +534,7 @@ def hypersurface_model(ambient, c1_L):
 
 def quartic_surface():
     """Degree-4 surface in CP3 (a K3 surface): c_1^2 = 0, c_2 = 24."""
-    amb = cp_model(3)
-    c1_L = {1: 4}  # c1(O(4)) = 4g
-    m = hypersurface_model(amb, c1_L)
+    m = hypersurface_model(cp_model(3), {1: 4})  # c1(O(4)) = 4g
     m.name = "W2"
     return m
 
@@ -529,6 +548,8 @@ def catalog(name, max_dim=None, what="the manifold"):
     any model is built.  Without max_dim the catalog has no bound.
     """
     name = name.strip()
+    if not name.isascii():  # int() reads the digits of every script
+        raise UnknownName(name)
     if name == "W1":
         m = cp_model(1)
         m.name = "W1"

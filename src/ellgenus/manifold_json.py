@@ -152,6 +152,8 @@ def _model(obj, max_dim, what):
     numbers, keys = {}, {}
     for key, val in _field(obj, "numbers", dict, {}).items():
         try:
+            if not key.isascii():  # int() reads the digits of every script
+                raise ValueError(key)
             part = tuple(sorted((int(s) for s in key.split(",")),
                                 reverse=True))
             numbers[part] = parse_rational(val)

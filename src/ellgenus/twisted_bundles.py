@@ -6,8 +6,10 @@ quartic surface and over CP3; and the twisted projective spaces
 TwCP(p,q), bundles over a point.  A bundle's ring is H*(B)[t]/(t^r +
 c_1(V) t^(r-1) + ... + c_r(V)); its model reduces t^r .. t^(2r-2) to the
 basis once, so a structure constant, filled on first use, is a base
-product times a stored power of t.  The catalog and the JSON schema
-import this module only for these manifolds.
+product times a stored power of t.  Its roots are the base's, t + x for
+each line x of E and -t + y for each line y of F, a trivial line's t or
+-t.  The catalog and the JSON schema import this module only for these
+manifolds.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from .cohomology_models import (
     cp_model,
     point_model,
     quartic_surface,
+    total_chern,
 )
 
 
@@ -34,7 +37,7 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
     elements of the base model) and trivial summands.  F empty gives the
     ordinary projective bundle of E.  The stable complex structure twists
     the F-part, which shows up in three places: the bundle V = E + F-bar
-    entering the ring relation, the Chern factors (1 - t + y_j), and the
+    entering the ring relation, the roots -t + y_j of TX, and the
     orientation sign (-1)^q in the integration rule
     t^{p+q-1} * pi^*(alpha) -> (-1)^q alpha[B].
     """
@@ -47,22 +50,13 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
         raise RankZeroTotal("E + F must have positive rank")
     dim = base.dim + r - 1
 
-    # V = E + F-bar; roots: E roots and negated F roots (trivial -> 0)
-    v_roots = (
-        e_lines
-        + [base.zero_elt()] * e_trivial
-        + [base.scale(y, -1) for y in f_lines]
-        + [base.zero_elt()] * f_trivial
-    )
-    # elementary symmetric functions of the roots via prod (1 + x_i)
-    cv_total = base.one_elt()
-    for x in v_roots:
-        cv_total = base.mul(cv_total, base.add(base.one_elt(), x))
+    # V = E + F-bar: the E lines and the negated F lines
+    cv_total = total_chern(base, [(x, 1) for x in e_lines]
+                           + [(base.scale(y, -1), 1) for y in f_lines])
     cV = [base.degree_part(cv_total, k) for k in range(r + 1)]
 
     labels = [(bl, j) for bl in base.labels for j in range(r)]
     degree = {(bl, j): base.degree[bl] + j for bl, j in labels}
-    unit = (base.unit, 0)
 
     # tpow[j - r][i] is the base coefficient of t^i in t^j, for
     # r <= j <= 2r - 2: t^r = -sum_k c_k(V) t^(r-k), and t^(j+1) = t * t^j
@@ -85,31 +79,23 @@ def twisted_proj_bundle_model(base, e_lines=(), e_trivial=0,
                 for i, coeff in enumerate(tpow[j - r])
                 for bl3, s in base.mul(b, coeff).items()}
 
-    mul = StructureTable(entry)
-
-    sign = (-1) ** q
-    integral = {}
-    for bl in base.labels:
-        v = base.integral.get(bl, 0)
-        if v != 0:
-            integral[(bl, r - 1)] = sign * v
-
-    model = CohomologyModel(dim, labels, degree, unit, mul, integral, {},
+    integral = {(bl, r - 1): (-1) ** q * v
+                for bl, v in base.integral.items() if v}
+    model = CohomologyModel(dim, labels, degree, (base.unit, 0),
+                            StructureTable(entry), integral, [],
                             name=name or f"TwP({base.name};{p},{q})")
+    # t in the basis, where it is -c_1(V) if r = 1
+    t = model.mul(model.one_elt(), {(base.unit, 1): 1})
 
-    def lift(u):
-        return {(bl, 0): c for bl, c in u.items()}
+    def lift(u, s):  # pi^* u + s t
+        return model.add({(bl, 0): c for bl, c in u.items()},
+                         model.scale(t, s))
 
-    t = {(base.unit, 1): 1}
-    one_t = model.add(model.one_elt(), t)
-    one_mt = model.add(model.one_elt(), model.scale(t, -1))
-    chern = lift(base.chern)
-    for factor in ([model.add(one_t, lift(x)) for x in e_lines]
-                   + [one_t] * e_trivial
-                   + [model.add(one_mt, lift(y)) for y in f_lines]
-                   + [one_mt] * f_trivial):
-        chern = model.mul(chern, factor)
-    model.chern = {l: c for l, c in chern.items() if model.degree[l] <= dim}
+    roots = ([(lift(x, 0), k) for x, k in base.roots]
+             + [(lift(x, 1), 1) for x in e_lines] + [(t, e_trivial)]
+             + [(lift(y, -1), 1) for y in f_lines]
+             + [(model.scale(t, -1), f_trivial)])
+    model.roots = [(x, k) for x, k in roots if k]
     return model
 
 
@@ -121,17 +107,13 @@ def w_odd(n):
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    base = quartic_surface()
-    g = {1: 1}
-    nu2 = base.scale(g, 8)
-    nu_inv = base.scale(g, -4)
-    m = twisted_proj_bundle_model(
-        base,
+    nu2, nu_inv = {1: 8}, {1: -4}
+    return twisted_proj_bundle_model(
+        quartic_surface(),
         e_lines=[nu2], e_trivial=n - 1,
         f_lines=[nu_inv, nu_inv], f_trivial=n - 2,
         name=f"W{2 * n + 1}",
     )
-    return m
 
 
 def w_even(n):
@@ -141,17 +123,13 @@ def w_even(n):
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    base = cp_model(3)
-    g = {1: 1}
-    K = base.scale(g, 4)
-    K_m2 = base.scale(g, -8)
-    m = twisted_proj_bundle_model(
-        base,
+    K, K_m2 = {1: 4}, {1: -8}
+    return twisted_proj_bundle_model(
+        cp_model(3),
         e_lines=[K], e_trivial=n - 1,
         f_lines=[K_m2], f_trivial=n - 1,
         name=f"W{2 * n + 2}",
     )
-    return m
 
 
 def tw_cp(p, q):

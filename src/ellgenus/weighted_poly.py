@@ -556,11 +556,16 @@ class WeightedPoly:
         return e, self.coeff(e)
 
     def monic(self):
-        """Scale so the graded-lex leading coefficient is 1 (over QQ)."""
+        """Scale so the graded-lex leading coefficient is 1: over QQ
+        its numerator becomes the denominator, over any other base the
+        element is multiplied by the coefficient's inverse, and
+        NonUnitLeadingCoefficient if it is not a unit."""
         if not self.num:
             return self
-        return _normal(self.ring, self.num, self.num[max(self.num)],
-                       self.cap)
+        if self.ring.base is QQ:
+            return _normal(self.ring, self.num, self.num[max(self.num)],
+                           self.cap)
+        return self * ring_invert(self.leading()[1])
 
     def __str__(self):
         ring, den = self.ring, self.den

@@ -10,10 +10,15 @@ Fraction rows.  None of this runs in the package: it computes on ints
 integer nodes) and reduces modulo an ideal on the polynomials
 themselves, and is compared with these here.  Also times_x, the shift
 by a power of x that the oracles of the elliptic ODE in its power-series
-form H = x h use.
+form H = x h use; the total Chern class of each cohomology-model
+constructor multiplied out by its own formula, where the package forms
+c(TX) from the Chern roots alone; and the power sums of a total Chern
+class by Newton's identities in a model, where the package sums root
+powers.
 """
 
 from fractions import Fraction
+from math import comb
 from operator import floordiv
 
 from ellgenus.algebra_kernel import TruncatedSeries, VariableNotPresent
@@ -247,3 +252,68 @@ def dense_reduce_mod_ideal(v, gens):
         out.update((monoms[i], c)
                    for i, c in enumerate(echelon_reduce(basis, vec)) if c)
     return WeightedPoly(ring, out)
+
+
+# ---------------------------------------------------------------------------
+# total Chern classes and power sums of cohomology models
+# ---------------------------------------------------------------------------
+
+
+def cp_chern(n):
+    """c(CP_n) = (1 + g)^(n+1), by the binomial theorem."""
+    return {i: comb(n + 1, i) for i in range(n + 1)}
+
+
+def product_chern(cx, cy):
+    """c(X x Y) = c(X) c(Y) on the tensor basis."""
+    out = {}
+    for a, ca in cx.items():
+        for b, cb in cy.items():
+            out[(a, b)] = out.get((a, b), 0) + ca * cb
+    return {l: c for l, c in out.items() if c != 0}
+
+
+def hypersurface_chern(ambient, c_ambient, c1_L):
+    """c(H) = c(ambient) (1 + c_1 L)^-1 through degree dim H, the inverse
+    a finite geometric series because c_1 L is nilpotent."""
+    inv = ambient.one_elt()
+    term = ambient.one_elt()
+    for _ in range(ambient.dim):
+        term = ambient.scale(ambient.mul(term, c1_L), -1)
+        inv = ambient.add(inv, term)
+    chern = ambient.mul(c_ambient, inv)
+    return {l: c for l, c in chern.items() if ambient.degree[l] < ambient.dim}
+
+
+def twisted_bundle_chern(model, base, c_base, e_lines, e_trivial, f_lines,
+                         f_trivial):
+    """c of a twisted projective bundle model over base: c(B) times
+    (1 + t + x) for each E line x, (1 + t) for each trivial E line,
+    (1 - t + y) for each F line y and (1 - t) for each trivial F line."""
+    def lift(u):
+        return {(bl, 0): c for bl, c in u.items()}
+
+    t = {(base.unit, 1): 1}
+    one_t = model.add(model.one_elt(), t)
+    one_mt = model.add(model.one_elt(), model.scale(t, -1))
+    chern = lift(c_base)
+    for factor in ([model.add(one_t, lift(x)) for x in e_lines]
+                   + [one_t] * e_trivial
+                   + [model.add(one_mt, lift(y)) for y in f_lines]
+                   + [one_mt] * f_trivial):
+        chern = model.mul(chern, factor)
+    return {l: c for l, c in chern.items() if model.degree[l] <= model.dim}
+
+
+def newton_power_sums(model, c, top):
+    """[0, p_1, ..., p_top] of the total class c, by Newton's identities
+    p_m = c_1 p_(m-1) - c_2 p_(m-2) + ... + (-1)^(m-1) m c_m in model."""
+    cs = [model.degree_part(c, m) for m in range(top + 1)]
+    ps = [model.zero_elt()]
+    for m in range(1, top + 1):
+        pm = model.scale(cs[m], Fraction((-1) ** (m - 1) * m))
+        for i in range(1, m):
+            t = model.mul(cs[i], ps[m - i])
+            pm = model.add(pm, model.scale(t, Fraction((-1) ** (i - 1))))
+        ps.append(pm)
+    return ps

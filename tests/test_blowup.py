@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import factorial
@@ -474,6 +475,25 @@ def test_rational_identity_small():
 )
 def test_rational_identity_random_samples(xs):
     assert verify_rational_identity(4, xs)
+
+
+def test_rational_identity_on_criterion_9_draws_and_mixed_inputs():
+    # the sum runs on numerators and denominators; the draws of criterion
+    # 9, zero among the points, one point, and ints, strings and Fractions
+    # that name one rational all give 1
+    rng = random.Random(20240826)
+    for _ in range(50):
+        q = rng.randint(1, 5)
+        xs = set()
+        while len(xs) < q:
+            xs.add(F(rng.randint(-40, 40), rng.randint(1, 8)))
+        assert verify_rational_identity(q, sorted(xs))
+    assert verify_rational_identity(1, [F(-7, 3)])
+    assert verify_rational_identity(3, [0, "1/2", F(-9, 4)])
+    big = [F(10 ** 40 + k, 3 ** 30 + 2 * k) for k in range(5)]
+    assert verify_rational_identity(5, big)
+    with pytest.raises(DegenerateSample):
+        verify_rational_identity(2, ["1/2", F(2, 4)])
 
 
 def test_rational_identity_rejects_degenerate():

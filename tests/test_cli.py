@@ -815,6 +815,10 @@ MALFORMED_CHERN_KEYS = [
     pytest.param(3, {"1,2": "0", "2,1": "24"},
                  "manifold JSON: Chern numbers '1,2' and '2,1' name one "
                  "partition", id="one-partition-twice-reversed"),
+    # int() reads the digits of every script, so the key was read as (3,)
+    pytest.param(3, {"\u0663": "2"},
+                 "manifold JSON: bad Chern number '\u0663': \"2\"",
+                 id="arabic-indic-digit"),
 ]
 
 
@@ -837,6 +841,22 @@ def test_superscript_digits_name_no_catalog_manifold(name, fmt):
                    f"catalog:{name}", "--format", fmt)
     assert rc == 2
     assert _one_line_error(text, fmt) == f"unknown catalog manifold {name!r}"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("name", ["CP\u0663", "W\u0665", "CP1\u0662",
+                                  "TwCP(\u0663,1)", "TwCP(1,\u0968)",
+                                  "CP\uff13"])
+def test_digits_of_other_scripts_name_no_catalog_manifold(name, fmt):
+    # str.isdecimal and int() take the digits of every script: CP3 in
+    # Arabic-Indic digits printed todd(CP3) = 1 and exited 0
+    for manifold in (f"catalog:{name}",
+                     json.dumps({"type": "catalog", "name": name})):
+        rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                       manifold, "--format", fmt)
+        assert rc == 2
+        assert _one_line_error(text, fmt) == (
+            f"unknown catalog manifold {name!r}")
 
 
 # One case per fault of the inline-manifold reader: each exits 2 with one

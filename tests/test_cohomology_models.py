@@ -30,6 +30,14 @@ from ellgenus.twisted_bundles import (
     w_odd,
 )
 
+from _oracles import (
+    cp_chern,
+    hypersurface_chern,
+    newton_power_sums,
+    product_chern,
+    twisted_bundle_chern,
+)
+
 F = Fraction
 
 
@@ -462,10 +470,13 @@ def test_chern_vector_of_products_and_bundles():
 
 
 def _model_data(m):
-    """Every structure constant, Chern-class coefficient and integral."""
+    """Every structure constant, root and Chern-class coefficient and
+    integral."""
     for l1 in m.labels:
         for l2 in m.labels:
             yield from m.mul_table[l1, l2].values()
+    for x, _ in m.roots:
+        yield from x.values()
     yield from m.chern.values()
     yield from m.integral.values()
 
@@ -493,15 +504,16 @@ def test_integral_models_store_ints():
 
 
 def _fraction_copy(m):
-    """The same model with every structure constant, Chern-class
-    coefficient and integral a Fraction."""
+    """The same model with every structure constant, root coefficient
+    and integral a Fraction."""
     def entry(l1, l2):
         return {l: F(c) for l, c in m.mul_table[l1, l2].items()}
 
     return CohomologyModel(
         m.dim, m.labels, m.degree, m.unit, StructureTable(entry),
         {l: F(c) for l, c in m.integral.items()},
-        {l: F(c) for l, c in m.chern.items()}, name=m.name)
+        [({l: F(c) for l, c in x.items()}, k) for x, k in m.roots],
+        name=m.name)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -562,6 +574,143 @@ def test_is_su_agrees_with_the_chern_numbers():
 
 
 # ---------------------------------------------------------------------------
+# the splitting principle: c(TX) and the power sums from the roots
+# ---------------------------------------------------------------------------
+
+
+# Each helper below gives a model and c(TX) by its constructor's formula.
+
+
+def _cp(n):
+    return cp_model(n), cp_chern(n)
+
+
+def _product(a, b):
+    (x, cx), (y, cy) = a, b
+    return product_model(x, y), product_chern(cx, cy)
+
+
+def _hypersurface(a, c1_L):
+    ambient, c = a
+    return (hypersurface_model(ambient, c1_L),
+            hypersurface_chern(ambient, c, c1_L))
+
+
+def _bundle(a, e_lines, e_trivial, f_lines, f_trivial):
+    base, c = a
+    m = twisted_proj_bundle_model(base, e_lines, e_trivial, f_lines,
+                                  f_trivial)
+    return m, twisted_bundle_chern(m, base, c, e_lines, e_trivial, f_lines,
+                                   f_trivial)
+
+
+def _w(k):
+    """W_k (k != 3, 4) by the constructors' formulas, as in the catalog."""
+    if k == 1:
+        return _cp(1)
+    k3 = _hypersurface(_cp(3), {1: 4})
+    if k == 2:
+        return k3
+    n = (k - 1) // 2 if k % 2 else (k - 2) // 2
+    if k % 2:
+        return _bundle(k3, [{1: 8}], n - 1, [{1: -4}, {1: -4}], n - 2)
+    return _bundle(_cp(3), [{1: 4}], n - 1, [{1: -8}], n - 1)
+
+
+def _lines(rng, base, count, den):
+    return [{l: F(rng.randint(-4, 4), den) for l in base.labels
+             if base.degree[l] == 1} for _ in range(count)]
+
+
+def _root_models():
+    """(model, c(TX) by its constructor's formula) for every kind of
+    model: projective spaces, products, hypersurfaces in CP_n and in
+    products, seeded random twisted bundles with integral and
+    half-integral lines, the catalog's W1..W21 and JSON models."""
+    out = [_cp(n) for n in range(6)]
+    cp1xcp2 = _product(_cp(1), _cp(2))
+    out += [cp1xcp2, _product(_cp(2), _cp(0)),
+            _product(_product(_cp(1), _cp(1)), _cp(1)),
+            _product(_cp(2), _hypersurface(_cp(3), {1: 4}))]
+    out += [_hypersurface(_cp(4), {1: 5}), _hypersurface(_cp(3), {1: 2}),
+            _hypersurface(_cp(3), {}), _hypersurface(_cp(1), {1: 3}),
+            _hypersurface(cp1xcp2, {(1, 0): 1, (0, 1): 3}),
+            _hypersurface(cp1xcp2, {(1, 0): F(1, 2), (0, 1): -1}),
+            _hypersurface(_hypersurface(_cp(4), {1: 2}), {1: 3})]
+    rng = random.Random(20261021)
+    bases = [_cp(1), _cp(2), _hypersurface(_cp(3), {1: 4}),
+             _product(_cp(1), _cp(1))]
+    for trial in range(12):
+        base = bases[trial % len(bases)]
+        den = 1 if trial < 6 else 2
+        ne, et, nf, ft = (rng.randint(0, 2) for _ in range(4))
+        out.append(_bundle(base, _lines(rng, base[0], ne, den),
+                           et or not (ne or nf or ft),
+                           _lines(rng, base[0], nf, den), ft))
+    out += [(catalog(f"W{k}"), _w(k)[1]) for k in range(1, 22)
+            if k not in (3, 4)]
+    json_models = [
+        ({"type": "cp", "n": 3}, _cp(3)),
+        ({"type": "product", "factors": [{"type": "cp", "n": 1},
+                                         {"type": "catalog", "name": "K3"}]},
+         _product(_cp(1), _w(2))),
+        ({"type": "hypersurface", "c1": [1, 2], "ambient": {
+            "type": "product", "factors": [{"type": "cp", "n": 1},
+                                           {"type": "cp", "n": 2}]}},
+         # the degree-1 basis of CP1 x CP2 is h_2, h_1
+         _hypersurface(cp1xcp2, {(0, 1): 1, (1, 0): 2})),
+        ({"type": "twisted_bundle", "base": {"type": "cp", "n": 2},
+          "E": {"trivial": 1, "lines": [["1/2"]]},
+          "F": {"lines": [[-1], [3]]}},
+         _bundle(_cp(2), [{1: F(1, 2)}], 1, [{1: -1}, {1: 3}], 0)),
+    ]
+    return out + [(model_from_json(obj), c) for obj, (_, c) in json_models]
+
+
+def test_chern_class_from_the_roots_matches_the_constructor_formulas():
+    for m, c in _root_models():
+        assert m.chern == c, m.name
+
+
+def test_root_power_sums_match_newton():
+    for m, c in _root_models():
+        roots = m.power_sums(m.dim)
+        newton = newton_power_sums(m, c, m.dim)
+        assert roots[1:] == newton[1:], m.name
+        # c_1 = p_1 is read off the roots, without c(TX)
+        assert m.chern_class(1) == (roots[1] if m.dim else {}), m.name
+
+
+def test_hypersurface_products_drop_the_classes_above_its_dimension():
+    # g^3 restricts to 0 on a surface in CP3, so products over the K3
+    # surface carry no such class; integration still reads CP3
+    ambient = cp_model(3)
+    k3 = hypersurface_model(ambient, {1: 4})
+    assert ambient.mul({1: 1}, {2: 1}) == {3: 1}
+    assert k3.mul({1: 1}, {2: 1}) == {} and k3.mul({1: 1}, {1: 1}) == {2: 1}
+    assert k3.integral == {2: 4}
+    m = product_model(cp_model(1), k3)
+    assert m.mul({(0, 1): 1}, {(1, 2): 1}) == {}
+    assert m.power_sums(3)[3] == {}
+
+
+def test_dropping_the_hypersurface_root_changes_a_chern_number():
+    # negative control: the root (c_1 L, -1) is what makes W2 a K3 surface;
+    # without it the model has c(CP3) restricted, and c_1^2 = 64, c_2 = 24
+    def cut(m):
+        return CohomologyModel(m.dim, m.labels, m.degree, m.unit, m.mul_table,
+                               m.integral, m.roots[:-1], name=m.name)
+
+    k3 = hypersurface_model(cp_model(3), {1: 4})
+    assert k3.roots[-1] == ({1: 4}, -1)
+    assert chern_vector(k3).numbers == {(2,): 24, (1, 1): 0}
+    assert chern_vector(cut(k3)).numbers == {(2,): 24, (1, 1): 64}
+    m = hypersurface_model(cp_model(4), {1: 5})
+    assert chern_vector(cut(m)) != chern_vector(m)
+    assert milnor_number(cut(m)) != milnor_number(m)
+
+
+# ---------------------------------------------------------------------------
 # catalog and JSON schema
 # ---------------------------------------------------------------------------
 
@@ -581,6 +730,12 @@ def test_catalog_w1_w4():
 def test_catalog_unknown():
     # str.isdigit accepts the superscript digits, which int() refuses
     for name in ("nonsense", "CP²", "W²", "CP1²"):
+        with pytest.raises(UnknownName):
+            catalog(name)
+    # and int() the digits of every script: Arabic-Indic, Devanagari and
+    # fullwidth ones are no catalog name
+    for name in ("CP\u0663", "W\u0665", "TwCP(\u0663,1)", "TwCP(1,\u0968)",
+                 "CP\uff13"):
         with pytest.raises(UnknownName):
             catalog(name)
 

@@ -42,7 +42,7 @@ from ellgenus.manifold_json import model_from_json
 from ellgenus.universal_elliptic import phi_ell
 from ellgenus.weighted_poly import PolyRing, horner
 
-from _oracles import exact_div
+from _oracles import exact_div, newton_power_sums
 
 F = Fraction
 
@@ -591,20 +591,11 @@ def test_criterion_10_inverts_f_once(monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _multiplicative_class_by_newton(spec, model):
+def _multiplicative_class_by_newton(spec, model, c=None):
     """Oracle: K(c) = exp(sum_m l_m p_m) in the model, with the power sums
-    p_m of c = c(TX) from Newton's identities."""
-    c = model.chern
+    p_m of c (default c(TX)) from Newton's identities."""
     top = min(model.dim, spec.order)
-    cs = [model.degree_part(c, m) for m in range(top + 1)]
-    # Newton: p_m = c_1 p_{m-1} - c_2 p_{m-2} + ... + (-1)^{m-1} m c_m
-    ps = [model.zero_elt()]
-    for m in range(1, top + 1):
-        pm = model.scale(cs[m], F((-1) ** (m - 1) * m))
-        for i in range(1, m):
-            t = model.mul(cs[i], ps[m - i])
-            pm = model.add(pm, model.scale(t, F((-1) ** (i - 1))))
-        ps.append(pm)
+    ps = newton_power_sums(model, model.chern if c is None else c, top)
     L = model.zero_elt()
     for m in range(1, top + 1):
         L = model.add(L, model.scale(ps[m], spec.log_coeffs[m]))
@@ -633,9 +624,10 @@ def _class_spec(name):
     return classical_genus(name, order=8)
 
 
-def _integral_against(spec, m, u):
-    """Oracle: <K u, [X]> as an element of spec.ring, K by Newton."""
-    K = _multiplicative_class_by_newton(spec, m)
+def _integral_against(spec, m, u, c=None):
+    """Oracle: <K u, [X]> as an element of spec.ring, K by Newton from c
+    (default c(TX))."""
+    K = _multiplicative_class_by_newton(spec, m, c)
     return spec.ring.dot([(spec.ring.one, m.integrate(m.mul(K, u)))])
 
 
@@ -650,6 +642,25 @@ def test_evaluate_against_one_and_a_full_class(name):
             spec, m, m.one_elt())
         full = {l: F(i + 1, 2) for i, l in enumerate(m.labels)}
         assert evaluate(spec, m, full) == _integral_against(spec, m, full)
+
+
+@pytest.mark.parametrize("name", ["todd", "chi_y", "theta"])
+def test_evaluate_from_root_power_sums_matches_newton_on_every_model(name):
+    # evaluate reads p_m = sum k x^m from the roots; the oracle takes
+    # Newton's p_m of c(TX) as its constructor multiplied it out
+    from test_cohomology_models import _root_models
+
+    spec = _class_spec(name)
+    checked = 0
+    for m, c in _root_models():
+        if m.dim > min(7, spec.order):
+            continue
+        full = {l: F(i + 1, 2) for i, l in enumerate(m.labels)}
+        for u in (m.one_elt(), full):
+            assert evaluate(spec, m, u) == _integral_against(spec, m, u, c), (
+                m.name)
+        checked += 1
+    assert checked >= 30
 
 
 def test_evaluate_against_powers_of_g_reads_the_todd_class_of_cp2():

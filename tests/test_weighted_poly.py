@@ -20,7 +20,8 @@ import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
-from ellgenus.algebra_kernel import QQ, VariableNotPresent
+from ellgenus.algebra_kernel import (QQ, NonUnitLeadingCoefficient,
+                                     VariableNotPresent)
 from ellgenus.jacobi_q import y_model
 from ellgenus.weighted_poly import (EXPONENT_BOUND, ExponentOverflow,
                                    PolyRing, WeightedPoly)
@@ -323,6 +324,36 @@ def test_normal_form_of_fixed_values():
     assert str(p) == "-1/6*z + 4/9*y + 2/3*x"
     assert p.coeff((0, 1, 0)) == F(4, 9) and p.coeff((1, 1, 0)) == 0
     assert len({p, p + 0, p * 1, WeightedPoly(WXYZ, dict(p.terms))}) == 1
+
+
+def test_monic_off_qq_divides_by_the_leading_coefficient():
+    # the flat form: the leading coefficient is a polynomial in A, B, and
+    # dividing by its own leading term gave (B + 2/3*A)*x for x*(2A + 3B)
+    ring = PolyRing("x", base=AB)
+    x = ring.gen("x")
+    A, B = AB.gens()
+    p = x * AB.constant(F(6)) + ring.constant(A)
+    assert p.monic() == x + ring.constant(A * F(1, 6))
+    assert p.monic().leading() == ((1,), AB.one)
+    for q in (x * (2 * A + 3 * B), x * (2 * A), x * A + ring.one):
+        with pytest.raises(NonUnitLeadingCoefficient):
+            q.monic()
+    # over Q(zeta_3), where -y is a primitive cube root of unity
+    base, y = y_model(3)[:2]
+    ring = PolyRing("x", base=base)
+    x = ring.gen("x")
+    assert (x * 2).monic() == x
+    p = x * (y + 1) + ring.constant(y)
+    m = p.monic()
+    assert m.leading()[1] == base.one
+    assert m * (y + 1) == p
+    assert ring.zero.monic() == ring.zero
+    # over a base that is neither QQ nor flat, a non-unit is refused too
+    nested = PolyRing("u", base=FLAT)
+    u = nested.gen("u")
+    assert (u * 3).monic() == u
+    with pytest.raises(NonUnitLeadingCoefficient):
+        (u * FLAT.gen("x")).monic()
 
 
 # ---------------------------------------------------------------------------
