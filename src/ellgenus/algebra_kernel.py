@@ -53,7 +53,7 @@ def literal_digits(text):
     "1.5e-3" plus the size of its exponent: about as many digits as the
     number has written out."""
     mantissa, _, exponent = text.lower().partition("e")
-    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")
+    exponent = exponent.strip().lstrip("+-").lstrip("0")
     digits = sum(ch.isdecimal() for ch in mantissa)
     if not exponent.isdecimal():
         return digits
@@ -61,21 +61,40 @@ def literal_digits(text):
                      else inf)
 
 
+def _number_text(text):
+    """text, if it may be read as a number: ASCII without "_", and at
+    most _max_str_digits() digits written out with its exponent
+    (literal_digits).  int() and Fraction() read more, the digits of
+    every script and "_" between digits, so "٣" would be read as 3 and
+    "1_0" as 10; and Fraction() runs long on a large exponent, while
+    int() refuses a long literal with advice a user cannot take.  Text
+    that passes is read exactly as they read it, surrounding spaces
+    included."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not a number")
+    if literal_digits(text) > _max_str_digits():
+        raise ValueError(f"{text!r} has more than {_max_str_digits()} "
+                         "digits written out")
+    return text
+
+
+def parse_int(text):
+    """An int from text read from outside, the command line's and the
+    catalog names' numbers and JSON Chern-number keys: int() of
+    _number_text, ValueError otherwise."""
+    return int(_number_text(text))
+
+
 def parse_rational(value):
     """A Fraction from a rational read from outside: a str such as "-3/2"
-    or "1.5e3", an int or a float.  ValueError for a bool, which Fraction
-    would read as 0 or 1, and where Fraction would overflow or run long:
-    a float that is not finite, or a literal of more than
-    _max_str_digits() digits with its exponent (literal_digits).
-    """
+    or "1.5e3" (_number_text), an int or a float.  ValueError for a bool,
+    which Fraction would read as 0 or 1, and for a float that is not
+    finite, which it cannot read."""
     if isinstance(value, bool):
         raise ValueError(f"{value} is not a number")
     if isinstance(value, float) and not isfinite(value):
         raise ValueError(f"{value} is not a finite number")
-    if isinstance(value, str) and literal_digits(value) > _max_str_digits():
-        raise ValueError(f"{value!r} has more than {_max_str_digits()} "
-                         "digits written out")
-    return Fraction(value)
+    return Fraction(_number_text(value) if isinstance(value, str) else value)
 
 
 # ---------------------------------------------------------------------------

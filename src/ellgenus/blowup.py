@@ -34,6 +34,7 @@ from .cohomology_models import (
     cp_model,
     point_model,
     power_sums_in_chern,
+    total_chern,
 )
 from .genus_engine import evaluate
 from .jacobi_q import phi_ell_q
@@ -183,13 +184,11 @@ def genus_defect(inp):
     It is <K(TY) D, [Y]> (evaluate), D the pushed defect at the normal
     bundle E: each monomial e_1^a_1...e_q^a_q of pushed_defect is the
     Chern monomial of the partition with a_i parts i, evaluated at
-    c(E) = prod_i (1 + x_i).
+    c(E) = prod_i (1 + x_i) (total_chern).
     """
     model, q = inp.center, inp.codim
     pushed = pushed_defect(inp.spec, q, model.dim)
-    chern_e = model.one_elt()
-    for r in inp.roots:
-        chern_e = model.mul(chern_e, model.add(model.one_elt(), r))
+    chern_e = total_chern(model, [(r, 1) for r in inp.roots])
     monomial = chern_monomials(model, chern_e, q)
     defect = model.zero_elt()
     for expo, c in pushed.terms.items():

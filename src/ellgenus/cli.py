@@ -20,7 +20,8 @@ from fractions import Fraction
 from math import gcd
 from types import SimpleNamespace
 
-from .algebra_kernel import _max_str_digits, literal_digits, parse_rational
+from .algebra_kernel import (_max_str_digits, literal_digits, parse_int,
+                             parse_rational)
 from .genus_engine import classical_genus, evaluate
 
 
@@ -529,7 +530,7 @@ def _parse_options(command, about, opts, argv):
             if value is None or value.startswith("--"):
                 fail(f"argument {opt.name}: expected a value")
         try:
-            value = opt.type(value)
+            value = parse_int(value) if opt.type is int else value
         except ValueError:
             fail(f"argument {opt.name}: invalid {opt.type.__name__} value "
                  f"{value!r}")

@@ -24,7 +24,7 @@ constants are filled on first use, and Chern numbers share the monomials
 c_{p_1}...c_{p_k} of common prefixes.  The twisted projective bundles
 (catalog W5, W6, ... and TwCP(p,q)) are in twisted_bundles and manifolds
 read from JSON in manifold_json; each is imported only where such a
-manifold is built.
+manifold is named.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import lcm
 
-from .algebra_kernel import _fr, coeff_is_zero
+from .algebra_kernel import _fr, coeff_is_zero, parse_int
 
 
 def _integral(c):
@@ -467,7 +467,7 @@ def check_size(what, dim, max_dim, rank=1):
                          f"{MAX_RANK}, got {rank}")
 
 
-def cp_model(n):
+def cp_model(n, name=None):
     """CP_n: Z[g]/(g^{n+1}), root g n+1 times, integral of g^n is 1."""
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -476,7 +476,7 @@ def cp_model(n):
     mul = StructureTable(lambda i, j: {i + j: 1} if i + j <= n else {})
     roots = [({1: 1}, n + 1)] if n else []
     return CohomologyModel(n, labels, degree, 0, mul, {n: 1}, roots,
-                           name=f"CP{n}")
+                           name=name or f"CP{n}")
 
 
 def point_model():
@@ -505,26 +505,29 @@ def product_model(x, y):
                            name=f"{x.name}x{y.name}")
 
 
-def hypersurface_model(ambient, c1_L):
+def hypersurface_model(ambient, c1_L, name=None):
     """Smooth divisor dual to a line bundle L inside an ambient model.
 
-    The model reuses the ambient basis (restricted classes), its products
-    without the classes above degree dim H, which restrict to 0;
+    The model keeps the ambient basis classes of degree at most dim H
+    (restricted classes; those above restrict to 0) and their products;
     integration is u -> integral_ambient(u * c1(L)), and TX = T(ambient)
-    - L adds the root (c1(L), -1).
+    - L adds the root (c1(L), -1).  In dimension 0 the degree-1 classes
+    are gone and the point has no roots.
     """
     if ambient.dim < 1:
         raise ValueError("ambient must have positive dimension")
     n = ambient.dim - 1
     c1_L = _integral_elt(c1_L)
-    integral = {l: v for l in ambient.labels
+    labels = [l for l in ambient.labels if ambient.degree[l] <= n]
+    integral = {l: v for l in labels
                 if (v := ambient.integrate(ambient.mul({l: 1}, c1_L)))}
     mul = StructureTable(lambda l1, l2: {
         l: c for l, c in ambient.mul_table[l1, l2].items()
         if ambient.degree[l] <= n})
-    return CohomologyModel(n, ambient.labels, ambient.degree, ambient.unit,
-                           mul, integral, ambient.roots + [(c1_L, -1)],
-                           name=f"H({ambient.name})")
+    return CohomologyModel(n, labels, {l: ambient.degree[l] for l in labels},
+                           ambient.unit, mul, integral,
+                           ambient.roots + [(c1_L, -1)] if n else [],
+                           name=name or f"H({ambient.name})")
 
 
 # ---------------------------------------------------------------------------
@@ -534,9 +537,7 @@ def hypersurface_model(ambient, c1_L):
 
 def quartic_surface():
     """Degree-4 surface in CP3 (a K3 surface): c_1^2 = 0, c_2 = 24."""
-    m = hypersurface_model(cp_model(3), {1: 4})  # c1(O(4)) = 4g
-    m.name = "W2"
-    return m
+    return hypersurface_model(cp_model(3), {1: 4}, "W2")  # c1(O(4)) = 4g
 
 
 def catalog(name, max_dim=None, what="the manifold"):
@@ -547,34 +548,27 @@ def catalog(name, max_dim=None, what="the manifold"):
     max_dim: check_size then refuses a larger name, called what, before
     any model is built.  Without max_dim the catalog has no bound.
     """
-    name = name.strip()
-    if not name.isascii():  # int() reads the digits of every script
-        raise UnknownName(name)
+    dim, build = _catalog_entry(name.strip())
+    check_size(what, dim, max_dim)
+    return build()
+
+
+def _catalog_entry(name):
+    """The dimension and the constructor a catalog name names.  The n of
+    CPn and Wn is ASCII digits; p and q are read by parse_int.
+    UnknownName for a name not in the catalog, ValueError for a TwCP(p,q)
+    that is not two integers p, q >= 0 with p + q >= 1."""
     if name == "W1":
-        m = cp_model(1)
-        m.name = "W1"
-        return m
+        return 1, lambda: cp_model(1, "W1")
     if name in ("W2", "K3"):
-        return quartic_surface()
+        return 2, quartic_surface
     if name == "W3":
-        return ChernVector(3, {(3,): Fraction(2)})
+        return 3, lambda: ChernVector(3, {(3,): 2})
     if name == "W4":
-        return ChernVector(4, {(2, 2): Fraction(2), (4,): Fraction(6)})
-    if name.startswith("W") and name[1:].isdecimal():
-        k = int(name[1:])
-        if k >= 5:
-            check_size(what, k, max_dim)
-            from .twisted_bundles import w_even, w_odd
-            if k % 2 == 1:
-                return w_odd((k - 1) // 2)
-            return w_even((k - 2) // 2)
-    if name.startswith("CP") and name[2:].isdecimal():
-        n = int(name[2:])
-        check_size(what, n, max_dim)
-        return cp_model(n)
+        return 4, lambda: ChernVector(4, {(2, 2): 2, (4,): 6})
     if name.startswith("TwCP(") and name.endswith(")"):
         try:
-            p, q = map(int, name[5:-1].split(","))
+            p, q = map(parse_int, name[5:-1].split(","))
         except ValueError:
             raise ValueError(f"TwCP(p,q) needs two integers p, q >= 0, "
                              f"got {name}") from None
@@ -582,7 +576,14 @@ def catalog(name, max_dim=None, what="the manifold"):
             raise ValueError(f"TwCP(p,q) needs p, q >= 0, got {name}")
         if p + q < 1:
             raise ValueError(f"TwCP(p,q) needs p + q >= 1, got {name}")
-        check_size(what, p + q - 1, max_dim)
         from .twisted_bundles import tw_cp
-        return tw_cp(p, q)
+        return p + q - 1, lambda: tw_cp(p, q)
+    head = name.rstrip("0123456789")
+    if head in ("CP", "W") and head != name:
+        n = parse_int(name[len(head):])
+        if head == "CP":
+            return n, lambda: cp_model(n)
+        if n >= 5:
+            from .twisted_bundles import w_even, w_odd
+            return n, lambda: w_odd(n // 2) if n % 2 else w_even(n // 2 - 1)
     raise UnknownName(name)

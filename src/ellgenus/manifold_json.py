@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from math import prod
 
-from .algebra_kernel import parse_rational
+from .algebra_kernel import parse_int, parse_rational
 from .cohomology_models import (
     CHERN_NUMBERS_MAX_DIM,
     PART_MAX_DIM,
@@ -152,10 +152,7 @@ def _model(obj, max_dim, what):
     numbers, keys = {}, {}
     for key, val in _field(obj, "numbers", dict, {}).items():
         try:
-            if not key.isascii():  # int() reads the digits of every script
-                raise ValueError(key)
-            part = tuple(sorted((int(s) for s in key.split(",")),
-                                reverse=True))
+            part = tuple(sorted(map(parse_int, key.split(",")), reverse=True))
             numbers[part] = parse_rational(val)
         except (TypeError, ValueError, ZeroDivisionError):
             raise BadManifold(f"manifold JSON: bad Chern number "

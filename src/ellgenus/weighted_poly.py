@@ -21,7 +21,10 @@ a PolyRing over QQ stores its elements flat, in the same form: a key is
 the weight and exponents of the ring's own variables above the
 coefficient monomial's weight and key, and the cap counts the ring's own
 weight only.  So its products run the same integer convolution, and
-terms and coeff rebuild the coefficients in the base.  Over any other
+terms and coeff rebuild the coefficients in the base.  Of the commands
+only verify all builds such a ring: criterion 1's ring of Chern classes
+over Q[A, B, C, D] and criterion 10's (u, v) and (u, w, z) rings, which
+run faster flat than with a base dot per coefficient.  Over any other
 base a coefficient is a base element, and a product collects the
 coefficient pairs of every monomial for one base dot each.
 """

@@ -14,6 +14,7 @@ from ellgenus.algebra_kernel import (
     TruncatedSeries,
     VariableNotPresent,
     literal_digits,
+    parse_int,
     parse_rational,
     ring_invert,
 )
@@ -68,6 +69,57 @@ def test_parse_rational_refuses_what_fraction_cannot_read_quickly():
             parse_rational(bad)
     with pytest.raises(ValueError):
         parse_rational("1/x")
+
+
+def _read(read, text):
+    """read(text), or None where it refuses it ("1/0" divides by zero)."""
+    try:
+        return read(text)
+    except (ValueError, ZeroDivisionError):
+        return None
+
+
+# the ASCII characters of a rational literal, "_" and spaces, and digits
+# of other scripts: Arabic-Indic, Devanagari, fullwidth and superscript
+_NUMBER_TEXT = st.text(st.sampled_from(
+    "0123456789+-./eE_ \u0663\u0968\uff13\u00b2"), max_size=12)
+
+
+@seed(20261022)
+@settings(max_examples=600, deadline=None)
+@given(_NUMBER_TEXT)
+def test_one_reader_for_every_number_typed(text):
+    # ASCII text without "_" is read exactly as int() and Fraction() read
+    # it; other text, which they may read as another number, is refused
+    as_int, as_rational = _read(parse_int, text), _read(parse_rational, text)
+    if not text.isascii() or "_" in text:
+        assert as_int is None and as_rational is None
+        return
+    assert as_int == _read(int, text)
+    assert as_int is None or type(as_int) is int
+    if literal_digits(text) > 4300:  # refused before Fraction runs long
+        assert as_rational is None
+    else:
+        assert as_rational == _read(Fraction, text)
+
+
+@pytest.mark.parametrize("text", ["\u0663", "1_0", "0_2", "\uff13",
+                                  "\u0968/2", "1e1_0"])
+def test_reader_refuses_what_int_and_fraction_misread(text):
+    assert _read(int, text) is not None or _read(Fraction, text) is not None
+    for read in (parse_int, parse_rational):
+        with pytest.raises(ValueError, match="is not a number"):
+            read(text)
+
+
+def test_parse_int_refuses_a_long_literal_in_its_own_words():
+    # int() refuses more than 4300 digits with advice to raise the limit
+    # (sys.set_int_max_str_digits), which a user of a command cannot take;
+    # the reader refuses it as it refuses a long rational
+    assert parse_int("9" * 4300) == 10 ** 4300 - 1
+    with pytest.raises(ValueError) as exc:
+        parse_int("9" * 4301)
+    assert str(exc.value).endswith("has more than 4300 digits written out")
 
 
 def test_series_inverse_geometric():

@@ -846,17 +846,101 @@ def test_superscript_digits_name_no_catalog_manifold(name, fmt):
 @pytest.mark.parametrize("fmt", ["text", "json"])
 @pytest.mark.parametrize("name", ["CP\u0663", "W\u0665", "CP1\u0662",
                                   "TwCP(\u0663,1)", "TwCP(1,\u0968)",
-                                  "CP\uff13"])
+                                  "CP\uff13", "TwCP(1_0,1)"])
 def test_digits_of_other_scripts_name_no_catalog_manifold(name, fmt):
     # str.isdecimal and int() take the digits of every script: CP3 in
-    # Arabic-Indic digits printed todd(CP3) = 1 and exited 0
+    # Arabic-Indic digits printed todd(CP3) = 1 and exited 0, and int()
+    # read TwCP(1_0,1) as TwCP(10,1); p and q are read as every number is
+    message = (f"TwCP(p,q) needs two integers p, q >= 0, got {name}"
+               if name.startswith("TwCP") else
+               f"unknown catalog manifold {name!r}")
     for manifold in (f"catalog:{name}",
                      json.dumps({"type": "catalog", "name": name})):
         rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
                        manifold, "--format", fmt)
         assert rc == 2
+        assert _one_line_error(text, fmt) == message
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_a_catalog_number_too_long_to_read_is_refused_in_our_words(fmt):
+    # int() refused CP<5000 nines> with its advice to call
+    # sys.set_int_max_str_digits(), which a user of a command cannot take
+    digits = "9" * 5000
+    for manifold in (f"catalog:CP{digits}",
+                     json.dumps({"type": "catalog", "name": f"W{digits}"})):
+        rc, text = run("genus", "eval", "--genus", "todd", "--manifold",
+                       manifold, "--format", fmt)
+        assert rc == 2
         assert _one_line_error(text, fmt) == (
-            f"unknown catalog manifold {name!r}")
+            f"{digits!r} has more than 4300 digits written out")
+
+
+# Spellings that int() or Fraction() read as another number: each exited 0
+# with the value of that number (universal coeffs --order 3, level 3, a
+# genus point 3,1,1,1, TwCP(10,1), c_10, a Chern number 3, a degree-10 or
+# degree-4 surface) and is now refused with one line.
+_HYPERSURFACE = '{"type":"hypersurface","ambient":{"type":"cp","n":3},'
+MISREAD_SPELLINGS = [
+    ("universal", "coeffs", "--order", "\u0663"),
+    ("universal", "coeffs", "--order", "0_2"),
+    ("leveln", "relations", "--N", "\u0663"),
+    ("genus", "eval", "--genus=\u0663,1,1,1", "--manifold", "catalog:CP1"),
+    ("genus", "eval", "--genus", "todd", "--manifold", "catalog:TwCP(1_0,1)"),
+    ("genus", "eval", "--genus", "todd", "--manifold",
+     '{"type":"chern_numbers","dim":10,"numbers":{"1_0":"5"}}'),
+    ("genus", "eval", "--genus", "todd", "--manifold",
+     '{"type":"chern_numbers","dim":2,"numbers":{"2":"\u0663"}}'),
+    ("genus", "eval", "--genus", "todd", "--manifold",
+     _HYPERSURFACE + '"c1":["1_0"]}'),
+    ("genus", "eval", "--genus", "todd", "--manifold",
+     _HYPERSURFACE + '"c1":["\u0664"]}'),
+]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("argv", MISREAD_SPELLINGS)
+def test_misread_spellings_exit_2_with_one_line(argv, fmt, capsys):
+    rc, text = run(*argv, "--format", fmt)
+    err = capsys.readouterr().err
+    assert rc == 2
+    # a bad option value is a usage error, on stderr; the rest on stdout
+    assert (text + err).count("\n") == 1 and not (text and err)
+    if text:
+        _one_line_error(text, fmt)
+
+
+def _value(*argv):
+    rc, text = run(*argv)
+    return rc, text.partition(" = ")[2]
+
+
+# catalog names and the JSON manifolds they name; the labels differ
+# (todd(TwCP(2,1)) against todd(TwP(CP0;2,1)), W2 against H(CP3))
+def _tw(p, q):
+    return {"type": "twisted_bundle", "base": {"type": "cp", "n": 0},
+            "E": {"trivial": p}, "F": {"trivial": q}}
+
+
+CATALOG_TWINS = (
+    [(f"CP{n}", {"type": "cp", "n": n}) for n in range(5)]
+    + [(name, json.loads(_HYPERSURFACE + '"c1":[4]}'))
+       for name in ("K3", "W2")]
+    + [(f"TwCP({p},{q})", _tw(p, q))
+       for p, q in ((1, 0), (0, 1), (2, 1), (1, 2), (2, 2), (3, 0), (0, 0))]
+    # refused on both sides
+    + [("CP\u0663", {"type": "cp", "n": "\u0663"}),
+       ("CP1_0", {"type": "cp", "n": "1_0"}),
+       ("TwCP(1_0,1)", _tw("1_0", 1)), ("TwCP(\u0663,1)", _tw("\u0663", 1))])
+
+
+@pytest.mark.parametrize("name, obj", CATALOG_TWINS,
+                         ids=[name for name, _ in CATALOG_TWINS])
+def test_a_catalog_name_and_its_json_twin_agree(name, obj):
+    for genus in ("todd", "signature", "euler", "a_hat", "chi_y", "phi_ell"):
+        argv = ("genus", "eval", "--genus", genus, "--manifold")
+        assert _value(*argv, f"catalog:{name}") == _value(
+            *argv, json.dumps(obj)), genus
 
 
 # One case per fault of the inline-manifold reader: each exits 2 with one
@@ -944,14 +1028,18 @@ def test_deeply_nested_manifold_json_exits_2(source, fmt, tmp_path):
 _CATALOG_NAMES = ["W1", "W2", "W3", "W4", "W5", "W6", "K3", "CP0", "CP1",
                   "CP3", "CP-1", "CP", "TwCP(0,0)", "TwCP(2,1)", "TwCP(1,x)",
                   "TwCP(3)", "W0", "Wx", "", " CP2", "X", "CP60", "W60",
-                  "CP²", "W²"]
+                  "CP²", "W²", "CP\u0663", "W\uff15", "TwCP(\u0968,1)",
+                  "CP1_0", "TwCP(1_0,1)", "CP" + "9" * 5000,
+                  "TwCP(1," + "9" * 5000 + ")"]
 _JSON_KEYS = ["type", "n", "name", "factors", "ambient", "c1", "base", "E",
-              "F", "lines", "trivial", "dim", "numbers", "1,1", "2", "0,x"]
+              "F", "lines", "trivial", "dim", "numbers", "1,1", "2", "0,x",
+              "\u0662", "1_1"]
 # small leaves only, so no drawn manifold is expensive
 _JSON = st.recursive(
     st.none() | st.booleans() | st.integers(-1, 2)
     | st.sampled_from([0.5, 2.0, -1.0, "", "cp", "W2", "1/0", "3/2",
-                       "1e99999999", float("inf")]),
+                       "1e99999999", float("inf"), "\u0663", "\uff14",
+                       "1_0", "9" * 5000, 10 ** 400]),
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.sampled_from(_JSON_KEYS), inner, max_size=3),
     max_leaves=6)
@@ -985,7 +1073,8 @@ _HUGE = st.integers(1000, 10 ** 6)
 
 @st.composite
 def _argvs(draw):
-    size = st.one_of(st.integers(-1, 4), _HUGE).map(str)
+    size = st.one_of(st.integers(-1, 4), _HUGE).map(str) | st.sampled_from(
+        ["\u0663", "0_2", "9" * 5000])
     command = draw(st.sampled_from(
         ["genus", "universal", "leveln", "qexpand", "blowup"]))
     if command == "genus":
@@ -1039,12 +1128,15 @@ def test_cli_fuzz_exits_0_1_or_2(argv):
     start = time.perf_counter()
     status = main(argv, out=out)
     assert status in (0, 1, 2)
-    # a value over its limit (genus eval reads --order only up to the
-    # dimension, so it has none) is rejected at once
-    values = [int(v) for opt, v in zip(argv, argv[1:])
-              if opt in ("--N", "--order", "--qorder")
-              and v.lstrip("-").isdigit()]
-    if argv[0] != "genus" and max(values) >= 1000:
+    # a value that is no integer in ASCII digits, or over its limit (genus
+    # eval reads --order only up to the dimension, so it has none), is
+    # rejected at once
+    values = [v for opt, v in zip(argv, argv[1:])
+              if opt in ("--N", "--order", "--qorder")]
+    if not all(v.lstrip("-").isascii() and v.lstrip("-").isdecimal()
+               and len(v) <= 4300 for v in values):
+        assert status == 2
+    elif argv[0] != "genus" and max(map(int, values)) >= 1000:
         assert status == 2
         assert time.perf_counter() - start < 5
     # so is a rational too long to parse, to evaluate or to print, or not

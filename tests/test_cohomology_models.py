@@ -22,6 +22,7 @@ from ellgenus.cohomology_models import (
     product_model,
     quartic_surface,
 )
+from ellgenus.genus_engine import classical_genus, evaluate
 from ellgenus.manifold_json import BadManifold, model_from_json
 from ellgenus.twisted_bundles import (
     tw_cp,
@@ -694,6 +695,30 @@ def test_hypersurface_products_drop_the_classes_above_its_dimension():
     assert m.power_sums(3)[3] == {}
 
 
+@pytest.mark.parametrize("make, labels, numbers, chi_y", [
+    (lambda: catalog("W5"), 12, {(3, 2): -256}, "0"),
+    (lambda: product_model(cp_model(1), quartic_surface()), 6,
+     {(3,): 48, (2, 1): 48}, "-2*y^3 + 22*y^2 - 22*y + 2"),
+    (lambda: hypersurface_model(product_model(cp_model(1), cp_model(2)),
+                                {(1, 0): 2, (0, 1): 3}), 5, {(2,): 24},
+     "2*y^2 - 20*y + 2"),
+    # dimension 0: the degree-1 classes go, and the roots that read them
+    (lambda: hypersurface_model(cp_model(1), {1: 3}), 1, {(): 3}, "3"),
+], ids=["W5", "CP1xK3", "H(CP1xCP2)", "H(CP1)"])
+def test_a_hypersurface_carries_only_its_own_basis(make, labels, numbers,
+                                                   chi_y):
+    # W5 (a bundle over the K3 surface) carried 16 labels, CP1 x K3 8:
+    # the ambient's classes above the hypersurface's dimension, always 0.
+    # The Chern numbers and chi_y are the ones computed with them.
+    m = make()
+    assert len(m.labels) == len(m.degree) == labels
+    assert max(m.degree.values()) == m.dim
+    assert {l for x, _ in m.roots for l in x} <= set(m.labels)
+    assert {p: v for p, v in chern_vector(m).numbers.items() if v} == numbers
+    assert str(evaluate(classical_genus("chi_y", order=max(m.dim, 1)),
+                        m)) == chi_y
+
+
 def test_dropping_the_hypersurface_root_changes_a_chern_number():
     # negative control: the root (c_1 L, -1) is what makes W2 a K3 surface;
     # without it the model has c(CP3) restricted, and c_1^2 = 64, c_2 = 24
@@ -733,10 +758,12 @@ def test_catalog_unknown():
         with pytest.raises(UnknownName):
             catalog(name)
     # and int() the digits of every script: Arabic-Indic, Devanagari and
-    # fullwidth ones are no catalog name
-    for name in ("CP\u0663", "W\u0665", "TwCP(\u0663,1)", "TwCP(1,\u0968)",
-                 "CP\uff13"):
+    # fullwidth ones are no catalog name, and no p or q of TwCP(p,q)
+    for name in ("CP\u0663", "W\u0665", "CP\uff13"):
         with pytest.raises(UnknownName):
+            catalog(name)
+    for name in ("TwCP(\u0663,1)", "TwCP(1,\u0968)", "TwCP(1_0,1)"):
+        with pytest.raises(ValueError, match="needs two integers"):
             catalog(name)
 
 
